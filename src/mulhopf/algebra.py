@@ -18,6 +18,7 @@ annihilators).  Idempotency witnesses double as Sweedler decompositions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import GaussianSolver, SparseMatrix, vec_canonical
 
@@ -272,6 +273,23 @@ class Algebra(Space):
             return self._unit_data
         self._unit_data = self.element(self._unit_data)
         return self._unit_data
+
+    @cached_property
+    def verified_unit(self):
+        """The declared unit if it acts as a unit on every basis id, else None.
+
+        Finite algebras only (an oracle basis cannot be exhausted).  Code
+        that relies on M(A) = iota(A) asks this, never ``unit``, so a false
+        declaration cannot leak into a result.
+        """
+        u = self.unit if self.finite else None
+        if u is None:
+            return None
+        for bid in self.basis.ids:
+            e = self.basis_element(bid)
+            if u * e != e or e * u != e:
+                return None
+        return u
 
     @property
     def has_local_units(self):

@@ -9,17 +9,18 @@ a path to a spec file.  Every command emits a report (text by default,
     2   the window was too small to decide something
     3   bad input (unparseable file, unknown gallery name, missing data)
 
-``--jobs`` runs independent checks of one stage concurrently; reports
-are assembled in a fixed order regardless, so output stays deterministic.
+Checks run one after another in a fixed order, sharing one slice cache
+per run, so output is deterministic.  ``--jobs`` (env ``MULHOPF_JOBS``)
+is still parsed but reserved: it changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import (
     InputError, Verdict, WindowInsufficiency,
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="recorded in the report")
         p.add_argument("--jobs", type=_positive,
                        default=int(os.environ.get("MULHOPF_JOBS", "1")),
-                       help="worker threads per stage (env MULHOPF_JOBS)")
+                       help="reserved; checks run sequentially (env MULHOPF_JOBS)")
         p.add_argument("--timing", action="store_true",
                        help="include per-check timings in the report")
     return parser
@@ -92,8 +93,7 @@ def resolve_input(text):
 class Runner:
     """Executes check groups, keeps (verdict, timing) rows in order."""
 
-    def __init__(self, jobs=1, timing=False):
-        self.jobs = jobs
+    def __init__(self, timing=False):
         self.timing = timing
         self.rows = []  # (Verdict, timing_ms or None)
 
@@ -104,17 +104,9 @@ class Runner:
         return (out if isinstance(out, list) else [out]), dt
 
     def group(self, tasks) -> list:
-        """Run tasks (each returns a Verdict or a list) and record results.
-
-        Results land in submission order even under --jobs.
-        """
-        if self.jobs > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                done = [f.result() for f in [pool.submit(self._timed, t) for t in tasks]]
-        else:
-            done = [self._timed(t) for t in tasks]
+        """Run tasks in order (each returns a Verdict or a list), record results."""
         out = []
-        for verdicts, dt in done:
+        for verdicts, dt in map(self._timed, tasks):
             for v in verdicts:
                 self.rows.append((v, dt))
                 out.append(v)
@@ -132,14 +124,10 @@ def _require_bialgebra(entry):
     return entry.bialgebra
 
 
-def _fmt_scalar(field, v):
-    return field.format(v)
-
-
 def _counit_table(bundle, synthesis):
     alg = bundle.algebra
     keys = sorted(synthesis.table, key=alg.sort_key)
-    return {alg.fmt_id(k): _fmt_scalar(alg.field, synthesis.table[k]) for k in keys}
+    return {alg.fmt_id(k): alg.field.format(synthesis.table[k]) for k in keys}
 
 
 def _antipode_table(bundle, table):
@@ -165,7 +153,7 @@ def stage_bialgebra(run: Runner, bundle, window, expansion) -> list:
     sl = bundle.slicer(window, expansion)
     return run.group([
         lambda: delta.validate(),
-        lambda: check_fons(delta, window=window, expansion=expansion),
+        lambda: check_fons(delta, slicer=sl),
         lambda: check_coassociative(delta, slicer=sl),
     ])
 
@@ -254,7 +242,7 @@ def cmd_check_hopf(entry, run, report, window, expansion):
                                               slicer=sl),
         ])
     else:
-        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl)
+        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
         run.group([lambda: syn.verdicts[2:] or
                    [Verdict("antipode synthesis", "failed",
                             bundle.algebra.window_label(sl.ids),
@@ -268,12 +256,16 @@ def cmd_check_comodule(entry, run, report, window, expansion):
     coaction = entry.params.get("coaction")
     com = ComoduleAlgebra(entry.algebra, coaction or bundle.delta, bundle,
                           window=window, expansion=expansion)
+    epsilon = bundle.epsilon
+    if epsilon is None:
+        syn = synthesize_counit(bundle.delta, slicer=bundle.slicer(window, expansion))
+        epsilon = syn.extension if syn is not None else None
     run.group([lambda: com.coaction.validate()])
     run.group([
         lambda: check_comodule_coassoc(com),
         lambda: check_comodule_coassoc_framed(com),
         lambda: check_comodule_coassoc(com, method="element"),
-        lambda: check_comodule_counit(com),
+        lambda: check_comodule_counit(com, epsilon=epsilon),
     ])
 
 
@@ -351,6 +343,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    mid_collections = gc.get_stats()[1]["collections"]
+    try:
+        return _main(argv)
+    finally:
+        # A run's algebras and their cached elements point at each other, so
+        # only the cycle collector frees them, and CPython puts off full
+        # collections while its oldest generation is large.  A run that went
+        # through threshold2 middle-generation collections has filled that
+        # generation: free it now, or an in-process caller carries this
+        # run's caches into the next run for as long as the collector waits.
+        if gc.get_stats()[1]["collections"] - mid_collections >= gc.get_threshold()[2]:
+            gc.collect()
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         entry, source, source_digest = resolve_input(args.input)
@@ -364,7 +371,7 @@ def main(argv=None) -> int:
         expansion = entry.bialgebra.expansion if entry.bialgebra else 2
     report = Report(args.command, source, source_digest,
                     window=window, expansion=expansion, seed=args.seed)
-    run = Runner(jobs=args.jobs, timing=args.timing)
+    run = Runner(timing=args.timing)
     try:
         _COMMANDS[args.command](entry, run, report, window, expansion)
     except WindowInsufficiency as exc:

@@ -307,16 +307,22 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
                    else "proven", label)
 
 
-def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None) -> Verdict:
+def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
+                          epsilon=None) -> Verdict:
     """(id (x) eps)-bar(rho(b)(1 (x) a)) = eps(a) iota(b) on window pairs.
 
     Both sides are iota of elements of B, so this is an element equality:
     sum b_(0,a) eps(b_(1,a)) = eps(a) b.  A missing slice is flagged as a
-    failure of the stronger framed-membership hypothesis.
+    failure of the stronger framed-membership hypothesis.  ``epsilon``
+    defaults to the bialgebra's declared counit; with neither, the law
+    fails for want of a counit.
     """
     window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
-    eps = com.bialgebra.epsilon
+    eps = epsilon if epsilon is not None else com.bialgebra.epsilon
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
+    if eps is None:
+        return Verdict("comodule counit", "failed", label,
+                       detail="no counit: none declared and none synthesized")
     f = B.field
     for b in b_ids:
         eb = B.basis_element(b)

@@ -23,7 +23,7 @@ from .algebra import (
 from .multiplier import Multiplier, iota
 from .extension import Extension
 from .bialgebra import MultiplierBialgebra, counit_extension
-from .hopf import MultiplierMap
+from .hopf import MultiplierMap, zero_multiplier
 from .comodule import ComoduleAlgebra
 
 
@@ -400,7 +400,7 @@ def random_extension(seed: int, field=QQ) -> Extension:
         A = _kpow(field, dp, f"kp{dp}x")
         return Extension(B, A,
                          lambda i: (iota(A, A.basis_element(i)) if i < dp
-                                    else _zero_mult(A)),
+                                    else zero_multiplier(A)),
                          name=f"proj[{seed}]")
     if shape == "blocks":
         dp = rng.randint(1, 3)
@@ -435,11 +435,6 @@ def _group_algebra(field, n):
         field, list(range(n)),
         {(i, j): {(i + j) % n: field.one} for i in range(n) for j in range(n)},
         unit={0: field.one}, name=f"k[Z/{n}]", fmt_id=lambda i: f"g{i}")
-
-
-def _zero_mult(alg):
-    z = alg.zero()
-    return Multiplier(alg, lambda bid: z, lambda bid: z, name="0")
 
 
 # ---------------------------------------------------------------------------

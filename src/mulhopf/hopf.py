@@ -229,26 +229,41 @@ class AntipodeSynthesis:
 
 
 def synthesize_antipode(delta, epsilon, window=None, expansion=2,
-                        slicer=None) -> AntipodeSynthesis:
+                        slicer=None, gate=None) -> AntipodeSynthesis:
+    """Solve for S with values in M(A), gated on T1/T2 bijectivity.
+
+    ``gate`` is a ``check_hopf`` result already computed on the same
+    slicer.  S(e_t) is written in elements of A (M(A) = iota(A)) for oracle
+    algebras and for finite algebras whose declared unit verifies; other
+    finite algebras are solved over all of M(A) (``MultiplierSpace``).
+    """
     slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     f = alg.field
 
-    gate = check_hopf(delta, slicer=slicer)
+    gate = gate or check_hopf(delta, slicer=slicer)
     verdicts = [gate["T1"]["bijectivity"], gate["T2"]["bijectivity"]]
     if not gate["hopf"].ok:
         return AntipodeSynthesis(
             "failed", None, None, verdicts,
             detail=f"no antipode: {gate['hopf'].detail or 'canonical map not bijective'}")
 
-    msp = MultiplierSpace(alg) if alg.finite else None
+    msp = None
     if alg.finite:
         t_ids = alg.basis.ids
-        coord_ids = list(range(msp.dim))
+        if alg.verified_unit is None:
+            msp = MultiplierSpace(alg)
     else:
         t_ids = _scaled_ids(alg, slicer.window, slicer.expansion)
-        coord_ids = list(t_ids)
+    # S(e_t) = sum_k x_(t,k) m_k over the coordinate multipliers m_k
+    if msp is not None:
+        coords = list(enumerate(msp.basis))
+    else:
+        coords = [(w, Multiplier(alg, lambda v, w=w: alg.mul_basis(w, v),
+                                 lambda p, w=w: alg.mul_basis(p, w)))
+                  for w in t_ids]
+    coord_ids = [k for k, _m in coords]
     columns = [(t, k) for t in t_ids for k in coord_ids]
 
     entries: dict = {}
@@ -285,24 +300,14 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
         for b in ids:
             eps_b = eps_value(epsilon, alg.basis_element(b))
             for (u, v), c in slicer.right(a, b).coeffs.items():
-                if msp is not None:
-                    for k, mk in enumerate(msp.basis):
-                        for r, w in mk.lam_basis(v).coeffs.items():
-                            put(("S1", a, b, r), (u, k), f.mul(c, w))
-                else:
-                    for w_id in coord_ids:
-                        for r, pv in alg.mul_basis(w_id, v).coeffs.items():
-                            put(("S1", a, b, r), (u, w_id), f.mul(c, pv))
+                for k, mk in coords:
+                    for r, w in mk.lam_basis(v).coeffs.items():
+                        put(("S1", a, b, r), (u, k), f.mul(c, w))
             put_rhs(("S1", a, b, b), eps_a)
             for (p, q), c in slicer.left(a, b).coeffs.items():
-                if msp is not None:
-                    for k, mk in enumerate(msp.basis):
-                        for r, w in mk.rho_basis(p).coeffs.items():
-                            put(("S2", a, b, r), (q, k), f.mul(c, w))
-                else:
-                    for w_id in coord_ids:
-                        for r, pv in alg.mul_basis(p, w_id).coeffs.items():
-                            put(("S2", a, b, r), (q, w_id), f.mul(c, pv))
+                for k, mk in coords:
+                    for r, w in mk.rho_basis(p).coeffs.items():
+                        put(("S2", a, b, r), (q, k), f.mul(c, w))
             put_rhs(("S2", a, b, a), eps_b)
 
     solver = GaussianSolver(SparseMatrix(f, row_order, columns, entries))
@@ -334,7 +339,9 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
         for t in t_ids:
             coeffs = {u: sol[(t, u)] for u in coord_ids if sol.get((t, u))}
             values[t] = Element(alg, coeffs)
-        for t in ids:  # reported table: base window only, fully constrained there
+        # reported table: all of a finite basis, else the base window only,
+        # which is fully constrained
+        for t in (t_ids if alg.finite else ids):
             table[t] = values[t]
 
         def rule(bid, _vals=values):

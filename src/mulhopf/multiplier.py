@@ -421,10 +421,15 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
     u_right = z.apply_right(e)
     if u_left != u_right:
         return None
-    if probe_ids is not None:
-        u = u_left
-        for w in probe_ids:
-            ew = alg.basis_element(w)
-            if u * ew != z.apply_left(ew) or ew * u != z.apply_right(ew):
-                return None
+    if probe_ids is not None and not agrees_on_probes(alg, u_left, z, probe_ids):
+        return None
     return u_left
+
+
+def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
+    """iota(u) and z act alike, from both sides, on every probe basis element."""
+    for w in probe_ids:
+        ew = alg.basis_element(w)
+        if u * ew != z.apply_left(ew) or ew * u != z.apply_right(ew):
+            return False
+    return True

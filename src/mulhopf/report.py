@@ -1,9 +1,7 @@
 """Run reports: a stable JSON document and a one-line-per-check text form.
 
 The JSON is deterministic for identical inputs and seeds: entries keep
-the single-threaded pipeline order (parallel runs are reassembled in
-submission order before they reach the report), dictionary keys are
-sorted on serialization, and timings are null unless explicitly
+the pipeline order, dictionary keys are sorted on serialization, and timings are null unless explicitly
 requested, so repeated runs are byte-identical.
 """
 
@@ -52,10 +50,6 @@ class Report:
             "detail": verdict.detail or None,
             "timing_ms": timing_ms,
         })
-
-    def extend(self, verdicts, timings=None):
-        for i, v in enumerate(verdicts):
-            self.add(v, None if timings is None else timings[i])
 
     def add_table(self, name: str, mapping: dict):
         """A synthesized value table; keys and values must be strings."""

@@ -299,11 +299,13 @@ def derive_rho(T, lam_table, what="delta"):
     if solver.free_cols:
         raise InputError(
             f"{what} table cannot be completed: the algebra has right annihilators")
+    # frames with an empty table entry contribute only zero products
+    frames = [(y, Element(T, lam_table[y])) for y in ids if lam_table.get(y)]
     rho = {}
     for p in ids:
         rhs = {}
-        for y in ids:
-            prod = T.basis_element(p) * Element(T, lam_table.get(y, {}))
+        for y, m_y in frames:
+            prod = T.basis_element(p) * m_y
             for r, v in prod.coeffs.items():
                 rhs[(y, r)] = v
         sol = solver.solve(rhs)
@@ -390,9 +392,3 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
         T = tensor_algebra(A, A)
         entry.params["coaction"] = _slice_extension(A, T, spec.coaction, "rho")
     return entry
-
-
-def load(path: str) -> gallery.GalleryEntry:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return build_bundle(parse_spec(text), name=path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mulhopf import bialgebra
 from mulhopf.algebra import (Element, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
 from mulhopf.bialgebra import (SliceUndefined, Slicer, check_coassociative,
@@ -113,6 +114,34 @@ def test_fons_and_coassociativity_oracle():
     assert check_fons(b.delta, window=4).ok
     v = check_coassociative(b.delta, slicer=sl)
     assert v.status == "holds_on_window"
+
+
+def test_strict_fons_rechecks_a_planted_slice_against_the_probes(monkeypatch):
+    b = kfin_Z().bialgebra
+    sl = b.slicer(4)
+    good = sl.right(1, 2)
+    sl._cache[("right", 1, 2)] = good.scale(2)  # wrong, as if truncated
+    assert sl.right(1, 2) == good.scale(2)  # unverified requests trust the cache
+    assert check_fons(b.delta, slicer=sl, strict=True).ok
+    assert sl.right(1, 2) == good  # recomputed on the verified path
+    assert b.slicer(4) is sl
+    probes = []
+    monkeypatch.setattr(bialgebra, "agrees_on_probes",
+                        lambda *args: probes.append(args) or True)
+    assert check_fons(b.delta, slicer=sl, strict=True).ok
+    assert probes == []  # each cached slice is checked once
+
+
+def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
+    b = kfin_Z().bialgebra
+    sl = b.slicer(4)
+    sl._cache[("right", 1, 2)] = sl.right(1, 2).scale(2)
+    real = sl._preimage
+    sl._preimage = lambda z, base=None, probe_ids=None: (  # no verified slice
+        None if probe_ids is not None else real(z, base))
+    v = check_fons(b.delta, slicer=sl, strict=True)
+    assert v.status == "failed"
+    assert "side=right, a=1, b=2" in v.detail
 
 
 def test_right_projection_delta_is_coassociative():

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from mulhopf.algebra import tensor_elem
-from mulhopf.fields import QQ
+from mulhopf import hopf
+from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
+from mulhopf.bialgebra import counit_extension
+from mulhopf.extension import Extension
+from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, perturb_antipode_map
 from mulhopf.hopf import (MultiplierMap, canonical_map, check_antipode,
                           check_bijective, check_convolution_inverse,
@@ -76,6 +79,60 @@ def test_antipode_table_on_kz_is_negation():
     syn = synthesize_antipode(b.bialgebra.delta, b.bialgebra.epsilon, window=3)
     assert syn.ok
     assert syn.table == {n: b.algebra.basis_element(-n) for n in range(-3, 4)}
+
+
+def cyclic_functions(n, field, unit):
+    """Functions on Z/n with Delta dual to addition, ``unit`` as declared."""
+    one = field.one
+    A = finite_algebra(field, list(range(n)), {(i, i): {i: one} for i in range(n)},
+                       unit=unit, name=f"fun(Z/{n})", fmt_id=lambda i: f"d{i}")
+    AA = tensor_algebra(A, A)
+    delta = Extension(A, AA, lambda k: iota(AA, Element(
+        AA, {(i, (k - i) % n): one for i in range(n)})), name="Delta")
+    eps = counit_extension(A, {k: one if k == 0 else field.zero for k in range(n)})
+    return delta, eps
+
+
+def count_space_builds(monkeypatch):
+    builds = []
+
+    class Counted(hopf.MultiplierSpace):
+        def __init__(self, alg):
+            builds.append(alg)
+            super().__init__(alg)
+
+    monkeypatch.setattr(hopf, "MultiplierSpace", Counted)
+    return builds
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_unital_antipode_matches_the_multiplier_space_route(field, monkeypatch):
+    builds = count_space_builds(monkeypatch)
+    n = 5
+    b = kfun_cyclic(n, field=field).bialgebra
+    assert b.algebra.verified_unit == b.algebra.unit
+    unital = synthesize_antipode(b.delta, b.epsilon)
+    assert builds == []  # M(A) = iota(A): solved in elements of A
+    delta, eps = cyclic_functions(n, field, unit=None)
+    plain = synthesize_antipode(delta, eps)
+    assert len(builds) == 1  # no declared unit: solved over all of M(A)
+    assert unital.ok and plain.ok
+    assert {t: v.coeffs for t, v in unital.table.items()} == \
+        {t: v.coeffs for t, v in plain.table.items()} == \
+        {t: {(n - t) % n: field.one} for t in range(n)}
+
+
+def test_a_false_declared_unit_takes_the_multiplier_space_route(monkeypatch):
+    builds = count_space_builds(monkeypatch)
+    n = 3
+    delta, eps = cyclic_functions(n, QQ, unit={0: QQ.one})  # d0 is no unit
+    assert delta.source.unit is not None
+    assert delta.source.verified_unit is None
+    syn = synthesize_antipode(delta, eps)
+    assert len(builds) == 1
+    assert syn.ok
+    assert {t: v.coeffs for t, v in syn.table.items()} == \
+        {t: {(n - t) % n: QQ.one} for t in range(n)}
 
 
 def test_antipode_synthesis_fails_on_half_line():

@@ -281,3 +281,113 @@ def test_declared_antipode_goes_through_both_characterizations(tmp_path, capsys)
     assert rc == 0
     assert "antipode: proven" in out
     assert "convolution inverse: proven" in out
+
+
+# functions on Z/2 over F_5, Delta dual to addition, no epsilon lines
+FUN2_SPEC = """\
+field Fp 5
+basis d0 d1
+mul d0 d0 = 1*d0
+mul d1 d1 = 1*d1
+unit = 1*d0 + 1*d1
+delta d0 (d0,d0) = 1*(d0,d0)
+delta d0 (d1,d1) = 1*(d1,d1)
+delta d1 (d0,d1) = 1*(d0,d1)
+delta d1 (d1,d0) = 1*(d1,d0)
+"""
+
+
+def test_check_comodule_synthesizes_a_missing_counit(tmp_path, capsys):
+    rc, out, err = run_cli(["check-comodule", write_spec(tmp_path, FUN2_SPEC)],
+                           capsys)
+    assert rc == 0
+    assert "comodule counit: proven" in out
+    assert err == ""
+
+
+def test_check_comodule_without_any_counit_fails_cleanly(tmp_path, capsys):
+    # Delta(d_k) is the indicator of NAND(i, j) = k: no counit solves it
+    nand = FUN2_SPEC.replace("unit = 1*d0 + 1*d1\n", "").split("delta")[0] + (
+        "delta d0 (d1,d1) = 1*(d1,d1)\n"
+        "delta d1 (d0,d0) = 1*(d0,d0)\n"
+        "delta d1 (d0,d1) = 1*(d0,d1)\n"
+        "delta d1 (d1,d0) = 1*(d1,d0)\n")
+    rc, out, err = run_cli(["check-comodule", write_spec(tmp_path, nand)], capsys)
+    assert rc == 1
+    line = next(l for l in out.splitlines() if "comodule counit" in l)
+    assert "failed" in line and "no counit" in line
+    assert err == ""
+
+
+def test_check_hopf_runs_the_canonical_map_gate_once(tmp_path, capsys, monkeypatch):
+    from mulhopf import cli, hopf
+    spec = write_spec(tmp_path, "".join(
+        l for l in GROUP_SPEC.splitlines(keepends=True)
+        if not l.startswith("antipode")))
+    calls = []
+    real_bijective = hopf.check_bijective
+    monkeypatch.setattr(hopf, "check_bijective",
+                        lambda *a, **k: calls.append(a) or real_bijective(*a, **k))
+    rc, once, _ = run_cli(["check-hopf", spec, "--report", "json"], capsys)
+    assert rc == 0
+    assert len(calls) == 2  # T1 and T2, shared with antipode synthesis
+    real_synth = hopf.synthesize_antipode
+    monkeypatch.setattr(cli, "synthesize_antipode",
+                        lambda *a, gate=None, **k: real_synth(*a, **k))
+    rc, twice, _ = run_cli(["check-hopf", spec, "--report", "json"], capsys)
+    assert len(calls) == 6  # the gate recomputed inside synthesis
+    assert once == twice
+    assert json.loads(once)["tables"]["antipode"] == {"e": "1*e", "g": "1*g"}
+
+
+def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeypatch):
+    from mulhopf import bialgebra, cli
+    entries, built, solved, current = [], [], [], []
+    real_resolve = cli.resolve_input
+    monkeypatch.setattr(cli, "resolve_input",
+                        lambda text: entries.append(real_resolve(text)) or entries[-1])
+    real_init = bialgebra.Slicer.__init__
+    monkeypatch.setattr(bialgebra.Slicer, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    real_slice = bialgebra.Slicer.slice
+
+    def slice_(self, side, a_id, b_id, verify=False):
+        current.append((side, a_id, b_id))
+        try:
+            return real_slice(self, side, a_id, b_id, verify)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(bialgebra.Slicer, "slice", slice_)
+    real_preimage = bialgebra.iota_preimage
+    monkeypatch.setattr(bialgebra, "iota_preimage",
+                        lambda *a, **k: solved.append(current[-1]) or real_preimage(*a, **k))
+    rc, out, _ = run_cli(["classify", write_spec(tmp_path, FUN2_SPEC)], capsys)
+    assert rc == 0
+    assert "classification: multiplier Hopf algebra (proven; finite)" in out
+    bundle = entries[0][0].bialgebra
+    assert len(built) == 1 and list(bundle._slicers.values()) == built
+    assert len(solved) == len(set(solved)) == len(built[0]._cache) == 8
+
+
+def test_a_long_run_is_freed_before_main_returns(monkeypatch):
+    import gc
+    import weakref
+    from mulhopf import cli
+    refs = []
+    real_resolve = cli.resolve_input
+
+    def resolve(text):
+        out = real_resolve(text)
+        refs.append(weakref.ref(out[0].algebra))
+        return out
+
+    monkeypatch.setattr(cli, "resolve_input", resolve)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(thresholds[0], thresholds[1], 2)  # this run counts as long
+    try:
+        assert main(["classify", "gallery:kfun_cyclic(8)"]) == 0
+    finally:
+        gc.set_threshold(*thresholds)
+    # the algebra sits in a reference cycle with its cached elements
+    assert refs[0]() is None
