@@ -71,22 +71,25 @@ class Slicer:
         cached = self._frame_cache.get((side, frame_id))
         if cached is not None:
             return cached
+        # the rules close over the factors, not self: a frame that referred
+        # back to the Slicer would make the whole slice cache cyclic garbage
+        lfac, rfac, txt = self.lfac, self.rfac, self.txt
         if side == "right":  # 1 (x) b, multiplied on the right of Delta(a)
-            e = self.rfac.basis_element(frame_id)
+            e = rfac.basis_element(frame_id)
             out = Multiplier(
-                self.txt,
-                lambda bid: tensor_elem(self.lfac.basis_element(bid[0]),
-                                        e * self.rfac.basis_element(bid[1]), into=self.txt),
-                lambda bid: tensor_elem(self.lfac.basis_element(bid[0]),
-                                        self.rfac.basis_element(bid[1]) * e, into=self.txt))
+                txt,
+                lambda bid: tensor_elem(lfac.basis_element(bid[0]),
+                                        e * rfac.basis_element(bid[1]), into=txt),
+                lambda bid: tensor_elem(lfac.basis_element(bid[0]),
+                                        rfac.basis_element(bid[1]) * e, into=txt))
         else:
-            e = self.lfac.basis_element(frame_id)
+            e = lfac.basis_element(frame_id)
             out = Multiplier(  # a (x) 1, multiplied on the left of Delta(b)
-                self.txt,
-                lambda bid: tensor_elem(e * self.lfac.basis_element(bid[0]),
-                                        self.rfac.basis_element(bid[1]), into=self.txt),
-                lambda bid: tensor_elem(self.lfac.basis_element(bid[0]) * e,
-                                        self.rfac.basis_element(bid[1]), into=self.txt))
+                txt,
+                lambda bid: tensor_elem(e * lfac.basis_element(bid[0]),
+                                        rfac.basis_element(bid[1]), into=txt),
+                lambda bid: tensor_elem(lfac.basis_element(bid[0]) * e,
+                                        rfac.basis_element(bid[1]), into=txt))
         self._frame_cache[(side, frame_id)] = out
         return out
 
@@ -120,7 +123,7 @@ class Slicer:
         if not isinstance(self.window, int):
             return iota_preimage(self.txt, z, window=self.window,
                                  probe_ids=probe_ids)
-        w1 = base * self.expansion
+        w1 = (base if base is not None else self.window) * self.expansion
         u = iota_preimage(self.txt, z, window=w1, probe_ids=probe_ids)
         if u is not None:
             return u

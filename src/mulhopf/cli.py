@@ -17,7 +17,6 @@ is still parsed but reserved: it changes nothing.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 import time
@@ -181,6 +180,22 @@ def stage_counit(run: Runner, bundle, window, expansion, report: Report):
     return syn, vs
 
 
+def _epsilon(run: Runner, bundle, window, expansion, report: Report,
+             check_declared=False):
+    """The declared counit, else one synthesized by ``stage_counit``.
+
+    ``check_declared`` also checks the counit laws of a declared counit.
+    Returns None when none is declared and synthesis finds none.
+    """
+    if bundle.epsilon is None:
+        syn, _ = stage_counit(run, bundle, window, expansion, report)
+        return syn.extension if syn is not None else None
+    if check_declared:
+        sl = bundle.slicer(window, expansion)
+        run.group([lambda: check_counit(bundle.delta, bundle.epsilon, slicer=sl)])
+    return bundle.epsilon
+
+
 def stage_antipode(run: Runner, bundle, epsilon, window, expansion, report: Report):
     sl = bundle.slicer(window, expansion)
     syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl)
@@ -205,26 +220,17 @@ def cmd_check_bialgebra(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
     stage_algebra(run, entry.algebra, window)
     stage_bialgebra(run, bundle, window, expansion)
-    if bundle.epsilon is not None:
-        sl = bundle.slicer(window, expansion)
-        run.group([lambda: check_counit(bundle.delta, bundle.epsilon, slicer=sl)])
-    else:
-        stage_counit(run, bundle, window, expansion, report)
+    _epsilon(run, bundle, window, expansion, report, check_declared=True)
 
 
 def cmd_check_hopf(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
     stage_algebra(run, entry.algebra, window)
     stage_bialgebra(run, bundle, window, expansion)
+    epsilon = _epsilon(run, bundle, window, expansion, report, check_declared=True)
+    if epsilon is None:
+        return
     sl = bundle.slicer(window, expansion)
-    if bundle.epsilon is not None:
-        epsilon = bundle.epsilon
-        run.group([lambda: check_counit(bundle.delta, epsilon, slicer=sl)])
-    else:
-        syn, _ = stage_counit(run, bundle, window, expansion, report)
-        if syn is None:
-            return
-        epsilon = syn.extension
     gate = check_hopf(bundle.delta, slicer=sl)
     run.group([
         lambda: gate["T1"]["bijectivity"],
@@ -256,10 +262,8 @@ def cmd_check_comodule(entry, run, report, window, expansion):
     coaction = entry.params.get("coaction")
     com = ComoduleAlgebra(entry.algebra, coaction or bundle.delta, bundle,
                           window=window, expansion=expansion)
-    epsilon = bundle.epsilon
-    if epsilon is None:
-        syn = synthesize_counit(bundle.delta, slicer=bundle.slicer(window, expansion))
-        epsilon = syn.extension if syn is not None else None
+    # with no counit the comodule counit law reads failed; the others still run
+    epsilon = _epsilon(run, bundle, window, expansion, report)
     run.group([lambda: com.coaction.validate()])
     run.group([
         lambda: check_comodule_coassoc(com),
@@ -276,13 +280,9 @@ def cmd_synthesize_counit(entry, run, report, window, expansion):
 
 def cmd_synthesize_antipode(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
-    if bundle.epsilon is not None:
-        epsilon = bundle.epsilon
-    else:
-        syn, _ = stage_counit(run, bundle, window, expansion, report)
-        if syn is None:
-            return
-        epsilon = syn.extension
+    epsilon = _epsilon(run, bundle, window, expansion, report)
+    if epsilon is None:
+        return
     stage_antipode(run, bundle, epsilon, window, expansion, report)
 
 
@@ -343,21 +343,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    mid_collections = gc.get_stats()[1]["collections"]
-    try:
-        return _main(argv)
-    finally:
-        # A run's algebras and their cached elements point at each other, so
-        # only the cycle collector frees them, and CPython puts off full
-        # collections while its oldest generation is large.  A run that went
-        # through threshold2 middle-generation collections has filled that
-        # generation: free it now, or an in-process caller carries this
-        # run's caches into the next run for as long as the collector waits.
-        if gc.get_stats()[1]["collections"] - mid_collections >= gc.get_threshold()[2]:
-            gc.collect()
-
-
-def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         entry, source, source_digest = resolve_input(args.input)

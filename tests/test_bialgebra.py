@@ -144,6 +144,21 @@ def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
     assert "side=right, a=1, b=2" in v.detail
 
 
+def test_a_slicer_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+    sl = Slicer(kfin_Z().bialgebra.delta, window=2)
+    sl.right(0, 1)
+    sl.left(1, 0)
+    ref = weakref.ref(sl)
+    gc.disable()
+    try:
+        del sl  # its frames must not refer back to it
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_right_projection_delta_is_coassociative():
     assert check_coassociative(right_projection_delta()).ok
 
