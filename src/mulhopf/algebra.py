@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import GaussianSolver, SparseMatrix, vec_canonical
+from .linalg import GaussianSolver, SparseMatrix, vec_axpy, vec_canonical
 
 
 class InputError(ValueError):
@@ -183,15 +183,7 @@ class Element:
 
     def __add__(self, other):
         _same_space(self, other)
-        field = self.space.field
-        out = dict(self.coeffs)
-        for bid, v in other.coeffs.items():
-            s = field.add(out.get(bid, field.zero), v)
-            if s:
-                out[bid] = s
-            else:
-                out.pop(bid, None)
-        return Element(self.space, out)
+        return Element(self.space, vec_axpy(self.space.field, dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -321,13 +313,9 @@ class Algebra(Space):
         acc: dict = {}
         for i, ci in x.coeffs.items():
             for j, cj in y.coeffs.items():
-                c = field.mul(ci, cj)
-                for bid, v in self.mul_basis(i, j).coeffs.items():
-                    s = field.add(acc.get(bid, field.zero), field.mul(c, v))
-                    if s:
-                        acc[bid] = s
-                    else:
-                        acc.pop(bid, None)
+                prod = self.mul_basis(i, j).coeffs
+                if prod:
+                    vec_axpy(field, acc, prod, field.mul(ci, cj))
         return Element(self, acc)
 
     def product_span(self, ids, left_ids=None):
@@ -385,6 +373,18 @@ def resolve_window(space, window):
     if window is None or isinstance(window, int):
         return tuple(space.window_ids(window))
     return tuple(window)
+
+
+def scaled_window(space, window, expansion):
+    """Search ids: an int window of an oracle space scales by ``expansion``.
+
+    Products routinely leave the base window, so decomposition searches
+    draw from the scaled one; finite spaces and explicit id tuples resolve
+    as given.
+    """
+    if isinstance(window, int) and not space.finite:
+        return tuple(space.window_ids(window * expansion))
+    return resolve_window(space, window)
 
 
 def sweedler_decompose(alg: Algebra, elem: Element, window, left_window=None):
@@ -581,13 +581,9 @@ class ModuleStructure:
         acc: dict = {}
         for m_id, cm in m.coeffs.items():
             for a_id, ca in a.coeffs.items():
-                c = field.mul(cm, ca)
-                for bid, v in self.act_basis(m_id, a_id).coeffs.items():
-                    s = field.add(acc.get(bid, field.zero), field.mul(c, v))
-                    if s:
-                        acc[bid] = s
-                    else:
-                        acc.pop(bid, None)
+                hit = self.act_basis(m_id, a_id).coeffs
+                if hit:
+                    vec_axpy(field, acc, hit, field.mul(cm, ca))
         return Element(self.space, acc)
 
     def action_span(self, m_ids, a_ids):

@@ -25,14 +25,14 @@ the unknown values eps(e_i).
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix
+from .linalg import GaussianSolver, SparseMatrix, vec_add
 from .algebra import (
     Algebra, Element, InputError, ModuleStructure, Verdict, WindowInsufficiency,
-    reassociate_left, resolve_window, scalar_algebra, tensor_algebra, tensor_elem,
-    tensor_module,
+    reassociate_left, resolve_window, scalar_algebra, scaled_window, tensor_algebra,
+    tensor_elem, tensor_module,
 )
-from .multiplier import Multiplier, agrees_on_probes, iota_preimage
-from .extension import Extension
+from .multiplier import Multiplier, agrees_on_probes, iota, iota_preimage, one
+from .extension import Extension, psi_embed
 
 
 class SliceUndefined(RuntimeError):
@@ -46,7 +46,9 @@ class Slicer:
     a run.  ``slice(..., verify=True)`` also checks an oracle slice against
     every window probe of A (x) A, once per cached slice; a slice that fails
     its probes is recomputed with the probes enforced at each tried window.
-    Finite slices are exact solves and skip the probes.
+    Finite slices are exact solves and skip the probes.  Oracle slices
+    contract against the expansion-scaled window, so they need an integer
+    window.
     """
 
     def __init__(self, delta: Extension, window=None, expansion=2):
@@ -60,37 +62,27 @@ class Slicer:
         self.window = window if window is not None else delta.source_window
         self.expansion = expansion
         self.ids = resolve_window(self.alg, self.window)
+        if not self.txt.finite and not isinstance(self.window, int):
+            raise InputError(
+                f"slicing {self.alg.name} needs an integer window: an explicit "
+                "id tuple cannot be scaled by the expansion")
         self._probe_ids = None
         self._cache: dict = {}
         self._verified: set = set()
         self._frame_cache: dict = {}
+        self._ones = (one(self.lfac), one(self.rfac))
 
     def _frame(self, side, frame_id) -> Multiplier:
+        """Psi(1 (x) e_b) for side "right", Psi(e_a (x) 1) for side "left"."""
         # frames recur across every slice sharing the framing id, so keep
         # the multiplier (and with it the memoized basis actions) around
-        cached = self._frame_cache.get((side, frame_id))
-        if cached is not None:
-            return cached
-        # the rules close over the factors, not self: a frame that referred
-        # back to the Slicer would make the whole slice cache cyclic garbage
-        lfac, rfac, txt = self.lfac, self.rfac, self.txt
-        if side == "right":  # 1 (x) b, multiplied on the right of Delta(a)
-            e = rfac.basis_element(frame_id)
-            out = Multiplier(
-                txt,
-                lambda bid: tensor_elem(lfac.basis_element(bid[0]),
-                                        e * rfac.basis_element(bid[1]), into=txt),
-                lambda bid: tensor_elem(lfac.basis_element(bid[0]),
-                                        rfac.basis_element(bid[1]) * e, into=txt))
-        else:
-            e = lfac.basis_element(frame_id)
-            out = Multiplier(  # a (x) 1, multiplied on the left of Delta(b)
-                txt,
-                lambda bid: tensor_elem(e * lfac.basis_element(bid[0]),
-                                        rfac.basis_element(bid[1]), into=txt),
-                lambda bid: tensor_elem(lfac.basis_element(bid[0]) * e,
-                                        rfac.basis_element(bid[1]), into=txt))
-        self._frame_cache[(side, frame_id)] = out
+        out = self._frame_cache.get((side, frame_id))
+        if out is None:
+            if side == "right":
+                parts = (self._ones[0], iota(self.rfac, self.rfac.basis_element(frame_id)))
+            else:
+                parts = (iota(self.lfac, self.lfac.basis_element(frame_id)), self._ones[1])
+            out = self._frame_cache[(side, frame_id)] = psi_embed(parts, into=self.txt)
         return out
 
     def _window_ids(self, space, n):
@@ -117,13 +109,10 @@ class Slicer:
         raise WindowInsufficiency(
             f"slice arguments ({arg_id!r}, {frame_id!r}) exceed every tried window")
 
-    def _preimage(self, z: Multiplier, base=None, probe_ids=None):
+    def _preimage(self, z: Multiplier, base, probe_ids=None):
         if self.txt.finite:
             return iota_preimage(self.txt, z)
-        if not isinstance(self.window, int):
-            return iota_preimage(self.txt, z, window=self.window,
-                                 probe_ids=probe_ids)
-        w1 = (base if base is not None else self.window) * self.expansion
+        w1 = base * self.expansion
         u = iota_preimage(self.txt, z, window=w1, probe_ids=probe_ids)
         if u is not None:
             return u
@@ -146,9 +135,7 @@ class Slicer:
         else:
             z = self._frame("left", a_id) * self.delta.basis_multiplier(b_id)
             arg, fspace, fid = b_id, self.lfac, a_id
-        base = None
-        if not self.txt.finite and isinstance(self.window, int):
-            base = self._arg_cover(arg, fspace, fid)
+        base = None if self.txt.finite else self._arg_cover(arg, fspace, fid)
         if u is None:
             u = self._preimage(z, base)
         if check and u is not None:
@@ -235,22 +222,12 @@ def check_coassociative(delta: Extension, window=None, expansion=2,
                 lhs: dict = {}
                 for (u, v), coef in outer.coeffs.items():
                     for (p, q), c2 in slicer.left(a, u).coeffs.items():
-                        k = ((p, q), v)
-                        s = f.add(lhs.get(k, f.zero), f.mul(coef, c2))
-                        if s:
-                            lhs[k] = s
-                        else:
-                            lhs.pop(k, None)
+                        vec_add(f, lhs, ((p, q), v), f.mul(coef, c2))
                 outer2 = slicer.left(a, b)
                 rhs: dict = {}
                 for (p, q), coef in outer2.coeffs.items():
                     for (u, v), c2 in slicer.right(q, c).coeffs.items():
-                        k = (p, (u, v))
-                        s = f.add(rhs.get(k, f.zero), f.mul(coef, c2))
-                        if s:
-                            rhs[k] = s
-                        else:
-                            rhs.pop(k, None)
+                        vec_add(f, rhs, (p, (u, v)), f.mul(coef, c2))
                 left_side = Element(txt_l, lhs)
                 right_side = reassociate_left(Element(txt_r, rhs), txt_l)
                 if left_side != right_side:
@@ -341,11 +318,7 @@ def _collapse(pair_elem: Element, epsilon: Extension, eps_leg, alg: Algebra) -> 
             scal, keep = eps_value(epsilon, alg.basis_element(u)), v
         else:
             scal, keep = eps_value(epsilon, alg.basis_element(v)), u
-        s = f.add(acc.get(keep, f.zero), f.mul(c, scal))
-        if s:
-            acc[keep] = s
-        else:
-            acc.pop(keep, None)
+        vec_add(f, acc, keep, f.mul(c, scal))
     return Element(alg, acc)
 
 
@@ -383,11 +356,7 @@ def synthesize_counit(delta: Extension, window=None, expansion=2, slicer=None):
             seen.add(col)
             unknowns.append(col)
         if val:
-            s = f.add(rows.get((row, col), f.zero), val)
-            if s:
-                rows[(row, col)] = s
-            else:
-                rows.pop((row, col), None)
+            vec_add(f, rows, (row, col), val)
 
     row_keys = []
     for a in ids:
@@ -474,7 +443,7 @@ class MultiplierBialgebra:
     def slicer(self, window=None, expansion=None) -> Slicer:
         window = self.window if window is None else window
         expansion = self.expansion if expansion is None else expansion
-        key = (window if not isinstance(window, tuple) else ("ids", window), expansion)
+        key = (window, expansion)
         sl = self._slicers.get(key)
         if sl is None:
             sl = self._slicers[key] = Slicer(self.delta, window=window,
@@ -505,10 +474,7 @@ def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructur
         raise InputError("tensor_module_action is for right modules")
     base = tensor_module(m, n)
     wa = window_a if window_a is not None else delta.source_window
-    if isinstance(wa, int) and not alg.finite:
-        a_search = tuple(alg.window_ids(wa * expansion))
-    else:
-        a_search = resolve_window(alg, wa)
+    a_search = scaled_window(alg, wa, expansion)
     m_ids = resolve_window(m.space, wa if window_m is None else window_m)
     n_ids = resolve_window(n.space, wa if window_n is None else window_n)
     f = alg.field
@@ -621,11 +587,7 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
         bad = None
         for M in modules:
             m_ids, _ = carrier_ids(M.space)
-            a_search = kwargs["window_a"]
-            if isinstance(a_search, int) and not alg.finite:
-                dec_ids = tuple(alg.window_ids(a_search * expansion))
-            else:
-                dec_ids = resolve_window(alg, a_search)
+            dec_ids = scaled_window(alg, kwargs["window_a"], expansion)
             for mi in m_ids:
                 m_elem = M.space.basis_element(mi)
                 dec = M.decompose(m_elem, m_ids, dec_ids)

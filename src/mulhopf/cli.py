@@ -10,14 +10,12 @@ a path to a spec file.  Every command emits a report (text by default,
     3   bad input (unparseable file, unknown gallery name, missing data)
 
 Checks run one after another in a fixed order, sharing one slice cache
-per run, so output is deterministic.  ``--jobs`` (env ``MULHOPF_JOBS``)
-is still parsed but reserved: it changes nothing.
+per run, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -67,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window scale factor for searches (default 2)")
         p.add_argument("--report", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, help="recorded in the report")
-        p.add_argument("--jobs", type=_positive,
-                       default=int(os.environ.get("MULHOPF_JOBS", "1")),
-                       help="reserved; checks run sequentially (env MULHOPF_JOBS)")
         p.add_argument("--timing", action="store_true",
                        help="include per-check timings in the report")
     return parser

@@ -27,12 +27,14 @@ multiplication intertwines the diagonal action:
 
 from __future__ import annotations
 
+from .linalg import vec_add
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict,
-    reassociate_left, resolve_window, tensor_algebra, tensor_elem, tensor_module,
+    Algebra, Element, InputError, ModuleStructure, Verdict, reassociate_left,
+    reassociate_right, resolve_window, scaled_window, tensor_algebra, tensor_elem,
+    tensor_module,
 )
-from .multiplier import Multiplier, act_on_module
-from .extension import Extension, identity_extension, tensor_extensions
+from .multiplier import act_on_module, iota, one
+from .extension import Extension, identity_extension, psi_embed, tensor_extensions
 from .bialgebra import Slicer, SliceUndefined, eps_value
 
 
@@ -52,77 +54,36 @@ class ComoduleAlgebra:
         self.window = window if window is not None else bialgebra.window
         self.expansion = expansion
         self.name = name or f"{algebra.name} over {bialgebra.name}"
-        self._slicer = None
+        self._slicers: dict = {}
 
-    def slicer(self) -> Slicer:
-        if self._slicer is None:
-            self._slicer = Slicer(self.coaction, window=self.window,
-                                  expansion=self.expansion)
-        return self._slicer
+    def slicer(self, window=None, expansion=None) -> Slicer:
+        """Slice cache of the coaction; Delta's own when the coaction is Delta."""
+        window = self.window if window is None else window
+        expansion = self.expansion if expansion is None else expansion
+        if self.coaction is self.bialgebra.delta:
+            return self.bialgebra.slicer(window, expansion)
+        sl = self._slicers.get((window, expansion))
+        if sl is None:
+            sl = self._slicers[(window, expansion)] = Slicer(
+                self.coaction, window=window, expansion=expansion)
+        return sl
 
 
 def _setup(com: ComoduleAlgebra, window, expansion):
     window = com.window if window is None else window
     expansion = com.expansion if expansion is None else expansion
     B, A = com.algebra, com.bialgebra.algebra
-    gamma = (com.slicer() if window == com.window and expansion == com.expansion
-             else Slicer(com.coaction, window=window, expansion=expansion))
+    gamma = com.slicer(window, expansion)
     b_ids = resolve_window(B, window)
     a_ids = resolve_window(A, window)
     return window, expansion, B, A, gamma, b_ids, a_ids
 
 
-def _triple_frame(space, a_elem) -> Multiplier:
-    """(1 (x) 1 (x) a) on B (x) (A (x) A)."""
-    left, right = space.factors          # B, A (x) A
-    fa, fb = right.factors               # A, A
-
-    def lam(bid):
-        i, (j, k) = bid
-        return tensor_elem(
-            left.basis_element(i),
-            tensor_elem(fa.basis_element(j), a_elem * fb.basis_element(k),
-                        into=right),
-            into=space)
-
-    def rho(bid):
-        i, (j, k) = bid
-        return tensor_elem(
-            left.basis_element(i),
-            tensor_elem(fa.basis_element(j), fb.basis_element(k) * a_elem,
-                        into=right),
-            into=space)
-
-    return Multiplier(space, lam, rho, name="1(x)1(x)a")
-
-
-def _left_frame3(space, c_elem) -> Multiplier:
-    """(c (x) 1 (x) 1) on (B (x) A) (x) A."""
-    left, right = space.factors          # B (x) A, A
-    fb, fa = left.factors                # B, A
-
-    def lam(bid):
-        (i, j), k = bid
-        return tensor_elem(
-            tensor_elem(c_elem * fb.basis_element(i), fa.basis_element(j),
-                        into=left),
-            right.basis_element(k), into=space)
-
-    def rho(bid):
-        (i, j), k = bid
-        return tensor_elem(
-            tensor_elem(fb.basis_element(i) * c_elem, fa.basis_element(j),
-                        into=left),
-            right.basis_element(k), into=space)
-
-    return Multiplier(space, lam, rho, name="c(x)1(x)1")
-
-
-def _to_right(elem: Element, target) -> Element:
-    out = {}
-    for ((i, j), k), v in elem.coeffs.items():
-        out[(i, (j, k))] = v
-    return Element(target, out)
+def _right_frames(B, A, a_ids, triple_r) -> dict:
+    """Psi(1 (x) 1 (x) e_a) on B (x) (A (x) A), per window id a."""
+    one_a = one(A)
+    return {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
+                         into=triple_r) for a in a_ids}
 
 
 def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
@@ -152,6 +113,7 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
     probes = [triple_l.basis_element(p) for p in probe_ids]
     label = (f"{B.window_label(b_ids)} / {A.window_label(a_ids)}, "
              f"{len(probes)} probes")
+    frames = _right_frames(B, A, a_ids, triple_r)
 
     for b in b_ids:
         rho_b = com.coaction.basis_multiplier(b)
@@ -162,9 +124,9 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
                 lhs = rho_x_id.apply(gamma.right(b, a))
             except SliceUndefined:
                 lhs = rho_x_id.lift(rho_b * gamma._frame("right", a))
-            rhs = lifted * _triple_frame(triple_r, ea)
+            rhs = lifted * frames[a]
             for p in probes:
-                pr = _to_right(p, triple_r)
+                pr = reassociate_right(p, triple_r)
                 if (reassociate_left(rhs.apply_left(pr), triple_l)
                         != lhs.apply_left(p)):
                     return Verdict("comodule coassociativity", "failed", label,
@@ -224,11 +186,11 @@ def _coassoc_element(com: ComoduleAlgebra, window, expansion) -> Verdict:
                                        detail="left framed coaction not iota "
                                               "of an element (inner leg)")
                     for (w, x), cl in inner.coeffs.items():
-                        _acc(f, lhs, ((w, x), v), f.mul(cs, cl))
+                        vec_add(f, lhs, ((w, x), v), f.mul(cs, cl))
                 rhs: dict = {}
                 for (w, x), ct in t.coeffs.items():
                     for (p, q), cr in dsl.right(x, a).coeffs.items():
-                        _acc(f, rhs, (w, (p, q)), f.mul(ct, cr))
+                        vec_add(f, rhs, (w, (p, q)), f.mul(ct, cr))
                 if (Element(triple_l, lhs)
                         != reassociate_left(Element(triple_r, rhs), triple_l)):
                     return Verdict(
@@ -239,16 +201,6 @@ def _coassoc_element(com: ComoduleAlgebra, window, expansion) -> Verdict:
     status = ("proven" if B.covers_fully(b_ids) and A.covers_fully(a_ids)
               else "holds_on_window")
     return Verdict(axiom, status, label)
-
-
-def _acc(f, out, key, val):
-    if not val:
-        return
-    s = f.add(out.get(key, f.zero), val)
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
@@ -271,6 +223,10 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
     probes = [triple_l.basis_element(p) for p in probe_ids]
     label = (f"{len(b_ids)}^2 x {len(a_ids)} framed triples, "
              f"{len(probes)} probes")
+    frames = _right_frames(B, A, a_ids, triple_r)
+    one_a = one(A)
+    left_frames = {c: psi_embed([iota(B, B.basis_element(c)), one_a, one_a], into=triple_l)
+                   for c in b_ids}  # c (x) 1 (x) 1 on (B (x) A) (x) A
     for b in b_ids:
         for a in a_ids:
             ea = A.basis_element(a)
@@ -283,16 +239,16 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
             base_lhs = rho_x_id.apply(s_r)
             for c in b_ids:
                 ec = B.basis_element(c)
-                lhs = _left_frame3(triple_l, ec) * base_lhs
+                lhs = left_frames[c] * base_lhs
                 try:
                     s_l = gamma.left(c, b)
                 except SliceUndefined:
                     return Verdict("comodule coassociativity (framed)", "failed",
                                    label, witness=(ec, B.basis_element(b)),
                                    detail="left framed coaction not iota of an element")
-                rhs = id_x_delta.apply(s_l) * _triple_frame(triple_r, ea)
+                rhs = id_x_delta.apply(s_l) * frames[a]
                 for p in probes:
-                    pr = _to_right(p, triple_r)
+                    pr = reassociate_right(p, triple_r)
                     if (reassociate_left(rhs.apply_left(pr), triple_l)
                             != lhs.apply_left(p)
                             or reassociate_left(rhs.apply_right(pr), triple_l)
@@ -338,11 +294,7 @@ def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
             for (u, v), c in s.coeffs.items():
                 scal = eps_value(eps, A.basis_element(v))
                 if scal:
-                    t = f.add(acc.get(u, f.zero), f.mul(c, scal))
-                    if t:
-                        acc[u] = t
-                    else:
-                        acc.pop(u, None)
+                    vec_add(f, acc, u, f.mul(c, scal))
             got = Element(B, acc)
             want = eb.scale(eps_value(eps, ea))
             if got != want:
@@ -372,10 +324,7 @@ def check_module_algebra(module: ModuleStructure, delta: Extension,
     b_ids = resolve_window(B, window)
     a_ids = resolve_window(A, window)
     pair_window = [(i, j) for i in b_ids for j in b_ids]
-    if isinstance(window, int) and not A.finite:
-        scaled = tuple(A.window_ids(window * expansion))
-    else:
-        scaled = a_ids
+    scaled = scaled_window(A, window, expansion)
     aa_window = [(i, j) for i in scaled for j in scaled]
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     for bi in b_ids:

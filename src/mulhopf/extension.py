@@ -23,20 +23,9 @@ from __future__ import annotations
 from .linalg import GaussianSolver, SparseMatrix, vec_canonical
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency, resolve_window, tensor_algebra, tensor_elem,
+    WindowInsufficiency, resolve_window, scaled_window, tensor_algebra, tensor_elem,
 )
 from .multiplier import Multiplier, act_on_module, multiplier_eq
-
-
-def _scaled_window(space, window, expansion):
-    """Ids for the expansion-scaled window (same ids when finite/explicit)."""
-    if window is None or isinstance(window, int):
-        if space.finite:
-            return tuple(space.window_ids(None))
-        if window is None:
-            raise WindowInsufficiency(f"{space.name} needs an explicit window")
-        return tuple(space.window_ids(window * expansion))
-    return tuple(window)
 
 
 class Extension:
@@ -74,7 +63,7 @@ class Extension:
 
     @property
     def source_search_ids(self):
-        return _scaled_window(self.source, self.source_window, self.expansion)
+        return scaled_window(self.source, self.source_window, self.expansion)
 
     def window_label(self):
         return (f"{self.source.window_label(self.source_ids)} -> "
@@ -255,16 +244,19 @@ class Extension:
         self.certificates = {v.axiom: v for v in verdicts}
         return verdicts
 
+    def ensure_valid(self, pair_sample=None) -> "Extension":
+        """``validate``, raising InvariantViolation on the first failed certificate."""
+        for v in self.validate(pair_sample=pair_sample):
+            if not v.ok:
+                raise InvariantViolation(v)
+        return self
+
     @classmethod
     def from_map(cls, source, target, rule, name="f", source_window=None,
                  target_window=None, expansion=2, validate=True, pair_sample=None):
         ext = cls(source, target, rule, name=name, source_window=source_window,
                   target_window=target_window, expansion=expansion)
-        if validate:
-            for v in ext.validate(pair_sample=pair_sample):
-                if not v.ok:
-                    raise InvariantViolation(v)
-        return ext
+        return ext.ensure_valid(pair_sample) if validate else ext
 
     @classmethod
     def from_bimodule(cls, source, target, left_rule, right_rule, name="f",
@@ -320,11 +312,7 @@ class Extension:
                         raise InvariantViolation(Verdict(
                             "bimodule right associativity", "failed", label,
                             witness=(a, b, b2), detail="a.(bb') != (a.b).b'"))
-        if validate:
-            for v in ext.validate():
-                if not v.ok:
-                    raise InvariantViolation(v)
-        return ext
+        return ext.ensure_valid() if validate else ext
 
 
 def identity_extension(alg: Algebra, window=None, expansion=2, validate=False) -> Extension:
@@ -332,11 +320,7 @@ def identity_extension(alg: Algebra, window=None, expansion=2, validate=False) -
     ext = Extension(alg, alg, lambda bid: _iota(alg, alg.basis_element(bid)),
                     name=f"id_{alg.name}", source_window=window,
                     target_window=window, expansion=expansion)
-    if validate:
-        for v in ext.validate():
-            if not v.ok:
-                raise InvariantViolation(v)
-    return ext
+    return ext.ensure_valid() if validate else ext
 
 
 def extension_from_map(source, target, rule, **kw) -> Extension:
@@ -359,11 +343,7 @@ def compose_extensions(f: Extension, g: Extension, name=None, validate=False) ->
         f.source, g.target, lambda bid: g.lift(f.basis_multiplier(bid)),
         name=name or f"{g.name}o{f.name}", source_window=f.source_window,
         target_window=g.target_window, expansion=max(f.expansion, g.expansion))
-    if validate:
-        for v in composed.validate():
-            if not v.ok:
-                raise InvariantViolation(v)
-    return composed
+    return composed.ensure_valid() if validate else composed
 
 
 def psi_embed(parts, into=None) -> Multiplier:
@@ -404,11 +384,7 @@ def tensor_extensions(f: Extension, g: Extension, validate=False, **kw) -> Exten
         source_window=kw.get("source_window", _join_windows(f.source_window, g.source_window)),
         target_window=kw.get("target_window", _join_windows(f.target_window, g.target_window)),
         expansion=max(f.expansion, g.expansion))
-    if validate:
-        for v in ext.validate():
-            if not v.ok:
-                raise InvariantViolation(v)
-    return ext
+    return ext.ensure_valid() if validate else ext
 
 
 def _join_windows(w1, w2):

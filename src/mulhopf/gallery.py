@@ -441,14 +441,15 @@ def _group_algebra(field, n):
 # registry
 
 
+# name -> (builder, integer parameter names, whether it takes a window)
 _BUILDERS = {
-    "kfun_cyclic": (kfun_cyclic, ("n",)),
-    "kfin_Z": (kfin_Z, ()),
-    "kfin_N": (kfin_N, ()),
-    "matfin": (matfin, ()),
-    "rowalg2": (rowalg2, ()),
-    "zero1": (zero1, ()),
-    "nand_delta": (nand_delta, ()),
+    "kfun_cyclic": (kfun_cyclic, ("n",), False),
+    "kfin_Z": (kfin_Z, (), True),
+    "kfin_N": (kfin_N, (), True),
+    "matfin": (matfin, (), True),
+    "rowalg2": (rowalg2, (), False),
+    "zero1": (zero1, (), False),
+    "nand_delta": (nand_delta, (), False),
 }
 
 
@@ -466,15 +467,26 @@ def build(spec: str) -> GalleryEntry:
         args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     else:
         name, args = spec, []
-    entry = _BUILDERS.get(name)
-    if entry is None:
-        raise InputError(
-            f"unknown gallery entry {name!r}; known: {', '.join(sorted(_BUILDERS))}")
-    builder, param_names = entry
-    if len(args) > len(param_names):
-        raise InputError(f"{name} takes at most {len(param_names)} parameter(s)")
     try:
         values = [int(a) for a in args]
     except ValueError:
         raise InputError(f"gallery parameters must be integers: {spec!r}") from None
-    return builder(*values)
+    return build_entry(name, values)
+
+
+def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:
+    """Registry entry ``name`` over ``field`` from its integer ``params``.
+
+    Windowed builders get ``window`` when one is given, else their default.
+    """
+    entry = _BUILDERS.get(name)
+    if entry is None:
+        raise InputError(
+            f"unknown gallery entry {name!r}; known: {', '.join(sorted(_BUILDERS))}")
+    builder, param_names, windowed = entry
+    if len(params) != len(param_names):
+        raise InputError(f"{name} takes {len(param_names)} parameter(s), "
+                         f"got {len(params)}")
+    if windowed and window is not None:
+        return builder(*params, field=field, window=window)
+    return builder(*params, field=field)

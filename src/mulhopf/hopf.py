@@ -29,10 +29,8 @@ exactly when S *^b iota = alpha_b and iota *_a S = alpha_a for all a, b.
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix, vec_canonical
-from .algebra import (
-    Element, InputError, Verdict, WindowInsufficiency, resolve_window,
-)
+from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_canonical
+from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
 from .multiplier import Multiplier, MultiplierSpace, iota, iota_preimage
 from .bialgebra import Slicer, eps_value
 
@@ -88,12 +86,6 @@ def canonical_map(slicer: Slicer, which, x: Element) -> Element:
     return out
 
 
-def _scaled_ids(alg, window, expansion):
-    if alg.finite or not isinstance(window, int):
-        return resolve_window(alg, window)
-    return tuple(alg.window_ids(window * expansion))
-
-
 def check_bijective(delta, which="T1", window=None, expansion=2,
                     slicer=None) -> dict:
     """Injectivity and surjectivity verdicts for one canonical map.
@@ -121,7 +113,7 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
     else:
         inj = Verdict(f"{which} injectivity", txt.baseline(pairs), label)
 
-    scaled = _scaled_ids(alg, slicer.window, slicer.expansion)
+    scaled = scaled_window(alg, slicer.window, slicer.expansion)
     if tuple(scaled) == tuple(ids):
         solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
         domain_note = "window domain"
@@ -255,7 +247,7 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
         if alg.verified_unit is None:
             msp = MultiplierSpace(alg)
     else:
-        t_ids = _scaled_ids(alg, slicer.window, slicer.expansion)
+        t_ids = scaled_window(alg, slicer.window, slicer.expansion)
     # S(e_t) = sum_k x_(t,k) m_k over the coordinate multipliers m_k
     if msp is not None:
         coords = list(enumerate(msp.basis))
@@ -271,29 +263,14 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
     row_order: list = []
     seen_rows = set()
 
-    def put(row, col, val):
+    def put(vec, row, col, val):
+        """vec[row, col] += val (vec[row] when col is None), keeping row order."""
         if not val:
             return
         if row not in seen_rows:
             seen_rows.add(row)
             row_order.append(row)
-        s = f.add(entries.get((row, col), f.zero), val)
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
-    def put_rhs(row, val):
-        if not val:
-            return
-        if row not in seen_rows:
-            seen_rows.add(row)
-            row_order.append(row)
-        s = f.add(rhs.get(row, f.zero), val)
-        if s:
-            rhs[row] = s
-        else:
-            rhs.pop(row, None)
+        vec_add(f, vec, row if col is None else (row, col), val)
 
     for a in ids:
         eps_a = eps_value(epsilon, alg.basis_element(a))
@@ -302,13 +279,13 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
             for (u, v), c in slicer.right(a, b).coeffs.items():
                 for k, mk in coords:
                     for r, w in mk.lam_basis(v).coeffs.items():
-                        put(("S1", a, b, r), (u, k), f.mul(c, w))
-            put_rhs(("S1", a, b, b), eps_a)
+                        put(entries, ("S1", a, b, r), (u, k), f.mul(c, w))
+            put(rhs, ("S1", a, b, b), None, eps_a)
             for (p, q), c in slicer.left(a, b).coeffs.items():
                 for k, mk in coords:
                     for r, w in mk.rho_basis(p).coeffs.items():
-                        put(("S2", a, b, r), (q, k), f.mul(c, w))
-            put_rhs(("S2", a, b, a), eps_b)
+                        put(entries, ("S2", a, b, r), (q, k), f.mul(c, w))
+            put(rhs, ("S2", a, b, a), None, eps_b)
 
     solver = GaussianSolver(SparseMatrix(f, row_order, columns, entries))
     touched = {c for (_r, c) in entries}

@@ -17,6 +17,41 @@ def vec_canonical(field, data) -> dict:
     return {k: v for k, v in ((k, field.coerce(v)) for k, v in data.items()) if v}
 
 
+def vec_axpy(field, acc: dict, x: dict, c=None) -> dict:
+    """acc += c * x in place (c = 1 when None), dropping entries that cancel.
+
+    The one sparse accumulation rule; hot loops call it once per source
+    term with a non-empty image, so the per-entry work stays inline here.
+    """
+    add, get, zero = field.add, acc.get, field.zero
+    if c is None:
+        for k, v in x.items():
+            s = add(get(k, zero), v)
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    else:
+        mul = field.mul
+        for k, v in x.items():
+            s = add(get(k, zero), mul(c, v))
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return acc
+
+
+def vec_add(field, acc: dict, key, val) -> dict:
+    """acc[key] += val in place, dropping the entry if it cancels."""
+    s = field.add(acc.get(key, field.zero), val)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+    return acc
+
+
 class SparseMatrix:
     """Matrix with explicit row/column key orderings and no stored zeros."""
 
@@ -56,11 +91,7 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             xc = x.get(c)
             if xc:
-                s = field.add(out.get(r, field.zero), field.mul(v, xc))
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                vec_add(field, out, r, field.mul(v, xc))
         return out
 
     def __repr__(self):
@@ -100,15 +131,9 @@ class GaussianSolver:
                 f = rows[i].get(c)
                 if not f:
                     continue
-                factor = field.div(f, pval)
+                factor = field.neg(field.div(f, pval))
                 self._ops.append(("axpy", i, rank, factor))
-                ri = rows[i]
-                for cc, vv in prow.items():
-                    s = field.sub(ri.get(cc, field.zero), field.mul(factor, vv))
-                    if s:
-                        ri[cc] = s
-                    else:
-                        ri.pop(cc, None)
+                vec_axpy(field, rows[i], prow, factor)
             self._pivots.append((c, rank))
             rank += 1
         self._rows = rows
@@ -143,11 +168,7 @@ class GaussianSolver:
                 _, i, r, factor = op
                 vr = vec.get(r)
                 if vr:
-                    s = field.sub(vec.get(i, field.zero), field.mul(factor, vr))
-                    if s:
-                        vec[i] = s
-                    else:
-                        vec.pop(i, None)
+                    vec_add(field, vec, i, field.mul(factor, vr))
         return vec
 
     def solve(self, b: dict):

@@ -18,7 +18,7 @@ and window-relative.
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix, vec_canonical
+from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
     WindowInsufficiency, resolve_window,
@@ -128,12 +128,9 @@ def _extend(alg, basis_fn, a: Element) -> Element:
     field = alg.field
     acc: dict = {}
     for bid, c in a.coeffs.items():
-        for out, v in basis_fn(bid).coeffs.items():
-            s = field.add(acc.get(out, field.zero), field.mul(c, v))
-            if s:
-                acc[out] = s
-            else:
-                acc.pop(out, None)
+        x = basis_fn(bid).coeffs
+        if x:  # most images are empty on the examples (sparse products)
+            vec_axpy(field, acc, x, c)
     return Element(alg, acc)
 
 
@@ -240,14 +237,7 @@ def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
         span = module.action_span(m_ids, a_ids)
         kernel = span.kernel_basis()
         if kernel:
-            alt = dict(span.solve(m.coeffs))
-            f = module.space.field
-            for k, v in kernel[0].items():
-                s = f.add(alt.get(k, f.zero), v)
-                if s:
-                    alt[k] = s
-                else:
-                    alt.pop(k, None)
+            alt = vec_axpy(module.space.field, dict(span.solve(m.coeffs)), kernel[0])
             dec2 = [(c, mi, aj) for (mi, aj), c in alt.items()]
             if _act_via(module, dec2, x) != out:
                 raise InvariantViolation(Verdict(
@@ -294,12 +284,7 @@ class MultiplierSpace:
 
         def put(row, col, val):
             if val:
-                prev = entries.get((row, col), field.zero)
-                s = field.add(prev, val)
-                if s:
-                    entries[(row, col)] = s
-                else:
-                    entries.pop((row, col), None)
+                vec_add(field, entries, (row, col), val)
 
         rows = []
         for j in ids:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .fields import GF, QQ, FieldError
-from .linalg import GaussianSolver, SparseMatrix
+from .linalg import GaussianSolver, SparseMatrix, vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
 from .multiplier import Multiplier, iota
 from .extension import Extension
@@ -117,12 +117,7 @@ def _parse_element(field, text, declared, line_no, pair=False):
         if pair != isinstance(bid, tuple):
             want = "tensor ids (i,j)" if pair else "plain ids"
             raise SpecError(line_no, f"this rule takes {want}, got {m.group('id')!r}")
-        c = _scalar(field, m.group("coeff"), line_no)
-        if c:
-            prev = out.get(bid)
-            out[bid] = field.add(prev, c) if prev is not None else c
-            if not out[bid]:
-                del out[bid]
+        vec_add(field, out, bid, _scalar(field, m.group("coeff"), line_no))
     return out
 
 
@@ -331,33 +326,11 @@ def _slice_extension(A, T, tables, name):
     return Extension(A, T, lambda i: mults[i], name=name)
 
 
-def _oracle_entry(spec: SpecFile) -> gallery.GalleryEntry:
-    name, params = spec.oracle
-    field = spec.field
-    window = spec.window
-    if name == "kfun_cyclic":
-        if len(params) != 1:
-            raise InputError("kfun_cyclic takes exactly one parameter n")
-        return gallery.kfun_cyclic(params[0], field=field)
-    if params:
-        raise InputError(f"oracle family {name!r} takes no parameters")
-    if name == "kfin_Z":
-        return gallery.kfin_Z(field, window=window or 4)
-    if name == "kfin_N":
-        return gallery.kfin_N(field, window=window or 4)
-    if name == "matfin":
-        return gallery.matfin(field, window=window or 3)
-    if name == "rowalg2":
-        return gallery.rowalg2(field)
-    if name == "zero1":
-        return gallery.zero1(field)
-    raise InputError(f"unknown oracle family {name!r}")
-
-
 def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
     """Algebra (and bialgebra pieces, if declared) from a parsed spec."""
     if spec.oracle is not None:
-        entry = _oracle_entry(spec)
+        family, params = spec.oracle
+        entry = gallery.build_entry(family, params, field=spec.field, window=spec.window)
         if spec.window is not None:
             entry.default_window = spec.window
         if spec.expansion is not None and entry.bialgebra is not None:

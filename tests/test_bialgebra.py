@@ -3,7 +3,7 @@
 import pytest
 
 from mulhopf import bialgebra
-from mulhopf.algebra import (Element, WindowInsufficiency, regular_module,
+from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
 from mulhopf.bialgebra import (SliceUndefined, Slicer, check_coassociative,
                                check_counit, check_fons,
@@ -142,6 +142,13 @@ def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
     v = check_fons(b.delta, slicer=sl, strict=True)
     assert v.status == "failed"
     assert "side=right, a=1, b=2" in v.detail
+
+
+def test_an_oracle_slicer_rejects_an_id_tuple_window():
+    # an id tuple cannot be scaled by the expansion, so slices would truncate
+    with pytest.raises(InputError, match="integer window"):
+        check_fons(kfin_Z().bialgebra.delta, window=(0, 1, 2))
+    assert check_fons(kfun_cyclic(3).bialgebra.delta, window=(0, 1)).ok
 
 
 def test_a_slicer_is_freed_without_the_cycle_collector():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from mulhopf.fields import GF, QQ
 from mulhopf.linalg import (GaussianSolver, SparseMatrix, kernel_basis,
-                            solve_linear, vec_canonical)
+                            solve_linear, vec_add, vec_axpy, vec_canonical)
 
 
 def mat(field, rows):
@@ -75,6 +76,33 @@ def test_matrix_apply_matches_by_hand():
 def test_vec_canonical_drops_zeros():
     assert vec_canonical(QQ, {0: QQ.zero, 1: QQ.coerce(2)}) == {1: Fraction(2)}
     assert vec_canonical(QQ, {}) == {}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_accumulation_drops_cancelled_keys(field):
+    one, minus = field.one, field.neg(field.one)
+    acc = vec_axpy(field, {0: one, 1: one}, {0: one, 1: one}, minus)
+    assert acc == {}
+    assert vec_axpy(field, {0: one}, {0: minus}) == {}
+    assert vec_add(field, {0: one, 1: one}, 0, minus) == {1: one}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_accumulation_matches_a_naive_sum(field):
+    rng = random.Random(5)
+    acc, dense = {}, [field.zero] * 6
+    for step in range(300):
+        x = {k: field.random(rng) for k in rng.sample(range(6), 3)}
+        c = field.random(rng) if step % 3 else None
+        if step % 5 == 0:
+            k, v = next(iter(x.items()))
+            vec_add(field, acc, k, v)
+            dense[k] = field.add(dense[k], v)
+        else:
+            vec_axpy(field, acc, x, c)
+            for k, v in x.items():
+                dense[k] = field.add(dense[k], v if c is None else field.mul(c, v))
+        assert acc == {k: v for k, v in enumerate(dense) if v}
 
 
 small_mats = strat.lists(

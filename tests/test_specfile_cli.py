@@ -7,8 +7,8 @@ import pytest
 
 from mulhopf.algebra import InputError
 from mulhopf.cli import build_parser, main
-from mulhopf.fields import QQ
-from mulhopf.gallery import kfun_cyclic, zero1
+from mulhopf.fields import GF, QQ
+from mulhopf.gallery import gallery_names, kfun_cyclic, zero1
 from mulhopf.specfile import SpecError, build_bundle, derive_rho, parse_spec
 
 GROUP_SPEC = """\
@@ -111,6 +111,16 @@ def test_error_carries_line_number():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("name", gallery_names())
+def test_oracle_spec_builds_every_gallery_entry_over_its_field(name):
+    params = " 3" if name == "kfun_cyclic" else ""
+    entry = build_bundle(parse_spec(f"field Fp 7\noracle {name}{params}\nwindow 2\n"))
+    assert entry.algebra.field == GF(7)
+    if entry.bialgebra is not None:
+        assert entry.bialgebra.delta.target.field == GF(7)
+    assert entry.params.get("window", 2) == 2  # windowed builders get the spec's window
+
+
 def test_unknown_oracle_rejected_at_build():
     spec = parse_spec("field Q\noracle nothing_here\n")
     with pytest.raises((SpecError, InputError)):
@@ -206,6 +216,9 @@ def test_exit_3_on_bad_input(tmp_path, capsys):
     rc, _, err = run_cli(["classify", "gallery:who_knows"], capsys)
     assert rc == 3
     assert "known:" in err
+    rc, _, err = run_cli(["classify", "gallery:kfun_cyclic"], capsys)
+    assert rc == 3
+    assert "kfun_cyclic takes 1 parameter(s), got 0" in err
 
 
 # --- reports --------------------------------------------------------------
@@ -236,13 +249,6 @@ def test_json_reports_are_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_the_report(capsys):
-    base = ["check-bialgebra", "gallery:kfun_cyclic(3)", "--report", "json"]
-    _, sequential, _ = run_cli(base + ["--jobs", "1"], capsys)
-    _, threaded, _ = run_cli(base + ["--jobs", "4"], capsys)
-    assert sequential == threaded
-
-
 def test_timing_flag_fills_timing_ms(capsys):
     rc, out, _ = run_cli(["check-algebra", "gallery:kfun_cyclic(2)",
                           "--report", "json", "--timing"], capsys)
@@ -251,10 +257,10 @@ def test_timing_flag_fills_timing_ms(capsys):
     assert all(isinstance(e["timing_ms"], (int, float)) for e in data["entries"])
 
 
-def test_jobs_default_comes_from_the_environment(monkeypatch):
-    monkeypatch.setenv("MULHOPF_JOBS", "6")
-    args = build_parser().parse_args(["classify", "gallery:zero1"])
-    assert args.jobs == 6
+def test_jobs_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["classify", "gallery:zero1", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_synthesize_counit_emits_table(capsys):
@@ -373,3 +379,14 @@ def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeyp
     assert len(built) == 1 and list(bundle._slicers.values()) == built
     assert len(solved) == len(set(solved)) == len(built[0]._cache) == 8
 
+
+def test_check_comodule_over_itself_shares_the_bundle_slicer(capsys, monkeypatch):
+    from mulhopf import bialgebra
+    built = []
+    real_init = bialgebra.Slicer.__init__
+    monkeypatch.setattr(bialgebra.Slicer, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    rc, out, _ = run_cli(["check-comodule", "gallery:kfin_Z", "--window", "3"], capsys)
+    assert rc == 0
+    assert "comodule coassociativity (element): holds_on_window" in out
+    assert len(built) == 1
