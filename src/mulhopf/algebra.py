@@ -133,7 +133,7 @@ class Space:
         return self.finite and set(ids) == set(self.basis.ids)
 
     def baseline(self, ids):
-        return "proven" if self.covers_fully(ids) else "holds_on_window"
+        return joint_baseline((self, ids))
 
     def window_label(self, ids):
         if self.covers_fully(ids):
@@ -387,6 +387,29 @@ def scaled_window(space, window, expansion):
     return resolve_window(space, window)
 
 
+def joint_baseline(*windows):
+    """"proven" when every ``(space, ids)`` window is its whole finite space."""
+    return ("proven" if all(space.covers_fully(ids) for space, ids in windows)
+            else "holds_on_window")
+
+
+def annihilated(space, ids, probes, act):
+    """First nonzero combination of ``ids`` that every probe kills, or None.
+
+    ``act(t, p)`` is the coefficient dict of basis id t acted on by probe
+    p; the kernel is taken over the stacked actions of all probes.
+    """
+    cols = []
+    for t in ids:
+        col: dict = {}
+        for p in probes:
+            for bid, v in act(t, p).items():
+                col[(p, bid)] = v
+        cols.append((t, col))
+    kernel = GaussianSolver(SparseMatrix.from_columns(space.field, cols)).kernel_basis()
+    return Element(space, vec_canonical(space.field, kernel[0])) if kernel else None
+
+
 def sweedler_decompose(alg: Algebra, elem: Element, window, left_window=None):
     """Write ``elem = sum c * (e_i * e_j)`` over window pairs, or None.
 
@@ -454,21 +477,10 @@ def check_nondegenerate(alg: Algebra, window=None, probe_window=None) -> Verdict
         return Verdict("non-degeneracy", "proven", label,
                        detail="unit or complete local units certified")
     probes = ids if probe_window is None else resolve_window(alg, probe_window)
-    for side in ("right-mult", "left-mult"):
-        cols = []
-        for t in ids:
-            col: dict = {}
-            for j in probes:
-                prod = (alg.basis_element(t) * alg.basis_element(j)
-                        if side == "right-mult"
-                        else alg.basis_element(j) * alg.basis_element(t))
-                for bid, v in prod.coeffs.items():
-                    col[(j, bid)] = v
-            cols.append((t, col))
-        kernel = GaussianSolver(SparseMatrix.from_columns(alg.field, cols)).kernel_basis()
-        if kernel:
-            witness = Element(alg, vec_canonical(alg.field, kernel[0]))
-            which = "x*a" if side == "right-mult" else "a*x"
+    for which, act in (("x*a", lambda t, j: alg.mul_basis(t, j).coeffs),
+                       ("a*x", lambda t, j: alg.mul_basis(j, t).coeffs)):
+        witness = annihilated(alg, ids, probes, act)
+        if witness is not None:
             return Verdict(
                 "non-degeneracy", "failed", label,
                 witness=(witness,),
@@ -634,8 +646,7 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
     m_ids = resolve_window(module.space, window_m)
     a_ids = resolve_window(module.algebra, window_a)
     label = f"{module.space.window_label(m_ids)} / {module.algebra.window_label(a_ids)}"
-    base = ("proven" if module.space.covers_fully(m_ids)
-            and module.algebra.covers_fully(a_ids) else "holds_on_window")
+    base = joint_baseline((module.space, m_ids), (module.algebra, a_ids))
     out = {}
 
     if "associativity" in wanted:
@@ -676,21 +687,12 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
 
     if "nondegeneracy" in wanted:
         probes = a_ids if probe_window is None else resolve_window(module.algebra, probe_window)
-        cols = []
-        for mi in m_ids:
-            col: dict = {}
-            for aj in probes:
-                for bid, v in module.act_basis(mi, aj).coeffs.items():
-                    col[(aj, bid)] = v
-            cols.append((mi, col))
-        kernel = GaussianSolver(SparseMatrix.from_columns(module.space.field, cols)).kernel_basis()
-        if kernel:
-            witness = Element(module.space, vec_canonical(module.space.field, kernel[0]))
-            out["nondegeneracy"] = Verdict(
-                "module non-degeneracy", "failed", label, witness=(witness,),
-                detail="annihilated by every probe")
-        else:
-            out["nondegeneracy"] = Verdict("module non-degeneracy", base, label)
+        witness = annihilated(module.space, m_ids, probes,
+                              lambda mi, aj: module.act_basis(mi, aj).coeffs)
+        out["nondegeneracy"] = (
+            Verdict("module non-degeneracy", base, label) if witness is None else
+            Verdict("module non-degeneracy", "failed", label, witness=(witness,),
+                    detail="annihilated by every probe"))
     return out
 
 

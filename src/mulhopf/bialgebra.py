@@ -25,7 +25,7 @@ the unknown values eps(e_i).
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix, vec_add
+from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, ModuleStructure, Verdict, WindowInsufficiency,
     reassociate_left, resolve_window, scalar_algebra, scaled_window, tensor_algebra,
@@ -159,29 +159,22 @@ class Slicer:
     def left(self, a_id, b_id) -> Element:
         return self.slice("left", a_id, b_id)
 
-    def right_elem(self, a: Element, b: Element) -> Element:
-        out = self.txt.zero()
+    def slice_elem(self, side, a: Element, b: Element) -> Element:
+        """``slice`` extended bilinearly to elements a, b of A."""
         f = self.alg.field
+        acc: dict = {}
         for i, ci in a.coeffs.items():
             for j, cj in b.coeffs.items():
-                out = out + self.right(i, j).scale(f.mul(ci, cj))
-        return out
-
-    def left_elem(self, a: Element, b: Element) -> Element:
-        out = self.txt.zero()
-        f = self.alg.field
-        for i, ci in a.coeffs.items():
-            for j, cj in b.coeffs.items():
-                out = out + self.left(i, j).scale(f.mul(ci, cj))
-        return out
+                hit = self.slice(side, i, j).coeffs
+                if hit:
+                    vec_axpy(f, acc, hit, f.mul(ci, cj))
+        return Element(self.txt, acc)
 
 
 def sweedler_slice(delta: Extension, a: Element, b: Element, side="right",
                    window=None, expansion=2) -> Element:
     """One-off slice; prefer holding a Slicer when iterating."""
-    return Slicer(delta, window=window, expansion=expansion).right_elem(a, b) \
-        if side == "right" else \
-        Slicer(delta, window=window, expansion=expansion).left_elem(a, b)
+    return Slicer(delta, window=window, expansion=expansion).slice_elem(side, a, b)
 
 
 def check_fons(delta: Extension, window=None, expansion=2, strict=True,
@@ -298,14 +291,12 @@ def check_counit(delta: Extension, epsilon: Extension, window=None,
         for b in ids:
             eb = alg.basis_element(b)
             prod = ea * eb
-            got = _collapse(slicer.right(a, b), epsilon, "left", alg)
-            if got != prod:
-                return Verdict("counit", "failed", label, witness=(ea, eb),
-                               detail=f"(eps(x)id) of right slice = {got}, ab = {prod}")
-            got = _collapse(slicer.left(a, b), epsilon, "right", alg)
-            if got != prod:
-                return Verdict("counit", "failed", label, witness=(ea, eb),
-                               detail=f"(id(x)eps) of left slice = {got}, ab = {prod}")
+            for side, eps_leg, law in (("right", "left", "(eps(x)id)"),
+                                       ("left", "right", "(id(x)eps)")):
+                got = _collapse(slicer.slice(side, a, b), epsilon, eps_leg, alg)
+                if got != prod:
+                    return Verdict("counit", "failed", label, witness=(ea, eb),
+                                   detail=f"{law} of {side} slice = {got}, ab = {prod}")
     return Verdict("counit", alg.baseline(ids), label)
 
 
@@ -362,28 +353,20 @@ def synthesize_counit(delta: Extension, window=None, expansion=2, slicer=None):
     for a in ids:
         for b in ids:
             prod = alg.mul_basis(a, b)
-            sl = slicer.right(a, b)
-            targets = {r for (_u, r) in sl.coeffs} | set(prod.coeffs)
-            for r in sorted(targets, key=alg.sort_key):
-                row = ("vd2", a, b, r)
-                row_keys.append(row)
-                for (u, v), c in sl.coeffs.items():
-                    if v == r:
-                        add_entry(row, u, c)
-                val = prod.coeffs.get(r)
-                if val:
-                    rhs[row] = val
-            sl = slicer.left(a, b)  # b_(a,1) (x) b_(a,2), eps lands on leg 2
-            targets = {p for (p, _q) in sl.coeffs} | set(prod.coeffs)
-            for r in sorted(targets, key=alg.sort_key):
-                row = ("vd1", a, b, r)
-                row_keys.append(row)
-                for (p, q), c in sl.coeffs.items():
-                    if p == r:
-                        add_entry(row, q, c)
-                val = prod.coeffs.get(r)
-                if val:
-                    rhs[row] = val
+            # eps lands on leg 1 of the right slice and on leg 2 of the left
+            # slice b_(a,1) (x) b_(a,2); the other leg is kept
+            for tag, side, keep in (("vd2", "right", 1), ("vd1", "left", 0)):
+                sl = slicer.slice(side, a, b)
+                targets = {pair[keep] for pair in sl.coeffs} | set(prod.coeffs)
+                for r in sorted(targets, key=alg.sort_key):
+                    row = (tag, a, b, r)
+                    row_keys.append(row)
+                    for pair, c in sl.coeffs.items():
+                        if pair[keep] == r:
+                            add_entry(row, pair[1 - keep], c)
+                    val = prod.coeffs.get(r)
+                    if val:
+                        rhs[row] = val
     matrix = SparseMatrix(f, row_keys, unknowns,
                           {rc: v for rc, v in rows.items()})
     solver = GaussianSolver(matrix)

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from .linalg import vec_add
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict, reassociate_left,
-    reassociate_right, resolve_window, scaled_window, tensor_algebra, tensor_elem,
-    tensor_module,
+    Algebra, Element, InputError, ModuleStructure, Verdict, joint_baseline,
+    reassociate_left, reassociate_right, resolve_window, scaled_window, tensor_algebra,
+    tensor_elem, tensor_module,
 )
 from .multiplier import act_on_module, iota, one
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
@@ -79,11 +79,41 @@ def _setup(com: ComoduleAlgebra, window, expansion):
     return window, expansion, B, A, gamma, b_ids, a_ids
 
 
-def _right_frames(B, A, a_ids, triple_r) -> dict:
-    """Psi(1 (x) 1 (x) e_a) on B (x) (A (x) A), per window id a."""
+def _coassoc_setup(com: ComoduleAlgebra, window, expansion, max_probes):
+    """What both multiplier forms of coassociativity share.
+
+    Returns the windows, the coaction slicer, rho (x) id, id (x) Delta,
+    the frames Psi(1 (x) 1 (x) e_a) per window id a, the capped probes of
+    (B (x) A) (x) A, the window status, and ``differs(lhs, rhs)``: the
+    first probe on which the two sides act differently and on which side
+    ("left" or "right"), or None.
+    """
+    window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
+    delta = com.bialgebra.delta
+    triple_l = tensor_algebra(com.coaction.target, A)  # (B(x)A)(x)A
+    triple_r = tensor_algebra(B, delta.target)          # B(x)(A(x)A)
+    rho_x_id = tensor_extensions(
+        com.coaction, identity_extension(A, window=window, expansion=expansion))
+    id_x_delta = tensor_extensions(
+        identity_extension(B, window=window, expansion=expansion), delta)
     one_a = one(A)
-    return {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
-                         into=triple_r) for a in a_ids}
+    frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
+                           into=triple_r) for a in a_ids}
+    probe_ids = resolve_window(triple_l, window)[:max_probes]
+    probes = [(p, reassociate_right(p, triple_r))
+              for p in map(triple_l.basis_element, probe_ids)]
+    status = joint_baseline((B, b_ids), (A, a_ids), (triple_l, probe_ids))
+
+    def differs(lhs, rhs):
+        for p, pr in probes:
+            if reassociate_left(rhs.apply_left(pr), triple_l) != lhs.apply_left(p):
+                return p, "left"
+            if reassociate_left(rhs.apply_right(pr), triple_l) != lhs.apply_right(p):
+                return p, "right"
+        return None
+
+    return (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
+            len(probes), status, differs)
 
 
 def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
@@ -99,47 +129,24 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
     """
     if method == "element":
         return _coassoc_element(com, window, expansion)
-    window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
-    delta = com.bialgebra.delta
-    triple_l = tensor_algebra(com.coaction.target, A)  # (B(x)A)(x)A
-    triple_r = tensor_algebra(B, delta.target)          # B(x)(A(x)A)
-    rho_x_id = tensor_extensions(
-        com.coaction, identity_extension(A, window=window, expansion=expansion))
-    id_x_delta = tensor_extensions(
-        identity_extension(B, window=window, expansion=expansion), delta)
-    probe_ids = resolve_window(triple_l, window)
-    if max_probes is not None:
-        probe_ids = probe_ids[:max_probes]
-    probes = [triple_l.basis_element(p) for p in probe_ids]
+    (B, A, gamma, b_ids, a_ids, _triple_l, rho_x_id, id_x_delta, frames,
+     n_probes, status, differs) = _coassoc_setup(com, window, expansion, max_probes)
     label = (f"{B.window_label(b_ids)} / {A.window_label(a_ids)}, "
-             f"{len(probes)} probes")
-    frames = _right_frames(B, A, a_ids, triple_r)
+             f"{n_probes} probes")
 
     for b in b_ids:
         rho_b = com.coaction.basis_multiplier(b)
         lifted = id_x_delta.lift(rho_b)
         for a in a_ids:
-            ea = A.basis_element(a)
             try:
                 lhs = rho_x_id.apply(gamma.right(b, a))
             except SliceUndefined:
                 lhs = rho_x_id.lift(rho_b * gamma._frame("right", a))
-            rhs = lifted * frames[a]
-            for p in probes:
-                pr = reassociate_right(p, triple_r)
-                if (reassociate_left(rhs.apply_left(pr), triple_l)
-                        != lhs.apply_left(p)):
-                    return Verdict("comodule coassociativity", "failed", label,
-                                   witness=(B.basis_element(b), ea, p),
-                                   detail="sides differ as left multipliers")
-                if (reassociate_left(rhs.apply_right(pr), triple_l)
-                        != lhs.apply_right(p)):
-                    return Verdict("comodule coassociativity", "failed", label,
-                                   witness=(B.basis_element(b), ea, p),
-                                   detail="sides differ as right multipliers")
-    status = ("proven" if B.covers_fully(b_ids) and A.covers_fully(a_ids)
-              and triple_l.covers_fully(probe_ids)
-              else "holds_on_window")
+            bad = differs(lhs, lifted * frames[a])
+            if bad is not None:
+                return Verdict("comodule coassociativity", "failed", label,
+                               witness=(B.basis_element(b), A.basis_element(a), bad[0]),
+                               detail=f"sides differ as {bad[1]} multipliers")
     return Verdict("comodule coassociativity", status, label)
 
 
@@ -198,9 +205,7 @@ def _coassoc_element(com: ComoduleAlgebra, window, expansion) -> Verdict:
                         witness=(B.basis_element(c), B.basis_element(b),
                                  A.basis_element(a)),
                         detail="sliced sides differ")
-    status = ("proven" if B.covers_fully(b_ids) and A.covers_fully(a_ids)
-              else "holds_on_window")
-    return Verdict(axiom, status, label)
+    return Verdict(axiom, joint_baseline((B, b_ids), (A, a_ids)), label)
 
 
 def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
@@ -210,20 +215,10 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
     Replaces the lift on the right side by the left slice (c (x) 1)rho(b),
     so it exercises an independent computation route.
     """
-    window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
-    delta = com.bialgebra.delta
-    BA = com.coaction.target
-    triple_l = tensor_algebra(BA, A)
-    triple_r = tensor_algebra(B, delta.target)
-    rho_x_id = tensor_extensions(
-        com.coaction, identity_extension(A, window=window, expansion=expansion))
-    id_x_delta = tensor_extensions(
-        identity_extension(B, window=window, expansion=expansion), delta)
-    probe_ids = resolve_window(triple_l, window)[:max_probes]
-    probes = [triple_l.basis_element(p) for p in probe_ids]
+    (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
+     n_probes, status, differs) = _coassoc_setup(com, window, expansion, max_probes)
     label = (f"{len(b_ids)}^2 x {len(a_ids)} framed triples, "
-             f"{len(probes)} probes")
-    frames = _right_frames(B, A, a_ids, triple_r)
+             f"{n_probes} probes")
     one_a = one(A)
     left_frames = {c: psi_embed([iota(B, B.basis_element(c)), one_a, one_a], into=triple_l)
                    for c in b_ids}  # c (x) 1 (x) 1 on (B (x) A) (x) A
@@ -246,21 +241,13 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
                     return Verdict("comodule coassociativity (framed)", "failed",
                                    label, witness=(ec, B.basis_element(b)),
                                    detail="left framed coaction not iota of an element")
-                rhs = id_x_delta.apply(s_l) * frames[a]
-                for p in probes:
-                    pr = reassociate_right(p, triple_r)
-                    if (reassociate_left(rhs.apply_left(pr), triple_l)
-                            != lhs.apply_left(p)
-                            or reassociate_left(rhs.apply_right(pr), triple_l)
-                            != lhs.apply_right(p)):
-                        return Verdict(
-                            "comodule coassociativity (framed)", "failed", label,
-                            witness=(ec, B.basis_element(b), ea, p),
-                            detail="framed sides differ on probe")
-    return Verdict("comodule coassociativity (framed)", "holds_on_window"
-                   if not (B.covers_fully(b_ids) and A.covers_fully(a_ids))
-                   or max_probes < len(resolve_window(triple_l, window))
-                   else "proven", label)
+                bad = differs(lhs, id_x_delta.apply(s_l) * frames[a])
+                if bad is not None:
+                    return Verdict(
+                        "comodule coassociativity (framed)", "failed", label,
+                        witness=(ec, B.basis_element(b), ea, bad[0]),
+                        detail="framed sides differ on probe")
+    return Verdict("comodule coassociativity (framed)", status, label)
 
 
 def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
@@ -301,9 +288,7 @@ def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
                 return Verdict("comodule counit", "failed", label,
                                witness=(eb, ea),
                                detail=f"(id(x)eps) of slice = {got}, want {want}")
-    status = ("proven" if B.covers_fully(b_ids) and A.covers_fully(a_ids)
-              else "holds_on_window")
-    return Verdict("comodule counit", status, label)
+    return Verdict("comodule counit", joint_baseline((B, b_ids), (A, a_ids)), label)
 
 
 def check_module_algebra(module: ModuleStructure, delta: Extension,
@@ -344,6 +329,4 @@ def check_module_algebra(module: ModuleStructure, delta: Extension,
                         witness=(B.basis_element(bi), B.basis_element(bj),
                                  A.basis_element(a)),
                         detail=f"mu of moved tensor = {lhs}, (bb')<|a = {rhs}")
-    status = ("proven" if B.covers_fully(b_ids) and A.covers_fully(a_ids)
-              else "holds_on_window")
-    return Verdict("module algebra", status, label)
+    return Verdict("module algebra", joint_baseline((B, b_ids), (A, a_ids)), label)

@@ -20,12 +20,13 @@ tagged with the base window).
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix, vec_canonical
+from .linalg import GaussianSolver, SparseMatrix, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency, resolve_window, scaled_window, tensor_algebra, tensor_elem,
+    WindowInsufficiency, annihilated, joint_baseline, resolve_window, scaled_window,
+    tensor_algebra, tensor_elem,
 )
-from .multiplier import Multiplier, act_on_module, multiplier_eq
+from .multiplier import Multiplier, act_on_module, combine, multiplier_eq
 
 
 class Extension:
@@ -47,8 +48,8 @@ class Extension:
         self.source_window = source_window
         self.target_window = target_window
         self._mult_cache: dict = {}
-        self._ba_span = None
-        self._ab_span = None
+        self._spans: dict = {}
+        self._lift_decs: dict = {}
         self.certificates: dict = {}
 
     # -- windows ------------------------------------------------------------
@@ -85,14 +86,8 @@ class Extension:
         """Linear extension of the basis rule; value in M(target)."""
         if b.space is not self.source:
             raise InputError(f"{self.name} wants elements of {self.source.name}")
-        items = b.sorted_items()
-        if not items:
-            zero = self.target.zero()
-            return Multiplier(self.target, lambda bid: zero, lambda bid: zero)
-        acc = self.basis_multiplier(items[0][0]).scale(items[0][1])
-        for bid, c in items[1:]:
-            acc = acc + self.basis_multiplier(bid).scale(c)
-        return acc
+        return combine(self.target, [(c, self.basis_multiplier(bid))
+                                     for bid, c in b.sorted_items()])
 
     def lact(self, b: Element, a: Element) -> Element:
         """b . a = f(b) |> a."""
@@ -105,8 +100,7 @@ class Extension:
     # -- decompositions over B.A and A.B -------------------------------------
 
     def _span(self, side):
-        attr = "_ba_span" if side == "ba" else "_ab_span"
-        span = getattr(self, attr)
+        span = self._spans.get(side)
         if span is None:
             cols = []
             for i in self.source_search_ids:
@@ -116,8 +110,8 @@ class Extension:
                     hit = fi.apply_left(ej) if side == "ba" else fi.apply_right(ej)
                     if not hit.is_zero():
                         cols.append(((i, j), hit.coeffs))
-            span = GaussianSolver(SparseMatrix.from_columns(self.target.field, cols))
-            setattr(self, attr, span)
+            span = self._spans[side] = GaussianSolver(
+                SparseMatrix.from_columns(self.target.field, cols))
         return span
 
     def _decompose(self, a: Element, side):
@@ -142,34 +136,38 @@ class Extension:
         """fbar(x) in M(target) for x in M(source); fbar o iota_B = f."""
         if x.alg is not self.source:
             raise InputError("lift wants a multiplier on the source algebra")
-        ext = self
-
-        def lam(bid):
-            a = ext.target.basis_element(bid)
-            dec = ext.decompose_ba(a)
-            if dec is None:
-                raise WindowInsufficiency(
-                    f"{a} has no B.A decomposition over {ext.window_label()}")
-            out = ext.target.zero()
-            for c, i, j in dec:
-                moved = ext.apply(x.lam_basis(i))
-                out = out + moved.apply_left(ext.target.basis_element(j)).scale(c)
-            return out
-
-        def rho(bid):
-            a = ext.target.basis_element(bid)
-            dec = ext.decompose_ab(a)
-            if dec is None:
-                raise WindowInsufficiency(
-                    f"{a} has no A.B decomposition over {ext.window_label()}")
-            out = ext.target.zero()
-            for c, i, j in dec:
-                moved = ext.apply(x.rho_basis(i))
-                out = out + moved.apply_right(ext.target.basis_element(j)).scale(c)
-            return out
-
-        return Multiplier(self.target, lam, rho,
+        return Multiplier(self.target, self._lift_rule(x.lam_basis, "ba"),
+                          self._lift_rule(x.rho_basis, "ab"),
                           name=f"{self.name}-bar({x.name or '?'})")
+
+    def _lift_rule(self, x_basis, side):
+        """lam (side "ba", over B.A) or rho (side "ab", over A.B) of a lift.
+
+        The decomposition of a target basis id depends only on the side, so
+        it is solved once per extension and shared by every lifted multiplier.
+        """
+        tgt, field = self.target, self.target.field
+
+        def rule(bid):
+            dec = self._lift_decs.get((side, bid))
+            if dec is None:
+                dec = self._decompose(tgt.basis_element(bid), side)
+                if dec is None:
+                    raise WindowInsufficiency(
+                        f"{tgt.basis_element(bid)} has no "
+                        f"{'B.A' if side == 'ba' else 'A.B'} decomposition "
+                        f"over {self.window_label()}")
+                self._lift_decs[(side, bid)] = dec
+            acc: dict = {}
+            for c, i, j in dec:
+                moved = self.apply(x_basis(i))
+                ej = tgt.basis_element(j)
+                hit = (moved.apply_left(ej) if side == "ba" else moved.apply_right(ej)).coeffs
+                if hit:
+                    vec_axpy(field, acc, hit, c)
+            return Element(tgt, acc)
+
+        return rule
 
     # -- validation ----------------------------------------------------------
 
@@ -182,8 +180,7 @@ class Extension:
         verdicts = []
         src_ids = self.source_ids
         probes = [self.target.basis_element(j) for j in self.target_ids]
-        base = ("proven" if self.source.covers_fully(src_ids)
-                and self.target.covers_fully(self.target_ids) else "holds_on_window")
+        base = joint_baseline((self.source, src_ids), (self.target, self.target_ids))
         label = self.window_label()
 
         pairs = [(i, j) for i in src_ids for j in src_ids]
@@ -219,22 +216,14 @@ class Extension:
         verdicts.append(idem_v)
 
         nondeg_v = Verdict("extension non-degeneracy", base, label)
-        search = self.source_search_ids
         for side in ("right", "left"):
-            cols = []
-            for t in self.target_ids:
+            def hit(t, i, side=side):
+                fi = self.basis_multiplier(i)
                 et = self.target.basis_element(t)
-                col: dict = {}
-                for i in search:
-                    fi = self.basis_multiplier(i)
-                    hit = fi.apply_right(et) if side == "right" else fi.apply_left(et)
-                    for bid, v in hit.coeffs.items():
-                        col[(i, bid)] = v
-                cols.append((t, col))
-            kern = GaussianSolver(
-                SparseMatrix.from_columns(self.target.field, cols)).kernel_basis()
-            if kern:
-                w = Element(self.target, vec_canonical(self.target.field, kern[0]))
+                return (fi.apply_right(et) if side == "right" else fi.apply_left(et)).coeffs
+
+            w = annihilated(self.target, self.target_ids, self.source_search_ids, hit)
+            if w is not None:
                 nondeg_v = Verdict("extension non-degeneracy", "failed", label,
                                    witness=(w,),
                                    detail=f"killed by every f(b) on the {side}")
@@ -276,13 +265,7 @@ class Extension:
         src_ids = resolve_window(source, source_window)
         tgt_ids = resolve_window(target, target_window)
         label = ext.window_label()
-
-        def L(b, a):
-            return ext.lact(b, a)
-
-        def R(a, b):
-            return ext.ract(a, b)
-
+        L, R = ext.lact, ext.ract
         for bi in src_ids:
             b = source.basis_element(bi)
             for ai in tgt_ids:

@@ -78,23 +78,21 @@ def kfun_cyclic(n: int, field=QQ) -> GalleryEntry:
 # finitely supported functions on Z: the flagship oracle example
 
 
-def kfin_Z(field=QQ, window=4) -> GalleryEntry:
-    """Finitely supported functions on the integers, pointwise product.
+def _kfin_monoid(field, window, name, describe, member, span) -> MultiplierBialgebra:
+    """Finitely supported functions on an additive monoid of integers.
 
-    No unit, but indicator sums over any window are local units.  The
-    additive-group comultiplication delta(d_k) acts as the indicator of
-    i + j = k; eps(d_k) = [k = 0]; S(d_k) = d_{-k}.  Infinite-dimensional,
-    so every verdict is window-relative.
+    ``member(i)`` says which integers belong to the monoid and ``span(n)``
+    lists window n.  Pointwise product with indicator-sum local units,
+    delta(d_k) the indicator of i + j = k, eps(d_k) = [k = 0]; no antipode.
     """
     one = field.one
-
     A = oracle_algebra(
         field,
-        contains=lambda bid: isinstance(bid, int) and not isinstance(bid, bool),
-        window=lambda n: range(-n, n + 1),
+        contains=lambda bid: isinstance(bid, int) and not isinstance(bid, bool) and member(bid),
+        window=span,
         mul_rule=lambda i, j: ({i: one} if i == j else {}),
         local_unit_for=lambda ids: {i: one for i in ids},
-        describe="K(Z)", name="kfin_Z", fmt_id=lambda i: f"d{i}")
+        describe=describe, name=name, fmt_id=lambda i: f"d{i}")
     AA = tensor_algebra(A, A)
 
     def delta_rule(k):
@@ -104,11 +102,22 @@ def kfin_Z(field=QQ, window=4) -> GalleryEntry:
 
     delta = Extension(A, AA, delta_rule, name="Delta",
                       source_window=window, target_window=window)
-    eps = counit_extension(
-        A, lambda bid: one if bid == 0 else field.zero)
-    smap = MultiplierMap(A, lambda t: iota(A, A.basis_element(-t)), name="S")
-    bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
-                                 window=window, name="kfin_Z", antipode=smap)
+    eps = counit_extension(A, lambda bid: one if bid == 0 else field.zero)
+    return MultiplierBialgebra(A, delta, eps, A.basis_element(0), window=window, name=name)
+
+
+def kfin_Z(field=QQ, window=4) -> GalleryEntry:
+    """Finitely supported functions on the integers, pointwise product.
+
+    No unit, but indicator sums over any window are local units.  The
+    additive-group comultiplication delta(d_k) acts as the indicator of
+    i + j = k; eps(d_k) = [k = 0]; S(d_k) = d_{-k}.  Infinite-dimensional,
+    so every verdict is window-relative.
+    """
+    bundle = _kfin_monoid(field, window, "kfin_Z", "K(Z)",
+                          lambda i: True, lambda n: range(-n, n + 1))
+    A = bundle.algebra
+    bundle.antipode = MultiplierMap(A, lambda t: iota(A, A.basis_element(-t)), name="S")
     return GalleryEntry("kfin_Z", A, bundle,
                         notes="oracle multiplier Hopf structure, window-exact",
                         default_window=window, params={"window": window})
@@ -121,27 +130,9 @@ def kfin_N(field=QQ, window=4) -> GalleryEntry:
     the monoid has no inverses: T1 degenerates (d_0 (x) d_1 maps to zero)
     and no antipode exists.  Its role is to exercise the failure paths.
     """
-    one = field.one
-    A = oracle_algebra(
-        field,
-        contains=lambda bid: isinstance(bid, int) and not isinstance(bid, bool) and bid >= 0,
-        window=lambda n: range(0, n + 1),
-        mul_rule=lambda i, j: ({i: one} if i == j else {}),
-        local_unit_for=lambda ids: {i: one for i in ids},
-        describe="K(N)", name="kfin_N", fmt_id=lambda i: f"d{i}")
-    AA = tensor_algebra(A, A)
-
-    def delta_rule(k):
-        def lam(bid):
-            return Element(AA, {bid: one} if bid[0] + bid[1] == k else {})
-        return Multiplier(AA, lam, lam, name=f"Delta(d{k})")
-
-    delta = Extension(A, AA, delta_rule, name="Delta",
-                      source_window=window, target_window=window)
-    eps = counit_extension(A, lambda bid: one if bid == 0 else field.zero)
-    bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
-                                 window=window, name="kfin_N", antipode=None)
-    return GalleryEntry("kfin_N", A, bundle,
+    bundle = _kfin_monoid(field, window, "kfin_N", "K(N)",
+                          lambda i: i >= 0, lambda n: range(0, n + 1))
+    return GalleryEntry("kfin_N", bundle.algebra, bundle,
                         notes="bialgebra without antipode (monoid not a group)",
                         default_window=window, params={"window": window})
 
@@ -457,8 +448,9 @@ def gallery_names():
     return tuple(_BUILDERS)
 
 
-def build(spec: str) -> GalleryEntry:
-    """Resolve "name" or "name(args)" against the registry."""
+def build(spec: str, window=None) -> GalleryEntry:
+    """Resolve "name" or "name(args)" against the registry (``window`` as in
+    ``build_entry``)."""
     spec = spec.strip()
     if "(" in spec:
         if not spec.endswith(")"):
@@ -471,7 +463,7 @@ def build(spec: str) -> GalleryEntry:
         values = [int(a) for a in args]
     except ValueError:
         raise InputError(f"gallery parameters must be integers: {spec!r}") from None
-    return build_entry(name, values)
+    return build_entry(name, values, window=window)
 
 
 def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_canonical
 from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
-from .multiplier import Multiplier, MultiplierSpace, iota, iota_preimage
+from .multiplier import Multiplier, MultiplierSpace, combine, iota, iota_preimage, multiplier_eq
 from .bialgebra import Slicer, eps_value
 
 
@@ -53,26 +53,22 @@ class MultiplierMap:
     def apply(self, a: Element) -> Multiplier:
         if a.space is not self.alg:
             raise InputError(f"{self.name} wants elements of {self.alg.name}")
-        items = a.sorted_items()
-        if not items:
-            return zero_multiplier(self.alg)
-        acc = self.basis(items[0][0]).scale(items[0][1])
-        for bid, c in items[1:]:
-            acc = acc + self.basis(bid).scale(c)
-        return acc
+        return combine(self.alg, [(c, self.basis(bid)) for bid, c in a.sorted_items()])
 
     def __repr__(self):
         return f"<map {self.name}: {self.alg.name} -> M({self.alg.name})>"
 
 
 def zero_multiplier(alg) -> Multiplier:
-    z = alg.zero()
-    return Multiplier(alg, lambda bid: z, lambda bid: z, name="0")
+    return combine(alg, ())
 
 
 def iota_map(alg) -> MultiplierMap:
     return MultiplierMap(alg, lambda bid: iota(alg, alg.basis_element(bid)),
                          name="iota")
+
+
+_CANONICAL_SIDE = {"T1": "right", "T2": "left"}  # T1 = Delta(a)(1 (x) b), T2 = (a (x) 1)Delta(b)
 
 
 def canonical_map(slicer: Slicer, which, x: Element) -> Element:
@@ -81,8 +77,7 @@ def canonical_map(slicer: Slicer, which, x: Element) -> Element:
         raise InputError("canonical maps act on A (x) A")
     out = slicer.txt.zero()
     for (a, b), c in x.coeffs.items():
-        img = slicer.right(a, b) if which == "T1" else slicer.left(a, b)
-        out = out + img.scale(c)
+        out = out + slicer.slice(_CANONICAL_SIDE[which], a, b).scale(c)
     return out
 
 
@@ -100,11 +95,8 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
     ids = slicer.ids
     pairs = [(a, b) for a in ids for b in ids]
     label = txt.window_label(pairs)
-
-    def image(a, b):
-        return slicer.right(a, b) if which == "T1" else slicer.left(a, b)
-
-    cols = [((a, b), image(a, b).coeffs) for (a, b) in pairs]
+    side = _CANONICAL_SIDE[which]
+    cols = [((a, b), slicer.slice(side, a, b).coeffs) for (a, b) in pairs]
     kern = GaussianSolver(SparseMatrix.from_columns(alg.field, cols)).kernel_basis()
     if kern:
         wit = Element(txt, vec_canonical(alg.field, kern[0]))
@@ -118,7 +110,7 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
         solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
         domain_note = "window domain"
     else:
-        wide = [((a, b), image(a, b).coeffs) for a in scaled for b in scaled]
+        wide = [((a, b), slicer.slice(side, a, b).coeffs) for a in scaled for b in scaled]
         solver = GaussianSolver(SparseMatrix.from_columns(alg.field, wide))
         domain_note = f"domain scaled to {len(scaled)}^2 pairs"
     sur = Verdict(f"{which} surjectivity", txt.baseline(pairs), label,
@@ -301,8 +293,8 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
     table: dict = {}
     if msp is not None:
         for t in t_ids:
-            coords = [sol.get((t, k), f.zero) for k in coord_ids]
-            mult = _combine(alg, msp, coords)
+            coeffs = [sol.get((t, k), f.zero) for k in coord_ids]
+            mult = combine(alg, zip(coeffs, msp.basis))
             pre = iota_preimage(alg, mult)
             table[t] = pre if pre is not None else mult
 
@@ -340,24 +332,6 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
     return AntipodeSynthesis("synthesized", smap, table, verdicts, detail=detail)
 
 
-def _combine(alg, msp: MultiplierSpace, coords) -> Multiplier:
-    def lam(bid):
-        acc = alg.zero()
-        for c, mk in zip(coords, msp.basis):
-            if c:
-                acc = acc + mk.lam_basis(bid).scale(c)
-        return acc
-
-    def rho(bid):
-        acc = alg.zero()
-        for c, mk in zip(coords, msp.basis):
-            if c:
-                acc = acc + mk.rho_basis(bid).scale(c)
-        return acc
-
-    return Multiplier(alg, lam, rho)
-
-
 # ---------------------------------------------------------------------------
 # twisted convolution
 
@@ -369,39 +343,29 @@ def _as_elem(alg, x) -> Element:
 def conv_right(f: MultiplierMap, g: MultiplierMap, b, slicer: Slicer,
                name=None) -> MultiplierMap:
     """(f *^b g)(a) = sum f(a_(1,b)) g(a_(2,b))."""
-    alg = slicer.alg
-    b = _as_elem(alg, b)
-
-    def rule(bid):
-        sl = slicer.right_elem(alg.basis_element(bid), b)
-        acc = None
-        for (u, v), c in sorted(sl.coeffs.items(),
-                                key=lambda kv: (alg.sort_key(kv[0][0]),
-                                                alg.sort_key(kv[0][1]))):
-            term = (f.basis(u) * g.basis(v)).scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else zero_multiplier(alg)
-
-    return MultiplierMap(alg, rule, name=name or f"({f.name}*^b {g.name})")
+    return _convolve("right", f, g, b, slicer, name or f"({f.name}*^b {g.name})")
 
 
 def conv_left(f: MultiplierMap, g: MultiplierMap, a, slicer: Slicer,
               name=None) -> MultiplierMap:
     """(f *_a g)(b) = sum f(b_(a,1)) g(b_(a,2))."""
+    return _convolve("left", f, g, a, slicer, name or f"({f.name}*_a {g.name})")
+
+
+def _convolve(side, f, g, frame, slicer, name) -> MultiplierMap:
+    """sum c f(u) g(v) over the slice c (u (x) v) of each argument, framed on ``side``."""
     alg = slicer.alg
-    a = _as_elem(alg, a)
+    frame = _as_elem(alg, frame)
 
     def rule(bid):
-        sl = slicer.left_elem(a, alg.basis_element(bid))
-        acc = None
-        for (p, q), c in sorted(sl.coeffs.items(),
-                                key=lambda kv: (alg.sort_key(kv[0][0]),
-                                                alg.sort_key(kv[0][1]))):
-            term = (f.basis(p) * g.basis(q)).scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else zero_multiplier(alg)
+        arg = alg.basis_element(bid)
+        sl = (slicer.slice_elem(side, arg, frame) if side == "right"
+              else slicer.slice_elem(side, frame, arg))
+        return combine(alg, [(c, f.basis(u) * g.basis(v)) for (u, v), c in
+                             sorted(sl.coeffs.items(), key=lambda kv: (
+                                 alg.sort_key(kv[0][0]), alg.sort_key(kv[0][1])))])
 
-    return MultiplierMap(alg, rule, name=name or f"({f.name}*_a {g.name})")
+    return MultiplierMap(alg, rule, name=name)
 
 
 def conv_unit(alg, epsilon, b, name=None) -> MultiplierMap:
@@ -455,8 +419,7 @@ def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
     probes = [_as_elem(alg, p) for p in probes]
     label = f"{len(tuple(arg_ids))} args x {len(probes)} probes"
     for t in arg_ids:
-        from .multiplier import multiplier_eq
-        eq = multiplier_eq(f.basis(t), g.basis(t), probes)
+        eq = multiplier_eq(f.basis(t), g.basis(t), probes, strict=status)
         if not eq.ok:
             return Verdict(axiom, "failed", label,
                            witness=(alg.basis_element(t),) + tuple(eq.witness or ()),

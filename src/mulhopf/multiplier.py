@@ -134,6 +134,32 @@ def _extend(alg, basis_fn, a: Element) -> Element:
     return Element(alg, acc)
 
 
+def combine(alg: Algebra, terms) -> Multiplier:
+    """sum c * x over ``(c, Multiplier)`` pairs; the zero multiplier when empty.
+
+    Each basis image is one flat accumulation over the terms, not a chain
+    of pairwise sums.
+    """
+    field = alg.field
+    terms = [(field.coerce(c), x) for c, x in terms if c]
+    if not terms:  # one shared zero image: zero multipliers are frequent and hot
+        zero = alg.zero()
+        return Multiplier(alg, lambda bid: zero, lambda bid: zero)
+
+    def summed(parts):
+        def image(bid):
+            acc: dict = {}
+            for c, basis_fn in parts:
+                hit = basis_fn(bid).coeffs
+                if hit:
+                    vec_axpy(field, acc, hit, c)
+            return Element(alg, acc)
+        return image
+
+    return Multiplier(alg, summed([(c, x.lam_basis) for c, x in terms]),
+                      summed([(c, x.rho_basis) for c, x in terms]))
+
+
 def one(alg: Algebra) -> Multiplier:
     """The unit multiplier (id, id)."""
     return Multiplier(alg, alg.basis_element, alg.basis_element, name="1")

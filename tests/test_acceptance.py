@@ -137,6 +137,7 @@ def test_classify_certifies_integer_line_on_window_eight():
     assert data["classification"] == "multiplier Hopf algebra (holds_on_window 8)"
     assert all(e["status"] in ("proven", "holds_on_window") for e in data["entries"])
     assert entry_for(data, "coassociativity")["window"] == "17 ids of K(Z)"
+    assert entry_for(data, "extension multiplicativity")["window"].startswith("17 ids")
     for axiom in ("T1 bijectivity", "T2 bijectivity", "counit", "antipode"):
         assert entry_for(data, axiom)["status"] != "failed"
     eps = data["tables"]["epsilon"]

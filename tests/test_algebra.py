@@ -10,6 +10,7 @@ from mulhopf.algebra import (InputError, WindowInsufficiency,
                              reassociate_right, regular_module, resolve_window,
                              sweedler_decompose, tensor_algebra, tensor_elem,
                              tensor_module, witness_text)
+from mulhopf.extension import identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2, zero1
 
@@ -54,10 +55,20 @@ def test_zero1_fails_idempotency_with_witness():
 
 
 def test_rowalg2_fails_nondegeneracy_with_witness():
+    # the algebra, its right regular module and its identity extension
+    # all find the left annihilator E12; the left regular module has none
     A = rowalg2().algebra
     v = check_nondegenerate(A)
     assert v.status == "failed"
     assert witness_text(v.witness) == "1*E12"
+    assert v.detail == "x*a = 0 for every probe a"
+    v = check_module(regular_module(A, "right"))["nondegeneracy"]
+    assert v.status == "failed" and witness_text(v.witness) == "1*E12"
+    assert check_module(regular_module(A, "left"))["nondegeneracy"].status == "proven"
+    v = identity_extension(A).validate()[2]
+    assert v.axiom == "extension non-degeneracy"
+    assert v.status == "failed" and witness_text(v.witness) == "1*E12"
+    assert v.detail == "killed by every f(b) on the right"
 
 
 def test_nonassociative_table_detected():

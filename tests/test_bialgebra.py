@@ -67,11 +67,14 @@ def test_sweedler_slice_is_bilinear():
     delta = b.bialgebra.delta
     x = A.basis_element(0) + A.basis_element(1)
     y = A.basis_element(2).scale(QQ.coerce(3))
-    got = sweedler_slice(delta, x, y)
-    want = (sweedler_slice(delta, A.basis_element(0), y)
-            + sweedler_slice(delta, A.basis_element(1), y))
-    assert got == want
-    assert got == sweedler_slice(delta, x, A.basis_element(2)).scale(QQ.coerce(3))
+    for side in ("right", "left"):
+        got = sweedler_slice(delta, x, y, side=side)
+        want = (sweedler_slice(delta, A.basis_element(0), y, side=side)
+                + sweedler_slice(delta, A.basis_element(1), y, side=side))
+        assert got == want
+        assert got == sweedler_slice(delta, x, A.basis_element(2),
+                                     side=side).scale(QQ.coerce(3))
+        assert not got.is_zero()
 
 
 def test_undefined_slice_is_detected():

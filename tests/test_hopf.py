@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mulhopf import hopf
+from mulhopf import hopf, linalg
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
 from mulhopf.bialgebra import counit_extension
 from mulhopf.extension import Extension
@@ -176,6 +176,22 @@ def test_convolution_inverse_on_kz_window():
     v = check_convolution_inverse(b.delta, b.epsilon, syn.map,
                                   iota_map(b.algebra), slicer=sl)
     assert v.status == "holds_on_window"
+
+
+def test_convolution_inverse_builds_no_rank_solver_per_argument(monkeypatch):
+    # map_eq hands its own status to multiplier_eq, which then needs no
+    # rank solve over the probes for every argument and frame
+    b = kfun_cyclic(3).bialgebra
+    sl = b.slicer()
+    check_antipode(b.delta, b.epsilon, b.antipode, slicer=sl)  # fills the slices
+    built = []
+    real_init = linalg.GaussianSolver.__init__
+    monkeypatch.setattr(linalg.GaussianSolver, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    v = check_convolution_inverse(b.delta, b.epsilon, b.antipode,
+                                  iota_map(b.algebra), slicer=sl)
+    assert v.status == "proven"
+    assert built == []
 
 
 # --- the twisted convolution calculus -------------------------------------

@@ -1,10 +1,10 @@
 import pytest
 
 from mulhopf.algebra import InvariantViolation, regular_module
-from mulhopf.fields import QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
+from mulhopf.fields import GF, QQ
+from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2
 from mulhopf.multiplier import (Multiplier, MultiplierSpace, act_on_module,
-                                iota, iota_preimage, make_multiplier,
+                                combine, iota, iota_preimage, make_multiplier,
                                 multiplier_eq, multiplier_violation, one)
 
 
@@ -76,6 +76,25 @@ def test_sum_and_scale_of_multipliers():
     assert multiplier_eq(s, one(A), (0, 1)).ok
     doubled = x.scale(QQ.coerce(2))
     assert doubled.apply_left(A.basis_element(0)) == A.basis_element(0).scale(QQ.coerce(2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_combine_equals_the_chained_sum_and_is_zero_without_terms(field):
+    A = random_algebra(5, field=field)
+    ids = A.basis.ids
+    xs = [iota(A, A.basis_element(i)) for i in ids]
+    xs.append(xs[0] * xs[-1])
+    terms = [(field.coerce(k + 2), x) for k, x in enumerate(xs)]
+    # a cancelling term and a zero coefficient
+    terms += [(field.coerce(-2), xs[0]), (field.zero, xs[1])]
+    chained = terms[0][1].scale(terms[0][0])
+    for c, x in terms[1:]:
+        chained = chained + x.scale(c)
+    assert multiplier_eq(combine(A, terms), chained, ids).ok
+    zero = combine(A, [])
+    for i in ids:
+        e = A.basis_element(i)
+        assert zero.apply_left(e).is_zero() and zero.apply_right(e).is_zero()
 
 
 def test_make_multiplier_rejects_incompatible_pair():

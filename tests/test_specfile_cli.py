@@ -390,3 +390,31 @@ def test_check_comodule_over_itself_shares_the_bundle_slicer(capsys, monkeypatch
     assert rc == 0
     assert "comodule coassociativity (element): holds_on_window" in out
     assert len(built) == 1
+
+
+def test_check_comodule_decomposes_each_target_id_once(tmp_path, capsys, monkeypatch):
+    # every lifted multiplier shares its extension's B.A / A.B decompositions
+    from mulhopf import extension
+    solved = []
+    real = extension.Extension._decompose
+    monkeypatch.setattr(extension.Extension, "_decompose",
+                        lambda self, a, side: solved.append(
+                            (id(self), side, tuple(sorted(a.coeffs)))) or real(self, a, side))
+    spec = write_spec(tmp_path, "field Q\noracle kfin_Z\nwindow 2\n")
+    rc, _, _ = run_cli(["check-comodule", spec], capsys)
+    assert rc == 0
+    assert solved and len(solved) == len(set(solved))
+
+
+@pytest.mark.parametrize("name, window, label", [
+    ("kfin_Z", 2, "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"),
+    ("kfin_N", 3, "4 ids of K(N) -> 16 ids of K(N)(x)K(N)"),
+])
+def test_gallery_input_certifies_delta_on_the_run_window(capsys, name, window, label):
+    rc, out, _ = run_cli(["check-bialgebra", f"gallery:{name}", "--window", str(window),
+                          "--report", "json"], capsys)
+    assert rc == 0
+    entries = {e["axiom"]: e for e in json.loads(out)["entries"]}
+    for axiom in ("extension multiplicativity", "extension idempotency",
+                  "extension non-degeneracy"):
+        assert entries[axiom]["window"] == label
