@@ -97,11 +97,15 @@ class OracleBasis:
         self._contains = contains
         self._window = window
         self._describe = describe
+        self._windows: dict = {}
 
     def window(self, n=None):
         if n is None:
             raise WindowInsufficiency("oracle basis needs an explicit window")
-        return tuple(self._window(n))
+        ids = self._windows.get(n)
+        if ids is None:
+            ids = self._windows[n] = tuple(self._window(n))
+        return ids
 
     def __contains__(self, bid):
         return self._contains(bid)

@@ -85,14 +85,6 @@ class Slicer:
             out = self._frame_cache[(side, frame_id)] = psi_embed(parts, into=self.txt)
         return out
 
-    def _window_ids(self, space, n):
-        cache = self.__dict__.setdefault("_wid_cache", {})
-        key = (id(space), n)
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = tuple(space.window_ids(n))
-        return out
-
     def _arg_cover(self, arg_id, frame_space, frame_id):
         """Smallest doubling of the base window containing both arguments.
 
@@ -102,12 +94,22 @@ class Slicer:
         """
         n = self.window
         for _ in range(5):
-            if (arg_id in self._window_ids(self.alg, n)
-                    and frame_id in self._window_ids(frame_space, n)):
+            if arg_id in self.alg.window_ids(n) and frame_id in frame_space.window_ids(n):
                 return n
             n *= 2
         raise WindowInsufficiency(
             f"slice arguments ({arg_id!r}, {frame_id!r}) exceed every tried window")
+
+    def _framed(self, side, a_id, b_id):
+        """(z, base): the framed product whose iota-preimage is the slice,
+        and the base window its contraction scales (None when finite)."""
+        if side == "right":
+            z = self.delta.basis_multiplier(a_id) * self._frame("right", b_id)
+            arg, fspace, fid = a_id, self.rfac, b_id
+        else:
+            z = self._frame("left", a_id) * self.delta.basis_multiplier(b_id)
+            arg, fspace, fid = b_id, self.lfac, a_id
+        return z, None if self.txt.finite else self._arg_cover(arg, fspace, fid)
 
     def _preimage(self, z: Multiplier, base, probe_ids=None):
         if self.txt.finite:
@@ -129,13 +131,7 @@ class Slicer:
         check = verify and not self.txt.finite and key not in self._verified
         if u is not None and not check:
             return u
-        if side == "right":
-            z = self.delta.basis_multiplier(a_id) * self._frame("right", b_id)
-            arg, fspace, fid = a_id, self.rfac, b_id
-        else:
-            z = self._frame("left", a_id) * self.delta.basis_multiplier(b_id)
-            arg, fspace, fid = b_id, self.lfac, a_id
-        base = None if self.txt.finite else self._arg_cover(arg, fspace, fid)
+        z, base = self._framed(side, a_id, b_id)
         if u is None:
             u = self._preimage(z, base)
         if check and u is not None:
@@ -169,6 +165,14 @@ class Slicer:
                 if hit:
                     vec_axpy(f, acc, hit, f.mul(ci, cj))
         return Element(self.txt, acc)
+
+
+def cached_slicer(cache: dict, delta: Extension, window, expansion) -> Slicer:
+    """The one Slicer of ``delta`` per (window, expansion) kept in ``cache``."""
+    sl = cache.get((window, expansion))
+    if sl is None:
+        sl = cache[(window, expansion)] = Slicer(delta, window=window, expansion=expansion)
+    return sl
 
 
 def sweedler_slice(delta: Extension, a: Element, b: Element, side="right",
@@ -424,14 +428,9 @@ class MultiplierBialgebra:
         self._slicers: dict = {}
 
     def slicer(self, window=None, expansion=None) -> Slicer:
-        window = self.window if window is None else window
-        expansion = self.expansion if expansion is None else expansion
-        key = (window, expansion)
-        sl = self._slicers.get(key)
-        if sl is None:
-            sl = self._slicers[key] = Slicer(self.delta, window=window,
-                                             expansion=expansion)
-        return sl
+        return cached_slicer(self._slicers, self.delta,
+                             self.window if window is None else window,
+                             self.expansion if expansion is None else expansion)
 
     def eps(self, elem: Element):
         return eps_value(self.epsilon, elem)

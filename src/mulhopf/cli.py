@@ -346,9 +346,9 @@ def main(argv=None) -> int:
         return 3
 
     window = args.window if args.window is not None else entry.default_window
-    if source.startswith("gallery:") and entry.default_window not in (None, window):
+    if entry.rebuild is not None and entry.default_window not in (None, window):
         # built on its default window; the certificates must use the run's
-        entry = gallery.build(source[len("gallery:"):], window=window)
+        entry = entry.rebuild(window)
     expansion = args.expansion
     if expansion is None:
         expansion = entry.bialgebra.expansion if entry.bialgebra else 2

@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .multiplier import act_on_module, iota, one
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
-from .bialgebra import Slicer, SliceUndefined, eps_value
+from .bialgebra import Slicer, SliceUndefined, cached_slicer, eps_value
 
 
 class ComoduleAlgebra:
@@ -62,11 +62,7 @@ class ComoduleAlgebra:
         expansion = self.expansion if expansion is None else expansion
         if self.coaction is self.bialgebra.delta:
             return self.bialgebra.slicer(window, expansion)
-        sl = self._slicers.get((window, expansion))
-        if sl is None:
-            sl = self._slicers[(window, expansion)] = Slicer(
-                self.coaction, window=window, expansion=expansion)
-        return sl
+        return cached_slicer(self._slicers, self.coaction, window, expansion)
 
 
 def _setup(com: ComoduleAlgebra, window, expansion):

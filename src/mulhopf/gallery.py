@@ -13,6 +13,7 @@ the Python builders take keyword arguments.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
@@ -35,6 +36,7 @@ class GalleryEntry:
     notes: str = ""
     default_window: int | None = None
     params: dict = dc_field(default_factory=dict)
+    rebuild: Callable[[int], GalleryEntry] | None = None  # same input on another window
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +481,9 @@ def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:
     if len(params) != len(param_names):
         raise InputError(f"{name} takes {len(param_names)} parameter(s), "
                          f"got {len(params)}")
-    if windowed and window is not None:
-        return builder(*params, field=field, window=window)
-    return builder(*params, field=field)
+    if not windowed:
+        return builder(*params, field=field)
+    entry = (builder(*params, field=field) if window is None
+             else builder(*params, field=field, window=window))
+    entry.rebuild = lambda w: build_entry(name, params, field, w)
+    return entry

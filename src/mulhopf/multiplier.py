@@ -26,7 +26,8 @@ from .algebra import (
 
 
 class Multiplier:
-    __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod", "name")
+    __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod",
+                 "_unit_memo", "name")
 
     def __init__(self, alg: Algebra, lam, rho, name=None):
         self.alg = alg
@@ -35,6 +36,7 @@ class Multiplier:
         self._lam_cache: dict = {}
         self._rho_cache: dict = {}
         self._prod = None
+        self._unit_memo = None  # (side, window) -> contraction with that local unit
         self.name = name
 
     # -- basis-level actions, memoized (rules are pure) ---------------------
@@ -407,9 +409,13 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
 
     Finite algebras: exact linear solve over the full basis (a None is a
     proof that z is outside iota(A)).  Oracle algebras: contract z against
-    the certified local unit of the search window from both sides; the two
-    candidates must agree, and with ``probe_ids`` the candidate is further
-    verified against every probe.  Oracle results are window-relative.
+    the certified local unit e of the search window from both sides; the
+    two candidates z |> e and e <| z must agree, and with ``probe_ids`` the
+    candidate is further verified against every probe.  A product z = x*y
+    is contracted factor by factor, x |> (y |> e) and (e <| x) <| y, and
+    the inner factor's contraction is memoised on it per (side, window):
+    a slice's inner factor (a frame, or Delta(e_a)) recurs across every
+    slice that shares it.  Oracle results are window-relative.
     """
     if alg.finite:
         rhs: dict = {}
@@ -424,17 +430,37 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
             return None
         return Element(alg, vec_canonical(alg.field, sol))
     ids = resolve_window(alg, window)
-    e = alg.local_unit(ids)
-    if e is None:
+    if not alg.has_local_units:
         raise WindowInsufficiency(
             f"{alg.name} has no local-unit certificate; cannot invert iota on a window")
-    u_left = z.apply_left(e)
-    u_right = z.apply_right(e)
+    u_left = _unit_contraction(z, "left", window, ids)
+    u_right = _unit_contraction(z, "right", window, ids)
     if u_left != u_right:
         return None
     if probe_ids is not None and not agrees_on_probes(alg, u_left, z, probe_ids):
         return None
     return u_left
+
+
+def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
+    """z |> e (side "left") or e <| z (side "right"), e the local unit of ``ids``.
+
+    The same factor order as ``apply_left``/``apply_right``, so the result
+    is the same element; leaves memoise theirs per (side, window).
+    """
+    if z._prod is not None:
+        x, y = z._prod
+        if side == "left":
+            return x.apply_left(_unit_contraction(y, side, window, ids))
+        return y.apply_right(_unit_contraction(x, side, window, ids))
+    memo = z._unit_memo
+    if memo is None:
+        memo = z._unit_memo = {}
+    out = memo.get((side, window))
+    if out is None:
+        e = z.alg.local_unit(ids)
+        out = memo[(side, window)] = z.apply_left(e) if side == "left" else z.apply_right(e)
+    return out
 
 
 def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:

@@ -13,7 +13,8 @@ from mulhopf.bialgebra import (SliceUndefined, Slicer, check_coassociative,
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, nand_delta_bundle
-from mulhopf.multiplier import Multiplier, iota
+from mulhopf.hopf import check_hopf
+from mulhopf.multiplier import Multiplier, iota, iota_preimage
 
 
 def right_projection_delta(n=3):
@@ -167,6 +168,30 @@ def test_a_slicer_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_memoised_slice_contraction_matches_the_direct_one():
+    # iota_preimage contracts each slice factor by factor and memoises the
+    # inner factor per (side, window); at the slicer's window and at its
+    # doubling retry's, every slice key of a run must read as the direct
+    # contraction of the whole product
+    bundle = kfin_Z(window=3).bialgebra
+    sl = bundle.slicer(3)
+    check_fons(bundle.delta, slicer=sl)
+    check_hopf(bundle.delta, slicer=sl)  # T1/T2 columns reach the scaled domain
+    txt = sl.txt
+    keys = list(sl._cache)
+    assert {side for side, _, _ in keys} == {"right", "left"} and len(keys) > 2 * 49
+    for key in keys:
+        z, base = sl._framed(*key)
+        for w in (2 * base * sl.expansion, base * sl.expansion):
+            e = txt.local_unit(txt.window_ids(w))
+            left, right = z.apply_left(e), z.apply_right(e)
+            got = iota_preimage(txt, z, window=w)
+            if left == right:
+                assert got == left, (key, w)
+            else:
+                assert got is None, (key, w)
 
 
 def test_right_projection_delta_is_coassociative():

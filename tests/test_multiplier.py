@@ -57,6 +57,21 @@ def test_even_indicator_multiplier_on_kz():
     assert iota_preimage(KZ, ind, window=3, probe_ids=(4,)) is None
 
 
+def test_unit_contraction_memo_is_keyed_by_window():
+    # the truncating factor's contraction differs per window, so a memo
+    # that ignored the window would leak one window's answer into another
+    KZ = kfin_Z().algebra
+
+    def keep_even(n):
+        return KZ.basis_element(n) if n % 2 == 0 else KZ.zero()
+
+    ind = Multiplier(KZ, keep_even, keep_even, name="even")
+    for z in (ind * one(KZ), one(KZ) * ind):
+        for w in (3, 6, 3, 6):
+            evens = KZ.element({n: QQ.one for n in range(-w, w + 1) if n % 2 == 0})
+            assert iota_preimage(KZ, z, window=w) == evens
+
+
 def test_product_applies_factor_by_factor():
     KZ = kfin_Z().algebra
     x = iota(KZ, KZ.element({0: QQ.one, 1: QQ.coerce(2)}))

@@ -418,3 +418,52 @@ def test_gallery_input_certifies_delta_on_the_run_window(capsys, name, window, l
     for axiom in ("extension multiplicativity", "extension idempotency",
                   "extension non-degeneracy"):
         assert entries[axiom]["window"] == label
+
+
+@pytest.mark.parametrize("spec_text, expansion", [
+    ("field Q\noracle kfin_Z\nwindow 3\n", 2),
+    ("field Q\noracle kfin_Z\nexpansion 3\n", 3),
+], ids=["window-line", "default-window"])
+def test_oracle_spec_certifies_delta_on_the_run_window(tmp_path, capsys, spec_text, expansion):
+    # the spec's own window (or the builder default) must not reach Delta's
+    # certificates when --window differs; the spec's expansion survives
+    spec = write_spec(tmp_path, spec_text)
+    rc, out, _ = run_cli(["check-bialgebra", spec, "--window", "2", "--report", "json"],
+                         capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["input"]["expansion"] == expansion
+    entries = {e["axiom"]: e for e in report["entries"]}
+    for axiom in ("extension multiplicativity", "extension idempotency",
+                  "extension non-degeneracy"):
+        assert entries[axiom]["window"] == "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"
+    assert {e["window"] for e in report["entries"]} == {
+        "5 ids of K(Z)", "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"}
+
+
+def test_classify_contracts_each_leaf_against_a_local_unit_once_per_side(capsys, monkeypatch):
+    # a slice's inner factor (a frame, or Delta(e_a)) meets each local unit
+    # once per side; every further slice reuses the memoised contraction
+    from mulhopf.algebra import Algebra
+    from mulhopf.multiplier import Multiplier
+    units, counts = {}, {}
+    real_unit = Algebra.local_unit
+
+    def local_unit(self, ids):
+        e = real_unit(self, ids)
+        units[id(e)] = e
+        return e
+
+    def counted(side, real):
+        def apply(self, a):
+            if self._prod is None and units.get(id(a)) is a:
+                counts.setdefault((id(self), side, id(a)), [self, 0])[1] += 1
+            return real(self, a)
+        return apply
+
+    monkeypatch.setattr(Algebra, "local_unit", local_unit)
+    for side, name in (("left", "apply_left"), ("right", "apply_right")):
+        monkeypatch.setattr(Multiplier, name, counted(side, getattr(Multiplier, name)))
+    rc, _, _ = run_cli(["classify", "gallery:kfin_Z", "--window", "4"], capsys)
+    assert rc == 0
+    assert counts and max(n for _, n in counts.values()) == 1
