@@ -20,23 +20,38 @@ the inner slice first:
     eps(a_(1,b)) a_(2,b) = ab = a_(b,1) eps(a_(b,2))
 
 and counit synthesis inverts the same identities as a linear system in
-the unknown values eps(e_i).
+the unknown values eps(e_i).  These are the comodule laws of A over
+itself, the regular comodule with rho = Delta, so one engine
+(``_sliced_coassoc``) checks sliced coassociativity for Delta and for
+every coaction (``comodule.check_comodule_coassoc``), and one
+eps-contraction (``_collapse``) serves both counit laws.  A slice that is
+not iota of an element makes these checks fail with the undefined pair
+as witness.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, ModuleStructure, Verdict, WindowInsufficiency,
-    reassociate_left, resolve_window, scalar_algebra, scaled_window, tensor_algebra,
-    tensor_elem, tensor_module,
+    joint_baseline, reassociate_left, resolve_window, scalar_algebra, scaled_window,
+    tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import Multiplier, agrees_on_probes, iota, iota_preimage, one
 from .extension import Extension, psi_embed
 
 
 class SliceUndefined(RuntimeError):
-    """The framed comultiplication is not iota of anything on the window."""
+    """The framed comultiplication is not iota of anything on the window.
+
+    ``witness`` is the pair of basis elements that frame the slice.
+    """
+
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness
 
 
 class Slicer:
@@ -142,10 +157,12 @@ class Slicer:
             if u is not None:
                 self._verified.add(key)
         if u is None:
-            frame = "(1(x)b)" if side == "right" else "(a(x)1)"
+            frame, (fa, fb) = (("(1(x)b)", (self.alg, self.rfac)) if side == "right"
+                               else ("(a(x)1)", (self.lfac, self.alg)))
             raise SliceUndefined(
                 f"Delta framed by {frame} is not iota of a window element "
-                f"[side={side}, a={a_id}, b={b_id}]")
+                f"[side={side}, a={a_id}, b={b_id}]",
+                (fa.basis_element(a_id), fb.basis_element(b_id)))
         self._cache[key] = u
         return u
 
@@ -206,34 +223,68 @@ def check_coassociative(delta: Extension, window=None, expansion=2,
                         slicer=None) -> Verdict:
     """Sliced coassociativity over all window triples, inner slice first."""
     slicer = slicer or Slicer(delta, window=window, expansion=expansion)
-    alg, txt = slicer.alg, slicer.txt
-    txt_l = tensor_algebra(txt, alg)   # (A(x)A)(x)A
-    txt_r = tensor_algebra(alg, txt)   # A(x)(A(x)A)
-    ids = slicer.ids
-    label = alg.window_label(ids)
-    f = alg.field
+    return _sliced_coassoc(slicer, slicer, slicer.ids, slicer.ids, "coassociativity",
+                           slicer.alg.window_label(slicer.ids),
+                           "slice-iterated sides differ: {} vs {}")
+
+
+def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
+                    detail) -> Verdict:
+    """Sliced coassociativity of a coaction B --> B (x) A.
+
+    ``gamma`` slices the coaction and ``dsl`` slices Delta of A.  For a, b
+    in ``ids`` (of B) and c in ``c_ids`` (of A) the two sides
+    sum left(a, u) (x) v over u (x) v = right(b, c), and
+    sum p (x) Delta-right(q, c) over p (x) q = left(a, b), are compared in
+    (B (x) A) (x) A.  With gamma = dsl this is coassociativity of Delta.
+    ``detail`` formats the two sides of the first unequal triple; an
+    undefined slice fails with its pair as witness.
+    """
+    B, A = gamma.alg, dsl.alg
+    triple_l = tensor_algebra(gamma.txt, A)   # (B(x)A)(x)A
+    triple_r = tensor_algebra(B, dsl.txt)     # B(x)(A(x)A)
+    f = B.field
+
+    def undefined(exc, what, leg=""):
+        return Verdict(axiom, "failed", label, witness=exc.witness,
+                       detail=f"{what} not iota of an element{leg}")
+
     for a in ids:
         for b in ids:
-            for c in ids:
-                outer = slicer.right(b, c)
+            try:
+                t = gamma.left(a, b)
+            except SliceUndefined as exc:
+                return undefined(exc, "left framed coaction")
+            for c in c_ids:
+                try:
+                    s = gamma.right(b, c)
+                except SliceUndefined as exc:
+                    return undefined(exc, "right framed coaction")
                 lhs: dict = {}
-                for (u, v), coef in outer.coeffs.items():
-                    for (p, q), c2 in slicer.left(a, u).coeffs.items():
-                        vec_add(f, lhs, ((p, q), v), f.mul(coef, c2))
-                outer2 = slicer.left(a, b)
+                for (u, v), cs in s.coeffs.items():
+                    try:
+                        inner = gamma.left(a, u)
+                    except SliceUndefined as exc:
+                        return undefined(exc, "left framed coaction", " (inner leg)")
+                    for w, cl in inner.coeffs.items():
+                        vec_add(f, lhs, (w, v), f.mul(cs, cl))
                 rhs: dict = {}
-                for (p, q), coef in outer2.coeffs.items():
-                    for (u, v), c2 in slicer.right(q, c).coeffs.items():
-                        vec_add(f, rhs, (p, (u, v)), f.mul(coef, c2))
-                left_side = Element(txt_l, lhs)
-                right_side = reassociate_left(Element(txt_r, rhs), txt_l)
+                for (p, q), ct in t.coeffs.items():
+                    try:
+                        outer = dsl.right(q, c)
+                    except SliceUndefined as exc:
+                        return undefined(exc, "right framed Delta")
+                    for pair, cr in outer.coeffs.items():
+                        vec_add(f, rhs, (p, pair), f.mul(ct, cr))
+                left_side = Element(triple_l, lhs)
+                right_side = reassociate_left(Element(triple_r, rhs), triple_l)
                 if left_side != right_side:
                     return Verdict(
-                        "coassociativity", "failed", label,
-                        witness=(alg.basis_element(a), alg.basis_element(b),
-                                 alg.basis_element(c)),
-                        detail=f"slice-iterated sides differ: {left_side} vs {right_side}")
-    return Verdict("coassociativity", alg.baseline(ids), label)
+                        axiom, "failed", label,
+                        witness=(B.basis_element(a), B.basis_element(b),
+                                 A.basis_element(c)),
+                        detail=detail.format(left_side, right_side))
+    return Verdict(axiom, joint_baseline((B, ids), (A, c_ids)), label)
 
 
 def counit_extension(alg: Algebra, table, name="eps") -> Extension:
@@ -297,24 +348,29 @@ def check_counit(delta: Extension, epsilon: Extension, window=None,
             prod = ea * eb
             for side, eps_leg, law in (("right", "left", "(eps(x)id)"),
                                        ("left", "right", "(id(x)eps)")):
-                got = _collapse(slicer.slice(side, a, b), epsilon, eps_leg, alg)
+                try:
+                    sl = slicer.slice(side, a, b)
+                except SliceUndefined as exc:
+                    return Verdict("counit", "failed", label, witness=exc.witness,
+                                   detail=str(exc))
+                got = _collapse(sl, epsilon, eps_leg)
                 if got != prod:
                     return Verdict("counit", "failed", label, witness=(ea, eb),
                                    detail=f"{law} of {side} slice = {got}, ab = {prod}")
     return Verdict("counit", alg.baseline(ids), label)
 
 
-def _collapse(pair_elem: Element, epsilon: Extension, eps_leg, alg: Algebra) -> Element:
-    """Apply eps to one leg of an element of A (x) A."""
-    f = alg.field
+def _collapse(pair_elem: Element, epsilon: Extension, eps_leg) -> Element:
+    """Apply eps to the ``eps_leg`` ("left" or "right") of an element of X (x) Y."""
+    x, y = pair_elem.space.factors
+    eps_space, keep_space, e = (x, y, 0) if eps_leg == "left" else (y, x, 1)
+    f = keep_space.field
     acc: dict = {}
-    for (u, v), c in pair_elem.coeffs.items():
-        if eps_leg == "left":
-            scal, keep = eps_value(epsilon, alg.basis_element(u)), v
-        else:
-            scal, keep = eps_value(epsilon, alg.basis_element(v)), u
-        vec_add(f, acc, keep, f.mul(c, scal))
-    return Element(alg, acc)
+    for pair, c in pair_elem.coeffs.items():
+        scal = eps_value(epsilon, eps_space.basis_element(pair[e]))
+        if scal:
+            vec_add(f, acc, pair[1 - e], f.mul(c, scal))
+    return Element(keep_space, acc)
 
 
 class CounitSynthesis:
@@ -469,7 +525,7 @@ def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructur
             raise WindowInsufficiency(
                 f"tensor action: no decomposition for ({mi!r}, {nj!r})")
         da = delta.basis_multiplier(a_id)
-        acc = base.space.zero()
+        acc: dict = {}
         for c, mx, ap in dec_m:
             for d, ny, bq in dec_n:
                 moved = da.apply_right(tensor_elem(alg.basis_element(ap),
@@ -478,8 +534,8 @@ def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructur
                 hit = base.act(tensor_elem(m.space.basis_element(mx),
                                            n.space.basis_element(ny),
                                            into=base.space), moved)
-                acc = acc + hit.scale(f.mul(c, d))
-        return acc.coeffs
+                vec_axpy(f, acc, hit.coeffs, f.mul(c, d))
+        return acc
 
     return ModuleStructure(base.space, alg, "right", rule,
                            name=f"({m.space.name}(x){n.space.name}) over Delta")
@@ -512,64 +568,45 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
     holds_on_window rather than proven.
     """
     alg = delta.source
-    a_ids = resolve_window(alg, window if window is not None else delta.source_window)
-    verdicts = []
+    wa = window if window is not None else delta.source_window
+    a_ids = resolve_window(alg, wa)
+    dec_ids = scaled_window(alg, wa, expansion)
+    f = alg.field
+    g = counit_witness
+    kwargs = dict(window_a=wa, expansion=expansion)
+    capped_any = False
 
     def carrier_ids(space):
-        ids = resolve_window(space, window if window is not None else delta.source_window)
+        ids = resolve_window(space, wa)
         if max_ids is not None and len(ids) > max_ids:
             return ids[:max_ids], True
         return ids, False
 
-    kwargs = dict(window_a=window if window is not None else delta.source_window,
-                  expansion=expansion)
+    def associator_failures():
+        nonlocal capped_any
+        for M, N, P in product(modules, repeat=3):
+            NP = tensor_module_action(delta, N, P, **kwargs)
+            right = tensor_module_action(delta, M, NP, **kwargs)
+            MN = tensor_module_action(delta, M, N, **kwargs)
+            left = tensor_module_action(delta, MN, P, **kwargs)
+            ids, capped = carrier_ids(right.space)
+            capped_any = capped_any or capped
+            for x_id, a in product(ids, a_ids):
+                mi, (nj, pk) = x_id
+                lhs = reassociate_left(right.act_basis(x_id, a), left.space)
+                rhs = left.act_basis(((mi, nj), pk), a)
+                if lhs != rhs:
+                    yield Verdict("monoidal associator", "failed",
+                                  f"{len(ids)} ids of {right.space.name}",
+                                  witness=(right.space.basis_element(x_id),
+                                           alg.basis_element(a)),
+                                  detail=f"{lhs} vs {rhs}")
 
-    assoc_bad = None
-    capped_any = False
-    for M in modules:
-        for N in modules:
-            for P in modules:
-                NP = tensor_module_action(delta, N, P, **kwargs)
-                right = tensor_module_action(delta, M, NP, **kwargs)
-                MN = tensor_module_action(delta, M, N, **kwargs)
-                left = tensor_module_action(delta, MN, P, **kwargs)
-                ids, capped = carrier_ids(right.space)
-                capped_any = capped_any or capped
-                for x_id in ids:
-                    mi, (nj, pk) = x_id
-                    for a in a_ids:
-                        lhs = reassociate_left(right.act_basis(x_id, a), left.space)
-                        rhs = left.act_basis(((mi, nj), pk), a)
-                        if lhs != rhs:
-                            assoc_bad = Verdict(
-                                "monoidal associator", "failed",
-                                f"{len(ids)} ids of {right.space.name}",
-                                witness=(right.space.basis_element(x_id),
-                                         alg.basis_element(a)),
-                                detail=f"{lhs} vs {rhs}")
-                            break
-                    if assoc_bad:
-                        break
-                if assoc_bad:
-                    break
-            if assoc_bad:
-                break
-        if assoc_bad:
-            break
-    if assoc_bad:
-        verdicts.append(assoc_bad)
-    else:
-        status = "holds_on_window" if capped_any or not alg.finite else "proven"
-        verdicts.append(Verdict("monoidal associator", status,
-                                f"{len(modules)}^3 triples, window {len(a_ids)} ids"))
-
-    g = counit_witness
-    f = alg.field
-    for tag, leg in (("monoidal right unit", "right"), ("monoidal left unit", "left")):
-        bad = None
+    def unit_failures(tag, eps_leg):
+        # m . a against sum m_j . (id (x) eps on eps_leg)(legs <| Delta(a)),
+        # m = sum m_j b_j and legs = b_j (x) g with g on the eps leg
         for M in modules:
             m_ids, _ = carrier_ids(M.space)
-            dec_ids = scaled_window(alg, kwargs["window_a"], expansion)
             for mi in m_ids:
                 m_elem = M.space.basis_element(mi)
                 dec = M.decompose(m_elem, m_ids, dec_ids)
@@ -577,34 +614,26 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
                     raise WindowInsufficiency(f"unit constraint: {m_elem} lacks M.A form")
                 for a in a_ids:
                     da = delta.basis_multiplier(a)
-                    acc = M.space.zero()
+                    acc: dict = {}
                     for c, mx, bj in dec:
-                        if leg == "right":  # (b_j (x) g) <| Delta(a), eps on leg 2
-                            pair = tensor_elem(alg.basis_element(bj), g, into=delta.target)
-                        else:               # (g (x) b_j) <| Delta(a), eps on leg 1
-                            pair = tensor_elem(g, alg.basis_element(bj), into=delta.target)
-                        moved = da.apply_right(pair)
-                        for (u, v), cv in moved.coeffs.items():
-                            if leg == "right":
-                                w, scal = u, eps_value(epsilon, alg.basis_element(v))
-                            else:
-                                w, scal = v, eps_value(epsilon, alg.basis_element(u))
-                            if scal:
-                                acc = acc + M.act(M.space.basis_element(mx),
-                                                  alg.basis_element(w)).scale(
-                                                      f.mul(c, f.mul(cv, scal)))
+                        eb = alg.basis_element(bj)
+                        legs = (g, eb) if eps_leg == "left" else (eb, g)
+                        kept = _collapse(da.apply_right(tensor_elem(*legs, into=delta.target)),
+                                         epsilon, eps_leg)
+                        vec_axpy(f, acc, M.act(M.space.basis_element(mx), kept).coeffs, c)
+                    got = Element(M.space, acc)
                     want = M.act(m_elem, alg.basis_element(a))
-                    if acc != want:
-                        bad = Verdict(tag, "failed",
-                                      f"{M.space.name}, {len(a_ids)} ids",
+                    if got != want:
+                        yield Verdict(tag, "failed", f"{M.space.name}, {len(a_ids)} ids",
                                       witness=(m_elem, alg.basis_element(a)),
-                                      detail=f"constraint image {acc}, expected {want}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        verdicts.append(bad or Verdict(
+                                      detail=f"constraint image {got}, expected {want}")
+
+    verdicts = [next(associator_failures(), None) or Verdict(
+        "monoidal associator",
+        "holds_on_window" if capped_any or not alg.finite else "proven",
+        f"{len(modules)}^3 triples, window {len(a_ids)} ids")]
+    for tag, eps_leg in (("monoidal right unit", "right"), ("monoidal left unit", "left")):
+        verdicts.append(next(unit_failures(tag, eps_leg), None) or Verdict(
             tag, alg.baseline(a_ids), f"{len(modules)} modules, witness g = {g}"))
 
     # tensor of two A-extensions is an A-extension: Delta's own bimodule actions

@@ -29,7 +29,7 @@ exactly when S *^b iota = alpha_b and iota *_a S = alpha_a for all a, b.
 
 from __future__ import annotations
 
-from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_canonical
+from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
 from .multiplier import Multiplier, MultiplierSpace, combine, iota, iota_preimage, multiplier_eq
 from .bialgebra import Slicer, eps_value
@@ -70,15 +70,35 @@ def iota_map(alg) -> MultiplierMap:
 
 _CANONICAL_SIDE = {"T1": "right", "T2": "left"}  # T1 = Delta(a)(1 (x) b), T2 = (a (x) 1)Delta(b)
 
+# The antipode identity on each canonical map: the leg of a slice that S
+# takes, how S's value acts on the other leg, and the law's name.  On the
+# pair (a, b) the identity reads (a, b)[1 - leg] eps((a, b)[leg]):
+# m(S (x) id)T1(a (x) b) = eps(a) b and m(id (x) S)T2(a (x) b) = eps(b) a.
+_ANTIPODE_LAWS = (("T1", 0, Multiplier.lam_basis, "m(S(x)id)"),
+                  ("T2", 1, Multiplier.rho_basis, "m(id(x)S)"))
+
 
 def canonical_map(slicer: Slicer, which, x: Element) -> Element:
     """Apply T1 or T2 to an element of A (x) A."""
     if x.space is not slicer.txt:
         raise InputError("canonical maps act on A (x) A")
-    out = slicer.txt.zero()
+    acc: dict = {}
     for (a, b), c in x.coeffs.items():
-        out = out + slicer.slice(_CANONICAL_SIDE[which], a, b).scale(c)
-    return out
+        vec_axpy(slicer.alg.field, acc, slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs, c)
+    return Element(slicer.txt, acc)
+
+
+def _all_hold(axiom, window, parts) -> Verdict:
+    """One verdict for a conjunction of ``parts``.
+
+    Failed with the first failed part's witness and detail; otherwise
+    proven only when every part is proven, else holds_on_window.
+    """
+    bad = next((v for v in parts if not v.ok), None)
+    if bad is not None:
+        return Verdict(axiom, "failed", window, witness=bad.witness, detail=bad.detail)
+    return Verdict(axiom, "proven" if all(v.status == "proven" for v in parts)
+                   else "holds_on_window", window)
 
 
 def check_bijective(delta, which="T1", window=None, expansion=2,
@@ -123,15 +143,8 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
                           detail=f"not hit by {which} over the {domain_note}")
             break
 
-    both_ok = inj.ok and sur.ok
-    status = ("failed" if not both_ok else
-              "proven" if inj.status == sur.status == "proven" else
-              "holds_on_window")
-    comb = Verdict(f"{which} bijectivity", status, label,
-                   witness=None if both_ok else (inj if not inj.ok else sur).witness,
-                   detail="" if both_ok else
-                   (inj if not inj.ok else sur).detail)
-    return {"injectivity": inj, "surjectivity": sur, "bijectivity": comb}
+    return {"injectivity": inj, "surjectivity": sur,
+            "bijectivity": _all_hold(f"{which} bijectivity", label, (inj, sur))}
 
 
 def tensor_basis_elem(txt, u, v) -> Element:
@@ -144,13 +157,7 @@ def check_hopf(delta, window=None, expansion=2, slicer=None) -> dict:
     out = {"T1": check_bijective(delta, "T1", slicer=slicer),
            "T2": check_bijective(delta, "T2", slicer=slicer)}
     t1c, t2c = out["T1"]["bijectivity"], out["T2"]["bijectivity"]
-    if not t1c.ok or not t2c.ok:
-        bad = t1c if not t1c.ok else t2c
-        out["hopf"] = Verdict("canonical maps bijective", "failed", bad.window,
-                              witness=bad.witness, detail=bad.detail)
-    else:
-        status = "proven" if t1c.status == t2c.status == "proven" else "holds_on_window"
-        out["hopf"] = Verdict("canonical maps bijective", status, t1c.window)
+    out["hopf"] = _all_hold("canonical maps bijective", t1c.window, (t1c, t2c))
     return out
 
 
@@ -165,26 +172,20 @@ def check_antipode(delta, epsilon, s: MultiplierMap, window=None, expansion=2,
     alg = slicer.alg
     ids = slicer.ids
     label = alg.window_label(ids)
+    f = alg.field
     for a in ids:
-        ea = alg.basis_element(a)
-        eps_a = eps_value(epsilon, ea)
         for b in ids:
-            eb = alg.basis_element(b)
-            got = alg.zero()
-            for (u, v), c in slicer.right(a, b).coeffs.items():
-                got = got + s.basis(u).apply_left(alg.basis_element(v)).scale(c)
-            want = eb.scale(eps_a)
-            if got != want:
-                return Verdict("antipode", "failed", label, witness=(ea, eb),
-                               detail=f"m(S(x)id) on T1 gave {got}, want {want}")
-            eps_b = eps_value(epsilon, eb)
-            got = alg.zero()
-            for (p, q), c in slicer.left(a, b).coeffs.items():
-                got = got + s.basis(q).apply_right(alg.basis_element(p)).scale(c)
-            want = ea.scale(eps_b)
-            if got != want:
-                return Verdict("antipode", "failed", label, witness=(ea, eb),
-                               detail=f"m(id(x)S) on T2 gave {got}, want {want}")
+            for which, leg, act, law in _ANTIPODE_LAWS:
+                acc: dict = {}
+                for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
+                    vec_axpy(f, acc, act(s.basis(pair[leg]), pair[1 - leg]).coeffs, c)
+                got = Element(alg, acc)
+                want = alg.basis_element((a, b)[1 - leg]).scale(
+                    eps_value(epsilon, alg.basis_element((a, b)[leg])))
+                if got != want:
+                    return Verdict("antipode", "failed", label,
+                                   witness=(alg.basis_element(a), alg.basis_element(b)),
+                                   detail=f"{law} on {which} gave {got}, want {want}")
     return Verdict("antipode", alg.baseline(ids), label)
 
 
@@ -265,19 +266,14 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
         vec_add(f, vec, row if col is None else (row, col), val)
 
     for a in ids:
-        eps_a = eps_value(epsilon, alg.basis_element(a))
         for b in ids:
-            eps_b = eps_value(epsilon, alg.basis_element(b))
-            for (u, v), c in slicer.right(a, b).coeffs.items():
-                for k, mk in coords:
-                    for r, w in mk.lam_basis(v).coeffs.items():
-                        put(entries, ("S1", a, b, r), (u, k), f.mul(c, w))
-            put(rhs, ("S1", a, b, b), None, eps_a)
-            for (p, q), c in slicer.left(a, b).coeffs.items():
-                for k, mk in coords:
-                    for r, w in mk.rho_basis(p).coeffs.items():
-                        put(entries, ("S2", a, b, r), (q, k), f.mul(c, w))
-            put(rhs, ("S2", a, b, a), None, eps_b)
+            for which, leg, act, _law in _ANTIPODE_LAWS:
+                for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
+                    for k, mk in coords:
+                        for r, w in act(mk, pair[1 - leg]).coeffs.items():
+                            put(entries, (which, a, b, r), (pair[leg], k), f.mul(c, w))
+                put(rhs, (which, a, b, (a, b)[1 - leg]), None,
+                    eps_value(epsilon, alg.basis_element((a, b)[leg])))
 
     solver = GaussianSolver(SparseMatrix(f, row_order, columns, entries))
     touched = {c for (_r, c) in entries}

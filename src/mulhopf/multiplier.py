@@ -276,12 +276,13 @@ def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
 
 
 def _act_via(module, dec, x) -> Element:
-    out = module.space.zero()
+    acc: dict = {}
     for c, mi, aj in dec:
         a = module.algebra.basis_element(aj)
         moved = x.apply_right(a) if module.side == "right" else x.apply_left(a)
-        out = out + module.act(module.space.basis_element(mi), moved).scale(c)
-    return out
+        vec_axpy(module.space.field, acc,
+                 module.act(module.space.basis_element(mi), moved).coeffs, c)
+    return Element(module.space, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +318,20 @@ class MultiplierSpace:
         rows = []
         for j in ids:
             for k in ids:
-                prod = alg.mul_basis(j, k)
+                prod = alg.mul_basis(j, k).coeffs
+                # lam(e_j e_k) = lam(e_j) e_k and rho(e_j e_k) = e_j rho(e_k):
+                # the map's table, the id it acts on, and e_i times the other
+                # id for each i
+                sides = (("L", "lam-lin", j, [alg.mul_basis(i, k).coeffs for i in ids]),
+                         ("R", "rho-lin", k, [alg.mul_basis(j, i).coeffs for i in ids]))
                 for r in ids:
-                    row = ("lam-lin", j, k, r)
-                    rows.append(row)
-                    for t, c in prod.coeffs.items():
-                        put(row, ("L", r, t), c)
-                    for i in ids:
-                        put(row, ("L", i, j), field.neg(alg.mul_basis(i, k).coeffs.get(r, field.zero)))
-                    row = ("rho-lin", j, k, r)
-                    rows.append(row)
-                    for t, c in prod.coeffs.items():
-                        put(row, ("R", r, t), c)
-                    for i in ids:
-                        put(row, ("R", i, k), field.neg(alg.mul_basis(j, i).coeffs.get(r, field.zero)))
+                    for tag, name, own, times in sides:
+                        row = (name, j, k, r)
+                        rows.append(row)
+                        for t, c in prod.items():
+                            put(row, (tag, r, t), c)
+                        for i, p in zip(ids, times):
+                            put(row, (tag, i, own), field.neg(p.get(r, field.zero)))
         for i in ids:
             for j in ids:
                 for r in ids:
@@ -340,10 +341,7 @@ class MultiplierSpace:
                         put(row, ("L", u, j), alg.mul_basis(i, u).coeffs.get(r, field.zero))
                         put(row, ("R", u, i), field.neg(alg.mul_basis(u, j).coeffs.get(r, field.zero)))
         matrix = SparseMatrix(field, rows, cols, entries)
-        self._kernel = GaussianSolver(matrix).kernel_basis()
-        self._coord_solver = GaussianSolver(SparseMatrix.from_columns(
-            field, [(k, v) for k, v in enumerate(self._kernel)], rows=cols))
-        self.basis = [self._from_tables(vec) for vec in self._kernel]
+        self.basis = [self._from_tables(vec) for vec in GaussianSolver(matrix).kernel_basis()]
 
     @property
     def dim(self):
@@ -367,13 +365,6 @@ class MultiplierSpace:
             for i, v in x.rho_basis(j).coeffs.items():
                 vec[("R", i, j)] = v
         return vec
-
-    def coords_of(self, x: Multiplier):
-        """Coordinates of x in the computed basis, or None if outside."""
-        sol = self._coord_solver.solve(self.table_vector(x))
-        if sol is None:
-            return None
-        return [sol.get(k, self.alg.field.zero) for k in range(self.dim)]
 
     def iota_rank(self) -> int:
         cols = [(bid, self.table_vector(iota(self.alg, self.alg.basis_element(bid))))

@@ -1,18 +1,22 @@
 """Coproducts as extensions into M(A(x)A): slices, coassociativity, counits."""
 
+import random
+
 import pytest
 
 from mulhopf import bialgebra
 from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
-from mulhopf.bialgebra import (SliceUndefined, Slicer, check_coassociative,
-                               check_counit, check_fons,
+from mulhopf.bialgebra import (MultiplierBialgebra, SliceUndefined, Slicer,
+                               check_coassociative, check_counit, check_fons,
                                check_monoidal_instance, counit_extension,
                                epsilon_module, eps_value, sweedler_slice,
                                synthesize_counit, tensor_module_action)
+from mulhopf.comodule import check_comodule_coassoc
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic, nand_delta_bundle
+from mulhopf.gallery import (kfin_Z, kfun_cyclic, nand_delta_bundle, random_algebra,
+                             self_comodule)
 from mulhopf.hopf import check_hopf
 from mulhopf.multiplier import Multiplier, iota, iota_preimage
 
@@ -78,10 +82,9 @@ def test_sweedler_slice_is_bilinear():
         assert not got.is_zero()
 
 
-def test_undefined_slice_is_detected():
-    # left and right contractions of this "coproduct" never agree, so
-    # the slicer must refuse to call the framed product an element
-    KZ = kfin_Z().algebra
+def parity_split_delta(kz):
+    """A "coproduct" on K(Z) whose left and right contractions never agree."""
+    KZ = kz.algebra
     AA = tensor_algebra(KZ, KZ)
 
     def keep(parity, n):
@@ -94,12 +97,28 @@ def test_undefined_slice_is_detected():
 
         return act
 
-    bad = Extension(KZ, AA,
-                    lambda n: Multiplier(AA, keep(0, n), keep(1, n)),
-                    name="bad")
-    sl = Slicer(bad, window=2)
+    return Extension(KZ, AA,
+                     lambda n: Multiplier(AA, keep(0, n), keep(1, n)),
+                     name="bad")
+
+
+def test_undefined_slice_is_detected():
+    # left and right contractions of this "coproduct" never agree, so
+    # the slicer must refuse to call the framed product an element
+    sl = Slicer(parity_split_delta(kfin_Z()), window=2)
     with pytest.raises(SliceUndefined):
         sl.right(0, 0)
+
+
+def test_undefined_slices_read_failed_with_the_pair_as_witness():
+    kz = kfin_Z()
+    bad = parity_split_delta(kz)
+    pair = (kz.algebra.basis_element(-2), kz.algebra.basis_element(-2))
+    assert check_fons(bad, window=2).witness == pair
+    for v in (check_coassociative(bad, window=2),
+              check_counit(bad, kz.bialgebra.epsilon, window=2)):
+        assert v.status == "failed", v
+        assert v.witness == pair, v
 
 
 # --- the coproduct axioms -------------------------------------------------
@@ -205,6 +224,36 @@ def test_nand_delta_fails_coassociativity_with_witness():
     A = b.algebra
     assert v.witness == (A.basis_element(0), A.basis_element(0),
                          A.basis_element(1))
+
+
+def random_coproduct_bundle(seed):
+    """Delta(e_k) = iota(t_k), t_k seeded in A (x) A, on random_algebra(seed).
+
+    Every slice exists, and coassociativity usually fails somewhere.
+    """
+    A = random_algebra(seed)
+    AA = tensor_algebra(A, A)
+    rng = random.Random(seed)
+    ids = A.basis.ids
+    t = {k: AA.element({(i, j): rng.randint(-1, 1) for i in ids for j in ids})
+         for k in ids}
+    delta = Extension(A, AA, lambda k: iota(AA, t[k]), name=f"Delta[{seed}]")
+    return MultiplierBialgebra(A, delta, None, None)
+
+
+def test_coassociativity_is_the_element_law_of_the_self_comodule():
+    # A over itself with rho = Delta: both checks give the same verdict
+    # and the same first witness
+    cases = [(nand_delta_bundle(), None), (kfin_Z().bialgebra, 3)]
+    cases += [(kfun_cyclic(n).bialgebra, None) for n in (2, 3, 4)]
+    cases += [(random_coproduct_bundle(seed), None) for seed in range(5)]
+    statuses = set()
+    for b, window in cases:
+        v = check_coassociative(b.delta, window=window)
+        w = check_comodule_coassoc(self_comodule(b), window=window, method="element")
+        assert (v.status, v.witness) == (w.status, w.witness), (b.name, v, w)
+        statuses.add(v.status)
+    assert statuses == {"proven", "holds_on_window", "failed"}
 
 
 # --- counits --------------------------------------------------------------

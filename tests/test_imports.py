@@ -1,4 +1,6 @@
-"""Every name a package module imports is used somewhere in that module."""
+"""Every name a package module imports is used somewhere in that module,
+and every module-level private function is referenced somewhere in the
+package."""
 
 import ast
 import pathlib
@@ -30,3 +32,36 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """(module, line, name) of module-level ``_private`` functions that no
+    module of ``sources`` (name -> text) references outside their own body."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined.append((module, node.lineno, owner))
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else
+                        sub.name if isinstance(sub, ast.alias) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_the_scan_flags_an_unreferenced_private_function():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n\ndef _used():\n    pass\n",
+        "b": "from .a import _used\n\ndef public():\n    return _used()\n",
+    }
+    assert unreferenced_private_functions(sources) == [("a", 1, "_dead")]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from mulhopf import linalg
 from mulhopf.algebra import InvariantViolation, regular_module
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2
@@ -14,6 +15,20 @@ def test_multiplier_space_of_function_algebra_has_dimension_n():
         MS = MultiplierSpace(kfun_cyclic(n).algebra)
         assert MS.dim == n
         assert MS.iota_rank() == n
+
+
+def test_a_multiplier_space_build_factors_one_solver(monkeypatch):
+    A = kfun_cyclic(4).algebra
+    built = []
+    real = linalg.GaussianSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.GaussianSolver, "__init__", counted)
+    assert MultiplierSpace(A).dim == 4
+    assert len(built) == 1
 
 
 def test_iota_is_multiplicative():

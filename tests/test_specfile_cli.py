@@ -467,3 +467,61 @@ def test_classify_contracts_each_leaf_against_a_local_unit_once_per_side(capsys,
     rc, _, _ = run_cli(["classify", "gallery:kfin_Z", "--window", "4"], capsys)
     assert rc == 0
     assert counts and max(n for _, n in counts.values()) == 1
+
+
+# --- reports read back -----------------------------------------------------
+
+
+@pytest.mark.parametrize("unit_line", ["unit = 1*e\n", ""], ids=["unital", "no-unit"])
+def test_synthesized_tables_parse_back_as_spec_lines_and_verify(tmp_path, capsys, unit_line):
+    # the epsilon and antipode tables print as spec statements; without a
+    # unit line the antipode is solved over all of M(A)
+    bare = "".join(line for line in GROUP_SPEC.splitlines(keepends=True)
+                   if not line.startswith(("unit", "epsilon", "antipode")))
+    bare = bare.replace("basis e g\n", "basis e g\n" + unit_line)
+    rc, out, _ = run_cli(["synthesize-antipode", write_spec(tmp_path, bare),
+                          "--report", "json"], capsys)
+    assert rc == 0
+    tables = json.loads(out)["tables"]
+    lines = [f"{name} {i} = {value}\n" for name in ("epsilon", "antipode")
+             for i, value in tables[name].items()]
+    spec = parse_spec(bare + "".join(lines))
+    assert set(spec.epsilon) == set(spec.antipode) == {"e", "g"}
+    rc, out, _ = run_cli(["check-hopf", write_spec(tmp_path, bare + "".join(lines), "back.spec"),
+                          "--report", "json"], capsys)
+    assert rc == 0
+    statuses = {e["axiom"]: e["status"] for e in json.loads(out)["entries"]}
+    assert [statuses[axiom] for axiom in ("counit", "antipode", "convolution inverse")] \
+        == ["proven"] * 3
+
+
+def coerced_table_value(text, field):
+    """A Q table value (scalar or element) written over the prime ``field``."""
+    def scalar(q):
+        q = Fraction(q)
+        return field.format(field.mul(field.coerce(q.numerator),
+                                      field.inv(field.coerce(q.denominator))))
+    if "*" not in text:
+        return scalar(text)
+    terms = (t.split("*", 1) for t in text.split(" + "))
+    return " + ".join(f"{scalar(c)}*{bid}" for c, bid in terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_classify_of_cyclic_functions_agrees_over_q_f5_and_f7(tmp_path, capsys, n):
+    reports = {}
+    for field_line in ("Q", "Fp 5", "Fp 7"):
+        path = write_spec(tmp_path, f"field {field_line}\noracle kfun_cyclic {n}\n")
+        rc, out, _ = run_cli(["classify", path, "--report", "json"], capsys)
+        assert rc == 0
+        reports[field_line] = json.loads(out)
+    q = reports["Q"]
+    assert q["classification"] == "multiplier Hopf algebra (proven; finite)"
+    for p in (5, 7):
+        fp = reports[f"Fp {p}"]
+        assert fp["classification"] == q["classification"]
+        assert [(e["axiom"], e["status"]) for e in fp["entries"]] == \
+            [(e["axiom"], e["status"]) for e in q["entries"]]
+        assert fp["tables"] == {
+            name: {k: coerced_table_value(v, GF(p)) for k, v in table.items()}
+            for name, table in q["tables"].items()}
