@@ -91,19 +91,21 @@ class Runner:
         self.timing = timing
         self.rows = []  # (Verdict, timing_ms or None)
 
-    def _timed(self, task):
-        t0 = time.perf_counter()
-        out = task()
-        dt = (time.perf_counter() - t0) * 1000.0 if self.timing else None
-        return (out if isinstance(out, list) else [out]), dt
-
     def group(self, tasks) -> list:
-        """Run tasks in order (each returns a Verdict or a list), record results."""
+        """Run tasks in order (each returns a Verdict or a list), record results.
+
+        A task's time is stamped on its first verdict, the rest read 0.0,
+        so the timings add up to the time spent in tasks.
+        """
         out = []
-        for verdicts, dt in map(self._timed, tasks):
-            for v in verdicts:
+        for task in tasks:
+            t0 = time.perf_counter()
+            verdicts = task()
+            dt = (time.perf_counter() - t0) * 1000.0 if self.timing else None
+            for v in verdicts if isinstance(verdicts, list) else [verdicts]:
                 self.rows.append((v, dt))
                 out.append(v)
+                dt = None if dt is None else 0.0
         return out
 
     def flush_into(self, report: Report):
@@ -160,17 +162,21 @@ def stage_counit(run: Runner, bundle, window, expansion, report: Report):
     delta = bundle.delta
     sl = bundle.slicer(window, expansion)
     label = bundle.algebra.window_label(sl.ids)
-    syn = synthesize_counit(delta, slicer=sl)
+    syn = None
+
+    def synthesis():
+        nonlocal syn
+        syn = synthesize_counit(delta, slicer=sl)
+        if syn is None:
+            return Verdict("counit synthesis", "failed", label,
+                           detail="no multiplicative solution of the counit identities")
+        return Verdict("counit synthesis", bundle.algebra.baseline(sl.ids),
+                       label, detail=syn.detail or f"witness g = {syn.witness}")
+
+    vs = run.group([synthesis])
     if syn is None:
-        vs = run.group([lambda: Verdict(
-            "counit synthesis", "failed", label,
-            detail="no multiplicative solution of the counit identities")])
         return None, vs
-    vs = run.group([
-        lambda: Verdict("counit synthesis", bundle.algebra.baseline(sl.ids),
-                        label, detail=syn.detail or f"witness g = {syn.witness}"),
-        lambda: check_counit(delta, syn.extension, slicer=sl),
-    ])
+    vs += run.group([lambda: check_counit(delta, syn.extension, slicer=sl)])
     report.add_table("epsilon", _counit_table(bundle, syn))
     return syn, vs
 
@@ -193,8 +199,14 @@ def _epsilon(run: Runner, bundle, window, expansion, report: Report,
 
 def stage_antipode(run: Runner, bundle, epsilon, window, expansion, report: Report):
     sl = bundle.slicer(window, expansion)
-    syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl)
-    run.group([lambda: syn.verdicts])
+    syn = None
+
+    def synthesis():
+        nonlocal syn
+        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl)
+        return syn.verdicts
+
+    run.group([synthesis])
     if syn.table is not None:
         report.add_table("antipode", _antipode_table(bundle, syn.table))
     if not syn.ok and not any(not v.ok for v in syn.verdicts):
@@ -226,12 +238,14 @@ def cmd_check_hopf(entry, run, report, window, expansion):
     if epsilon is None:
         return
     sl = bundle.slicer(window, expansion)
-    gate = check_hopf(bundle.delta, slicer=sl)
-    run.group([
-        lambda: gate["T1"]["bijectivity"],
-        lambda: gate["T2"]["bijectivity"],
-        lambda: gate["hopf"],
-    ])
+    gate = None
+
+    def bijectivity():
+        nonlocal gate
+        gate = check_hopf(bundle.delta, slicer=sl)
+        return [gate["T1"]["bijectivity"], gate["T2"]["bijectivity"], gate["hopf"]]
+
+    run.group([bijectivity])
     if not gate["hopf"].ok:
         return
     if bundle.antipode is not None:
@@ -243,11 +257,16 @@ def cmd_check_hopf(entry, run, report, window, expansion):
                                               slicer=sl),
         ])
     else:
-        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
-        run.group([lambda: syn.verdicts[2:] or
-                   [Verdict("antipode synthesis", "failed",
-                            bundle.algebra.window_label(sl.ids),
-                            detail=syn.detail)]])
+        syn = None
+
+        def synthesis():
+            nonlocal syn
+            syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
+            return syn.verdicts[2:] or [Verdict(
+                "antipode synthesis", "failed",
+                bundle.algebra.window_label(sl.ids), detail=syn.detail)]
+
+        run.group([synthesis])
         if syn.table is not None:
             report.add_table("antipode", _antipode_table(bundle, syn.table))
 

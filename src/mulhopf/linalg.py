@@ -5,9 +5,11 @@ zeros).  ``SparseMatrix`` keeps row and column key orderings explicitly;
 all pivoting is deterministic (first nonzero row, columns in declared
 order), so solutions and kernel bases are reproducible across runs.
 
-``GaussianSolver`` factors a matrix once and replays the recorded row
-operations on each right-hand side, which is what makes the many
-decomposition solves against a single product span affordable.
+``GaussianSolver`` factors a matrix once; each right-hand side then replays
+only the part of the elimination its support reaches, so a solve costs
+what its own nonzeros touch, not the size of the matrix.  Skipped pivots
+would only add exact zeros, so the results, key order included, are those
+of replaying the whole elimination.
 """
 
 from __future__ import annotations
@@ -98,50 +100,73 @@ class SparseMatrix:
         return f"SparseMatrix({len(self.rows)}x{len(self.cols)}, nnz={len(self.entries)})"
 
 
+def _reach(start, successors) -> set:
+    """``start`` and every node reachable from it along ``successors``."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for j in successors(stack.pop()):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 class GaussianSolver:
-    """One-shot echelon factorization with replayable right-hand sides."""
+    """One-shot echelon factorization; each right-hand side pays for its reach.
+
+    Pivoting is columns in declared order, first nonzero row.  Rows keep
+    their original index (a swap is a relabelling); each pivot row stores
+    the rows it clears with their factors (L) and its final row (U).  A
+    solve follows Gilbert and Peierls (SIAM J. Sci. Stat. Comput. 9(5),
+    1988): forward, only pivot rows reachable from b's support through L
+    are applied, in elimination order; back, only pivots whose U row
+    reaches a nonzero are solved, in decreasing rank.  An unreached pivot
+    would add exact zeros only, so values and key order are the full
+    replay's.
+    """
 
     def __init__(self, matrix: SparseMatrix):
         self.matrix = matrix
         self.field = field = matrix.field
-        self._row_index = {r: i for i, r in enumerate(matrix.rows)}
-        self._col_keys = matrix.cols
+        self._row_index = index = {r: i for i, r in enumerate(matrix.rows)}
         m = len(matrix.rows)
         rows = [dict() for _ in range(m)]
         for (r, c), v in matrix.entries.items():
-            rows[self._row_index[r]][c] = v
-        # forward elimination, columns in declared order, first nonzero pivot
-        self._ops: list = []
-        self._pivots: list = []  # (col_key, row_idx) in elimination order
-        rank = 0
-        for c in self._col_keys:
-            pivot_row = None
-            for i in range(rank, m):
-                if rows[i].get(c):
-                    pivot_row = i
+            rows[index[r]][c] = v
+        order = list(range(m))  # position -> original row
+        self._lower = [None] * m  # pivot row -> (rank, row, [(target row, factor)])
+        self._upper: list = []  # by rank: (col, row, pivot value, off-diagonal items)
+        self._users: dict = {}  # col -> ranks whose U row holds an entry in it
+        for c in matrix.cols:
+            rank = len(self._upper)
+            for pos in range(rank, m):
+                if rows[order[pos]].get(c):
                     break
-            if pivot_row is None:
+            else:
                 continue
-            if pivot_row != rank:
-                rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-                self._ops.append(("swap", rank, pivot_row))
-            prow = rows[rank]
+            order[rank], order[pos] = order[pos], order[rank]
+            p = order[rank]
+            prow = rows[p]
             pval = prow[c]
-            for i in range(rank + 1, m):
-                f = rows[i].get(c)
-                if not f:
-                    continue
-                factor = field.neg(field.div(f, pval))
-                self._ops.append(("axpy", i, rank, factor))
-                vec_axpy(field, rows[i], prow, factor)
-            self._pivots.append((c, rank))
-            rank += 1
-        self._rows = rows
-        self.rank = rank
-        pivot_cols = {c for c, _ in self._pivots}
-        self.free_cols = tuple(c for c in self._col_keys if c not in pivot_cols)
+            targets = []
+            for t in order[rank + 1:]:
+                f = rows[t].get(c)
+                if f:
+                    factor = field.neg(field.div(f, pval))
+                    targets.append((t, factor))
+                    vec_axpy(field, rows[t], prow, factor)
+            self._lower[p] = (rank, p, targets)
+            upper = tuple((cc, v) for cc, v in prow.items() if cc != c)
+            self._upper.append((c, p, pval, upper))
+            for cc, _ in upper:
+                self._users.setdefault(cc, []).append(rank)
+        self.rank = len(self._upper)
+        pivot_cols = {u[0] for u in self._upper}
+        self.free_cols = tuple(c for c in matrix.cols if c not in pivot_cols)
 
     def _reduced_rhs(self, b: dict):
+        """L^-1 b keyed by original row, or None if b leaves the rows."""
         field = self.field
         idx = self._row_index
         vec: dict = {}
@@ -152,81 +177,63 @@ class GaussianSolver:
             if i is None:
                 return None  # support outside the row space: unsolvable
             vec[i] = v
-        for op in self._ops:
-            if op[0] == "swap":
-                _, i, j = op
-                vi, vj = vec.get(i), vec.get(j)
-                if vj is None:
-                    vec.pop(i, None)
-                else:
-                    vec[i] = vj
-                if vi is None:
-                    vec.pop(j, None)
-                else:
-                    vec[j] = vi
-            else:
-                _, i, r, factor = op
-                vr = vec.get(r)
-                if vr:
-                    vec_add(field, vec, i, field.mul(factor, vr))
+        lower = self._lower
+        reached = _reach(vec, lambda i: (t for t, _ in lower[i][2]) if lower[i] else ())
+        for _, p, targets in sorted(lower[i] for i in reached if lower[i]):
+            vp = vec.get(p)
+            if vp:
+                for t, factor in targets:
+                    vec_add(field, vec, t, field.mul(factor, vp))
         return vec
+
+    def _back_substitute(self, x: dict, rhs: dict, start) -> dict:
+        """Solve U x = rhs into ``x`` over the pivots reached from ranks ``start``."""
+        field = self.field
+        sub, mul, zero = field.sub, field.mul, field.zero
+        upper, users = self._upper, self._users
+        for k in sorted(_reach(start, lambda k: users.get(upper[k][0], ())), reverse=True):
+            c, p, pval, row = upper[k]
+            acc = rhs.get(p, zero)
+            for cc, vv in row:
+                xc = x.get(cc)
+                if xc:
+                    acc = sub(acc, mul(vv, xc))
+            if acc:
+                x[c] = field.div(acc, pval)
+        return x
 
     def solve(self, b: dict):
         """Particular solution with free coordinates 0, or None."""
-        field = self.field
         vec = self._reduced_rhs(b)
         if vec is None:
             return None
-        if any(i >= self.rank for i in vec):
-            return None  # inconsistent
-        x: dict = {}
-        for c, i in reversed(self._pivots):
-            row = self._rows[i]
-            acc = vec.get(i, field.zero)
-            for cc, vv in row.items():
-                if cc == c:
-                    continue
-                xc = x.get(cc)
-                if xc:
-                    acc = field.sub(acc, field.mul(vv, xc))
-            if acc:
-                x[c] = field.div(acc, row[c])
-        return x
+        lower = self._lower
+        start = []
+        for i in vec:
+            node = lower[i]
+            if node is None:
+                return None  # inconsistent: a non-pivot row stays nonzero
+            start.append(node[0])
+        return self._back_substitute({}, vec, start)
 
     def kernel_basis(self):
         """One basis vector per free column, in column order."""
-        field = self.field
-        basis = []
-        for f in self.free_cols:
-            v = {f: field.one}
-            for c, i in reversed(self._pivots):
-                row = self._rows[i]
-                acc = field.zero
-                for cc, vv in row.items():
-                    if cc == c:
-                        continue
-                    xc = v.get(cc)
-                    if xc:
-                        acc = field.add(acc, field.mul(vv, xc))
-                if acc:
-                    v[c] = field.neg(field.div(acc, row[c]))
-            basis.append(v)
-        return basis
+        one = self.field.one
+        return [self._back_substitute({f: one}, {}, self._users.get(f, ()))
+                for f in self.free_cols]
 
 
 def solve_linear(matrix: SparseMatrix, b: dict):
     """Exact solution of ``matrix @ x = b`` or None; verified by substitution."""
     x = GaussianSolver(matrix).solve(vec_canonical(matrix.field, b))
-    if x is not None:
-        got = matrix.apply(x)
-        want = vec_canonical(matrix.field, b)
-        assert got == want, "substitution check failed"
+    if x is not None and matrix.apply(x) != vec_canonical(matrix.field, b):
+        raise ArithmeticError("solution fails substitution")
     return x
 
 
 def kernel_basis(matrix: SparseMatrix):
     """Deterministic basis of the null space (empty list for trivial kernel)."""
     basis = GaussianSolver(matrix).kernel_basis()
-    for v in basis:
-        assert not matrix.apply(v), "kernel vector fails substitution"
+    if any(matrix.apply(v) for v in basis):
+        raise ArithmeticError("kernel vector fails substitution")
     return basis

@@ -383,11 +383,10 @@ def _finite_iota_solver(alg: Algebra) -> GaussianSolver:
         cols = []
         for t in ids:
             col: dict = {}
-            et = alg.basis_element(t)
             for w in ids:
-                for r, v in (et * alg.basis_element(w)).coeffs.items():
+                for r, v in alg.mul_basis(t, w).coeffs.items():
                     col[("L", w, r)] = v
-                for r, v in (alg.basis_element(w) * et).coeffs.items():
+                for r, v in alg.mul_basis(w, t).coeffs.items():
                     col[("R", w, r)] = v
             cols.append((t, col))
         solver = alg._iota_solver = GaussianSolver(

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
+from mulhopf import linalg
 from mulhopf.fields import GF, QQ
 from mulhopf.linalg import (GaussianSolver, SparseMatrix, kernel_basis,
                             solve_linear, vec_add, vec_axpy, vec_canonical)
@@ -127,3 +132,244 @@ def test_solutions_verify_when_found(rows, x):
     sol = solve_linear(M, b)
     assert sol is not None
     assert vec_canonical(QQ, M.apply(sol)) == vec_canonical(QQ, b)
+
+
+# --- reach-driven solves against the full replay ---------------------------
+
+
+class ReplaySolver:
+    """The full-replay factorization: every solve replays the whole log.
+
+    Kept verbatim as the reference the reach-driven ``GaussianSolver``
+    must match, values and key order included.
+    """
+
+    def __init__(self, matrix: SparseMatrix):
+        self.matrix = matrix
+        self.field = field = matrix.field
+        self._row_index = {r: i for i, r in enumerate(matrix.rows)}
+        self._col_keys = matrix.cols
+        m = len(matrix.rows)
+        rows = [dict() for _ in range(m)]
+        for (r, c), v in matrix.entries.items():
+            rows[self._row_index[r]][c] = v
+        # forward elimination, columns in declared order, first nonzero pivot
+        self._ops: list = []
+        self._pivots: list = []  # (col_key, row_idx) in elimination order
+        rank = 0
+        for c in self._col_keys:
+            pivot_row = None
+            for i in range(rank, m):
+                if rows[i].get(c):
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            if pivot_row != rank:
+                rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+                self._ops.append(("swap", rank, pivot_row))
+            prow = rows[rank]
+            pval = prow[c]
+            for i in range(rank + 1, m):
+                f = rows[i].get(c)
+                if not f:
+                    continue
+                factor = field.neg(field.div(f, pval))
+                self._ops.append(("axpy", i, rank, factor))
+                vec_axpy(field, rows[i], prow, factor)
+            self._pivots.append((c, rank))
+            rank += 1
+        self._rows = rows
+        self.rank = rank
+        pivot_cols = {c for c, _ in self._pivots}
+        self.free_cols = tuple(c for c in self._col_keys if c not in pivot_cols)
+
+    def _reduced_rhs(self, b: dict):
+        field = self.field
+        idx = self._row_index
+        vec: dict = {}
+        for rkey, v in b.items():
+            if not v:
+                continue
+            i = idx.get(rkey)
+            if i is None:
+                return None  # support outside the row space: unsolvable
+            vec[i] = v
+        for op in self._ops:
+            if op[0] == "swap":
+                _, i, j = op
+                vi, vj = vec.get(i), vec.get(j)
+                if vj is None:
+                    vec.pop(i, None)
+                else:
+                    vec[i] = vj
+                if vi is None:
+                    vec.pop(j, None)
+                else:
+                    vec[j] = vi
+            else:
+                _, i, r, factor = op
+                vr = vec.get(r)
+                if vr:
+                    vec_add(field, vec, i, field.mul(factor, vr))
+        return vec
+
+    def solve(self, b: dict):
+        """Particular solution with free coordinates 0, or None."""
+        field = self.field
+        vec = self._reduced_rhs(b)
+        if vec is None:
+            return None
+        if any(i >= self.rank for i in vec):
+            return None  # inconsistent
+        x: dict = {}
+        for c, i in reversed(self._pivots):
+            row = self._rows[i]
+            acc = vec.get(i, field.zero)
+            for cc, vv in row.items():
+                if cc == c:
+                    continue
+                xc = x.get(cc)
+                if xc:
+                    acc = field.sub(acc, field.mul(vv, xc))
+            if acc:
+                x[c] = field.div(acc, row[c])
+        return x
+
+    def kernel_basis(self):
+        """One basis vector per free column, in column order."""
+        field = self.field
+        basis = []
+        for f in self.free_cols:
+            v = {f: field.one}
+            for c, i in reversed(self._pivots):
+                row = self._rows[i]
+                acc = field.zero
+                for cc, vv in row.items():
+                    if cc == c:
+                        continue
+                    xc = v.get(cc)
+                    if xc:
+                        acc = field.add(acc, field.mul(vv, xc))
+                if acc:
+                    v[c] = field.neg(field.div(acc, row[c]))
+            basis.append(v)
+        return basis
+
+
+F7 = GF(7)
+
+
+@strat.composite
+def sparse_systems(draw):
+    """(field, row order, column order, entries, right-hand sides).
+
+    Rows and columns come in shuffled order, so pivoting swaps rows; some
+    right-hand sides are images M x (consistent), the rest are drawn freely,
+    with keys up to two past the last row (outside the rows).
+    """
+    field = draw(strat.sampled_from([QQ, F7]))
+    scalars = (strat.fractions(min_value=-3, max_value=3, max_denominator=4)
+               if field is QQ else strat.integers(0, 6)).map(field.coerce)
+    m, n = draw(strat.integers(0, 7)), draw(strat.integers(0, 7))
+    rows = draw(strat.permutations(range(m)))
+    cols = draw(strat.permutations(range(n)))
+    cells = strat.tuples(strat.integers(0, max(m - 1, 0)), strat.integers(0, max(n - 1, 0)))
+    entries = draw(strat.dictionaries(cells, scalars, max_size=m * n)) if m and n else {}
+    matrix = SparseMatrix(field, rows, cols, entries)
+    images = [matrix.apply(x) for x in draw(strat.lists(
+        strat.dictionaries(strat.sampled_from(cols), scalars), max_size=3))] if n else []
+    free = draw(strat.lists(strat.dictionaries(strat.integers(0, m + 1), scalars,
+                                               max_size=4), max_size=3))
+    return field, rows, cols, entries, images + free
+
+
+def _items(v):
+    return None if v is None else [(k, type(c), c) for k, c in v.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+@example((QQ, [], [], {}, [{}, {0: Fraction(1)}]))  # empty matrix
+@example((QQ, [0, 1], [0, 1], {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2},
+          [{0: Fraction(3), 1: Fraction(5)}, {0: Fraction(3), 1: Fraction(6)}]))  # rank 1
+@example((F7, [1, 0], [1, 0], {(0, 1): 3, (1, 1): 5, (1, 0): 2},
+          [{0: 1, 2: 0}, {3: 4}]))  # swap; zero and non-zero keys outside the rows
+def test_reach_solves_equal_the_full_replay(system):
+    field, rows, cols, entries, rhss = system
+    matrix = SparseMatrix(field, rows, cols, {rc: field.coerce(v) for rc, v in entries.items()})
+    new, ref = GaussianSolver(matrix), ReplaySolver(matrix)
+    assert (new.rank, new.free_cols) == (ref.rank, ref.free_cols)
+    assert [_items(v) for v in new.kernel_basis()] == [_items(v) for v in ref.kernel_basis()]
+    for b in rhss:
+        assert _items(new.solve(b)) == _items(ref.solve(b))
+
+
+def _block_diagonal(n, block):
+    """n x n over Q: blocks [[1]] (block 1) or [[1, 1], [1, 2]] (block 2)."""
+    entries = {}
+    for j in range(0, n, block):
+        entries[(j, j)] = 1
+        if block == 2:
+            entries.update({(j, j + 1): 1, (j + 1, j): 1, (j + 1, j + 1): 2})
+    return SparseMatrix(QQ, range(n), range(n), {rc: QQ.coerce(v) for rc, v in entries.items()})
+
+
+def _lines_run_in_linalg(fn) -> int:
+    """How many Python lines of linalg.py ``fn()`` executes: a count, not a time."""
+    count = 0
+
+    def trace(frame, event, _arg):
+        nonlocal count
+        if frame.f_code.co_filename != linalg.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("block", [1, 2], ids=["diagonal", "2x2-blocks"])
+def test_a_one_entry_solve_reads_only_the_pivots_it_reaches(block):
+    # a one-entry right-hand side reaches one block: one elimination list and
+    # one or two U rows whatever the size, so the work is the same at 16 and
+    # 256 columns (a full replay walks every pivot: 16x more lines at 256)
+    def lines(n):
+        matrix, b = _block_diagonal(n, block), {n // 2: QQ.one}
+        solver = GaussianSolver(matrix)
+        assert solver.solve(b) == ReplaySolver(matrix).solve(b)
+        return _lines_run_in_linalg(lambda: solver.solve(b))
+
+    assert lines(256) == lines(16)
+
+
+def test_substitution_checks_raise_on_a_planted_wrong_answer(monkeypatch):
+    M = mat(QQ, [[2, 1], [1, 3]])
+    monkeypatch.setattr(GaussianSolver, "solve", lambda self, b: {0: QQ.one})
+    with pytest.raises(ArithmeticError, match="substitution"):
+        solve_linear(M, {0: QQ.coerce(5), 1: QQ.coerce(10)})
+    monkeypatch.setattr(GaussianSolver, "kernel_basis", lambda self: [{0: QQ.one}])
+    with pytest.raises(ArithmeticError, match="substitution"):
+        kernel_basis(M)
+
+
+def test_substitution_checks_survive_python_dash_o():
+    # -O strips assert statements; the checks must not be asserts
+    code = ("from mulhopf.linalg import GaussianSolver, SparseMatrix, solve_linear\n"
+            "from mulhopf.fields import QQ\n"
+            "GaussianSolver.solve = lambda self, b: {0: QQ.one}\n"
+            "M = SparseMatrix(QQ, [0], [0], {(0, 0): QQ.coerce(2)})\n"
+            "try:\n    solve_linear(M, {0: QQ.one})\n"
+            "except ArithmeticError:\n    print('caught')\n")
+    src = str(Path(linalg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "caught\n"

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mulhopf import cli
 from mulhopf.algebra import InputError
 from mulhopf.cli import build_parser, main
+from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import gallery_names, kfun_cyclic, zero1
 from mulhopf.specfile import SpecError, build_bundle, derive_rho, parse_spec
@@ -255,6 +258,52 @@ def test_timing_flag_fills_timing_ms(capsys):
     assert rc == 0
     data = json.loads(out)
     assert all(isinstance(e["timing_ms"], (int, float)) for e in data["entries"])
+
+
+class _StepClock:
+    """A stand-in for ``time``: perf_counter moves only inside costed steps."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def costs(self, fn, seconds):
+        def step(*args, **kwargs):
+            self.now += seconds
+            return fn(*args, **kwargs)
+        return step
+
+
+RESCALED_Z6 = str(Path(__file__).parent / "golden" / "rescaled_z6.spec")
+
+
+@pytest.mark.parametrize("argv, charged", [
+    (["classify", "gallery:kfin_Z", "--window", "3"],
+     {"extension multiplicativity": 4000.0, "counit synthesis": 1000.0,
+      "T1 bijectivity": 2000.0}),
+    (["check-hopf", "gallery:kfin_Z", "--window", "3"],
+     {"extension multiplicativity": 4000.0, "T1 bijectivity": 8000.0}),
+    (["check-hopf", RESCALED_Z6],
+     {"extension multiplicativity": 4000.0, "counit synthesis": 1000.0,
+      "T1 bijectivity": 8000.0, "antipode": 2000.0}),
+], ids=["classify", "check-hopf", "check-hopf-synthesized"])
+def test_timing_charges_each_step_once_to_its_first_verdict(capsys, monkeypatch,
+                                                              argv, charged):
+    # syntheses and the T1/T2 gate run inside their timed task, and a task
+    # returning several verdicts (Delta's three certificates) is charged once
+    clock = _StepClock()
+    monkeypatch.setattr(cli, "time", clock)
+    for name, seconds in (("synthesize_counit", 1.0), ("synthesize_antipode", 2.0),
+                          ("check_hopf", 8.0)):
+        monkeypatch.setattr(cli, name, clock.costs(getattr(cli, name), seconds))
+    monkeypatch.setattr(Extension, "validate", clock.costs(Extension.validate, 4.0))
+    rc, out, _ = run_cli(argv + ["--report", "json", "--timing"], capsys)
+    assert rc == 0
+    timings = [(e["axiom"], e["timing_ms"]) for e in json.loads(out)["entries"]]
+    assert timings == [(axiom, charged.get(axiom, 0.0)) for axiom, _ in timings]
+    assert sum(ms for _, ms in timings) == clock.now * 1000.0
 
 
 def test_jobs_option_is_rejected(capsys):
