@@ -769,8 +769,7 @@ def tensor_algebra(left: Algebra, right: Algebra) -> Algebra:
     if left._local_unit_for is not None or right._local_unit_for is not None:
         if left.has_local_units and right.has_local_units:
             def local(ids):
-                lids = tuple(sorted({i for i, _ in ids}, key=left.sort_key))
-                rids = tuple(sorted({j for _, j in ids}, key=right.sort_key))
+                lids, rids = factor_windows(alg, ids)
                 el = left.local_unit(lids)
                 er = right.local_unit(rids)
                 f = left.field
@@ -783,6 +782,13 @@ def tensor_algebra(left: Algebra, right: Algebra) -> Algebra:
     alg.factors = (left, right)
     cache[key] = (alg, right)
     return alg
+
+
+def factor_windows(alg: Algebra, ids):
+    """Sorted factor windows of pair ids; their local units give e_L (x) e_R."""
+    left, right = alg.factors
+    return (tuple(sorted({i for i, _ in ids}, key=left.sort_key)),
+            tuple(sorted({j for _, j in ids}, key=right.sort_key)))
 
 
 def tensor_elem(x: Element, y: Element, into=None) -> Element:

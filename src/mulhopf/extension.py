@@ -15,10 +15,14 @@ a = sum_j a'_j . b'_j in A.B,
 which is well defined independently of the decompositions.  Oracle-tier
 decomposition searches draw the B side from the expansion-scaled window,
 since products routinely leave the base window (the certificates stay
-tagged with the base window).
+tagged with the base window).  A tensor f (x) g acts componentwise,
+Psi(x (x) y) |> (a (x) b) = (x |> a) (x) (y |> b), so its spans are built
+from the factors' hits.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .linalg import GaussianSolver, SparseMatrix, vec_axpy
 from .algebra import (
@@ -102,17 +106,24 @@ class Extension:
     def _span(self, side):
         span = self._spans.get(side)
         if span is None:
-            cols = []
-            for i in self.source_search_ids:
-                fi = self.basis_multiplier(i)
-                for j in self.target_ids:
-                    ej = self.target.basis_element(j)
-                    hit = fi.apply_left(ej) if side == "ba" else fi.apply_right(ej)
-                    if not hit.is_zero():
-                        cols.append(((i, j), hit.coeffs))
             span = self._spans[side] = GaussianSolver(
-                SparseMatrix.from_columns(self.target.field, cols))
+                SparseMatrix.from_columns(self.target.field, self._columns(side)))
         return span
+
+    def _columns(self, side):
+        """Nonzero f(e_i) |> e_j (side "ba") or e_j <| f(e_i), keyed (i, j), i
+        outer: this column order fixes every decomposition."""
+        hits = self._hits(side, self.source_search_ids, self.target_ids)
+        return [((i, j), hit.coeffs) for i, row in hits.items() for j, hit in row.items()]
+
+    def _hits(self, side, source_ids, target_ids) -> dict:
+        """source id -> {target id: its nonzero hit}, both in the given order."""
+        table = {}
+        for i in source_ids:
+            fi = self.basis_multiplier(i)
+            act = fi.lam_basis if side == "ba" else fi.rho_basis
+            table[i] = {j: hit for j, hit in ((j, act(j)) for j in target_ids) if hit.coeffs}
+        return table
 
     def _decompose(self, a: Element, side):
         sol = self._span(side).solve(a.coeffs)
@@ -161,8 +172,7 @@ class Extension:
             acc: dict = {}
             for c, i, j in dec:
                 moved = self.apply(x_basis(i))
-                ej = tgt.basis_element(j)
-                hit = (moved.apply_left(ej) if side == "ba" else moved.apply_right(ej)).coeffs
+                hit = (moved.lam_basis(j) if side == "ba" else moved.rho_basis(j)).coeffs
                 if hit:
                     vec_axpy(field, acc, hit, c)
             return Element(tgt, acc)
@@ -219,8 +229,7 @@ class Extension:
         for side in ("right", "left"):
             def hit(t, i, side=side):
                 fi = self.basis_multiplier(i)
-                et = self.target.basis_element(t)
-                return (fi.apply_right(et) if side == "right" else fi.apply_left(et)).coeffs
+                return (fi.rho_basis(t) if side == "right" else fi.lam_basis(t)).coeffs
 
             w = annihilated(self.target, self.target_ids, self.source_search_ids, hit)
             if w is not None:
@@ -353,20 +362,49 @@ def _psi_pair(x: Multiplier, y: Multiplier) -> Multiplier:
         i, j = bid
         return tensor_elem(x.rho_basis(i), y.rho_basis(j), into=txt)
 
-    return Multiplier(txt, lam, rho, name=f"psi({x.name},{y.name})")
+    out = Multiplier(txt, lam, rho, name=f"psi({x.name},{y.name})")
+    out._psi = (x, y)
+    return out
+
+
+class TensorExtension(Extension):
+    """f (x) g: B (x) B' --> A (x) A', structure map Psi o (f (x) g).
+
+    Psi(x (x) y) |> (a (x) b) = (x |> a) (x) (y |> b), so every span column
+    is the tensor of two factor hits.  Each factor's nonzero hits are
+    tabulated once over the components of this extension's ids, and no
+    Psi multiplier is applied to a basis element of A (x) A'.
+    """
+
+    def __init__(self, f: Extension, g: Extension, **kw):
+        super().__init__(
+            tensor_algebra(f.source, g.source), tensor_algebra(f.target, g.target),
+            lambda bid: _psi_pair(f.basis_multiplier(bid[0]), g.basis_multiplier(bid[1])),
+            name=f"{f.name}(x){g.name}",
+            source_window=kw.get("source_window", _join_windows(f.source_window, g.source_window)),
+            target_window=kw.get("target_window", _join_windows(f.target_window, g.target_window)),
+            expansion=max(f.expansion, g.expansion))
+        self.factors = (f, g)
+
+    def _columns(self, side):
+        src, tgt = self.source_search_ids, self.target_ids
+        h1, h2 = (fac._hits(side, dict.fromkeys(bid[k] for bid in src),
+                            dict.fromkeys(bid[k] for bid in tgt))
+                  for k, fac in enumerate(self.factors))
+        rank = {bid: r for r, bid in enumerate(tgt)}
+        cols = []
+        for i1, i2 in src:
+            # the nonzero (t, u) of this row, in target id order
+            for t, u in sorted((tu for tu in product(h1[i1], h2[i2]) if tu in rank),
+                               key=rank.__getitem__):
+                cols.append((((i1, i2), (t, u)),
+                             tensor_elem(h1[i1][t], h2[i2][u], into=self.target).coeffs))
+        return cols
 
 
 def tensor_extensions(f: Extension, g: Extension, validate=False, **kw) -> Extension:
     """(f (x) g): B (x) B' --> A (x) A', structure map Psi o (f (x) g)."""
-    src = tensor_algebra(f.source, g.source)
-    tgt = tensor_algebra(f.target, g.target)
-    ext = Extension(
-        src, tgt,
-        lambda bid: _psi_pair(f.basis_multiplier(bid[0]), g.basis_multiplier(bid[1])),
-        name=f"{f.name}(x){g.name}",
-        source_window=kw.get("source_window", _join_windows(f.source_window, g.source_window)),
-        target_window=kw.get("target_window", _join_windows(f.target_window, g.target_window)),
-        expansion=max(f.expansion, g.expansion))
+    ext = TensorExtension(f, g, **kw)
     return ext.ensure_valid() if validate else ext
 
 

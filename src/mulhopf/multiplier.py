@@ -13,7 +13,9 @@ multiplier is (id, id) whether or not A itself has a unit.
 For finite A the whole multiplier algebra is computed exactly as the
 solution space of the linearity + compatibility system
 (``MultiplierSpace``); for oracle algebras everything stays operational
-and window-relative.
+and window-relative.  Psi(x (x) y) on A (x) B acts factor by factor,
+(x |> a) (x) (y |> b), and remembers x and y, so contracting it against
+a local unit e_L (x) e_R contracts each factor against its own.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency, resolve_window,
+    WindowInsufficiency, factor_windows, resolve_window, tensor_elem,
 )
 
 
 class Multiplier:
     __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod",
-                 "_unit_memo", "name")
+                 "_psi", "_unit_memo", "name")
 
     def __init__(self, alg: Algebra, lam, rho, name=None):
         self.alg = alg
@@ -36,6 +38,7 @@ class Multiplier:
         self._lam_cache: dict = {}
         self._rho_cache: dict = {}
         self._prod = None
+        self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
         self._unit_memo = None  # (side, window) -> contraction with that local unit
         self.name = name
 
@@ -436,7 +439,9 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     """z |> e (side "left") or e <| z (side "right"), e the local unit of ``ids``.
 
     The same factor order as ``apply_left``/``apply_right``, so the result
-    is the same element; leaves memoise theirs per (side, window).
+    is the same element; leaves memoise theirs per (side, window).  This is
+    exact for a Psi leaf too: ``tensor_algebra``'s local unit is e_L (x) e_R,
+    so Psi(x (x) y) |> e = (x |> e_L) (x) (y |> e_R), factors memoised.
     """
     if z._prod is not None:
         x, y = z._prod
@@ -448,15 +453,25 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
         memo = z._unit_memo = {}
     out = memo.get((side, window))
     if out is None:
-        e = z.alg.local_unit(ids)
-        out = memo[(side, window)] = z.apply_left(e) if side == "left" else z.apply_right(e)
+        if z._psi is not None:
+            (x, y), (lids, rids) = z._psi, factor_windows(z.alg, ids)
+            out = tensor_elem(_unit_contraction(x, side, lids, lids),
+                              _unit_contraction(y, side, rids, rids), into=z.alg)
+        else:
+            e = z.alg.local_unit(ids)
+            out = z.apply_left(e) if side == "left" else z.apply_right(e)
+        memo[(side, window)] = out
     return out
 
 
 def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
-    """iota(u) and z act alike, from both sides, on every probe basis element."""
+    """iota(u) and z act alike, from both sides, on every probe basis element.
+
+    u e_w and e_w u are summed from ``mul_basis`` over u's terms and compared
+    with z's basis actions on w, so no probe element is built.
+    """
     for w in probe_ids:
-        ew = alg.basis_element(w)
-        if u * ew != z.apply_left(ew) or ew * u != z.apply_right(ew):
+        if (_extend(alg, lambda i, w=w: alg.mul_basis(i, w), u) != z.lam_basis(w)
+                or _extend(alg, lambda i, w=w: alg.mul_basis(w, i), u) != z.rho_basis(w)):
             return False
     return True

@@ -15,8 +15,8 @@ from mulhopf.bialgebra import (MultiplierBialgebra, SliceUndefined, Slicer,
 from mulhopf.comodule import check_comodule_coassoc
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
-from mulhopf.gallery import (kfin_Z, kfun_cyclic, nand_delta_bundle, random_algebra,
-                             self_comodule)
+from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
+                             random_algebra, self_comodule)
 from mulhopf.hopf import check_hopf
 from mulhopf.multiplier import Multiplier, iota, iota_preimage
 
@@ -190,27 +190,56 @@ def test_a_slicer_is_freed_without_the_cycle_collector():
 
 
 def test_memoised_slice_contraction_matches_the_direct_one():
-    # iota_preimage contracts each slice factor by factor and memoises the
-    # inner factor per (side, window); at the slicer's window and at its
-    # doubling retry's, every slice key of a run must read as the direct
-    # contraction of the whole product
+    # iota_preimage contracts each slice factor by factor, a Psi frame through
+    # its own factors, and memoises the inner factor per (side, window); at
+    # the slicer's window and at its doubling retry's, every slice key of a
+    # run must read as the direct contraction of the whole product, with the
+    # same key order
+    for build in (kfin_Z, kfin_N):
+        bundle = build(window=3).bialgebra
+        sl = bundle.slicer(3)
+        check_fons(bundle.delta, slicer=sl)
+        check_hopf(bundle.delta, slicer=sl)  # T1/T2 columns reach the scaled domain
+        txt = sl.txt
+        keys = list(sl._cache)
+        assert {side for side, _, _ in keys} == {"right", "left"}
+        assert len(keys) > 2 * len(sl.ids) ** 2
+        for key in keys:
+            z, base = sl._framed(*key)
+            for w in (2 * base * sl.expansion, base * sl.expansion):
+                e = txt.local_unit(txt.window_ids(w))
+                left, right = z.apply_left(e), z.apply_right(e)
+                got = iota_preimage(txt, z, window=w)
+                if left == right:
+                    assert got == left, (build, key, w)
+                    assert list(got.coeffs) == list(left.coeffs), (build, key, w)
+                else:
+                    assert got is None, (build, key, w)
+
+
+def test_a_frame_is_contracted_through_its_factors(monkeypatch):
+    # Psi(1 (x) e_b) |> (e_L (x) e_R) = e_L (x) (e_b e_R): at the doubling
+    # window, a right frame's lam and a left frame's rho (the actions a
+    # direct contraction of the frame would read) are never called
     bundle = kfin_Z(window=3).bialgebra
     sl = bundle.slicer(3)
-    check_fons(bundle.delta, slicer=sl)
-    check_hopf(bundle.delta, slicer=sl)  # T1/T2 columns reach the scaled domain
-    txt = sl.txt
-    keys = list(sl._cache)
-    assert {side for side, _, _ in keys} == {"right", "left"} and len(keys) > 2 * 49
-    for key in keys:
-        z, base = sl._framed(*key)
-        for w in (2 * base * sl.expansion, base * sl.expansion):
-            e = txt.local_unit(txt.window_ids(w))
-            left, right = z.apply_left(e), z.apply_right(e)
-            got = iota_preimage(txt, z, window=w)
-            if left == right:
-                assert got == left, (key, w)
-            else:
-                assert got is None, (key, w)
+    frames, calls = {}, []
+    for name, own in (("lam_basis", "right"), ("rho_basis", "left")):
+        real = getattr(Multiplier, name)
+
+        def counted(self, bid, real=real, own=own):
+            if frames.get(id(self)) == own:
+                calls.append((own, bid))
+            return real(self, bid)
+
+        monkeypatch.setattr(Multiplier, name, counted)
+    for a in sl.ids:
+        for b in sl.ids:
+            for side, key, frame_id in (("right", (a, b), b), ("left", (b, a), b)):
+                z, base = sl._framed(side, *key)
+                frames[id(sl._frame(side, frame_id))] = side
+                assert iota_preimage(sl.txt, z, window=2 * base * sl.expansion) is not None
+    assert len(frames) == 2 * len(sl.ids) and calls == []
 
 
 def test_right_projection_delta_is_coassociative():

@@ -9,7 +9,7 @@ from mulhopf.extension import (Extension, compose_extensions,
                                extension_from_bimodule, extension_from_map,
                                identity_extension, lift_to_multiplier,
                                psi_embed, restrict_module, tensor_extensions)
-from mulhopf.fields import QQ
+from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_extension
 from mulhopf.multiplier import Multiplier, iota, multiplier_eq, one
 
@@ -118,6 +118,61 @@ def test_tensor_extensions_act_componentwise():
                        ext.basis_multiplier(0).apply_left(A.basis_element(2)),
                        into=AA)
     assert got == want
+
+
+def reference_columns(ext, side):
+    """The generic span loop, kept verbatim as the reference: each basis
+    multiplier applied to each target basis element, zero hits skipped."""
+    cols = []
+    for i in ext.source_search_ids:
+        fi = ext.basis_multiplier(i)
+        for j in ext.target_ids:
+            ej = ext.target.basis_element(j)
+            hit = fi.apply_left(ej) if side == "ba" else fi.apply_right(ej)
+            if not hit.is_zero():
+                cols.append(((i, j), hit.coeffs))
+    return cols
+
+
+def delta_tensor_identity(bundle, window):
+    """id (x) Delta and Delta (x) id, the two lifts of comodule coassociativity."""
+    idA = identity_extension(bundle.algebra, window=window, expansion=2)
+    return (tensor_extensions(idA, bundle.delta), tensor_extensions(bundle.delta, idA))
+
+
+@pytest.mark.parametrize("bundle, window", [
+    (kfin_Z(window=2).bialgebra, 2),
+    (kfun_cyclic(3, field=GF(7)).bialgebra, None),
+], ids=["kfin_Z-w2", "kfun_cyclic3-F7"])
+def test_tensor_span_columns_equal_the_generic_loop(bundle, window):
+    # same column keys, values and order, so the same solver and decompositions
+    for ext in delta_tensor_identity(bundle, window):
+        for side in ("ba", "ab"):
+            got = [(key, list(col.items())) for key, col in ext._columns(side)]
+            want = [(key, list(col.items())) for key, col in reference_columns(ext, side)]
+            assert got and got == want, (ext.name, side)
+
+
+def test_tensor_spans_never_apply_a_psi_multiplier(monkeypatch):
+    # the z3-sized spans (169 source search ids x 343 target ids) are built
+    # from the factors' hit tables, not by applying Psi(f(e_i) (x) g(e_j))
+    calls = []
+    exts = delta_tensor_identity(kfin_Z(window=3).bialgebra, 3)
+    targets = {id(ext.target) for ext in exts}
+    for name in ("lam_basis", "rho_basis"):
+        real = getattr(Multiplier, name)
+
+        def counted(self, bid, real=real):
+            if id(self.alg) in targets:
+                calls.append(bid)
+            return real(self, bid)
+
+        monkeypatch.setattr(Multiplier, name, counted)
+    for ext in exts:
+        assert (len(ext.source_search_ids), len(ext.target_ids)) == (169, 343)
+        for side in ("ba", "ab"):
+            assert ext._span(side).rank > 0
+    assert calls == []
 
 
 def test_psi_embed_componentwise():

@@ -14,14 +14,19 @@ from mulhopf.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-# The spec files rescale the function algebra on Z/6 by non-integral c_i:
+# The rescaled spec files rescale the function algebra on Z/n by c_i:
 # e_i = c_i d_i, Delta(e_k)(e_j (x) e_l) = [j + l = k] c_k (e_j (x) e_l) and
-# S(e_k) = (c_k / c_{6-k}) e_{6-k}, so the finite solves see those scalars.
+# S(e_k) = (c_k / c_{n-k}) e_{n-k}, so the finite solves see those scalars
+# (non-integral over Q for Z/6; over F_7, with a declared counit, for Z/4).
+# The two check-comodule reports cover the tensor extensions rho (x) id and
+# id (x) Delta on an oracle window and on a finite algebra.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
     ("classify_rescaled_z6.json", ["classify", "rescaled_z6.spec"], 0),
     ("check_hopf_rescaled_z6.json", ["check-hopf", "rescaled_z6_antipode.spec"], 0),
+    ("check_comodule_kfin_Z_w2.json", ["check-comodule", "kfin_Z_w2.spec"], 0),
+    ("check_comodule_rescaled_z4_f7.json", ["check-comodule", "rescaled_z4_f7.spec"], 0),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

@@ -1,6 +1,7 @@
 """The text input format and the command line driver."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +305,21 @@ def test_timing_charges_each_step_once_to_its_first_verdict(capsys, monkeypatch,
     timings = [(e["axiom"], e["timing_ms"]) for e in json.loads(out)["entries"]]
     assert timings == [(axiom, charged.get(axiom, 0.0)) for axiom, _ in timings]
     assert sum(ms for _, ms in timings) == clock.now * 1000.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "gallery:kfin_Z", "--window", "4"],
+    ["check-comodule", "gallery:kfin_Z", "--window", "2"],
+], ids=["classify", "check-comodule"])
+def test_timings_add_up_to_the_wall_time(capsys, argv):
+    # every check runs inside a timed task; parsing, the bundle build and
+    # the report are all that is left outside
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(argv + ["--report", "json", "--timing"], capsys)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert rc == 0
+    total_ms = sum(e["timing_ms"] for e in json.loads(out)["entries"])
+    assert 0.9 * wall_ms <= total_ms <= wall_ms
 
 
 def test_jobs_option_is_rejected(capsys):
