@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
-from .linalg import GaussianSolver, SparseMatrix, vec_axpy, vec_canonical
+from .linalg import (
+    GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy, vec_canonical,
+)
 
 
 class InputError(ValueError):
@@ -257,6 +260,7 @@ class Algebra(Space):
         self._mul_rule = mul_rule
         self._mul_cache: dict = {}
         self._span_cache: dict = {}
+        self._regular: dict = {}
         self._unit_data = unit
         self._local_unit_for = local_unit_for
         self._lu_cache: dict = {}
@@ -322,25 +326,33 @@ class Algebra(Space):
                     vec_axpy(field, acc, prod, field.mul(ci, cj))
         return Element(self, acc)
 
-    def product_span(self, ids, left_ids=None):
-        """Cached solver for writing elements as sums of products.
-
-        Columns are pairs (i, j) with i from ``left_ids`` (default ``ids``)
-        and j from ``ids``; the column content is the product e_i * e_j.
-        """
-        left_ids = tuple(ids) if left_ids is None else tuple(left_ids)
-        key = (left_ids, tuple(ids))
-        span = self._span_cache.get(key)
+    def product_span(self, ids) -> PairSpan:
+        """Cached solver writing elements as sums of products e_i * e_j, i, j in ``ids``."""
+        ids = tuple(ids)
+        span = self._span_cache.get(ids)
         if span is None:
-            cols = []
-            for i in left_ids:
-                for j in ids:
-                    prod = self.mul_basis(i, j)
-                    if not prod.is_zero():
-                        cols.append(((i, j), prod.coeffs))
-            span = GaussianSolver(SparseMatrix.from_columns(self.field, cols))
-            self._span_cache[key] = span
+            span = self._span_cache[ids] = PairSpan(
+                self.field, pair_columns(ids, ids, lambda i, j: self.mul_basis(i, j).coeffs),
+                self.sort_key, self.sort_key)
         return span
+
+    def regular_solver(self, sides=("L", "R")) -> GaussianSolver:
+        """Cached solver holding e_t's multiplication tables in column t (finite only).
+
+        Row ("L", w, r) is the coefficient of e_r in e_t * e_w and row
+        ("R", w, r) that of e_r in e_w * e_t, for the tags in ``sides``.
+        Solving for iota(u) = z, and completing a left table to a
+        multiplier's right action, both invert it.
+        """
+        solver = self._regular.get(sides)
+        if solver is None:
+            ids, mul = self.basis.ids, self.mul_basis
+            cols = [(t, {(s, w, r): v for w in ids for s in sides for r, v in
+                         (mul(t, w) if s == "L" else mul(w, t)).coeffs.items()})
+                    for t in ids]
+            solver = self._regular[sides] = GaussianSolver(
+                SparseMatrix.from_columns(self.field, cols))
+        return solver
 
 
 def finite_algebra(field, ids, table, unit=None, name="A", fmt_id=str) -> Algebra:
@@ -414,21 +426,13 @@ def annihilated(space, ids, probes, act):
     return Element(space, vec_canonical(space.field, kernel[0])) if kernel else None
 
 
-def sweedler_decompose(alg: Algebra, elem: Element, window, left_window=None):
+def sweedler_decompose(alg: Algebra, elem: Element, window):
     """Write ``elem = sum c * (e_i * e_j)`` over window pairs, or None.
 
     The decomposition is the pivot-order first solution, so repeated calls
     agree; downstream modules rely on that determinism.
     """
-    ids = resolve_window(alg, window)
-    left = ids if left_window is None else resolve_window(alg, left_window)
-    span = alg.product_span(ids, left)
-    sol = span.solve(elem.coeffs)
-    if sol is None:
-        return None
-    key = alg.sort_key
-    return [(c, i, j) for (i, j), c in
-            sorted(sol.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))]
+    return alg.product_span(resolve_window(alg, window)).decompose(elem.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +472,9 @@ def check_idempotent(alg: Algebra, window=None) -> Verdict:
     return Verdict("idempotency", alg.baseline(ids), label)
 
 
-def check_nondegenerate(alg: Algebra, window=None, probe_window=None) -> Verdict:
-    """No nonzero one-sided annihilator among window combinations.
-
-    ``probe_window`` defaults to the window; oracle callers may pass an
-    enlarged probe set.  A stored unit or local-unit certificate proves
+def check_nondegenerate(alg: Algebra, window=None) -> Verdict:
+    """No nonzero one-sided annihilator among window combinations, the
+    window ids as probes.  A stored unit or local-unit certificate proves
     non-degeneracy outright.
     """
     ids = resolve_window(alg, window)
@@ -480,10 +482,9 @@ def check_nondegenerate(alg: Algebra, window=None, probe_window=None) -> Verdict
     if alg.has_local_units:
         return Verdict("non-degeneracy", "proven", label,
                        detail="unit or complete local units certified")
-    probes = ids if probe_window is None else resolve_window(alg, probe_window)
     for which, act in (("x*a", lambda t, j: alg.mul_basis(t, j).coeffs),
                        ("a*x", lambda t, j: alg.mul_basis(j, t).coeffs)):
-        witness = annihilated(alg, ids, probes, act)
+        witness = annihilated(alg, ids, ids, act)
         if witness is not None:
             return Verdict(
                 "non-degeneracy", "failed", label,
@@ -493,20 +494,19 @@ def check_nondegenerate(alg: Algebra, window=None, probe_window=None) -> Verdict
     return Verdict("non-degeneracy", alg.baseline(ids), label)
 
 
-def local_units_witness(alg: Algebra, probes, window=None, side="both"):
+def local_units_witness(alg: Algebra, probes, window=None):
     """Window elements acting as units on each probe, or None.
 
-    Searches the window span for e with a*e = a (side "right"), e*a = a
-    (side "left"), or both.  Returns the deduplicated witness list.
+    Searches the window span for e with a*e = a and for e with e*a = a.
+    Returns the deduplicated witness list.
     """
     ids = resolve_window(alg, window)
     witnesses: list = []
     seen = set()
-    sides = ("right", "left") if side == "both" else (side,)
     for probe in probes:
         if probe.is_zero():
             continue
-        for s in sides:
+        for s in ("right", "left"):
             cols = []
             for t in ids:
                 et = alg.basis_element(t)
@@ -602,28 +602,19 @@ class ModuleStructure:
                     vec_axpy(field, acc, hit, field.mul(cm, ca))
         return Element(self.space, acc)
 
-    def action_span(self, m_ids, a_ids):
-        """Solver for decompositions m = sum c * (e_m acted by e_a)."""
+    def action_span(self, m_ids, a_ids) -> PairSpan:
+        """Cached solver for decompositions m = sum c * (e_m acted by e_a)."""
         key = (tuple(m_ids), tuple(a_ids))
         span = self._span_cache.get(key)
         if span is None:
-            cols = []
-            for mi in m_ids:
-                for aj in a_ids:
-                    hit = self.act_basis(mi, aj)
-                    if not hit.is_zero():
-                        cols.append(((mi, aj), hit.coeffs))
-            span = GaussianSolver(SparseMatrix.from_columns(self.space.field, cols))
-            self._span_cache[key] = span
+            span = self._span_cache[key] = PairSpan(
+                self.space.field,
+                pair_columns(*key, lambda mi, aj: self.act_basis(mi, aj).coeffs),
+                self.space.sort_key, self.algebra.sort_key)
         return span
 
     def decompose(self, m: Element, m_ids, a_ids):
-        sol = self.action_span(tuple(m_ids), tuple(a_ids)).solve(m.coeffs)
-        if sol is None:
-            return None
-        mkey, akey = self.space.sort_key, self.algebra.sort_key
-        return [(c, mi, aj) for (mi, aj), c in
-                sorted(sol.items(), key=lambda kv: (mkey(kv[0][0]), akey(kv[0][1])))]
+        return self.action_span(m_ids, a_ids).decompose(m.coeffs)
 
 
 def regular_module(alg: Algebra, side="right") -> ModuleStructure:
@@ -635,7 +626,7 @@ def regular_module(alg: Algebra, side="right") -> ModuleStructure:
 
 
 def check_module(module: ModuleStructure, window_m=None, window_a=None,
-                 probe_window=None, laws=None) -> dict:
+                 laws=None) -> dict:
     """Action associativity, idempotency M = MA, and non-degeneracy.
 
     ``laws`` restricts the run to a subset of {"associativity",
@@ -655,28 +646,16 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
 
     if "associativity" in wanted:
         assoc = None
-        for mi in m_ids:
-            if assoc:
-                break
+        for mi, i, j in product(m_ids, a_ids, a_ids):
             em = module.space.basis_element(mi)
-            for i in a_ids:
-                ei = module.algebra.basis_element(i)
-                first = module.act(em, ei)
-                for j in a_ids:
-                    ej = module.algebra.basis_element(j)
-                    if module.side == "right":
-                        lhs = module.act(first, ej)            # (m<|a)<|b
-                        rhs = module.act(em, ei * ej)          # m<|(ab)
-                    else:
-                        lhs = module.act(module.act(em, ej), ei)  # a|>(b|>m)
-                        rhs = module.act(em, ei * ej)             # (ab)|>m
-                    if lhs != rhs:
-                        assoc = Verdict("module associativity", "failed", label,
-                                        witness=(em, ei, ej),
-                                        detail=f"{lhs} vs {rhs}")
-                        break
-                if assoc:
-                    break
+            ei, ej = module.algebra.basis_element(i), module.algebra.basis_element(j)
+            inner, outer = (ei, ej) if module.side == "right" else (ej, ei)
+            lhs = module.act(module.act(em, inner), outer)  # (m<|a)<|b or a|>(b|>m)
+            rhs = module.act(em, ei * ej)                   # m<|(ab) or (ab)|>m
+            if lhs != rhs:
+                assoc = Verdict("module associativity", "failed", label,
+                                witness=(em, ei, ej), detail=f"{lhs} vs {rhs}")
+                break
         out["associativity"] = assoc or Verdict("module associativity", base, label)
 
     if "idempotency" in wanted:
@@ -690,8 +669,7 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
         out["idempotency"] = idem or Verdict("module idempotency", base, label)
 
     if "nondegeneracy" in wanted:
-        probes = a_ids if probe_window is None else resolve_window(module.algebra, probe_window)
-        witness = annihilated(module.space, m_ids, probes,
+        witness = annihilated(module.space, m_ids, a_ids,
                               lambda mi, aj: module.act_basis(mi, aj).coeffs)
         out["nondegeneracy"] = (
             Verdict("module non-degeneracy", base, label) if witness is None else
@@ -702,6 +680,11 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
 
 # ---------------------------------------------------------------------------
 # tensor constructions
+
+
+def _outer(field, x: dict, y: dict) -> dict:
+    """Coefficients of x (x) y; over a field no product of nonzeros vanishes."""
+    return {(u, v): field.mul(cu, cv) for u, cu in x.items() for v, cv in y.items()}
 
 
 def _tensor_cache(left) -> dict:
@@ -751,30 +734,22 @@ def tensor_algebra(left: Algebra, right: Algebra) -> Algebra:
     if left.field != right.field:
         raise InputError("tensor factors over different fields")
 
+    f = left.field
+
     def rule(p, q):
         (i1, j1), (i2, j2) = p, q
-        a = left.mul_basis(i1, i2)
-        b = right.mul_basis(j1, j2)
-        f = left.field
-        return {(u, v): f.mul(ca, cb)
-                for u, ca in a.coeffs.items() for v, cb in b.coeffs.items()}
+        return _outer(f, left.mul_basis(i1, i2).coeffs, right.mul_basis(j1, j2).coeffs)
 
     unit = None
     if left.unit is not None and right.unit is not None:
-        unit = {(u, v): left.field.mul(cu, cv)
-                for u, cu in left.unit.coeffs.items()
-                for v, cv in right.unit.coeffs.items()}
+        unit = _outer(f, left.unit.coeffs, right.unit.coeffs)
 
     local = None
     if left._local_unit_for is not None or right._local_unit_for is not None:
         if left.has_local_units and right.has_local_units:
             def local(ids):
                 lids, rids = factor_windows(alg, ids)
-                el = left.local_unit(lids)
-                er = right.local_unit(rids)
-                f = left.field
-                return {(u, v): f.mul(cu, cv)
-                        for u, cu in el.coeffs.items() for v, cv in er.coeffs.items()}
+                return _outer(f, left.local_unit(lids).coeffs, right.local_unit(rids).coeffs)
 
     alg = Algebra(left.field, _pair_basis(left, right), rule, unit=unit,
                   local_unit_for=local, name=f"{left.name}(x){right.name}",
@@ -798,10 +773,7 @@ def tensor_elem(x: Element, y: Element, into=None) -> Element:
         into = (tensor_algebra(lsp, rsp)
                 if isinstance(lsp, Algebra) and isinstance(rsp, Algebra)
                 else tensor_space(lsp, rsp))
-    f = into.field
-    coeffs = {(u, v): f.mul(cu, cv)
-              for u, cu in x.coeffs.items() for v, cv in y.coeffs.items()}
-    return Element(into, {k: v for k, v in coeffs.items() if v})
+    return Element(into, _outer(into.field, x.coeffs, y.coeffs))
 
 
 def tensor_module(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
@@ -813,11 +785,7 @@ def tensor_module(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
 
     def rule(m_id, a_id):
         (mi, ni), (ai, bi) = m_id, a_id
-        xa = m.act_basis(mi, ai)
-        yb = n.act_basis(ni, bi)
-        f = carrier.field
-        return {(u, v): f.mul(cu, cv)
-                for u, cu in xa.coeffs.items() for v, cv in yb.coeffs.items()}
+        return _outer(carrier.field, m.act_basis(mi, ai).coeffs, n.act_basis(ni, bi).coeffs)
 
     return ModuleStructure(carrier, acting, m.side, rule,
                            name=f"{m.name} (x) {n.name}")

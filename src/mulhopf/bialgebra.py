@@ -35,7 +35,8 @@ from itertools import product
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict, WindowInsufficiency,
+    Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
+    WindowInsufficiency,
     joint_baseline, reassociate_left, resolve_window, scalar_algebra, scaled_window,
     tensor_algebra, tensor_elem, tensor_module,
 )
@@ -497,13 +498,13 @@ class MultiplierBialgebra:
 
 
 def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructure,
-                         window_a=None, expansion=2, window_m=None,
-                         window_n=None) -> ModuleStructure:
+                         window_a=None, expansion=2) -> ModuleStructure:
     """Right A-module on M (x) N through Delta.
 
     (m (x) n) . a  =  sum (m_i (x) n_j) ((a_i (x) b_j) <| Delta(a))
     over decompositions m = sum m_i a_i, n = sum n_j b_j.  Decomposition
-    searches use the expansion-scaled algebra window.
+    searches draw m and n from the algebra window and the acting ids from
+    its expansion-scaled version.
     """
     alg = delta.source
     if m.algebra is not alg or n.algebra is not alg:
@@ -513,8 +514,8 @@ def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructur
     base = tensor_module(m, n)
     wa = window_a if window_a is not None else delta.source_window
     a_search = scaled_window(alg, wa, expansion)
-    m_ids = resolve_window(m.space, wa if window_m is None else window_m)
-    n_ids = resolve_window(n.space, wa if window_n is None else window_n)
+    m_ids = resolve_window(m.space, wa)
+    n_ids = resolve_window(n.space, wa)
     f = alg.field
 
     def rule(mn_id, a_id):
@@ -555,17 +556,14 @@ def epsilon_module(epsilon: Extension) -> ModuleStructure:
 
 def check_monoidal_instance(delta: Extension, epsilon: Extension,
                             counit_witness: Element, modules, window=None,
-                            expansion=2, max_ids=None) -> list:
+                            expansion=2) -> list:
     """Associator and unit-constraint instances for a module family.
 
     Returns verdicts for: associator A-linearity on every ordered triple
     from ``modules``; the right and left unit constraints mediated by the
     counit witness g; and the tensor-of-extensions instance (the Delta
-    bimodule actions on A (x) A validate as an extension of A).
-
-    ``max_ids`` caps how many carrier basis ids are scanned per triple
-    (deterministically, in basis order); capped scans report
-    holds_on_window rather than proven.
+    bimodule actions on A (x) A validate as an extension of A).  A
+    programming error inside a check propagates; it is not a verdict.
     """
     alg = delta.source
     wa = window if window is not None else delta.source_window
@@ -574,23 +572,14 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
     f = alg.field
     g = counit_witness
     kwargs = dict(window_a=wa, expansion=expansion)
-    capped_any = False
-
-    def carrier_ids(space):
-        ids = resolve_window(space, wa)
-        if max_ids is not None and len(ids) > max_ids:
-            return ids[:max_ids], True
-        return ids, False
 
     def associator_failures():
-        nonlocal capped_any
         for M, N, P in product(modules, repeat=3):
             NP = tensor_module_action(delta, N, P, **kwargs)
             right = tensor_module_action(delta, M, NP, **kwargs)
             MN = tensor_module_action(delta, M, N, **kwargs)
             left = tensor_module_action(delta, MN, P, **kwargs)
-            ids, capped = carrier_ids(right.space)
-            capped_any = capped_any or capped
+            ids = resolve_window(right.space, wa)
             for x_id, a in product(ids, a_ids):
                 mi, (nj, pk) = x_id
                 lhs = reassociate_left(right.act_basis(x_id, a), left.space)
@@ -606,7 +595,7 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
         # m . a against sum m_j . (id (x) eps on eps_leg)(legs <| Delta(a)),
         # m = sum m_j b_j and legs = b_j (x) g with g on the eps leg
         for M in modules:
-            m_ids, _ = carrier_ids(M.space)
+            m_ids = resolve_window(M.space, wa)
             for mi in m_ids:
                 m_elem = M.space.basis_element(mi)
                 dec = M.decompose(m_elem, m_ids, dec_ids)
@@ -629,8 +618,7 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
                                       detail=f"constraint image {got}, expected {want}")
 
     verdicts = [next(associator_failures(), None) or Verdict(
-        "monoidal associator",
-        "holds_on_window" if capped_any or not alg.finite else "proven",
+        "monoidal associator", alg.baseline(a_ids),
         f"{len(modules)}^3 triples, window {len(a_ids)} ids")]
     for tag, eps_leg in (("monoidal right unit", "right"), ("monoidal left unit", "left")):
         verdicts.append(next(unit_failures(tag, eps_leg), None) or Verdict(
@@ -649,12 +637,8 @@ def check_monoidal_instance(delta: Extension, epsilon: Extension,
             target_window=delta.target_window, expansion=expansion)
         verdicts.append(Verdict("tensor extension instance", alg.baseline(a_ids),
                                 delta.window_label()))
-    except WindowInsufficiency:
-        raise
-    except Exception as exc:  # InvariantViolation carries the verdict
-        inner = getattr(exc, "verdict", None)
+    except InvariantViolation as exc:
         verdicts.append(Verdict("tensor extension instance", "failed",
-                                delta.window_label(),
-                                witness=inner.witness if inner else None,
+                                delta.window_label(), witness=exc.verdict.witness,
                                 detail=str(exc)))
     return verdicts

@@ -197,22 +197,29 @@ def _epsilon(run: Runner, bundle, window, expansion, report: Report,
     return bundle.epsilon
 
 
-def stage_antipode(run: Runner, bundle, epsilon, window, expansion, report: Report):
+def stage_antipode(run: Runner, bundle, epsilon, window, expansion, report: Report,
+                   gate=None):
+    """Synthesize the antipode and verify it.
+
+    ``gate`` is a ``check_hopf`` result whose verdicts are already
+    recorded; only the verdicts after it are recorded then.  A synthesis
+    that fails with no failed verdict adds an "antipode synthesis" row.
+    """
     sl = bundle.slicer(window, expansion)
     syn = None
 
     def synthesis():
         nonlocal syn
-        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl)
-        return syn.verdicts
+        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
+        vs = syn.verdicts if gate is None else syn.verdicts[2:]
+        if not syn.ok and all(v.ok for v in syn.verdicts):
+            vs = vs + [Verdict("antipode synthesis", "failed",
+                               bundle.algebra.window_label(sl.ids), detail=syn.detail)]
+        return vs
 
     run.group([synthesis])
     if syn.table is not None:
         report.add_table("antipode", _antipode_table(bundle, syn.table))
-    if not syn.ok and not any(not v.ok for v in syn.verdicts):
-        run.group([lambda: Verdict("antipode synthesis", "failed",
-                                   bundle.algebra.window_label(sl.ids),
-                                   detail=syn.detail)])
     return syn
 
 
@@ -257,18 +264,7 @@ def cmd_check_hopf(entry, run, report, window, expansion):
                                               slicer=sl),
         ])
     else:
-        syn = None
-
-        def synthesis():
-            nonlocal syn
-            syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
-            return syn.verdicts[2:] or [Verdict(
-                "antipode synthesis", "failed",
-                bundle.algebra.window_label(sl.ids), detail=syn.detail)]
-
-        run.group([synthesis])
-        if syn.table is not None:
-            report.add_table("antipode", _antipode_table(bundle, syn.table))
+        stage_antipode(run, bundle, epsilon, window, expansion, report, gate=gate)
 
 
 def cmd_check_comodule(entry, run, report, window, expansion):

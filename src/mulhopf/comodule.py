@@ -118,7 +118,7 @@ def _coassoc_setup(com: ComoduleAlgebra, window, expansion, max_probes):
 
 
 def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
-                           method="multiplier", max_probes=None) -> Verdict:
+                           method="multiplier") -> Verdict:
     """Framed coassociativity of the coaction.
 
     ``method`` "multiplier" checks the pair form on all window pairs
@@ -135,7 +135,7 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
                                f"{B.window_label(b_ids)}^2 x {A.window_label(a_ids)}",
                                "sliced sides differ")
     (B, A, gamma, b_ids, a_ids, _triple_l, rho_x_id, id_x_delta, frames,
-     n_probes, status, differs) = _coassoc_setup(com, window, expansion, max_probes)
+     n_probes, status, differs) = _coassoc_setup(com, window, expansion, None)
     label = (f"{B.window_label(b_ids)} / {A.window_label(a_ids)}, "
              f"{n_probes} probes")
 

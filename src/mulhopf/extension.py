@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import GaussianSolver, SparseMatrix, vec_axpy
+from .linalg import PairSpan, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
     WindowInsufficiency, annihilated, joint_baseline, resolve_window, scaled_window,
@@ -103,11 +103,11 @@ class Extension:
 
     # -- decompositions over B.A and A.B -------------------------------------
 
-    def _span(self, side):
+    def _span(self, side) -> PairSpan:
         span = self._spans.get(side)
         if span is None:
-            span = self._spans[side] = GaussianSolver(
-                SparseMatrix.from_columns(self.target.field, self._columns(side)))
+            span = self._spans[side] = PairSpan(self.target.field, self._columns(side),
+                                                self.source.sort_key, self.target.sort_key)
         return span
 
     def _columns(self, side):
@@ -126,12 +126,7 @@ class Extension:
         return table
 
     def _decompose(self, a: Element, side):
-        sol = self._span(side).solve(a.coeffs)
-        if sol is None:
-            return None
-        skey, tkey = self.source.sort_key, self.target.sort_key
-        return [(c, i, j) for (i, j), c in
-                sorted(sol.items(), key=lambda kv: (skey(kv[0][0]), tkey(kv[0][1])))]
+        return self._span(side).decompose(a.coeffs)
 
     def decompose_ba(self, a: Element):
         """a = sum c * (f(e_i) |> e_j), pivot-order first solution."""
@@ -181,12 +176,8 @@ class Extension:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, pair_sample=None) -> list:
-        """Certificate verdicts; stores them on the extension.
-
-        ``pair_sample`` optionally limits the multiplicativity pair scan
-        (oracle windows); finite algebras always scan every pair.
-        """
+    def validate(self) -> list:
+        """Certificate verdicts over every window pair; stores them on the extension."""
         verdicts = []
         src_ids = self.source_ids
         probes = [self.target.basis_element(j) for j in self.target_ids]
@@ -194,8 +185,6 @@ class Extension:
         label = self.window_label()
 
         pairs = [(i, j) for i in src_ids for j in src_ids]
-        if pair_sample is not None and not self.source.finite:
-            pairs = pair_sample
         mult_v = Verdict("extension multiplicativity", base, label,
                          detail=f"{len(pairs)} pairs")
         for i, j in pairs:
@@ -242,19 +231,19 @@ class Extension:
         self.certificates = {v.axiom: v for v in verdicts}
         return verdicts
 
-    def ensure_valid(self, pair_sample=None) -> "Extension":
+    def ensure_valid(self) -> "Extension":
         """``validate``, raising InvariantViolation on the first failed certificate."""
-        for v in self.validate(pair_sample=pair_sample):
+        for v in self.validate():
             if not v.ok:
                 raise InvariantViolation(v)
         return self
 
     @classmethod
     def from_map(cls, source, target, rule, name="f", source_window=None,
-                 target_window=None, expansion=2, validate=True, pair_sample=None):
+                 target_window=None, expansion=2, validate=True):
         ext = cls(source, target, rule, name=name, source_window=source_window,
                   target_window=target_window, expansion=expansion)
-        return ext.ensure_valid(pair_sample) if validate else ext
+        return ext.ensure_valid() if validate else ext
 
     @classmethod
     def from_bimodule(cls, source, target, left_rule, right_rule, name="f",
@@ -409,16 +398,9 @@ def tensor_extensions(f: Extension, g: Extension, validate=False, **kw) -> Exten
 
 
 def _join_windows(w1, w2):
-    """Conservative join: both int windows -> their min; else None (explicit)."""
-    if isinstance(w1, int) and isinstance(w2, int):
-        return min(w1, w2)
-    if w1 is None and w2 is None:
-        return None
-    if isinstance(w1, int):
-        return w1
-    if isinstance(w2, int):
-        return w2
-    return None
+    """The smaller int window, else None (an explicit id tuple does not join)."""
+    ints = [w for w in (w1, w2) if isinstance(w, int)]
+    return min(ints) if ints else None
 
 
 def restrict_module(ext: Extension, module: ModuleStructure,

@@ -117,7 +117,8 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
     label = txt.window_label(pairs)
     side = _CANONICAL_SIDE[which]
     cols = [((a, b), slicer.slice(side, a, b).coeffs) for (a, b) in pairs]
-    kern = GaussianSolver(SparseMatrix.from_columns(alg.field, cols)).kernel_basis()
+    solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
+    kern = solver.kernel_basis()
     if kern:
         wit = Element(txt, vec_canonical(alg.field, kern[0]))
         inj = Verdict(f"{which} injectivity", "failed", label, witness=(wit,),
@@ -126,8 +127,7 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
         inj = Verdict(f"{which} injectivity", txt.baseline(pairs), label)
 
     scaled = scaled_window(alg, slicer.window, slicer.expansion)
-    if tuple(scaled) == tuple(ids):
-        solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
+    if tuple(scaled) == tuple(ids):  # the window's own factorisation serves
         domain_note = "window domain"
     else:
         wide = [((a, b), slicer.slice(side, a, b).coeffs) for a in scaled for b in scaled]
@@ -409,18 +409,19 @@ def target_frame(f: MultiplierMap, left=None, right=None, name=None) -> Multipli
 
 
 def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
-           axiom="map equality", status="holds_on_window") -> Verdict:
-    """Compare two maps A -> M(A) on arguments, multiplier-wise on probes."""
+           axiom="map equality") -> Verdict:
+    """Compare two maps A -> M(A) on arguments, multiplier-wise on probes;
+    window-grade evidence (holds_on_window) when they agree."""
     alg = f.alg
     probes = [_as_elem(alg, p) for p in probes]
     label = f"{len(tuple(arg_ids))} args x {len(probes)} probes"
     for t in arg_ids:
-        eq = multiplier_eq(f.basis(t), g.basis(t), probes, strict=status)
+        eq = multiplier_eq(f.basis(t), g.basis(t), probes, strict="holds_on_window")
         if not eq.ok:
             return Verdict(axiom, "failed", label,
                            witness=(alg.basis_element(t),) + tuple(eq.witness or ()),
                            detail=f"{f.name} and {g.name} differ: {eq.detail}")
-    return Verdict(axiom, status, label)
+    return Verdict(axiom, "holds_on_window", label)
 
 
 def check_convolution_inverse(delta, epsilon, f: MultiplierMap, g: MultiplierMap,

@@ -66,12 +66,9 @@ class SparseMatrix:
         self.entries = {rc: v for rc, v in entries.items() if v}
 
     @classmethod
-    def from_columns(cls, field, columns, rows=None):
-        """Build from ``[(col_key, {row_key: scalar}), ...]``.
-
-        Row order defaults to the sorted union of supports; pass ``rows``
-        when a specific ordering (or superset) is wanted.
-        """
+    def from_columns(cls, field, columns):
+        """Build from ``[(col_key, {row_key: scalar}), ...]``; rows are the
+        sorted union of the supports."""
         entries = {}
         seen = set()
         for ckey, col in columns:
@@ -79,9 +76,7 @@ class SparseMatrix:
                 if v:
                     entries[(rkey, ckey)] = v
                     seen.add(rkey)
-        if rows is None:
-            rows = sorted(seen)
-        return cls(field, rows, [c for c, _ in columns], entries)
+        return cls(field, sorted(seen), [c for c, _ in columns], entries)
 
     def column(self, ckey) -> dict:
         return {r: v for (r, c), v in self.entries.items() if c == ckey}
@@ -221,6 +216,40 @@ class GaussianSolver:
         one = self.field.one
         return [self._back_substitute({f: one}, {}, self._users.get(f, ()))
                 for f in self.free_cols]
+
+
+def pair_columns(outer, inner, hit) -> list:
+    """``[((i, j), hit(i, j)), ...]`` over the nonzero hits, i the outer loop."""
+    cols = []
+    for i in outer:
+        for j in inner:
+            h = hit(i, j)
+            if h:
+                cols.append(((i, j), h))
+    return cols
+
+
+class PairSpan(GaussianSolver):
+    """Solver over pair columns (i, j): is b a sum of pair products?
+
+    Idempotency A = A.A, a module's M = M.A and an extension's A = B.A =
+    A.B all ask this.  The column order fixes which solution comes out,
+    so each caller keeps its own; ``decompose`` lists it by the keys.
+    """
+
+    def __init__(self, field, columns, outer_key, inner_key):
+        super().__init__(SparseMatrix.from_columns(field, columns))
+        self._keys = (outer_key, inner_key)
+
+    def decompose(self, b: dict):
+        """``[(c, i, j), ...]`` with b = sum c * column (i, j), or None;
+        the pivot-order first solution, sorted by (outer, inner) key."""
+        sol = self.solve(b)
+        if sol is None:
+            return None
+        okey, ikey = self._keys
+        return [(c, i, j) for (i, j), c in
+                sorted(sol.items(), key=lambda kv: (okey(kv[0][0]), ikey(kv[0][1])))]
 
 
 def solve_linear(matrix: SparseMatrix, b: dict):

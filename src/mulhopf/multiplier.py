@@ -91,28 +91,16 @@ class Multiplier:
         return out
 
     def __add__(self, other):
-        if other.alg is not self.alg:
-            raise InputError("multipliers over different algebras")
-        x, y = self, other
-        return Multiplier(
-            self.alg,
-            lambda bid: x.lam_basis(bid) + y.lam_basis(bid),
-            lambda bid: x.rho_basis(bid) + y.rho_basis(bid),
-        )
+        return combine(self.alg, [(1, self), (1, other)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        x = self
-        return Multiplier(self.alg, lambda bid: -x.lam_basis(bid),
-                          lambda bid: -x.rho_basis(bid))
+        return combine(self.alg, [(-1, self)])
 
     def scale(self, scalar):
-        x = self
-        s = self.alg.field.coerce(scalar)
-        return Multiplier(self.alg, lambda bid: x.lam_basis(bid).scale(s),
-                          lambda bid: x.rho_basis(bid).scale(s))
+        return combine(self.alg, [(scalar, self)])
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -147,6 +135,8 @@ def combine(alg: Algebra, terms) -> Multiplier:
     """
     field = alg.field
     terms = [(field.coerce(c), x) for c, x in terms if c]
+    if any(x.alg is not alg for _c, x in terms):
+        raise InputError("multipliers over different algebras")
     if not terms:  # one shared zero image: zero multipliers are frequent and hot
         zero = alg.zero()
         return Multiplier(alg, lambda bid: zero, lambda bid: zero)
@@ -200,17 +190,13 @@ def multiplier_violation(alg, lam_fn, rho_fn, pairs):
     return None
 
 
-def make_multiplier(alg: Algebra, lam, rho, window=None, pairs=None, name=None) -> Multiplier:
+def make_multiplier(alg: Algebra, lam, rho, window=None, name=None) -> Multiplier:
     """Validated constructor; rejects with the witness pair on violation."""
     cand = Multiplier(alg, lam, rho, name=name)
-    if pairs is None:
-        ids = resolve_window(alg, window)
-        pairs = [(i, j) for i in ids for j in ids]
-        label = alg.window_label(ids)
-    else:
-        pairs = list(pairs)
-        label = f"{len(pairs)} pairs"
-    bad = multiplier_violation(alg, cand.lam_basis, cand.rho_basis, pairs)
+    ids = resolve_window(alg, window)
+    label = alg.window_label(ids)
+    bad = multiplier_violation(alg, cand.lam_basis, cand.rho_basis,
+                               [(i, j) for i in ids for j in ids])
     if bad is not None:
         tag, ei, ej, lhs, rhs = bad
         raise InvariantViolation(Verdict(
@@ -248,12 +234,11 @@ def multiplier_eq(x: Multiplier, y: Multiplier, probes, strict=None) -> Verdict:
 
 
 def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
-                  window_m=None, window_a=None, verify=False) -> Element:
+                  window_m=None, window_a=None) -> Element:
     """Extend the action along M = MA:  m <| x = sum m_i * (a_i <| x).
 
     Needs a decomposition of m over the windows; raises WindowInsufficiency
-    when none exists.  With ``verify`` a second decomposition (when the
-    solve is underdetermined) must give the same answer.
+    when none exists.
     """
     if module.algebra is not x.alg:
         raise InputError("multiplier belongs to a different algebra")
@@ -263,22 +248,6 @@ def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
     if dec is None:
         raise WindowInsufficiency(
             f"{m} does not decompose over {module.space.window_label(m_ids)}")
-    out = _act_via(module, dec, x)
-    if verify:
-        span = module.action_span(m_ids, a_ids)
-        kernel = span.kernel_basis()
-        if kernel:
-            alt = vec_axpy(module.space.field, dict(span.solve(m.coeffs)), kernel[0])
-            dec2 = [(c, mi, aj) for (mi, aj), c in alt.items()]
-            if _act_via(module, dec2, x) != out:
-                raise InvariantViolation(Verdict(
-                    "action well-defined", "failed",
-                    module.space.window_label(m_ids), witness=(m,),
-                    detail="two decompositions disagree under the multiplier"))
-    return out
-
-
-def _act_via(module, dec, x) -> Element:
     acc: dict = {}
     for c, mi, aj in dec:
         a = module.algebra.basis_element(aj)
@@ -360,41 +329,13 @@ class MultiplierSpace:
                           lambda bid, t=lam_table: t.get(bid, {}),
                           lambda bid, t=rho_table: t.get(bid, {}))
 
-    def table_vector(self, x: Multiplier) -> dict:
-        vec: dict = {}
-        for j in self.alg.basis.ids:
-            for i, v in x.lam_basis(j).coeffs.items():
-                vec[("L", i, j)] = v
-            for i, v in x.rho_basis(j).coeffs.items():
-                vec[("R", i, j)] = v
-        return vec
-
     def iota_rank(self) -> int:
-        cols = [(bid, self.table_vector(iota(self.alg, self.alg.basis_element(bid))))
-                for bid in self.alg.basis.ids]
-        return GaussianSolver(SparseMatrix.from_columns(self.alg.field, cols)).rank
+        """Dimension of iota(A) inside M(A): the rank of the multiplication tables."""
+        return self.alg.regular_solver().rank
 
 
 # ---------------------------------------------------------------------------
 # preimages under iota
-
-
-def _finite_iota_solver(alg: Algebra) -> GaussianSolver:
-    solver = getattr(alg, "_iota_solver", None)
-    if solver is None:
-        ids = alg.basis.ids
-        cols = []
-        for t in ids:
-            col: dict = {}
-            for w in ids:
-                for r, v in alg.mul_basis(t, w).coeffs.items():
-                    col[("L", w, r)] = v
-                for r, v in alg.mul_basis(w, t).coeffs.items():
-                    col[("R", w, r)] = v
-            cols.append((t, col))
-        solver = alg._iota_solver = GaussianSolver(
-            SparseMatrix.from_columns(alg.field, cols))
-    return solver
 
 
 def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
@@ -418,7 +359,7 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
                 rhs[("L", w, r)] = v
             for r, v in z.apply_right(ew).coeffs.items():
                 rhs[("R", w, r)] = v
-        sol = _finite_iota_solver(alg).solve(rhs)
+        sol = alg.regular_solver().solve(rhs)
         if sol is None:
             return None
         return Element(alg, vec_canonical(alg.field, sol))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .fields import GF, QQ, FieldError
-from .linalg import GaussianSolver, SparseMatrix, vec_add
+from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
 from .multiplier import Multiplier, iota
 from .extension import Extension
@@ -281,16 +281,7 @@ def derive_rho(T, lam_table, what="delta"):
     the table is incompatible with being a multiplier.
     """
     ids = list(T.basis.ids)
-    solver = getattr(T, "_rho_solver", None)
-    if solver is None:
-        cols = []
-        for t in ids:
-            col = {}
-            for y in ids:
-                for r, v in T.mul_basis(t, y).coeffs.items():
-                    col[(y, r)] = v
-            cols.append((t, col))
-        solver = T._rho_solver = GaussianSolver(SparseMatrix.from_columns(T.field, cols))
+    solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(
             f"{what} table cannot be completed: the algebra has right annihilators")
@@ -302,7 +293,7 @@ def derive_rho(T, lam_table, what="delta"):
         for y, m_y in frames:
             prod = T.basis_element(p) * m_y
             for r, v in prod.coeffs.items():
-                rhs[(y, r)] = v
+                rhs[("L", y, r)] = v
         sol = solver.solve(rhs)
         if sol is None:
             raise InputError(

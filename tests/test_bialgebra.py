@@ -373,6 +373,19 @@ def test_scaled_counit_breaks_the_unit_constraints():
     assert by_axiom["monoidal right unit"].status == "failed"
 
 
+def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch):
+    # only a rejected certificate (InvariantViolation) is a failed verdict
+    b = kfun_cyclic(2).bialgebra
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken bimodule constructor")
+
+    monkeypatch.setattr(Extension, "from_bimodule", broken)
+    with pytest.raises(TypeError, match="broken bimodule constructor"):
+        check_monoidal_instance(b.delta, b.epsilon, b.counit_witness,
+                                [regular_module(b.algebra)])
+
+
 def test_bundle_slicer_is_cached_per_window():
     b = kfun_cyclic(3).bialgebra
     assert b.slicer() is b.slicer()

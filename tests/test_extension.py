@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
-from mulhopf.extension import (Extension, compose_extensions,
+from mulhopf.extension import (Extension, _join_windows, compose_extensions,
                                extension_from_bimodule, extension_from_map,
                                identity_extension, lift_to_multiplier,
                                psi_embed, restrict_module, tensor_extensions)
@@ -173,6 +173,13 @@ def test_tensor_spans_never_apply_a_psi_multiplier(monkeypatch):
         for side in ("ba", "ab"):
             assert ext._span(side).rank > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("w1", [3, None, (0, 1)], ids=["int", "None", "tuple"])
+@pytest.mark.parametrize("w2", [2, None, (1,)], ids=["int", "None", "tuple"])
+def test_joined_windows_are_the_smaller_int_else_none(w1, w2):
+    want = {(3, 2): 2, (3, None): 3, (3, (1,)): 3, (None, 2): 2, ((0, 1), 2): 2}
+    assert _join_windows(w1, w2) == want.get((w1, w2))  # every other pair: None
 
 
 def test_psi_embed_componentwise():

@@ -18,8 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # e_i = c_i d_i, Delta(e_k)(e_j (x) e_l) = [j + l = k] c_k (e_j (x) e_l) and
 # S(e_k) = (c_k / c_{n-k}) e_{n-k}, so the finite solves see those scalars
 # (non-integral over Q for Z/6; over F_7, with a declared counit, for Z/4).
-# The two check-comodule reports cover the tensor extensions rho (x) id and
-# id (x) Delta on an oracle window and on a finite algebra.
+# check-hopf on the spec without an antipode line synthesizes S after the
+# T1/T2 gate.  The two check-comodule reports cover the tensor extensions
+# rho (x) id and id (x) Delta on an oracle window and on a finite algebra.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -27,6 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_hopf_rescaled_z6.json", ["check-hopf", "rescaled_z6_antipode.spec"], 0),
     ("check_comodule_kfin_Z_w2.json", ["check-comodule", "kfin_Z_w2.spec"], 0),
     ("check_comodule_rescaled_z4_f7.json", ["check-comodule", "rescaled_z4_f7.spec"], 0),
+    ("check_hopf_rescaled_z6_synth.json", ["check-hopf", "rescaled_z6.spec"], 0),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

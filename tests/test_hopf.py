@@ -40,6 +40,28 @@ def test_canonical_maps_bijective_on_cyclic():
             assert vs["bijectivity"].status == "proven"
 
 
+def test_bijectivity_on_the_window_domain_factors_one_matrix(monkeypatch):
+    # a finite algebra's scaled domain is its window, so surjectivity
+    # solves with the factorisation injectivity has just made
+    b = kfun_cyclic(3).bialgebra
+    sl = b.slicer()
+    for a in sl.ids:
+        for c in sl.ids:
+            sl.slice("right", a, c)  # slices first: they solve iota preimages
+    built = []
+    real = linalg.GaussianSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.GaussianSolver, "__init__", counted)
+    vs = check_bijective(b.delta, "T1", slicer=sl)
+    assert vs["bijectivity"].status == "proven"
+    assert vs["surjectivity"].detail == "window domain"
+    assert len(built) == 1
+
+
 def test_t1_kernel_on_half_line():
     # on K(N) the monoid coproduct sends delta_0 (x) delta_1 to
     # Delta(delta_0)(1 (x) delta_1) = 0: T1 has a kernel

@@ -1,7 +1,7 @@
 import pytest
 
-from mulhopf import linalg
-from mulhopf.algebra import InvariantViolation, regular_module
+from mulhopf import linalg, multiplier
+from mulhopf.algebra import InputError, InvariantViolation, regular_module
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2
 from mulhopf.multiplier import (Multiplier, MultiplierSpace, act_on_module,
@@ -125,6 +125,58 @@ def test_combine_equals_the_chained_sum_and_is_zero_without_terms(field):
     for i in ids:
         e = A.basis_element(i)
         assert zero.apply_left(e).is_zero() and zero.apply_right(e).is_zero()
+
+
+class FormerSums:
+    """Multiplier.__add__, __neg__ and scale as they were before ``combine``."""
+
+    @staticmethod
+    def add(x, y):
+        return Multiplier(x.alg, lambda bid: x.lam_basis(bid) + y.lam_basis(bid),
+                          lambda bid: x.rho_basis(bid) + y.rho_basis(bid))
+
+    @staticmethod
+    def neg(x):
+        return Multiplier(x.alg, lambda bid: -x.lam_basis(bid),
+                          lambda bid: -x.rho_basis(bid))
+
+    @staticmethod
+    def scale(x, scalar):
+        s = x.alg.field.coerce(scalar)
+        return Multiplier(x.alg, lambda bid: x.lam_basis(bid).scale(s),
+                          lambda bid: x.rho_basis(bid).scale(s))
+
+
+def basis_tables(x):
+    """Every lam_basis / rho_basis image with its key order."""
+    return [(bid, list(x.lam_basis(bid).coeffs.items()), list(x.rho_basis(bid).coeffs.items()))
+            for bid in x.alg.basis.ids]
+
+
+@pytest.mark.parametrize("xs", [
+    lambda: MultiplierSpace(kfun_cyclic(3).algebra).basis,
+    lambda: MultiplierSpace(rowalg2().algebra).basis,
+    lambda: [iota(A, A.basis_element(i)) for A in [random_algebra(2)] for i in A.basis.ids],
+    lambda: [iota(A, A.basis_element(i) + A.basis_element(i).scale(3))
+             for A in [random_algebra(3, field=GF(7))] for i in A.basis.ids],
+], ids=["space-K(Z/3)", "space-rowalg2", "Q", "F7"])
+def test_sums_negatives_and_scalings_are_the_former_ones(xs, monkeypatch):
+    xs = list(xs())
+    field = xs[0].alg.field
+    combined = []
+    real = multiplier.combine
+    monkeypatch.setattr(multiplier, "combine",
+                        lambda alg, terms: combined.append(alg) or real(alg, terms))
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        for c in (field.coerce(3), field.coerce(-2), field.zero):
+            assert basis_tables(x.scale(c)) == basis_tables(FormerSums.scale(x, c))
+        assert basis_tables(x + y) == basis_tables(FormerSums.add(x, y))
+        assert basis_tables(-x) == basis_tables(FormerSums.neg(x))
+        assert basis_tables(x - y) == basis_tables(FormerSums.add(x, FormerSums.neg(y)))
+    assert len(combined) == 7 * len(xs)  # each of the seven is one flat sum
+    other = one(kfun_cyclic(2).algebra)
+    with pytest.raises(InputError, match="different algebras"):
+        xs[0] + other
 
 
 def test_make_multiplier_rejects_incompatible_pair():
