@@ -25,15 +25,14 @@ from .multiplier import (
     make_multiplier, multiplier_eq, multiplier_violation, one,
 )
 from .extension import (
-    Extension, compose_extensions, extension_from_bimodule, extension_from_map,
-    identity_extension, lift_to_multiplier, psi_embed, restrict_module,
+    Extension, compose_extensions, identity_extension, psi_embed, restrict_module,
     tensor_extensions,
 )
 from .bialgebra import (
     CounitSynthesis, MultiplierBialgebra, SliceUndefined, Slicer,
     check_coassociative, check_counit, check_fons, check_monoidal_instance,
-    counit_extension, epsilon_module, eps_value, sweedler_slice,
-    synthesize_counit, tensor_module_action,
+    counit_extension, epsilon_module, eps_value, synthesize_counit,
+    tensor_module_action,
 )
 from .hopf import (
     AntipodeSynthesis, MultiplierMap, canonical_map, check_antipode,

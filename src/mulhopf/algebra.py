@@ -180,10 +180,6 @@ class Element:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def support(self):
-        return self.coeffs.keys()
-
     def sorted_items(self):
         key = self.space.sort_key
         return sorted(self.coeffs.items(), key=lambda kv: key(kv[0]))

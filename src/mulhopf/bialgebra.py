@@ -185,45 +185,27 @@ class Slicer:
         return Element(self.txt, acc)
 
 
-def cached_slicer(cache: dict, delta: Extension, window, expansion) -> Slicer:
-    """The one Slicer of ``delta`` per (window, expansion) kept in ``cache``."""
-    sl = cache.get((window, expansion))
-    if sl is None:
-        sl = cache[(window, expansion)] = Slicer(delta, window=window, expansion=expansion)
-    return sl
-
-
-def sweedler_slice(delta: Extension, a: Element, b: Element, side="right",
-                   window=None, expansion=2) -> Element:
-    """One-off slice; prefer holding a Slicer when iterating."""
-    return Slicer(delta, window=window, expansion=expansion).slice_elem(side, a, b)
-
-
-def check_fons(delta: Extension, window=None, expansion=2, strict=True,
-               slicer=None) -> Verdict:
+def check_fons(slicer: Slicer) -> Verdict:
     """Both framed products land in iota(A (x) A) for every window pair.
 
-    ``strict`` checks each oracle slice against the window probes too.
+    Each oracle slice is checked against the window probes too.
     """
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
-    label = delta.source.window_label(slicer.ids)
+    alg = slicer.alg
+    label = alg.window_label(slicer.ids)
     for i in slicer.ids:
         for j in slicer.ids:
             try:
-                slicer.slice("right", i, j, verify=strict)
-                slicer.slice("left", j, i, verify=strict)
+                slicer.slice("right", i, j, verify=True)
+                slicer.slice("left", j, i, verify=True)
             except SliceUndefined as exc:
                 return Verdict("slice membership", "failed", label,
-                               witness=(delta.source.basis_element(i),
-                                        delta.source.basis_element(j)),
+                               witness=(alg.basis_element(i), alg.basis_element(j)),
                                detail=str(exc))
-    return Verdict("slice membership", delta.source.baseline(slicer.ids), label)
+    return Verdict("slice membership", alg.baseline(slicer.ids), label)
 
 
-def check_coassociative(delta: Extension, window=None, expansion=2,
-                        slicer=None) -> Verdict:
+def check_coassociative(slicer: Slicer) -> Verdict:
     """Sliced coassociativity over all window triples, inner slice first."""
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     return _sliced_coassoc(slicer, slicer, slicer.ids, slicer.ids, "coassociativity",
                            slicer.alg.window_label(slicer.ids),
                            "slice-iterated sides differ: {} vs {}")
@@ -288,7 +270,7 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     return Verdict(axiom, joint_baseline((B, ids), (A, c_ids)), label)
 
 
-def counit_extension(alg: Algebra, table, name="eps") -> Extension:
+def counit_extension(alg: Algebra, table) -> Extension:
     """Wrap scalar values eps(e_i) as an extension A --> k.
 
     ``table`` is a dict or a callable; missing ids raise WindowInsufficiency
@@ -312,7 +294,7 @@ def counit_extension(alg: Algebra, table, name="eps") -> Extension:
         unit = {"1": val} if val else {}
         return Multiplier(k, lambda _i: unit, lambda _i: unit)
 
-    ext = Extension(alg, k, rule, name=name, source_window=None, target_window=None)
+    ext = Extension(alg, k, rule, name="eps", source_window=None, target_window=None)
     ext.scalar = lambda elem: _eps_value(alg, lookup, elem)
     return ext
 
@@ -335,10 +317,8 @@ def eps_value(epsilon: Extension, elem: Element):
     return out.coeffs.get("1", k.field.zero)
 
 
-def check_counit(delta: Extension, epsilon: Extension, window=None,
-                 expansion=2, slicer=None) -> Verdict:
+def check_counit(slicer: Slicer, epsilon: Extension) -> Verdict:
     """eps(a_(1,b)) a_(2,b) = ab = a_(b,1) eps(a_(b,2)) on window pairs."""
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     label = alg.window_label(ids)
@@ -387,14 +367,13 @@ class CounitSynthesis:
         return f"<counit table on {len(self.table)} ids, witness {self.witness}>"
 
 
-def synthesize_counit(delta: Extension, window=None, expansion=2, slicer=None):
+def synthesize_counit(slicer: Slicer):
     """Solve the sliced counit identities for the values eps(e_i).
 
     Returns a CounitSynthesis, or None when the system is inconsistent or
     the solution is not multiplicative; raises WindowInsufficiency when
     equation-touched unknowns remain free.
     """
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     f = alg.field
@@ -485,9 +464,13 @@ class MultiplierBialgebra:
         self._slicers: dict = {}
 
     def slicer(self, window=None, expansion=None) -> Slicer:
-        return cached_slicer(self._slicers, self.delta,
-                             self.window if window is None else window,
-                             self.expansion if expansion is None else expansion)
+        """The one Slicer of Delta per (window, expansion), the bundle's by default."""
+        key = (self.window if window is None else window,
+               self.expansion if expansion is None else expansion)
+        sl = self._slicers.get(key)
+        if sl is None:
+            sl = self._slicers[key] = Slicer(self.delta, window=key[0], expansion=key[1])
+        return sl
 
     def eps(self, elem: Element):
         return eps_value(self.epsilon, elem)

@@ -120,19 +120,19 @@ def _require_bialgebra(entry):
     return entry.bialgebra
 
 
-def _counit_table(bundle, synthesis):
-    alg = bundle.algebra
+def _counit_table(alg, synthesis):
     keys = sorted(synthesis.table, key=alg.sort_key)
     return {alg.fmt_id(k): alg.field.format(synthesis.table[k]) for k in keys}
 
 
-def _antipode_table(bundle, table):
-    alg = bundle.algebra
+def _antipode_table(alg, table):
     keys = sorted(table, key=alg.sort_key)
     return {alg.fmt_id(k): str(table[k]) for k in keys}
 
 
 # --- stages ----------------------------------------------------------------
+# Each command makes its Slicer once (``bundle.slicer``); a stage takes it as
+# the one statement of Delta, window and expansion.
 
 
 def stage_algebra(run: Runner, alg, window) -> list:
@@ -144,82 +144,74 @@ def stage_algebra(run: Runner, alg, window) -> list:
     ])
 
 
-def stage_bialgebra(run: Runner, bundle, window, expansion) -> list:
-    delta = bundle.delta
-    sl = bundle.slicer(window, expansion)
+def stage_bialgebra(run: Runner, sl) -> list:
     return run.group([
-        lambda: delta.validate(),
-        lambda: check_fons(delta, slicer=sl),
-        lambda: check_coassociative(delta, slicer=sl),
+        lambda: sl.delta.validate(),
+        lambda: check_fons(sl),
+        lambda: check_coassociative(sl),
     ])
 
 
-def stage_counit(run: Runner, bundle, window, expansion, report: Report):
+def stage_counit(run: Runner, sl, report: Report):
     """Synthesize the counit and verify the laws.
 
     Returns (synthesis or None, verdicts recorded for this stage).
     """
-    delta = bundle.delta
-    sl = bundle.slicer(window, expansion)
-    label = bundle.algebra.window_label(sl.ids)
+    label = sl.alg.window_label(sl.ids)
     syn = None
 
     def synthesis():
         nonlocal syn
-        syn = synthesize_counit(delta, slicer=sl)
+        syn = synthesize_counit(sl)
         if syn is None:
             return Verdict("counit synthesis", "failed", label,
                            detail="no multiplicative solution of the counit identities")
-        return Verdict("counit synthesis", bundle.algebra.baseline(sl.ids),
+        return Verdict("counit synthesis", sl.alg.baseline(sl.ids),
                        label, detail=syn.detail or f"witness g = {syn.witness}")
 
     vs = run.group([synthesis])
     if syn is None:
         return None, vs
-    vs += run.group([lambda: check_counit(delta, syn.extension, slicer=sl)])
-    report.add_table("epsilon", _counit_table(bundle, syn))
+    vs += run.group([lambda: check_counit(sl, syn.extension)])
+    report.add_table("epsilon", _counit_table(sl.alg, syn))
     return syn, vs
 
 
-def _epsilon(run: Runner, bundle, window, expansion, report: Report,
-             check_declared=False):
-    """The declared counit, else one synthesized by ``stage_counit``.
+def _epsilon(run: Runner, sl, declared, report: Report, check_declared=False):
+    """The ``declared`` counit, else one synthesized by ``stage_counit``.
 
     ``check_declared`` also checks the counit laws of a declared counit.
     Returns None when none is declared and synthesis finds none.
     """
-    if bundle.epsilon is None:
-        syn, _ = stage_counit(run, bundle, window, expansion, report)
+    if declared is None:
+        syn, _ = stage_counit(run, sl, report)
         return syn.extension if syn is not None else None
     if check_declared:
-        sl = bundle.slicer(window, expansion)
-        run.group([lambda: check_counit(bundle.delta, bundle.epsilon, slicer=sl)])
-    return bundle.epsilon
+        run.group([lambda: check_counit(sl, declared)])
+    return declared
 
 
-def stage_antipode(run: Runner, bundle, epsilon, window, expansion, report: Report,
-                   gate=None):
+def stage_antipode(run: Runner, sl, epsilon, report: Report, gate=None):
     """Synthesize the antipode and verify it.
 
     ``gate`` is a ``check_hopf`` result whose verdicts are already
     recorded; only the verdicts after it are recorded then.  A synthesis
     that fails with no failed verdict adds an "antipode synthesis" row.
     """
-    sl = bundle.slicer(window, expansion)
     syn = None
 
     def synthesis():
         nonlocal syn
-        syn = synthesize_antipode(bundle.delta, epsilon, slicer=sl, gate=gate)
+        syn = synthesize_antipode(sl, epsilon, gate=gate)
         vs = syn.verdicts if gate is None else syn.verdicts[2:]
         if not syn.ok and all(v.ok for v in syn.verdicts):
             vs = vs + [Verdict("antipode synthesis", "failed",
-                               bundle.algebra.window_label(sl.ids), detail=syn.detail)]
+                               sl.alg.window_label(sl.ids), detail=syn.detail)]
         return vs
 
     run.group([synthesis])
     if syn.table is not None:
-        report.add_table("antipode", _antipode_table(bundle, syn.table))
+        report.add_table("antipode", _antipode_table(sl.alg, syn.table))
     return syn
 
 
@@ -233,23 +225,24 @@ def cmd_check_algebra(entry, run, report, window, expansion):
 def cmd_check_bialgebra(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
     stage_algebra(run, entry.algebra, window)
-    stage_bialgebra(run, bundle, window, expansion)
-    _epsilon(run, bundle, window, expansion, report, check_declared=True)
+    sl = bundle.slicer(window, expansion)
+    stage_bialgebra(run, sl)
+    _epsilon(run, sl, bundle.epsilon, report, check_declared=True)
 
 
 def cmd_check_hopf(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
     stage_algebra(run, entry.algebra, window)
-    stage_bialgebra(run, bundle, window, expansion)
-    epsilon = _epsilon(run, bundle, window, expansion, report, check_declared=True)
+    sl = bundle.slicer(window, expansion)
+    stage_bialgebra(run, sl)
+    epsilon = _epsilon(run, sl, bundle.epsilon, report, check_declared=True)
     if epsilon is None:
         return
-    sl = bundle.slicer(window, expansion)
     gate = None
 
     def bijectivity():
         nonlocal gate
-        gate = check_hopf(bundle.delta, slicer=sl)
+        gate = check_hopf(sl)
         return [gate["T1"]["bijectivity"], gate["T2"]["bijectivity"], gate["hopf"]]
 
     run.group([bijectivity])
@@ -258,13 +251,11 @@ def cmd_check_hopf(entry, run, report, window, expansion):
     if bundle.antipode is not None:
         s = bundle.antipode
         run.group([
-            lambda: check_antipode(bundle.delta, epsilon, s, slicer=sl),
-            lambda: check_convolution_inverse(bundle.delta, epsilon, s,
-                                              iota_map(bundle.algebra),
-                                              slicer=sl),
+            lambda: check_antipode(sl, epsilon, s),
+            lambda: check_convolution_inverse(sl, epsilon, s, iota_map(bundle.algebra)),
         ])
     else:
-        stage_antipode(run, bundle, epsilon, window, expansion, report, gate=gate)
+        stage_antipode(run, sl, epsilon, report, gate=gate)
 
 
 def cmd_check_comodule(entry, run, report, window, expansion):
@@ -273,7 +264,7 @@ def cmd_check_comodule(entry, run, report, window, expansion):
     com = ComoduleAlgebra(entry.algebra, coaction or bundle.delta, bundle,
                           window=window, expansion=expansion)
     # with no counit the comodule counit law reads failed; the others still run
-    epsilon = _epsilon(run, bundle, window, expansion, report)
+    epsilon = _epsilon(run, com.delta_slicer(), bundle.epsilon, report)
     run.group([lambda: com.coaction.validate()])
     run.group([
         lambda: check_comodule_coassoc(com),
@@ -284,16 +275,16 @@ def cmd_check_comodule(entry, run, report, window, expansion):
 
 
 def cmd_synthesize_counit(entry, run, report, window, expansion):
-    bundle = _require_bialgebra(entry)
-    stage_counit(run, bundle, window, expansion, report)
+    stage_counit(run, _require_bialgebra(entry).slicer(window, expansion), report)
 
 
 def cmd_synthesize_antipode(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
-    epsilon = _epsilon(run, bundle, window, expansion, report)
+    sl = bundle.slicer(window, expansion)
+    epsilon = _epsilon(run, sl, bundle.epsilon, report)
     if epsilon is None:
         return
-    stage_antipode(run, bundle, epsilon, window, expansion, report)
+    stage_antipode(run, sl, epsilon, report)
 
 
 def cmd_classify(entry, run, report, window, expansion):
@@ -309,21 +300,21 @@ def cmd_classify(entry, run, report, window, expansion):
         report.set_classification(_qualify("non-degenerate idempotent algebra",
                                            alg, all_proven, qual_window))
         return
-    bundle = entry.bialgebra
-    tier = stage_bialgebra(run, bundle, window, expansion)
+    sl = entry.bialgebra.slicer(window, expansion)
+    tier = stage_bialgebra(run, sl)
     if any(not v.ok for v in tier):
         report.set_classification(
             "non-degenerate idempotent algebra (coproduct fails its axioms)")
         return
     all_proven = all_proven and all(v.status == "proven" for v in tier)
 
-    syn, counit_vs = stage_counit(run, bundle, window, expansion, report)
+    syn, counit_vs = stage_counit(run, sl, report)
     if syn is None or any(not v.ok for v in counit_vs):
         report.set_classification("coassociative comultiplication without counit")
         return
     all_proven = all_proven and all(v.status == "proven" for v in counit_vs)
 
-    asyn = stage_antipode(run, bundle, syn.extension, window, expansion, report)
+    asyn = stage_antipode(run, sl, syn.extension, report)
     if not all(v.ok for v in asyn.verdicts[:2]) or not asyn.ok:
         report.set_classification(_qualify("multiplier bialgebra", alg,
                                            False, qual_window))

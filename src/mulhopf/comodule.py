@@ -39,15 +39,18 @@ from .algebra import (
 from .multiplier import act_on_module, iota, one
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
-    Slicer, SliceUndefined, _collapse, _sliced_coassoc, cached_slicer, eps_value,
+    Slicer, SliceUndefined, _collapse, _sliced_coassoc, eps_value,
 )
 
 
 class ComoduleAlgebra:
-    """Bundle of an algebra B with a coaction into M(B (x) A)."""
+    """Bundle of an algebra B with a coaction into M(B (x) A).
+
+    Window and expansion default to the bialgebra's.
+    """
 
     def __init__(self, algebra: Algebra, coaction: Extension, bialgebra,
-                 window=None, expansion=2, name=None):
+                 window=None, expansion=None, name=None):
         if coaction.source is not algebra:
             raise InputError("coaction must start at the comodule algebra")
         factors = getattr(coaction.target, "factors", None)
@@ -57,30 +60,29 @@ class ComoduleAlgebra:
         self.coaction = coaction
         self.bialgebra = bialgebra
         self.window = window if window is not None else bialgebra.window
-        self.expansion = expansion
+        self.expansion = expansion if expansion is not None else bialgebra.expansion
         self.name = name or f"{algebra.name} over {bialgebra.name}"
-        self._slicers: dict = {}
+        self._slicer = None
 
-    def slicer(self, window=None, expansion=None) -> Slicer:
+    def slicer(self) -> Slicer:
         """Slice cache of the coaction; Delta's own when the coaction is Delta."""
-        window = self.window if window is None else window
-        expansion = self.expansion if expansion is None else expansion
         if self.coaction is self.bialgebra.delta:
-            return self.bialgebra.slicer(window, expansion)
-        return cached_slicer(self._slicers, self.coaction, window, expansion)
+            return self.delta_slicer()
+        if self._slicer is None:
+            self._slicer = Slicer(self.coaction, window=self.window, expansion=self.expansion)
+        return self._slicer
+
+    def delta_slicer(self) -> Slicer:
+        """Delta's Slicer on this comodule's window and expansion."""
+        return self.bialgebra.slicer(self.window, self.expansion)
 
 
-def _setup(com: ComoduleAlgebra, window, expansion):
-    window = com.window if window is None else window
-    expansion = com.expansion if expansion is None else expansion
+def _setup(com: ComoduleAlgebra):
     B, A = com.algebra, com.bialgebra.algebra
-    gamma = com.slicer(window, expansion)
-    b_ids = resolve_window(B, window)
-    a_ids = resolve_window(A, window)
-    return window, expansion, B, A, gamma, b_ids, a_ids
+    return B, A, com.slicer(), resolve_window(B, com.window), resolve_window(A, com.window)
 
 
-def _coassoc_setup(com: ComoduleAlgebra, window, expansion, max_probes):
+def _coassoc_setup(com: ComoduleAlgebra, max_probes):
     """What both multiplier forms of coassociativity share.
 
     Returns the windows, the coaction slicer, rho (x) id, id (x) Delta,
@@ -89,7 +91,8 @@ def _coassoc_setup(com: ComoduleAlgebra, window, expansion, max_probes):
     first probe on which the two sides act differently and on which side
     ("left" or "right"), or None.
     """
-    window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
+    B, A, gamma, b_ids, a_ids = _setup(com)
+    window, expansion = com.window, com.expansion
     delta = com.bialgebra.delta
     triple_l = tensor_algebra(com.coaction.target, A)  # (B(x)A)(x)A
     triple_r = tensor_algebra(B, delta.target)          # B(x)(A(x)A)
@@ -117,8 +120,7 @@ def _coassoc_setup(com: ComoduleAlgebra, window, expansion, max_probes):
             len(probes), status, differs)
 
 
-def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
-                           method="multiplier") -> Verdict:
+def check_comodule_coassoc(com: ComoduleAlgebra, method="multiplier") -> Verdict:
     """Framed coassociativity of the coaction.
 
     ``method`` "multiplier" checks the pair form on all window pairs
@@ -129,13 +131,13 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
     slice does not exist.
     """
     if method == "element":
-        window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
-        return _sliced_coassoc(gamma, com.bialgebra.slicer(window, expansion), b_ids, a_ids,
+        B, A, gamma, b_ids, a_ids = _setup(com)
+        return _sliced_coassoc(gamma, com.delta_slicer(), b_ids, a_ids,
                                "comodule coassociativity (element)",
                                f"{B.window_label(b_ids)}^2 x {A.window_label(a_ids)}",
                                "sliced sides differ")
     (B, A, gamma, b_ids, a_ids, _triple_l, rho_x_id, id_x_delta, frames,
-     n_probes, status, differs) = _coassoc_setup(com, window, expansion, None)
+     n_probes, status, differs) = _coassoc_setup(com, None)
     label = (f"{B.window_label(b_ids)} / {A.window_label(a_ids)}, "
              f"{n_probes} probes")
 
@@ -155,15 +157,14 @@ def check_comodule_coassoc(com: ComoduleAlgebra, window=None, expansion=None,
     return Verdict("comodule coassociativity", status, label)
 
 
-def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
-                                  expansion=None, max_probes=24) -> Verdict:
+def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdict:
     """(c (x) 1 (x) 1)-framed variant, cross-checked on capped probes.
 
     Replaces the lift on the right side by the left slice (c (x) 1)rho(b),
     so it exercises an independent computation route.
     """
     (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
-     n_probes, status, differs) = _coassoc_setup(com, window, expansion, max_probes)
+     n_probes, status, differs) = _coassoc_setup(com, max_probes)
     label = (f"{len(b_ids)}^2 x {len(a_ids)} framed triples, "
              f"{n_probes} probes")
     one_a = one(A)
@@ -197,8 +198,7 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, window=None,
     return Verdict("comodule coassociativity (framed)", status, label)
 
 
-def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
-                          epsilon=None) -> Verdict:
+def check_comodule_counit(com: ComoduleAlgebra, epsilon=None) -> Verdict:
     """(id (x) eps)-bar(rho(b)(1 (x) a)) = eps(a) iota(b) on window pairs.
 
     Both sides are iota of elements of B, so this is an element equality:
@@ -207,7 +207,7 @@ def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
     defaults to the bialgebra's declared counit; with neither, the law
     fails for want of a counit.
     """
-    window, expansion, B, A, gamma, b_ids, a_ids = _setup(com, window, expansion)
+    B, A, gamma, b_ids, a_ids = _setup(com)
     eps = epsilon if epsilon is not None else com.bialgebra.epsilon
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     if eps is None:
@@ -233,7 +233,7 @@ def check_comodule_counit(com: ComoduleAlgebra, window=None, expansion=None,
 
 
 def check_module_algebra(module: ModuleStructure, delta: Extension,
-                         window=None, expansion=2) -> Verdict:
+                         window=None) -> Verdict:
     """mu((b (x) b') <| Delta(a)) = (b b') <| a on window triples.
 
     ``module`` is a right module over A = delta.source whose carrier is
@@ -250,7 +250,7 @@ def check_module_algebra(module: ModuleStructure, delta: Extension,
     b_ids = resolve_window(B, window)
     a_ids = resolve_window(A, window)
     pair_window = [(i, j) for i in b_ids for j in b_ids]
-    scaled = scaled_window(A, window, expansion)
+    scaled = scaled_window(A, window, delta.expansion)
     aa_window = [(i, j) for i in scaled for j in scaled]
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     for bi in b_ids:

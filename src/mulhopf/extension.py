@@ -164,12 +164,14 @@ class Extension:
                         f"{'B.A' if side == 'ba' else 'A.B'} decomposition "
                         f"over {self.window_label()}")
                 self._lift_decs[(side, bid)] = dec
+            # f(x |> e_i) |> e_j summed term by term over x |> e_i = sum d e_k
             acc: dict = {}
             for c, i, j in dec:
-                moved = self.apply(x_basis(i))
-                hit = (moved.lam_basis(j) if side == "ba" else moved.rho_basis(j)).coeffs
-                if hit:
-                    vec_axpy(field, acc, hit, c)
+                for k, d in x_basis(i).sorted_items():
+                    fk = self.basis_multiplier(k)
+                    hit = (fk.lam_basis(j) if side == "ba" else fk.rho_basis(j)).coeffs
+                    if hit:
+                        vec_axpy(field, acc, hit, field.mul(c, d))
             return Element(tgt, acc)
 
         return rule
@@ -240,15 +242,13 @@ class Extension:
 
     @classmethod
     def from_map(cls, source, target, rule, name="f", source_window=None,
-                 target_window=None, expansion=2, validate=True):
-        ext = cls(source, target, rule, name=name, source_window=source_window,
-                  target_window=target_window, expansion=expansion)
-        return ext.ensure_valid() if validate else ext
+                 target_window=None, expansion=2):
+        return cls(source, target, rule, name=name, source_window=source_window,
+                   target_window=target_window, expansion=expansion).ensure_valid()
 
     @classmethod
     def from_bimodule(cls, source, target, left_rule, right_rule, name="f",
-                      source_window=None, target_window=None, expansion=2,
-                      validate=True):
+                      source_window=None, target_window=None, expansion=2):
         """Build from bimodule actions b.a, a.b after checking bilinearity.
 
         left_rule(b_id, a_id) and right_rule(a_id, b_id) give the actions on
@@ -293,38 +293,24 @@ class Extension:
                         raise InvariantViolation(Verdict(
                             "bimodule right associativity", "failed", label,
                             witness=(a, b, b2), detail="a.(bb') != (a.b).b'"))
-        return ext.ensure_valid() if validate else ext
+        return ext.ensure_valid()
 
 
-def identity_extension(alg: Algebra, window=None, expansion=2, validate=False) -> Extension:
+def identity_extension(alg: Algebra, window=None, expansion=2) -> Extension:
     from .multiplier import iota as _iota
-    ext = Extension(alg, alg, lambda bid: _iota(alg, alg.basis_element(bid)),
-                    name=f"id_{alg.name}", source_window=window,
-                    target_window=window, expansion=expansion)
-    return ext.ensure_valid() if validate else ext
+    return Extension(alg, alg, lambda bid: _iota(alg, alg.basis_element(bid)),
+                     name=f"id_{alg.name}", source_window=window,
+                     target_window=window, expansion=expansion)
 
 
-def extension_from_map(source, target, rule, **kw) -> Extension:
-    return Extension.from_map(source, target, rule, **kw)
-
-
-def extension_from_bimodule(source, target, left_rule, right_rule, **kw) -> Extension:
-    return Extension.from_bimodule(source, target, left_rule, right_rule, **kw)
-
-
-def lift_to_multiplier(ext: Extension, x: Multiplier) -> Multiplier:
-    return ext.lift(x)
-
-
-def compose_extensions(f: Extension, g: Extension, name=None, validate=False) -> Extension:
+def compose_extensions(f: Extension, g: Extension, name=None) -> Extension:
     """g after f: the structure map is gbar o f, from B into M(R)."""
     if f.target is not g.source:
         raise InputError("compose_extensions: target of f must be source of g")
-    composed = Extension(
+    return Extension(
         f.source, g.target, lambda bid: g.lift(f.basis_multiplier(bid)),
         name=name or f"{g.name}o{f.name}", source_window=f.source_window,
         target_window=g.target_window, expansion=max(f.expansion, g.expansion))
-    return composed.ensure_valid() if validate else composed
 
 
 def psi_embed(parts, into=None) -> Multiplier:
@@ -365,13 +351,13 @@ class TensorExtension(Extension):
     Psi multiplier is applied to a basis element of A (x) A'.
     """
 
-    def __init__(self, f: Extension, g: Extension, **kw):
+    def __init__(self, f: Extension, g: Extension):
         super().__init__(
             tensor_algebra(f.source, g.source), tensor_algebra(f.target, g.target),
             lambda bid: _psi_pair(f.basis_multiplier(bid[0]), g.basis_multiplier(bid[1])),
             name=f"{f.name}(x){g.name}",
-            source_window=kw.get("source_window", _join_windows(f.source_window, g.source_window)),
-            target_window=kw.get("target_window", _join_windows(f.target_window, g.target_window)),
+            source_window=_join_windows(f.source_window, g.source_window),
+            target_window=_join_windows(f.target_window, g.target_window),
             expansion=max(f.expansion, g.expansion))
         self.factors = (f, g)
 
@@ -391,10 +377,9 @@ class TensorExtension(Extension):
         return cols
 
 
-def tensor_extensions(f: Extension, g: Extension, validate=False, **kw) -> Extension:
+def tensor_extensions(f: Extension, g: Extension) -> Extension:
     """(f (x) g): B (x) B' --> A (x) A', structure map Psi o (f (x) g)."""
-    ext = TensorExtension(f, g, **kw)
-    return ext.ensure_valid() if validate else ext
+    return TensorExtension(f, g)
 
 
 def _join_windows(w1, w2):
@@ -403,18 +388,15 @@ def _join_windows(w1, w2):
     return min(ints) if ints else None
 
 
-def restrict_module(ext: Extension, module: ModuleStructure,
-                    window_m=None, window_a=None) -> ModuleStructure:
+def restrict_module(ext: Extension, module: ModuleStructure) -> ModuleStructure:
     """Pull a target-algebra module back to the source along the extension."""
     if module.algebra is not ext.target:
         raise InputError("restrict_module: module is not over the extension target")
-    wm = window_m
-    wa = ext.target_window if window_a is None else window_a
 
     def rule(m_id, b_id):
         m = module.space.basis_element(m_id)
         return act_on_module(module, m, ext.basis_multiplier(b_id),
-                             window_m=wm, window_a=wa).coeffs
+                             window_a=ext.target_window).coeffs
 
     return ModuleStructure(module.space, ext.source, module.side, rule,
                            name=f"{module.name} along {ext.name}")

@@ -48,7 +48,7 @@ class Field:
     def format(self, a):
         return str(a)
 
-    def random(self, rng, nonzero=False):
+    def random(self, rng):
         raise NotImplementedError
 
     def __repr__(self):
@@ -92,12 +92,8 @@ class RationalField(Field):
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
-    def random(self, rng, nonzero=False):
-        lo = 1 if nonzero else -3
-        num = rng.randint(lo, 3) if nonzero else rng.randint(-3, 3)
-        if nonzero and num == 0:
-            num = 1
-        return Fraction(num, rng.randint(1, 3))
+    def random(self, rng):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -147,9 +143,7 @@ class PrimeField(Field):
         except ValueError as exc:
             raise FieldError(f"bad {self.name} literal {text!r}") from exc
 
-    def random(self, rng, nonzero=False):
-        if nonzero:
-            return rng.randint(1, self.p - 1)
+    def random(self, rng):
         return rng.randint(0, self.p - 1)
 
     def __eq__(self, other):

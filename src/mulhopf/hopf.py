@@ -101,8 +101,7 @@ def _all_hold(axiom, window, parts) -> Verdict:
                    else "holds_on_window", window)
 
 
-def check_bijective(delta, which="T1", window=None, expansion=2,
-                    slicer=None) -> dict:
+def check_bijective(slicer: Slicer, which="T1") -> dict:
     """Injectivity and surjectivity verdicts for one canonical map.
 
     Injectivity is the kernel of the map restricted to window pairs (a
@@ -110,7 +109,6 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
     Surjectivity solves for each window pair as an image of the
     expansion-scaled domain.
     """
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg, txt = slicer.alg, slicer.txt
     ids = slicer.ids
     pairs = [(a, b) for a in ids for b in ids]
@@ -137,9 +135,8 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
                   detail=domain_note)
     for (u, v) in pairs:
         if solver.solve({(u, v): alg.field.one}) is None:
-            target = tensor_basis_elem(txt, u, v)
             sur = Verdict(f"{which} surjectivity", "failed", label,
-                          witness=(target,),
+                          witness=(Element(txt, {(u, v): alg.field.one}),),
                           detail=f"not hit by {which} over the {domain_note}")
             break
 
@@ -147,15 +144,9 @@ def check_bijective(delta, which="T1", window=None, expansion=2,
             "bijectivity": _all_hold(f"{which} bijectivity", label, (inj, sur))}
 
 
-def tensor_basis_elem(txt, u, v) -> Element:
-    return Element(txt, {(u, v): txt.field.one})
-
-
-def check_hopf(delta, window=None, expansion=2, slicer=None) -> dict:
+def check_hopf(slicer: Slicer) -> dict:
     """Both canonical maps; "hopf" summarizes."""
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
-    out = {"T1": check_bijective(delta, "T1", slicer=slicer),
-           "T2": check_bijective(delta, "T2", slicer=slicer)}
+    out = {"T1": check_bijective(slicer, "T1"), "T2": check_bijective(slicer, "T2")}
     t1c, t2c = out["T1"]["bijectivity"], out["T2"]["bijectivity"]
     out["hopf"] = _all_hold("canonical maps bijective", t1c.window, (t1c, t2c))
     return out
@@ -165,10 +156,8 @@ def check_hopf(delta, window=None, expansion=2, slicer=None) -> dict:
 # antipodes
 
 
-def check_antipode(delta, epsilon, s: MultiplierMap, window=None, expansion=2,
-                   slicer=None) -> Verdict:
+def check_antipode(slicer: Slicer, epsilon, s: MultiplierMap) -> Verdict:
     """Both defining identities on window pairs; witness is the failing pair."""
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     label = alg.window_label(ids)
@@ -213,8 +202,7 @@ class AntipodeSynthesis:
         return f"<antipode {self.status}: {self.detail or len(self.table or ())}>"
 
 
-def synthesize_antipode(delta, epsilon, window=None, expansion=2,
-                        slicer=None, gate=None) -> AntipodeSynthesis:
+def synthesize_antipode(slicer: Slicer, epsilon, gate=None) -> AntipodeSynthesis:
     """Solve for S with values in M(A), gated on T1/T2 bijectivity.
 
     ``gate`` is a ``check_hopf`` result already computed on the same
@@ -222,12 +210,11 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
     algebras and for finite algebras whose declared unit verifies; other
     finite algebras are solved over all of M(A) (``MultiplierSpace``).
     """
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     f = alg.field
 
-    gate = gate or check_hopf(delta, slicer=slicer)
+    gate = gate or check_hopf(slicer)
     verdicts = [gate["T1"]["bijectivity"], gate["T2"]["bijectivity"]]
     if not gate["hopf"].ok:
         return AntipodeSynthesis(
@@ -316,7 +303,7 @@ def synthesize_antipode(delta, epsilon, window=None, expansion=2,
             return iota(alg, val)
 
     smap = MultiplierMap(alg, rule, name="S")
-    post = check_antipode(delta, epsilon, smap, slicer=slicer)
+    post = check_antipode(slicer, epsilon, smap)
     verdicts.append(post)
     zeroed = len(columns) - len(touched)
     detail = f"unique on {len(touched)} touched coordinates"
@@ -374,7 +361,7 @@ def conv_unit(alg, epsilon, b, name=None) -> MultiplierMap:
         name=name or "alpha")
 
 
-def source_twist(f: MultiplierMap, left=None, right=None, name=None) -> MultiplierMap:
+def source_twist(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
     """(b . f . b')(a) = f(b' a b) with left=b, right=b'."""
     alg = f.alg
     b = _as_elem(alg, left) if left is not None else None
@@ -388,10 +375,10 @@ def source_twist(f: MultiplierMap, left=None, right=None, name=None) -> Multipli
             x = x * b
         return f.apply(x)
 
-    return MultiplierMap(alg, rule, name=name or f"twist({f.name})")
+    return MultiplierMap(alg, rule, name=f"twist({f.name})")
 
 
-def target_frame(f: MultiplierMap, left=None, right=None, name=None) -> MultiplierMap:
+def target_frame(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
     """(b ⇀ f ↼ b')(a) = iota(b) f(a) iota(b')."""
     alg = f.alg
     ib = iota(alg, _as_elem(alg, left)) if left is not None else None
@@ -405,7 +392,7 @@ def target_frame(f: MultiplierMap, left=None, right=None, name=None) -> Multipli
             x = x * ibp
         return x
 
-    return MultiplierMap(alg, rule, name=name or f"frame({f.name})")
+    return MultiplierMap(alg, rule, name=f"frame({f.name})")
 
 
 def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
@@ -424,14 +411,13 @@ def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
     return Verdict(axiom, "holds_on_window", label)
 
 
-def check_convolution_inverse(delta, epsilon, f: MultiplierMap, g: MultiplierMap,
-                              window=None, expansion=2, slicer=None) -> Verdict:
+def check_convolution_inverse(slicer: Slicer, epsilon, f: MultiplierMap,
+                              g: MultiplierMap) -> Verdict:
     """f *^b g = alpha_b and g *_a f = alpha_a for all window frames.
 
     With f = S and g = iota this is the convolution characterization of
     the antipode.
     """
-    slicer = slicer or Slicer(delta, window=window, expansion=expansion)
     alg = slicer.alg
     ids = slicer.ids
     label = alg.window_label(ids)

@@ -78,9 +78,6 @@ class SparseMatrix:
                     seen.add(rkey)
         return cls(field, sorted(seen), [c for c, _ in columns], entries)
 
-    def column(self, ckey) -> dict:
-        return {r: v for (r, c), v in self.entries.items() if c == ckey}
-
     def apply(self, x: dict) -> dict:
         """Matrix times vector, exact; x keyed by column keys."""
         field = self.field

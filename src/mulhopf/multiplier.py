@@ -190,10 +190,10 @@ def multiplier_violation(alg, lam_fn, rho_fn, pairs):
     return None
 
 
-def make_multiplier(alg: Algebra, lam, rho, window=None, name=None) -> Multiplier:
+def make_multiplier(alg: Algebra, lam, rho) -> Multiplier:
     """Validated constructor; rejects with the witness pair on violation."""
-    cand = Multiplier(alg, lam, rho, name=name)
-    ids = resolve_window(alg, window)
+    cand = Multiplier(alg, lam, rho)
+    ids = tuple(alg.window_ids())
     label = alg.window_label(ids)
     bad = multiplier_violation(alg, cand.lam_basis, cand.rho_basis,
                                [(i, j) for i in ids for j in ids])

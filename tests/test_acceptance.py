@@ -19,8 +19,7 @@ from mulhopf.algebra import (check_module, regular_module, resolve_window,
 from mulhopf.bialgebra import (check_monoidal_instance, counit_extension,
                                eps_value, tensor_module_action)
 from mulhopf.cli import main
-from mulhopf.extension import (extension_from_bimodule, extension_from_map,
-                               identity_extension)
+from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
                              perturb_antipode_map, random_algebra,
@@ -70,7 +69,7 @@ def fiber_pullback():
     """Pullback of k-valued functions along Z/4 ->> Z/2."""
     B = kfun_cyclic(2).algebra
     A = kfun_cyclic(4).algebra
-    return extension_from_map(
+    return Extension.from_map(
         B, A, lambda i: iota(A, A.basis_element(i) + A.basis_element(i + 2)),
         name="pullback")
 
@@ -211,9 +210,8 @@ def test_negative_controls_exit_one_with_reverifiable_witnesses(tmp_path):
     sl2 = bundle.slicer()
     for seed in range(4):
         s_bad = perturb_antipode_map(bundle, seed)
-        va = check_antipode(bundle.delta, bundle.epsilon, s_bad)
-        vc = check_convolution_inverse(bundle.delta, bundle.epsilon,
-                                       s_bad, iota_map(alg))
+        va = check_antipode(sl2, bundle.epsilon, s_bad)
+        vc = check_convolution_inverse(sl2, bundle.epsilon, s_bad, iota_map(alg))
         assert va.status == "failed" and vc.status == "failed"
         ea, eb = va.witness
         a_id = next(iter(ea.coeffs))
@@ -239,9 +237,8 @@ def test_antipode_and_convolution_inverse_verdicts_agree():
     for entry in bundles:
         b = entry.bialgebra
         sl = b.slicer(window=3) if entry.name == "kfin_Z" else b.slicer()
-        va = check_antipode(b.delta, b.epsilon, b.antipode, slicer=sl)
-        vc = check_convolution_inverse(b.delta, b.epsilon, b.antipode,
-                                       iota_map(b.algebra), slicer=sl)
+        va = check_antipode(sl, b.epsilon, b.antipode)
+        vc = check_convolution_inverse(sl, b.epsilon, b.antipode, iota_map(b.algebra))
         assert va.ok and vc.ok
     damaged = [kfun_cyclic(2), kfun_cyclic(3), kfun_cyclic(4), kfin_Z()]
     for seed in range(20):
@@ -249,9 +246,8 @@ def test_antipode_and_convolution_inverse_verdicts_agree():
         b = entry.bialgebra
         sl = b.slicer(window=3) if entry.name == "kfin_Z" else b.slicer()
         s_bad = perturb_antipode_map(b, seed)
-        va = check_antipode(b.delta, b.epsilon, s_bad, slicer=sl)
-        vc = check_convolution_inverse(b.delta, b.epsilon, s_bad,
-                                       iota_map(b.algebra), slicer=sl)
+        va = check_antipode(sl, b.epsilon, s_bad)
+        vc = check_convolution_inverse(sl, b.epsilon, s_bad, iota_map(b.algebra))
         assert va.ok == vc.ok
     finish(t0, 30.0, "antipode and convolution-inverse verdicts agree on 5 true + 20 damaged maps")
 
@@ -288,9 +284,9 @@ def test_extension_bimodule_roundtrips_and_lift_laws():
         def right_rule(a_id, b_id, _e=ext):
             return _e.basis_multiplier(b_id).apply_right(A.basis_element(a_id)).coeffs
 
-        rebuilt = extension_from_bimodule(B, A, left_rule, right_rule,
+        rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
                                           name=ext.name + "'")
-        again = extension_from_map(
+        again = Extension.from_map(
             B, A, lambda i, _r=rebuilt: _r.basis_multiplier(i),
             name=ext.name + "''")
         for i in ext.source_ids:

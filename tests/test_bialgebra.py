@@ -1,22 +1,23 @@
 """Coproducts as extensions into M(A(x)A): slices, coassociativity, counits."""
 
+import inspect
 import random
 
 import pytest
 
-from mulhopf import bialgebra
+from mulhopf import bialgebra, comodule, hopf
 from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
 from mulhopf.bialgebra import (MultiplierBialgebra, SliceUndefined, Slicer,
                                check_coassociative, check_counit, check_fons,
                                check_monoidal_instance, counit_extension,
-                               epsilon_module, eps_value, sweedler_slice,
-                               synthesize_counit, tensor_module_action)
-from mulhopf.comodule import check_comodule_coassoc
+                               epsilon_module, eps_value, synthesize_counit,
+                               tensor_module_action)
+from mulhopf.comodule import ComoduleAlgebra, check_comodule_coassoc
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
-                             random_algebra, self_comodule)
+                             random_algebra)
 from mulhopf.hopf import check_hopf
 from mulhopf.multiplier import Multiplier, iota, iota_preimage
 
@@ -69,16 +70,15 @@ def test_slice_beyond_every_retry_raises():
 def test_sweedler_slice_is_bilinear():
     b = kfun_cyclic(3)
     A = b.algebra
-    delta = b.bialgebra.delta
+    sl = Slicer(b.bialgebra.delta)
     x = A.basis_element(0) + A.basis_element(1)
     y = A.basis_element(2).scale(QQ.coerce(3))
     for side in ("right", "left"):
-        got = sweedler_slice(delta, x, y, side=side)
-        want = (sweedler_slice(delta, A.basis_element(0), y, side=side)
-                + sweedler_slice(delta, A.basis_element(1), y, side=side))
+        got = sl.slice_elem(side, x, y)
+        want = (sl.slice_elem(side, A.basis_element(0), y)
+                + sl.slice_elem(side, A.basis_element(1), y))
         assert got == want
-        assert got == sweedler_slice(delta, x, A.basis_element(2),
-                                     side=side).scale(QQ.coerce(3))
+        assert got == sl.slice_elem(side, x, A.basis_element(2)).scale(QQ.coerce(3))
         assert not got.is_zero()
 
 
@@ -114,9 +114,9 @@ def test_undefined_slices_read_failed_with_the_pair_as_witness():
     kz = kfin_Z()
     bad = parity_split_delta(kz)
     pair = (kz.algebra.basis_element(-2), kz.algebra.basis_element(-2))
-    assert check_fons(bad, window=2).witness == pair
-    for v in (check_coassociative(bad, window=2),
-              check_counit(bad, kz.bialgebra.epsilon, window=2)):
+    assert check_fons(Slicer(bad, window=2)).witness == pair
+    for v in (check_coassociative(Slicer(bad, window=2)),
+              check_counit(Slicer(bad, window=2), kz.bialgebra.epsilon)):
         assert v.status == "failed", v
         assert v.witness == pair, v
 
@@ -126,16 +126,16 @@ def test_undefined_slices_read_failed_with_the_pair_as_witness():
 
 def test_fons_and_coassociativity_finite():
     b = kfun_cyclic(4).bialgebra
-    assert check_fons(b.delta).ok
-    v = check_coassociative(b.delta)
+    assert check_fons(Slicer(b.delta)).ok
+    v = check_coassociative(Slicer(b.delta))
     assert v.status == "proven"
 
 
 def test_fons_and_coassociativity_oracle():
     b = kfin_Z().bialgebra
     sl = b.slicer()
-    assert check_fons(b.delta, window=4).ok
-    v = check_coassociative(b.delta, slicer=sl)
+    assert check_fons(Slicer(b.delta, window=4)).ok
+    v = check_coassociative(sl)
     assert v.status == "holds_on_window"
 
 
@@ -145,13 +145,13 @@ def test_strict_fons_rechecks_a_planted_slice_against_the_probes(monkeypatch):
     good = sl.right(1, 2)
     sl._cache[("right", 1, 2)] = good.scale(2)  # wrong, as if truncated
     assert sl.right(1, 2) == good.scale(2)  # unverified requests trust the cache
-    assert check_fons(b.delta, slicer=sl, strict=True).ok
+    assert check_fons(sl).ok
     assert sl.right(1, 2) == good  # recomputed on the verified path
     assert b.slicer(4) is sl
     probes = []
     monkeypatch.setattr(bialgebra, "agrees_on_probes",
                         lambda *args: probes.append(args) or True)
-    assert check_fons(b.delta, slicer=sl, strict=True).ok
+    assert check_fons(sl).ok
     assert probes == []  # each cached slice is checked once
 
 
@@ -162,7 +162,7 @@ def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
     real = sl._preimage
     sl._preimage = lambda z, base=None, probe_ids=None: (  # no verified slice
         None if probe_ids is not None else real(z, base))
-    v = check_fons(b.delta, slicer=sl, strict=True)
+    v = check_fons(sl)
     assert v.status == "failed"
     assert "side=right, a=1, b=2" in v.detail
 
@@ -170,8 +170,8 @@ def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
 def test_an_oracle_slicer_rejects_an_id_tuple_window():
     # an id tuple cannot be scaled by the expansion, so slices would truncate
     with pytest.raises(InputError, match="integer window"):
-        check_fons(kfin_Z().bialgebra.delta, window=(0, 1, 2))
-    assert check_fons(kfun_cyclic(3).bialgebra.delta, window=(0, 1)).ok
+        check_fons(Slicer(kfin_Z().bialgebra.delta, window=(0, 1, 2)))
+    assert check_fons(Slicer(kfun_cyclic(3).bialgebra.delta, window=(0, 1))).ok
 
 
 def test_a_slicer_is_freed_without_the_cycle_collector():
@@ -198,8 +198,8 @@ def test_memoised_slice_contraction_matches_the_direct_one():
     for build in (kfin_Z, kfin_N):
         bundle = build(window=3).bialgebra
         sl = bundle.slicer(3)
-        check_fons(bundle.delta, slicer=sl)
-        check_hopf(bundle.delta, slicer=sl)  # T1/T2 columns reach the scaled domain
+        check_fons(sl)
+        check_hopf(sl)  # T1/T2 columns reach the scaled domain
         txt = sl.txt
         keys = list(sl._cache)
         assert {side for side, _, _ in keys} == {"right", "left"}
@@ -243,12 +243,12 @@ def test_a_frame_is_contracted_through_its_factors(monkeypatch):
 
 
 def test_right_projection_delta_is_coassociative():
-    assert check_coassociative(right_projection_delta()).ok
+    assert check_coassociative(Slicer(right_projection_delta())).ok
 
 
 def test_nand_delta_fails_coassociativity_with_witness():
     b = nand_delta_bundle()
-    v = check_coassociative(b.delta)
+    v = check_coassociative(Slicer(b.delta))
     assert v.status == "failed"
     A = b.algebra
     assert v.witness == (A.basis_element(0), A.basis_element(0),
@@ -278,8 +278,9 @@ def test_coassociativity_is_the_element_law_of_the_self_comodule():
     cases += [(random_coproduct_bundle(seed), None) for seed in range(5)]
     statuses = set()
     for b, window in cases:
-        v = check_coassociative(b.delta, window=window)
-        w = check_comodule_coassoc(self_comodule(b), window=window, method="element")
+        v = check_coassociative(Slicer(b.delta, window=window))
+        com = ComoduleAlgebra(b.algebra, b.delta, b, window=window)
+        w = check_comodule_coassoc(com, method="element")
         assert (v.status, v.witness) == (w.status, w.witness), (b.name, v, w)
         statuses.add(v.status)
     assert statuses == {"proven", "holds_on_window", "failed"}
@@ -291,17 +292,17 @@ def test_coassociativity_is_the_element_law_of_the_self_comodule():
 def test_counit_synthesis_on_cyclic():
     for n in (2, 3, 5):
         b = kfun_cyclic(n)
-        syn = synthesize_counit(b.bialgebra.delta)
+        syn = synthesize_counit(Slicer(b.bialgebra.delta))
         assert syn is not None
         assert syn.table == {k: (QQ.one if k == 0 else QQ.zero) for k in range(n)}
         assert syn.witness == b.algebra.basis_element(0)
         assert syn.detail == f"solved on {n} ids"
-        assert check_counit(b.bialgebra.delta, syn.extension).status == "proven"
+        assert check_counit(Slicer(b.bialgebra.delta), syn.extension).status == "proven"
 
 
 def test_counit_synthesis_on_kz_pins_scaled_window():
     b = kfin_Z()
-    syn = synthesize_counit(b.bialgebra.delta, window=3)
+    syn = synthesize_counit(Slicer(b.bialgebra.delta, window=3))
     assert syn is not None
     # slices reach ids out to twice the window, and every one is pinned
     assert set(syn.table) == set(range(-6, 7))
@@ -310,19 +311,19 @@ def test_counit_synthesis_on_kz_pins_scaled_window():
 
 
 def test_counit_synthesis_inconsistent_returns_none():
-    assert synthesize_counit(nand_delta_bundle().delta) is None
+    assert synthesize_counit(Slicer(nand_delta_bundle().delta)) is None
 
 
 def test_right_projection_delta_has_no_counit():
     # diagonal right slices want the eps values to sum to one, but the
     # left slices force each of them to zero: no counit exists
-    assert synthesize_counit(right_projection_delta()) is None
+    assert synthesize_counit(Slicer(right_projection_delta())) is None
 
 
 def test_wrong_counit_table_fails_with_witness():
     b = kfun_cyclic(3)
     eps_all_one = counit_extension(b.algebra, {k: QQ.one for k in range(3)})
-    v = check_counit(b.bialgebra.delta, eps_all_one)
+    v = check_counit(Slicer(b.bialgebra.delta), eps_all_one)
     assert v.status == "failed"
     assert v.witness == (b.algebra.basis_element(0), b.algebra.basis_element(1))
 
@@ -384,6 +385,26 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
     with pytest.raises(TypeError, match="broken bimodule constructor"):
         check_monoidal_instance(b.delta, b.epsilon, b.counit_witness,
                                 [regular_module(b.algebra)])
+
+
+@pytest.mark.parametrize("check, handle", [
+    (bialgebra.check_fons, "slicer"), (bialgebra.check_coassociative, "slicer"),
+    (bialgebra.synthesize_counit, "slicer"), (bialgebra.check_counit, "slicer"),
+    (hopf.check_bijective, "slicer"), (hopf.check_hopf, "slicer"),
+    (hopf.check_antipode, "slicer"), (hopf.synthesize_antipode, "slicer"),
+    (hopf.check_convolution_inverse, "slicer"),
+    (comodule.check_comodule_coassoc, "com"),
+    (comodule.check_comodule_coassoc_framed, "com"),
+    (comodule.check_comodule_counit, "com"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_a_check_takes_its_handle_and_nothing_the_handle_fixes(check, handle):
+    # the Slicer (or the comodule's) fixes Delta, window and expansion, so no
+    # second statement of them can disagree with the slices a check reads
+    params = list(inspect.signature(check).parameters.values())
+    assert params[0].name == handle
+    assert params[0].default is inspect.Parameter.empty
+    assert not {"delta", "window", "expansion", "strict"} & {p.name for p in params}
+    assert "slicer" not in {p.name for p in params[1:]}
 
 
 def test_bundle_slicer_is_cached_per_window():

@@ -36,11 +36,16 @@ def test_self_comodule_passes_everything_finite():
         assert v.status == "proven", v
 
 
+def on_window(bundle, window):
+    """A over itself with rho = Delta, checked on ``window``."""
+    return ComoduleAlgebra(bundle.algebra, bundle.delta, bundle, window=window)
+
+
 def test_self_comodule_on_kz_window():
-    com = self_comodule(kfin_Z().bialgebra)
+    com = on_window(kfin_Z().bialgebra, 2)
     for check in (check_comodule_coassoc, check_comodule_coassoc_framed,
                   check_comodule_counit):
-        v = check(com, window=2)
+        v = check(com)
         assert v.status == "holds_on_window", v
 
 
@@ -48,10 +53,10 @@ def test_both_coassociativity_paths_agree():
     # when the framed slices are honest elements, the multiplier-level
     # and element-level statements are the same check
     finite = self_comodule(kfun_cyclic(3).bialgebra)
-    oracle = self_comodule(kfin_Z().bialgebra)
-    for com, window in ((finite, None), (oracle, 2)):
-        a = check_comodule_coassoc(com, window=window)
-        b = check_comodule_coassoc(com, window=window, method="element")
+    oracle = on_window(kfin_Z().bialgebra, 2)
+    for com in (finite, oracle):
+        a = check_comodule_coassoc(com)
+        b = check_comodule_coassoc(com, method="element")
         assert a.ok and b.ok
 
 
@@ -85,6 +90,14 @@ def test_unit_comodule_over_the_base_field():
     com = ComoduleAlgebra(K, rho, b)
     assert check_comodule_coassoc(com).ok
     assert check_comodule_counit(com).ok
+
+
+def test_a_comodule_reads_window_and_expansion_from_its_bialgebra():
+    b = kfin_Z().bialgebra
+    b.expansion = 3  # as a spec file's `expansion 3` line sets it
+    com = ComoduleAlgebra(b.algebra, b.delta, b)
+    assert (com.window, com.expansion) == (b.window, 3)
+    assert com.slicer() is b.slicer()
 
 
 def test_comodule_requires_matching_tensor_factors():

@@ -6,9 +6,8 @@ from hypothesis import strategies as strat
 
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
 from mulhopf.extension import (Extension, _join_windows, compose_extensions,
-                               extension_from_bimodule, extension_from_map,
-                               identity_extension, lift_to_multiplier,
-                               psi_embed, restrict_module, tensor_extensions)
+                               identity_extension, psi_embed, restrict_module,
+                               tensor_extensions)
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_extension
 from mulhopf.multiplier import Multiplier, iota, multiplier_eq, one
@@ -23,7 +22,7 @@ def fiber_map_z2_to_z4():
     def rule(i):
         return iota(A, A.basis_element(i) + A.basis_element(i + 2))
 
-    return extension_from_map(B, A, rule, name="pullback")
+    return Extension.from_map(B, A, rule, name="pullback")
 
 
 def test_validate_passes_for_structure_maps():
@@ -61,10 +60,30 @@ def test_lift_is_multiplicative_on_iota_products():
     assert multiplier_eq(ext.lift(x * y), ext.lift(x) * ext.lift(y), range(4)).ok
 
 
-def test_lift_to_multiplier_alias():
+def test_identity_extension_lifts_to_the_identity():
     ext = identity_extension(kfun_cyclic(2).algebra)
     m = iota(ext.source, ext.source.basis_element(1))
-    assert multiplier_eq(lift_to_multiplier(ext, m), m, range(2)).ok
+    assert multiplier_eq(ext.lift(m), m, range(2)).ok
+
+
+@pytest.mark.parametrize("case", ["finite", "oracle"])
+def test_a_lift_builds_no_combined_multiplier(case, monkeypatch):
+    # fbar(x) |> e_j is summed from the basis multipliers f(e_k), term by
+    # term over x |> e_i = sum d e_k, with no f(x |> e_i) built per term
+    if case == "finite":
+        ext, probes = fiber_map_z2_to_z4(), range(4)
+    else:
+        ext, probes = identity_extension(kfin_Z().algebra, window=2), (-1, 0, 2)
+    B = ext.source
+    b = B.basis_element(0) + B.basis_element(1).scale(QQ.coerce(3))
+    applied = []
+    real = Extension.apply
+    monkeypatch.setattr(Extension, "apply",
+                        lambda self, x: applied.append(x) or real(self, x))
+    lifted = ext.lift(iota(B, b))
+    images = [(lifted.lam_basis(j), lifted.rho_basis(j)) for j in probes]
+    assert applied == [] and any(l.coeffs or r.coeffs for l, r in images)
+    assert multiplier_eq(lifted, ext.apply(b), probes).ok
 
 
 def test_bimodule_roundtrip():
@@ -78,7 +97,7 @@ def test_bimodule_roundtrip():
     def right_rule(a_id, b_id):
         return ext.basis_multiplier(b_id).apply_right(A.basis_element(a_id)).coeffs
 
-    rebuilt = extension_from_bimodule(B, A, left_rule, right_rule,
+    rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
                                       name="pullback'")
     for i in range(2):
         assert multiplier_eq(rebuilt.basis_multiplier(i),
@@ -92,7 +111,7 @@ def test_from_map_rejects_non_multiplicative_rule():
     # but d1*d1 = d1 means images must match indices)
     bad = {0: 1, 1: 1}
     with pytest.raises(InvariantViolation):
-        extension_from_map(B, A, lambda i: iota(A, A.basis_element(bad[i])),
+        Extension.from_map(B, A, lambda i: iota(A, A.basis_element(bad[i])),
                            name="bad")
 
 

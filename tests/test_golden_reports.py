@@ -19,8 +19,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # S(e_k) = (c_k / c_{n-k}) e_{n-k}, so the finite solves see those scalars
 # (non-integral over Q for Z/6; over F_7, with a declared counit, for Z/4).
 # check-hopf on the spec without an antipode line synthesizes S after the
-# T1/T2 gate.  The two check-comodule reports cover the tensor extensions
-# rho (x) id and id (x) Delta on an oracle window and on a finite algebra.
+# T1/T2 gate.  The check-comodule reports cover the tensor extensions
+# rho (x) id and id (x) Delta on an oracle window and on a finite algebra;
+# the last one declares the trivial coaction rho(b) = b (x) 1 of Z/4 over
+# F_7 in coaction lines, so the coaction is sliced apart from Delta.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -29,6 +31,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_comodule_kfin_Z_w2.json", ["check-comodule", "kfin_Z_w2.spec"], 0),
     ("check_comodule_rescaled_z4_f7.json", ["check-comodule", "rescaled_z4_f7.spec"], 0),
     ("check_hopf_rescaled_z6_synth.json", ["check-hopf", "rescaled_z6.spec"], 0),
+    ("check_comodule_trivial_coaction_z4_f7.json",
+     ["check-comodule", "rescaled_z4_f7_trivial_coaction.spec"], 0),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

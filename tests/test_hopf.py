@@ -6,7 +6,7 @@ import pytest
 
 from mulhopf import hopf, linalg
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
-from mulhopf.bialgebra import counit_extension
+from mulhopf.bialgebra import Slicer, counit_extension
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, perturb_antipode_map
@@ -34,7 +34,7 @@ def test_canonical_maps_bijective_on_cyclic():
     for n in (2, 3):
         b = kfun_cyclic(n).bialgebra
         for which in ("T1", "T2"):
-            vs = check_bijective(b.delta, which=which)
+            vs = check_bijective(Slicer(b.delta), which=which)
             assert vs["injectivity"].status == "proven"
             assert vs["surjectivity"].status == "proven"
             assert vs["bijectivity"].status == "proven"
@@ -56,7 +56,7 @@ def test_bijectivity_on_the_window_domain_factors_one_matrix(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg.GaussianSolver, "__init__", counted)
-    vs = check_bijective(b.delta, "T1", slicer=sl)
+    vs = check_bijective(sl, "T1")
     assert vs["bijectivity"].status == "proven"
     assert vs["surjectivity"].detail == "window domain"
     assert len(built) == 1
@@ -70,14 +70,14 @@ def test_t1_kernel_on_half_line():
     A = b.algebra
     x = tensor_elem(A.basis_element(0), A.basis_element(1), into=sl.txt)
     assert canonical_map(sl, "T1", x).is_zero()
-    vs = check_bijective(b.bialgebra.delta, which="T1", slicer=sl)
+    vs = check_bijective(sl, which="T1")
     assert vs["injectivity"].status == "failed"
     assert str(vs["injectivity"].witness[0]) == "1*(d0,d1)"
 
 
 def test_check_hopf_verdict_keys():
     b = kfun_cyclic(2).bialgebra
-    vs = check_hopf(b.delta)
+    vs = check_hopf(Slicer(b.delta))
     assert set(vs) == {"T1", "T2", "hopf"}
     assert vs["hopf"].axiom == "canonical maps bijective"
     assert vs["hopf"].status == "proven"
@@ -89,7 +89,7 @@ def test_check_hopf_verdict_keys():
 def test_antipode_table_on_cyclic():
     for n in (2, 3, 4, 5):
         b = kfun_cyclic(n)
-        syn = synthesize_antipode(b.bialgebra.delta, b.bialgebra.epsilon)
+        syn = synthesize_antipode(Slicer(b.bialgebra.delta), b.bialgebra.epsilon)
         assert syn.ok
         assert syn.table == {k: b.algebra.basis_element((n - k) % n)
                              for k in range(n)}
@@ -98,7 +98,7 @@ def test_antipode_table_on_cyclic():
 
 def test_antipode_table_on_kz_is_negation():
     b = kfin_Z()
-    syn = synthesize_antipode(b.bialgebra.delta, b.bialgebra.epsilon, window=3)
+    syn = synthesize_antipode(Slicer(b.bialgebra.delta, window=3), b.bialgebra.epsilon)
     assert syn.ok
     assert syn.table == {n: b.algebra.basis_element(-n) for n in range(-3, 4)}
 
@@ -133,10 +133,10 @@ def test_unital_antipode_matches_the_multiplier_space_route(field, monkeypatch):
     n = 5
     b = kfun_cyclic(n, field=field).bialgebra
     assert b.algebra.verified_unit == b.algebra.unit
-    unital = synthesize_antipode(b.delta, b.epsilon)
+    unital = synthesize_antipode(Slicer(b.delta), b.epsilon)
     assert builds == []  # M(A) = iota(A): solved in elements of A
     delta, eps = cyclic_functions(n, field, unit=None)
-    plain = synthesize_antipode(delta, eps)
+    plain = synthesize_antipode(Slicer(delta), eps)
     assert len(builds) == 1  # no declared unit: solved over all of M(A)
     assert unital.ok and plain.ok
     assert {t: v.coeffs for t, v in unital.table.items()} == \
@@ -150,7 +150,7 @@ def test_a_false_declared_unit_takes_the_multiplier_space_route(monkeypatch):
     delta, eps = cyclic_functions(n, QQ, unit={0: QQ.one})  # d0 is no unit
     assert delta.source.unit is not None
     assert delta.source.verified_unit is None
-    syn = synthesize_antipode(delta, eps)
+    syn = synthesize_antipode(Slicer(delta), eps)
     assert len(builds) == 1
     assert syn.ok
     assert {t: v.coeffs for t, v in syn.table.items()} == \
@@ -159,7 +159,7 @@ def test_a_false_declared_unit_takes_the_multiplier_space_route(monkeypatch):
 
 def test_antipode_synthesis_fails_on_half_line():
     b = kfin_N(window=3)
-    syn = synthesize_antipode(b.bialgebra.delta, b.bialgebra.epsilon)
+    syn = synthesize_antipode(Slicer(b.bialgebra.delta), b.bialgebra.epsilon)
     assert not syn.ok
     gate = syn.verdicts[0]
     assert gate.axiom == "T1 bijectivity"
@@ -168,12 +168,12 @@ def test_antipode_synthesis_fails_on_half_line():
 
 def test_check_antipode_accepts_the_true_map_and_rejects_perturbations():
     b = kfun_cyclic(3)
-    delta, eps = b.bialgebra.delta, b.bialgebra.epsilon
-    s_true = b.bialgebra.antipode or synthesize_antipode(delta, eps).map
-    assert check_antipode(delta, eps, s_true).ok
+    sl, eps = Slicer(b.bialgebra.delta), b.bialgebra.epsilon
+    s_true = b.bialgebra.antipode or synthesize_antipode(sl, eps).map
+    assert check_antipode(sl, eps, s_true).ok
     for seed in range(5):
         s_bad = perturb_antipode_map(b.bialgebra, seed)
-        assert check_antipode(delta, eps, s_bad).status == "failed"
+        assert check_antipode(sl, eps, s_bad).status == "failed"
 
 
 def test_antipode_iff_convolution_inverse():
@@ -181,22 +181,21 @@ def test_antipode_iff_convolution_inverse():
     # agree, for the honest antipode and for every perturbation
     for entry in (kfun_cyclic(2), kfun_cyclic(3)):
         b = entry.bialgebra
-        s_true = b.antipode or synthesize_antipode(b.delta, b.epsilon).map
+        sl = Slicer(b.delta)
+        s_true = b.antipode or synthesize_antipode(sl, b.epsilon).map
         candidates = [s_true] + [perturb_antipode_map(b, seed)
                                  for seed in range(4)]
         for s in candidates:
-            left = check_antipode(b.delta, b.epsilon, s)
-            right = check_convolution_inverse(b.delta, b.epsilon, s,
-                                              iota_map(b.algebra))
+            left = check_antipode(sl, b.epsilon, s)
+            right = check_convolution_inverse(sl, b.epsilon, s, iota_map(b.algebra))
             assert left.ok == right.ok, (s.name, left, right)
 
 
 def test_convolution_inverse_on_kz_window():
     b = kfin_Z().bialgebra
     sl = b.slicer(window=3)
-    syn = synthesize_antipode(b.delta, b.epsilon, slicer=sl)
-    v = check_convolution_inverse(b.delta, b.epsilon, syn.map,
-                                  iota_map(b.algebra), slicer=sl)
+    syn = synthesize_antipode(sl, b.epsilon)
+    v = check_convolution_inverse(sl, b.epsilon, syn.map, iota_map(b.algebra))
     assert v.status == "holds_on_window"
 
 
@@ -205,13 +204,12 @@ def test_convolution_inverse_builds_no_rank_solver_per_argument(monkeypatch):
     # rank solve over the probes for every argument and frame
     b = kfun_cyclic(3).bialgebra
     sl = b.slicer()
-    check_antipode(b.delta, b.epsilon, b.antipode, slicer=sl)  # fills the slices
+    check_antipode(sl, b.epsilon, b.antipode)  # fills the slices
     built = []
     real_init = linalg.GaussianSolver.__init__
     monkeypatch.setattr(linalg.GaussianSolver, "__init__",
                         lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
-    v = check_convolution_inverse(b.delta, b.epsilon, b.antipode,
-                                  iota_map(b.algebra), slicer=sl)
+    v = check_convolution_inverse(sl, b.epsilon, b.antipode, iota_map(b.algebra))
     assert v.status == "proven"
     assert built == []
 

@@ -1,13 +1,15 @@
 """Every name a package module imports is used somewhere in that module,
-and every module-level private function is referenced somewhere in the
-package."""
+and every function and method of the package is referenced from the
+package or its tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mulhopf"
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,34 +36,45 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_functions(sources: dict) -> list:
-    """(module, line, name) of module-level ``_private`` functions that no
-    module of ``sources`` (name -> text) references outside their own body."""
-    defined, used = [], set()
+def unreferenced_functions(sources: dict, users=()) -> list:
+    """(module, line, name) of the functions and methods defined in
+    ``sources`` (module name -> text), dunders exempt, whose name no text of
+    ``sources`` or ``users`` uses outside the function's own body."""
+    def names(tree):
+        for sub in ast.walk(tree):
+            name = (sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else
+                    sub.name if isinstance(sub, ast.alias) else None)
+            if name is not None:
+                yield name
+
+    uses, defined = Counter(), []
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = node.name
-                if owner.startswith("_") and not owner.startswith("__"):
-                    defined.append((module, node.lineno, owner))
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name) else
-                        sub.attr if isinstance(sub, ast.Attribute) else
-                        sub.name if isinstance(sub, ast.alias) else None)
-                if name is not None and name != owner:
-                    used.add(name)
-    return sorted(d for d in defined if d[2] not in used)
+        tree = ast.parse(source)
+        uses.update(names(tree))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                own = sum(name == node.name for name in names(node))
+                defined.append((module, node.lineno, node.name, own))
+    for source in users:
+        uses.update(names(ast.parse(source)))
+    return sorted((m, line, name) for m, line, name, own in defined if uses[name] <= own)
 
 
-def test_the_scan_flags_an_unreferenced_private_function():
+def test_the_scan_flags_an_unreferenced_function_or_method():
     sources = {
-        "a": "def _dead(n):\n    return _dead(n - 1)\n\ndef _used():\n    pass\n",
+        "a": ("def _dead(n):\n    return _dead(n - 1)\n\ndef _used():\n    pass\n\n"
+              "class C:\n    def __eq__(self, o):\n        pass\n\n"
+              "    def stale(self):\n        pass\n\n    def fresh(self):\n        pass\n"),
         "b": "from .a import _used\n\ndef public():\n    return _used()\n",
     }
-    assert unreferenced_private_functions(sources) == [("a", 1, "_dead")]
+    users = ["from a import C\n\ndef test_c():\n    C().fresh()\n"]
+    assert unreferenced_functions(sources, users) == [
+        ("a", 1, "_dead"), ("a", 11, "stale"), ("b", 3, "public")]
 
 
-def test_every_private_function_is_referenced():
+def test_every_function_and_method_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    assert unreferenced_private_functions(sources) == []
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")]
+    assert unreferenced_functions(sources, tests) == []
