@@ -261,14 +261,10 @@ class Algebra(Space):
         self._local_unit_for = local_unit_for
         self._lu_cache: dict = {}
 
-    @property
+    @cached_property
     def unit(self):
-        if self._unit_data is None:
-            return None
-        if isinstance(self._unit_data, Element):
-            return self._unit_data
-        self._unit_data = self.element(self._unit_data)
-        return self._unit_data
+        """The declared unit, unverified (see ``verified_unit``), or None."""
+        return None if self._unit_data is None else self.element(self._unit_data)
 
     @cached_property
     def verified_unit(self):
@@ -279,13 +275,7 @@ class Algebra(Space):
         declaration cannot leak into a result.
         """
         u = self.unit if self.finite else None
-        if u is None:
-            return None
-        for bid in self.basis.ids:
-            e = self.basis_element(bid)
-            if u * e != e or e * u != e:
-                return None
-        return u
+        return None if u is None or unit_miss(self, u, self.basis.ids) is not None else u
 
     @property
     def has_local_units(self):
@@ -312,12 +302,16 @@ class Algebra(Space):
             )
         return out
 
+    def basis_product(self, i, j) -> dict:
+        """Coefficients of e_i * e_j, the product ``element_mul`` sums."""
+        return self.mul_basis(i, j).coeffs
+
     def element_mul(self, x: Element, y: Element) -> Element:
-        field = self.field
+        field, product = self.field, self.basis_product
         acc: dict = {}
         for i, ci in x.coeffs.items():
             for j, cj in y.coeffs.items():
-                prod = self.mul_basis(i, j).coeffs
+                prod = product(i, j)
                 if prod:
                     vec_axpy(field, acc, prod, field.mul(ci, cj))
         return Element(self, acc)
@@ -490,6 +484,16 @@ def check_nondegenerate(alg: Algebra, window=None) -> Verdict:
     return Verdict("non-degeneracy", alg.baseline(ids), label)
 
 
+def unit_miss(alg: Algebra, u: Element, ids):
+    """First id in ``ids`` whose basis element u does not fix on both sides,
+    or None; ``verified_unit`` and ``check_local_units`` scan with it."""
+    for bid in ids:
+        e = alg.basis_element(bid)
+        if u * e != e or e * u != e:
+            return bid
+    return None
+
+
 def local_units_witness(alg: Algebra, probes, window=None):
     """Window elements acting as units on each probe, or None.
 
@@ -530,23 +534,21 @@ def check_local_units(alg: Algebra, window=None) -> Verdict:
     """
     ids = resolve_window(alg, window)
     label = alg.window_label(ids)
-    probes = [alg.basis_element(i) for i in ids]
     if alg.unit is not None:
-        u = alg.unit
-        for p in probes:
-            if u * p != p or p * u != p:
-                return Verdict("local units", "failed", label, witness=(p,),
-                               detail="declared unit does not act as a unit")
+        miss = unit_miss(alg, alg.unit, ids)
+        if miss is not None:
+            return Verdict("local units", "failed", label, witness=(alg.basis_element(miss),),
+                           detail="declared unit does not act as a unit")
         return Verdict("local units", "proven", label, detail="unit element")
     if alg.has_local_units:
         e = alg.local_unit(ids)
-        for p in probes:
-            if e * p != p or p * e != p:
-                return Verdict("local units", "failed", label, witness=(p, e),
-                               detail="certified local unit fails on a probe")
+        miss = unit_miss(alg, e, ids)
+        if miss is not None:
+            return Verdict("local units", "failed", label, witness=(alg.basis_element(miss), e),
+                           detail="certified local unit fails on a probe")
         return Verdict("local units", alg.baseline(ids), label,
                        detail="certified local unit verified")
-    found = local_units_witness(alg, probes, window=ids)
+    found = local_units_witness(alg, [alg.basis_element(i) for i in ids], window=ids)
     if found is None:
         return Verdict("local units", "failed", label,
                        detail="no element of the window span acts as a unit "
@@ -683,11 +685,13 @@ def _outer(field, x: dict, y: dict) -> dict:
     return {(u, v): field.mul(cu, cv) for u, cu in x.items() for v, cv in y.items()}
 
 
-def _tensor_cache(left) -> dict:
-    cache = getattr(left, "_tensor_right", None)
-    if cache is None:
-        cache = left._tensor_right = {}
-    return cache
+def _tensor_cache(kind, left, right, build):
+    """The one ``kind`` tensor of left and right, kept on ``left`` (with right: id stays valid)."""
+    cache = left.__dict__.setdefault("_tensor_right", {})
+    hit = cache.get((kind, id(right)))
+    if hit is None:
+        hit = cache[(kind, id(right))] = (build(left, right), right)
+    return hit[0]
 
 
 def _pair_fmt(left, right):
@@ -707,52 +711,51 @@ def _pair_basis(left: Space, right: Space):
 
 
 def tensor_space(left: Space, right: Space) -> Space:
-    cache = _tensor_cache(left)
-    key = ("space", id(right))
-    sp = cache.get(key)
-    if sp is None:
+    def build(left, right):
         sp = Space(left.field, _pair_basis(left, right),
                    name=f"{left.name}(x){right.name}", fmt_id=_pair_fmt(left, right))
         sp.factors = (left, right)
-        cache[key] = (sp, right)  # keep right alive so id() stays valid
-    else:
-        sp = sp[0]
-    return sp
+        return sp
+    return _tensor_cache("space", left, right, build)
 
 
-def tensor_algebra(left: Algebra, right: Algebra) -> Algebra:
-    """Componentwise product on pair ids; unit and local units when both have them."""
-    cache = _tensor_cache(left)
-    key = ("algebra", id(right))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit[0]
-    if left.field != right.field:
-        raise InputError("tensor factors over different fields")
+class TensorAlgebra(Algebra):
+    """left (x) right on pair ids, multiplied factor by factor: a pair of
+    terms stops at a zero left product, and nothing is cached per pair of
+    pair ids (``mul_basis`` still tabulates for the solvers).  The unit
+    verifies as a theorem, (u (x) v)(a (x) b) = ua (x) vb, from the
+    factors' verified units; a declared unit here is never trusted."""
 
-    f = left.field
-
-    def rule(p, q):
-        (i1, j1), (i2, j2) = p, q
-        return _outer(f, left.mul_basis(i1, i2).coeffs, right.mul_basis(j1, j2).coeffs)
-
-    unit = None
-    if left.unit is not None and right.unit is not None:
-        unit = _outer(f, left.unit.coeffs, right.unit.coeffs)
-
-    local = None
-    if left._local_unit_for is not None or right._local_unit_for is not None:
-        if left.has_local_units and right.has_local_units:
+    def __init__(self, left: Algebra, right: Algebra):
+        if left.field != right.field:
+            raise InputError("tensor factors over different fields")
+        f, unit, local = left.field, None, None
+        if left.unit is not None and right.unit is not None:
+            unit = _outer(f, left.unit.coeffs, right.unit.coeffs)
+        if ((left._local_unit_for is not None or right._local_unit_for is not None)
+                and left.has_local_units and right.has_local_units):
             def local(ids):
-                lids, rids = factor_windows(alg, ids)
+                lids, rids = factor_windows(self, ids)
                 return _outer(f, left.local_unit(lids).coeffs, right.local_unit(rids).coeffs)
+        self.factors = (left, right)
+        super().__init__(f, _pair_basis(left, right), self.basis_product, unit=unit,
+                         local_unit_for=local, name=f"{left.name}(x){right.name}",
+                         fmt_id=_pair_fmt(left, right))
 
-    alg = Algebra(left.field, _pair_basis(left, right), rule, unit=unit,
-                  local_unit_for=local, name=f"{left.name}(x){right.name}",
-                  fmt_id=_pair_fmt(left, right))
-    alg.factors = (left, right)
-    cache[key] = (alg, right)
-    return alg
+    def basis_product(self, p, q) -> dict:
+        (i1, j1), (i2, j2), (left, right) = p, q, self.factors
+        x = left.basis_product(i1, i2)
+        y = right.basis_product(j1, j2) if x else None
+        return _outer(self.field, x, y) if y else {}
+
+    @cached_property
+    def verified_unit(self):
+        u, v = (fac.verified_unit for fac in self.factors)
+        return None if u is None or v is None else tensor_elem(u, v, into=self)
+
+
+def tensor_algebra(left: Algebra, right: Algebra) -> TensorAlgebra:
+    return _tensor_cache("algebra", left, right, TensorAlgebra)
 
 
 def factor_windows(alg: Algebra, ids):

@@ -10,7 +10,8 @@ both honest elements of A (x) A.  ``Slicer`` computes them as preimages
 under iota: exactly (full linear solve) for finite algebras, and through
 the certified local unit of the expansion-scaled window for oracle
 algebras, with one doubling retry to separate "window too small" from
-"not in the image of iota".
+"not in the image of iota".  On a finite unital A (x) A a certified
+Delta(e_a) = iota(c_a) makes them products, c_a (1 (x) e_b) and (e_a (x) 1) c_b.
 
 Coassociativity and the counit laws are checked in sliced form, iterating
 the inner slice first:
@@ -40,7 +41,8 @@ from .algebra import (
     joint_baseline, reassociate_left, resolve_window, scalar_algebra, scaled_window,
     tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import Multiplier, agrees_on_probes, iota, iota_preimage, one
+from .multiplier import (Multiplier, agrees_on_probes, in_solve_order, iota, iota_element,
+                         iota_preimage, one)
 from .extension import Extension, psi_embed
 
 
@@ -62,9 +64,9 @@ class Slicer:
     a run.  ``slice(..., verify=True)`` also checks an oracle slice against
     every window probe of A (x) A, once per cached slice; a slice that fails
     its probes is recomputed with the probes enforced at each tried window.
-    Finite slices are exact solves and skip the probes.  Oracle slices
-    contract against the expansion-scaled window, so they need an integer
-    window.
+    Finite slices are exact (products when Delta is certified, else solves)
+    and skip the probes.  Oracle slices contract against the
+    expansion-scaled window, so they need an integer window.
     """
 
     def __init__(self, delta: Extension, window=None, expansion=2):
@@ -127,6 +129,17 @@ class Slicer:
             arg, fspace, fid = b_id, self.lfac, a_id
         return z, None if self.txt.finite else self._arg_cover(arg, fspace, fid)
 
+    def _product(self, side, a_id, b_id):
+        """c_a (1 (x) e_b) or (e_a (x) 1) c_b when Delta of the argument is a
+        certified iota(c); None sends the slice to the solve."""
+        c = iota_element(self.delta.basis_multiplier(a_id if side == "right" else b_id))
+        if c is None:
+            return None
+        lf, rf, t = self.lfac, self.rfac, self.txt
+        if side == "right":
+            return in_solve_order(c * tensor_elem(lf.verified_unit, rf.basis_element(b_id), t))
+        return in_solve_order(tensor_elem(lf.basis_element(a_id), rf.verified_unit, t) * c)
+
     def _preimage(self, z: Multiplier, base, probe_ids=None):
         if self.txt.finite:
             return iota_preimage(self.txt, z)
@@ -144,9 +157,11 @@ class Slicer:
         """
         key = (side, a_id, b_id)
         u = self._cache.get(key)
+        if u is None and self.txt.finite:
+            u = self._product(side, a_id, b_id)
         check = verify and not self.txt.finite and key not in self._verified
         if u is not None and not check:
-            return u
+            return self._cache.setdefault(key, u)
         z, base = self._framed(side, a_id, b_id)
         if u is None:
             u = self._preimage(z, base)

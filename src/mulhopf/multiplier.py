@@ -29,7 +29,7 @@ from .algebra import (
 
 class Multiplier:
     __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod",
-                 "_psi", "_unit_memo", "name")
+                 "_psi", "_unit_memo", "_iota", "name")
 
     def __init__(self, alg: Algebra, lam, rho, name=None):
         self.alg = alg
@@ -40,6 +40,7 @@ class Multiplier:
         self._prod = None
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
         self._unit_memo = None  # (side, window) -> contraction with that local unit
+        self._iota = None  # iota_element's outcome: c with self = iota(c), or False
         self.name = name
 
     # -- basis-level actions, memoized (rules are pure) ---------------------
@@ -336,6 +337,42 @@ class MultiplierSpace:
 
 # ---------------------------------------------------------------------------
 # preimages under iota
+
+
+def iota_element(z: Multiplier):
+    """c with z = iota(c), certified once and memoised on z, or None.
+
+    With a verified unit M(A) = A: c = z |> 1, certified by lam(e_y) = c e_y
+    and rho(e_y) = e_y c on every basis id (``unital_certificate``).  iota
+    is injective on a unital A (iota(x) = 0 gives x = x 1 = 0), so c is the
+    unique preimage ``iota_preimage`` would solve for.  None (no verified
+    unit, or a failed certificate) keeps the caller on its solve path.
+    """
+    if z._iota is None:
+        z._iota = unital_certificate(z.alg, z.lam_basis, z.rho_basis) or False
+    return z._iota or None
+
+
+def unital_certificate(alg: Algebra, lam, rho=None):
+    """c = lam(1) if lam(e_y) = c e_y and rho(e_y) = e_y c on every basis
+    id y of a finite ``alg`` with a verified unit, else None.  Without
+    ``rho`` the caller sets rho(e_y) = e_y c itself (``derive_rho``)."""
+    u = alg.verified_unit if alg.finite else None
+    if u is None:
+        return None
+    c = _extend(alg, lam, u)
+    for y in alg.basis.ids:
+        ey = alg.basis_element(y)
+        if lam(y) != c * ey or (rho is not None and rho(y) != ey * c):
+            return None
+    return c
+
+
+def in_solve_order(x: Element) -> Element:
+    """x in descending basis order, as a full-rank finite solve lists its
+    terms, so a certified product matches ``iota_preimage`` key for key."""
+    return Element(x.space, dict(sorted(x.coeffs.items(), reverse=True,
+                                        key=lambda kv: x.space.sort_key(kv[0]))))
 
 
 def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):

@@ -33,7 +33,7 @@ import re
 from .fields import GF, QQ, FieldError
 from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
-from .multiplier import Multiplier, iota
+from .multiplier import Multiplier, in_solve_order, iota, unital_certificate
 from .extension import Extension
 from .bialgebra import MultiplierBialgebra, counit_extension
 from .hopf import MultiplierMap
@@ -279,8 +279,15 @@ def derive_rho(T, lam_table, what="delta"):
     right action is the unique solution of `x m(y) = (x m) y`.  Raises
     when the algebra has right annihilators (no unique completion) or
     the table is incompatible with being a multiplier.
+
+    On a unital T, rho(e_p) = e_p c, c = m(1), once m(e_y) = c e_y for all y
+    (``unital_certificate``): m is iota(c), certified by this pass.  A solve
+    forces the same (put 1 into x e_y = e_p m(y)), so it runs only to raise.
     """
     ids = list(T.basis.ids)
+    c = unital_certificate(T, lambda y: Element(T, lam_table.get(y, {})))
+    if c is not None:
+        return {p: in_solve_order(T.basis_element(p) * c).coeffs for p in ids}
     solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(
@@ -303,17 +310,19 @@ def derive_rho(T, lam_table, what="delta"):
 
 
 def _slice_extension(A, T, tables, name):
-    """Extension A -> M(T) from per-generator left slice tables."""
-    mults = {}
+    """Extension A -> M(T) from per-generator left slice tables; on a unital
+    T each keeps ``derive_rho``'s certificate iota(c), c = m(1)."""
+    mults, u = {}, T.verified_unit
     for i in A.basis.ids:
         lam_table = {frame: dict(coeffs)
                      for frame, coeffs in tables.get(i, {}).items()}
         rho_table = derive_rho(T, lam_table, what=f"{name} {A.fmt_id(i)}")
-        mults[i] = Multiplier(
+        mults[i] = m = Multiplier(
             T,
             lambda bid, _t=lam_table: Element(T, _t.get(bid, {})),
             lambda bid, _t=rho_table: Element(T, _t.get(bid, {})),
             name=f"{name}({A.fmt_id(i)})")
+        m._iota = u and m.apply_left(u)
     return Extension(A, T, lambda i: mults[i], name=name)
 
 

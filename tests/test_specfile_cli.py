@@ -415,9 +415,12 @@ def test_check_hopf_runs_the_canonical_map_gate_once(tmp_path, capsys, monkeypat
     assert json.loads(once)["tables"]["antipode"] == {"e": "1*e", "g": "1*g"}
 
 
-def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeypatch):
+def slice_routes(tmp_path, capsys, monkeypatch, spec_text):
+    """classify a spec; the run's bundle, its slicers, and the slices each
+    route computed: products in A (x) A (certified Delta) and iota solves."""
     from mulhopf import bialgebra, cli
-    entries, built, solved, current = [], [], [], []
+    entries, built, current = [], [], []
+    routes = {"product": [], "solve": []}
     real_resolve = cli.resolve_input
     monkeypatch.setattr(cli, "resolve_input",
                         lambda text: entries.append(real_resolve(text)) or entries[-1])
@@ -434,15 +437,41 @@ def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeyp
             current.pop()
 
     monkeypatch.setattr(bialgebra.Slicer, "slice", slice_)
+    real_product = bialgebra.Slicer._product
+
+    def product(self, side, a_id, b_id):
+        u = real_product(self, side, a_id, b_id)
+        if u is not None:
+            routes["product"].append(current[-1])
+        return u
+
+    monkeypatch.setattr(bialgebra.Slicer, "_product", product)
     real_preimage = bialgebra.iota_preimage
-    monkeypatch.setattr(bialgebra, "iota_preimage",
-                        lambda *a, **k: solved.append(current[-1]) or real_preimage(*a, **k))
-    rc, out, _ = run_cli(["classify", write_spec(tmp_path, FUN2_SPEC)], capsys)
+    monkeypatch.setattr(bialgebra, "iota_preimage", lambda *a, **k: routes["solve"].append(
+        current[-1]) or real_preimage(*a, **k))
+    rc, out, _ = run_cli(["classify", write_spec(tmp_path, spec_text)], capsys)
     assert rc == 0
+    assert "classification: multiplier Hopf algebra (" in out
+    return entries[0][0].bialgebra, built, routes, out
+
+
+def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeypatch):
+    # the declared unit verifies, so every slice is a product in A (x) A
+    bundle, built, routes, out = slice_routes(tmp_path, capsys, monkeypatch, FUN2_SPEC)
     assert "classification: multiplier Hopf algebra (proven; finite)" in out
-    bundle = entries[0][0].bialgebra
     assert len(built) == 1 and list(bundle._slicers.values()) == built
-    assert len(solved) == len(set(solved)) == len(built[0]._cache) == 8
+    done = routes["product"] + routes["solve"]
+    assert routes["solve"] == []
+    assert len(done) == len(set(done)) == len(built[0]._cache) == 8
+
+
+def test_classify_without_a_unit_line_solves_each_slice_once(tmp_path, capsys, monkeypatch):
+    spec = FUN2_SPEC.replace("unit = 1*d0 + 1*d1\n", "")
+    bundle, built, routes, _ = slice_routes(tmp_path, capsys, monkeypatch, spec)
+    assert bundle.algebra.unit is None
+    assert len(built) == 1 and list(bundle._slicers.values()) == built
+    assert routes["product"] == []
+    assert len(routes["solve"]) == len(set(routes["solve"])) == len(built[0]._cache) == 8
 
 
 def test_check_comodule_over_itself_shares_the_bundle_slicer(capsys, monkeypatch):
