@@ -135,10 +135,12 @@ class Slicer:
         c = iota_element(self.delta.basis_multiplier(a_id if side == "right" else b_id))
         if c is None:
             return None
-        lf, rf, t = self.lfac, self.rfac, self.txt
-        if side == "right":
-            return in_solve_order(c * tensor_elem(lf.verified_unit, rf.basis_element(b_id), t))
-        return in_solve_order(tensor_elem(lf.basis_element(a_id), rf.verified_unit, t) * c)
+        # only the framed leg multiplies: sum c_xy x (x) (y e_b), or (e_a x) (x) y
+        f, acc, right = self.txt.field, {}, side == "right"
+        for (x, y), v in c.coeffs.items():
+            hit = self.rfac.basis_product(y, b_id) if right else self.lfac.basis_product(a_id, x)
+            vec_axpy(f, acc, {((x, k) if right else (k, y)): w for k, w in hit.items()}, v)
+        return in_solve_order(Element(self.txt, acc))
 
     def _preimage(self, z: Multiplier, base, probe_ids=None):
         if self.txt.finite:

@@ -33,10 +33,9 @@ from __future__ import annotations
 from .linalg import vec_axpy
 from .algebra import (
     Algebra, Element, InputError, ModuleStructure, Verdict, joint_baseline,
-    reassociate_left, reassociate_right, resolve_window, scaled_window, tensor_algebra,
-    tensor_elem, tensor_module,
+    resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import act_on_module, iota, one
+from .multiplier import act_on_module, basis_image, iota, one
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
     Slicer, SliceUndefined, _collapse, _sliced_coassoc, eps_value,
@@ -104,20 +103,19 @@ def _coassoc_setup(com: ComoduleAlgebra, max_probes):
     frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
                            into=triple_r) for a in a_ids}
     probe_ids = resolve_window(triple_l, window)[:max_probes]
-    probes = [(p, reassociate_right(p, triple_r))
-              for p in map(triple_l.basis_element, probe_ids)]
     status = joint_baseline((B, b_ids), (A, a_ids), (triple_l, probe_ids))
 
     def differs(lhs, rhs):
-        for p, pr in probes:
-            if reassociate_left(rhs.apply_left(pr), triple_l) != lhs.apply_left(p):
-                return p, "left"
-            if reassociate_left(rhs.apply_right(pr), triple_l) != lhs.apply_right(p):
-                return p, "right"
+        for p in probe_ids:
+            pr = (p[0][0], (p[0][1], p[1]))  # ((i,j),k) -> (i,(j,k))
+            for side in ("left", "right"):
+                got = {((i, j), k): v for (i, (j, k)), v in basis_image(rhs, side, pr).items()}
+                if got != basis_image(lhs, side, p):
+                    return triple_l.basis_element(p), side
         return None
 
     return (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
-            len(probes), status, differs)
+            len(probe_ids), status, differs)
 
 
 def check_comodule_coassoc(com: ComoduleAlgebra, method="multiplier") -> Verdict:

@@ -399,8 +399,7 @@ def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
            axiom="map equality") -> Verdict:
     """Compare two maps A -> M(A) on arguments, multiplier-wise on probes;
     window-grade evidence (holds_on_window) when they agree."""
-    alg = f.alg
-    probes = [_as_elem(alg, p) for p in probes]
+    alg, probes = f.alg, tuple(probes)
     label = f"{len(tuple(arg_ids))} args x {len(probes)} probes"
     for t in arg_ids:
         eq = multiplier_eq(f.basis(t), g.basis(t), probes, strict="holds_on_window")

@@ -81,11 +81,8 @@ class Multiplier:
         if other.alg is not self.alg:
             raise InputError("multipliers over different algebras")
         x, y = self, other
-        out = Multiplier(
-            self.alg,
-            lambda bid: x.apply_left(y.lam_basis(bid)),
-            lambda bid: y.apply_right(x.rho_basis(bid)),
-        )
+        out = Multiplier(self.alg, lambda bid: x.apply_left(y.lam_basis(bid)),
+                         lambda bid: y.apply_right(x.rho_basis(bid)))
         # applying a product to a whole element goes factor by factor, which
         # keeps the intermediate support materialized once instead of per id
         out._prod = (x, y)
@@ -206,31 +203,26 @@ def make_multiplier(alg: Algebra, lam, rho) -> Multiplier:
     return cand
 
 
-def multiplier_eq(x: Multiplier, y: Multiplier, probes, strict=None) -> Verdict:
-    """Compare both actions on probe elements; first mismatch is the witness.
+def multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdict:
+    """Compare both actions on probe basis ids; first mismatch is the witness.
 
     ``strict`` overrides the ok-status; by default it is "proven" exactly
-    when the algebra is finite and the probes span it.
+    when the probes cover the basis of a finite algebra.
     """
     if x.alg is not y.alg:
         raise InputError("multipliers over different algebras")
-    alg = x.alg
-    probes = [alg.basis_element(p) if not isinstance(p, Element) else p for p in probes]
-    label = f"{len(probes)} probes"
-    for p in probes:
-        if x.apply_left(p) != y.apply_left(p):
-            return Verdict("multiplier equality", "failed", label, witness=(p,),
-                           detail=f"x|>p = {x.apply_left(p)} but y|>p = {y.apply_left(p)}")
-        if x.apply_right(p) != y.apply_right(p):
-            return Verdict("multiplier equality", "failed", label, witness=(p,),
-                           detail=f"p<|x = {x.apply_right(p)} but p<|y = {y.apply_right(p)}")
+    alg, probe_ids = x.alg, tuple(probe_ids)
+    label = f"{len(probe_ids)} probes"
+    for w in probe_ids:
+        for side, text in (("left", "x|>p = {} but y|>p = {}"),
+                           ("right", "p<|x = {} but p<|y = {}")):
+            hx, hy = basis_image(x, side, w), basis_image(y, side, w)
+            if hx != hy:  # witness and text are built for the failing probe only
+                return Verdict("multiplier equality", "failed", label,
+                               witness=(alg.basis_element(w),),
+                               detail=text.format(Element(alg, hx), Element(alg, hy)))
     if strict is None:
-        strict = "holds_on_window"
-        if alg.finite:
-            cols = [(k, p.coeffs) for k, p in enumerate(probes)]
-            solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
-            if solver.rank == len(alg.basis.ids):
-                strict = "proven"
+        strict = "proven" if alg.covers_fully(probe_ids) else "holds_on_window"
     return Verdict("multiplier equality", strict, label)
 
 
@@ -389,13 +381,9 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
     slice that shares it.  Oracle results are window-relative.
     """
     if alg.finite:
-        rhs: dict = {}
-        for w in alg.basis.ids:
-            ew = alg.basis_element(w)
-            for r, v in z.apply_left(ew).coeffs.items():
-                rhs[("L", w, r)] = v
-            for r, v in z.apply_right(ew).coeffs.items():
-                rhs[("R", w, r)] = v
+        rhs = {(tag, w, r): v for w in alg.basis.ids
+               for tag, side in (("L", "left"), ("R", "right"))
+               for r, v in basis_image(z, side, w).items()}
         sol = alg.regular_solver().solve(rhs)
         if sol is None:
             return None
@@ -442,14 +430,41 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     return out
 
 
+def basis_image(z: Multiplier, side, bid) -> dict:
+    """Coefficients of z |> e_bid (side "left") or e_bid <| z (side "right").
+
+    A leaf gives its memoised basis action.  A product x*y goes factor by
+    factor, inner image first (y on the left, x on the right), and caches
+    nothing on the product, which a probe sweep meets once per probe.
+    """
+    if z._prod is None:
+        return (z.lam_basis(bid) if side == "left" else z.rho_basis(bid)).coeffs
+    inner, outer = z._prod[::-1] if side == "left" else z._prod
+    hit = basis_image(inner, side, bid)
+    if not hit:
+        return hit
+    field, acc = z.alg.field, {}
+    for k, c in hit.items():
+        image = basis_image(outer, side, k)
+        if image:
+            vec_axpy(field, acc, image, c)
+    return acc
+
+
 def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
     """iota(u) and z act alike, from both sides, on every probe basis element.
 
-    u e_w and e_w u are summed from ``mul_basis`` over u's terms and compared
-    with z's basis actions on w, so no probe element is built.
+    u e_w and e_w u are summed from ``basis_product`` over u's terms and
+    compared with ``basis_image``, so no probe element is built.
     """
+    field, product = alg.field, alg.basis_product
     for w in probe_ids:
-        if (_extend(alg, lambda i, w=w: alg.mul_basis(i, w), u) != z.lam_basis(w)
-                or _extend(alg, lambda i, w=w: alg.mul_basis(w, i), u) != z.rho_basis(w)):
-            return False
+        for side in ("left", "right"):
+            acc: dict = {}
+            for i, c in u.coeffs.items():
+                hit = product(i, w) if side == "left" else product(w, i)
+                if hit:
+                    vec_axpy(field, acc, hit, c)
+            if acc != basis_image(z, side, w):
+                return False
     return True

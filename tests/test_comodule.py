@@ -11,7 +11,7 @@ from mulhopf.extension import Extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import (kfin_Z, kfun_cyclic, self_comodule,
                              trivial_module_algebra)
-from mulhopf.multiplier import one
+from mulhopf.multiplier import Multiplier, one
 
 
 def shifted_coaction(bundle, offset=1):
@@ -69,6 +69,39 @@ def test_shifted_coaction_fails_coassociativity():
     assert v.witness is not None
     assert check_comodule_coassoc(com, method="element").status == "failed"
     assert check_comodule_coassoc_framed(com).status == "failed"
+
+
+def doubled_coaction(bundle, sides):
+    """rho(d_k) = Delta(d_k), except that rho(d0) doubles Delta(d0)'s ``sides``
+    ("lam", "rho" or both): not coassociative."""
+    delta = bundle.delta
+
+    def rule(k):
+        m = delta.basis_multiplier(k)
+        if k != 0:
+            return m
+        lam = (lambda bid: m.lam_basis(bid).scale(2)) if "lam" in sides else m.lam_basis
+        rho = (lambda bid: m.rho_basis(bid).scale(2)) if "rho" in sides else m.rho_basis
+        return Multiplier(m.alg, lam, rho)
+
+    return Extension(bundle.algebra, delta.target, rule, name="rho")
+
+
+@pytest.mark.parametrize("sides, named", [(("lam", "rho"), "left"), (("rho",), "right")])
+def test_a_non_coassociative_coaction_pins_both_multiplier_witnesses(sides, named):
+    kz = kfin_Z()
+    A = kz.algebra
+    com = ComoduleAlgebra(A, doubled_coaction(kz.bialgebra, sides), kz.bialgebra, window=2)
+    d = A.basis_element(-2)
+    probe = tensor_algebra(com.coaction.target, A).basis_element(((-2, 2), -2))  # (B(x)A)(x)A
+    v = check_comodule_coassoc(com)
+    assert (v.status, v.window) == ("failed", "5 ids of K(Z) / 5 ids of K(Z), 125 probes")
+    assert v.witness == (d, d, probe)
+    assert v.detail == f"sides differ as {named} multipliers"
+    v = check_comodule_coassoc_framed(com)
+    assert (v.status, v.window) == ("failed", "5^2 x 5 framed triples, 24 probes")
+    assert v.witness == (d, d, d, probe)
+    assert v.detail == "framed sides differ on probe"
 
 
 def test_shifted_coaction_fails_counit_with_witness():

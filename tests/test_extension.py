@@ -241,3 +241,20 @@ def test_random_extensions_validate_and_lift(seed):
         lifted = ext.lift(iota(B, B.basis_element(i)))
         assert multiplier_eq(lifted, ext.basis_multiplier(i), probe_ids).ok
     assert multiplier_eq(ext.lift(one(B)), one(ext.target), probe_ids).ok
+
+
+def test_extension_multiplicativity_failure_names_pair_and_probe():
+    # Delta with Delta(d0) doubled: f(d0 d0) = 2 Delta(d0), f(d0)^2 = 4 Delta(d0)
+    kz = kfin_Z().bialgebra
+    delta = kz.delta
+
+    def rule(k):
+        return delta.basis_multiplier(k).scale(2) if k == 0 else delta.basis_multiplier(k)
+
+    ext = Extension(kz.algebra, delta.target, rule, name="Delta'",
+                    source_window=2, target_window=2)
+    v = ext.validate()[0]
+    assert (v.axiom, v.status) == ("extension multiplicativity", "failed")
+    assert v.window == "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"
+    assert v.witness == (kz.algebra.basis_element(0), kz.algebra.basis_element(0))
+    assert v.detail == "f(ei*ej) != f(ei)f(ej) at probe 1*(d-2,d2)"

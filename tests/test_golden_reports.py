@@ -20,7 +20,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # (non-integral over Q for Z/6; over F_7, with a declared counit, for Z/4).
 # check-hopf on the spec without an antipode line synthesizes S after the
 # T1/T2 gate.  The check-comodule reports cover the tensor extensions
-# rho (x) id and id (x) Delta on an oracle window and on a finite algebra;
+# rho (x) id and id (x) Delta on two oracle windows (window 3 is the
+# benchmark's comodule input, where the probe sweeps dominate) and on a
+# finite algebra;
 # the last one declares the trivial coaction rho(b) = b (x) 1 of Z/4 over
 # F_7 in coaction lines, so the coaction is sliced apart from Delta.
 @pytest.mark.parametrize("name, argv, code", [
@@ -33,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_hopf_rescaled_z6_synth.json", ["check-hopf", "rescaled_z6.spec"], 0),
     ("check_comodule_trivial_coaction_z4_f7.json",
      ["check-comodule", "rescaled_z4_f7_trivial_coaction.spec"], 0),
+    ("check_comodule_kfin_Z_w3.json", ["check-comodule", "kfin_Z_w3.spec"], 0),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

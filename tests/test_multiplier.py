@@ -1,12 +1,14 @@
 import pytest
 
 from mulhopf import linalg, multiplier
-from mulhopf.algebra import InputError, InvariantViolation, regular_module
+from mulhopf.algebra import InputError, InvariantViolation, regular_module, resolve_window
+from mulhopf.extension import psi_embed
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2
 from mulhopf.multiplier import (Multiplier, MultiplierSpace, act_on_module,
-                                combine, iota, iota_preimage, make_multiplier,
-                                multiplier_eq, multiplier_violation, one)
+                                agrees_on_probes, basis_image, combine, iota,
+                                iota_preimage, make_multiplier, multiplier_eq,
+                                multiplier_violation, one)
 
 
 def test_multiplier_space_of_function_algebra_has_dimension_n():
@@ -211,3 +213,52 @@ def test_multiplier_eq_reports_witness():
     v = multiplier_eq(iota(A, A.basis_element(0)), iota(A, A.basis_element(1)), (0, 1))
     assert v.status == "failed"
     assert v.witness is not None
+    assert (v.witness, v.detail) == ((A.basis_element(0),), "x|>p = 1*d0 but y|>p = 0")
+    # equal left actions, unequal right actions: the right side is named
+    x = Multiplier(A, lambda b: A.mul_basis(0, b), lambda b: A.mul_basis(b, 0))
+    y = Multiplier(A, lambda b: A.mul_basis(0, b), lambda b: A.mul_basis(b, 1))
+    v = multiplier_eq(x * x, y, (1, 0))
+    assert (v.status, v.window) == ("failed", "2 probes")
+    assert (v.witness, v.detail) == ((A.basis_element(1),), "p<|x = 0 but p<|y = 1*d1")
+    # probe ids that cover a finite basis prove the equality; fewer do not
+    assert multiplier_eq(x, x, (1, 0)).status == "proven"
+    assert multiplier_eq(x, x, (1, 1)).status == "holds_on_window"
+
+
+@pytest.mark.parametrize("entry, window", [(kfin_Z, 3), (lambda: kfun_cyclic(3, field=GF(7)), None)],
+                         ids=["kfin_Z-Q-w3", "kfun3-F7"])
+def test_basis_image_matches_the_element_actions(entry, window):
+    b = entry().bialgebra
+    A, T = b.algebra, b.delta.target
+    a_ids = resolve_window(A, window)
+    e = A.basis_element
+    x, y = iota(A, e(a_ids[0]) + e(a_ids[1]).scale(3)), iota(A, e(a_ids[1]))
+    da = b.delta.basis_multiplier(a_ids[1])
+    frame = psi_embed([one(A), iota(A, e(a_ids[0]) + e(a_ids[1]))], into=T)  # a Psi leaf
+    mixed = combine(T, [(2, da), (-1, frame)])
+    cases = [
+        (A, [x, one(A), combine(A, [(2, x), (-1, y)]), x * y, (x * y) * x, x * (y * x),
+             combine(A, []), combine(A, []) * x, x * combine(A, [])]),
+        (T, [da, frame, mixed, da * frame, frame * da, (frame * da) * frame,
+             frame * (mixed * frame), combine(T, []) * da]),
+    ]
+    hits = 0
+    for space, multipliers in cases:
+        for z in multipliers:
+            for w in resolve_window(space, window):
+                p = space.basis_element(w)
+                assert basis_image(z, "left", w) == z.apply_left(p).coeffs
+                assert basis_image(z, "right", w) == z.apply_right(p).coeffs
+                hits += bool(basis_image(z, "left", w)) + bool(basis_image(z, "right", w))
+    assert hits > 0
+
+
+def test_probe_sweeps_cache_nothing_on_a_product():
+    # a slice's framed product is compared on every probe once: the sweep
+    # goes through its factors and leaves no per-probe image on it
+    sl = kfin_Z().bialgebra.slicer(3)
+    z, _base = sl._framed("right", 1, 2)
+    probes = resolve_window(sl.txt, 3)
+    assert agrees_on_probes(sl.txt, sl.right(1, 2), z, probes)
+    assert multiplier_eq(z, z, probes).ok
+    assert z._lam_cache == {} and z._rho_cache == {}
