@@ -16,7 +16,7 @@ from .algebra import (
     ModuleStructure, OracleBasis, Space, Verdict, WindowInsufficiency,
     check_associativity, check_idempotent, check_local_units, check_module,
     check_nondegenerate, finite_algebra, local_units_witness, oracle_algebra,
-    reassociate_left, reassociate_right, regular_module, resolve_window,
+    reassociate_left, regular_module, resolve_window,
     scalar_algebra, sweedler_decompose, tensor_algebra, tensor_elem,
     tensor_module, tensor_space,
 )

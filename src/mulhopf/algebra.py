@@ -306,6 +306,12 @@ class Algebra(Space):
         """Coefficients of e_i * e_j, the product ``element_mul`` sums."""
         return self.mul_basis(i, j).coeffs
 
+    @cached_property
+    def partners(self) -> dict:
+        """i -> frozenset of the k with e_i * e_k != 0 (finite only)."""
+        ids, mul = self.basis.ids, self.mul_basis
+        return {i: frozenset(k for k in ids if mul(i, k).coeffs) for i in ids}
+
     def element_mul(self, x: Element, y: Element) -> Element:
         field, product = self.field, self.basis_product
         acc: dict = {}
@@ -721,8 +727,9 @@ def tensor_space(left: Space, right: Space) -> Space:
 
 class TensorAlgebra(Algebra):
     """left (x) right on pair ids, multiplied factor by factor: a pair of
-    terms stops at a zero left product, and nothing is cached per pair of
-    pair ids (``mul_basis`` still tabulates for the solvers).  The unit
+    terms is multiplied only when both factor products are nonzero, and
+    nothing is cached per pair of pair ids (``mul_basis`` still tabulates
+    for the solvers).  The unit
     verifies as a theorem, (u (x) v)(a (x) b) = ua (x) vb, from the
     factors' verified units; a declared unit here is never trusted."""
 
@@ -747,6 +754,29 @@ class TensorAlgebra(Algebra):
         x = left.basis_product(i1, i2)
         y = right.basis_product(j1, j2) if x else None
         return _outer(self.field, x, y) if y else {}
+
+    @cached_property
+    def partners(self) -> dict:
+        """From the factors' tables, so no pair-id product is tabulated."""
+        lp, rp = (fac.partners for fac in self.factors)
+        return {(i, j): frozenset(product(lp[i], rp[j])) for i, j in self.basis.ids}
+
+    def element_mul(self, x: Element, y: Element) -> Element:
+        """The generic loop, multiplying only pairs whose factors' partner
+        tables say both products are nonzero (an oracle factor has none)."""
+        left, right = self.factors
+        if not (left.finite and right.finite):
+            return super().element_mul(x, y)
+        field, lp, rp = self.field, left.partners, right.partners
+        lprod, rprod = left.basis_product, right.basis_product
+        acc: dict = {}
+        for (i1, j1), c1 in x.coeffs.items():
+            li, rj = lp[i1], rp[j1]
+            for (i2, j2), c2 in y.coeffs.items():
+                if i2 in li and j2 in rj:
+                    vec_axpy(field, acc, _outer(field, lprod(i1, i2), rprod(j1, j2)),
+                             field.mul(c1, c2))
+        return Element(self, acc)
 
     @cached_property
     def verified_unit(self):
@@ -788,15 +818,6 @@ def tensor_module(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
 
     return ModuleStructure(carrier, acting, m.side, rule,
                            name=f"{m.name} (x) {n.name}")
-
-
-def reassociate_right(elem: Element, target: Space) -> Element:
-    """((i,j),k) -> (i,(j,k)) relabeling into the prebuilt target space."""
-    out = {}
-    for bid, v in elem.coeffs.items():
-        (i, j), k = bid
-        out[(i, (j, k))] = v
-    return Element(target, out)
 
 
 def reassociate_left(elem: Element, target: Space) -> Element:

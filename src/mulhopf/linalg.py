@@ -109,13 +109,15 @@ class GaussianSolver:
 
     Pivoting is columns in declared order, first nonzero row.  Rows keep
     their original index (a swap is a relabelling); each pivot row stores
-    the rows it clears with their factors (L) and its final row (U).  A
-    solve follows Gilbert and Peierls (SIAM J. Sci. Stat. Comput. 9(5),
-    1988): forward, only pivot rows reachable from b's support through L
-    are applied, in elimination order; back, only pivots whose U row
-    reaches a nonzero are solved, in decreasing rank.  An unreached pivot
-    would add exact zeros only, so values and key order are the full
-    replay's.
+    the rows it clears with their factors (L) and its final row (U).
+    Factoring keeps, per column, the unpivoted rows holding an entry there,
+    updated through fill-in and cancellation, so it costs its nonzeros and
+    fill-in, not rows x columns.  A solve follows Gilbert and Peierls
+    (SIAM J. Sci. Stat. Comput. 9(5), 1988): forward, only pivot rows
+    reachable from b's support through L are applied, in elimination
+    order; back, only pivots whose U row reaches a nonzero are solved, in
+    decreasing rank.  An unreached pivot would add exact zeros only, so
+    values and key order are the full replay's.
     """
 
     def __init__(self, matrix: SparseMatrix):
@@ -124,30 +126,34 @@ class GaussianSolver:
         self._row_index = index = {r: i for i, r in enumerate(matrix.rows)}
         m = len(matrix.rows)
         rows = [dict() for _ in range(m)]
+        holders: dict = {}  # col -> unpivoted rows with an entry in it
         for (r, c), v in matrix.entries.items():
             rows[index[r]][c] = v
+            holders.setdefault(c, set()).add(index[r])
         order = list(range(m))  # position -> original row
+        pos = list(range(m))  # original row -> position
         self._lower = [None] * m  # pivot row -> (rank, row, [(target row, factor)])
         self._upper: list = []  # by rank: (col, row, pivot value, off-diagonal items)
         self._users: dict = {}  # col -> ranks whose U row holds an entry in it
         for c in matrix.cols:
-            rank = len(self._upper)
-            for pos in range(rank, m):
-                if rows[order[pos]].get(c):
-                    break
-            else:
+            cands = holders.get(c)
+            if not cands:
                 continue
-            order[rank], order[pos] = order[pos], order[rank]
-            p = order[rank]
+            rank = len(self._upper)
+            p = min(cands, key=pos.__getitem__)  # the first nonzero row
+            q = order[rank]
+            order[rank], order[pos[p]], pos[q], pos[p] = p, q, pos[p], rank
             prow = rows[p]
             pval = prow[c]
+            for cc in prow:
+                holders[cc].discard(p)
             targets = []
-            for t in order[rank + 1:]:
-                f = rows[t].get(c)
-                if f:
-                    factor = field.neg(field.div(f, pval))
-                    targets.append((t, factor))
-                    vec_axpy(field, rows[t], prow, factor)
+            for t in sorted(cands, key=pos.__getitem__):
+                factor = field.neg(field.div(rows[t][c], pval))
+                targets.append((t, factor))
+                row = vec_axpy(field, rows[t], prow, factor)
+                for cc in prow:
+                    (holders[cc].add if cc in row else holders[cc].discard)(t)
             self._lower[p] = (rank, p, targets)
             upper = tuple((cc, v) for cc, v in prow.items() if cc != c)
             self._upper.append((c, p, pval, upper))

@@ -1,18 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf.algebra import (InputError, WindowInsufficiency,
+from mulhopf.algebra import (Algebra, Element, InputError, WindowInsufficiency,
                              check_associativity, check_idempotent,
                              check_local_units, check_module,
                              check_nondegenerate, finite_algebra,
                              oracle_algebra, reassociate_left,
-                             reassociate_right, regular_module, resolve_window,
+                             regular_module, resolve_window,
                              sweedler_decompose, tensor_algebra, tensor_elem,
                              tensor_module, witness_text)
 from mulhopf.extension import identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2, zero1
+from mulhopf.multiplier import iota_element
 
 
 def group_algebra_z3():
@@ -92,6 +95,11 @@ def test_tensor_algebra_componentwise_product():
 def test_tensor_algebra_is_cached():
     A = group_algebra_z3()
     assert tensor_algebra(A, A) is tensor_algebra(A, A)
+
+
+def reassociate_right(elem: Element, target) -> Element:
+    """((i,j),k) -> (i,(j,k)) relabeling into the prebuilt target space."""
+    return Element(target, {(i, (j, k)): v for ((i, j), k), v in elem.coeffs.items()})
 
 
 def test_reassociate_roundtrip():
@@ -191,3 +199,62 @@ def test_random_algebras_over_f7(seed):
     A = random_algebra(seed, field=GF(7))
     assert check_associativity(A).status == "proven"
     assert check_nondegenerate(A).status == "proven"
+
+
+# --- products in A (x) A against the generic loop -------------------------
+
+
+def matrix_units():
+    """M_2(Q) on the matrix units, e_ij e_jk = e_ik: not commutative."""
+    ids = [f"e{i}{j}" for i in "12" for j in "12"]
+    return finite_algebra(QQ, ids, {(f"e{i}{j}", f"e{j}{k}"): {f"e{i}{k}": QQ.one}
+                                    for i in "12" for j in "12" for k in "12"})
+
+
+TENSOR_FACTORS = {
+    "kfun_cyclic(3)/F7": lambda: kfun_cyclic(3, field=GF(7)).algebra,
+    "rowalg2": lambda: rowalg2().algebra,  # zero products, one-sided units
+    "matrix_units": matrix_units,
+    **{f"random_algebra({s})/{f.name}": (lambda s=s, f=f: random_algebra(s, field=f))
+       for s in range(1, 6) for f in (QQ, GF(7))},
+}
+
+
+@pytest.mark.parametrize("make", TENSOR_FACTORS.values(), ids=TENSOR_FACTORS)
+def test_tensor_products_are_the_generic_loop(make):
+    A = make()
+    T = tensor_algebra(A, A)
+    rng, ids, f = random.Random(3), T.basis.ids, T.field
+    elems = [T.element({rng.choice(ids): f.coerce(rng.randint(-2, 2)) for _ in range(size)})
+             for size in (0, 1, 1, 3, 6, len(ids))]
+    for x in elems:
+        for y in elems:
+            got, want = T.element_mul(x, y), Algebra.element_mul(T, x, y)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def test_tensor_products_drop_terms_that_cancel():
+    M = matrix_units()
+    T = tensor_algebra(M, M)
+    x = T.element({("e12", "e11"): 1, ("e11", "e11"): 1})
+    y = T.element({("e21", "e11"): 1, ("e11", "e11"): -1})
+    # (e12 e21) (x) e11 = e11 (x) e11 cancels against -(e11 e11) (x) e11
+    assert (x * y).coeffs == {} == Algebra.element_mul(T, x, y).coeffs
+    assert list((y * x).coeffs.items()) == [
+        (("e22", "e11"), 1), (("e21", "e11"), 1), (("e12", "e11"), -1), (("e11", "e11"), -1)]
+
+
+def test_tensor_products_multiply_only_nonzero_factor_pairs(monkeypatch):
+    # c_i c_j with Delta(d_i) = iota(c_i) on K(Z/8): 64 x 64 pairs of terms
+    # per product, of which only the 8 of each c_i c_i are nonzero
+    delta = kfun_cyclic(8).bialgebra.delta
+    A, T = delta.source, delta.target
+    cs = [iota_element(delta.basis_multiplier(i)) for i in A.basis.ids]
+    nonzero = sum(1 for x in cs for y in cs for (i1, j1) in x.coeffs for (i2, j2) in y.coeffs
+                  if A.mul_basis(i1, i2).coeffs and A.mul_basis(j1, j2).coeffs)
+    want = [Algebra.element_mul(T, x, y) for x in cs for y in cs]
+    assert T.factors == (A, A)
+    real, calls = A.basis_product, []
+    monkeypatch.setattr(A, "basis_product", lambda i, j: calls.append((i, j)) or real(i, j))
+    assert [x * y for x in cs for y in cs] == want
+    assert len(calls) == 2 * nonzero == 2 * 64
