@@ -21,8 +21,7 @@ from .algebra import (
     tensor_module, tensor_space,
 )
 from .multiplier import (
-    Multiplier, MultiplierSpace, act_on_module, iota, iota_preimage,
-    make_multiplier, multiplier_eq, multiplier_violation, one,
+    Multiplier, MultiplierSpace, act_on_module, iota, iota_preimage, multiplier_eq, one,
 )
 from .extension import (
     Extension, compose_extensions, identity_extension, psi_embed, restrict_module,
@@ -35,10 +34,9 @@ from .bialgebra import (
     tensor_module_action,
 )
 from .hopf import (
-    AntipodeSynthesis, MultiplierMap, canonical_map, check_antipode,
-    check_bijective, check_convolution_inverse, check_hopf, conv_left,
-    conv_right, conv_unit, iota_map, map_eq, source_twist, synthesize_antipode,
-    target_frame, zero_multiplier,
+    AntipodeSynthesis, MultiplierMap, check_antipode, check_bijective,
+    check_convolution_inverse, check_hopf, conv_unit, convolve, iota_map, map_eq,
+    synthesize_antipode,
 )
 from .comodule import (
     ComoduleAlgebra, check_comodule_coassoc, check_comodule_coassoc_framed,

@@ -629,8 +629,7 @@ def regular_module(alg: Algebra, side="right") -> ModuleStructure:
     return ModuleStructure(alg, alg, side, rule, name=f"{alg.name} ({side} regular)")
 
 
-def check_module(module: ModuleStructure, window_m=None, window_a=None,
-                 laws=None) -> dict:
+def check_module(module: ModuleStructure, laws=None) -> dict:
     """Action associativity, idempotency M = MA, and non-degeneracy.
 
     ``laws`` restricts the run to a subset of {"associativity",
@@ -642,8 +641,8 @@ def check_module(module: ModuleStructure, window_m=None, window_a=None,
     unknown = [w for w in wanted if w not in ("associativity", "idempotency", "nondegeneracy")]
     if unknown:
         raise InputError(f"check_module: unknown law {unknown[0]!r}")
-    m_ids = resolve_window(module.space, window_m)
-    a_ids = resolve_window(module.algebra, window_a)
+    m_ids = tuple(module.space.window_ids())
+    a_ids = tuple(module.algebra.window_ids())
     label = f"{module.space.window_label(m_ids)} / {module.algebra.window_label(a_ids)}"
     base = joint_baseline((module.space, m_ids), (module.algebra, a_ids))
     out = {}

@@ -184,12 +184,6 @@ class Slicer:
         self._cache[key] = u
         return u
 
-    def right(self, a_id, b_id) -> Element:
-        return self.slice("right", a_id, b_id)
-
-    def left(self, a_id, b_id) -> Element:
-        return self.slice("left", a_id, b_id)
-
     def slice_elem(self, side, a: Element, b: Element) -> Element:
         """``slice`` extended bilinearly to elements a, b of A."""
         f = self.alg.field
@@ -252,18 +246,18 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     for a in ids:
         for b in ids:
             try:
-                t = gamma.left(a, b)
+                t = gamma.slice("left", a, b)
             except SliceUndefined as exc:
                 return undefined(exc, "left framed coaction")
             for c in c_ids:
                 try:
-                    s = gamma.right(b, c)
+                    s = gamma.slice("right", b, c)
                 except SliceUndefined as exc:
                     return undefined(exc, "right framed coaction")
                 lhs: dict = {}
                 for (u, v), cs in s.coeffs.items():
                     try:
-                        inner = gamma.left(a, u)
+                        inner = gamma.slice("left", a, u)
                     except SliceUndefined as exc:
                         return undefined(exc, "left framed coaction", " (inner leg)")
                     for w, cl in inner.coeffs.items():
@@ -271,7 +265,7 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
                 rhs: dict = {}
                 for (p, q), ct in t.coeffs.items():
                     try:
-                        outer = dsl.right(q, c)
+                        outer = dsl.slice("right", q, c)
                     except SliceUndefined as exc:
                         return undefined(exc, "right framed Delta")
                     for pair, cr in outer.coeffs.items():

@@ -120,14 +120,9 @@ def _require_bialgebra(entry):
     return entry.bialgebra
 
 
-def _counit_table(alg, synthesis):
-    keys = sorted(synthesis.table, key=alg.sort_key)
-    return {alg.fmt_id(k): alg.field.format(synthesis.table[k]) for k in keys}
-
-
-def _antipode_table(alg, table):
-    keys = sorted(table, key=alg.sort_key)
-    return {alg.fmt_id(k): str(table[k]) for k in keys}
+def _table(alg, table, fmt):
+    """``table`` in basis order, ids and values printed (a value by ``fmt``)."""
+    return {alg.fmt_id(k): fmt(table[k]) for k in sorted(table, key=alg.sort_key)}
 
 
 # --- stages ----------------------------------------------------------------
@@ -173,7 +168,7 @@ def stage_counit(run: Runner, sl, report: Report):
     if syn is None:
         return None, vs
     vs += run.group([lambda: check_counit(sl, syn.extension)])
-    report.add_table("epsilon", _counit_table(sl.alg, syn))
+    report.add_table("epsilon", _table(sl.alg, syn.table, sl.alg.field.format))
     return syn, vs
 
 
@@ -211,7 +206,7 @@ def stage_antipode(run: Runner, sl, epsilon, report: Report, gate=None):
 
     run.group([synthesis])
     if syn.table is not None:
-        report.add_table("antipode", _antipode_table(sl.alg, syn.table))
+        report.add_table("antipode", _table(sl.alg, syn.table, str))
     return syn
 
 

@@ -144,7 +144,7 @@ def check_comodule_coassoc(com: ComoduleAlgebra, method="multiplier") -> Verdict
         lifted = id_x_delta.lift(rho_b)
         for a in a_ids:
             try:
-                lhs = rho_x_id.apply(gamma.right(b, a))
+                lhs = rho_x_id.apply(gamma.slice("right", b, a))
             except SliceUndefined:
                 lhs = rho_x_id.lift(rho_b * gamma._frame("right", a))
             bad = differs(lhs, lifted * frames[a])
@@ -172,7 +172,7 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdic
         for a in a_ids:
             ea = A.basis_element(a)
             try:
-                s_r = gamma.right(b, a)
+                s_r = gamma.slice("right", b, a)
             except SliceUndefined:
                 return Verdict("comodule coassociativity (framed)", "failed",
                                label, witness=(B.basis_element(b), ea),
@@ -182,7 +182,7 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdic
                 ec = B.basis_element(c)
                 lhs = left_frames[c] * base_lhs
                 try:
-                    s_l = gamma.left(c, b)
+                    s_l = gamma.slice("left", c, b)
                 except SliceUndefined:
                     return Verdict("comodule coassociativity (framed)", "failed",
                                    label, witness=(ec, B.basis_element(b)),
@@ -216,7 +216,7 @@ def check_comodule_counit(com: ComoduleAlgebra, epsilon=None) -> Verdict:
         for a in a_ids:
             ea = A.basis_element(a)
             try:
-                s = gamma.right(b, a)
+                s = gamma.slice("right", b, a)
             except SliceUndefined:
                 return Verdict("comodule counit", "failed", label,
                                witness=(eb, ea),

@@ -30,7 +30,7 @@ from .algebra import (
     WindowInsufficiency, annihilated, joint_baseline, resolve_window, scaled_window,
     tensor_algebra, tensor_elem,
 )
-from .multiplier import Multiplier, act_on_module, combine, iota_element, multiplier_eq
+from .multiplier import Multiplier, act_on_module, combine, iota, iota_element, multiplier_eq
 
 
 class Extension:
@@ -125,16 +125,10 @@ class Extension:
             table[i] = {j: hit for j, hit in ((j, act(j)) for j in target_ids) if hit.coeffs}
         return table
 
-    def _decompose(self, a: Element, side):
+    def decompose(self, a: Element, side):
+        """a = sum c * (f(e_i) |> e_j) (side "ba") or sum c * (e_j <| f(e_i))
+        (side "ab"), pivot-order first solution, or None."""
         return self._span(side).decompose(a.coeffs)
-
-    def decompose_ba(self, a: Element):
-        """a = sum c * (f(e_i) |> e_j), pivot-order first solution."""
-        return self._decompose(a, "ba")
-
-    def decompose_ab(self, a: Element):
-        """a = sum c * (e_j <| f(e_i))."""
-        return self._decompose(a, "ab")
 
     # -- lift to M(B) --------------------------------------------------------
 
@@ -157,7 +151,7 @@ class Extension:
         def rule(bid):
             dec = self._lift_decs.get((side, bid))
             if dec is None:
-                dec = self._decompose(tgt.basis_element(bid), side)
+                dec = self.decompose(tgt.basis_element(bid), side)
                 if dec is None:
                     raise WindowInsufficiency(
                         f"{tgt.basis_element(bid)} has no "
@@ -209,8 +203,8 @@ class Extension:
         idem_v = Verdict("extension idempotency", base, label)
         for j in self.target_ids:
             a = self.target.basis_element(j)
-            missing = "B.A" if self.decompose_ba(a) is None else (
-                "A.B" if self.decompose_ab(a) is None else None)
+            missing = "B.A" if self.decompose(a, "ba") is None else (
+                "A.B" if self.decompose(a, "ab") is None else None)
             if missing:
                 if not (self.source.finite and self.target.finite):
                     raise WindowInsufficiency(
@@ -246,10 +240,8 @@ class Extension:
         return self
 
     @classmethod
-    def from_map(cls, source, target, rule, name="f", source_window=None,
-                 target_window=None, expansion=2):
-        return cls(source, target, rule, name=name, source_window=source_window,
-                   target_window=target_window, expansion=expansion).ensure_valid()
+    def from_map(cls, source, target, rule, name="f"):
+        return cls(source, target, rule, name=name).ensure_valid()
 
     @classmethod
     def from_bimodule(cls, source, target, left_rule, right_rule, name="f",
@@ -302,19 +294,18 @@ class Extension:
 
 
 def identity_extension(alg: Algebra, window=None, expansion=2) -> Extension:
-    from .multiplier import iota as _iota
-    return Extension(alg, alg, lambda bid: _iota(alg, alg.basis_element(bid)),
+    return Extension(alg, alg, lambda bid: iota(alg, alg.basis_element(bid)),
                      name=f"id_{alg.name}", source_window=window,
                      target_window=window, expansion=expansion)
 
 
-def compose_extensions(f: Extension, g: Extension, name=None) -> Extension:
+def compose_extensions(f: Extension, g: Extension) -> Extension:
     """g after f: the structure map is gbar o f, from B into M(R)."""
     if f.target is not g.source:
         raise InputError("compose_extensions: target of f must be source of g")
     return Extension(
         f.source, g.target, lambda bid: g.lift(f.basis_multiplier(bid)),
-        name=name or f"{g.name}o{f.name}", source_window=f.source_window,
+        name=f"{g.name}o{f.name}", source_window=f.source_window,
         target_window=g.target_window, expansion=max(f.expansion, g.expansion))
 
 

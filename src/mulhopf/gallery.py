@@ -12,20 +12,17 @@ the Python builders take keyword arguments.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, finite_algebra,
-    oracle_algebra, resolve_window, tensor_algebra,
+    Algebra, Element, InputError, finite_algebra, oracle_algebra, tensor_algebra,
 )
 from .multiplier import Multiplier, iota
 from .extension import Extension
 from .bialgebra import MultiplierBialgebra, counit_extension
-from .hopf import MultiplierMap, zero_multiplier
-from .comodule import ComoduleAlgebra
+from .hopf import MultiplierMap
 
 
 @dataclass
@@ -226,210 +223,6 @@ def nand_delta(field=QQ) -> GalleryEntry:
                         notes="negative control: coassociativity fails")
 
 
-def perturb_antipode_map(bundle: MultiplierBialgebra, seed: int) -> MultiplierMap:
-    """Deterministically damaged copy of the bundled antipode.
-
-    Either scales one window value or adds a stray iota term; since the
-    antipode of a Hopf structure is unique, either change must fail the
-    defining identities.
-    """
-    if bundle.antipode is None:
-        raise InputError(f"{bundle.name} has no antipode to perturb")
-    alg = bundle.algebra
-    rng = random.Random(seed)
-    ids = list(resolve_window(alg, bundle.window))
-    t = rng.choice(ids)
-    true_s = bundle.antipode
-    if rng.random() < 0.5:
-        c = alg.field.coerce(rng.randint(2, 7))
-        changed = true_s.basis(t).scale(c)
-        tag = f"scaled by {alg.field.format(c)}"
-    else:
-        u = rng.choice(ids)
-        changed = true_s.basis(t) + iota(alg, alg.basis_element(u))
-        tag = f"shifted by iota({alg.fmt_id(u)})"
-
-    def rule(bid):
-        return changed if bid == t else true_s.basis(bid)
-
-    return MultiplierMap(alg, rule, name=f"S-perturbed[{alg.fmt_id(t)} {tag}]")
-
-
-# ---------------------------------------------------------------------------
-# derived structures on bundles
-
-
-def self_comodule(bundle: MultiplierBialgebra) -> ComoduleAlgebra:
-    """Every comultiplication makes its algebra a comodule algebra over itself."""
-    return ComoduleAlgebra(bundle.algebra, bundle.delta, bundle,
-                           window=bundle.window, expansion=bundle.expansion,
-                           name=f"{bundle.name} over itself")
-
-
-def trivial_module_algebra(bundle: MultiplierBialgebra) -> ModuleStructure:
-    """A acting on itself through eps: r <| a = eps(a) r; a module algebra."""
-    from .bialgebra import eps_value
-    A = bundle.algebra
-
-    def rule(r_id, a_id):
-        v = eps_value(bundle.epsilon, A.basis_element(a_id))
-        return {r_id: v} if v else {}
-
-    return ModuleStructure(A, A, "right", rule, name=f"{A.name} via eps")
-
-
-# ---------------------------------------------------------------------------
-# seeded random families (property-test fodder, deterministic per seed)
-
-
-_STRUCTURES = ("diagonal", "cyclic_group", "upper_triangular", "full_matrix")
-
-
-def random_algebra(seed: int, field=QQ) -> Algebra:
-    """Known-good structure conjugated by a seeded invertible basis change.
-
-    Base structures are k^n, the group algebra of Z/n, upper-triangular
-    2x2 matrices, or all of M_2(k); all associative, idempotent, and
-    non-degenerate, properties a basis change preserves.
-    """
-    rng = random.Random(seed)
-    kind = rng.choice(_STRUCTURES)
-    if kind == "diagonal":
-        dim = rng.randint(2, 4)
-        structure = {(i, i, i): field.one for i in range(dim)}
-    elif kind == "cyclic_group":
-        dim = rng.randint(2, 4)
-        structure = {(i, j, (i + j) % dim): field.one
-                     for i in range(dim) for j in range(dim)}
-    else:
-        units = ([(0, 0), (0, 1), (1, 1)] if kind == "upper_triangular"
-                 else [(0, 0), (0, 1), (1, 0), (1, 1)])
-        dim = len(units)
-        structure = {}
-        for a, (ra, ca) in enumerate(units):
-            for b, (rb, cb) in enumerate(units):
-                if ca == rb:
-                    structure[(a, b, units.index((ra, cb)))] = field.one
-    P, Pinv = _random_change(rng, field, dim)
-    table: dict = {}
-    for i in range(dim):
-        for j in range(dim):
-            acc = [field.zero] * dim
-            for a in range(dim):
-                if not P[i][a]:
-                    continue
-                for b in range(dim):
-                    c = field.mul(P[i][a], P[j][b])
-                    if not c:
-                        continue
-                    for (sa, sb, sc), v in structure.items():
-                        if sa == a and sb == b:
-                            for t in range(dim):
-                                acc[t] = field.add(
-                                    acc[t], field.mul(c, field.mul(v, Pinv[sc][t])))
-            coeffs = {t: acc[t] for t in range(dim) if acc[t]}
-            if coeffs:
-                table[(i, j)] = coeffs
-    return finite_algebra(field, list(range(dim)), table,
-                          name=f"rand[{seed}:{kind}]", fmt_id=lambda i: f"f{i}")
-
-
-def _random_change(rng, field, dim):
-    """Invertible P (unit-triangular product) and its exact inverse."""
-    lower = [[field.one if i == j else
-              (field.coerce(rng.randint(-2, 2)) if i > j else field.zero)
-              for j in range(dim)] for i in range(dim)]
-    upper = [[field.one if i == j else
-              (field.coerce(rng.randint(-2, 2)) if i < j else field.zero)
-              for j in range(dim)] for i in range(dim)]
-
-    def matmul(X, Y):
-        return [[_dot(field, X[i], [Y[k][j] for k in range(dim)])
-                 for j in range(dim)] for i in range(dim)]
-
-    def inv_unit_tri(M, lower_tri):
-        # forward substitution column by column; diagonal is all ones
-        N = [[field.one if i == j else field.zero for j in range(dim)]
-             for i in range(dim)]
-        order = tuple(range(dim)) if lower_tri else tuple(range(dim - 1, -1, -1))
-        for col in range(dim):
-            for i in order:
-                s = field.zero
-                for k in (range(i) if lower_tri else range(i + 1, dim)):
-                    s = field.add(s, field.mul(M[i][k], N[k][col]))
-                N[i][col] = field.sub(field.one if i == col else field.zero, s)
-        return N
-
-    P = matmul(lower, upper)
-    Pinv = matmul(inv_unit_tri(upper, False), inv_unit_tri(lower, True))
-    return P, Pinv
-
-
-def _dot(field, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
-def random_extension(seed: int, field=QQ) -> Extension:
-    """Seeded extension drawn from four shapes.
-
-    Identity on a random algebra; a coordinate projection k^d -> k^d'
-    (dual to an injection of point sets); a block-diagonal embedding
-    k^d' -> k^d (dual to a surjection); or the group-algebra map induced
-    by Z/n ->> Z/m for m dividing n.
-    """
-    rng = random.Random(seed)
-    shape = rng.choice(("identity", "projection", "blocks", "group_quotient"))
-    one = field.one
-    if shape == "identity":
-        from .extension import identity_extension
-        return identity_extension(random_algebra(rng.randint(0, 10**6), field=field))
-    if shape == "projection":
-        d = rng.randint(2, 4)
-        dp = rng.randint(1, d)
-        B = _kpow(field, d, f"kp{d}")
-        A = _kpow(field, dp, f"kp{dp}x")
-        return Extension(B, A,
-                         lambda i: (iota(A, A.basis_element(i)) if i < dp
-                                    else zero_multiplier(A)),
-                         name=f"proj[{seed}]")
-    if shape == "blocks":
-        dp = rng.randint(1, 3)
-        sizes = [rng.randint(1, 2) for _ in range(dp)]
-        d = sum(sizes)
-        B = _kpow(field, dp, f"kp{dp}")
-        A = _kpow(field, d, f"kp{d}y")
-        starts = [sum(sizes[:i]) for i in range(dp)]
-
-        def rule(i):
-            block = Element(A, {starts[i] + r: one for r in range(sizes[i])})
-            return iota(A, block)
-
-        return Extension(B, A, rule, name=f"blocks[{seed}]")
-    m = rng.randint(1, 3)
-    n = m * rng.randint(1, 3)
-    B = _group_algebra(field, n)
-    A = _group_algebra(field, m)
-    return Extension(B, A, lambda i: iota(A, A.basis_element(i % m)),
-                     name=f"quot[{seed}]")
-
-
-def _kpow(field, d, name):
-    return finite_algebra(
-        field, list(range(d)), {(i, i): {i: field.one} for i in range(d)},
-        unit={i: field.one for i in range(d)}, name=name,
-        fmt_id=lambda i: f"p{i}")
-
-
-def _group_algebra(field, n):
-    return finite_algebra(
-        field, list(range(n)),
-        {(i, j): {(i + j) % n: field.one} for i in range(n) for j in range(n)},
-        unit={0: field.one}, name=f"k[Z/{n}]", fmt_id=lambda i: f"g{i}")
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -450,9 +243,8 @@ def gallery_names():
     return tuple(_BUILDERS)
 
 
-def build(spec: str, window=None) -> GalleryEntry:
-    """Resolve "name" or "name(args)" against the registry (``window`` as in
-    ``build_entry``)."""
+def build(spec: str) -> GalleryEntry:
+    """Resolve "name" or "name(args)" against the registry."""
     spec = spec.strip()
     if "(" in spec:
         if not spec.endswith(")"):
@@ -465,7 +257,7 @@ def build(spec: str, window=None) -> GalleryEntry:
         values = [int(a) for a in args]
     except ValueError:
         raise InputError(f"gallery parameters must be integers: {spec!r}") from None
-    return build_entry(name, values, window=window)
+    return build_entry(name, values)
 
 
 def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:
@@ -476,7 +268,7 @@ def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:
     entry = _BUILDERS.get(name)
     if entry is None:
         raise InputError(
-            f"unknown gallery entry {name!r}; known: {', '.join(sorted(_BUILDERS))}")
+            f"unknown gallery entry {name!r}; known: {', '.join(sorted(gallery_names()))}")
     builder, param_names, windowed = entry
     if len(params) != len(param_names):
         raise InputError(f"{name} takes {len(param_names)} parameter(s), "

@@ -59,10 +59,6 @@ class MultiplierMap:
         return f"<map {self.name}: {self.alg.name} -> M({self.alg.name})>"
 
 
-def zero_multiplier(alg) -> Multiplier:
-    return combine(alg, ())
-
-
 def iota_map(alg) -> MultiplierMap:
     return MultiplierMap(alg, lambda bid: iota(alg, alg.basis_element(bid)),
                          name="iota")
@@ -76,16 +72,6 @@ _CANONICAL_SIDE = {"T1": "right", "T2": "left"}  # T1 = Delta(a)(1 (x) b), T2 = 
 # m(S (x) id)T1(a (x) b) = eps(a) b and m(id (x) S)T2(a (x) b) = eps(b) a.
 _ANTIPODE_LAWS = (("T1", 0, Multiplier.lam_basis, "m(S(x)id)"),
                   ("T2", 1, Multiplier.rho_basis, "m(id(x)S)"))
-
-
-def canonical_map(slicer: Slicer, which, x: Element) -> Element:
-    """Apply T1 or T2 to an element of A (x) A."""
-    if x.space is not slicer.txt:
-        raise InputError("canonical maps act on A (x) A")
-    acc: dict = {}
-    for (a, b), c in x.coeffs.items():
-        vec_axpy(slicer.alg.field, acc, slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs, c)
-    return Element(slicer.txt, acc)
 
 
 def _all_hold(axiom, window, parts) -> Verdict:
@@ -323,20 +309,13 @@ def _as_elem(alg, x) -> Element:
     return x if isinstance(x, Element) else alg.basis_element(x)
 
 
-def conv_right(f: MultiplierMap, g: MultiplierMap, b, slicer: Slicer,
-               name=None) -> MultiplierMap:
-    """(f *^b g)(a) = sum f(a_(1,b)) g(a_(2,b))."""
-    return _convolve("right", f, g, b, slicer, name or f"({f.name}*^b {g.name})")
+def convolve(side, f: MultiplierMap, g: MultiplierMap, frame,
+             slicer: Slicer) -> MultiplierMap:
+    """sum c f(u) g(v) over the slice c (u (x) v) of each argument, framed on ``side``.
 
-
-def conv_left(f: MultiplierMap, g: MultiplierMap, a, slicer: Slicer,
-              name=None) -> MultiplierMap:
-    """(f *_a g)(b) = sum f(b_(a,1)) g(b_(a,2))."""
-    return _convolve("left", f, g, a, slicer, name or f"({f.name}*_a {g.name})")
-
-
-def _convolve(side, f, g, frame, slicer, name) -> MultiplierMap:
-    """sum c f(u) g(v) over the slice c (u (x) v) of each argument, framed on ``side``."""
+    Side "right" is (f *^b g)(a) = sum f(a_(1,b)) g(a_(2,b)) with frame b,
+    side "left" is (f *_a g)(b) = sum f(b_(a,1)) g(b_(a,2)) with frame a.
+    """
     alg = slicer.alg
     frame = _as_elem(alg, frame)
 
@@ -348,51 +327,15 @@ def _convolve(side, f, g, frame, slicer, name) -> MultiplierMap:
                              sorted(sl.coeffs.items(), key=lambda kv: (
                                  alg.sort_key(kv[0][0]), alg.sort_key(kv[0][1])))])
 
-    return MultiplierMap(alg, rule, name=name)
+    star = "*^b" if side == "right" else "*_a"
+    return MultiplierMap(alg, rule, name=f"({f.name}{star} {g.name})")
 
 
-def conv_unit(alg, epsilon, b, name=None) -> MultiplierMap:
+def conv_unit(alg, epsilon, b) -> MultiplierMap:
     """alpha_b(a) = eps(a) iota(b), the two-sided twisted-convolution unit."""
-    b = _as_elem(alg, b)
-    ib = iota(alg, b)
-    return MultiplierMap(
-        alg,
-        lambda bid: ib.scale(eps_value(epsilon, alg.basis_element(bid))),
-        name=name or "alpha")
-
-
-def source_twist(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
-    """(b . f . b')(a) = f(b' a b) with left=b, right=b'."""
-    alg = f.alg
-    b = _as_elem(alg, left) if left is not None else None
-    bp = _as_elem(alg, right) if right is not None else None
-
-    def rule(bid):
-        x = alg.basis_element(bid)
-        if bp is not None:
-            x = bp * x
-        if b is not None:
-            x = x * b
-        return f.apply(x)
-
-    return MultiplierMap(alg, rule, name=f"twist({f.name})")
-
-
-def target_frame(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
-    """(b ⇀ f ↼ b')(a) = iota(b) f(a) iota(b')."""
-    alg = f.alg
-    ib = iota(alg, _as_elem(alg, left)) if left is not None else None
-    ibp = iota(alg, _as_elem(alg, right)) if right is not None else None
-
-    def rule(bid):
-        x = f.basis(bid)
-        if ib is not None:
-            x = ib * x
-        if ibp is not None:
-            x = x * ibp
-        return x
-
-    return MultiplierMap(alg, rule, name=f"frame({f.name})")
+    ib = iota(alg, _as_elem(alg, b))
+    return MultiplierMap(alg, lambda bid: ib.scale(eps_value(epsilon, alg.basis_element(bid))),
+                         name="alpha")
 
 
 def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
@@ -422,13 +365,13 @@ def check_convolution_inverse(slicer: Slicer, epsilon, f: MultiplierMap,
     label = alg.window_label(ids)
     for frame in ids:
         al = conv_unit(alg, epsilon, frame)
-        v = map_eq(conv_right(f, g, frame, slicer), al, ids, ids,
+        v = map_eq(convolve("right", f, g, frame, slicer), al, ids, ids,
                    axiom="convolution inverse")
         if not v.ok:
             return Verdict("convolution inverse", "failed", label,
                            witness=(alg.basis_element(frame),) + tuple(v.witness or ()),
                            detail=f"f*^b g != alpha_b: {v.detail}")
-        v = map_eq(conv_left(g, f, frame, slicer), al, ids, ids,
+        v = map_eq(convolve("left", g, f, frame, slicer), al, ids, ids,
                    axiom="convolution inverse")
         if not v.ok:
             return Verdict("convolution inverse", "failed", label,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
-    Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
+    Algebra, Element, InputError, ModuleStructure, Verdict,
     WindowInsufficiency, factor_windows, resolve_window, tensor_elem,
 )
 
@@ -167,42 +167,6 @@ def iota(alg: Algebra, a: Element) -> Multiplier:
                       name=f"iota({a})")
 
 
-def multiplier_violation(alg, lam_fn, rho_fn, pairs):
-    """First violated invariant on the given id pairs, or None.
-
-    Checks, for each pair (i, j):  lam(ei*ej) = lam(ei)*ej,
-    rho(ei*ej) = ei*rho(ej), and ei*lam(ej) = rho(ei)*ej.
-    """
-    for i, j in pairs:
-        ei, ej = alg.basis_element(i), alg.basis_element(j)
-        prod = alg.mul_basis(i, j)
-        lhs, rhs = _extend(alg, lam_fn, prod), lam_fn(i) * ej
-        if lhs != rhs:
-            return ("lam not right-linear", ei, ej, lhs, rhs)
-        lhs, rhs = _extend(alg, rho_fn, prod), ei * rho_fn(j)
-        if lhs != rhs:
-            return ("rho not left-linear", ei, ej, lhs, rhs)
-        lhs, rhs = ei * lam_fn(j), rho_fn(i) * ej
-        if lhs != rhs:
-            return ("compatibility", ei, ej, lhs, rhs)
-    return None
-
-
-def make_multiplier(alg: Algebra, lam, rho) -> Multiplier:
-    """Validated constructor; rejects with the witness pair on violation."""
-    cand = Multiplier(alg, lam, rho)
-    ids = tuple(alg.window_ids())
-    label = alg.window_label(ids)
-    bad = multiplier_violation(alg, cand.lam_basis, cand.rho_basis,
-                               [(i, j) for i in ids for j in ids])
-    if bad is not None:
-        tag, ei, ej, lhs, rhs = bad
-        raise InvariantViolation(Verdict(
-            "multiplier invariants", "failed", label, witness=(ei, ej),
-            detail=f"{tag}: {lhs} vs {rhs}"))
-    return cand
-
-
 def multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdict:
     """Compare both actions on probe basis ids; first mismatch is the witness.
 
@@ -321,10 +285,6 @@ class MultiplierSpace:
         return Multiplier(alg,
                           lambda bid, t=lam_table: t.get(bid, {}),
                           lambda bid, t=rho_table: t.get(bid, {}))
-
-    def iota_rank(self) -> int:
-        """Dimension of iota(A) inside M(A): the rank of the multiplication tables."""
-        return self.alg.regular_solver().rank
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from mulhopf.algebra import (Algebra, Element, InputError, WindowInsufficiency,
                              tensor_module, witness_text)
 from mulhopf.extension import identity_extension
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2, zero1
+from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2, zero1
 from mulhopf.multiplier import iota_element
+
+from fixtures import random_algebra
 
 
 def group_algebra_z3():

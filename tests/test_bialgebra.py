@@ -16,10 +16,11 @@ from mulhopf.bialgebra import (MultiplierBialgebra, SliceUndefined, Slicer,
 from mulhopf.comodule import ComoduleAlgebra, check_comodule_coassoc
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
-from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
-                             random_algebra)
+from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
 from mulhopf.hopf import check_hopf
 from mulhopf.multiplier import Multiplier, iota, iota_preimage
+
+from fixtures import random_algebra
 
 
 def right_projection_delta(n=3):
@@ -49,22 +50,22 @@ def test_slices_of_cyclic_function_algebra_follow_the_group_law():
     sl = b.bialgebra.slicer()
     for a in range(n):
         for c in range(n):
-            assert sl.right(a, c).coeffs == {((a - c) % n, c): QQ.one}
-            assert sl.left(a, c).coeffs == {(a, (c - a) % n): QQ.one}
+            assert sl.slice("right", a, c).coeffs == {((a - c) % n, c): QQ.one}
+            assert sl.slice("left", a, c).coeffs == {(a, (c - a) % n): QQ.one}
 
 
 def test_slices_on_kz_window():
     sl = Slicer(kfin_Z().bialgebra.delta, window=4)
-    assert sl.right(3, 1).coeffs == {(2, 1): QQ.one}
-    assert sl.left(-1, 2).coeffs == {(-1, 3): QQ.one}
+    assert sl.slice("right", 3, 1).coeffs == {(2, 1): QQ.one}
+    assert sl.slice("left", -1, 2).coeffs == {(-1, 3): QQ.one}
     # arguments beyond the base window are re-sliced on a doubled one
-    assert sl.right(6, 1).coeffs == {(5, 1): QQ.one}
+    assert sl.slice("right", 6, 1).coeffs == {(5, 1): QQ.one}
 
 
 def test_slice_beyond_every_retry_raises():
     sl = Slicer(kfin_Z().bialgebra.delta, window=4)
     with pytest.raises(WindowInsufficiency):
-        sl.right(10 ** 9, 0)
+        sl.slice("right", 10 ** 9, 0)
 
 
 def test_sweedler_slice_is_bilinear():
@@ -107,7 +108,7 @@ def test_undefined_slice_is_detected():
     # the slicer must refuse to call the framed product an element
     sl = Slicer(parity_split_delta(kfin_Z()), window=2)
     with pytest.raises(SliceUndefined):
-        sl.right(0, 0)
+        sl.slice("right", 0, 0)
 
 
 def test_undefined_slices_read_failed_with_the_pair_as_witness():
@@ -142,11 +143,11 @@ def test_fons_and_coassociativity_oracle():
 def test_strict_fons_rechecks_a_planted_slice_against_the_probes(monkeypatch):
     b = kfin_Z().bialgebra
     sl = b.slicer(4)
-    good = sl.right(1, 2)
+    good = sl.slice("right", 1, 2)
     sl._cache[("right", 1, 2)] = good.scale(2)  # wrong, as if truncated
-    assert sl.right(1, 2) == good.scale(2)  # unverified requests trust the cache
+    assert sl.slice("right", 1, 2) == good.scale(2)  # unverified requests trust the cache
     assert check_fons(sl).ok
-    assert sl.right(1, 2) == good  # recomputed on the verified path
+    assert sl.slice("right", 1, 2) == good  # recomputed on the verified path
     assert b.slicer(4) is sl
     probes = []
     monkeypatch.setattr(bialgebra, "agrees_on_probes",
@@ -158,7 +159,7 @@ def test_strict_fons_rechecks_a_planted_slice_against_the_probes(monkeypatch):
 def test_strict_fons_fails_when_the_verified_path_finds_no_slice():
     b = kfin_Z().bialgebra
     sl = b.slicer(4)
-    sl._cache[("right", 1, 2)] = sl.right(1, 2).scale(2)
+    sl._cache[("right", 1, 2)] = sl.slice("right", 1, 2).scale(2)
     real = sl._preimage
     sl._preimage = lambda z, base=None, probe_ids=None: (  # no verified slice
         None if probe_ids is not None else real(z, base))
@@ -178,8 +179,8 @@ def test_a_slicer_is_freed_without_the_cycle_collector():
     import gc
     import weakref
     sl = Slicer(kfin_Z().bialgebra.delta, window=2)
-    sl.right(0, 1)
-    sl.left(1, 0)
+    sl.slice("right", 0, 1)
+    sl.slice("left", 1, 0)
     ref = weakref.ref(sl)
     gc.disable()
     try:

@@ -9,9 +9,10 @@ from mulhopf.comodule import (ComoduleAlgebra, check_comodule_coassoc,
                               check_comodule_counit, check_module_algebra)
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
-from mulhopf.gallery import (kfin_Z, kfun_cyclic, self_comodule,
-                             trivial_module_algebra)
+from mulhopf.gallery import kfin_Z, kfun_cyclic
 from mulhopf.multiplier import Multiplier, one
+
+from fixtures import self_comodule, trivial_module_algebra
 
 
 def shifted_coaction(bundle, offset=1):

@@ -9,8 +9,10 @@ from mulhopf.extension import (Extension, _join_windows, compose_extensions,
                                identity_extension, psi_embed, restrict_module,
                                tensor_extensions)
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic, random_extension
+from mulhopf.gallery import kfin_Z, kfun_cyclic
 from mulhopf.multiplier import Multiplier, iota, multiplier_eq, one
+
+from fixtures import random_extension
 
 
 def fiber_map_z2_to_z4():

@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # finite algebra;
 # the last one declares the trivial coaction rho(b) = b (x) 1 of Z/4 over
 # F_7 in coaction lines, so the coaction is sliced apart from Delta.
+# nonunital_path8.spec is a finite algebra that is associative, idempotent
+# and non-degenerate but has no unit (``test_multiplier`` shows M(A) != A).
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -36,6 +38,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_comodule_trivial_coaction_z4_f7.json",
      ["check-comodule", "rescaled_z4_f7_trivial_coaction.spec"], 0),
     ("check_comodule_kfin_Z_w3.json", ["check-comodule", "kfin_Z_w3.spec"], 0),
+    ("check_algebra_nonunital_path8.json", ["check-algebra", "nonunital_path8.spec"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

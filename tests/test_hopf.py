@@ -9,13 +9,14 @@ from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
 from mulhopf.bialgebra import Slicer, counit_extension
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, perturb_antipode_map
-from mulhopf.hopf import (MultiplierMap, canonical_map, check_antipode,
-                          check_bijective, check_convolution_inverse,
-                          check_hopf, conv_left, conv_right, conv_unit,
-                          iota_map, map_eq, source_twist, synthesize_antipode,
-                          target_frame)
+from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic
+from mulhopf.hopf import (MultiplierMap, check_antipode, check_bijective,
+                          check_convolution_inverse, check_hopf, conv_unit,
+                          convolve, iota_map, map_eq, synthesize_antipode)
 from mulhopf.multiplier import iota, multiplier_eq
+
+from fixtures import (canonical_map, perturb_antipode_map, source_twist, span_map,
+                      target_frame)
 
 
 # --- canonical maps -------------------------------------------------------
@@ -217,14 +218,6 @@ def test_convolution_inverse_builds_no_rank_solver_per_argument(monkeypatch):
 # --- the twisted convolution calculus -------------------------------------
 
 
-def span_map(alg, rng, ids):
-    """A map a -> iota(c * a * c') with small seeded elements c, c'."""
-    c = alg.element({i: QQ.coerce(rng.randint(-2, 2)) for i in ids})
-    cp = alg.element({i: QQ.coerce(rng.randint(-2, 2)) for i in ids})
-    return MultiplierMap(alg, lambda bid: iota(alg, (c * alg.basis_element(bid)) * cp),
-                         name="span")
-
-
 def test_convolution_unit_values():
     kz = kfin_Z().bialgebra
     alg = kz.algebra
@@ -240,7 +233,7 @@ def test_iota_convolved_with_itself():
     alg = kz.algebra
     sl = kz.slicer(window=3)
     im = iota_map(alg)
-    conv = conv_right(im, im, alg.basis_element(0), sl)
+    conv = convolve("right", im, im, alg.basis_element(0), sl)
     assert multiplier_eq(conv.basis(0), iota(alg, alg.basis_element(0)),
                          (-1, 0, 1)).ok
 
@@ -255,8 +248,8 @@ def test_mixed_associativity():
     for _ in range(4):
         f, g, h = (span_map(alg, rng, ids) for _ in range(3))
         ea, eb = alg.basis_element(rng.choice(ids)), alg.basis_element(rng.choice(ids))
-        lhs = conv_left(f, conv_right(g, h, eb, sl), ea, sl)
-        rhs = conv_right(conv_left(f, g, ea, sl), h, eb, sl)
+        lhs = convolve("left", f, convolve("right", g, h, eb, sl), ea, sl)
+        rhs = convolve("right", convolve("left", f, g, ea, sl), h, eb, sl)
         assert map_eq(lhs, rhs, ids, ids).ok
 
 
@@ -273,10 +266,10 @@ def test_convolution_unitality():
         eb = alg.basis_element(rng.choice(ids))
         ec = alg.basis_element(rng.choice(ids))
         alpha = conv_unit(alg, eps, eb)
-        lhs = conv_right(alpha, f, ec, sl)
+        lhs = convolve("right", alpha, f, ec, sl)
         rhs = target_frame(source_twist(f, left=ec), left=eb)
         assert map_eq(lhs, rhs, ids, ids).ok
-        lhs2 = conv_left(f, alpha, ec, sl)
+        lhs2 = convolve("left", f, alpha, ec, sl)
         rhs2 = target_frame(source_twist(f, right=ec), right=eb)
         assert map_eq(lhs2, rhs2, ids, ids).ok
 

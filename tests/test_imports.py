@@ -1,6 +1,7 @@
 """Every name a package module imports is used somewhere in that module,
-and every function and method of the package is referenced from the
-package or its tests."""
+every function and method of the package is referenced from the package
+or its tests, and every top-level function and class is referenced from
+the package itself, bar a listed few."""
 
 import ast
 import pathlib
@@ -36,18 +37,20 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def names(tree):
+    """Every name ``tree`` uses: variables, attributes and imported names."""
+    for sub in ast.walk(tree):
+        name = (sub.id if isinstance(sub, ast.Name) else
+                sub.attr if isinstance(sub, ast.Attribute) else
+                sub.name if isinstance(sub, ast.alias) else None)
+        if name is not None:
+            yield name
+
+
 def unreferenced_functions(sources: dict, users=()) -> list:
     """(module, line, name) of the functions and methods defined in
     ``sources`` (module name -> text), dunders exempt, whose name no text of
     ``sources`` or ``users`` uses outside the function's own body."""
-    def names(tree):
-        for sub in ast.walk(tree):
-            name = (sub.id if isinstance(sub, ast.Name) else
-                    sub.attr if isinstance(sub, ast.Attribute) else
-                    sub.name if isinstance(sub, ast.alias) else None)
-            if name is not None:
-                yield name
-
     uses, defined = Counter(), []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -78,3 +81,48 @@ def test_every_function_and_method_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")]
     assert unreferenced_functions(sources, tests) == []
+
+
+# Top-level names that nothing in the package calls, and why each stays.
+NO_CALLER_NEEDED = {
+    "main": "cli's console script, named in pyproject.toml",
+    "solve_linear": "linalg's verified solve: raises if substitution fails",
+    "kernel_basis": "linalg's verified kernel: raises if a vector is not one",
+    "regular_module": "module category of the theorem: the regular module",
+    "check_module": "module category: the module laws",
+    "epsilon_module": "module category: its monoidal unit k through eps",
+    "check_monoidal_instance": "module category: associator and unit constraints",
+    "check_module_algebra": "module category: module algebras over Delta",
+    "compose_extensions": "extension category: composition of morphisms",
+    "restrict_module": "extension category: a module pulled back along a morphism",
+}
+
+
+def unreferenced_top_level(sources: dict) -> list:
+    """(module, name) of the top-level functions and classes of ``sources``
+    (module name -> text) whose name no text of ``sources`` uses outside
+    the definition's own body."""
+    uses, defined = Counter(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        uses.update(names(tree))
+        defined += [(module, node.name, sum(name == node.name for name in names(node)))
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return sorted((m, name) for m, name, own in defined if uses[name] <= own)
+
+
+def test_the_scan_flags_a_top_level_name_only_its_own_body_uses():
+    sources = {"a": "class Used:\n    pass\n\ndef _loop(n):\n    return _loop(n)\n",
+               "b": "from .a import Used\n\ndef helper():\n    return Used()\n"}
+    assert unreferenced_top_level(sources) == [("a", "_loop"), ("b", "helper")]
+
+
+def test_every_top_level_name_has_a_caller_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert [(m, name) for m, name in unreferenced_top_level(sources)
+            if name not in NO_CALLER_NEEDED] == []
+    defined = {node.name for source in sources.values()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(NO_CALLER_NEEDED) <= defined

@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from mulhopf import linalg, multiplier
-from mulhopf.algebra import InputError, InvariantViolation, regular_module, resolve_window
+from mulhopf.algebra import InputError, regular_module, resolve_window
 from mulhopf.extension import psi_embed
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic, random_algebra, rowalg2
+from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
 from mulhopf.multiplier import (Multiplier, MultiplierSpace, act_on_module,
                                 agrees_on_probes, basis_image, combine, iota,
-                                iota_preimage, make_multiplier, multiplier_eq,
-                                multiplier_violation, one)
+                                iota_preimage, multiplier_eq, one)
+from mulhopf.specfile import build_bundle, parse_spec
+
+from fixtures import random_algebra
 
 
 def test_multiplier_space_of_function_algebra_has_dimension_n():
@@ -16,7 +20,7 @@ def test_multiplier_space_of_function_algebra_has_dimension_n():
     for n in (2, 3, 4):
         MS = MultiplierSpace(kfun_cyclic(n).algebra)
         assert MS.dim == n
-        assert MS.iota_rank() == n
+        assert MS.alg.regular_solver().rank == n
 
 
 def test_a_multiplier_space_build_factors_one_solver(monkeypatch):
@@ -57,6 +61,21 @@ def test_identity_multiplier_of_unital_algebra():
 def test_identity_multiplier_outside_iota_for_rowalg2():
     # rowalg2 has no unit, so 1 in M(A) has no preimage; the solve proves it
     A = rowalg2().algebra
+    assert iota_preimage(A, one(A)) is None
+
+
+def test_a_nondegenerate_idempotent_finite_algebra_need_not_have_a_unit():
+    # the path algebra of nonunital_path8.spec passes associativity,
+    # idempotency and non-degeneracy (its golden report), yet no u has
+    # iota(u) = 1: M(A) is 9-dimensional while iota(A) has rank 8
+    spec = Path(__file__).parent / "golden" / "nonunital_path8.spec"
+    A = build_bundle(parse_spec(spec.read_text(encoding="utf-8"))).algebra
+    ids = A.basis.ids
+    assert len(ids) == 8 and A.unit is None
+    unit_rhs = {(tag, w, w): QQ.one for tag in ("L", "R") for w in ids}
+    assert A.regular_solver().solve(unit_rhs) is None
+    assert MultiplierSpace(A).dim == 9
+    assert A.regular_solver().rank == 8
     assert iota_preimage(A, one(A)) is None
 
 
@@ -181,24 +200,6 @@ def test_sums_negatives_and_scalings_are_the_former_ones(xs, monkeypatch):
         xs[0] + other
 
 
-def test_make_multiplier_rejects_incompatible_pair():
-    A = kfun_cyclic(2).algebra
-    lam = lambda b: A.basis_element(0) * A.basis_element(b)
-    rho = lambda b: A.basis_element(b) * A.basis_element(1)
-    pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
-    assert multiplier_violation(A, lam, rho, pairs) is not None
-    with pytest.raises(InvariantViolation):
-        make_multiplier(A, lam, rho)
-
-
-def test_make_multiplier_accepts_compatible_pair():
-    A = kfun_cyclic(2).algebra
-    a = A.basis_element(1)
-    m = make_multiplier(A, lambda b: a * A.basis_element(b),
-                        lambda b: A.basis_element(b) * a)
-    assert multiplier_eq(m, iota(A, a), (0, 1)).ok
-
-
 def test_act_on_module_through_iota_matches_product():
     A = kfun_cyclic(3).algebra
     m = regular_module(A)
@@ -259,6 +260,6 @@ def test_probe_sweeps_cache_nothing_on_a_product():
     sl = kfin_Z().bialgebra.slicer(3)
     z, _base = sl._framed("right", 1, 2)
     probes = resolve_window(sl.txt, 3)
-    assert agrees_on_probes(sl.txt, sl.right(1, 2), z, probes)
+    assert agrees_on_probes(sl.txt, sl.slice("right", 1, 2), z, probes)
     assert multiplier_eq(z, z, probes).ok
     assert z._lam_cache == {} and z._rho_cache == {}

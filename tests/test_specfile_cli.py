@@ -490,8 +490,8 @@ def test_check_comodule_decomposes_each_target_id_once(tmp_path, capsys, monkeyp
     # every lifted multiplier shares its extension's B.A / A.B decompositions
     from mulhopf import extension
     solved = []
-    real = extension.Extension._decompose
-    monkeypatch.setattr(extension.Extension, "_decompose",
+    real = extension.Extension.decompose
+    monkeypatch.setattr(extension.Extension, "decompose",
                         lambda self, a, side: solved.append(
                             (id(self), side, tuple(sorted(a.coeffs)))) or real(self, a, side))
     spec = write_spec(tmp_path, "field Q\noracle kfin_Z\nwindow 2\n")

@@ -23,8 +23,10 @@ from mulhopf.cli import main
 from mulhopf.comodule import ComoduleAlgebra
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfun_cyclic, nand_delta, random_algebra
+from mulhopf.gallery import kfun_cyclic, nand_delta
 from mulhopf.multiplier import Multiplier, iota, iota_element, iota_preimage
+
+from fixtures import random_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 
