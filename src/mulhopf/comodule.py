@@ -35,7 +35,7 @@ from .algebra import (
     Algebra, Element, InputError, ModuleStructure, Verdict, joint_baseline,
     resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import act_on_module, basis_image, iota, one
+from .multiplier import act_on_module, basis_image, iota, one, sweep
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
     Slicer, SliceUndefined, _collapse, _sliced_coassoc, eps_value,
@@ -103,15 +103,14 @@ def _coassoc_setup(com: ComoduleAlgebra, max_probes):
     frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
                            into=triple_r) for a in a_ids}
     probe_ids = resolve_window(triple_l, window)[:max_probes]
+    pr_ids = tuple((i, (j, k)) for (i, j), k in probe_ids)  # the same probes on triple_r
     status = joint_baseline((B, b_ids), (A, a_ids), (triple_l, probe_ids))
 
     def differs(lhs, rhs):
-        for p in probe_ids:
-            pr = (p[0][0], (p[0][1], p[1]))  # ((i,j),k) -> (i,(j,k))
-            for side in ("left", "right"):
-                got = {((i, j), k): v for (i, (j, k)), v in basis_image(rhs, side, pr).items()}
-                if got != basis_image(lhs, side, p):
-                    return triple_l.basis_element(p), side
+        for n, side in sweep((lhs, probe_ids), (rhs, pr_ids)):
+            got = {((i, j), k): v for (i, (j, k)), v in basis_image(rhs, side, pr_ids[n]).items()}
+            if got != basis_image(lhs, side, probe_ids[n]):
+                return triple_l.basis_element(probe_ids[n]), side
         return None
 
     return (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,

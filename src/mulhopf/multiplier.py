@@ -29,7 +29,7 @@ from .algebra import (
 
 class Multiplier:
     __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod",
-                 "_psi", "_unit_memo", "_iota", "name")
+                 "_terms", "_psi", "_support", "_unit_memo", "_iota", "name")
 
     def __init__(self, alg: Algebra, lam, rho, name=None):
         self.alg = alg
@@ -38,7 +38,9 @@ class Multiplier:
         self._lam_cache: dict = {}
         self._rho_cache: dict = {}
         self._prod = None
+        self._terms = None  # [(c, x)] when this is combine's sum c * x
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
+        self._support = {}  # side -> (probes, positions with a nonzero image)
         self._unit_memo = None  # (side, window) -> contraction with that local unit
         self._iota = None  # iota_element's outcome: c with self = iota(c), or False
         self.name = name
@@ -128,29 +130,18 @@ def _extend(alg, basis_fn, a: Element) -> Element:
 def combine(alg: Algebra, terms) -> Multiplier:
     """sum c * x over ``(c, Multiplier)`` pairs; the zero multiplier when empty.
 
-    Each basis image is one flat accumulation over the terms, not a chain
-    of pairwise sums.
+    The terms stay on the multiplier: each basis image is one flat
+    accumulation over them (``basis_image``), and a probe sweep caches
+    nothing on the sum.
     """
     field = alg.field
     terms = [(field.coerce(c), x) for c, x in terms if c]
     if any(x.alg is not alg for _c, x in terms):
         raise InputError("multipliers over different algebras")
-    if not terms:  # one shared zero image: zero multipliers are frequent and hot
-        zero = alg.zero()
-        return Multiplier(alg, lambda bid: zero, lambda bid: zero)
-
-    def summed(parts):
-        def image(bid):
-            acc: dict = {}
-            for c, basis_fn in parts:
-                hit = basis_fn(bid).coeffs
-                if hit:
-                    vec_axpy(field, acc, hit, c)
-            return Element(alg, acc)
-        return image
-
-    return Multiplier(alg, summed([(c, x.lam_basis) for c, x in terms]),
-                      summed([(c, x.rho_basis) for c, x in terms]))
+    out = Multiplier(alg, lambda bid: Element(alg, basis_image(out, "left", bid)),
+                     lambda bid: Element(alg, basis_image(out, "right", bid)))
+    out._terms = terms
+    return out
 
 
 def one(alg: Algebra) -> Multiplier:
@@ -177,14 +168,14 @@ def multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdi
         raise InputError("multipliers over different algebras")
     alg, probe_ids = x.alg, tuple(probe_ids)
     label = f"{len(probe_ids)} probes"
-    for w in probe_ids:
-        for side, text in (("left", "x|>p = {} but y|>p = {}"),
-                           ("right", "p<|x = {} but p<|y = {}")):
-            hx, hy = basis_image(x, side, w), basis_image(y, side, w)
-            if hx != hy:  # witness and text are built for the failing probe only
-                return Verdict("multiplier equality", "failed", label,
-                               witness=(alg.basis_element(w),),
-                               detail=text.format(Element(alg, hx), Element(alg, hy)))
+    for n, side in sweep((x, probe_ids), (y, probe_ids)):
+        w = probe_ids[n]
+        hx, hy = basis_image(x, side, w), basis_image(y, side, w)
+        if hx != hy:  # witness and text are built for the failing probe only
+            text = "x|>p = {} but y|>p = {}" if side == "left" else "p<|x = {} but p<|y = {}"
+            return Verdict("multiplier equality", "failed", label,
+                           witness=(alg.basis_element(w),),
+                           detail=text.format(Element(alg, hx), Element(alg, hy)))
     if strict is None:
         strict = "proven" if alg.covers_fully(probe_ids) else "holds_on_window"
     return Verdict("multiplier equality", strict, label)
@@ -368,6 +359,7 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     is the same element; leaves memoise theirs per (side, window).  This is
     exact for a Psi leaf too: ``tensor_algebra``'s local unit is e_L (x) e_R,
     so Psi(x (x) y) |> e = (x |> e_L) (x) (y |> e_R), factors memoised.
+    Other leaves read cached basis images but add none for the scaled window.
     """
     if z._prod is not None:
         x, y = z._prod
@@ -384,47 +376,89 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
             out = tensor_elem(_unit_contraction(x, side, lids, lids),
                               _unit_contraction(y, side, rids, rids), into=z.alg)
         else:
-            e = z.alg.local_unit(ids)
-            out = z.apply_left(e) if side == "left" else z.apply_right(e)
+            out = _contract_leaf(z, side, z.alg.local_unit(ids))
         memo[(side, window)] = out
     return out
+
+
+def _contract_leaf(z: Multiplier, side, e: Element) -> Element:
+    """z |> e or e <| z from the leaf's rule, reading but not filling its cache."""
+    cache, rule = (z._lam_cache, z._lam) if side == "left" else (z._rho_cache, z._rho)
+    return _extend(z.alg, lambda bid: cache[bid] if bid in cache
+                   else _as_element(z.alg, rule(bid)), e)
 
 
 def basis_image(z: Multiplier, side, bid) -> dict:
     """Coefficients of z |> e_bid (side "left") or e_bid <| z (side "right").
 
     A leaf gives its memoised basis action.  A product x*y goes factor by
-    factor, inner image first (y on the left, x on the right), and caches
-    nothing on the product, which a probe sweep meets once per probe.
+    factor, inner image first (y on the left, x on the right), a ``combine``
+    term by term, and neither caches anything: a sweep meets each once.
     """
-    if z._prod is None:
+    if z._terms is not None:
+        parts = ((c, basis_image(x, side, bid)) for c, x in z._terms)
+    elif z._prod is None:
         return (z.lam_basis(bid) if side == "left" else z.rho_basis(bid)).coeffs
-    inner, outer = z._prod[::-1] if side == "left" else z._prod
-    hit = basis_image(inner, side, bid)
-    if not hit:
-        return hit
+    else:
+        inner, outer = z._prod[::-1] if side == "left" else z._prod
+        hit = basis_image(inner, side, bid)
+        if not hit:
+            return hit
+        parts = ((c, basis_image(outer, side, k)) for k, c in hit.items())
     field, acc = z.alg.field, {}
-    for k, c in hit.items():
-        image = basis_image(outer, side, k)
+    for c, image in parts:
         if image:
             vec_axpy(field, acc, image, c)
     return acc
 
 
+def support(z: Multiplier, side, probes) -> frozenset:
+    """Positions in ``probes`` outside which ``basis_image(z, side, .)`` is 0.
+
+    A leaf's is where its memoised image is nonzero, memoised per side for
+    the last probe tuple; a product x*y has its inner factor's (its image is
+    empty wherever the inner one is); a ``combine`` the union of its terms'.
+    """
+    if z._terms is not None:
+        return frozenset().union(*(support(x, side, probes) for _c, x in z._terms))
+    if z._prod is not None:
+        return support(z._prod[1] if side == "left" else z._prod[0], side, probes)
+    memo = z._support.get(side)
+    if memo is None or (memo[0] is not probes and memo[0] != probes):
+        image = z.lam_basis if side == "left" else z.rho_basis
+        memo = z._support[side] = (probes, frozenset(
+            n for n, w in enumerate(probes) if image(w).coeffs))
+    return memo[1]
+
+
+def sweep(*pairs):
+    """(position, side), positions in order and left before right, where the
+    support of some ``(z, probes)`` pair covers it (the tuples run in step).
+    Elsewhere every z acts as 0, so a full sweep's first mismatch is met here.
+    """
+    cover = {side: frozenset().union(*(support(z, side, probes) for z, probes in pairs))
+             for side in ("left", "right")}
+    for n in sorted(cover["left"] | cover["right"]):
+        for side in ("left", "right"):
+            if n in cover[side]:
+                yield n, side
+
+
 def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
     """iota(u) and z act alike, from both sides, on every probe basis element.
 
-    u e_w and e_w u are summed from ``basis_product`` over u's terms and
-    compared with ``basis_image``, so no probe element is built.
+    u e_w and e_w u are summed from ``basis_product`` and compared with
+    ``basis_image``, or with 0 outside z's support; no probe element is built.
     """
-    field, product = alg.field, alg.basis_product
-    for w in probe_ids:
+    field, product, probe_ids = alg.field, alg.basis_product, tuple(probe_ids)
+    cover = {side: support(z, side, probe_ids) for side in ("left", "right")}
+    for n, w in enumerate(probe_ids):
         for side in ("left", "right"):
             acc: dict = {}
             for i, c in u.coeffs.items():
                 hit = product(i, w) if side == "left" else product(w, i)
                 if hit:
                     vec_axpy(field, acc, hit, c)
-            if acc != basis_image(z, side, w):
+            if acc != (basis_image(z, side, w) if n in cover[side] else {}):
                 return False
     return True

@@ -85,7 +85,6 @@ def test_every_function_and_method_is_referenced():
 
 # Top-level names that nothing in the package calls, and why each stays.
 NO_CALLER_NEEDED = {
-    "main": "cli's console script, named in pyproject.toml",
     "solve_linear": "linalg's verified solve: raises if substitution fails",
     "kernel_basis": "linalg's verified kernel: raises if a vector is not one",
     "regular_module": "module category of the theorem: the regular module",

@@ -239,19 +239,35 @@ def test_basis_image_matches_the_element_actions(entry, window):
     mixed = combine(T, [(2, da), (-1, frame)])
     cases = [
         (A, [x, one(A), combine(A, [(2, x), (-1, y)]), x * y, (x * y) * x, x * (y * x),
-             combine(A, []), combine(A, []) * x, x * combine(A, [])]),
+             combine(A, []), combine(A, []) * x, x * combine(A, []),
+             combine(A, [(2, x * y), (-1, y * x), (1, one(A))])]),
         (T, [da, frame, mixed, da * frame, frame * da, (frame * da) * frame,
-             frame * (mixed * frame), combine(T, []) * da]),
+             frame * (mixed * frame), combine(T, []) * da,
+             combine(T, [(3, da * frame), (-1, frame), (2, frame * (mixed * da))])]),
     ]
     hits = 0
     for space, multipliers in cases:
         for z in multipliers:
-            for w in resolve_window(space, window):
+            images = {(side, w): basis_image(z, side, w)
+                      for w in resolve_window(space, window) for side in ("left", "right")}
+            # the terms walk caches nothing on a sum
+            assert z._terms is None or (z._lam_cache == {} and z._rho_cache == {})
+            for (side, w), image in images.items():
                 p = space.basis_element(w)
-                assert basis_image(z, "left", w) == z.apply_left(p).coeffs
-                assert basis_image(z, "right", w) == z.apply_right(p).coeffs
-                hits += bool(basis_image(z, "left", w)) + bool(basis_image(z, "right", w))
+                assert image == (z.apply_left(p) if side == "left" else z.apply_right(p)).coeffs
+                assert image == unfolded(z, side, p).coeffs
+                hits += bool(image)
     assert hits > 0
+
+
+def unfolded(z, side, a):
+    """z |> a or a <| z from the leaves' own actions, sums and products unfolded."""
+    if z._terms is not None:
+        return sum((unfolded(x, side, a).scale(c) for c, x in z._terms), a.space.zero())
+    if z._prod is not None:
+        inner, outer = z._prod[::-1] if side == "left" else z._prod
+        return unfolded(outer, side, unfolded(inner, side, a))
+    return z.apply_left(a) if side == "left" else z.apply_right(a)
 
 
 def test_probe_sweeps_cache_nothing_on_a_product():

@@ -1,0 +1,254 @@
+"""Support-driven probe sweeps give the verdicts of full sweeps.
+
+``multiplier_eq``, ``agrees_on_probes`` and the comodule ``differs`` visit
+only the probes that some side's support covers.  The reference sweeps
+below visit every probe on both sides, as those sweeps did before; each
+random case, planted mismatches included, must get the same answer from
+both, witness and detail too.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as strat
+
+from mulhopf.algebra import Element, Verdict
+from mulhopf.comodule import _coassoc_setup
+from mulhopf.fields import GF
+from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
+from mulhopf.linalg import vec_axpy
+from mulhopf.multiplier import (Multiplier, agrees_on_probes, basis_image, combine, iota,
+                                multiplier_eq, one, support)
+
+from fixtures import random_algebra, self_comodule
+
+
+# -- the full sweeps, every probe on both sides ------------------------------
+
+
+def full_multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdict:
+    alg, probe_ids = x.alg, tuple(probe_ids)
+    label = f"{len(probe_ids)} probes"
+    for w in probe_ids:
+        for side, text in (("left", "x|>p = {} but y|>p = {}"),
+                           ("right", "p<|x = {} but p<|y = {}")):
+            hx, hy = basis_image(x, side, w), basis_image(y, side, w)
+            if hx != hy:
+                return Verdict("multiplier equality", "failed", label,
+                               witness=(alg.basis_element(w),),
+                               detail=text.format(Element(alg, hx), Element(alg, hy)))
+    if strict is None:
+        strict = "proven" if alg.covers_fully(probe_ids) else "holds_on_window"
+    return Verdict("multiplier equality", strict, label)
+
+
+def full_agrees_on_probes(alg, u: Element, z: Multiplier, probe_ids) -> bool:
+    field, product = alg.field, alg.basis_product
+    for w in probe_ids:
+        for side in ("left", "right"):
+            acc: dict = {}
+            for i, c in u.coeffs.items():
+                hit = product(i, w) if side == "left" else product(w, i)
+                if hit:
+                    vec_axpy(field, acc, hit, c)
+            if acc != basis_image(z, side, w):
+                return False
+    return True
+
+
+def full_differs(triple_l, probe_ids):
+    def differs(lhs, rhs):
+        for p in probe_ids:
+            pr = (p[0][0], (p[0][1], p[1]))  # ((i,j),k) -> (i,(j,k))
+            for side in ("left", "right"):
+                got = {((i, j), k): v for (i, (j, k)), v in basis_image(rhs, side, pr).items()}
+                if got != basis_image(lhs, side, p):
+                    return triple_l.basis_element(p), side
+        return None
+    return differs
+
+
+# -- random multipliers with planted mismatches -------------------------------
+
+
+def planted(alg, plants) -> Multiplier:
+    """A leaf that is zero except at its planted (side, id) -> element."""
+    zero = alg.zero()
+    return Multiplier(alg, lambda w: plants.get(("left", w), zero),
+                      lambda w: plants.get(("right", w), zero), name="planted")
+
+
+def draw_plants(data, alg, probes, ids=None):
+    """Up to three (side, probe) -> element plants; ``ids`` are the targets."""
+    ids = ids or probes
+    plants = {}
+    for _ in range(data.draw(strat.integers(0, 3))):
+        n = data.draw(strat.sampled_from([0, len(probes) - 1, len(probes) // 2]))
+        side = data.draw(strat.sampled_from(["left", "right"]))
+        target = alg.basis_element(data.draw(strat.sampled_from(ids)))
+        plants[(side, probes[n])] = target.scale(data.draw(strat.integers(1, 3)))
+    return plants
+
+
+def draw_tree(data, alg, probes, depth=2) -> Multiplier:
+    kinds = ["iota", "one", "zero", "planted"] + (["product"] * 3 + ["combine"] if depth else [])
+    kind = data.draw(strat.sampled_from(kinds))
+    if kind == "iota":
+        i, j = (data.draw(strat.sampled_from(probes)) for _ in range(2))
+        return iota(alg, alg.basis_element(i) + alg.basis_element(j).scale(2))
+    if kind == "one":
+        return one(alg)
+    if kind == "zero":
+        return combine(alg, [])
+    if kind == "planted":
+        return planted(alg, draw_plants(data, alg, probes))
+    if kind == "product":
+        return draw_tree(data, alg, probes, depth - 1) * draw_tree(data, alg, probes, depth - 1)
+    return combine(alg, [(data.draw(strat.integers(-2, 2)), draw_tree(data, alg, probes, depth - 1))
+                         for _ in range(data.draw(strat.integers(1, 3)))])
+
+
+@lru_cache(maxsize=None)
+def algebra_case(k):
+    """(algebra, probe tuple): finite unital, finite non-unital, random, oracle."""
+    if k == 0:
+        alg = kfun_cyclic(3, field=GF(7)).algebra
+    elif k == 1:
+        alg = rowalg2().algebra
+    elif k == 2:
+        alg = random_algebra(3)
+    else:
+        alg = kfin_Z().algebra
+        return alg, alg.window_ids(2)
+    return alg, alg.basis.ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(strat.data())
+def test_multiplier_eq_gives_the_full_sweeps_verdict(data):
+    alg, probes = algebra_case(data.draw(strat.integers(0, 3)))
+    x = draw_tree(data, alg, probes)
+    y = data.draw(strat.sampled_from(["tree", "planted", "same", "zero"]))
+    if y == "tree":
+        y = draw_tree(data, alg, probes)
+    elif y == "planted":
+        y = combine(alg, [(1, x), (1, planted(alg, draw_plants(data, alg, probes)))])
+    else:
+        y = x if y == "same" else combine(alg, [])
+    strict = data.draw(strat.sampled_from([None, "holds_on_window"]))
+    assert multiplier_eq(x, y, probes, strict) == full_multiplier_eq(x, y, probes, strict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strat.data())
+def test_agrees_on_probes_gives_the_full_sweeps_answer(data):
+    alg, probes = algebra_case(data.draw(strat.integers(0, 3)))
+    u = alg.zero()
+    for _ in range(data.draw(strat.integers(0, 3))):
+        u = u + alg.basis_element(data.draw(strat.sampled_from(probes))).scale(
+            data.draw(strat.integers(1, 3)))
+    kind = data.draw(strat.sampled_from(["iota", "planted", "tree"]))
+    if kind == "tree":
+        z = draw_tree(data, alg, probes)
+    else:
+        z = iota(alg, u)
+        if kind == "planted":
+            z = combine(alg, [(1, z), (1, planted(alg, draw_plants(data, alg, probes)))])
+    assert agrees_on_probes(alg, u, z, probes) == full_agrees_on_probes(alg, u, z, probes)
+
+
+@lru_cache(maxsize=None)
+def comodule_case(k):
+    """The coassociativity set-up of A over itself (rho = Delta)."""
+    bundle = kfun_cyclic(3).bialgebra if k == 0 else kfin_Z(window=1).bialgebra
+    com = self_comodule(bundle)
+    setup = _coassoc_setup(com, 20 if k else None)
+    return com, setup
+
+
+def coassoc_sides(com, setup, b, a):
+    """check_comodule_coassoc's two sides at the window pair (b, a)."""
+    _B, _A, gamma, _b, _a, _t, rho_x_id, id_x_delta, frames, *_ = setup
+    lifted = id_x_delta.lift(com.coaction.basis_multiplier(b))
+    return rho_x_id.apply(gamma.slice("right", b, a)), lifted * frames[a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(strat.data())
+def test_comodule_differs_gives_the_full_sweeps_witness(data):
+    com, setup = comodule_case(data.draw(strat.integers(0, 1)))
+    _B, _A, _g, b_ids, a_ids, triple_l, _r, _i, _f, n_probes, _s, differs = setup
+    probes = triple_l.window_ids(com.window)[:n_probes]
+    b, a = data.draw(strat.sampled_from(b_ids)), data.draw(strat.sampled_from(a_ids))
+    lhs, rhs = coassoc_sides(com, setup, b, a)
+    pr = tuple((i, (j, k)) for (i, j), k in probes)
+    if data.draw(strat.booleans()):
+        lhs = combine(triple_l, [(1, lhs), (1, planted(triple_l, draw_plants(
+            data, triple_l, probes)))])
+    if data.draw(strat.booleans()):
+        rhs = combine(rhs.alg, [(1, rhs), (1, planted(rhs.alg, draw_plants(
+            data, rhs.alg, pr)))])
+    if data.draw(strat.booleans()):
+        lhs = combine(triple_l, [])
+    assert differs(lhs, rhs) == full_differs(triple_l, probes)(lhs, rhs)
+
+
+# -- pinned plants: a probe one side's support misses, and the last probe ----
+
+
+def test_a_mismatch_only_one_sides_support_covers_is_found():
+    alg = kfin_Z().algebra
+    probes = alg.window_ids(2)  # -2 .. 2
+    x = iota(alg, alg.basis_element(-2))  # supported on probe -2 only
+    y = combine(alg, [(1, x), (1, planted(alg, {("right", 1): alg.basis_element(0)}))])
+    # probe 1 sits at position 3, outside x's support and inside y's
+    assert support(x, "right", probes) == {0} and 3 in support(y, "right", probes)
+    v = multiplier_eq(x, y, probes)
+    assert v == full_multiplier_eq(x, y, probes)
+    assert (v.witness, v.detail) == ((alg.basis_element(1),), "p<|x = 0 but p<|y = 1*d0")
+    u = alg.basis_element(-2)
+    assert agrees_on_probes(alg, u, x, probes)
+    assert not agrees_on_probes(alg, u, y, probes)
+
+
+def test_a_mismatch_on_the_last_probe_is_found():
+    alg, probes = algebra_case(0)
+    last = probes[-1]
+    x = iota(alg, alg.basis_element(probes[0]))
+    y = combine(alg, [(1, x), (1, planted(alg, {("left", last): alg.basis_element(last)}))])
+    assert len(probes) - 1 not in support(x, "left", probes)
+    v = multiplier_eq(x, y, probes)
+    assert v == full_multiplier_eq(x, y, probes)
+    assert v.witness == (alg.basis_element(last),) and v.detail.startswith("x|>p = 0 but")
+    assert not agrees_on_probes(alg, alg.basis_element(probes[0]), y, probes)
+
+
+def test_comodule_differs_finds_a_plant_on_the_last_probe_and_off_support():
+    com, setup = comodule_case(0)
+    triple_l, differs = setup[5], setup[-1]
+    probes = triple_l.window_ids(None)
+    lhs, rhs = coassoc_sides(com, setup, 0, 1)
+    assert differs(lhs, rhs) is None
+    p = probes[-1]
+    pr = (p[0][0], (p[0][1], p[1]))
+    for side in ("left", "right"):
+        # the plant on the right-hand side lies outside the left side's support
+        assert len(probes) - 1 not in support(lhs, side, probes)
+        bad = combine(rhs.alg, [(1, rhs), (1, planted(rhs.alg, {(side, pr): rhs.alg.basis_element(pr)}))])
+        assert differs(lhs, bad) == full_differs(triple_l, probes)(lhs, bad) \
+            == (triple_l.basis_element(p), side)
+
+
+def test_a_product_is_swept_on_its_inner_factors_support():
+    # the outer factor iota(d2) is zero on probe d0, the inner one maps d0
+    # to d2: the product's image at d0 is d2, on the side the inner one acts
+    alg, probes = algebra_case(0)
+    d0, d2 = alg.basis_element(0), alg.basis_element(2)
+    outer = iota(alg, d2)
+    for side, z in (("left", outer * planted(alg, {("left", 0): d2})),
+                    ("right", planted(alg, {("right", 0): d2}) * outer)):
+        assert 0 not in support(outer, side, probes) and 0 in support(z, side, probes)
+        v = multiplier_eq(z, combine(alg, []), probes)
+        assert v == full_multiplier_eq(z, combine(alg, []), probes)
+        assert v.witness == (d0,) and v.detail == {"left": "x|>p = 1*d2 but y|>p = 0",
+                                                   "right": "p<|x = 1*d2 but p<|y = 0"}[side]

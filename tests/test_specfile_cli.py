@@ -1,6 +1,9 @@
 """The text input format and the command line driver."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +15,7 @@ from mulhopf.algebra import InputError
 from mulhopf.cli import build_parser, main
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import gallery_names, kfun_cyclic, zero1
+from mulhopf.gallery import gallery_names, kfin_Z, kfun_cyclic, zero1
 from mulhopf.specfile import SpecError, build_bundle, derive_rho, parse_spec
 
 GROUP_SPEC = """\
@@ -185,6 +188,15 @@ def run_cli(argv, capsys=None):
 
 
 # --- exit codes -----------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli_from_the_checkout():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "mulhopf", "classify", "gallery:kfun_cyclic(3)"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("mulhopf classify gallery:kfun_cyclic(3)")
 
 
 def test_exit_0_and_classification_line(capsys):
@@ -538,29 +550,61 @@ def test_oracle_spec_certifies_delta_on_the_run_window(tmp_path, capsys, spec_te
 def test_classify_contracts_each_leaf_against_a_local_unit_once_per_side(capsys, monkeypatch):
     # a slice's inner factor (a frame, or Delta(e_a)) meets each local unit
     # once per side; every further slice reuses the memoised contraction
+    from mulhopf import multiplier
     from mulhopf.algebra import Algebra
-    from mulhopf.multiplier import Multiplier
     units, counts = {}, {}
-    real_unit = Algebra.local_unit
+    real_unit, real_contract = Algebra.local_unit, multiplier._contract_leaf
 
     def local_unit(self, ids):
         e = real_unit(self, ids)
         units[id(e)] = e
         return e
 
-    def counted(side, real):
-        def apply(self, a):
-            if self._prod is None and units.get(id(a)) is a:
-                counts.setdefault((id(self), side, id(a)), [self, 0])[1] += 1
-            return real(self, a)
-        return apply
+    def counted(z, side, e):
+        if units.get(id(e)) is e:
+            counts.setdefault((id(z), side, id(e)), [z, 0])[1] += 1
+        return real_contract(z, side, e)
 
     monkeypatch.setattr(Algebra, "local_unit", local_unit)
-    for side, name in (("left", "apply_left"), ("right", "apply_right")):
-        monkeypatch.setattr(Multiplier, name, counted(side, getattr(Multiplier, name)))
+    monkeypatch.setattr(multiplier, "_contract_leaf", counted)
     rc, _, _ = run_cli(["classify", "gallery:kfin_Z", "--window", "4"], capsys)
     assert rc == 0
     assert counts and max(n for _, n in counts.values()) == 1
+
+
+def test_a_leaf_contracted_against_a_scaled_local_unit_keeps_no_per_id_image():
+    # Delta(d0) contracted against the local unit of the 289 ids of window 8
+    # of A (x) A, once per side: the contraction is memoised, the 289 basis
+    # images it read are not
+    from mulhopf.algebra import resolve_window
+    from mulhopf.multiplier import _unit_contraction
+    delta = kfin_Z(window=4).bialgebra.delta
+    leaf = delta._rule(0)  # a fresh leaf, not the extension's cached one
+    ids = resolve_window(delta.target, 8)
+    assert len(ids) == 289
+    left, right = (_unit_contraction(leaf, side, 8, ids) for side in ("left", "right"))
+    assert left == right and len(left.coeffs) == 17
+    assert leaf._lam_cache == {} and leaf._rho_cache == {}
+    assert _unit_contraction(leaf, "left", 8, ids) is left
+
+
+def test_check_comodule_caches_nothing_on_the_coaction_sums_it_sweeps(capsys, monkeypatch):
+    # each (b, a) applies rho (x) id to a slice, a fresh sum that the probe
+    # sweep walks term by term instead of memoising its probe images
+    sums, real_apply = [], Extension.apply
+
+    def apply(self, b):
+        out = real_apply(self, b)
+        factors = getattr(self, "factors", None)
+        if factors is not None and factors[1].name.startswith("id_"):  # rho (x) id
+            sums.append(out)
+        return out
+
+    monkeypatch.setattr(Extension, "apply", apply)
+    rc, _, _ = run_cli(["check-comodule", str(Path(__file__).parent / "golden" / "kfin_Z_w2.spec")],
+                       capsys)
+    assert rc == 0
+    assert sums and all(z._lam_cache == {} and z._rho_cache == {} for z in sums)
 
 
 # --- reports read back -----------------------------------------------------
