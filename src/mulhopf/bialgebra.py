@@ -92,8 +92,8 @@ class Slicer:
 
     def _frame(self, side, frame_id) -> Multiplier:
         """Psi(1 (x) e_b) for side "right", Psi(e_a (x) 1) for side "left"."""
-        # frames recur across every slice sharing the framing id, so keep
-        # the multiplier (and with it the memoized basis actions) around
+        # frames recur across every slice sharing the framing id: keeping
+        # the multiplier keeps its memoised supports and unit contractions
         out = self._frame_cache.get((side, frame_id))
         if out is None:
             if side == "right":

@@ -30,7 +30,8 @@ from .algebra import (
     WindowInsufficiency, annihilated, joint_baseline, resolve_window, scaled_window,
     tensor_algebra, tensor_elem,
 )
-from .multiplier import Multiplier, act_on_module, combine, iota, iota_element, multiplier_eq
+from .multiplier import (Multiplier, act_on_module, basis_image, combine, iota, iota_element,
+                         multiplier_eq)
 
 
 class Extension:
@@ -323,17 +324,11 @@ def psi_embed(parts, into=None) -> Multiplier:
 
 
 def _psi_pair(x: Multiplier, y: Multiplier) -> Multiplier:
+    """Psi(x (x) y): its rule is ``basis_image``'s tensor of the factors' images."""
     txt = tensor_algebra(x.alg, y.alg)
-
-    def lam(bid):
-        i, j = bid
-        return tensor_elem(x.lam_basis(i), y.lam_basis(j), into=txt)
-
-    def rho(bid):
-        i, j = bid
-        return tensor_elem(x.rho_basis(i), y.rho_basis(j), into=txt)
-
-    out = Multiplier(txt, lam, rho, name=f"psi({x.name},{y.name})")
+    out = Multiplier(txt, lambda bid: Element(txt, basis_image(out, "left", bid)),
+                     lambda bid: Element(txt, basis_image(out, "right", bid)),
+                     name=f"psi({x.name},{y.name})")
     out._psi = (x, y)
     return out
 

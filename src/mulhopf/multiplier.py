@@ -16,14 +16,17 @@ solution space of the linearity + compatibility system
 and window-relative.  Psi(x (x) y) on A (x) B acts factor by factor,
 (x |> a) (x) (y |> b), and remembers x and y, so contracting it against
 a local unit e_L (x) e_R contracts each factor against its own.
+A leaf memoises a basis image only for probe sweeps and factor reads
+(``lam_basis``/``rho_basis``); applying it to an element reads that memo
+but adds nothing, and products, sums and Psi leaves memoise nothing per id.
 """
 
 from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict,
-    WindowInsufficiency, factor_windows, resolve_window, tensor_elem,
+    Algebra, Element, InputError, ModuleStructure, TensorAlgebra, Verdict,
+    WindowInsufficiency, _outer, factor_windows, resolve_window, tensor_elem,
 )
 
 
@@ -66,14 +69,14 @@ class Multiplier:
         if self._prod is not None:
             x, y = self._prod
             return x.apply_left(y.apply_left(a))
-        return _extend(self.alg, self.lam_basis, a)
+        return _contract_leaf(self, "left", a)
 
     def apply_right(self, a: Element) -> Element:
         """a <| x."""
         if self._prod is not None:
             x, y = self._prod
             return y.apply_right(x.apply_right(a))
-        return _extend(self.alg, self.rho_basis, a)
+        return _contract_leaf(self, "right", a)
 
     # -- algebra structure of M(A) ------------------------------------------
 
@@ -115,16 +118,6 @@ def _as_element(alg, value) -> Element:
             raise InputError("multiplier rule returned a foreign element")
         return value
     return Element(alg, vec_canonical(alg.field, value))
-
-
-def _extend(alg, basis_fn, a: Element) -> Element:
-    field = alg.field
-    acc: dict = {}
-    for bid, c in a.coeffs.items():
-        x = basis_fn(bid).coeffs
-        if x:  # most images are empty on the examples (sparse products)
-            vec_axpy(field, acc, x, c)
-    return Element(alg, acc)
 
 
 def combine(alg: Algebra, terms) -> Multiplier:
@@ -303,7 +296,12 @@ def unital_certificate(alg: Algebra, lam, rho=None):
     u = alg.verified_unit if alg.finite else None
     if u is None:
         return None
-    c = _extend(alg, lam, u)
+    acc: dict = {}
+    for bid, k in u.coeffs.items():
+        image = lam(bid).coeffs
+        if image:
+            vec_axpy(alg.field, acc, image, k)
+    c = Element(alg, acc)
     for y in alg.basis.ids:
         ey = alg.basis_element(y)
         if lam(y) != c * ey or (rho is not None and rho(y) != ey * c):
@@ -381,11 +379,16 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     return out
 
 
-def _contract_leaf(z: Multiplier, side, e: Element) -> Element:
-    """z |> e or e <| z from the leaf's rule, reading but not filling its cache."""
+def _contract_leaf(z: Multiplier, side, a: Element) -> Element:
+    """z |> a or a <| z from the leaf's rule, reading but not filling its cache."""
     cache, rule = (z._lam_cache, z._lam) if side == "left" else (z._rho_cache, z._rho)
-    return _extend(z.alg, lambda bid: cache[bid] if bid in cache
-                   else _as_element(z.alg, rule(bid)), e)
+    alg, acc = z.alg, {}
+    for bid, c in a.coeffs.items():
+        image = cache.get(bid)
+        image = (image if image is not None else _as_element(alg, rule(bid))).coeffs
+        if image:  # most images are empty on the examples (sparse products)
+            vec_axpy(alg.field, acc, image, c)
+    return Element(alg, acc)
 
 
 def basis_image(z: Multiplier, side, bid) -> dict:
@@ -393,8 +396,13 @@ def basis_image(z: Multiplier, side, bid) -> dict:
 
     A leaf gives its memoised basis action.  A product x*y goes factor by
     factor, inner image first (y on the left, x on the right), a ``combine``
-    term by term, and neither caches anything: a sweep meets each once.
+    term by term, a Psi(x (x) y) leaf as the tensor of its factors' images,
+    and none of them caches anything: a sweep meets each once.
     """
+    if z._psi is not None:
+        (x, y), (i, j) = z._psi, bid
+        hx = basis_image(x, side, i)
+        return _outer(z.alg.field, hx, basis_image(y, side, j)) if hx else {}
     if z._terms is not None:
         parts = ((c, basis_image(x, side, bid)) for c, x in z._terms)
     elif z._prod is None:
@@ -416,8 +424,10 @@ def support(z: Multiplier, side, probes) -> frozenset:
     """Positions in ``probes`` outside which ``basis_image(z, side, .)`` is 0.
 
     A leaf's is where its memoised image is nonzero, memoised per side for
-    the last probe tuple; a product x*y has its inner factor's (its image is
-    empty wherever the inner one is); a ``combine`` the union of its terms'.
+    the last probe tuple; a Psi(x (x) y) leaf's (memoised alike) is where
+    both factors' supports over the distinct factor ids of the probes meet;
+    a product x*y has its inner factor's (its image is empty wherever the
+    inner one is); a ``combine`` the union of its terms'.
     """
     if z._terms is not None:
         return frozenset().union(*(support(x, side, probes) for _c, x in z._terms))
@@ -425,9 +435,14 @@ def support(z: Multiplier, side, probes) -> frozenset:
         return support(z._prod[1] if side == "left" else z._prod[0], side, probes)
     memo = z._support.get(side)
     if memo is None or (memo[0] is not probes and memo[0] != probes):
-        image = z.lam_basis if side == "left" else z.rho_basis
-        memo = z._support[side] = (probes, frozenset(
-            n for n, w in enumerate(probes) if image(w).coeffs))
+        if z._psi is not None:
+            ids = [tuple(dict.fromkeys(p[k] for p in probes)) for k in (0, 1)]
+            hit = [{ids[k][n] for n in support(fac, side, ids[k])} for k, fac in enumerate(z._psi)]
+            covered = (n for n, (i, j) in enumerate(probes) if i in hit[0] and j in hit[1])
+        else:
+            image = z.lam_basis if side == "left" else z.rho_basis
+            covered = (n for n, w in enumerate(probes) if image(w).coeffs)
+        memo = z._support[side] = (probes, frozenset(covered))
     return memo[1]
 
 
@@ -447,18 +462,36 @@ def sweep(*pairs):
 def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
     """iota(u) and z act alike, from both sides, on every probe basis element.
 
-    u e_w and e_w u are summed from ``basis_product`` and compared with
-    ``basis_image``, or with 0 outside z's support; no probe element is built.
+    Only probes where z's support or iota(u)'s covers them are visited
+    (elsewhere both act as 0): there u e_w and e_w u are summed from
+    ``basis_product`` and compared with ``basis_image``, or with 0 outside
+    z's support; no probe element is built.
     """
     field, product, probe_ids = alg.field, alg.basis_product, tuple(probe_ids)
-    cover = {side: support(z, side, probe_ids) for side in ("left", "right")}
-    for n, w in enumerate(probe_ids):
-        for side in ("left", "right"):
-            acc: dict = {}
+    for side in ("left", "right"):
+        cover = support(z, side, probe_ids)
+        for n in sorted(cover | _iota_support(alg, u, side, probe_ids)):
+            w, acc = probe_ids[n], {}
             for i, c in u.coeffs.items():
                 hit = product(i, w) if side == "left" else product(w, i)
                 if hit:
                     vec_axpy(field, acc, hit, c)
-            if acc != (basis_image(z, side, w) if n in cover[side] else {}):
+            if acc != (basis_image(z, side, w) if n in cover else {}):
                 return False
     return True
+
+
+def _iota_support(alg: Algebra, u: Element, side, probes) -> frozenset:
+    """Positions in ``probes`` outside which u e_w (side "left") or e_w u is 0:
+    on a tensor algebra, where some term of u meets w in both factors (one
+    factor ``basis_product`` per term of u and distinct factor id of the
+    probes); on any other algebra, every position."""
+    if not isinstance(alg, TensorAlgebra):
+        return frozenset(range(len(probes)))
+    meets = [{}, {}]
+    for k, fac in enumerate(alg.factors):
+        for w in dict.fromkeys(p[k] for p in probes):
+            meets[k][w] = frozenset(t for t in u.coeffs if (
+                fac.basis_product(t[k], w) if side == "left" else fac.basis_product(w, t[k])))
+    return frozenset(n for n, (i, j) in enumerate(probes)
+                     if not meets[0][i].isdisjoint(meets[1][j]))

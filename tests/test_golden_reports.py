@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # finite algebra;
 # the last one declares the trivial coaction rho(b) = b (x) 1 of Z/4 over
 # F_7 in coaction lines, so the coaction is sliced apart from Delta.
+# classify at window 6 and check-comodule at window 4 of K(Z) are the sizes
+# where the supports of iota(u) and of Psi leaves prune the probe sweeps.
 # nonunital_path8.spec is a finite algebra that is associative, idempotent
 # and non-degenerate but has no unit (``test_multiplier`` shows M(A) != A).
 @pytest.mark.parametrize("name, argv, code", [
@@ -39,6 +41,8 @@ GOLDEN = Path(__file__).parent / "golden"
      ["check-comodule", "rescaled_z4_f7_trivial_coaction.spec"], 0),
     ("check_comodule_kfin_Z_w3.json", ["check-comodule", "kfin_Z_w3.spec"], 0),
     ("check_algebra_nonunital_path8.json", ["check-algebra", "nonunital_path8.spec"], 1),
+    ("classify_kfin_Z_w6.json", ["classify", "kfin_Z_w6.spec"], 0),
+    ("check_comodule_kfin_Z_w4.json", ["check-comodule", "kfin_Z_w4.spec"], 0),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from mulhopf import linalg, multiplier
-from mulhopf.algebra import InputError, regular_module, resolve_window
+from mulhopf.algebra import InputError, regular_module, resolve_window, tensor_elem
 from mulhopf.extension import psi_embed
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
@@ -267,7 +267,27 @@ def unfolded(z, side, a):
     if z._prod is not None:
         inner, outer = z._prod[::-1] if side == "left" else z._prod
         return unfolded(outer, side, unfolded(inner, side, a))
+    if z._psi is not None:  # Psi(x (x) y) acts on e_i (x) e_j factor by factor
+        (x, y), (left, right) = z._psi, a.space.factors
+        return sum((tensor_elem(unfolded(x, side, left.basis_element(i)),
+                                unfolded(y, side, right.basis_element(j)), into=a.space).scale(c)
+                    for (i, j), c in a.coeffs.items()), a.space.zero())
     return z.apply_left(a) if side == "left" else z.apply_right(a)
+
+
+def test_applying_a_leaf_reads_its_memo_and_fills_none():
+    # x |> a and a <| x for a whole element go through the leaf's rule; a
+    # basis image memoised by a probe sweep is read, and nothing is added
+    A = kfin_Z().algebra
+    e = A.basis_element
+    x = iota(A, e(0) + e(1).scale(2))
+    a = e(0).scale(3) + e(1) - e(5)
+    assert x.apply_left(a) == x.apply_right(a) == e(0).scale(3) + e(1).scale(2)
+    assert x._lam_cache == {} and x._rho_cache == {}
+    x.lam_basis(1)
+    x._lam_cache[1] = e(7)  # a planted memo shows it is read
+    assert x.apply_left(a) == e(0).scale(3) + e(7)
+    assert list(x._lam_cache) == [1] and x._rho_cache == {}
 
 
 def test_probe_sweeps_cache_nothing_on_a_product():

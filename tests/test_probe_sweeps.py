@@ -1,10 +1,11 @@
 """Support-driven probe sweeps give the verdicts of full sweeps.
 
 ``multiplier_eq``, ``agrees_on_probes`` and the comodule ``differs`` visit
-only the probes that some side's support covers.  The reference sweeps
-below visit every probe on both sides, as those sweeps did before; each
-random case, planted mismatches included, must get the same answer from
-both, witness and detail too.
+only the probes that some side's support covers (for ``agrees_on_probes``,
+z's or, on a tensor algebra, iota(u)'s; a Psi leaf's comes from its
+factors').  The reference sweeps below visit every probe on both sides,
+as those sweeps did before; each random case, planted mismatches
+included, must get the same answer from both, witness and detail too.
 """
 
 from functools import lru_cache
@@ -12,8 +13,9 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf.algebra import Element, Verdict
+from mulhopf.algebra import Element, TensorAlgebra, Verdict, tensor_algebra
 from mulhopf.comodule import _coassoc_setup
+from mulhopf.extension import psi_embed
 from mulhopf.fields import GF
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
 from mulhopf.linalg import vec_axpy
@@ -252,3 +254,107 @@ def test_a_product_is_swept_on_its_inner_factors_support():
         assert v == full_multiplier_eq(z, combine(alg, []), probes)
         assert v.witness == (d0,) and v.detail == {"left": "x|>p = 1*d2 but y|>p = 0",
                                                    "right": "p<|x = 1*d2 but p<|y = 0"}[side]
+
+
+# -- Psi leaves over nested tensor algebras -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def tensor_case(k):
+    """(A (x) B) (x) C or A (x) (B (x) C) over Q, an oracle factor in each."""
+    fin, row, z = kfun_cyclic(3).algebra, rowalg2().algebra, kfin_Z().algebra
+    if k == 0:
+        return tensor_algebra(tensor_algebra(fin, row), z)
+    return tensor_algebra(z, tensor_algebra(row, fin))
+
+
+def factor_probes(alg):
+    """Every pair of the factors' probes, window 1 on K(Z) (18 on a tensor_case)."""
+    if isinstance(alg, TensorAlgebra):
+        left, right = (factor_probes(fac) for fac in alg.factors)
+        return tuple((i, j) for i in left for j in right)
+    return alg.window_ids(1) if not alg.finite else alg.basis.ids
+
+
+def draw_psi(data, alg, plant):
+    """A Psi leaf at every tensor level of ``alg``, trees on the factors, and
+    its twin, whose ``plant`` puts planted mismatches into one drawn factor."""
+    if not isinstance(alg, TensorAlgebra):
+        probes = factor_probes(alg)
+        x = draw_tree(data, alg, probes, depth=1)
+        return x, (combine(alg, [(1, x), (1, planted(alg, draw_plants(data, alg, probes)))])
+                   if plant else x)
+    k = data.draw(strat.sampled_from([0, 1]))
+    (x, tx), (y, ty) = (draw_psi(data, fac, plant and n == k)
+                        for n, fac in enumerate(alg.factors))
+    return psi_embed([x, y]), psi_embed([tx, ty])
+
+
+@settings(max_examples=100, deadline=None)
+@given(strat.data())
+def test_psi_leaves_give_the_full_sweeps_verdict(data):
+    alg = tensor_case(data.draw(strat.integers(0, 1)))
+    probes = factor_probes(alg)
+    x, twin = draw_psi(data, alg, plant=True)
+    for z in (x, twin):  # outside its support a Psi leaf acts as 0
+        for side in ("left", "right"):
+            covered = support(z, side, probes)
+            assert all(not basis_image(z, side, w) for n, w in enumerate(probes)
+                       if n not in covered)
+    assert multiplier_eq(x, twin, probes) == full_multiplier_eq(x, twin, probes)
+    other, _ = draw_psi(data, alg, plant=False)
+    for y in (x * other, other * twin, combine(alg, [(1, x), (-1, other)])):
+        assert multiplier_eq(x, y, probes) == full_multiplier_eq(x, y, probes)
+    u = alg.zero()
+    for _ in range(data.draw(strat.integers(0, 3))):
+        u = u + alg.basis_element(data.draw(strat.sampled_from(probes)))
+    for z in (x, twin, iota(alg, u), combine(alg, [(1, iota(alg, u)), (1, twin)])):
+        assert agrees_on_probes(alg, u, z, probes) == full_agrees_on_probes(alg, u, z, probes)
+
+
+def test_a_plant_only_iota_u_covers_is_found():
+    # z = Psi(iota(d1) (x) iota(d1)) acts as 0 on e_(0,0), where u = e_(0,0)
+    # does not: only iota(u)'s support covers that probe
+    A = kfin_Z().algebra
+    T = tensor_algebra(A, A)
+    probes = factor_probes(T)
+    d1 = iota(A, A.basis_element(1))
+    z = psi_embed([d1, d1])
+    u = T.basis_element((0, 0))
+    n = probes.index((0, 0))
+    for side in ("left", "right"):
+        assert n not in support(z, side, probes)
+    assert not agrees_on_probes(T, u, z, probes)
+    assert not full_agrees_on_probes(T, u, z, probes)
+    assert agrees_on_probes(T, T.basis_element((1, 1)), z, probes)
+
+
+def visited_probes(alg, u, z, probes, monkeypatch):
+    """The (side, probe) pairs on which ``agrees_on_probes`` forms u e_w or e_w u."""
+    calls, real = [], alg.basis_product
+    for side in ("left", "right"):  # z's own images, memoised before counting
+        support(z, side, probes)
+
+    def product(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(alg, "basis_product", product)
+    assert agrees_on_probes(alg, u, z, probes)
+    monkeypatch.undo()
+    return ({("left", q) for p, q in calls if p in u.coeffs}
+            | {("right", p) for p, q in calls if q in u.coeffs})
+
+
+def test_a_non_tensor_algebra_keeps_the_full_sweep_and_a_tensor_one_prunes(monkeypatch):
+    A = kfin_Z().algebra
+    probes = A.window_ids(2)
+    u = A.basis_element(0)
+    full = {(side, w) for w in probes for side in ("left", "right")}
+    assert visited_probes(A, u, iota(A, u), probes, monkeypatch) == full
+    T = tensor_algebra(A, A)
+    probes = factor_probes(T)
+    u = T.basis_element((0, 1))
+    # u e_w is nonzero only at w = (0, 1), on either side
+    assert visited_probes(T, u, iota(T, u), probes, monkeypatch) == {
+        ("left", (0, 1)), ("right", (0, 1))}

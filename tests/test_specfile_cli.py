@@ -607,6 +607,43 @@ def test_check_comodule_caches_nothing_on_the_coaction_sums_it_sweeps(capsys, mo
     assert sums and all(z._lam_cache == {} and z._rho_cache == {} for z in sums)
 
 
+@pytest.mark.parametrize("argv", [["classify", "kfin_Z_w3.spec"],
+                                  ["check-comodule", "kfin_Z_w2.spec"]])
+def test_swept_psi_leaves_keep_empty_caches(capsys, monkeypatch, argv):
+    # multiplier_eq, agrees_on_probes and the comodule differs reach a Psi
+    # leaf through support; its images are tensors of its factors' images
+    from mulhopf import multiplier
+    swept, real = {}, multiplier.support
+
+    def support(z, side, probes):
+        if z._psi is not None:
+            swept[id(z)] = z
+        return real(z, side, probes)
+
+    monkeypatch.setattr(multiplier, "support", support)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    rc, _, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert swept and all(z._lam_cache == {} and z._rho_cache == {} for z in swept.values())
+
+
+def test_classify_at_window_6_memoises_few_basis_images(capsys, monkeypatch):
+    # leaf applications and Psi leaves memoise nothing per id: about 12,000
+    # images stay memoised, where storing every image read took 106,770
+    from mulhopf.multiplier import Multiplier
+    made, real = [], Multiplier.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Multiplier, "__init__", init)
+    rc, _, _ = run_cli(["classify", str(Path(__file__).parent / "golden" / "kfin_Z_w6.spec")],
+                       capsys)
+    assert rc == 0
+    assert sum(len(z._lam_cache) + len(z._rho_cache) for z in made) <= 15_000
+
+
 # --- reports read back -----------------------------------------------------
 
 
