@@ -56,17 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesize-antipode": "solve for the antipode and verify it",
         "classify": "run the whole ladder and name the strongest structure",
     }
+    common = argparse.ArgumentParser(add_help=False)  # every command's options
+    common.add_argument("input", help="gallery:<name>(<params>) or a spec file path")
+    common.add_argument("--window", type=_positive,
+                        help="basis window for infinite families")
+    common.add_argument("--expansion", type=_positive,
+                        help="window scale factor for searches (default 2)")
+    common.add_argument("--report", choices=("text", "json"), default="text")
+    common.add_argument("--seed", type=int, help="recorded in the report")
+    common.add_argument("--timing", action="store_true",
+                        help="include per-check timings in the report")
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="gallery:<name>(<params>) or a spec file path")
-        p.add_argument("--window", type=_positive,
-                       help="basis window for infinite families")
-        p.add_argument("--expansion", type=_positive,
-                       help="window scale factor for searches (default 2)")
-        p.add_argument("--report", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, help="recorded in the report")
-        p.add_argument("--timing", action="store_true",
-                       help="include per-check timings in the report")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

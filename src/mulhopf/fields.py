@@ -1,10 +1,12 @@
 """Exact scalar arithmetic over Q and over prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` for Q, ints in
-``range(p)`` for F_p.  A ``Field`` object interprets them; containers
-(elements, matrices) carry the field, individual scalars do not.  Both
-representations make zero falsy, which the sparse containers rely on to
-keep themselves in canonical form.
+Scalars are plain Python values.  A scalar of Q has one canonical form:
+an ``int`` when it is integral, a ``fractions.Fraction`` otherwise, so the
++-1 coefficients that dominate group-like tables cost no gcd.  Scalars of
+F_p are ints in ``range(p)``.  A ``Field`` object interprets them;
+containers (elements, matrices) carry the field, individual scalars do
+not.  Both representations make zero falsy, which the sparse containers
+rely on to keep themselves in canonical form.
 """
 
 from __future__ import annotations
@@ -55,28 +57,31 @@ class Field:
         return self.name
 
 
+def _canonical(x):
+    """The canonical Q scalar: an int when ``x`` is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class RationalField(Field):
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return int(value) if type(value) is bool else _canonical(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _canonical(Fraction(value))
         raise FieldError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -84,16 +89,16 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return _canonical(Fraction(1) / a)
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
     def random(self, rng):
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return _canonical(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -283,11 +283,12 @@ def derive_rho(T, lam_table, what="delta"):
     On a unital T, rho(e_p) = e_p c, c = m(1), once m(e_y) = c e_y for all y
     (``unital_certificate``): m is iota(c), certified by this pass.  A solve
     forces the same (put 1 into x e_y = e_p m(y)), so it runs only to raise.
+    Returns (rho, c), with c None when rho was solved for.
     """
     ids = list(T.basis.ids)
     c = unital_certificate(T, lambda y: Element(T, lam_table.get(y, {})))
     if c is not None:
-        return {p: in_solve_order(T.basis_element(p) * c).coeffs for p in ids}
+        return {p: in_solve_order(T.basis_element(p) * c).coeffs for p in ids}, c
     solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(
@@ -306,23 +307,25 @@ def derive_rho(T, lam_table, what="delta"):
             raise InputError(
                 f"{what} table is not a two-sided multiplier (fails at {T.fmt_id(p)})")
         rho[p] = {t: c for t, c in sol.items() if c}
-    return rho
+    return rho, None
 
 
 def _slice_extension(A, T, tables, name):
     """Extension A -> M(T) from per-generator left slice tables; on a unital
-    T each keeps ``derive_rho``'s certificate iota(c), c = m(1)."""
-    mults, u = {}, T.verified_unit
+    T each keeps ``derive_rho``'s certificate iota(c), c = m(1).  With a
+    verified unit ``derive_rho`` certifies c or raises, so an uncertified c
+    is never kept."""
+    mults = {}
     for i in A.basis.ids:
         lam_table = {frame: dict(coeffs)
                      for frame, coeffs in tables.get(i, {}).items()}
-        rho_table = derive_rho(T, lam_table, what=f"{name} {A.fmt_id(i)}")
+        rho_table, c = derive_rho(T, lam_table, what=f"{name} {A.fmt_id(i)}")
         mults[i] = m = Multiplier(
             T,
             lambda bid, _t=lam_table: Element(T, _t.get(bid, {})),
             lambda bid, _t=rho_table: Element(T, _t.get(bid, {})),
             name=f"{name}({A.fmt_id(i)})")
-        m._iota = u and m.apply_left(u)
+        m._iota = c
     return Extension(A, T, lambda i: mults[i], name=name)
 
 

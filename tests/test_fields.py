@@ -78,6 +78,47 @@ def test_qq_ring_laws(a, b, c):
     assert QQ.mul(a, QQ.one) == a
 
 
+def canonical(x):
+    """``x`` is a Q scalar in canonical form: an int exactly when integral,
+    a Fraction otherwise, never a float or a bool."""
+    integral = type(x) is int
+    return (integral or type(x) is Fraction) and integral == (x == int(x))
+
+
+@given(rationals, rationals, strat.integers(-10**20, 10**20))
+def test_qq_results_are_canonical_and_equal_fraction_arithmetic(a, b, n):
+    for x in (a, b, n):
+        assert canonical(QQ.coerce(x)) and QQ.coerce(x) == x
+        assert canonical(QQ.parse(str(x))) and QQ.parse(str(x)) == x
+    a, b = QQ.coerce(a), QQ.coerce(b)
+    Fa, Fb = Fraction(a), Fraction(b)
+    results = [(QQ.add(a, b), Fa + Fb), (QQ.sub(a, b), Fa - Fb),
+               (QQ.mul(a, b), Fa * Fb), (QQ.neg(a), -Fa)]
+    if b:
+        results += [(QQ.inv(b), 1 / Fb), (QQ.div(a, b), Fa / Fb)]
+    for got, want in results:
+        assert canonical(got) and got == want
+        assert str(got) == str(want)
+
+
+def test_qq_canonical_forms():
+    assert QQ.zero == 0 and type(QQ.zero) is int and not QQ.zero
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.div(1, 4) == Fraction(1, 4) and type(QQ.div(1, 4)) is Fraction
+    assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
+    assert QQ.coerce(True) == 1 and type(QQ.coerce(True)) is int
+    assert type(QQ.coerce(False)) is int and str(QQ.coerce(True)) == "1"
+    assert type(QQ.coerce(Fraction(4, 2))) is int and type(QQ.parse("6/3")) is int
+    with pytest.raises(FieldError):
+        QQ.coerce(0.5)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)
+    rng = random.Random(5)
+    assert all(canonical(QQ.random(rng)) for _ in range(50))
+
+
 @given(fp_elems, fp_elems, fp_elems)
 def test_gf7_ring_laws(a, b, c):
     F = GF(7)

@@ -5,6 +5,7 @@ as it was; these files were written before such changes and are compared
 verbatim.  Regenerate one only for a change meant to alter that report.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,27 @@ def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report
     assert main(argv + ["--report", "json"]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def numbers(data, path=()):
+    """(path, value) of every JSON number in ``data``."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from numbers(value, path + (key,))
+    elif isinstance(data, list):
+        for value in data:
+            yield from numbers(value, path)
+    elif isinstance(data, (int, float)) and not isinstance(data, bool):
+        yield path, data
+
+
+# Scalars reach a report through ``default=str``; one that leaked as a raw
+# int would print as a JSON number where the text form prints a string.
+@pytest.mark.parametrize("spec", ["rescaled_z6.spec", "kfin_Z_w3.spec"])
+def test_report_numbers_are_only_inputs_and_timings(capsys, monkeypatch, spec):
+    monkeypatch.chdir(GOLDEN)
+    assert main(["classify", spec, "--report", "json", "--seed", "4", "--timing"]) == 0
+    found = list(numbers(json.loads(capsys.readouterr().out)))
+    assert {path for path, _ in found} <= {
+        ("input", "window"), ("input", "expansion"), ("input", "seed"), ("entries", "timing_ms")}
+    assert (("input", "seed"), 4) in found and ("entries", "timing_ms") in dict(found)

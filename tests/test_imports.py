@@ -125,3 +125,27 @@ def test_every_top_level_name_has_a_caller_in_the_package():
                for node in ast.parse(source).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(NO_CALLER_NEEDED) <= defined
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_scan_finds_every_form_of_import():
+    source = "import fractions\nfrom fractions import Fraction\nfrom .fields import QQ\n"
+    assert imported_modules(source) == {"fractions"}
+    assert imported_modules("import os.path as p\n") == {"os"}
+
+
+# Q scalars are ints or Fractions by one rule, kept in ``fields.RationalField``.
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "fields.py"),
+                         ids=lambda p: p.name)
+def test_only_fields_imports_fractions(path):
+    assert "fractions" not in imported_modules(path.read_text(encoding="utf-8"))

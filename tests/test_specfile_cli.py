@@ -142,8 +142,9 @@ def test_derive_rho_on_group_algebra():
     spec = parse_spec(GROUP_SPEC)
     entry = build_bundle(spec)
     A = entry.algebra
-    rho = derive_rho(A, {"e": {"g": QQ.one}, "g": {"e": QQ.one}}, what="test")
+    rho, c = derive_rho(A, {"e": {"g": QQ.one}, "g": {"e": QQ.one}}, what="test")
     assert rho == {"e": {"g": QQ.one}, "g": {"e": QQ.one}}
+    assert c == A.basis_element("g")  # the certified m(1)
 
 
 def test_derive_rho_rejects_right_annihilators():

@@ -111,7 +111,7 @@ def rho_tables(ext):
     T = ext.target
     tables = [{y: z.lam_basis(y).coeffs for y in T.basis.ids if z.lam_basis(y).coeffs}
               for z in map(ext.basis_multiplier, ext.source.basis.ids)]
-    return [[(p, list(r.items())) for p, r in specfile.derive_rho(T, t).items()]
+    return [[(p, list(r.items())) for p, r in specfile.derive_rho(T, t)[0].items()]
             for t in tables]
 
 
@@ -254,3 +254,17 @@ def test_classify_of_a_unital_spec_solves_nothing_and_certifies_once(capsys, mon
     assert certs == [T] * 6
     assert all(delta.basis_multiplier(i)._iota for i in delta.source.basis.ids)
     assert T._mul_cache == {}
+
+
+def test_building_a_unital_spec_keeps_derive_rhos_certificate(monkeypatch):
+    """Each Delta(e_i) keeps the c = m(1) that ``derive_rho`` certified; no
+    second pass m |> 1 recomputes it."""
+    applied = []
+    real = Multiplier.apply_left
+    monkeypatch.setattr(Multiplier, "apply_left",
+                        lambda self, a: applied.append(self) or real(self, a))
+    delta = spec_entry("rescaled_z6.spec").bialgebra.delta
+    assert applied == []
+    for i in delta.source.basis.ids:
+        m = delta.basis_multiplier(i)
+        assert items(m._iota) == items(real(m, delta.target.verified_unit))
