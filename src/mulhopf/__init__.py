@@ -28,10 +28,9 @@ from .extension import (
     tensor_extensions,
 )
 from .bialgebra import (
-    CounitSynthesis, MultiplierBialgebra, SliceUndefined, Slicer,
+    Counit, MultiplierBialgebra, SliceUndefined, Slicer,
     check_coassociative, check_counit, check_fons, check_monoidal_instance,
-    counit_extension, epsilon_module, eps_value, synthesize_counit,
-    tensor_module_action,
+    epsilon_module, synthesize_counit, tensor_module_action,
 )
 from .hopf import (
     AntipodeSynthesis, MultiplierMap, check_antipode, check_bijective,

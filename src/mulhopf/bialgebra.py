@@ -281,54 +281,49 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     return Verdict(axiom, joint_baseline((B, ids), (A, c_ids)), label)
 
 
-def counit_extension(alg: Algebra, table) -> Extension:
-    """Wrap scalar values eps(e_i) as an extension A --> k.
+class Counit:
+    """The counit eps: A --> k, given by its values eps(e_i).
 
-    ``table`` is a dict or a callable; missing ids raise WindowInsufficiency
-    (the synthesized region is only as large as the window that produced it).
+    k is unital, so M(k) = k and a morphism into it is nothing more than
+    its values on the basis.  ``table`` is a dict or a callable; ids a dict
+    does not hold raise WindowInsufficiency (the synthesized region is only
+    as large as the window that produced it).
     """
-    k = scalar_algebra(alg.field)
-    if callable(table):
-        lookup = table
-    else:
-        frozen = dict(table)
 
-        def lookup(bid):
+    def __init__(self, alg: Algebra, table):
+        self.alg = alg
+        self.table = table
+
+    def value(self, bid):
+        """eps(e_bid), coerced into the field."""
+        if callable(self.table):
+            val = self.table(bid)
+        else:
             try:
-                return frozen[bid]
+                val = self.table[bid]
             except KeyError:
                 raise WindowInsufficiency(
                     f"eps not synthesized at basis id {bid!r}") from None
+        return self.alg.field.coerce(val)
 
-    def rule(bid):
-        val = alg.field.coerce(lookup(bid))
-        unit = {"1": val} if val else {}
-        return Multiplier(k, lambda _i: unit, lambda _i: unit)
+    def __call__(self, elem: Element):
+        """eps(elem) for an element of A."""
+        f = self.alg.field
+        acc = f.zero
+        for bid, c in elem.coeffs.items():
+            acc = f.add(acc, f.mul(c, self.value(bid)))
+        return acc
 
-    ext = Extension(alg, k, rule, name="eps", source_window=None, target_window=None)
-    ext.scalar = lambda elem: _eps_value(alg, lookup, elem)
-    return ext
-
-
-def _eps_value(alg, lookup, elem: Element):
-    f = alg.field
-    acc = f.zero
-    for bid, c in elem.coeffs.items():
-        acc = f.add(acc, f.mul(c, f.coerce(lookup(bid))))
-    return acc
-
-
-def eps_value(epsilon: Extension, elem: Element):
-    """Scalar eps(elem), for counit extensions built by this module."""
-    scalar = getattr(epsilon, "scalar", None)
-    if scalar is not None:
-        return scalar(elem)
-    k = epsilon.target
-    out = epsilon.apply(elem).apply_left(k.basis_element("1"))
-    return out.coeffs.get("1", k.field.zero)
+    def witness(self, ids):
+        """g = e_i / eps(e_i) for the first i in ``ids`` with eps(e_i) != 0, or None."""
+        for bid in ids:
+            val = self.value(bid)
+            if val:
+                return self.alg.basis_element(bid).scale(self.alg.field.inv(val))
+        return None
 
 
-def check_counit(slicer: Slicer, epsilon: Extension) -> Verdict:
+def check_counit(slicer: Slicer, epsilon: Counit) -> Verdict:
     """eps(a_(1,b)) a_(2,b) = ab = a_(b,1) eps(a_(b,2)) on window pairs."""
     alg = slicer.alg
     ids = slicer.ids
@@ -352,38 +347,25 @@ def check_counit(slicer: Slicer, epsilon: Extension) -> Verdict:
     return Verdict("counit", alg.baseline(ids), label)
 
 
-def _collapse(pair_elem: Element, epsilon: Extension, eps_leg) -> Element:
+def _collapse(pair_elem: Element, epsilon: Counit, eps_leg) -> Element:
     """Apply eps to the ``eps_leg`` ("left" or "right") of an element of X (x) Y."""
     x, y = pair_elem.space.factors
-    eps_space, keep_space, e = (x, y, 0) if eps_leg == "left" else (y, x, 1)
+    keep_space, e = (y, 0) if eps_leg == "left" else (x, 1)
     f = keep_space.field
     acc: dict = {}
     for pair, c in pair_elem.coeffs.items():
-        scal = eps_value(epsilon, eps_space.basis_element(pair[e]))
+        scal = epsilon.value(pair[e])
         if scal:
             vec_add(f, acc, pair[1 - e], f.mul(c, scal))
     return Element(keep_space, acc)
 
 
-class CounitSynthesis:
-    """Result of synthesize_counit: the extension, its table, and witness g."""
-
-    def __init__(self, extension, table, witness, detail=""):
-        self.extension = extension
-        self.table = table
-        self.witness = witness
-        self.detail = detail
-
-    def __repr__(self):
-        return f"<counit table on {len(self.table)} ids, witness {self.witness}>"
-
-
 def synthesize_counit(slicer: Slicer):
     """Solve the sliced counit identities for the values eps(e_i).
 
-    Returns a CounitSynthesis, or None when the system is inconsistent or
-    the solution is not multiplicative; raises WindowInsufficiency when
-    equation-touched unknowns remain free.
+    Returns the Counit, or None when the system is inconsistent or the
+    solution is not multiplicative or vanishes on the window; raises
+    WindowInsufficiency when equation-touched unknowns remain free.
     """
     alg = slicer.alg
     ids = slicer.ids
@@ -442,16 +424,9 @@ def synthesize_counit(slicer: Slicer):
                 lhs = f.add(lhs, f.mul(c, table[t]))
             if lhs != f.mul(table[i], table[j]):
                 return None
-    witness = None
-    for bid in ids:
-        if table.get(bid):
-            witness = alg.basis_element(bid).scale(f.inv(table[bid]))
-            break
-    if witness is None:
-        return None  # eps vanishes on the window: not surjective
-    ext = counit_extension(alg, table)
-    return CounitSynthesis(ext, table, witness,
-                           detail=f"solved on {len(table)} ids")
+    counit = Counit(alg, table)
+    # eps vanishing on the window is not surjective
+    return counit if counit.witness(ids) is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +436,7 @@ def synthesize_counit(slicer: Slicer):
 class MultiplierBialgebra:
     """Algebra + Delta + counit data, with default window configuration."""
 
-    def __init__(self, algebra: Algebra, delta: Extension, epsilon: Extension,
+    def __init__(self, algebra: Algebra, delta: Extension, epsilon: Counit | None,
                  counit_witness: Element, window=None, expansion=2, name=None,
                  antipode=None):
         self.algebra = algebra
@@ -482,9 +457,6 @@ class MultiplierBialgebra:
         if sl is None:
             sl = self._slicers[key] = Slicer(self.delta, window=key[0], expansion=key[1])
         return sl
-
-    def eps(self, elem: Element):
-        return eps_value(self.epsilon, elem)
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +508,19 @@ def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructur
                            name=f"({m.space.name}(x){n.space.name}) over Delta")
 
 
-def epsilon_module(epsilon: Extension) -> ModuleStructure:
+def epsilon_module(epsilon: Counit) -> ModuleStructure:
     """The base field as a right A-module through eps."""
-    alg = epsilon.source
-    k = epsilon.target
+    alg = epsilon.alg
+    k = scalar_algebra(alg.field)
 
     def rule(_m_id, a_id):
-        val = eps_value(epsilon, alg.basis_element(a_id))
+        val = epsilon.value(a_id)
         return {"1": val} if val else {}
 
     return ModuleStructure(k, alg, "right", rule, name="k over eps")
 
 
-def check_monoidal_instance(delta: Extension, epsilon: Extension,
+def check_monoidal_instance(delta: Extension, epsilon: Counit,
                             counit_witness: Element, modules, window=None,
                             expansion=2) -> list:
     """Associator and unit-constraint instances for a module family.

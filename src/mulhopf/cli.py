@@ -86,11 +86,11 @@ def resolve_input(text):
 
 
 class Runner:
-    """Executes check groups, keeps (verdict, timing) rows in order."""
+    """Executes check groups, adding each verdict to ``report`` in order."""
 
-    def __init__(self, timing=False):
+    def __init__(self, report: Report, timing=False):
+        self.report = report
         self.timing = timing
-        self.rows = []  # (Verdict, timing_ms or None)
 
     def group(self, tasks) -> list:
         """Run tasks in order (each returns a Verdict or a list), record results.
@@ -104,15 +104,10 @@ class Runner:
             verdicts = task()
             dt = (time.perf_counter() - t0) * 1000.0 if self.timing else None
             for v in verdicts if isinstance(verdicts, list) else [verdicts]:
-                self.rows.append((v, dt))
+                self.report.add(v, dt)
                 out.append(v)
                 dt = None if dt is None else 0.0
         return out
-
-    def flush_into(self, report: Report):
-        for v, dt in self.rows:
-            report.add(v, dt)
-        self.rows = []
 
 
 def _require_bialgebra(entry):
@@ -151,7 +146,7 @@ def stage_bialgebra(run: Runner, sl) -> list:
 def stage_counit(run: Runner, sl, report: Report):
     """Synthesize the counit and verify the laws.
 
-    Returns (synthesis or None, verdicts recorded for this stage).
+    Returns (Counit or None, verdicts recorded for this stage).
     """
     label = sl.alg.window_label(sl.ids)
     syn = None
@@ -163,12 +158,12 @@ def stage_counit(run: Runner, sl, report: Report):
             return Verdict("counit synthesis", "failed", label,
                            detail="no multiplicative solution of the counit identities")
         return Verdict("counit synthesis", sl.alg.baseline(sl.ids),
-                       label, detail=syn.detail or f"witness g = {syn.witness}")
+                       label, detail=f"solved on {len(syn.table)} ids")
 
     vs = run.group([synthesis])
     if syn is None:
         return None, vs
-    vs += run.group([lambda: check_counit(sl, syn.extension)])
+    vs += run.group([lambda: check_counit(sl, syn)])
     report.add_table("epsilon", _table(sl.alg, syn.table, sl.alg.field.format))
     return syn, vs
 
@@ -180,8 +175,7 @@ def _epsilon(run: Runner, sl, declared, report: Report, check_declared=False):
     Returns None when none is declared and synthesis finds none.
     """
     if declared is None:
-        syn, _ = stage_counit(run, sl, report)
-        return syn.extension if syn is not None else None
+        return stage_counit(run, sl, report)[0]
     if check_declared:
         run.group([lambda: check_counit(sl, declared)])
     return declared
@@ -310,7 +304,7 @@ def cmd_classify(entry, run, report, window, expansion):
         return
     all_proven = all_proven and all(v.status == "proven" for v in counit_vs)
 
-    asyn = stage_antipode(run, sl, syn.extension, report)
+    asyn = stage_antipode(run, sl, syn, report)
     if not all(v.ok for v in asyn.verdicts[:2]) or not asyn.ok:
         report.set_classification(_qualify("multiplier bialgebra", alg,
                                            False, qual_window))
@@ -356,18 +350,16 @@ def main(argv=None) -> int:
         expansion = entry.bialgebra.expansion if entry.bialgebra else 2
     report = Report(args.command, source, source_digest,
                     window=window, expansion=expansion, seed=args.seed)
-    run = Runner(timing=args.timing)
+    run = Runner(report, timing=args.timing)
     try:
         _COMMANDS[args.command](entry, run, report, window, expansion)
     except WindowInsufficiency as exc:
-        run.flush_into(report)
         _emit(report, args.report)
         print(f"window insufficient: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    run.flush_into(report)
     _emit(report, args.report)
     return report.exit_code
 

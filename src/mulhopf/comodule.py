@@ -38,7 +38,7 @@ from .algebra import (
 from .multiplier import act_on_module, basis_image, iota, one, sweep
 from .extension import Extension, identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
-    Slicer, SliceUndefined, _collapse, _sliced_coassoc, eps_value,
+    Counit, Slicer, SliceUndefined, _collapse, _sliced_coassoc,
 )
 
 
@@ -195,7 +195,7 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdic
     return Verdict("comodule coassociativity (framed)", status, label)
 
 
-def check_comodule_counit(com: ComoduleAlgebra, epsilon=None) -> Verdict:
+def check_comodule_counit(com: ComoduleAlgebra, epsilon: Counit | None = None) -> Verdict:
     """(id (x) eps)-bar(rho(b)(1 (x) a)) = eps(a) iota(b) on window pairs.
 
     Both sides are iota of elements of B, so this is an element equality:
@@ -221,7 +221,7 @@ def check_comodule_counit(com: ComoduleAlgebra, epsilon=None) -> Verdict:
                                witness=(eb, ea),
                                detail="framed coaction is not iota of an element")
             got = _collapse(s, eps, "right")
-            want = eb.scale(eps_value(eps, ea))
+            want = eb.scale(eps.value(a))
             if got != want:
                 return Verdict("comodule counit", "failed", label,
                                witness=(eb, ea),

@@ -55,7 +55,6 @@ class Extension:
         self._mult_cache: dict = {}
         self._spans: dict = {}
         self._lift_decs: dict = {}
-        self.certificates: dict = {}
 
     # -- windows ------------------------------------------------------------
 
@@ -229,8 +228,6 @@ class Extension:
                                    detail=f"killed by every f(b) on the {side}")
                 break
         verdicts.append(nondeg_v)
-
-        self.certificates = {v.axiom: v for v in verdicts}
         return verdicts
 
     def ensure_valid(self) -> "Extension":

@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .multiplier import Multiplier, iota
 from .extension import Extension
-from .bialgebra import MultiplierBialgebra, counit_extension
+from .bialgebra import Counit, MultiplierBialgebra
 from .hopf import MultiplierMap
 
 
@@ -30,7 +30,6 @@ class GalleryEntry:
     name: str
     algebra: Algebra
     bialgebra: MultiplierBialgebra | None = None
-    notes: str = ""
     default_window: int | None = None
     params: dict = dc_field(default_factory=dict)
     rebuild: Callable[[int], GalleryEntry] | None = None  # same input on another window
@@ -63,13 +62,12 @@ def kfun_cyclic(n: int, field=QQ) -> GalleryEntry:
         return iota(AA, elem)
 
     delta = Extension(A, AA, delta_rule, name="Delta")
-    eps = counit_extension(A, {k: (one if k == 0 else field.zero) for k in ids})
+    eps = Counit(A, {k: (one if k == 0 else field.zero) for k in ids})
     smap = MultiplierMap(A, lambda t: iota(A, A.basis_element((n - t) % n)),
                          name="S")
     bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
                                  name=f"kfun_cyclic({n})", antipode=smap)
     return GalleryEntry(f"kfun_cyclic({n})", A, bundle,
-                        notes="finite multiplier Hopf structure",
                         params={"n": n})
 
 
@@ -101,7 +99,7 @@ def _kfin_monoid(field, window, name, describe, member, span) -> MultiplierBialg
 
     delta = Extension(A, AA, delta_rule, name="Delta",
                       source_window=window, target_window=window)
-    eps = counit_extension(A, lambda bid: one if bid == 0 else field.zero)
+    eps = Counit(A, lambda bid: one if bid == 0 else field.zero)
     return MultiplierBialgebra(A, delta, eps, A.basis_element(0), window=window, name=name)
 
 
@@ -118,7 +116,6 @@ def kfin_Z(field=QQ, window=4) -> GalleryEntry:
     A = bundle.algebra
     bundle.antipode = MultiplierMap(A, lambda t: iota(A, A.basis_element(-t)), name="S")
     return GalleryEntry("kfin_Z", A, bundle,
-                        notes="oracle multiplier Hopf structure, window-exact",
                         default_window=window, params={"window": window})
 
 
@@ -132,7 +129,6 @@ def kfin_N(field=QQ, window=4) -> GalleryEntry:
     bundle = _kfin_monoid(field, window, "kfin_N", "K(N)",
                           lambda i: i >= 0, lambda n: range(0, n + 1))
     return GalleryEntry("kfin_N", bundle.algebra, bundle,
-                        notes="bialgebra without antipode (monoid not a group)",
                         default_window=window, params={"window": window})
 
 
@@ -166,7 +162,6 @@ def matfin(field=QQ, window=3) -> GalleryEntry:
         describe="MatFin(N)", name="matfin",
         fmt_id=lambda p: f"E({p[0]},{p[1]})")
     return GalleryEntry("matfin", A,
-                        notes="non-commutative oracle algebra, no coproduct",
                         default_window=window, params={"window": window})
 
 
@@ -185,13 +180,13 @@ def rowalg2(field=QQ) -> GalleryEntry:
         field, ["E11", "E12"],
         {("E11", "E11"): {"E11": one}, ("E11", "E12"): {"E12": one}},
         name="rowalg2")
-    return GalleryEntry("rowalg2", A, notes="degenerate: one-sided annihilator")
+    return GalleryEntry("rowalg2", A)
 
 
 def zero1(field=QQ) -> GalleryEntry:
     """One-dimensional algebra with zero multiplication; fails idempotency."""
     A = finite_algebra(field, ["z"], {}, name="zero1")
-    return GalleryEntry("zero1", A, notes="degenerate: A*A = 0")
+    return GalleryEntry("zero1", A)
 
 
 def nand_delta_bundle(field=QQ) -> MultiplierBialgebra:
@@ -219,8 +214,7 @@ def nand_delta_bundle(field=QQ) -> MultiplierBialgebra:
 
 def nand_delta(field=QQ) -> GalleryEntry:
     b = nand_delta_bundle(field)
-    return GalleryEntry("nand_delta", b.algebra, bialgebra=b,
-                        notes="negative control: coassociativity fails")
+    return GalleryEntry("nand_delta", b.algebra, bialgebra=b)
 
 
 # ---------------------------------------------------------------------------

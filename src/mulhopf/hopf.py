@@ -32,7 +32,7 @@ from __future__ import annotations
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
 from .multiplier import Multiplier, MultiplierSpace, combine, iota, iota_preimage, multiplier_eq
-from .bialgebra import Slicer, eps_value
+from .bialgebra import Counit, Slicer
 
 
 class MultiplierMap:
@@ -142,7 +142,7 @@ def check_hopf(slicer: Slicer) -> dict:
 # antipodes
 
 
-def check_antipode(slicer: Slicer, epsilon, s: MultiplierMap) -> Verdict:
+def check_antipode(slicer: Slicer, epsilon: Counit, s: MultiplierMap) -> Verdict:
     """Both defining identities on window pairs; witness is the failing pair."""
     alg = slicer.alg
     ids = slicer.ids
@@ -155,8 +155,7 @@ def check_antipode(slicer: Slicer, epsilon, s: MultiplierMap) -> Verdict:
                 for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
                     vec_axpy(f, acc, act(s.basis(pair[leg]), pair[1 - leg]).coeffs, c)
                 got = Element(alg, acc)
-                want = alg.basis_element((a, b)[1 - leg]).scale(
-                    eps_value(epsilon, alg.basis_element((a, b)[leg])))
+                want = alg.basis_element((a, b)[1 - leg]).scale(epsilon.value((a, b)[leg]))
                 if got != want:
                     return Verdict("antipode", "failed", label,
                                    witness=(alg.basis_element(a), alg.basis_element(b)),
@@ -188,7 +187,7 @@ class AntipodeSynthesis:
         return f"<antipode {self.status}: {self.detail or len(self.table or ())}>"
 
 
-def synthesize_antipode(slicer: Slicer, epsilon, gate=None) -> AntipodeSynthesis:
+def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeSynthesis:
     """Solve for S with values in M(A), gated on T1/T2 bijectivity.
 
     ``gate`` is a ``check_hopf`` result already computed on the same
@@ -245,8 +244,7 @@ def synthesize_antipode(slicer: Slicer, epsilon, gate=None) -> AntipodeSynthesis
                     for k, mk in coords:
                         for r, w in act(mk, pair[1 - leg]).coeffs.items():
                             put(entries, (which, a, b, r), (pair[leg], k), f.mul(c, w))
-                put(rhs, (which, a, b, (a, b)[1 - leg]), None,
-                    eps_value(epsilon, alg.basis_element((a, b)[leg])))
+                put(rhs, (which, a, b, (a, b)[1 - leg]), None, epsilon.value((a, b)[leg]))
 
     solver = GaussianSolver(SparseMatrix(f, row_order, columns, entries))
     touched = {c for (_r, c) in entries}
@@ -331,11 +329,10 @@ def convolve(side, f: MultiplierMap, g: MultiplierMap, frame,
     return MultiplierMap(alg, rule, name=f"({f.name}{star} {g.name})")
 
 
-def conv_unit(alg, epsilon, b) -> MultiplierMap:
+def conv_unit(alg, epsilon: Counit, b) -> MultiplierMap:
     """alpha_b(a) = eps(a) iota(b), the two-sided twisted-convolution unit."""
     ib = iota(alg, _as_elem(alg, b))
-    return MultiplierMap(alg, lambda bid: ib.scale(eps_value(epsilon, alg.basis_element(bid))),
-                         name="alpha")
+    return MultiplierMap(alg, lambda bid: ib.scale(epsilon.value(bid)), name="alpha")
 
 
 def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
@@ -353,7 +350,7 @@ def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes,
     return Verdict(axiom, "holds_on_window", label)
 
 
-def check_convolution_inverse(slicer: Slicer, epsilon, f: MultiplierMap,
+def check_convolution_inverse(slicer: Slicer, epsilon: Counit, f: MultiplierMap,
                               g: MultiplierMap) -> Verdict:
     """f *^b g = alpha_b and g *_a f = alpha_a for all window frames.
 

@@ -121,7 +121,6 @@ class GaussianSolver:
     """
 
     def __init__(self, matrix: SparseMatrix):
-        self.matrix = matrix
         self.field = field = matrix.field
         self._row_index = index = {r: i for i, r in enumerate(matrix.rows)}
         m = len(matrix.rows)

@@ -35,7 +35,7 @@ from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
 from .multiplier import Multiplier, in_solve_order, iota, unital_certificate
 from .extension import Extension
-from .bialgebra import MultiplierBialgebra, counit_extension
+from .bialgebra import Counit, MultiplierBialgebra
 from .hopf import MultiplierMap
 from . import gallery
 
@@ -59,7 +59,6 @@ class SpecFile:
 
     def __init__(self):
         self.field = None
-        self.field_text = None
         self.window = None
         self.expansion = None
         self.oracle = None          # (name, [int params]) or None
@@ -145,7 +144,6 @@ def parse_spec(text: str) -> SpecFile:
                     raise SpecError(line_no, str(exc)) from None
             else:
                 raise SpecError(line_no, "expected `field Q` or `field Fp <p>`")
-            spec.field_text = rest
             continue
 
         if spec.field is None:
@@ -352,14 +350,10 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
     if spec.delta:
         T = tensor_algebra(A, A)
         delta = _slice_extension(A, T, spec.delta, "Delta")
-        epsilon = counit_extension(A, dict(spec.epsilon)) if spec.epsilon else None
-        witness = None
+        epsilon = witness = None
         if spec.epsilon:
-            for i in spec.ids:
-                c = spec.epsilon.get(i)
-                if c:
-                    witness = A.basis_element(i).scale(field.inv(c))
-                    break
+            epsilon = Counit(A, dict(spec.epsilon))
+            witness = epsilon.witness(i for i in spec.ids if i in spec.epsilon)
         smap = None
         if spec.antipode:
             tables = {i: Element(A, spec.antipode.get(i, {})) for i in spec.ids}
@@ -368,7 +362,6 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
             A, delta, epsilon, witness, window=spec.window,
             expansion=spec.expansion or 2, name=name, antipode=smap)
     entry = gallery.GalleryEntry(name, A, bialgebra,
-                                 notes="from spec file",
                                  default_window=spec.window)
     if spec.coaction:
         T = tensor_algebra(A, A)

@@ -9,7 +9,7 @@ import random
 from mulhopf.algebra import (
     Algebra, Element, InputError, ModuleStructure, finite_algebra, resolve_window,
 )
-from mulhopf.bialgebra import MultiplierBialgebra, Slicer, eps_value
+from mulhopf.bialgebra import MultiplierBialgebra, Slicer
 from mulhopf.comodule import ComoduleAlgebra
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
@@ -63,7 +63,7 @@ def trivial_module_algebra(bundle: MultiplierBialgebra) -> ModuleStructure:
     A = bundle.algebra
 
     def rule(r_id, a_id):
-        v = eps_value(bundle.epsilon, A.basis_element(a_id))
+        v = bundle.epsilon(A.basis_element(a_id))
         return {r_id: v} if v else {}
 
     return ModuleStructure(A, A, "right", rule, name=f"{A.name} via eps")

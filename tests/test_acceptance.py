@@ -16,8 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from mulhopf.algebra import (check_module, regular_module, resolve_window,
                              tensor_module)
-from mulhopf.bialgebra import (check_monoidal_instance, counit_extension,
-                               eps_value, tensor_module_action)
+from mulhopf.bialgebra import Counit, check_monoidal_instance, tensor_module_action
 from mulhopf.cli import main
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
@@ -214,8 +213,8 @@ def test_negative_controls_exit_one_with_reverifiable_witnesses(tmp_path):
         t2 = alg.zero()
         for (p, q), c in sl2.slice("left", a_id, b_id).coeffs.items():
             t2 = t2 + s_bad.basis(q).apply_right(alg.basis_element(p)).scale(c)
-        want1 = eb.scale(eps_value(bundle.epsilon, ea))
-        want2 = ea.scale(eps_value(bundle.epsilon, eb))
+        want1 = eb.scale(bundle.epsilon(ea))
+        want2 = ea.scale(bundle.epsilon(eb))
         assert t1 != want1 or t2 != want2
     finish(t0, 30.0, "planted defects exit 1 and their witnesses replay as violations")
 
@@ -348,7 +347,7 @@ def test_monoidal_instances_for_gallery_bialgebras():
             "tensor extension instance"]
         assert all(v.ok for v in verdicts), entry.name
     b = kfun_cyclic(2).bialgebra
-    doubled = counit_extension(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
+    doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
     verdicts = {v.axiom: v for v in check_monoidal_instance(
         b.delta, doubled, b.counit_witness, [regular_module(b.algebra)])}
     assert verdicts["monoidal left unit"].status == "failed"

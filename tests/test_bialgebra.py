@@ -8,11 +8,11 @@ import pytest
 from mulhopf import bialgebra, comodule, hopf
 from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
-from mulhopf.bialgebra import (MultiplierBialgebra, SliceUndefined, Slicer,
+from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slicer,
                                check_coassociative, check_counit, check_fons,
-                               check_monoidal_instance, counit_extension,
-                               epsilon_module, eps_value, synthesize_counit,
-                               tensor_module_action)
+                               check_monoidal_instance, epsilon_module,
+                               synthesize_counit, tensor_module_action)
+from mulhopf.cli import main
 from mulhopf.comodule import ComoduleAlgebra, check_comodule_coassoc
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
@@ -290,15 +290,16 @@ def test_coassociativity_is_the_element_law_of_the_self_comodule():
 # --- counits --------------------------------------------------------------
 
 
-def test_counit_synthesis_on_cyclic():
+def test_counit_synthesis_on_cyclic(capsys):
     for n in (2, 3, 5):
         b = kfun_cyclic(n)
         syn = synthesize_counit(Slicer(b.bialgebra.delta))
         assert syn is not None
         assert syn.table == {k: (QQ.one if k == 0 else QQ.zero) for k in range(n)}
-        assert syn.witness == b.algebra.basis_element(0)
-        assert syn.detail == f"solved on {n} ids"
-        assert check_counit(Slicer(b.bialgebra.delta), syn.extension).status == "proven"
+        assert syn.witness(range(n)) == b.algebra.basis_element(0)
+        assert main(["synthesize-counit", f"gallery:kfun_cyclic({n})"]) == 0
+        assert f"(solved on {n} ids)" in capsys.readouterr().out
+        assert check_counit(Slicer(b.bialgebra.delta), syn).status == "proven"
 
 
 def test_counit_synthesis_on_kz_pins_scaled_window():
@@ -323,7 +324,7 @@ def test_right_projection_delta_has_no_counit():
 
 def test_wrong_counit_table_fails_with_witness():
     b = kfun_cyclic(3)
-    eps_all_one = counit_extension(b.algebra, {k: QQ.one for k in range(3)})
+    eps_all_one = Counit(b.algebra, {k: QQ.one for k in range(3)})
     v = check_counit(Slicer(b.bialgebra.delta), eps_all_one)
     assert v.status == "failed"
     assert v.witness == (b.algebra.basis_element(0), b.algebra.basis_element(1))
@@ -331,16 +332,37 @@ def test_wrong_counit_table_fails_with_witness():
 
 def test_counit_extension_raises_outside_its_table():
     b = kfun_cyclic(2)
-    eps = counit_extension(b.algebra, {0: QQ.one})
+    eps = Counit(b.algebra, {0: QQ.one})
     with pytest.raises(WindowInsufficiency):
-        eps_value(eps, b.algebra.basis_element(1))
+        eps(b.algebra.basis_element(1))
 
 
 def test_eps_value_is_linear():
     b = kfun_cyclic(3).bialgebra
     A = b.algebra
     x = A.basis_element(0).scale(QQ.coerce(5)) + A.basis_element(1)
-    assert eps_value(b.epsilon, x) == QQ.coerce(5)
+    assert b.epsilon(x) == QQ.coerce(5)
+
+
+def test_counit_witness_is_the_first_id_off_its_kernel_scaled_to_eps_one():
+    A = kfun_cyclic(3).algebra
+    eps = Counit(A, {0: QQ.zero, 1: QQ.coerce(4), 2: QQ.one})
+    g = eps.witness(range(3))
+    assert g == A.basis_element(1).scale(QQ.inv(QQ.coerce(4)))
+    assert eps(g) == QQ.one
+    assert eps.witness([2, 1]) == A.basis_element(2)
+    assert eps.witness([0]) is None
+    assert Counit(A, lambda _bid: QQ.zero).witness(range(3)) is None
+
+
+def test_synthesize_counit_returns_the_counit_of_its_solved_table():
+    b = kfin_Z().bialgebra
+    syn = synthesize_counit(Slicer(b.delta, window=2))
+    assert isinstance(syn, Counit) and syn.alg is b.algebra
+    assert syn.table == {n: (QQ.one if n == 0 else QQ.zero) for n in range(-4, 5)}
+    assert [syn.value(n) for n in (-1, 0, 1)] == [QQ.zero, QQ.one, QQ.zero]
+    with pytest.raises(WindowInsufficiency):
+        syn.value(5)
 
 
 def test_epsilon_module_is_a_module():
@@ -367,7 +389,7 @@ def test_monoidal_instances_for_regular_and_tensor_square():
 def test_scaled_counit_breaks_the_unit_constraints():
     b = kfun_cyclic(2).bialgebra
     reg = regular_module(b.algebra)
-    doubled = counit_extension(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
+    doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
     verdicts = check_monoidal_instance(b.delta, doubled, b.counit_witness, [reg])
     by_axiom = {v.axiom: v for v in verdicts}
     assert by_axiom["monoidal left unit"].status == "failed"

@@ -6,7 +6,7 @@ import pytest
 
 from mulhopf import hopf, linalg
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
-from mulhopf.bialgebra import Slicer, counit_extension
+from mulhopf.bialgebra import Counit, Slicer
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic
@@ -112,7 +112,7 @@ def cyclic_functions(n, field, unit):
     AA = tensor_algebra(A, A)
     delta = Extension(A, AA, lambda k: iota(AA, Element(
         AA, {(i, (k - i) % n): one for i in range(n)})), name="Delta")
-    eps = counit_extension(A, {k: one if k == 0 else field.zero for k in range(n)})
+    eps = Counit(A, {k: one if k == 0 else field.zero for k in range(n)})
     return delta, eps
 
 

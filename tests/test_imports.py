@@ -1,7 +1,7 @@
 """Every name a package module imports is used somewhere in that module,
 every function and method of the package is referenced from the package
-or its tests, and every top-level function and class is referenced from
-the package itself, bar a listed few."""
+or its tests, every top-level function and class is referenced from the
+package itself and every stored attribute is read, bar a listed few."""
 
 import ast
 import pathlib
@@ -125,6 +125,55 @@ def test_every_top_level_name_has_a_caller_in_the_package():
                for node in ast.parse(source).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(NO_CALLER_NEEDED) <= defined
+
+
+# Stored attributes that nothing reads, and why each stays.
+NO_READER_NEEDED = {
+    "line_no": "SpecError: public exception data, the line of the bad input",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" or
+               isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_attributes(sources: dict, users=()) -> list:
+    """(module, line, name) of the ``self.<name> =`` stores and dataclass
+    fields of ``sources`` (module name -> text) that no text of ``sources``
+    or ``users`` reads as ``.<name>``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in list(trees.values()) + [ast.parse(u) for u in users]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                stored.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                stored += [(module, f.lineno, f.target.id) for f in node.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return sorted((m, line, name) for m, line, name in stored if name not in read)
+
+
+def test_the_scan_flags_a_stored_attribute_nothing_reads():
+    sources = {"a": ("class C:\n    def __init__(self):\n        self.kept = 1\n"
+                     "        self.lost = 2\n        self.kept += self.kept\n\n"
+                     "@dataclass\nclass D:\n    shown: int\n    hidden: int = 0\n"
+                     "    def show(self):\n        return self.shown\n")}
+    users = ["def test_d(d):\n    d.hidden = 3\n"]
+    assert unread_attributes(sources, users) == [("a", 4, "lost"), ("a", 10, "hidden")]
+
+
+def test_every_stored_attribute_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")]
+    unread = unread_attributes(sources, tests)
+    assert [x for x in unread if x[2] not in NO_READER_NEEDED] == []
+    assert set(NO_READER_NEEDED) <= {name for _m, _line, name in unread}
 
 
 def imported_modules(source: str) -> set:
