@@ -41,7 +41,7 @@ from .algebra import (
     joint_baseline, reassociate_left, resolve_window, scalar_algebra, scaled_window,
     tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import (Multiplier, agrees_on_probes, in_solve_order, iota, iota_element,
+from .multiplier import (Multiplier, agrees_on_probes, iota, iota_element,
                          iota_preimage, one)
 from .extension import Extension, psi_embed
 
@@ -140,14 +140,14 @@ class Slicer:
         for (x, y), v in c.coeffs.items():
             hit = self.rfac.basis_product(y, b_id) if right else self.lfac.basis_product(a_id, x)
             vec_axpy(f, acc, {((x, k) if right else (k, y)): w for k, w in hit.items()}, v)
-        return in_solve_order(Element(self.txt, acc))
+        return Element(self.txt, acc)
 
     def _preimage(self, z: Multiplier, base, probe_ids=None):
         if self.txt.finite:
             return iota_preimage(self.txt, z)
         w1 = base * self.expansion
         u = iota_preimage(self.txt, z, window=w1, probe_ids=probe_ids)
-        if u is not None:
+        if u is not None and not u.is_zero():  # a truncated slice contracts to 0
             return u
         return iota_preimage(self.txt, z, window=w1 * 2, probe_ids=probe_ids)
 

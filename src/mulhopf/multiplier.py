@@ -309,13 +309,6 @@ def unital_certificate(alg: Algebra, lam, rho=None):
     return c
 
 
-def in_solve_order(x: Element) -> Element:
-    """x in descending basis order, as a full-rank finite solve lists its
-    terms, so a certified product matches ``iota_preimage`` key for key."""
-    return Element(x.space, dict(sorted(x.coeffs.items(), reverse=True,
-                                        key=lambda kv: x.space.sort_key(kv[0]))))
-
-
 def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
     """Element u with iota(u) = z, or None.
 

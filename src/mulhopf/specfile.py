@@ -5,19 +5,25 @@ built-in oracle family.  Statements, one per line, `#` starts a comment:
 
     field Q                      | field Fp <p>
     basis <id> <id> ...          | oracle <name> [<int> ...]
-    mul <i> <j> = <element>
-    unit = <element>
-    delta <i> (<j>,<k>) = <element of A(x)A>
-    epsilon <i> = <scalar>
-    antipode <i> = <element>
-    coaction <i> (<j>,<k>) = <element of A(x)A>
     window <n>
     expansion <n>
+    unit = <element>
+    mul <i> <j> = <element>
+    delta <i> (<j>,<k>) = <element of A(x)A>
+    coaction <i> (<j>,<k>) = <element of A(x)A>
+    epsilon <i> = <scalar>
+    antipode <i> = <element>
 
 Elements are written `<coeff>*<id> + <coeff>*<id> + ...` (or `0`); tensor
 ids are `(<i>,<j>)`.  This matches how elements print, so tables written
 by the tool parse back.  Products and coproduct slices default to zero on
 pairs with no line, which keeps the rules total on the declared basis.
+
+Tensor ids go only in the frame of a `delta` or `coaction` line and in
+the terms of its element; every other id position takes a plain id.  Each
+header statement (`field` to `unit` above) appears at most once, and so
+does each rule for the same ids.  A malformed line raises `SpecError`
+naming its line number, and the command line exits 3 on it.
 
 The `delta` line tabulates the framed coproduct from the left,
 `Delta(e_i) (e_j (x) e_k)`; the matching right action is derived by
@@ -33,7 +39,7 @@ import re
 from .fields import GF, QQ, FieldError
 from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
-from .multiplier import Multiplier, in_solve_order, iota, unital_certificate
+from .multiplier import Multiplier, iota, unital_certificate
 from .extension import Extension
 from .bialgebra import Counit, MultiplierBialgebra
 from .hopf import MultiplierMap
@@ -49,9 +55,25 @@ class SpecError(InputError):
 
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_ID_RE = re.compile(rf"^{_ID}$")
+_ID_RE = re.compile(rf"^({_ID})$")
 _PAIR_RE = re.compile(rf"^\(\s*({_ID})\s*,\s*({_ID})\s*\)$")
 _TERM_RE = re.compile(rf"^(?P<coeff>[^*\s]+)\s*\*\s*(?P<id>{_ID}|\(\s*{_ID}\s*,\s*{_ID}\s*\))$")
+_LHS_TOKEN_RE = re.compile(r"\(.*?\)|\S+")  # a tensor id stays one token
+
+_TENSOR = "element of A(x)A"
+# rule statement -> (per id position left of `=`: takes a tensor id?,
+# kind of the value right of it, first id keys an outer table?)
+_RULES = {
+    "unit": ((), "element", False),
+    "mul": ((False, False), "element", False),
+    "delta": ((False, True), _TENSOR, True),
+    "coaction": ((False, True), _TENSOR, True),
+    "epsilon": ((False,), "scalar", False),
+    "antipode": ((False,), "element", False),
+}
+# statements that may appear once -> the SpecFile attribute each sets
+_ONCE = {"field": "field", "basis": "ids", "oracle": "oracle",
+         "window": "window", "expansion": "expansion", "unit": "unit"}
 
 
 class SpecFile:
@@ -82,42 +104,62 @@ def _scalar(field, text, line_no):
         raise SpecError(line_no, str(exc)) from None
 
 
-def _split_terms(text):
-    # top-level split on +; minus signs live inside the coefficient token
-    return [t.strip() for t in text.split("+")]
+def _parse_id(token, tensor, declared, line_no):
+    """A plain id, or with ``tensor`` an (i, j) pair, each part declared."""
+    m = (_PAIR_RE if tensor else _ID_RE).match(token)
+    if not m:
+        want = "a tensor id (i,j)" if tensor else "a plain id"
+        raise SpecError(line_no, f"malformed basis id {token!r} (want {want})")
+    for part in m.groups():
+        if part not in declared:
+            raise SpecError(line_no, f"undeclared basis id {part!r}")
+    return m.groups() if tensor else token
 
 
-def _parse_id(token, declared, line_no):
-    m = _PAIR_RE.match(token)
-    if m:
-        i, j = m.group(1), m.group(2)
-        for part in (i, j):
-            if part not in declared:
-                raise SpecError(line_no, f"undeclared basis id {part!r}")
-        return (i, j)
-    if not _ID_RE.match(token):
-        raise SpecError(line_no, f"malformed basis id {token!r}")
-    if token not in declared:
-        raise SpecError(line_no, f"undeclared basis id {token!r}")
-    return token
-
-
-def _parse_element(field, text, declared, line_no, pair=False):
+def _parse_element(field, text, declared, line_no, tensor=False):
     """``coeff*id + ...`` as a coefficient dict; '0' is the zero element."""
     text = text.strip()
     if text == "0":
         return {}
     out = {}
-    for term in _split_terms(text):
+    for term in map(str.strip, text.split("+")):  # minus signs sit in coefficients
         m = _TERM_RE.match(term)
         if not m:
             raise SpecError(line_no, f"malformed term {term!r} (want coeff*id)")
-        bid = _parse_id(m.group("id"), declared, line_no)
-        if pair != isinstance(bid, tuple):
-            want = "tensor ids (i,j)" if pair else "plain ids"
-            raise SpecError(line_no, f"this rule takes {want}, got {m.group('id')!r}")
+        bid = _parse_id(m.group("id"), tensor, declared, line_no)
         vec_add(field, out, bid, _scalar(field, m.group("coeff"), line_no))
     return out
+
+
+def _usage(head):
+    """``mul <i> <j> = <element>``: the shape _RULES gives a statement."""
+    shapes, kind, _ = _RULES[head]
+    names = iter("ijk")
+    slots = [f"(<{next(names)}>,<{next(names)}>)" if tensor else f"<{next(names)}>"
+             for tensor in shapes]
+    return " ".join([head, *slots, "=", f"<{kind}>"])
+
+
+def _parse_rule(spec, head, line, line_no):
+    """Split a rule line, check its arity and ids, and store its value."""
+    shapes, kind, nested = _RULES[head]
+    lhs, eq, rhs = line.partition("=")
+    toks = _LHS_TOKEN_RE.findall(lhs)[1:]
+    if not eq or len(toks) != len(shapes):
+        raise SpecError(line_no, f"expected `{_usage(head)}`")
+    ids = [_parse_id(t, tensor, spec.ids, line_no) for t, tensor in zip(toks, shapes)]
+    value = (_scalar(spec.field, rhs.strip(), line_no) if kind == "scalar" else
+             _parse_element(spec.field, rhs, spec.ids, line_no, tensor=kind == _TENSOR))
+    if not ids:  # unit: one element, not a table
+        spec.unit = value
+        return
+    table = getattr(spec, head)
+    if nested:
+        table = table.setdefault(ids.pop(0), {})
+    key = tuple(ids) if len(ids) > 1 else ids[0]
+    if key in table:
+        raise SpecError(line_no, f"duplicate {head} rule for {' '.join(toks)}")
+    table[key] = value
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -127,135 +169,49 @@ def parse_spec(text: str) -> SpecFile:
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        toks = rest.split()
+        if head != "field" and spec.field is None:
+            raise SpecError(line_no, "field declaration must come first")
+        if head in _ONCE and getattr(spec, _ONCE[head]) is not None:
+            raise SpecError(line_no, f"duplicate {head} declaration")
+        if head in ("basis", "oracle") and (spec.ids or spec.oracle):
+            raise SpecError(line_no, "oracle specs take no basis line")
 
         if head == "field":
-            if spec.field is not None:
-                raise SpecError(line_no, "duplicate field declaration")
-            toks = rest.split()
-            if toks == ["Q"]:
-                spec.field = QQ
-            elif len(toks) == 2 and toks[0] == "Fp":
-                try:
-                    spec.field = GF(int(toks[1]))
-                except ValueError:
-                    raise SpecError(line_no, f"bad modulus {toks[1]!r}") from None
-                except FieldError as exc:
-                    raise SpecError(line_no, str(exc)) from None
-            else:
+            if toks != ["Q"] and (len(toks) != 2 or toks[0] != "Fp"):
                 raise SpecError(line_no, "expected `field Q` or `field Fp <p>`")
-            continue
-
-        if spec.field is None:
-            raise SpecError(line_no, "field declaration must come first")
-
-        if head == "basis":
-            if spec.ids is not None:
-                raise SpecError(line_no, "duplicate basis declaration")
-            if spec.oracle is not None:
-                raise SpecError(line_no, "oracle specs take no basis line")
-            toks = rest.split()
+            try:
+                spec.field = QQ if toks == ["Q"] else GF(int(toks[1]))
+            except ValueError:
+                raise SpecError(line_no, f"bad modulus {toks[1]!r}") from None
+            except FieldError as exc:
+                raise SpecError(line_no, str(exc)) from None
+        elif head == "basis":
             if not toks:
                 raise SpecError(line_no, "empty basis declaration")
-            for t in toks:
-                if not _ID_RE.match(t):
-                    raise SpecError(line_no, f"malformed basis id {t!r}")
             if len(set(toks)) != len(toks):
                 raise SpecError(line_no, "repeated basis id")
-            spec.ids = toks
-            continue
-
-        if head == "oracle":
-            if spec.oracle is not None:
-                raise SpecError(line_no, "duplicate oracle declaration")
-            if spec.ids is not None or spec.mul or spec.delta:
-                raise SpecError(line_no, "oracle specs take no structure lines")
-            toks = rest.split()
+            spec.ids = [_parse_id(t, False, toks, line_no) for t in toks]
+        elif head == "oracle":
             if not toks:
                 raise SpecError(line_no, "oracle needs a family name")
             try:
-                params = [int(t) for t in toks[1:]]
+                spec.oracle = (toks[0], [int(t) for t in toks[1:]])
             except ValueError:
                 raise SpecError(line_no, "oracle parameters must be integers") from None
-            spec.oracle = (toks[0], params)
-            continue
-
-        if head in ("window", "expansion"):
-            try:
-                n = int(rest)
-            except ValueError:
-                raise SpecError(line_no, f"{head} takes an integer") from None
+        elif head in ("window", "expansion"):
+            n = int(toks[0]) if len(toks) == 1 and toks[0].isdecimal() else 0
             if n < 1:
-                raise SpecError(line_no, f"{head} must be positive")
+                raise SpecError(line_no, f"{head} takes a positive integer")
             setattr(spec, head, n)
-            continue
-
-        # everything below is a structure rule on a declared finite basis
-        if spec.oracle is not None:
-            raise SpecError(line_no, "oracle specs take no structure lines")
-        if spec.ids is None:
-            raise SpecError(line_no, "basis declaration must precede rules")
-        declared = spec.ids
-
-        if head == "mul":
-            lhs, eq, rhs = line.partition("=")
-            toks = lhs.split()[1:]
-            if not eq or len(toks) != 2:
-                raise SpecError(line_no, "expected `mul <i> <j> = <element>`")
-            i = _parse_id(toks[0], declared, line_no)
-            j = _parse_id(toks[1], declared, line_no)
-            if (i, j) in spec.mul:
-                raise SpecError(line_no, f"duplicate product rule for {i} {j}")
-            spec.mul[(i, j)] = _parse_element(spec.field, rhs, declared, line_no)
-            continue
-
-        if head == "unit":
-            lhs, eq, rhs = line.partition("=")
-            if not eq or lhs.split() != ["unit"]:
-                raise SpecError(line_no, "expected `unit = <element>`")
-            if spec.unit is not None:
-                raise SpecError(line_no, "duplicate unit declaration")
-            spec.unit = _parse_element(spec.field, rhs, declared, line_no)
-            continue
-
-        if head in ("delta", "coaction"):
-            lhs, eq, rhs = line.partition("=")
-            toks = lhs.split()[1:]
-            if not eq or len(toks) < 2:
-                raise SpecError(line_no, f"expected `{head} <i> (<j>,<k>) = <element>`")
-            i = _parse_id(toks[0], declared, line_no)
-            frame = _parse_id("".join(toks[1:]), declared, line_no)
-            if not isinstance(frame, tuple):
-                raise SpecError(line_no, f"{head} frame must be a tensor id (j,k)")
-            table = getattr(spec, head).setdefault(i, {})
-            if frame in table:
-                raise SpecError(line_no, f"duplicate {head} rule for {i} at {frame}")
-            table[frame] = _parse_element(spec.field, rhs, declared, line_no, pair=True)
-            continue
-
-        if head == "epsilon":
-            lhs, eq, rhs = line.partition("=")
-            toks = lhs.split()[1:]
-            if not eq or len(toks) != 1:
-                raise SpecError(line_no, "expected `epsilon <i> = <scalar>`")
-            i = _parse_id(toks[0], declared, line_no)
-            if i in spec.epsilon:
-                raise SpecError(line_no, f"duplicate epsilon rule for {i}")
-            spec.epsilon[i] = _scalar(spec.field, rhs.strip(), line_no)
-            continue
-
-        if head == "antipode":
-            lhs, eq, rhs = line.partition("=")
-            toks = lhs.split()[1:]
-            if not eq or len(toks) != 1:
-                raise SpecError(line_no, "expected `antipode <i> = <element>`")
-            i = _parse_id(toks[0], declared, line_no)
-            if i in spec.antipode:
-                raise SpecError(line_no, f"duplicate antipode rule for {i}")
-            spec.antipode[i] = _parse_element(spec.field, rhs, declared, line_no)
-            continue
-
-        raise SpecError(line_no, f"unknown statement {head!r}")
+        elif head in _RULES:
+            if spec.oracle is not None:
+                raise SpecError(line_no, "oracle specs take no structure lines")
+            if spec.ids is None:
+                raise SpecError(line_no, "basis declaration must precede rules")
+            _parse_rule(spec, head, line, line_no)
+        else:
+            raise SpecError(line_no, f"unknown statement {head!r}")
 
     if spec.field is None:
         raise SpecError(1, "missing field declaration")
@@ -286,7 +242,7 @@ def derive_rho(T, lam_table, what="delta"):
     ids = list(T.basis.ids)
     c = unital_certificate(T, lambda y: Element(T, lam_table.get(y, {})))
     if c is not None:
-        return {p: in_solve_order(T.basis_element(p) * c).coeffs for p in ids}, c
+        return {p: (T.basis_element(p) * c).coeffs for p in ids}, c
     solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(
