@@ -312,6 +312,15 @@ class Algebra(Space):
         ids, mul = self.basis.ids, self.mul_basis
         return {i: frozenset(k for k in ids if mul(i, k).coeffs) for i in ids}
 
+    @cached_property
+    def copartners(self) -> dict:
+        """k -> frozenset of the i with e_i * e_k != 0: ``partners`` by column."""
+        out = {k: [] for k in self.basis.ids}
+        for i, ks in self.partners.items():
+            for k in ks:
+                out[k].append(i)
+        return {k: frozenset(v) for k, v in out.items()}
+
     def element_mul(self, x: Element, y: Element) -> Element:
         field, product = self.field, self.basis_product
         acc: dict = {}

@@ -10,12 +10,13 @@ a path to a spec file.  Every command emits a report (text by default,
     3   bad input (unparseable file, unknown gallery name, missing data)
 
 Checks run one after another in a fixed order, sharing one slice cache
-per run, so output is deterministic.
+per run, so output is deterministic.  One parser serves a process's calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -42,7 +43,9 @@ def _positive(text):
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process (parsing leaves no state); help reads COLUMNS when printed."""
     parser = argparse.ArgumentParser(
         prog="mulhopf",
         description="check and synthesize multiplier bialgebra structure")

@@ -93,7 +93,8 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
     Injectivity is the kernel of the map restricted to window pairs (a
     kernel vector is a genuine global witness, since slices are exact).
     Surjectivity solves for each window pair as an image of the
-    expansion-scaled domain.
+    expansion-scaled domain; on an oracle algebra at expansion 1 a miss
+    shows only a small window, so it raises unless injectivity failed.
     """
     alg, txt = slicer.alg, slicer.txt
     ids = slicer.ids
@@ -121,6 +122,9 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
                   detail=domain_note)
     for (u, v) in pairs:
         if solver.solve({(u, v): alg.field.one}) is None:
+            if not alg.finite and domain_note == "window domain" and inj.ok:
+                raise WindowInsufficiency(f"{which} surjectivity: {txt.fmt_id((u, v))} is "
+                                          "not hit over the window's own pairs; raise --expansion")
             sur = Verdict(f"{which} surjectivity", "failed", label,
                           witness=(Element(txt, {(u, v): alg.field.one}),),
                           detail=f"not hit by {which} over the {domain_note}")

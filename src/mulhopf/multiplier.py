@@ -279,7 +279,8 @@ def iota_element(z: Multiplier):
     """c with z = iota(c), certified once and memoised on z, or None.
 
     With a verified unit M(A) = A: c = z |> 1, certified by lam(e_y) = c e_y
-    and rho(e_y) = e_y c on every basis id (``unital_certificate``).  iota
+    and rho(e_y) = e_y c on every basis id (``unital_certificate``, one
+    sparse pass over the partner table per side).  iota
     is injective on a unital A (iota(x) = 0 gives x = x 1 = 0), so c is the
     unique preimage ``iota_preimage`` would solve for.  None (no verified
     unit, or a failed certificate) keeps the caller on its solve path.
@@ -292,7 +293,9 @@ def iota_element(z: Multiplier):
 def unital_certificate(alg: Algebra, lam, rho=None):
     """c = lam(1) if lam(e_y) = c e_y and rho(e_y) = e_y c on every basis
     id y of a finite ``alg`` with a verified unit, else None.  Without
-    ``rho`` the caller sets rho(e_y) = e_y c itself (``derive_rho``)."""
+    ``rho`` the caller sets rho(e_y) = e_y c itself (``derive_rho``).  All
+    c e_y (and e_y c) come from one ``iota_images`` pass: a check costs the
+    partner table's nonzero pairs that c meets, not an element product per y."""
     u = alg.verified_unit if alg.finite else None
     if u is None:
         return None
@@ -302,11 +305,25 @@ def unital_certificate(alg: Algebra, lam, rho=None):
         if image:
             vec_axpy(alg.field, acc, image, k)
     c = Element(alg, acc)
-    for y in alg.basis.ids:
-        ey = alg.basis_element(y)
-        if lam(y) != c * ey or (rho is not None and rho(y) != ey * c):
-            return None
+    for side, rule in (("left", lam), ("right", rho)):
+        if rule is not None:
+            hits = iota_images(alg, c, side)
+            if any(rule(y).coeffs != hits.get(y, {}) for y in alg.basis.ids):
+                return None
     return c
+
+
+def iota_images(alg: Algebra, c: Element, side) -> dict:
+    """y -> coefficients of c e_y (side "left") or e_y c (side "right") for
+    the y that c's terms meet in ``alg.partners`` (``copartners``), else 0.
+    Each y sums c's terms in c's order, as ``element_mul`` does."""
+    field, product, out = alg.field, alg.basis_product, {}
+    meets = alg.partners if side == "left" else alg.copartners
+    for t, ct in c.coeffs.items():
+        for y in meets[t]:
+            hit = product(t, y) if side == "left" else product(y, t)
+            vec_axpy(field, out.setdefault(y, {}), hit, ct)
+    return out
 
 
 def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):

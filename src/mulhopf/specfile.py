@@ -39,7 +39,7 @@ import re
 from .fields import GF, QQ, FieldError
 from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
-from .multiplier import Multiplier, iota, unital_certificate
+from .multiplier import Multiplier, iota, iota_images, unital_certificate
 from .extension import Extension
 from .bialgebra import Counit, MultiplierBialgebra
 from .hopf import MultiplierMap
@@ -235,14 +235,16 @@ def derive_rho(T, lam_table, what="delta"):
     the table is incompatible with being a multiplier.
 
     On a unital T, rho(e_p) = e_p c, c = m(1), once m(e_y) = c e_y for all y
-    (``unital_certificate``): m is iota(c), certified by this pass.  A solve
-    forces the same (put 1 into x e_y = e_p m(y)), so it runs only to raise.
-    Returns (rho, c), with c None when rho was solved for.
+    (``unital_certificate``): m is iota(c), certified by this pass, and rho is
+    its pass from the other side (``iota_images``).  A solve forces the same
+    (1 in x e_y = e_p m(y)), so it runs only to raise.  Returns (rho, c), with
+    c None when rho was solved for.
     """
     ids = list(T.basis.ids)
     c = unital_certificate(T, lambda y: Element(T, lam_table.get(y, {})))
     if c is not None:
-        return {p: (T.basis_element(p) * c).coeffs for p in ids}, c
+        hits = iota_images(T, c, "right")
+        return {p: hits.get(p, {}) for p in ids}, c
     solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(

@@ -1,4 +1,5 @@
-"""``linalg.PairSpan`` and ``Algebra.regular_solver`` against the code they replace.
+"""``linalg.PairSpan``, ``Algebra.regular_solver`` and the unital certificate
+against the code they replace.
 
 Each reference below is an earlier decomposition loop or solver, kept
 verbatim but for its name, so the one owner of each decision can be
@@ -9,16 +10,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as strat
 
 from mulhopf import specfile
 from mulhopf.algebra import Element, regular_module, tensor_algebra
 from mulhopf.extension import identity_extension, tensor_extensions
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
-from mulhopf.linalg import GaussianSolver, PairSpan, SparseMatrix, pair_columns
-from mulhopf.multiplier import MultiplierSpace, iota, iota_preimage
+from mulhopf.linalg import GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy
+from mulhopf.multiplier import MultiplierSpace, iota, iota_preimage, unital_certificate
 
 from fixtures import random_algebra
+from test_unital import CASES, with_unit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,6 +183,24 @@ def old_derive_rho(T, lam_table, what="delta"):
     return rho, solver
 
 
+def old_unital_certificate(alg, lam, rho=None):
+    """multiplier.unital_certificate with one element product per basis id."""
+    u = alg.verified_unit if alg.finite else None
+    if u is None:
+        return None
+    acc: dict = {}
+    for bid, k in u.coeffs.items():
+        image = lam(bid).coeffs
+        if image:
+            vec_axpy(alg.field, acc, image, k)
+    c = Element(alg, acc)
+    for y in alg.basis.ids:
+        ey = alg.basis_element(y)
+        if lam(y) != c * ey or (rho is not None and rho(y) != ey * c):
+            return None
+    return c
+
+
 def old_iota_rank(alg):
     """MultiplierSpace.table_vector + iota_rank."""
     def table_vector(x):
@@ -254,3 +276,64 @@ def test_derive_rho_on_the_rescaled_square_is_the_former_one(monkeypatch):
             [(p, list(r.items())) for p, r in want.items()]
         # the ("L", y, r) rows sort as the (y, r) rows did: the same pivots
         assert pivots(T.regular_solver(sides=("L",))) == pivots(solver)
+
+
+# --- the unital certificate: one pass over the partner table ----------------
+
+
+def planted(alg, rule, y0):
+    """``rule`` with e_y0 added to its value at y0: a miss at one basis id."""
+    return lambda y: rule(y) + alg.basis_element(y0) if y == y0 else rule(y)
+
+
+def certificates_agree(alg, lam, rho, y0):
+    """The certificate and the per-id reference agree on ``lam``/``rho`` and
+    on planted misses; returns the certified c (or None) of the true pair."""
+    outcomes = []
+    for args in ((lam, rho), (lam, None), (planted(alg, lam, y0), rho),
+                 (planted(alg, lam, y0), None), (lam, planted(alg, rho, y0))):
+        got, want = unital_certificate(alg, *args), old_unital_certificate(alg, *args)
+        assert (None if got is None else list(got.coeffs.items())) == \
+            (None if want is None else list(want.coeffs.items()))
+        outcomes.append(got)
+    assert outcomes[-1] is None  # c comes from the true lam, rho misses it at y0
+    return outcomes[0]
+
+
+def derive_rho_is_the_product_table(T, c):
+    """derive_rho on the table of c e_y is (e_p c) item for item."""
+    lam_table = {y: (c * T.basis_element(y)).coeffs for y in T.basis.ids}
+    rho, got = specfile.derive_rho(T, lam_table)
+    assert got == c
+    assert [(p, list(r.items())) for p, r in rho.items()] == \
+        [(p, list((T.basis_element(p) * got).coeffs.items())) for p in T.basis.ids]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_the_certificate_pass_is_the_per_id_certificate(case):
+    ext = CASES[case]()
+    T, rng = ext.target, random.Random(case)
+    for i in ext.source_ids:
+        m = ext.basis_multiplier(i)
+        c = certificates_agree(T, m.lam_basis, m.rho_basis, rng.choice(T.basis.ids))
+        assert c is not None
+        derive_rho_is_the_product_table(T, c)
+    assert T._mul_cache == {}  # nothing cached per pair of pair ids
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=strat.integers(0, 40), miss=strat.integers(0, 15),
+       terms=strat.lists(strat.tuples(strat.integers(0, 15), strat.integers(-3, 3)),
+                         min_size=1, max_size=4))
+@example(seed=2, miss=0, terms=[(0, 1), (15, -2)])  # diagonal: commutative
+@example(seed=0, miss=3, terms=[(0, 1), (15, -2)])  # all 2x2 matrices: not commutative
+def test_the_certificate_pass_on_random_unital_algebras(field, seed, miss, terms):
+    A = with_unit(random_algebra(seed, field=field))
+    for alg in (A, tensor_algebra(A, A)):
+        ids = alg.basis.ids
+        c = alg.element({ids[k % len(ids)]: v for k, v in terms})
+        lam = lambda y: c * alg.basis_element(y)  # noqa: E731
+        rho = lambda y: alg.basis_element(y) * c  # noqa: E731
+        assert certificates_agree(alg, lam, rho, ids[miss % len(ids)]) == c
+        derive_rho_is_the_product_table(alg, c)

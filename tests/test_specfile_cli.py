@@ -610,11 +610,7 @@ def test_oracle_spec_certifies_delta_on_the_run_window(tmp_path, capsys, spec_te
 
 # the slice Delta(d-2)(1(x)d1) = d-3(x)d1 lies outside window 2 x 1: its
 # contraction reads 0, so it takes the doubled retry
-@pytest.mark.parametrize("command", [pytest.param("classify", marks=pytest.mark.xfail(
-    strict=True, reason=(
-        "at expansion 1 the T1/T2 surjectivity domain is only the base window, so "
-        "T1 bijectivity reads failed with witness 1*(d-2,d-2) (not hit by T1 over the "
-        "window domain): a window artefact reported as failed"))), "check-comodule"])
+@pytest.mark.parametrize("command", ["classify", "check-comodule"])
 def test_kz_at_expansion_one_reads_no_false_failure(capsys, command):
     rc, out, _ = run_cli([command, "gallery:kfin_Z", "--window", "2", "--expansion", "1",
                           "--report", "json"], capsys)

@@ -16,7 +16,8 @@ from hypothesis import strategies as strat
 
 from mulhopf import bialgebra, cli, extension, hopf, multiplier, specfile
 from mulhopf.algebra import (
-    Element, InputError, check_local_units, finite_algebra, tensor_algebra, tensor_elem,
+    Element, InputError, TensorAlgebra, check_local_units, finite_algebra, tensor_algebra,
+    tensor_elem,
 )
 from mulhopf.bialgebra import Slicer, check_coassociative, check_counit, check_fons
 from mulhopf.cli import main
@@ -267,3 +268,16 @@ def test_building_a_unital_spec_keeps_derive_rhos_certificate(monkeypatch):
     for i in delta.source.basis.ids:
         m = delta.basis_multiplier(i)
         assert items(m._iota) == items(real(m, delta.target.verified_unit))
+
+
+def test_building_a_unital_spec_multiplies_no_elements(monkeypatch):
+    """``derive_rho``'s certificate and rho table come from passes over the
+    partner table: no element product, nothing cached per pair of pair ids."""
+    products = []
+    real = TensorAlgebra.element_mul
+    monkeypatch.setattr(TensorAlgebra, "element_mul",
+                        lambda self, x, y: products.append(self) or real(self, x, y))
+    delta = spec_entry("rescaled_z6.spec").bialgebra.delta
+    assert all(delta.basis_multiplier(i)._iota for i in delta.source.basis.ids)
+    assert products == []
+    assert delta.target._mul_cache == {}
