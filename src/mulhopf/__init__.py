@@ -38,7 +38,7 @@ from .hopf import (
     synthesize_antipode,
 )
 from .comodule import (
-    ComoduleAlgebra, check_comodule_coassoc, check_comodule_coassoc_framed,
+    check_comodule_coassoc, check_comodule_coassoc_element, check_comodule_coassoc_framed,
     check_comodule_counit, check_module_algebra,
 )
 from .specfile import SpecError, SpecFile, build_bundle, derive_rho, parse_spec

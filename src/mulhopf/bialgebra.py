@@ -24,10 +24,11 @@ and counit synthesis inverts the same identities as a linear system in
 the unknown values eps(e_i).  These are the comodule laws of A over
 itself, the regular comodule with rho = Delta, so one engine
 (``_sliced_coassoc``) checks sliced coassociativity for Delta and for
-every coaction (``comodule.check_comodule_coassoc``), and one
+every coaction (``comodule.check_comodule_coassoc_element``), and one
 eps-contraction (``_collapse``) serves both counit laws.  A slice that is
 not iota of an element makes these checks fail with the undefined pair
-as witness.
+as witness.  Every function here that reads Delta, the module-category
+ones included, takes the run's Slicer for Delta, window and expansion.
 """
 
 from __future__ import annotations
@@ -463,23 +464,22 @@ class MultiplierBialgebra:
 # induced module structure on tensor products
 
 
-def tensor_module_action(delta: Extension, m: ModuleStructure, n: ModuleStructure,
-                         window_a=None, expansion=2) -> ModuleStructure:
-    """Right A-module on M (x) N through Delta.
+def tensor_module_action(slicer: Slicer, m: ModuleStructure,
+                         n: ModuleStructure) -> ModuleStructure:
+    """Right A-module on M (x) N through Delta = slicer.delta.
 
     (m (x) n) . a  =  sum (m_i (x) n_j) ((a_i (x) b_j) <| Delta(a))
     over decompositions m = sum m_i a_i, n = sum n_j b_j.  Decomposition
-    searches draw m and n from the algebra window and the acting ids from
+    searches draw m and n from the Slicer's window and the acting ids from
     its expansion-scaled version.
     """
-    alg = delta.source
+    delta, alg, wa = slicer.delta, slicer.alg, slicer.window
     if m.algebra is not alg or n.algebra is not alg:
         raise InputError("tensor_module_action wants two right modules over A")
     if m.side != "right" or n.side != "right":
         raise InputError("tensor_module_action is for right modules")
     base = tensor_module(m, n)
-    wa = window_a if window_a is not None else delta.source_window
-    a_search = scaled_window(alg, wa, expansion)
+    a_search = scaled_window(alg, wa, slicer.expansion)
     m_ids = resolve_window(m.space, wa)
     n_ids = resolve_window(n.space, wa)
     f = alg.field
@@ -520,9 +520,8 @@ def epsilon_module(epsilon: Counit) -> ModuleStructure:
     return ModuleStructure(k, alg, "right", rule, name="k over eps")
 
 
-def check_monoidal_instance(delta: Extension, epsilon: Counit,
-                            counit_witness: Element, modules, window=None,
-                            expansion=2) -> list:
+def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
+                            counit_witness: Element, modules) -> list:
     """Associator and unit-constraint instances for a module family.
 
     Returns verdicts for: associator A-linearity on every ordered triple
@@ -530,21 +529,22 @@ def check_monoidal_instance(delta: Extension, epsilon: Counit,
     counit witness g; and the tensor-of-extensions instance (the Delta
     bimodule actions on A (x) A validate as an extension of A).  A
     programming error inside a check propagates; it is not a verdict.
+
+    g is its own input, not eps.witness: eps' = 2 eps with g' = g / 2 passes
+    every unit constraint, which reads eps and g only together; the module
+    laws of k over eps (``epsilon_module``) catch it.
     """
-    alg = delta.source
-    wa = window if window is not None else delta.source_window
-    a_ids = resolve_window(alg, wa)
-    dec_ids = scaled_window(alg, wa, expansion)
+    delta, alg, wa, a_ids = slicer.delta, slicer.alg, slicer.window, slicer.ids
+    dec_ids = scaled_window(alg, wa, slicer.expansion)
     f = alg.field
     g = counit_witness
-    kwargs = dict(window_a=wa, expansion=expansion)
 
     def associator_failures():
         for M, N, P in product(modules, repeat=3):
-            NP = tensor_module_action(delta, N, P, **kwargs)
-            right = tensor_module_action(delta, M, NP, **kwargs)
-            MN = tensor_module_action(delta, M, N, **kwargs)
-            left = tensor_module_action(delta, MN, P, **kwargs)
+            NP = tensor_module_action(slicer, N, P)
+            right = tensor_module_action(slicer, M, NP)
+            MN = tensor_module_action(slicer, M, N)
+            left = tensor_module_action(slicer, MN, P)
             ids = resolve_window(right.space, wa)
             for x_id, a in product(ids, a_ids):
                 mi, (nj, pk) = x_id
@@ -600,7 +600,7 @@ def check_monoidal_instance(delta: Extension, epsilon: Counit,
             lambda p_id, b_id: delta.basis_multiplier(b_id).apply_right(
                 delta.target.basis_element(p_id)).coeffs,
             name="Delta-as-bimodule", source_window=delta.source_window,
-            target_window=delta.target_window, expansion=expansion)
+            target_window=delta.target_window, expansion=slicer.expansion)
         verdicts.append(Verdict("tensor extension instance", alg.baseline(a_ids),
                                 delta.window_label()))
     except InvariantViolation as exc:

@@ -25,9 +25,9 @@ from .algebra import (
     check_associativity, check_idempotent, check_local_units,
     check_nondegenerate,
 )
-from .bialgebra import check_coassociative, check_counit, check_fons, synthesize_counit
+from .bialgebra import Slicer, check_coassociative, check_counit, check_fons, synthesize_counit
 from .comodule import (
-    ComoduleAlgebra, check_comodule_coassoc, check_comodule_coassoc_framed,
+    check_comodule_coassoc, check_comodule_coassoc_element, check_comodule_coassoc_framed,
     check_comodule_counit,
 )
 from .hopf import check_antipode, check_convolution_inverse, check_hopf, \
@@ -253,17 +253,16 @@ def cmd_check_hopf(entry, run, report, window, expansion):
 
 def cmd_check_comodule(entry, run, report, window, expansion):
     bundle = _require_bialgebra(entry)
-    coaction = entry.params.get("coaction")
-    com = ComoduleAlgebra(entry.algebra, coaction or bundle.delta, bundle,
-                          window=window, expansion=expansion)
+    dsl = bundle.slicer(window, expansion)
+    gamma = dsl if entry.coaction is None else Slicer(entry.coaction, dsl.window, dsl.expansion)
     # with no counit the comodule counit law reads failed; the others still run
-    epsilon = _epsilon(run, com.delta_slicer(), bundle.epsilon, report)
-    run.group([lambda: com.coaction.validate()])
+    epsilon = _epsilon(run, dsl, bundle.epsilon, report)
+    run.group([lambda: gamma.delta.validate()])
     run.group([
-        lambda: check_comodule_coassoc(com),
-        lambda: check_comodule_coassoc_framed(com),
-        lambda: check_comodule_coassoc(com, method="element"),
-        lambda: check_comodule_counit(com, epsilon=epsilon),
+        lambda: check_comodule_coassoc(gamma, dsl),
+        lambda: check_comodule_coassoc_framed(gamma, dsl),
+        lambda: check_comodule_coassoc_element(gamma, dsl),
+        lambda: check_comodule_counit(gamma, epsilon),
     ])
 
 

@@ -22,6 +22,10 @@ engine, and the counit law uses its eps-contraction: A over itself with
 rho = Delta is the regular comodule, whose laws are Delta's
 coassociativity and counit laws.
 
+Every check takes the run's Slicers as handles: ``gamma`` slices the
+coaction and ``dsl`` slices Delta, each with its window and expansion;
+the regular comodule passes Delta's Slicer as both.
+
 A right module algebra is a right A-module on an algebra B whose
 multiplication intertwines the diagonal action:
 
@@ -36,75 +40,40 @@ from .algebra import (
     resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import act_on_module, basis_image, iota, one, sweep
-from .extension import Extension, identity_extension, psi_embed, tensor_extensions
+from .extension import identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
     Counit, Slicer, SliceUndefined, _collapse, _sliced_coassoc,
 )
 
 
-class ComoduleAlgebra:
-    """Bundle of an algebra B with a coaction into M(B (x) A).
-
-    Window and expansion default to the bialgebra's.
-    """
-
-    def __init__(self, algebra: Algebra, coaction: Extension, bialgebra,
-                 window=None, expansion=None, name=None):
-        if coaction.source is not algebra:
-            raise InputError("coaction must start at the comodule algebra")
-        factors = getattr(coaction.target, "factors", None)
-        if factors is None or factors[0] is not algebra or factors[1] is not bialgebra.algebra:
-            raise InputError("coaction must land in M(B (x) A)")
-        self.algebra = algebra
-        self.coaction = coaction
-        self.bialgebra = bialgebra
-        self.window = window if window is not None else bialgebra.window
-        self.expansion = expansion if expansion is not None else bialgebra.expansion
-        self.name = name or f"{algebra.name} over {bialgebra.name}"
-        self._slicer = None
-
-    def slicer(self) -> Slicer:
-        """Slice cache of the coaction; Delta's own when the coaction is Delta."""
-        if self.coaction is self.bialgebra.delta:
-            return self.delta_slicer()
-        if self._slicer is None:
-            self._slicer = Slicer(self.coaction, window=self.window, expansion=self.expansion)
-        return self._slicer
-
-    def delta_slicer(self) -> Slicer:
-        """Delta's Slicer on this comodule's window and expansion."""
-        return self.bialgebra.slicer(self.window, self.expansion)
+def _check_target(gamma: Slicer, A: Algebra) -> None:
+    if gamma.lfac is not gamma.alg or gamma.rfac is not A:
+        raise InputError("coaction must land in M(B (x) A)")
 
 
-def _setup(com: ComoduleAlgebra):
-    B, A = com.algebra, com.bialgebra.algebra
-    return B, A, com.slicer(), resolve_window(B, com.window), resolve_window(A, com.window)
-
-
-def _coassoc_setup(com: ComoduleAlgebra, max_probes):
+def _coassoc_setup(gamma: Slicer, dsl: Slicer, max_probes):
     """What both multiplier forms of coassociativity share.
 
-    Returns the windows, the coaction slicer, rho (x) id, id (x) Delta,
-    the frames Psi(1 (x) 1 (x) e_a) per window id a, the capped probes of
+    Returns (B (x) A) (x) A, rho (x) id, id (x) Delta, the frames
+    Psi(1 (x) 1 (x) e_a) per window id a, the number of capped probes of
     (B (x) A) (x) A, the window status, and ``differs(lhs, rhs)``: the
     first probe on which the two sides act differently and on which side
     ("left" or "right"), or None.
     """
-    B, A, gamma, b_ids, a_ids = _setup(com)
-    window, expansion = com.window, com.expansion
-    delta = com.bialgebra.delta
-    triple_l = tensor_algebra(com.coaction.target, A)  # (B(x)A)(x)A
-    triple_r = tensor_algebra(B, delta.target)          # B(x)(A(x)A)
+    B, A = gamma.alg, dsl.alg
+    _check_target(gamma, A)
+    triple_l = tensor_algebra(gamma.txt, A)  # (B(x)A)(x)A
+    triple_r = tensor_algebra(B, dsl.txt)    # B(x)(A(x)A)
     rho_x_id = tensor_extensions(
-        com.coaction, identity_extension(A, window=window, expansion=expansion))
+        gamma.delta, identity_extension(A, window=dsl.window, expansion=dsl.expansion))
     id_x_delta = tensor_extensions(
-        identity_extension(B, window=window, expansion=expansion), delta)
+        identity_extension(B, window=gamma.window, expansion=gamma.expansion), dsl.delta)
     one_a = one(A)
     frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
-                           into=triple_r) for a in a_ids}
-    probe_ids = resolve_window(triple_l, window)[:max_probes]
+                           into=triple_r) for a in dsl.ids}
+    probe_ids = resolve_window(triple_l, gamma.window)[:max_probes]
     pr_ids = tuple((i, (j, k)) for (i, j), k in probe_ids)  # the same probes on triple_r
-    status = joint_baseline((B, b_ids), (A, a_ids), (triple_l, probe_ids))
+    status = joint_baseline((B, gamma.ids), (A, dsl.ids), (triple_l, probe_ids))
 
     def differs(lhs, rhs):
         for n, side in sweep((lhs, probe_ids), (rhs, pr_ids)):
@@ -113,35 +82,25 @@ def _coassoc_setup(com: ComoduleAlgebra, max_probes):
                 return triple_l.basis_element(probe_ids[n]), side
         return None
 
-    return (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
-            len(probe_ids), status, differs)
+    return triple_l, rho_x_id, id_x_delta, frames, len(probe_ids), status, differs
 
 
-def check_comodule_coassoc(com: ComoduleAlgebra, method="multiplier") -> Verdict:
-    """Framed coassociativity of the coaction.
+def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
+    """Framed coassociativity of the coaction on all window pairs.
 
-    ``method`` "multiplier" checks the pair form on all window pairs
-    against every window probe; the right side is lifted along
-    id (x) Delta, so no iota membership is needed.  ``method`` "element"
-    frames the left leg as well and compares honest elements of
-    B (x) A (x) A built from slices; it fails outright when a needed
-    slice does not exist.
+    ``gamma`` slices the coaction B --> B (x) A and ``dsl`` slices Delta
+    of A.  The pair form is checked against every window probe; the right
+    side is lifted along id (x) Delta, so no iota membership is needed.
     """
-    if method == "element":
-        B, A, gamma, b_ids, a_ids = _setup(com)
-        return _sliced_coassoc(gamma, com.delta_slicer(), b_ids, a_ids,
-                               "comodule coassociativity (element)",
-                               f"{B.window_label(b_ids)}^2 x {A.window_label(a_ids)}",
-                               "sliced sides differ")
-    (B, A, gamma, b_ids, a_ids, _triple_l, rho_x_id, id_x_delta, frames,
-     n_probes, status, differs) = _coassoc_setup(com, None)
-    label = (f"{B.window_label(b_ids)} / {A.window_label(a_ids)}, "
-             f"{n_probes} probes")
+    _t, rho_x_id, id_x_delta, frames, n_probes, status, differs = \
+        _coassoc_setup(gamma, dsl, None)
+    B, A = gamma.alg, dsl.alg
+    label = f"{B.window_label(gamma.ids)} / {A.window_label(dsl.ids)}, {n_probes} probes"
 
-    for b in b_ids:
-        rho_b = com.coaction.basis_multiplier(b)
+    for b in gamma.ids:
+        rho_b = gamma.delta.basis_multiplier(b)
         lifted = id_x_delta.lift(rho_b)
-        for a in a_ids:
+        for a in dsl.ids:
             try:
                 lhs = rho_x_id.apply(gamma.slice("right", b, a))
             except SliceUndefined:
@@ -154,21 +113,21 @@ def check_comodule_coassoc(com: ComoduleAlgebra, method="multiplier") -> Verdict
     return Verdict("comodule coassociativity", status, label)
 
 
-def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdict:
+def check_comodule_coassoc_framed(gamma: Slicer, dsl: Slicer, max_probes=24) -> Verdict:
     """(c (x) 1 (x) 1)-framed variant, cross-checked on capped probes.
 
     Replaces the lift on the right side by the left slice (c (x) 1)rho(b),
     so it exercises an independent computation route.
     """
-    (B, A, gamma, b_ids, a_ids, triple_l, rho_x_id, id_x_delta, frames,
-     n_probes, status, differs) = _coassoc_setup(com, max_probes)
-    label = (f"{len(b_ids)}^2 x {len(a_ids)} framed triples, "
-             f"{n_probes} probes")
+    triple_l, rho_x_id, id_x_delta, frames, n_probes, status, differs = \
+        _coassoc_setup(gamma, dsl, max_probes)
+    B, A, b_ids = gamma.alg, dsl.alg, gamma.ids
+    label = f"{len(b_ids)}^2 x {len(dsl.ids)} framed triples, {n_probes} probes"
     one_a = one(A)
     left_frames = {c: psi_embed([iota(B, B.basis_element(c)), one_a, one_a], into=triple_l)
                    for c in b_ids}  # c (x) 1 (x) 1 on (B (x) A) (x) A
     for b in b_ids:
-        for a in a_ids:
+        for a in dsl.ids:
             ea = A.basis_element(a)
             try:
                 s_r = gamma.slice("right", b, a)
@@ -195,19 +154,35 @@ def check_comodule_coassoc_framed(com: ComoduleAlgebra, max_probes=24) -> Verdic
     return Verdict("comodule coassociativity (framed)", status, label)
 
 
-def check_comodule_counit(com: ComoduleAlgebra, epsilon: Counit | None = None) -> Verdict:
+def check_comodule_coassoc_element(gamma: Slicer, dsl: Slicer) -> Verdict:
+    """Coassociativity as an equality of elements of B (x) A (x) A.
+
+    Frames the left leg as well and compares the honest elements built
+    from slices (``bialgebra``'s sliced engine); it fails outright when a
+    needed slice does not exist.
+    """
+    B, A = gamma.alg, dsl.alg
+    _check_target(gamma, A)
+    return _sliced_coassoc(gamma, dsl, gamma.ids, dsl.ids,
+                           "comodule coassociativity (element)",
+                           f"{B.window_label(gamma.ids)}^2 x {A.window_label(dsl.ids)}",
+                           "sliced sides differ")
+
+
+def check_comodule_counit(gamma: Slicer, epsilon: Counit | None) -> Verdict:
     """(id (x) eps)-bar(rho(b)(1 (x) a)) = eps(a) iota(b) on window pairs.
 
     Both sides are iota of elements of B, so this is an element equality:
     sum b_(0,a) eps(b_(1,a)) = eps(a) b.  A missing slice is flagged as a
-    failure of the stronger framed-membership hypothesis.  ``epsilon``
-    defaults to the bialgebra's declared counit; with neither, the law
-    fails for want of a counit.
+    failure of the stronger framed-membership hypothesis.  With no
+    ``epsilon`` (none declared, none synthesized) the law fails for want
+    of a counit.
     """
-    B, A, gamma, b_ids, a_ids = _setup(com)
-    eps = epsilon if epsilon is not None else com.bialgebra.epsilon
+    B, A = gamma.alg, gamma.rfac
+    _check_target(gamma, A if epsilon is None else epsilon.alg)
+    b_ids, a_ids = gamma.ids, resolve_window(A, gamma.window)
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
-    if eps is None:
+    if epsilon is None:
         return Verdict("comodule counit", "failed", label,
                        detail="no counit: none declared and none synthesized")
     for b in b_ids:
@@ -220,8 +195,8 @@ def check_comodule_counit(com: ComoduleAlgebra, epsilon: Counit | None = None) -
                 return Verdict("comodule counit", "failed", label,
                                witness=(eb, ea),
                                detail="framed coaction is not iota of an element")
-            got = _collapse(s, eps, "right")
-            want = eb.scale(eps.value(a))
+            got = _collapse(s, epsilon, "right")
+            want = eb.scale(epsilon.value(a))
             if got != want:
                 return Verdict("comodule counit", "failed", label,
                                witness=(eb, ea),
@@ -229,15 +204,14 @@ def check_comodule_counit(com: ComoduleAlgebra, epsilon: Counit | None = None) -
     return Verdict("comodule counit", joint_baseline((B, b_ids), (A, a_ids)), label)
 
 
-def check_module_algebra(module: ModuleStructure, delta: Extension,
-                         window=None) -> Verdict:
+def check_module_algebra(module: ModuleStructure, slicer: Slicer) -> Verdict:
     """mu((b (x) b') <| Delta(a)) = (b b') <| a on window triples.
 
-    ``module`` is a right module over A = delta.source whose carrier is
+    ``module`` is a right module over A = slicer.alg whose carrier is
     itself an algebra; the left side moves b (x) b' with the diagonal
     action on the tensor module.
     """
-    A = delta.source
+    A, delta, window = slicer.alg, slicer.delta, slicer.window
     B = module.space
     if not isinstance(B, Algebra):
         raise InputError("module-algebra check needs an algebra carrier")
@@ -245,9 +219,9 @@ def check_module_algebra(module: ModuleStructure, delta: Extension,
         raise InputError("module-algebra check wants a right A-module")
     T = tensor_module(module, module)
     b_ids = resolve_window(B, window)
-    a_ids = resolve_window(A, window)
+    a_ids = slicer.ids
     pair_window = [(i, j) for i in b_ids for j in b_ids]
-    scaled = scaled_window(A, window, delta.expansion)
+    scaled = scaled_window(A, window, slicer.expansion)
     aa_window = [(i, j) for i in scaled for j in scaled]
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     for bi in b_ids:

@@ -13,7 +13,7 @@ the Python builders take keyword arguments.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import QQ
 from .algebra import (
@@ -31,7 +31,7 @@ class GalleryEntry:
     algebra: Algebra
     bialgebra: MultiplierBialgebra | None = None
     default_window: int | None = None
-    params: dict = dc_field(default_factory=dict)
+    coaction: Extension | None = None  # a declared coaction B --> M(B (x) A)
     rebuild: Callable[[int], GalleryEntry] | None = None  # same input on another window
 
 
@@ -67,8 +67,7 @@ def kfun_cyclic(n: int, field=QQ) -> GalleryEntry:
                          name="S")
     bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
                                  name=f"kfun_cyclic({n})", antipode=smap)
-    return GalleryEntry(f"kfun_cyclic({n})", A, bundle,
-                        params={"n": n})
+    return GalleryEntry(f"kfun_cyclic({n})", A, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +114,7 @@ def kfin_Z(field=QQ, window=4) -> GalleryEntry:
                           lambda i: True, lambda n: range(-n, n + 1))
     A = bundle.algebra
     bundle.antipode = MultiplierMap(A, lambda t: iota(A, A.basis_element(-t)), name="S")
-    return GalleryEntry("kfin_Z", A, bundle,
-                        default_window=window, params={"window": window})
+    return GalleryEntry("kfin_Z", A, bundle, default_window=window)
 
 
 def kfin_N(field=QQ, window=4) -> GalleryEntry:
@@ -128,8 +126,7 @@ def kfin_N(field=QQ, window=4) -> GalleryEntry:
     """
     bundle = _kfin_monoid(field, window, "kfin_N", "K(N)",
                           lambda i: i >= 0, lambda n: range(0, n + 1))
-    return GalleryEntry("kfin_N", bundle.algebra, bundle,
-                        default_window=window, params={"window": window})
+    return GalleryEntry("kfin_N", bundle.algebra, bundle, default_window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,7 @@ def matfin(field=QQ, window=3) -> GalleryEntry:
         local_unit_for=local,
         describe="MatFin(N)", name="matfin",
         fmt_id=lambda p: f"E({p[0]},{p[1]})")
-    return GalleryEntry("matfin", A,
-                        default_window=window, params={"window": window})
+    return GalleryEntry("matfin", A, default_window=window)
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,7 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
         bialgebra = MultiplierBialgebra(
             A, delta, epsilon, witness, window=spec.window,
             expansion=spec.expansion or 2, name=name, antipode=smap)
-    entry = gallery.GalleryEntry(name, A, bialgebra,
-                                 default_window=spec.window)
+    entry = gallery.GalleryEntry(name, A, bialgebra, default_window=spec.window)
     if spec.coaction:
-        T = tensor_algebra(A, A)
-        entry.params["coaction"] = _slice_extension(A, T, spec.coaction, "rho")
+        entry.coaction = _slice_extension(A, tensor_algebra(A, A), spec.coaction, "rho")
     return entry

@@ -10,7 +10,6 @@ from mulhopf.algebra import (
     Algebra, Element, InputError, ModuleStructure, finite_algebra, resolve_window,
 )
 from mulhopf.bialgebra import MultiplierBialgebra, Slicer
-from mulhopf.comodule import ComoduleAlgebra
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.hopf import _CANONICAL_SIDE, MultiplierMap, _as_elem
@@ -51,11 +50,11 @@ def perturb_antipode_map(bundle: MultiplierBialgebra, seed: int) -> MultiplierMa
     return MultiplierMap(alg, rule, name=f"S-perturbed[{alg.fmt_id(t)} {tag}]")
 
 
-def self_comodule(bundle: MultiplierBialgebra) -> ComoduleAlgebra:
-    """Every comultiplication makes its algebra a comodule algebra over itself."""
-    return ComoduleAlgebra(bundle.algebra, bundle.delta, bundle,
-                           window=bundle.window, expansion=bundle.expansion,
-                           name=f"{bundle.name} over itself")
+def self_comodule(bundle: MultiplierBialgebra) -> tuple:
+    """Every comultiplication makes its algebra a comodule algebra over itself:
+    (gamma, dsl) are both Delta's Slicer on the bundle's window."""
+    sl = bundle.slicer()
+    return sl, sl
 
 
 def trivial_module_algebra(bundle: MultiplierBialgebra) -> ModuleStructure:

@@ -13,7 +13,7 @@ from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slic
                                check_monoidal_instance, epsilon_module,
                                synthesize_counit, tensor_module_action)
 from mulhopf.cli import main
-from mulhopf.comodule import ComoduleAlgebra, check_comodule_coassoc
+from mulhopf.comodule import check_comodule_coassoc_element
 from mulhopf.extension import Extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
@@ -279,9 +279,9 @@ def test_coassociativity_is_the_element_law_of_the_self_comodule():
     cases += [(random_coproduct_bundle(seed), None) for seed in range(5)]
     statuses = set()
     for b, window in cases:
-        v = check_coassociative(Slicer(b.delta, window=window))
-        com = ComoduleAlgebra(b.algebra, b.delta, b, window=window)
-        w = check_comodule_coassoc(com, method="element")
+        sl = Slicer(b.delta, window=window)
+        v = check_coassociative(sl)
+        w = check_comodule_coassoc_element(sl, sl)
         assert (v.status, v.witness) == (w.status, w.witness), (b.name, v, w)
         statuses.add(v.status)
     assert statuses == {"proven", "holds_on_window", "failed"}
@@ -377,9 +377,8 @@ def test_epsilon_module_is_a_module():
 def test_monoidal_instances_for_regular_and_tensor_square():
     b = kfun_cyclic(2).bialgebra
     reg = regular_module(b.algebra)
-    sq = tensor_module_action(b.delta, reg, reg)
-    verdicts = check_monoidal_instance(b.delta, b.epsilon, b.counit_witness,
-                                       [reg, sq])
+    sq = tensor_module_action(b.slicer(), reg, reg)
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness, [reg, sq])
     assert [v.axiom for v in verdicts] == [
         "monoidal associator", "monoidal right unit", "monoidal left unit",
         "tensor extension instance"]
@@ -390,7 +389,7 @@ def test_scaled_counit_breaks_the_unit_constraints():
     b = kfun_cyclic(2).bialgebra
     reg = regular_module(b.algebra)
     doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
-    verdicts = check_monoidal_instance(b.delta, doubled, b.counit_witness, [reg])
+    verdicts = check_monoidal_instance(b.slicer(), doubled, b.counit_witness, [reg])
     by_axiom = {v.axiom: v for v in verdicts}
     assert by_axiom["monoidal left unit"].status == "failed"
     assert by_axiom["monoidal left unit"].witness is not None
@@ -406,8 +405,11 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
 
     monkeypatch.setattr(Extension, "from_bimodule", broken)
     with pytest.raises(TypeError, match="broken bimodule constructor"):
-        check_monoidal_instance(b.delta, b.epsilon, b.counit_witness,
+        check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
                                 [regular_module(b.algebra)])
+
+
+FIXED_BY_THE_HANDLE = {"delta", "window", "window_a", "expansion", "com", "strict"}
 
 
 @pytest.mark.parametrize("check, handle", [
@@ -416,18 +418,48 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
     (hopf.check_bijective, "slicer"), (hopf.check_hopf, "slicer"),
     (hopf.check_antipode, "slicer"), (hopf.synthesize_antipode, "slicer"),
     (hopf.check_convolution_inverse, "slicer"),
-    (comodule.check_comodule_coassoc, "com"),
-    (comodule.check_comodule_coassoc_framed, "com"),
-    (comodule.check_comodule_counit, "com"),
+    (comodule.check_comodule_coassoc, "gamma"),
+    (comodule.check_comodule_coassoc_framed, "gamma"),
+    (comodule.check_comodule_coassoc_element, "gamma"),
+    (comodule.check_comodule_counit, "gamma"),
+    (bialgebra.tensor_module_action, "slicer"),
+    (bialgebra.check_monoidal_instance, "slicer"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_a_check_takes_its_handle_and_nothing_the_handle_fixes(check, handle):
-    # the Slicer (or the comodule's) fixes Delta, window and expansion, so no
-    # second statement of them can disagree with the slices a check reads
+    # a Slicer fixes its map, window and expansion, so no second statement
+    # of them can disagree with the slices a check reads
     params = list(inspect.signature(check).parameters.values())
     assert params[0].name == handle
     assert params[0].default is inspect.Parameter.empty
-    assert not {"delta", "window", "expansion", "strict"} & {p.name for p in params}
+    assert not FIXED_BY_THE_HANDLE & {p.name for p in params}
     assert "slicer" not in {p.name for p in params[1:]}
+
+
+def test_no_public_check_restates_what_a_slicer_fixes():
+    # every check_*/synthesize_* of the bialgebra, Hopf and comodule layers,
+    # check_module_algebra included (its handle follows the module it checks)
+    checks = [f for mod in (bialgebra, comodule, hopf) for name, f in vars(mod).items()
+              if name.startswith(("check_", "synthesize_")) and f.__module__ == mod.__name__]
+    assert comodule.check_module_algebra in checks
+    for check in checks:
+        params = set(inspect.signature(check).parameters)
+        assert not FIXED_BY_THE_HANDLE & params, check.__name__
+    assert list(inspect.signature(comodule.check_module_algebra).parameters) == [
+        "module", "slicer"]
+
+
+def test_the_counit_witness_is_an_input_because_the_unit_constraints_cannot_see_its_scale():
+    # eps' = 2 eps with g' = eps'.witness = d0 / 2: every unit constraint
+    # contracts g' through eps' to eps(d0 x), so all four monoidal verdicts
+    # read proven; only the module laws of k over eps' catch the scale
+    b = kfun_cyclic(2).bialgebra
+    doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
+    g = doubled.witness(b.slicer().ids)
+    assert g == b.algebra.basis_element(0).scale(QQ.inv(QQ.coerce(2)))
+    reg = regular_module(b.algebra)
+    verdicts = check_monoidal_instance(b.slicer(), doubled, g, [reg])
+    assert [v.status for v in verdicts] == ["proven"] * 4
+    assert check_module(epsilon_module(doubled))["associativity"].status == "failed"
 
 
 def test_bundle_slicer_is_cached_per_window():

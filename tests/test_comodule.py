@@ -4,7 +4,8 @@ import pytest
 
 from mulhopf.algebra import (InputError, regular_module, scalar_algebra,
                              tensor_algebra)
-from mulhopf.comodule import (ComoduleAlgebra, check_comodule_coassoc,
+from mulhopf.bialgebra import Slicer
+from mulhopf.comodule import (check_comodule_coassoc, check_comodule_coassoc_element,
                               check_comodule_coassoc_framed,
                               check_comodule_counit, check_module_algebra)
 from mulhopf.extension import Extension
@@ -25,28 +26,29 @@ def shifted_coaction(bundle, offset=1):
 
 def test_self_comodule_passes_everything_finite():
     for n in (2, 3):
-        com = self_comodule(kfun_cyclic(n).bialgebra)
-        for check in (check_comodule_coassoc, check_comodule_counit):
-            v = check(com)
+        b = kfun_cyclic(n).bialgebra
+        gamma, dsl = self_comodule(b)
+        for v in (check_comodule_coassoc(gamma, dsl), check_comodule_counit(gamma, b.epsilon)):
             assert v.status == "proven", v
         # the framed variant caps its probe scan; lift the cap so the
         # full enumeration earns a proven status
-        v = check_comodule_coassoc_framed(com, max_probes=n ** 3)
+        v = check_comodule_coassoc_framed(gamma, dsl, max_probes=n ** 3)
         assert v.status == "proven", v
-        v = check_comodule_coassoc(com, method="element")
+        v = check_comodule_coassoc_element(gamma, dsl)
         assert v.status == "proven", v
 
 
 def on_window(bundle, window):
-    """A over itself with rho = Delta, checked on ``window``."""
-    return ComoduleAlgebra(bundle.algebra, bundle.delta, bundle, window=window)
+    """A over itself with rho = Delta, checked on ``window``: (gamma, dsl)."""
+    sl = bundle.slicer(window)
+    return sl, sl
 
 
 def test_self_comodule_on_kz_window():
-    com = on_window(kfin_Z().bialgebra, 2)
-    for check in (check_comodule_coassoc, check_comodule_coassoc_framed,
-                  check_comodule_counit):
-        v = check(com)
+    b = kfin_Z().bialgebra
+    gamma, dsl = on_window(b, 2)
+    for v in (check_comodule_coassoc(gamma, dsl), check_comodule_coassoc_framed(gamma, dsl),
+              check_comodule_counit(gamma, b.epsilon)):
         assert v.status == "holds_on_window", v
 
 
@@ -55,21 +57,20 @@ def test_both_coassociativity_paths_agree():
     # and element-level statements are the same check
     finite = self_comodule(kfun_cyclic(3).bialgebra)
     oracle = on_window(kfin_Z().bialgebra, 2)
-    for com in (finite, oracle):
-        a = check_comodule_coassoc(com)
-        b = check_comodule_coassoc(com, method="element")
+    for gamma, dsl in (finite, oracle):
+        a = check_comodule_coassoc(gamma, dsl)
+        b = check_comodule_coassoc_element(gamma, dsl)
         assert a.ok and b.ok
 
 
 def test_shifted_coaction_fails_coassociativity():
     kz = kfin_Z()
-    com = ComoduleAlgebra(kz.algebra, shifted_coaction(kz.bialgebra),
-                          kz.bialgebra, window=2)
-    v = check_comodule_coassoc(com)
+    gamma, dsl = Slicer(shifted_coaction(kz.bialgebra), window=2), kz.bialgebra.slicer(2)
+    v = check_comodule_coassoc(gamma, dsl)
     assert v.status == "failed"
     assert v.witness is not None
-    assert check_comodule_coassoc(com, method="element").status == "failed"
-    assert check_comodule_coassoc_framed(com).status == "failed"
+    assert check_comodule_coassoc_element(gamma, dsl).status == "failed"
+    assert check_comodule_coassoc_framed(gamma, dsl).status == "failed"
 
 
 def doubled_coaction(bundle, sides):
@@ -92,14 +93,14 @@ def doubled_coaction(bundle, sides):
 def test_a_non_coassociative_coaction_pins_both_multiplier_witnesses(sides, named):
     kz = kfin_Z()
     A = kz.algebra
-    com = ComoduleAlgebra(A, doubled_coaction(kz.bialgebra, sides), kz.bialgebra, window=2)
+    gamma, dsl = Slicer(doubled_coaction(kz.bialgebra, sides), window=2), kz.bialgebra.slicer(2)
     d = A.basis_element(-2)
-    probe = tensor_algebra(com.coaction.target, A).basis_element(((-2, 2), -2))  # (B(x)A)(x)A
-    v = check_comodule_coassoc(com)
+    probe = tensor_algebra(gamma.txt, A).basis_element(((-2, 2), -2))  # (B(x)A)(x)A
+    v = check_comodule_coassoc(gamma, dsl)
     assert (v.status, v.window) == ("failed", "5 ids of K(Z) / 5 ids of K(Z), 125 probes")
     assert v.witness == (d, d, probe)
     assert v.detail == f"sides differ as {named} multipliers"
-    v = check_comodule_coassoc_framed(com)
+    v = check_comodule_coassoc_framed(gamma, dsl)
     assert (v.status, v.window) == ("failed", "5^2 x 5 framed triples, 24 probes")
     assert v.witness == (d, d, d, probe)
     assert v.detail == "framed sides differ on probe"
@@ -107,9 +108,8 @@ def test_a_non_coassociative_coaction_pins_both_multiplier_witnesses(sides, name
 
 def test_shifted_coaction_fails_counit_with_witness():
     kz = kfin_Z()
-    com = ComoduleAlgebra(kz.algebra, shifted_coaction(kz.bialgebra),
-                          kz.bialgebra, window=2)
-    v = check_comodule_counit(com)
+    v = check_comodule_counit(Slicer(shifted_coaction(kz.bialgebra), window=2),
+                              kz.bialgebra.epsilon)
     assert v.status == "failed"
     # deterministic scan order: first bad pair is (delta_-2, delta_0)
     assert v.witness == (kz.algebra.basis_element(-2),
@@ -121,36 +121,44 @@ def test_unit_comodule_over_the_base_field():
     K = scalar_algebra(QQ)
     T = tensor_algebra(K, b.algebra)
     rho = Extension(K, T, lambda bid: one(T), name="unit-coaction")
-    com = ComoduleAlgebra(K, rho, b)
-    assert check_comodule_coassoc(com).ok
-    assert check_comodule_counit(com).ok
-
-
-def test_a_comodule_reads_window_and_expansion_from_its_bialgebra():
-    b = kfin_Z().bialgebra
-    b.expansion = 3  # as a spec file's `expansion 3` line sets it
-    com = ComoduleAlgebra(b.algebra, b.delta, b)
-    assert (com.window, com.expansion) == (b.window, 3)
-    assert com.slicer() is b.slicer()
+    gamma = Slicer(rho)
+    assert check_comodule_coassoc(gamma, b.slicer()).ok
+    assert check_comodule_counit(gamma, b.epsilon).ok
 
 
 def test_comodule_requires_matching_tensor_factors():
-    b = kfun_cyclic(2).bialgebra
-    K = scalar_algebra(QQ)
-    with pytest.raises(InputError):
-        ComoduleAlgebra(K, b.delta, b)
+    # each check takes a coaction B --> M(B (x) A).  Delta of K(Z/2) lands
+    # in M(A (x) A), not over A' = K(Z/3); a map from A into M(k (x) A)
+    # has the wrong left leg.  Without a counit, A is not stated, so only
+    # the left leg is checked.
+    b, other = kfun_cyclic(2).bialgebra, kfun_cyclic(3).bialgebra
+    KA = tensor_algebra(scalar_algebra(QQ), b.algebra)
+    wrong_left = Slicer(Extension(b.algebra, KA, lambda bid: one(KA), name="rho-off"))
+    wrong_right = Slicer(b.delta)
+    checks = [
+        (lambda gamma, a: check_comodule_coassoc(gamma, a.slicer()), True),
+        (lambda gamma, a: check_comodule_coassoc_framed(gamma, a.slicer()), True),
+        (lambda gamma, a: check_comodule_coassoc_element(gamma, a.slicer()), True),
+        (lambda gamma, a: check_comodule_counit(gamma, a.epsilon), True),
+        (lambda gamma, a: check_comodule_counit(gamma, None), False),
+    ]
+    for check, states_a in checks:
+        cases = [(wrong_left, b)] + ([(wrong_right, other)] if states_a else [])
+        for gamma, over in cases:
+            with pytest.raises(InputError, match=r"coaction must land in M\(B \(x\) A\)"):
+                check(gamma, over)
 
 
 def test_trivial_module_algebra_passes():
     b = kfun_cyclic(3).bialgebra
     tm = trivial_module_algebra(b)
-    assert check_module_algebra(tm, b.delta).status == "proven"
+    assert check_module_algebra(tm, b.slicer()).status == "proven"
 
 
 def test_trivial_module_algebra_on_oracle_window():
     kz = kfin_Z().bialgebra
     tm = trivial_module_algebra(kz)
-    v = check_module_algebra(tm, kz.delta, window=2)
+    v = check_module_algebra(tm, kz.slicer(2))
     assert v.status == "holds_on_window"
 
 
@@ -159,6 +167,6 @@ def test_regular_action_is_not_a_module_algebra_here():
     # coproduct when A acts by right multiplication: (d1 d1) <| d2 picks
     # up the (1,1) slice of Delta(d2) while (d1*d1) <| d2 is zero
     b = kfun_cyclic(3).bialgebra
-    v = check_module_algebra(regular_module(b.algebra), b.delta)
+    v = check_module_algebra(regular_module(b.algebra), b.slicer())
     assert v.status == "failed"
     assert v.witness is not None

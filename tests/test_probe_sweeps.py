@@ -163,26 +163,26 @@ def test_agrees_on_probes_gives_the_full_sweeps_answer(data):
 def comodule_case(k):
     """The coassociativity set-up of A over itself (rho = Delta)."""
     bundle = kfun_cyclic(3).bialgebra if k == 0 else kfin_Z(window=1).bialgebra
-    com = self_comodule(bundle)
-    setup = _coassoc_setup(com, 20 if k else None)
-    return com, setup
+    gamma, dsl = self_comodule(bundle)
+    setup = _coassoc_setup(gamma, dsl, 20 if k else None)
+    return gamma, dsl, setup
 
 
-def coassoc_sides(com, setup, b, a):
+def coassoc_sides(gamma, setup, b, a):
     """check_comodule_coassoc's two sides at the window pair (b, a)."""
-    _B, _A, gamma, _b, _a, _t, rho_x_id, id_x_delta, frames, *_ = setup
-    lifted = id_x_delta.lift(com.coaction.basis_multiplier(b))
+    _t, rho_x_id, id_x_delta, frames, *_ = setup
+    lifted = id_x_delta.lift(gamma.delta.basis_multiplier(b))
     return rho_x_id.apply(gamma.slice("right", b, a)), lifted * frames[a]
 
 
 @settings(max_examples=100, deadline=None)
 @given(strat.data())
 def test_comodule_differs_gives_the_full_sweeps_witness(data):
-    com, setup = comodule_case(data.draw(strat.integers(0, 1)))
-    _B, _A, _g, b_ids, a_ids, triple_l, _r, _i, _f, n_probes, _s, differs = setup
-    probes = triple_l.window_ids(com.window)[:n_probes]
-    b, a = data.draw(strat.sampled_from(b_ids)), data.draw(strat.sampled_from(a_ids))
-    lhs, rhs = coassoc_sides(com, setup, b, a)
+    gamma, dsl, setup = comodule_case(data.draw(strat.integers(0, 1)))
+    triple_l, _r, _i, _f, n_probes, _s, differs = setup
+    probes = triple_l.window_ids(gamma.window)[:n_probes]
+    b, a = data.draw(strat.sampled_from(gamma.ids)), data.draw(strat.sampled_from(dsl.ids))
+    lhs, rhs = coassoc_sides(gamma, setup, b, a)
     pr = tuple((i, (j, k)) for (i, j), k in probes)
     if data.draw(strat.booleans()):
         lhs = combine(triple_l, [(1, lhs), (1, planted(triple_l, draw_plants(
@@ -226,10 +226,10 @@ def test_a_mismatch_on_the_last_probe_is_found():
 
 
 def test_comodule_differs_finds_a_plant_on_the_last_probe_and_off_support():
-    com, setup = comodule_case(0)
-    triple_l, differs = setup[5], setup[-1]
+    gamma, _dsl, setup = comodule_case(0)
+    triple_l, differs = setup[0], setup[-1]
     probes = triple_l.window_ids(None)
-    lhs, rhs = coassoc_sides(com, setup, 0, 1)
+    lhs, rhs = coassoc_sides(gamma, setup, 0, 1)
     assert differs(lhs, rhs) is None
     p = probes[-1]
     pr = (p[0][0], (p[0][1], p[1]))

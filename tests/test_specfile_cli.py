@@ -178,7 +178,7 @@ def test_oracle_spec_builds_every_gallery_entry_over_its_field(name):
     assert entry.algebra.field == GF(7)
     if entry.bialgebra is not None:
         assert entry.bialgebra.delta.target.field == GF(7)
-    assert entry.params.get("window", 2) == 2  # windowed builders get the spec's window
+    assert entry.default_window == 2  # windowed builders get the spec's window
 
 
 def test_unknown_oracle_rejected_at_build():
@@ -557,6 +557,38 @@ def test_check_comodule_over_itself_shares_the_bundle_slicer(capsys, monkeypatch
     assert rc == 0
     assert "comodule coassociativity (element): holds_on_window" in out
     assert len(built) == 1
+
+
+def test_check_comodule_reads_the_run_slicers_and_no_other(tmp_path, capsys, monkeypatch):
+    # Delta's Slicer carries the run's window and expansion; a declared
+    # coaction gets one more Slicer on the same pair, and every comodule
+    # line is handed these and nothing else
+    from mulhopf import bialgebra
+    built, handed = [], []
+    real_init = bialgebra.Slicer.__init__
+    monkeypatch.setattr(bialgebra.Slicer, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    for name in ("check_comodule_coassoc", "check_comodule_coassoc_framed",
+                 "check_comodule_coassoc_element", "check_comodule_counit"):
+        monkeypatch.setattr(cli, name, lambda *a, _real=getattr(cli, name): (
+            handed.append(a) or _real(*a)))
+    spec = write_spec(tmp_path, "field Q\noracle kfin_Z\nwindow 2\nexpansion 3\n")
+    rc, out, _ = run_cli(["check-comodule", spec], capsys)
+    assert rc == 0 and "comodule counit: holds_on_window" in out
+    [sl] = built
+    assert (sl.window, sl.expansion) == (2, 3)
+    assert len(handed) == 4 and all(h[0] is sl for h in handed)
+    assert all(h[1] is sl for h in handed[:3])
+
+    built.clear(), handed.clear()
+    rc, _, _ = run_cli(["check-comodule", str(Path(__file__).parent / "golden" /
+                                               "rescaled_z4_f7_trivial_coaction.spec")], capsys)
+    assert rc == 0
+    dsl, gamma = built
+    assert gamma.delta.name == "rho" and dsl.delta.name == "Delta"
+    assert (gamma.window, gamma.expansion) == (dsl.window, dsl.expansion)
+    assert len(handed) == 4 and all(h[0] is gamma for h in handed)
+    assert all(h[1] is dsl for h in handed[:3])
 
 
 def test_check_comodule_decomposes_each_target_id_once(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,6 @@ from mulhopf.algebra import (
 )
 from mulhopf.bialgebra import Slicer, check_coassociative, check_counit, check_fons
 from mulhopf.cli import main
-from mulhopf.comodule import ComoduleAlgebra
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfun_cyclic, nand_delta
@@ -65,15 +64,14 @@ def random_delta(seed, kind):
 def translation_coaction():
     """K(Z/2) over K(Z/4), rho(d_k) = sum over x + g = k mod 2 of d_x (x) d_g."""
     B = kfun_cyclic(2).algebra
-    bundle = kfun_cyclic(4).bialgebra
-    BA = tensor_algebra(B, bundle.algebra)
+    BA = tensor_algebra(B, kfun_cyclic(4).algebra)
     one = B.field.one
 
     def rule(k):
         return iota(BA, Element(BA, {(x, g): one for x in range(2) for g in range(4)
                                      if (x + g) % 2 == k}))
 
-    return ComoduleAlgebra(B, Extension(B, BA, rule, name="rho"), bundle).coaction
+    return Extension(B, BA, rule, name="rho")
 
 
 CASES = {
@@ -83,7 +81,7 @@ CASES = {
     "rescaled_z6": lambda: spec_entry("rescaled_z6.spec").bialgebra.delta,
     "rescaled_z4_f7": lambda: spec_entry("rescaled_z4_f7.spec").bialgebra.delta,
     "trivial_coaction_z4_f7": lambda: spec_entry(
-        "rescaled_z4_f7_trivial_coaction.spec").params["coaction"],
+        "rescaled_z4_f7_trivial_coaction.spec").coaction,
     **{f"random{seed}/{kind}": (lambda seed=seed, kind=kind: random_delta(seed, kind))
        for seed in range(5) for kind in ("embed", "primitive")},
     "coaction K(Z/2) over K(Z/4)": translation_coaction,
