@@ -27,8 +27,11 @@ itself, the regular comodule with rho = Delta, so one engine
 every coaction (``comodule.check_comodule_coassoc_element``), and one
 eps-contraction (``_collapse``) serves both counit laws.  A slice that is
 not iota of an element makes these checks fail with the undefined pair
-as witness.  Every function here that reads Delta, the module-category
-ones included, takes the run's Slicer for Delta, window and expansion.
+as witness.  On certified finite inputs every coassociativity route, here
+and in ``comodule``, is one element identity per basis element
+(``_certified_coassoc``); the sweeps decide the rest and every failure.
+Every function here that reads Delta, the module-category ones included,
+takes the run's Slicer for Delta, window and expansion.
 """
 
 from __future__ import annotations
@@ -236,6 +239,9 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     undefined slice fails with its pair as witness.
     """
     B, A = gamma.alg, dsl.alg
+    status = joint_baseline((B, ids), (A, c_ids))
+    if _certified_coassoc(gamma, dsl, ids):
+        return Verdict(axiom, status, label)
     triple_l = tensor_algebra(gamma.txt, A)   # (B(x)A)(x)A
     triple_r = tensor_algebra(B, dsl.txt)     # B(x)(A(x)A)
     f = B.field
@@ -279,7 +285,37 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
                         witness=(B.basis_element(a), B.basis_element(b),
                                  A.basis_element(c)),
                         detail=detail.format(left_side, right_side))
-    return Verdict(axiom, joint_baseline((B, ids), (A, c_ids)), label)
+    return Verdict(axiom, status, label)
+
+
+def _certified_coassoc(gamma: Slicer, dsl: Slicer, ids) -> bool:
+    """True when coassociativity holds on ``ids`` by one element identity per
+    b; False leaves the verdict, and so every failure, to the caller's sweep.
+
+    With a verified unit M = A: certified rho(e_b) = iota(c_b) and, for each
+    term u (x) v of c_b, rho(e_u) = iota(c_u), Delta(e_v) = iota(d_v) make
+    every slice a product (``Slicer._product``), and every check frames X =
+    L_b = sum c_b[u,v] c_u (x) v or X = R_b = sum c_b[u,v] u (x) d_v: a sliced
+    triple reads (e_a (x) 1 (x) 1) X (1 (x) 1 (x) e_c), the multiplier form
+    iota(X (1 (x) 1 (x) e_a)), the framed one that after (e_c (x) 1 (x) 1).
+    So L_b = R_b in (B (x) A) (x) A passes every triple, pair and probe."""
+    f, rho, delta = gamma.alg.field, gamma.delta, dsl.delta
+    for b in ids:
+        c = iota_element(rho.basis_multiplier(b))
+        if c is None:
+            return False
+        lhs, rhs = {}, {}
+        for (u, v), k in c.coeffs.items():
+            cu, dv = iota_element(rho.basis_multiplier(u)), iota_element(delta.basis_multiplier(v))
+            if cu is None or dv is None:
+                return False
+            for xy, w in cu.coeffs.items():
+                vec_add(f, lhs, (xy, v), f.mul(k, w))
+            for (p, q), w in dv.coeffs.items():
+                vec_add(f, rhs, ((u, p), q), f.mul(k, w))
+        if lhs != rhs:
+            return False
+    return True
 
 
 class Counit:

@@ -11,16 +11,16 @@ laws are checked in their framed multiplier forms, for all window pairs
     (id (x) eps)-bar( rho(b)(1 (x) a) ) = eps(a) iota(b)     [counit law]
 
 The coassociativity left side uses the slice rho(b)(1 (x) a) when it is
-iota of an element (then the extension applies directly); otherwise it
-falls back to the lift, which is always available.  The right side lifts
-rho(b) along id (x) Delta.  A framed variant with an extra (c (x) 1 (x) 1)
-replaces the lift by a left slice and is cross-checked on probes, and
-when both framed products land in iota(B (x) A) the equality descends to
-elements of B (x) A (x) A; that element-level path is reported as its own
-verdict.  That element path is ``bialgebra``'s one sliced-coassociativity
-engine, and the counit law uses its eps-contraction: A over itself with
-rho = Delta is the regular comodule, whose laws are Delta's
-coassociativity and counit laws.
+iota of an element, else the lift; the right side lifts rho(b) along
+id (x) Delta.  A framed variant with an extra (c (x) 1 (x) 1) replaces the
+lift by a left slice on capped probes, and the element form compares
+elements of B (x) A (x) A built from slices.  That is ``bialgebra``'s one
+sliced-coassociativity engine, and the counit law uses its eps-contraction:
+A over itself with rho = Delta is the regular comodule, whose laws are
+Delta's.  On certified finite inputs all three forms are decided by one
+element identity per basis element (``bialgebra._certified_coassoc``), so
+the framed variant is an independent computation route only where slices
+are not certified; every failure still comes from the sweeps.
 
 Every check takes the run's Slicers as handles: ``gamma`` slices the
 coaction and ``dsl`` slices Delta, each with its window and expansion;
@@ -42,7 +42,7 @@ from .algebra import (
 from .multiplier import act_on_module, basis_image, iota, one, sweep
 from .extension import identity_extension, psi_embed, tensor_extensions
 from .bialgebra import (
-    Counit, Slicer, SliceUndefined, _collapse, _sliced_coassoc,
+    Counit, Slicer, SliceUndefined, _certified_coassoc, _collapse, _sliced_coassoc,
 )
 
 
@@ -96,7 +96,8 @@ def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
         _coassoc_setup(gamma, dsl, None)
     B, A = gamma.alg, dsl.alg
     label = f"{B.window_label(gamma.ids)} / {A.window_label(dsl.ids)}, {n_probes} probes"
-
+    if _certified_coassoc(gamma, dsl, gamma.ids):
+        return Verdict("comodule coassociativity", status, label)
     for b in gamma.ids:
         rho_b = gamma.delta.basis_multiplier(b)
         lifted = id_x_delta.lift(rho_b)
@@ -116,13 +117,15 @@ def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
 def check_comodule_coassoc_framed(gamma: Slicer, dsl: Slicer, max_probes=24) -> Verdict:
     """(c (x) 1 (x) 1)-framed variant, cross-checked on capped probes.
 
-    Replaces the lift on the right side by the left slice (c (x) 1)rho(b),
-    so it exercises an independent computation route.
+    Replaces the lift on the right side by the left slice (c (x) 1)rho(b):
+    an independent computation route where slices are not certified.
     """
     triple_l, rho_x_id, id_x_delta, frames, n_probes, status, differs = \
         _coassoc_setup(gamma, dsl, max_probes)
     B, A, b_ids = gamma.alg, dsl.alg, gamma.ids
     label = f"{len(b_ids)}^2 x {len(dsl.ids)} framed triples, {n_probes} probes"
+    if _certified_coassoc(gamma, dsl, b_ids):
+        return Verdict("comodule coassociativity (framed)", status, label)
     one_a = one(A)
     left_frames = {c: psi_embed([iota(B, B.basis_element(c)), one_a, one_a], into=triple_l)
                    for c in b_ids}  # c (x) 1 (x) 1 on (B (x) A) (x) A

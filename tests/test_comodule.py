@@ -1,19 +1,30 @@
 """Coactions B -> M(B (x) A): coassociativity both ways, counits, module algebras."""
 
+import random
+
 import pytest
 
-from mulhopf.algebra import (InputError, regular_module, scalar_algebra,
-                             tensor_algebra)
-from mulhopf.bialgebra import Slicer
+from mulhopf import bialgebra, comodule, multiplier
+from mulhopf.algebra import (InputError, WindowInsufficiency, regular_module,
+                             scalar_algebra, tensor_algebra)
+from mulhopf.bialgebra import Slicer, check_coassociative, check_fons
 from mulhopf.comodule import (check_comodule_coassoc, check_comodule_coassoc_element,
                               check_comodule_coassoc_framed,
                               check_comodule_counit, check_module_algebra)
 from mulhopf.extension import Extension
-from mulhopf.fields import QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic
-from mulhopf.multiplier import Multiplier, one
+from mulhopf.fields import GF, QQ
+from mulhopf.gallery import build_entry, gallery_names, kfin_Z, kfun_cyclic
+from mulhopf.multiplier import Multiplier, iota, one
 
-from fixtures import self_comodule, trivial_module_algebra
+from fixtures import random_algebra, self_comodule, trivial_module_algebra
+from test_unital import CASES as UNITAL_CASES, spec_entry, with_unit
+
+
+def sweeps_only(monkeypatch):
+    """Switch the certified element identity off: every coassociativity
+    check decides by its triple, pair and probe sweeps again."""
+    for mod in (bialgebra, comodule):
+        monkeypatch.setattr(mod, "_certified_coassoc", lambda *args: False)
 
 
 def shifted_coaction(bundle, offset=1):
@@ -63,6 +74,13 @@ def test_both_coassociativity_paths_agree():
         assert a.ok and b.ok
 
 
+def test_the_finite_passes_hold_on_the_sweeps_too(monkeypatch):
+    # the two tests above take the element identity on their finite inputs
+    sweeps_only(monkeypatch)
+    test_self_comodule_passes_everything_finite()
+    test_both_coassociativity_paths_agree()
+
+
 def test_shifted_coaction_fails_coassociativity():
     kz = kfin_Z()
     gamma, dsl = Slicer(shifted_coaction(kz.bialgebra), window=2), kz.bialgebra.slicer(2)
@@ -104,6 +122,117 @@ def test_a_non_coassociative_coaction_pins_both_multiplier_witnesses(sides, name
     assert (v.status, v.window) == ("failed", "5^2 x 5 framed triples, 24 probes")
     assert v.witness == (d, d, d, probe)
     assert v.detail == "framed sides differ on probe"
+
+
+# -- the certified element identity against the sweeps it stands in for ------
+
+
+def regular(delta):
+    """A over itself with rho = Delta: (gamma, dsl) share one Slicer."""
+    sl = Slicer(delta)
+    return sl, sl
+
+
+def random_unital_coproduct(seed):
+    """Delta(e_k) = iota(t_k), t_k seeded in A (x) A, on a unital random A over
+    F_7: certified, and coassociative only by accident."""
+    A = with_unit(random_algebra(seed, field=GF(7)))
+    AA = tensor_algebra(A, A)
+    rng, ids = random.Random(seed), A.basis.ids
+    t = {k: AA.element({(i, j): rng.randint(-1, 1) for i in ids for j in ids})
+         for k in ids}
+    return Extension(A, AA, lambda k: iota(AA, t[k]), name=f"Delta[{seed}]")
+
+
+def spec_comodule(name):
+    """(gamma, dsl) of a finite golden spec, as check-comodule builds them."""
+    entry = spec_entry(name)
+    dsl = entry.bialgebra.slicer()
+    return (dsl if entry.coaction is None else Slicer(entry.coaction)), dsl
+
+
+def finite_gallery():
+    """Every finite gallery entry with a comultiplication, kfun_cyclic at n <= 5."""
+    for name in gallery_names():
+        for params in ([(n,) for n in (1, 2, 3, 5)] if name == "kfun_cyclic" else [()]):
+            entry = build_entry(name, params)
+            if entry.bialgebra is not None and entry.algebra.finite:
+                yield name + "".join(f"({p})" for p in params), \
+                    lambda e=entry: regular(e.bialgebra.delta)
+
+
+# planted failures: nand_delta is a gallery entry, and the d0 coaction a golden
+def doubled_cyclic3(sides):
+    b = kfun_cyclic(3).bialgebra
+    return Slicer(doubled_coaction(b, sides)), b.slicer()
+
+
+EQUIVALENCE = {
+    **{f"gallery {name}": build for name, build in finite_gallery()},
+    **{f"golden {name}": (lambda name=name: spec_comodule(name)) for name in (
+        "rescaled_z4_f7.spec", "rescaled_z4_f7_trivial_coaction.spec",
+        "rescaled_z4_f7_d0_coaction.spec")},
+    **{f"unital {case}": (lambda case=case: regular(UNITAL_CASES[case]()))
+       for case in UNITAL_CASES if not case.startswith(("trivial_coaction", "coaction"))},
+    "planted doubled rho(d0), both sides": lambda: doubled_cyclic3(("lam", "rho")),
+    "planted doubled rho(d0), right side": lambda: doubled_cyclic3(("rho",)),
+    **{f"planted random{seed}": (lambda seed=seed: regular(random_unital_coproduct(seed)))
+       for seed in range(4)},
+}
+
+
+def coassoc_verdicts(gamma, dsl):
+    """The four checks' outcomes: verdicts as text, since a witness is an
+    element of the spaces of one build and each route builds its input
+    afresh, or the window error a lift along a degenerate Delta raises."""
+    out = []
+    for check in (lambda: check_coassociative(dsl), lambda: check_comodule_coassoc(gamma, dsl),
+                  lambda: check_comodule_coassoc_framed(gamma, dsl),
+                  lambda: check_comodule_coassoc_element(gamma, dsl)):
+        try:
+            out.append(str(check()))
+        except WindowInsufficiency as exc:
+            out.append(f"raised {exc}")
+    return out
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE))
+def test_the_certified_identity_gives_the_sweeps_verdicts(case, monkeypatch):
+    gamma, dsl = EQUIVALENCE[case]()
+    got = coassoc_verdicts(gamma, dsl)
+    # the identity decides exactly the passing comodules; failures fall back
+    taken = bialgebra._certified_coassoc(gamma, dsl, gamma.ids)
+    assert taken == all(": failed [" not in v and not v.startswith("raised")
+                        for v in got[1:]), got
+    sweeps_only(monkeypatch)
+    assert coassoc_verdicts(*EQUIVALENCE[case]()) == got
+
+
+def test_a_certified_finite_comodule_sweeps_no_probe_and_slices_nothing(monkeypatch):
+    b = kfun_cyclic(5).bialgebra
+    gamma, dsl = self_comodule(b)
+    images, real_image = [], multiplier.basis_image
+
+    def basis_image(*args):
+        images.append(args)
+        return real_image(*args)
+
+    for mod in (multiplier, comodule):
+        monkeypatch.setattr(mod, "basis_image", basis_image)
+    assert check_comodule_coassoc(gamma, dsl).status == "proven"
+    assert check_comodule_coassoc_framed(gamma, dsl).status == "holds_on_window"
+    assert images == []
+    sl = Slicer(b.delta)
+    assert check_fons(sl).ok
+    slices, real_slice = [], Slicer.slice
+
+    def slice_(self, *args, **kwargs):
+        slices.append(args)
+        return real_slice(self, *args, **kwargs)
+
+    monkeypatch.setattr(Slicer, "slice", slice_)
+    assert check_coassociative(sl).status == "proven"
+    assert slices == []
 
 
 def test_shifted_coaction_fails_counit_with_witness():

@@ -30,6 +30,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # where the supports of iota(u) and of Psi leaves prune the probe sweeps.
 # nonunital_path8.spec is a finite algebra that is associative, idempotent
 # and non-degenerate but has no unit (``test_multiplier`` shows M(A) != A).
+# check-comodule of kfun_cyclic(20) is the north-star finite size, where
+# coassociativity is decided by element identities; the d0 coaction keeps
+# only rho(b) = b (x) d0 from the trivial one, which is not coassociative,
+# so its failed lines and witnesses come from the sweeps.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -44,6 +48,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_algebra_nonunital_path8.json", ["check-algebra", "nonunital_path8.spec"], 1),
     ("classify_kfin_Z_w6.json", ["classify", "kfin_Z_w6.spec"], 0),
     ("check_comodule_kfin_Z_w4.json", ["check-comodule", "kfin_Z_w4.spec"], 0),
+    ("check_comodule_kfun_cyclic_20.json", ["check-comodule", "gallery:kfun_cyclic(20)"], 0),
+    ("check_comodule_d0_coaction_z4_f7.json",
+     ["check-comodule", "rescaled_z4_f7_d0_coaction.spec"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report
