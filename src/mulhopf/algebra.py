@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 from .linalg import (
     GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy, vec_canonical,
@@ -246,8 +246,8 @@ class Algebra(Space):
 
     ``unit`` is optional (most examples here have none); ``local_unit_for``
     optionally realizes a complete set of local units as a hook mapping a
-    window id tuple to an element acting as a two-sided unit on everything
-    supported inside that window.
+    window (an id tuple or a ``Window``, iterable alike) to an element acting
+    as a two-sided unit on everything supported inside that window.
     """
 
     def __init__(self, field, basis, mul_rule, unit=None, local_unit_for=None,
@@ -284,14 +284,12 @@ class Algebra(Space):
     def local_unit(self, ids):
         """Two-sided unit for elements supported in ``ids``, if certified."""
         if self._local_unit_for is not None:
-            key = tuple(ids)
+            key = ids if isinstance(ids, Window) else tuple(ids)
             cached = self._lu_cache.get(key)
             if cached is None:
                 cached = self._lu_cache[key] = self.element(self._local_unit_for(key))
             return cached
-        if self.unit is not None:
-            return self.unit
-        return None
+        return self.unit
 
     def mul_basis(self, i, j) -> Element:
         key = (i, j)
@@ -396,6 +394,51 @@ def resolve_window(space, window):
     return tuple(window)
 
 
+class Window:
+    """Probe ids as ``(ids,)`` or as a product of factor Windows, (left[a],
+    right[b]) at a * right.size + b, i-major as in ``_pair_basis``; the
+    first ``cap`` only, flattened to ``ids`` on first use."""
+
+    __slots__ = ("factors", "size", "_ids")
+
+    def __init__(self, factors, cap=None):
+        full = factors[0].size * factors[1].size if factors[1:] else len(factors[0])
+        self.factors, self.size = factors, full if cap is None else min(cap, full)
+        self._ids = None if factors[1:] else factors[0][:self.size]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    @property
+    def ids(self) -> tuple:
+        if self._ids is None:
+            self._ids = tuple(islice(product(*(f.ids for f in self.factors)), self.size))
+        return self._ids
+
+    def __eq__(self, other):
+        return (isinstance(other, Window)
+                and (self.size, self.factors) == (other.size, other.factors))
+
+    def __hash__(self):
+        return hash((self.size, self.factors))
+
+
+def probe_window(space, window=None, cap=None) -> Window:
+    """``resolve_window``'s ids as a Window capped at ``cap``: on a tensor space,
+    the factors' product for an int window, None, or a prefix of a product."""
+    factors = getattr(space, "factors", None)
+    if isinstance(window, Window):
+        return window
+    if factors is None:
+        return Window((resolve_window(space, window),), cap)
+    if window is None or isinstance(window, int):
+        return Window(tuple(probe_window(fac, window) for fac in factors), cap)
+    ids = tuple(window)[:cap]
+    win = Window(tuple(probe_window(fac, tuple(dict.fromkeys(p[k] for p in ids)))
+                       for k, fac in enumerate(factors)), len(ids))
+    return win if win.ids == ids else Window((ids,))
+
+
 def scaled_window(space, window, expansion):
     """Search ids: an int window of an oracle space scales by ``expansion``.
 
@@ -420,13 +463,7 @@ def annihilated(space, ids, probes, act):
     ``act(t, p)`` is the coefficient dict of basis id t acted on by probe
     p; the kernel is taken over the stacked actions of all probes.
     """
-    cols = []
-    for t in ids:
-        col: dict = {}
-        for p in probes:
-            for bid, v in act(t, p).items():
-                col[(p, bid)] = v
-        cols.append((t, col))
+    cols = [(t, {(p, bid): v for p in probes for bid, v in act(t, p).items()}) for t in ids]
     kernel = GaussianSolver(SparseMatrix.from_columns(space.field, cols)).kernel_basis()
     return Element(space, vec_canonical(space.field, kernel[0])) if kernel else None
 
@@ -750,8 +787,8 @@ class TensorAlgebra(Algebra):
         if ((left._local_unit_for is not None or right._local_unit_for is not None)
                 and left.has_local_units and right.has_local_units):
             def local(ids):
-                lids, rids = factor_windows(self, ids)
-                return _outer(f, left.local_unit(lids).coeffs, right.local_unit(rids).coeffs)
+                lw, rw = probe_window(self, ids).factors
+                return _outer(f, left.local_unit(lw).coeffs, right.local_unit(rw).coeffs)
         self.factors = (left, right)
         super().__init__(f, _pair_basis(left, right), self.basis_product, unit=unit,
                          local_unit_for=local, name=f"{left.name}(x){right.name}",
@@ -794,13 +831,6 @@ class TensorAlgebra(Algebra):
 
 def tensor_algebra(left: Algebra, right: Algebra) -> TensorAlgebra:
     return _tensor_cache("algebra", left, right, TensorAlgebra)
-
-
-def factor_windows(alg: Algebra, ids):
-    """Sorted factor windows of pair ids; their local units give e_L (x) e_R."""
-    left, right = alg.factors
-    return (tuple(sorted({i for i, _ in ids}, key=left.sort_key)),
-            tuple(sorted({j for _, j in ids}, key=right.sort_key)))
 
 
 def tensor_elem(x: Element, y: Element, into=None) -> Element:

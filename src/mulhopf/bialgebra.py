@@ -42,8 +42,8 @@ from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
     WindowInsufficiency,
-    joint_baseline, reassociate_left, resolve_window, scalar_algebra, scaled_window,
-    tensor_algebra, tensor_elem, tensor_module,
+    joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
+    scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import (Multiplier, agrees_on_probes, iota, iota_element,
                          iota_preimage, one)
@@ -88,7 +88,7 @@ class Slicer:
             raise InputError(
                 f"slicing {self.alg.name} needs an integer window: an explicit "
                 "id tuple cannot be scaled by the expansion")
-        self._probe_ids = None
+        self._probes = None if self.txt.finite else probe_window(self.txt, self.window)
         self._cache: dict = {}
         self._verified: set = set()
         self._frame_cache: dict = {}
@@ -172,10 +172,8 @@ class Slicer:
         if u is None:
             u = self._preimage(z, base)
         if check and u is not None:
-            if self._probe_ids is None:
-                self._probe_ids = resolve_window(self.txt, self.window)
-            if not agrees_on_probes(self.txt, u, z, self._probe_ids):
-                u = self._preimage(z, base, self._probe_ids)
+            if not agrees_on_probes(self.txt, u, z, self._probes):
+                u = self._preimage(z, base, self._probes)
             if u is not None:
                 self._verified.add(key)
         if u is None:

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from .linalg import vec_axpy
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict, joint_baseline,
-    resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
+    Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict, joint_baseline,
+    probe_window, resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import act_on_module, basis_image, iota, one, sweep
 from .extension import identity_extension, psi_embed, tensor_extensions
@@ -58,7 +58,8 @@ def _coassoc_setup(gamma: Slicer, dsl: Slicer, max_probes):
     Psi(1 (x) 1 (x) e_a) per window id a, the number of capped probes of
     (B (x) A) (x) A, the window status, and ``differs(lhs, rhs)``: the
     first probe on which the two sides act differently and on which side
-    ("left" or "right"), or None.
+    ("left" or "right"), or None.  The probes are the first ``max_probes`` of
+    two product windows, ((b, a), a') and (b, (a, a')) for rhs, in step.
     """
     B, A = gamma.alg, dsl.alg
     _check_target(gamma, A)
@@ -71,18 +72,18 @@ def _coassoc_setup(gamma: Slicer, dsl: Slicer, max_probes):
     one_a = one(A)
     frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],
                            into=triple_r) for a in dsl.ids}
-    probe_ids = resolve_window(triple_l, gamma.window)[:max_probes]
-    pr_ids = tuple((i, (j, k)) for (i, j), k in probe_ids)  # the same probes on triple_r
-    status = joint_baseline((B, gamma.ids), (A, dsl.ids), (triple_l, probe_ids))
+    probes, probes_r = (probe_window(t, gamma.window, max_probes) for t in (triple_l, triple_r))
+    status = joint_baseline((B, gamma.ids), (A, dsl.ids), (triple_l, probes))
 
     def differs(lhs, rhs):
-        for n, side in sweep((lhs, probe_ids), (rhs, pr_ids)):
-            got = {((i, j), k): v for (i, (j, k)), v in basis_image(rhs, side, pr_ids[n]).items()}
-            if got != basis_image(lhs, side, probe_ids[n]):
-                return triple_l.basis_element(probe_ids[n]), side
+        for n, side in sweep((lhs, probes), (rhs, probes_r)):
+            got = {((i, j), k): v for (i, (j, k)), v in
+                   basis_image(rhs, side, probes_r.ids[n]).items()}
+            if got != basis_image(lhs, side, probes.ids[n]):
+                return triple_l.basis_element(probes.ids[n]), side
         return None
 
-    return triple_l, rho_x_id, id_x_delta, frames, len(probe_ids), status, differs
+    return triple_l, rho_x_id, id_x_delta, frames, probes.size, status, differs
 
 
 def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
@@ -90,7 +91,8 @@ def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
 
     ``gamma`` slices the coaction B --> B (x) A and ``dsl`` slices Delta
     of A.  The pair form is checked against every window probe; the right
-    side is lifted along id (x) Delta, so no iota membership is needed.
+    side is lifted along id (x) Delta, so no iota membership is needed (a
+    finite lift that does not exist fails, the undecomposable id as witness).
     """
     _t, rho_x_id, id_x_delta, frames, n_probes, status, differs = \
         _coassoc_setup(gamma, dsl, None)
@@ -106,11 +108,15 @@ def check_comodule_coassoc(gamma: Slicer, dsl: Slicer) -> Verdict:
                 lhs = rho_x_id.apply(gamma.slice("right", b, a))
             except SliceUndefined:
                 lhs = rho_x_id.lift(rho_b * gamma._frame("right", a))
-            bad = differs(lhs, lifted * frames[a])
+            try:
+                bad = differs(lhs, lifted * frames[a])
+                detail = bad and f"sides differ as {bad[1]} multipliers"
+            except InvariantViolation as exc:  # a finite lift with no decomposition
+                bad, detail = exc.verdict.witness, f"lift undefined: {exc.verdict.detail}"
             if bad is not None:
                 return Verdict("comodule coassociativity", "failed", label,
                                witness=(B.basis_element(b), A.basis_element(a), bad[0]),
-                               detail=f"sides differ as {bad[1]} multipliers")
+                               detail=detail)
     return Verdict("comodule coassociativity", status, label)
 
 

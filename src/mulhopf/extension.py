@@ -27,8 +27,8 @@ from itertools import product
 from .linalg import PairSpan, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency, annihilated, joint_baseline, resolve_window, scaled_window,
-    tensor_algebra, tensor_elem,
+    WindowInsufficiency, annihilated, joint_baseline, probe_window, resolve_window,
+    scaled_window, tensor_algebra, tensor_elem,
 )
 from .multiplier import (Multiplier, act_on_module, basis_image, combine, iota, iota_element,
                          multiplier_eq)
@@ -151,12 +151,11 @@ class Extension:
         def rule(bid):
             dec = self._lift_decs.get((side, bid))
             if dec is None:
-                dec = self.decompose(tgt.basis_element(bid), side)
+                a = tgt.basis_element(bid)
+                dec = self.decompose(a, side)
                 if dec is None:
-                    raise WindowInsufficiency(
-                        f"{tgt.basis_element(bid)} has no "
-                        f"{'B.A' if side == 'ba' else 'A.B'} decomposition "
-                        f"over {self.window_label()}")
+                    raise InvariantViolation(
+                        self._undecomposable(a, "B.A" if side == "ba" else "A.B"))
                 self._lift_decs[(side, bid)] = dec
             # f(x |> e_i) |> e_j summed term by term over x |> e_i = sum d e_k
             acc: dict = {}
@@ -174,12 +173,12 @@ class Extension:
 
     def validate(self) -> list:
         """Certificate verdicts over every window pair; stores them on the extension."""
-        verdicts = []
         src_ids = self.source_ids
         base = joint_baseline((self.source, src_ids), (self.target, self.target_ids))
         label = self.window_label()
 
         pairs = [(i, j) for i in src_ids for j in src_ids]
+        probes = probe_window(self.target, self.target_window)
         mult_v = Verdict("extension multiplicativity", base, label,
                          detail=f"{len(pairs)} pairs")
         for i, j in pairs:
@@ -191,14 +190,13 @@ class Extension:
                 continue  # every f(e_k) = iota(c_k), iota injective: holds at (i, j)
             prod = self.apply(e_ij)
             direct = self.basis_multiplier(i) * self.basis_multiplier(j)
-            eq = multiplier_eq(prod, direct, self.target_ids, strict=base)
+            eq = multiplier_eq(prod, direct, probes, strict=base)
             if not eq.ok:
                 mult_v = Verdict(
                     "extension multiplicativity", "failed", label,
                     witness=(self.source.basis_element(i), self.source.basis_element(j)),
                     detail=f"f(ei*ej) != f(ei)f(ej) at probe {eq.witness[0]}")
                 break
-        verdicts.append(mult_v)
 
         idem_v = Verdict("extension idempotency", base, label)
         for j in self.target_ids:
@@ -206,14 +204,8 @@ class Extension:
             missing = "B.A" if self.decompose(a, "ba") is None else (
                 "A.B" if self.decompose(a, "ab") is None else None)
             if missing:
-                if not (self.source.finite and self.target.finite):
-                    raise WindowInsufficiency(
-                        f"{a} of {self.target.name} has no {missing} decomposition "
-                        f"over {label}; enlarge the window")
-                idem_v = Verdict("extension idempotency", "failed", label,
-                                 witness=(a,), detail=f"no {missing} decomposition")
+                idem_v = self._undecomposable(a, missing)
                 break
-        verdicts.append(idem_v)
 
         nondeg_v = Verdict("extension non-degeneracy", base, label)
         for side in ("right", "left"):
@@ -227,8 +219,16 @@ class Extension:
                                    witness=(w,),
                                    detail=f"killed by every f(b) on the {side}")
                 break
-        verdicts.append(nondeg_v)
-        return verdicts
+        return [mult_v, idem_v, nondeg_v]
+
+    def _undecomposable(self, a, what) -> Verdict:
+        """Idempotency fails at a, with no ``what`` ("B.A" or "A.B") decomposition;
+        an oracle window may just be too small (WindowInsufficiency)."""
+        if not (self.source.finite and self.target.finite):
+            raise WindowInsufficiency(f"{a} of {self.target.name} has no {what} decomposition "
+                                      f"over {self.window_label()}; enlarge the window")
+        return Verdict("extension idempotency", "failed", self.window_label(), witness=(a,),
+                       detail=f"no {what} decomposition")
 
     def ensure_valid(self) -> "Extension":
         """``validate``, raising InvariantViolation on the first failed certificate."""
@@ -350,19 +350,13 @@ class TensorExtension(Extension):
         self.factors = (f, g)
 
     def _columns(self, side):
-        src, tgt = self.source_search_ids, self.target_ids
-        h1, h2 = (fac._hits(side, dict.fromkeys(bid[k] for bid in src),
-                            dict.fromkeys(bid[k] for bid in tgt))
-                  for k, fac in enumerate(self.factors))
-        rank = {bid: r for r, bid in enumerate(tgt)}
-        cols = []
-        for i1, i2 in src:
-            # the nonzero (t, u) of this row, in target id order
-            for t, u in sorted((tu for tu in product(h1[i1], h2[i2]) if tu in rank),
-                               key=rank.__getitem__):
-                cols.append((((i1, i2), (t, u)),
-                             tensor_elem(h1[i1][t], h2[i2][u], into=self.target).coeffs))
-        return cols
+        # product windows: each row's pairs of factor hits come in target order
+        src, tgt = (probe_window(sp, ids) for sp, ids in (
+            (self.source, self.source_search_ids), (self.target, self.target_ids)))
+        h1, h2 = (fac._hits(side, s.ids, t.ids)
+                  for fac, s, t in zip(self.factors, src.factors, tgt.factors))
+        return [(((i1, i2), (t, u)), tensor_elem(h1[i1][t], h2[i2][u], into=self.target).coeffs)
+                for i1, i2 in src for t, u in product(h1[i1], h2[i2])]
 
 
 def tensor_extensions(f: Extension, g: Extension) -> Extension:

@@ -17,16 +17,18 @@ and window-relative.  Psi(x (x) y) on A (x) B acts factor by factor,
 (x |> a) (x) (y |> b), and remembers x and y, so contracting it against
 a local unit e_L (x) e_R contracts each factor against its own.
 A leaf memoises a basis image only for probe sweeps and factor reads
-(``lam_basis``/``rho_basis``); applying it to an element reads that memo
-but adds nothing, and products, sums and Psi leaves memoise nothing per id.
+(``lam_basis``/``rho_basis``) and keeps the nonzero images its local-unit
+contraction met; products, sums and Psi leaves memoise nothing per id.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, TensorAlgebra, Verdict,
-    WindowInsufficiency, _outer, factor_windows, resolve_window, tensor_elem,
+    Algebra, Element, InputError, ModuleStructure, Verdict,
+    Window, WindowInsufficiency, _outer, probe_window, resolve_window, tensor_elem,
 )
 
 
@@ -44,23 +46,19 @@ class Multiplier:
         self._terms = None  # [(c, x)] when this is combine's sum c * x
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
         self._support = {}  # side -> (probes, positions with a nonzero image)
-        self._unit_memo = None  # (side, window) -> contraction with that local unit
+        self._unit_memo = None  # (side, window) -> contraction; side -> [(unit, kept)]
         self._iota = None  # iota_element's outcome: c with self = iota(c), or False
         self.name = name
 
     # -- basis-level actions, memoized (rules are pure) ---------------------
 
     def lam_basis(self, bid) -> Element:
-        out = self._lam_cache.get(bid)
-        if out is None:
-            out = self._lam_cache[bid] = _as_element(self.alg, self._lam(bid))
-        return out
+        return self._lam_cache.get(bid) or self._lam_cache.setdefault(bid, _leaf_image(
+            self, "left", bid) if self._unit_memo else _as_element(self.alg, self._lam(bid)))
 
     def rho_basis(self, bid) -> Element:
-        out = self._rho_cache.get(bid)
-        if out is None:
-            out = self._rho_cache[bid] = _as_element(self.alg, self._rho(bid))
-        return out
+        return self._rho_cache.get(bid) or self._rho_cache.setdefault(bid, _leaf_image(
+            self, "right", bid) if self._unit_memo else _as_element(self.alg, self._rho(bid)))
 
     # -- linear extensions --------------------------------------------------
 
@@ -151,18 +149,18 @@ def iota(alg: Algebra, a: Element) -> Multiplier:
                       name=f"iota({a})")
 
 
-def multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdict:
-    """Compare both actions on probe basis ids; first mismatch is the witness.
+def multiplier_eq(x: Multiplier, y: Multiplier, probes, strict=None) -> Verdict:
+    """Compare both actions on the probes (``probe_window``); first mismatch is the witness.
 
     ``strict`` overrides the ok-status; by default it is "proven" exactly
     when the probes cover the basis of a finite algebra.
     """
     if x.alg is not y.alg:
         raise InputError("multipliers over different algebras")
-    alg, probe_ids = x.alg, tuple(probe_ids)
-    label = f"{len(probe_ids)} probes"
-    for n, side in sweep((x, probe_ids), (y, probe_ids)):
-        w = probe_ids[n]
+    alg, probes = x.alg, probe_window(x.alg, probes)
+    label = f"{probes.size} probes"
+    for n, side in sweep((x, probes), (y, probes)):
+        w = probes.ids[n]
         hx, hy = basis_image(x, side, w), basis_image(y, side, w)
         if hx != hy:  # witness and text are built for the failing probe only
             text = "x|>p = {} but y|>p = {}" if side == "left" else "p<|x = {} but p<|y = {}"
@@ -170,7 +168,7 @@ def multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdi
                            witness=(alg.basis_element(w),),
                            detail=text.format(Element(alg, hx), Element(alg, hy)))
     if strict is None:
-        strict = "proven" if alg.covers_fully(probe_ids) else "holds_on_window"
+        strict = "proven" if alg.covers_fully(probes) else "holds_on_window"
     return Verdict("multiplier equality", strict, label)
 
 
@@ -217,11 +215,7 @@ class MultiplierSpace:
         self.alg = alg
         ids = alg.basis.ids
         field = alg.field
-        cols = []
-        for tag in ("L", "R"):
-            for i in ids:
-                for j in ids:
-                    cols.append((tag, i, j))
+        cols = [(tag, i, j) for tag in ("L", "R") for i in ids for j in ids]
         entries: dict = {}
 
         def put(row, col, val):
@@ -229,30 +223,27 @@ class MultiplierSpace:
                 vec_add(field, entries, (row, col), val)
 
         rows = []
-        for j in ids:
-            for k in ids:
-                prod = alg.mul_basis(j, k).coeffs
-                # lam(e_j e_k) = lam(e_j) e_k and rho(e_j e_k) = e_j rho(e_k):
-                # the map's table, the id it acts on, and e_i times the other
-                # id for each i
-                sides = (("L", "lam-lin", j, [alg.mul_basis(i, k).coeffs for i in ids]),
-                         ("R", "rho-lin", k, [alg.mul_basis(j, i).coeffs for i in ids]))
-                for r in ids:
-                    for tag, name, own, times in sides:
-                        row = (name, j, k, r)
-                        rows.append(row)
-                        for t, c in prod.items():
-                            put(row, (tag, r, t), c)
-                        for i, p in zip(ids, times):
-                            put(row, (tag, i, own), field.neg(p.get(r, field.zero)))
-        for i in ids:
-            for j in ids:
-                for r in ids:
-                    row = ("compat", i, j, r)
+        for j, k in product(ids, repeat=2):
+            prod = alg.mul_basis(j, k).coeffs
+            # lam(e_j e_k) = lam(e_j) e_k and rho(e_j e_k) = e_j rho(e_k):
+            # the map's table, the id it acts on, and e_i times the other
+            # id for each i
+            sides = (("L", "lam-lin", j, [alg.mul_basis(i, k).coeffs for i in ids]),
+                     ("R", "rho-lin", k, [alg.mul_basis(j, i).coeffs for i in ids]))
+            for r in ids:
+                for tag, name, own, times in sides:
+                    row = (name, j, k, r)
                     rows.append(row)
-                    for u in ids:
-                        put(row, ("L", u, j), alg.mul_basis(i, u).coeffs.get(r, field.zero))
-                        put(row, ("R", u, i), field.neg(alg.mul_basis(u, j).coeffs.get(r, field.zero)))
+                    for t, c in prod.items():
+                        put(row, (tag, r, t), c)
+                    for i, p in zip(ids, times):
+                        put(row, (tag, i, own), field.neg(p.get(r, field.zero)))
+        for i, j, r in product(ids, repeat=3):
+            row = ("compat", i, j, r)
+            rows.append(row)
+            for u in ids:
+                put(row, ("L", u, j), alg.mul_basis(i, u).coeffs.get(r, field.zero))
+                put(row, ("R", u, i), field.neg(alg.mul_basis(u, j).coeffs.get(r, field.zero)))
         matrix = SparseMatrix(field, rows, cols, entries)
         self.basis = [self._from_tables(vec) for vec in GaussianSolver(matrix).kernel_basis()]
 
@@ -261,14 +252,11 @@ class MultiplierSpace:
         return len(self.basis)
 
     def _from_tables(self, vec) -> Multiplier:
-        alg = self.alg
-        lam_table: dict = {}
-        rho_table: dict = {}
+        tables: dict = {"L": {}, "R": {}}
         for (tag, i, j), v in vec.items():
-            (lam_table if tag == "L" else rho_table).setdefault(j, {})[i] = v
-        return Multiplier(alg,
-                          lambda bid, t=lam_table: t.get(bid, {}),
-                          lambda bid, t=rho_table: t.get(bid, {}))
+            tables[tag].setdefault(j, {})[i] = v
+        return Multiplier(self.alg, lambda bid, t=tables["L"]: t.get(bid, {}),
+                          lambda bid, t=tables["R"]: t.get(bid, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +305,11 @@ def iota_images(alg: Algebra, c: Element, side) -> dict:
     """y -> coefficients of c e_y (side "left") or e_y c (side "right") for
     the y that c's terms meet in ``alg.partners`` (``copartners``), else 0.
     Each y sums c's terms in c's order, as ``element_mul`` does."""
-    field, product, out = alg.field, alg.basis_product, {}
+    field, mul, out = alg.field, alg.basis_product, {}
     meets = alg.partners if side == "left" else alg.copartners
     for t, ct in c.coeffs.items():
         for y in meets[t]:
-            hit = product(t, y) if side == "left" else product(y, t)
+            hit = mul(t, y) if side == "left" else mul(y, t)
             vec_axpy(field, out.setdefault(y, {}), hit, ct)
     return out
 
@@ -344,10 +332,8 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
                for tag, side in (("L", "left"), ("R", "right"))
                for r, v in basis_image(z, side, w).items()}
         sol = alg.regular_solver().solve(rhs)
-        if sol is None:
-            return None
-        return Element(alg, vec_canonical(alg.field, sol))
-    ids = resolve_window(alg, window)
+        return None if sol is None else Element(alg, vec_canonical(alg.field, sol))
+    ids = probe_window(alg, window)
     if not alg.has_local_units:
         raise WindowInsufficiency(
             f"{alg.name} has no local-unit certificate; cannot invert iota on a window")
@@ -361,42 +347,62 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
 
 
 def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
-    """z |> e (side "left") or e <| z (side "right"), e the local unit of ``ids``.
-
-    The same factor order as ``apply_left``/``apply_right``, so the result
-    is the same element; leaves memoise theirs per (side, window).  This is
-    exact for a Psi leaf too: ``tensor_algebra``'s local unit is e_L (x) e_R,
-    so Psi(x (x) y) |> e = (x |> e_L) (x) (y |> e_R), factors memoised.
-    Other leaves read cached basis images but add none for the scaled window.
-    """
+    """z |> e (side "left") or e <| z, e the local unit of the Window ``ids``,
+    in ``apply_left``/``apply_right``'s factor order, memoised on leaves.  A
+    Psi(x (x) y) leaf contracts each factor on its factor window (e is
+    e_L (x) e_R); a plain leaf keeps the nonzero images it meets, keyed to
+    e's ids, so its rule runs once per id, and meets e before it is applied."""
     if z._prod is not None:
-        x, y = z._prod
-        if side == "left":
-            return x.apply_left(_unit_contraction(y, side, window, ids))
-        return y.apply_right(_unit_contraction(x, side, window, ids))
-    memo = z._unit_memo
-    if memo is None:
-        memo = z._unit_memo = {}
+        outer, inner = z._prod if side == "left" else z._prod[::-1]
+        a = _unit_contraction(inner, side, window, ids)
+        if outer._prod is None and outer._terms is None and outer._psi is None:
+            _unit_contraction(outer, side, window, ids)
+        return outer.apply_left(a) if side == "left" else outer.apply_right(a)
+    memo = z._unit_memo = z._unit_memo or {}
     out = memo.get((side, window))
     if out is None:
         if z._psi is not None:
-            (x, y), (lids, rids) = z._psi, factor_windows(z.alg, ids)
-            out = tensor_elem(_unit_contraction(x, side, lids, lids),
-                              _unit_contraction(y, side, rids, rids), into=z.alg)
+            (x, y), (left, right) = z._psi, ids.factors
+            out = tensor_elem(_unit_contraction(x, side, left, left),
+                              _unit_contraction(y, side, right, right), into=z.alg)
         else:
-            out = _contract_leaf(z, side, z.alg.local_unit(ids))
+            e, kept = z.alg.local_unit(ids), {}
+            out = _contract_leaf(z, side, e, kept)
+            memo.setdefault(side, []).append((e.coeffs, kept))
         memo[(side, window)] = out
     return out
 
 
-def _contract_leaf(z: Multiplier, side, a: Element) -> Element:
-    """z |> a or a <| z from the leaf's rule, reading but not filling its cache."""
+def _leaf_image(z: Multiplier, side, bid) -> Element:
+    """z |> e_bid or e_bid <| z as a unit contraction kept it, else the rule's."""
+    for unit, kept in z._unit_memo.get(side, ()) if z._unit_memo else ():
+        if bid in unit:
+            return Element(z.alg, kept.get(bid, {}))
+    return _as_element(z.alg, (z._lam if side == "left" else z._rho)(bid))
+
+
+def _contract_leaf(z: Multiplier, side, a: Element, kept=None) -> Element:
+    """z |> a or a <| z from images it memoises none of, per id the memo, a Psi
+    leaf's factors', one a unit contraction kept or the rule's (as in
+    ``_leaf_image``); ``kept`` collects the nonzero ones."""
+    alg, acc, coeffs = z.alg, {}, a.coeffs
+    stores = (z._unit_memo or {}).get(side, ())
     cache, rule = (z._lam_cache, z._lam) if side == "left" else (z._rho_cache, z._rho)
-    alg, acc = z.alg, {}
-    for bid, c in a.coeffs.items():
-        image = cache.get(bid)
-        image = (image if image is not None else _as_element(alg, rule(bid))).coeffs
+    for bid, c in coeffs.items():
+        if (image := cache.get(bid)) is not None:
+            image = image.coeffs
+        elif z._psi is not None:
+            image = basis_image(z, side, bid)
+        else:  # as ``_leaf_image``, inline: this loop is the hot one
+            for unit, k in stores:
+                if bid in unit:
+                    image = k.get(bid)
+                    break
+            else:
+                image = _as_element(alg, rule(bid)).coeffs
         if image:  # most images are empty on the examples (sparse products)
+            if kept is not None:
+                kept[bid] = image
             vec_axpy(alg.field, acc, image, c)
     return Element(alg, acc)
 
@@ -431,34 +437,36 @@ def basis_image(z: Multiplier, side, bid) -> dict:
 
 
 def support(z: Multiplier, side, probes) -> frozenset:
-    """Positions in ``probes`` outside which ``basis_image(z, side, .)`` is 0.
-
-    A leaf's is where its memoised image is nonzero, memoised per side for
-    the last probe tuple; a Psi(x (x) y) leaf's (memoised alike) is where
-    both factors' supports over the distinct factor ids of the probes meet;
-    a product x*y has its inner factor's (its image is empty wherever the
-    inner one is); a ``combine`` the union of its terms'.
-    """
+    """Positions in ``probes`` (``probe_window``) outside which
+    ``basis_image(z, side, .)`` is 0: a leaf's is where its image is nonzero,
+    a Psi(x (x) y) leaf's its factors' over the factor windows multiplied
+    out (both memoised per side for the last window), a product's its inner
+    factor's, a ``combine``'s the union of its terms'."""
+    probes = probes if isinstance(probes, Window) else probe_window(z.alg, probes)
     if z._terms is not None:
         return frozenset().union(*(support(x, side, probes) for _c, x in z._terms))
     if z._prod is not None:
         return support(z._prod[1] if side == "left" else z._prod[0], side, probes)
     memo = z._support.get(side)
-    if memo is None or (memo[0] is not probes and memo[0] != probes):
-        if z._psi is not None:
-            ids = [tuple(dict.fromkeys(p[k] for p in probes)) for k in (0, 1)]
-            hit = [{ids[k][n] for n in support(fac, side, ids[k])} for k, fac in enumerate(z._psi)]
-            covered = (n for n, (i, j) in enumerate(probes) if i in hit[0] and j in hit[1])
+    if memo is None or memo[0] != probes:
+        if z._psi is not None and probes.factors[1:]:
+            covered = _product_positions(probes, *(support(fac, side, win) for fac, win
+                                                   in zip(z._psi, probes.factors)))
         else:
-            image = z.lam_basis if side == "left" else z.rho_basis
-            covered = (n for n, w in enumerate(probes) if image(w).coeffs)
+            covered = (n for n, w in enumerate(probes) if basis_image(z, side, w))
         memo = z._support[side] = (probes, frozenset(covered))
     return memo[1]
 
 
+def _product_positions(probes, left, right):
+    """Positions in a product window of pairs of factor window positions."""
+    width, size = probes.factors[1].size, probes.size
+    return [n for a in left for b in right if (n := a * width + b) < size]
+
+
 def sweep(*pairs):
     """(position, side), positions in order and left before right, where the
-    support of some ``(z, probes)`` pair covers it (the tuples run in step).
+    support of some ``(z, probes)`` pair covers it (the windows run in step).
     Elsewhere every z acts as 0, so a full sweep's first mismatch is met here.
     """
     cover = {side: frozenset().union(*(support(z, side, probes) for z, probes in pairs))
@@ -469,21 +477,21 @@ def sweep(*pairs):
                 yield n, side
 
 
-def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool:
+def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probes) -> bool:
     """iota(u) and z act alike, from both sides, on every probe basis element.
 
-    Only probes where z's support or iota(u)'s covers them are visited
-    (elsewhere both act as 0): there u e_w and e_w u are summed from
-    ``basis_product`` and compared with ``basis_image``, or with 0 outside
-    z's support; no probe element is built.
-    """
-    field, product, probe_ids = alg.field, alg.basis_product, tuple(probe_ids)
+    Only probes in z's support or met by a term of u are visited (elsewhere
+    both act as 0): there u e_w and e_w u, summed from ``basis_product``, are
+    compared with ``basis_image`` (0 outside z's support); no probe element
+    is built."""
+    field, mul, probes = alg.field, alg.basis_product, probe_window(alg, probes)
     for side in ("left", "right"):
-        cover = support(z, side, probe_ids)
-        for n in sorted(cover | _iota_support(alg, u, side, probe_ids)):
-            w, acc = probe_ids[n], {}
+        cover = support(z, side, probes)
+        meets = frozenset().union(*(_meets(alg, t, side, probes) for t in u.coeffs))
+        for n in sorted(cover | meets):
+            w, acc = probes.ids[n], {}
             for i, c in u.coeffs.items():
-                hit = product(i, w) if side == "left" else product(w, i)
+                hit = mul(i, w) if side == "left" else mul(w, i)
                 if hit:
                     vec_axpy(field, acc, hit, c)
             if acc != (basis_image(z, side, w) if n in cover else {}):
@@ -491,17 +499,10 @@ def agrees_on_probes(alg: Algebra, u: Element, z: Multiplier, probe_ids) -> bool
     return True
 
 
-def _iota_support(alg: Algebra, u: Element, side, probes) -> frozenset:
-    """Positions in ``probes`` outside which u e_w (side "left") or e_w u is 0:
-    on a tensor algebra, where some term of u meets w in both factors (one
-    factor ``basis_product`` per term of u and distinct factor id of the
-    probes); on any other algebra, every position."""
-    if not isinstance(alg, TensorAlgebra):
-        return frozenset(range(len(probes)))
-    meets = [{}, {}]
-    for k, fac in enumerate(alg.factors):
-        for w in dict.fromkeys(p[k] for p in probes):
-            meets[k][w] = frozenset(t for t in u.coeffs if (
-                fac.basis_product(t[k], w) if side == "left" else fac.basis_product(w, t[k])))
-    return frozenset(n for n, (i, j) in enumerate(probes)
-                     if not meets[0][i].isdisjoint(meets[1][j]))
+def _meets(alg: Algebra, t, side, probes):
+    """Positions of the w with e_t e_w (or e_w e_t) nonzero, factor by factor."""
+    if probes.factors[1:]:
+        return _product_positions(probes, *(_meets(fac, t[k], side, win) for k, (fac, win)
+                                            in enumerate(zip(alg.factors, probes.factors))))
+    mul = alg.basis_product
+    return [n for n, w in enumerate(probes.ids) if (mul(t, w) if side == "left" else mul(w, t))]

@@ -2,10 +2,12 @@
 
 ``multiplier_eq``, ``agrees_on_probes`` and the comodule ``differs`` visit
 only the probes that some side's support covers (for ``agrees_on_probes``,
-z's or, on a tensor algebra, iota(u)'s; a Psi leaf's comes from its
+z's or, over a product window, iota(u)'s; a Psi leaf's comes from its
 factors').  The reference sweeps below visit every probe on both sides,
 as those sweeps did before; each random case, planted mismatches
 included, must get the same answer from both, witness and detail too.
+Each case is given both as an id tuple and as the product window
+(``probe_window``) that lists the same ids in the same i-major order.
 """
 
 from functools import lru_cache
@@ -13,11 +15,12 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf.algebra import Element, TensorAlgebra, Verdict, tensor_algebra
+from mulhopf.algebra import (Element, TensorAlgebra, Verdict, Window, probe_window,
+                             resolve_window, tensor_algebra)
 from mulhopf.comodule import _coassoc_setup
 from mulhopf.extension import psi_embed
 from mulhopf.fields import GF
-from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
+from mulhopf.gallery import kfin_Z, kfun_cyclic, matfin, rowalg2
 from mulhopf.linalg import vec_axpy
 from mulhopf.multiplier import (Multiplier, agrees_on_probes, basis_image, combine, iota,
                                 multiplier_eq, one, support)
@@ -112,23 +115,58 @@ def draw_tree(data, alg, probes, depth=2) -> Multiplier:
 
 @lru_cache(maxsize=None)
 def algebra_case(k):
-    """(algebra, probe tuple): finite unital, finite non-unital, random, oracle."""
+    """(algebra, probe tuple): finite unital, finite non-unital, random, oracle,
+    and the first 23 of the 48 window-1 probes of (matfin (x) K(Z)) (x) matfin."""
     if k == 0:
         alg = kfun_cyclic(3, field=GF(7)).algebra
     elif k == 1:
         alg = rowalg2().algebra
     elif k == 2:
         alg = random_algebra(3)
-    else:
+    elif k == 3:
         alg = kfin_Z().algebra
         return alg, alg.window_ids(2)
+    else:
+        return capped_triple(), resolve_window(capped_triple(), 1)[:23]
     return alg, alg.basis.ids
+
+
+@lru_cache(maxsize=None)
+def capped_triple():
+    mat = matfin().algebra
+    return tensor_algebra(tensor_algebra(mat, kfin_Z().algebra), mat)
+
+
+def as_window(alg, probes):
+    """The product window whose ids are ``probes``; one factor off a tensor algebra."""
+    if not isinstance(alg, TensorAlgebra):
+        return Window((tuple(probes),))
+    window = probe_window(alg, 1, len(probes))
+    assert window.factors[0].factors and window.ids == tuple(probes)
+    return window
+
+
+def test_product_windows_flatten_in_the_pair_basis_order():
+    # i-major at every level, (((i, j), k) with k fastest), and a cap keeps
+    # a prefix; positions index the flattened ids
+    alg = capped_triple()
+    full, capped = probe_window(alg, 1), probe_window(alg, 1, 23)
+    assert full.ids == resolve_window(alg, 1) and full.size == 48
+    assert capped.ids == full.ids[:23] and capped.size == 23
+    assert capped.ids[3:5] == ((((0, 0), -1), (1, 1)), (((0, 0), 0), (0, 0)))
+    (left, right), (mat, z) = capped.factors, capped.factors[0].factors
+    assert right.ids == mat.ids == ((0, 0), (0, 1), (1, 0), (1, 1)) and z.ids == (-1, 0, 1)
+    # an id tuple that lists such a prefix is read as that product, else as one factor
+    assert probe_window(alg, full.ids[:23]) == Window((Window((Window((mat.ids[:2],)), z)),
+                                                       right), 23)
+    holey = full.ids[:5] + full.ids[6:]
+    assert probe_window(alg, holey).factors == (holey,)
 
 
 @settings(max_examples=300, deadline=None)
 @given(strat.data())
 def test_multiplier_eq_gives_the_full_sweeps_verdict(data):
-    alg, probes = algebra_case(data.draw(strat.integers(0, 3)))
+    alg, probes = algebra_case(data.draw(strat.integers(0, 4)))
     x = draw_tree(data, alg, probes)
     y = data.draw(strat.sampled_from(["tree", "planted", "same", "zero"]))
     if y == "tree":
@@ -138,13 +176,15 @@ def test_multiplier_eq_gives_the_full_sweeps_verdict(data):
     else:
         y = x if y == "same" else combine(alg, [])
     strict = data.draw(strat.sampled_from([None, "holds_on_window"]))
-    assert multiplier_eq(x, y, probes, strict) == full_multiplier_eq(x, y, probes, strict)
+    want = full_multiplier_eq(x, y, probes, strict)
+    assert multiplier_eq(x, y, probes, strict) == want
+    assert multiplier_eq(x, y, as_window(alg, probes), strict) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(strat.data())
 def test_agrees_on_probes_gives_the_full_sweeps_answer(data):
-    alg, probes = algebra_case(data.draw(strat.integers(0, 3)))
+    alg, probes = algebra_case(data.draw(strat.integers(0, 4)))
     u = alg.zero()
     for _ in range(data.draw(strat.integers(0, 3))):
         u = u + alg.basis_element(data.draw(strat.sampled_from(probes))).scale(
@@ -156,7 +196,9 @@ def test_agrees_on_probes_gives_the_full_sweeps_answer(data):
         z = iota(alg, u)
         if kind == "planted":
             z = combine(alg, [(1, z), (1, planted(alg, draw_plants(data, alg, probes)))])
-    assert agrees_on_probes(alg, u, z, probes) == full_agrees_on_probes(alg, u, z, probes)
+    want = full_agrees_on_probes(alg, u, z, probes)
+    assert agrees_on_probes(alg, u, z, probes) == want
+    assert agrees_on_probes(alg, u, z, as_window(alg, probes)) == want
 
 
 @lru_cache(maxsize=None)
@@ -268,6 +310,13 @@ def tensor_case(k):
     return tensor_algebra(z, tensor_algebra(row, fin))
 
 
+def psi_case(k):
+    """(tensor algebra, probe tuple): a tensor_case, or the capped matfin triple."""
+    if k < 2:
+        return tensor_case(k), factor_probes(tensor_case(k))
+    return algebra_case(4)
+
+
 def factor_probes(alg):
     """Every pair of the factors' probes, window 1 on K(Z) (18 on a tensor_case)."""
     if isinstance(alg, TensorAlgebra):
@@ -293,23 +342,30 @@ def draw_psi(data, alg, plant):
 @settings(max_examples=100, deadline=None)
 @given(strat.data())
 def test_psi_leaves_give_the_full_sweeps_verdict(data):
-    alg = tensor_case(data.draw(strat.integers(0, 1)))
-    probes = factor_probes(alg)
+    # the product window's support is its factors' supports multiplied out,
+    # the id tuple's is read from the factor ids it lists, and a tuple that
+    # is no product window (one probe left out) is swept as one factor
+    alg, probes = psi_case(data.draw(strat.integers(0, 2)))
+    window, holey = as_window(alg, probes), probes[:5] + probes[6:]
     x, twin = draw_psi(data, alg, plant=True)
     for z in (x, twin):  # outside its support a Psi leaf acts as 0
         for side in ("left", "right"):
-            covered = support(z, side, probes)
+            covered = support(z, side, window)
+            assert support(z, side, probes) == covered
             assert all(not basis_image(z, side, w) for n, w in enumerate(probes)
                        if n not in covered)
-    assert multiplier_eq(x, twin, probes) == full_multiplier_eq(x, twin, probes)
+    for p in (probes, window, holey):
+        assert multiplier_eq(x, twin, p) == full_multiplier_eq(x, twin, p)
     other, _ = draw_psi(data, alg, plant=False)
     for y in (x * other, other * twin, combine(alg, [(1, x), (-1, other)])):
-        assert multiplier_eq(x, y, probes) == full_multiplier_eq(x, y, probes)
+        for p in (probes, window, holey):
+            assert multiplier_eq(x, y, p) == full_multiplier_eq(x, y, p)
     u = alg.zero()
     for _ in range(data.draw(strat.integers(0, 3))):
         u = u + alg.basis_element(data.draw(strat.sampled_from(probes)))
     for z in (x, twin, iota(alg, u), combine(alg, [(1, iota(alg, u)), (1, twin)])):
-        assert agrees_on_probes(alg, u, z, probes) == full_agrees_on_probes(alg, u, z, probes)
+        for p in (probes, window, holey):
+            assert agrees_on_probes(alg, u, z, p) == full_agrees_on_probes(alg, u, z, p)
 
 
 def test_a_plant_only_iota_u_covers_is_found():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -275,6 +276,39 @@ def test_exit_2_on_window_insufficiency(tmp_path, capsys):
     assert rc == 2
     assert "window insufficient" in err
     assert "coassociativity: proven" in out
+
+
+# a unital F_7 algebra whose Delta(e_k) = iota(t_k) is not idempotent
+# (test_comodule's "planted random2" row): id (x) Delta does not lift
+DEGENERATE_DELTA_SPEC = """\
+field Fp 7
+basis f0 f1
+mul f0 f0 = 1*f0
+mul f0 f1 = 5*f0
+mul f1 f0 = 5*f0
+mul f1 f1 = 6*f0 + 1*f1
+unit = 3*f0 + 1*f1
+delta f0 (f0,f0) = 3*(f0,f0)
+delta f0 (f0,f1) = 6*(f0,f0) + 6*(f0,f1)
+delta f0 (f1,f0) = 6*(f0,f0) + 6*(f1,f0)
+delta f0 (f1,f1) = 6*(f0,f0) + 2*(f0,f1) + 2*(f1,f0)
+delta f1 (f0,f0) = 2*(f0,f0)
+delta f1 (f0,f1) = 5*(f0,f0) + 1*(f0,f1)
+delta f1 (f1,f0) = 5*(f0,f0) + 1*(f1,f0)
+delta f1 (f1,f1) = 5*(f0,f1) + 5*(f1,f0)
+epsilon f0 = 1
+epsilon f1 = 0
+"""
+
+
+def test_exit_1_when_a_finite_lift_has_no_decomposition(tmp_path, capsys):
+    # a finite window cannot grow: the missing A.B decomposition is a failure
+    # with its basis element as witness, not "window too small"
+    rc, out, err = run_cli(["check-comodule", write_spec(tmp_path, DEGENERATE_DELTA_SPEC)],
+                           capsys)
+    assert rc == 1 and err == ""
+    assert ("comodule coassociativity: failed [full basis(2) / full basis(2), 8 probes] "
+            "witness=1*f0, 1*f0, 1*(f0,(f1,f1)) (lift undefined: no A.B decomposition)") in out
 
 
 def test_exit_3_on_a_tensor_id_where_a_plain_id_belongs(tmp_path, capsys):
@@ -663,10 +697,10 @@ def test_classify_contracts_each_leaf_against_a_local_unit_once_per_side(capsys,
         units[id(e)] = e
         return e
 
-    def counted(z, side, e):
+    def counted(z, side, e, *kept):
         if units.get(id(e)) is e:
             counts.setdefault((id(z), side, id(e)), [z, 0])[1] += 1
-        return real_contract(z, side, e)
+        return real_contract(z, side, e, *kept)
 
     monkeypatch.setattr(Algebra, "local_unit", local_unit)
     monkeypatch.setattr(multiplier, "_contract_leaf", counted)
@@ -728,6 +762,32 @@ def test_swept_psi_leaves_keep_empty_caches(capsys, monkeypatch, argv):
     rc, _, _ = run_cli(argv, capsys)
     assert rc == 0
     assert swept and all(z._lam_cache == {} and z._rho_cache == {} for z in swept.values())
+
+
+def test_classify_evaluates_each_delta_rule_once_per_side_and_id(capsys, monkeypatch):
+    # a leaf's unit contraction keeps the nonzero images it evaluates, and
+    # every later image of that leaf inside the unit's ids is read from them:
+    # 120,050 calls for as many (leaf, side, id), where re-evaluating the
+    # rule made 176,594, up to 3 per (leaf, side, id)
+    from mulhopf.multiplier import Multiplier
+    calls, real = Counter(), Multiplier.__init__
+
+    def counted(leaf, side, rule):
+        def count(bid):
+            calls[(id(leaf), side, bid)] += 1
+            return rule(bid)
+        return count
+
+    def init(self, alg, lam, rho, name=None):
+        if name is not None and name.startswith("Delta(d"):
+            lam, rho = counted(self, "left", lam), counted(self, "right", rho)
+        real(self, alg, lam, rho, name)
+
+    monkeypatch.setattr(Multiplier, "__init__", init)
+    rc, _, _ = run_cli(["classify", str(Path(__file__).parent / "golden" / "kfin_Z_w6.spec")],
+                       capsys)
+    assert rc == 0
+    assert calls and max(calls.values()) == 1
 
 
 def test_classify_at_window_6_memoises_few_basis_images(capsys, monkeypatch):
