@@ -24,8 +24,8 @@ from .multiplier import (
     Multiplier, MultiplierSpace, act_on_module, iota, iota_preimage, multiplier_eq, one,
 )
 from .extension import (
-    Extension, compose_extensions, identity_extension, psi_embed, restrict_module,
-    tensor_extensions,
+    Extension, TensorExtension, compose_extensions, identity_extension, psi_embed,
+    restrict_module,
 )
 from .bialgebra import (
     Counit, MultiplierBialgebra, SliceUndefined, Slicer,

@@ -202,17 +202,12 @@ class Element:
             return Element(self.space, {})
         return Element(self.space, {b: field.mul(scalar, v) for b, v in self.coeffs.items()})
 
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
     def __mul__(self, other):
-        if isinstance(other, Element):
-            alg = self.space
-            if not isinstance(alg, Algebra):
-                raise InputError(f"{alg.name} is not an algebra")
-            _same_space(self, other)
-            return alg.element_mul(self, other)
-        return self.scale(other)
+        alg = self.space
+        if not isinstance(alg, Algebra):
+            raise InputError(f"{alg.name} is not an algebra")
+        _same_space(self, other)
+        return alg.element_mul(self, other)
 
     def __eq__(self, other):
         return (
@@ -223,9 +218,6 @@ class Element:
 
     def __ne__(self, other):
         return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash((id(self.space), tuple(sorted(self.coeffs.items(), key=repr))))
 
     def __str__(self):
         if not self.coeffs:
@@ -833,13 +825,8 @@ def tensor_algebra(left: Algebra, right: Algebra) -> TensorAlgebra:
     return _tensor_cache("algebra", left, right, TensorAlgebra)
 
 
-def tensor_elem(x: Element, y: Element, into=None) -> Element:
-    """Elementary tensor x (x) y inside the cached tensor space/algebra."""
-    if into is None:
-        lsp, rsp = x.space, y.space
-        into = (tensor_algebra(lsp, rsp)
-                if isinstance(lsp, Algebra) and isinstance(rsp, Algebra)
-                else tensor_space(lsp, rsp))
+def tensor_elem(x: Element, y: Element, into) -> Element:
+    """Elementary tensor x (x) y in ``into``, the tensor space of their spaces."""
     return Element(into, _outer(into.field, x.coeffs, y.coeffs))
 
 

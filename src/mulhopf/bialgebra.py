@@ -21,7 +21,12 @@ the inner slice first:
     eps(a_(1,b)) a_(2,b) = ab = a_(b,1) eps(a_(b,2))
 
 and counit synthesis inverts the same identities as a linear system in
-the unknown values eps(e_i).  These are the comodule laws of A over
+the unknown values eps(e_i).  It shares one solve with antipode synthesis
+(``solve_touched``) and so one touched-coordinate rule: the unknowns are
+the coordinates some equation touches, a touched coordinate left free
+raises WindowInsufficiency, and so a synthesized table is unique on what
+the equations see, whatever their order; coordinates no equation touches
+read zero.  These are the comodule laws of A over
 itself, the regular comodule with rho = Delta, so one engine
 (``_sliced_coassoc``) checks sliced coassociativity for Delta and for
 every coaction (``comodule.check_comodule_coassoc_element``), and one
@@ -395,6 +400,24 @@ def _collapse(pair_elem: Element, epsilon: Counit, eps_leg) -> Element:
     return Element(keep_space, acc)
 
 
+def solve_touched(field, entries: dict, rhs: dict, what):
+    """The solution of ``entries`` x = ``rhs`` on the unknowns it touches.
+
+    ``entries`` maps (row, col) to a nonzero coefficient and ``rhs`` maps
+    row to value; the rows are the row keys of both, the unknowns the
+    columns of ``entries``.  A touched unknown left free raises
+    WindowInsufficiency.  Returns the solution (zero values omitted), or
+    None when the system is inconsistent.
+    """
+    rows = dict.fromkeys(r for r, _c in entries) | dict.fromkeys(rhs)
+    solver = GaussianSolver(SparseMatrix(field, rows, dict.fromkeys(c for _r, c in entries),
+                                         entries))
+    if solver.free_cols:
+        raise WindowInsufficiency(
+            f"{what} underdetermined on {len(solver.free_cols)} touched coordinates")
+    return solver.solve(rhs)
+
+
 def synthesize_counit(slicer: Slicer):
     """Solve the sliced counit identities for the values eps(e_i).
 
@@ -405,48 +428,22 @@ def synthesize_counit(slicer: Slicer):
     alg = slicer.alg
     ids = slicer.ids
     f = alg.field
-    unknowns: list = list(ids)
-    seen = set(ids)
-    rows: dict = {}
+    entries: dict = {}
     rhs: dict = {}
-
-    def add_entry(row, col, val):
-        if col not in seen:
-            seen.add(col)
-            unknowns.append(col)
-        if val:
-            vec_add(f, rows, (row, col), val)
-
-    row_keys = []
     for a in ids:
         for b in ids:
             prod = alg.mul_basis(a, b)
             # eps lands on leg 1 of the right slice and on leg 2 of the left
             # slice b_(a,1) (x) b_(a,2); the other leg is kept
             for tag, side, keep in (("vd2", "right", 1), ("vd1", "left", 0)):
-                sl = slicer.slice(side, a, b)
-                targets = {pair[keep] for pair in sl.coeffs} | set(prod.coeffs)
-                for r in sorted(targets, key=alg.sort_key):
-                    row = (tag, a, b, r)
-                    row_keys.append(row)
-                    for pair, c in sl.coeffs.items():
-                        if pair[keep] == r:
-                            add_entry(row, pair[1 - keep], c)
-                    val = prod.coeffs.get(r)
-                    if val:
-                        rhs[row] = val
-    matrix = SparseMatrix(f, row_keys, unknowns,
-                          {rc: v for rc, v in rows.items()})
-    solver = GaussianSolver(matrix)
-    touched = {c for (_r, c) in rows}
-    free_touched = [c for c in solver.free_cols if c in touched]
-    if free_touched:
-        raise WindowInsufficiency(
-            f"counit underdetermined on {len(free_touched)} window coordinates")
-    sol = solver.solve(rhs)
+                for pair, c in slicer.slice(side, a, b).coeffs.items():
+                    entries[(tag, a, b, pair[keep]), pair[1 - keep]] = c
+                for r, val in prod.coeffs.items():
+                    rhs[(tag, a, b, r)] = val
+    sol = solve_touched(f, entries, rhs, "counit")
     if sol is None:
         return None
-    table = {bid: sol.get(bid, f.zero) for bid in unknowns}
+    table = {bid: sol.get(bid, f.zero) for bid in (*ids, *(c for _r, c in entries))}
     # multiplicativity is not linear in eps; verify it on window pairs
     for i in ids:
         for j in ids:

@@ -309,7 +309,7 @@ def cmd_classify(entry, run, report, window, expansion):
     asyn = stage_antipode(run, sl, syn, report)
     if not all(v.ok for v in asyn.verdicts[:2]) or not asyn.ok:
         report.set_classification(_qualify("multiplier bialgebra", alg,
-                                           False, qual_window))
+                                           all_proven, qual_window))
         return
     all_proven = all_proven and all(v.status == "proven" for v in asyn.verdicts)
     report.set_classification(_qualify("multiplier Hopf algebra", alg,
@@ -317,10 +317,9 @@ def cmd_classify(entry, run, report, window, expansion):
 
 
 def _qualify(name, alg, proven, window):
+    """``proven`` is a theorem only about a finite algebra."""
     if proven and alg.finite:
         return f"{name} (proven; finite)"
-    if proven:
-        return f"{name} (proven)"
     return f"{name} (holds_on_window {window})"
 
 

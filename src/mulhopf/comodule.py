@@ -40,7 +40,7 @@ from .algebra import (
     probe_window, resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import act_on_module, basis_image, iota, one, sweep
-from .extension import identity_extension, psi_embed, tensor_extensions
+from .extension import TensorExtension, identity_extension, psi_embed
 from .bialgebra import (
     Counit, Slicer, SliceUndefined, _certified_coassoc, _collapse, _sliced_coassoc,
 )
@@ -65,9 +65,9 @@ def _coassoc_setup(gamma: Slicer, dsl: Slicer, max_probes):
     _check_target(gamma, A)
     triple_l = tensor_algebra(gamma.txt, A)  # (B(x)A)(x)A
     triple_r = tensor_algebra(B, dsl.txt)    # B(x)(A(x)A)
-    rho_x_id = tensor_extensions(
+    rho_x_id = TensorExtension(
         gamma.delta, identity_extension(A, window=dsl.window, expansion=dsl.expansion))
-    id_x_delta = tensor_extensions(
+    id_x_delta = TensorExtension(
         identity_extension(B, window=gamma.window, expansion=gamma.expansion), dsl.delta)
     one_a = one(A)
     frames = {a: psi_embed([one(B), psi_embed([one_a, iota(A, A.basis_element(a))])],

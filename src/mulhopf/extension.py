@@ -359,11 +359,6 @@ class TensorExtension(Extension):
                 for i1, i2 in src for t, u in product(h1[i1], h2[i2])]
 
 
-def tensor_extensions(f: Extension, g: Extension) -> Extension:
-    """(f (x) g): B (x) B' --> A (x) A', structure map Psi o (f (x) g)."""
-    return TensorExtension(f, g)
-
-
 def _join_windows(w1, w2):
     """The smaller int window, else None (an explicit id tuple does not join)."""
     ints = [w for w in (w1, w2) if isinstance(w, int)]

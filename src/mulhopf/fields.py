@@ -19,39 +19,16 @@ class FieldError(ValueError):
 
 
 class Field:
-    """Common interface.  Subclasses fix the scalar representation."""
+    """Common interface.  Subclasses fix the scalar representation and
+    define coerce, add, sub, mul, neg, inv, parse and random."""
 
     name = "?"
-
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def parse(self, text):
-        raise NotImplementedError
-
     def format(self, a):
         return str(a)
-
-    def random(self, rng):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -70,8 +47,6 @@ class RationalField(Field):
     def coerce(self, value):
         if isinstance(value, (int, Fraction)):
             return int(value) if type(value) is bool else _canonical(value)
-        if isinstance(value, str):
-            return _canonical(Fraction(value))
         raise FieldError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
@@ -121,8 +96,6 @@ class PrimeField(Field):
     def coerce(self, value):
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, str):
-            return self.parse(value)
         raise FieldError(f"cannot coerce {value!r} into {self.name}")
 
     def add(self, a, b):

@@ -13,9 +13,12 @@ exactly when both are bijective; the antipode S: A -> M(A) is the map with
 
 Antipode synthesis inverts those identities as a linear system in the
 unknown multipliers S(e_t), gated on windowed T1/T2 bijectivity so that
-pseudo-solutions of non-Hopf structures are rejected.  Uniqueness is
-asserted for equation-touched coordinates only; coordinates the window
-equations never see are reported as zeroed, not as unique values.
+pseudo-solutions of non-Hopf structures are rejected.  It is the one
+solve of counit synthesis (``bialgebra.solve_touched``), with its
+touched-coordinate rule: a coordinate of S that some equation touches
+and that the equations leave free raises WindowInsufficiency, so S is
+unique on the touched coordinates, and the coordinates no window
+equation sees are reported as zeroed, not as unique values.
 
 The same slices define, for maps f, g: A -> M(A), frame-twisted
 convolution products
@@ -32,7 +35,7 @@ from __future__ import annotations
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
 from .multiplier import Multiplier, MultiplierSpace, combine, iota, iota_preimage, multiplier_eq
-from .bialgebra import Counit, Slicer
+from .bialgebra import Counit, Slicer, solve_touched
 
 
 class MultiplierMap:
@@ -210,13 +213,8 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
             "failed", None, None, verdicts,
             detail=f"no antipode: {gate['hopf'].detail or 'canonical map not bijective'}")
 
-    msp = None
-    if alg.finite:
-        t_ids = alg.basis.ids
-        if alg.verified_unit is None:
-            msp = MultiplierSpace(alg)
-    else:
-        t_ids = scaled_window(alg, slicer.window, slicer.expansion)
+    msp = MultiplierSpace(alg) if alg.finite and alg.verified_unit is None else None
+    t_ids = alg.basis.ids if alg.finite else scaled_window(alg, slicer.window, slicer.expansion)
     # S(e_t) = sum_k x_(t,k) m_k over the coordinate multipliers m_k
     if msp is not None:
         coords = list(enumerate(msp.basis))
@@ -224,77 +222,47 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
         coords = [(w, Multiplier(alg, lambda v, w=w: alg.mul_basis(w, v),
                                  lambda p, w=w: alg.mul_basis(p, w)))
                   for w in t_ids]
-    coord_ids = [k for k, _m in coords]
-    columns = [(t, k) for t in t_ids for k in coord_ids]
 
     entries: dict = {}
     rhs: dict = {}
-    row_order: list = []
-    seen_rows = set()
-
-    def put(vec, row, col, val):
-        """vec[row, col] += val (vec[row] when col is None), keeping row order."""
-        if not val:
-            return
-        if row not in seen_rows:
-            seen_rows.add(row)
-            row_order.append(row)
-        vec_add(f, vec, row if col is None else (row, col), val)
-
     for a in ids:
         for b in ids:
             for which, leg, act, _law in _ANTIPODE_LAWS:
                 for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
                     for k, mk in coords:
                         for r, w in act(mk, pair[1 - leg]).coeffs.items():
-                            put(entries, (which, a, b, r), (pair[leg], k), f.mul(c, w))
-                put(rhs, (which, a, b, (a, b)[1 - leg]), None, epsilon.value((a, b)[leg]))
+                            vec_add(f, entries, ((which, a, b, r), (pair[leg], k)), f.mul(c, w))
+                vec_add(f, rhs, (which, a, b, (a, b)[1 - leg]), epsilon.value((a, b)[leg]))
 
-    solver = GaussianSolver(SparseMatrix(f, row_order, columns, entries))
-    touched = {c for (_r, c) in entries}
-    free_touched = [c for c in solver.free_cols if c in touched]
-    if free_touched:
-        raise WindowInsufficiency(
-            f"antipode underdetermined on {len(free_touched)} touched coordinates")
-    sol = solver.solve(rhs)
+    sol = solve_touched(f, entries, rhs, "antipode")
     if sol is None:
         return AntipodeSynthesis("failed", None, None, verdicts,
                                  detail="antipode equations are inconsistent")
 
-    table: dict = {}
-    if msp is not None:
-        for t in t_ids:
-            coeffs = [sol.get((t, k), f.zero) for k in coord_ids]
-            mult = combine(alg, zip(coeffs, msp.basis))
+    values: dict = {}  # S(e_t): an element u for S(e_t) = iota(u), else a multiplier
+    for t in t_ids:
+        if msp is None:
+            values[t] = Element(alg, {k: sol[(t, k)] for k, _m in coords if (t, k) in sol})
+        else:
+            mult = combine(alg, [(sol.get((t, k), f.zero), m) for k, m in coords])
             pre = iota_preimage(alg, mult)
-            table[t] = pre if pre is not None else mult
+            values[t] = pre if pre is not None else mult
+    # reported table: all of a finite basis, else the base window only,
+    # which is fully constrained
+    table = {t: values[t] for t in (t_ids if alg.finite else ids)}
 
-        def rule(bid, _table=table):
-            val = _table.get(bid)
-            if val is None:
-                raise WindowInsufficiency(f"antipode not synthesized at {bid!r}")
-            return iota(alg, val) if isinstance(val, Element) else val
-    else:
-        values = {}
-        for t in t_ids:
-            coeffs = {u: sol[(t, u)] for u in coord_ids if sol.get((t, u))}
-            values[t] = Element(alg, coeffs)
-        # reported table: all of a finite basis, else the base window only,
-        # which is fully constrained
-        for t in (t_ids if alg.finite else ids):
-            table[t] = values[t]
-
-        def rule(bid, _vals=values):
-            val = _vals.get(bid)
-            if val is None:
-                raise WindowInsufficiency(f"antipode not synthesized at {bid!r}")
-            return iota(alg, val)
+    def rule(bid):
+        v = values.get(bid)
+        if v is None:
+            raise WindowInsufficiency(f"antipode not synthesized at {bid!r}")
+        return iota(alg, v) if isinstance(v, Element) else v
 
     smap = MultiplierMap(alg, rule, name="S")
     post = check_antipode(slicer, epsilon, smap)
     verdicts.append(post)
-    zeroed = len(columns) - len(touched)
-    detail = f"unique on {len(touched)} touched coordinates"
+    touched = len({c for _r, c in entries})
+    zeroed = len(t_ids) * len(coords) - touched
+    detail = f"unique on {touched} touched coordinates"
     if zeroed:
         detail += f"; {zeroed} untouched coordinates zeroed"
     if not post.ok:

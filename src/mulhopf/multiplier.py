@@ -79,8 +79,6 @@ class Multiplier:
     # -- algebra structure of M(A) ------------------------------------------
 
     def __mul__(self, other):
-        if not isinstance(other, Multiplier):
-            return self.scale(other)
         if other.alg is not self.alg:
             raise InputError("multipliers over different algebras")
         x, y = self, other
@@ -102,9 +100,6 @@ class Multiplier:
 
     def scale(self, scalar):
         return combine(self.alg, [(scalar, self)])
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     def __repr__(self):
         return f"<multiplier {self.name or '?'} on {self.alg.name}>"

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
-from mulhopf.extension import (Extension, _join_windows, compose_extensions,
-                               identity_extension, psi_embed, restrict_module,
-                               tensor_extensions)
+from mulhopf.extension import (Extension, TensorExtension, _join_windows,
+                               compose_extensions, identity_extension, psi_embed,
+                               restrict_module)
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic
 from mulhopf.multiplier import Multiplier, iota, multiplier_eq, one
@@ -129,7 +129,7 @@ def test_compose_extensions():
 def test_tensor_extensions_act_componentwise():
     ext = fiber_map_z2_to_z4()
     B, A = ext.source, ext.target
-    tt = tensor_extensions(ext, ext)
+    tt = TensorExtension(ext, ext)
     BB, AA = tt.source, tt.target
     probe = tensor_elem(A.basis_element(1) + A.basis_element(2),
                         A.basis_element(2), into=AA)
@@ -158,7 +158,7 @@ def reference_columns(ext, side):
 def delta_tensor_identity(bundle, window):
     """id (x) Delta and Delta (x) id, the two lifts of comodule coassociativity."""
     idA = identity_extension(bundle.algebra, window=window, expansion=2)
-    return (tensor_extensions(idA, bundle.delta), tensor_extensions(bundle.delta, idA))
+    return (TensorExtension(idA, bundle.delta), TensorExtension(bundle.delta, idA))
 
 
 @pytest.mark.parametrize("bundle, window", [

@@ -34,6 +34,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # coassociativity is decided by element identities; the d0 coaction keeps
 # only rho(b) = b (x) d0 from the trivial one, which is not coassociative,
 # so its failed lines and witnesses come from the sweeps.
+# monoid01.spec is functions on the monoid ({0,1}, .): a finite multiplier
+# bialgebra, every verdict proven, whose canonical maps are not bijective;
+# left_zero2.spec is functions on the left-zero semigroup xy = x, whose
+# coproduct is coassociative but has no counit.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -51,6 +55,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("check_comodule_kfun_cyclic_20.json", ["check-comodule", "gallery:kfun_cyclic(20)"], 0),
     ("check_comodule_d0_coaction_z4_f7.json",
      ["check-comodule", "rescaled_z4_f7_d0_coaction.spec"], 1),
+    ("classify_monoid01.json", ["classify", "monoid01.spec"], 1),
+    ("check_hopf_monoid01.json", ["check-hopf", "monoid01.spec"], 1),
+    ("classify_left_zero2.json", ["classify", "left_zero2.spec"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

@@ -1,10 +1,11 @@
 """Canonical maps, antipode synthesis, and the twisted convolution calculus."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from mulhopf import hopf, linalg
+from mulhopf import hopf, linalg, specfile
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
 from mulhopf.bialgebra import Counit, Slicer
 from mulhopf.extension import Extension
@@ -29,6 +30,23 @@ def test_canonical_map_values_on_z2():
     x = tensor_elem(A.basis_element(0), A.basis_element(1), into=sl.txt)
     assert canonical_map(sl, "T1", x).coeffs == {(1, 1): QQ.one}
     assert canonical_map(sl, "T2", x).coeffs == {(0, 1): QQ.one}
+
+
+def test_monoid_canonical_maps_miss_a_pair_outside_the_span_of_their_slices():
+    """On functions on ({0,1}, .) neither T1 nor T2 hits d0 (x) d0; the
+    witness replays as a rank increase of the slice columns."""
+    spec = (Path(__file__).parent / "golden" / "monoid01.spec").read_text(encoding="utf-8")
+    sl = specfile.build_bundle(specfile.parse_spec(spec), name="monoid01").bialgebra.slicer()
+    pairs = [(a, b) for a in sl.ids for b in sl.ids]
+    for which, side in (("T1", "right"), ("T2", "left")):
+        sur = check_bijective(sl, which)["surjectivity"]
+        assert sur.status == "failed"
+        (wit,) = sur.witness
+        assert str(wit) == "1*(d0,d0)"
+        cols = [(p, sl.slice(side, *p).coeffs) for p in pairs]
+        rank = linalg.GaussianSolver(linalg.SparseMatrix.from_columns(QQ, cols)).rank
+        widened = linalg.SparseMatrix.from_columns(QQ, cols + [("witness", wit.coeffs)])
+        assert linalg.GaussianSolver(widened).rank == rank + 1
 
 
 def test_canonical_maps_bijective_on_cyclic():

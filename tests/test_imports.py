@@ -4,6 +4,8 @@ or its tests, every top-level function and class is referenced from the
 package itself and every stored attribute is read, bar a listed few."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 from collections import Counter
 
@@ -198,3 +200,27 @@ def test_the_scan_finds_every_form_of_import():
                          ids=lambda p: p.name)
 def test_only_fields_imports_fractions(path):
     assert "fractions" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+# ``perfbench/layers.py`` names the functions and methods a traced benchmark
+# pass wraps; ``perfbench/tracer.py`` patches a function as an attribute of
+# its module and a method in its class's own ``__dict__``.
+def traced_targets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", SRC.parent.parent / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = list(layers.SPANS.values())
+    for pairs in layers.COUNTERS.values():
+        targets += pairs
+    return targets
+
+
+@pytest.mark.parametrize("module, attr", traced_targets(), ids=lambda x: x)
+def test_every_traced_name_resolves_as_the_tracer_patches_it(module, attr):
+    mod = importlib.import_module(f"mulhopf.{module}")
+    if "." in attr:
+        cls, meth = attr.split(".")
+        assert callable(vars(getattr(mod, cls)).get(meth))
+    else:
+        assert callable(vars(mod).get(attr))

@@ -15,7 +15,7 @@ from hypothesis import strategies as strat
 
 from mulhopf import specfile
 from mulhopf.algebra import Element, regular_module, tensor_algebra
-from mulhopf.extension import identity_extension, tensor_extensions
+from mulhopf.extension import TensorExtension, identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
 from mulhopf.linalg import GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy
@@ -110,10 +110,10 @@ def test_products_and_regular_modules_decompose_as_before(alg):
 def extensions():
     z = kfin_Z(window=2).bialgebra
     yield pytest.param(z.delta, id="kfin_Z-w2-Delta")
-    yield pytest.param(tensor_extensions(identity_extension(z.algebra, window=2), z.delta),
+    yield pytest.param(TensorExtension(identity_extension(z.algebra, window=2), z.delta),
                        id="kfin_Z-w2-id(x)Delta")
     b = kfun_cyclic(3, field=GF(7)).bialgebra
-    yield pytest.param(tensor_extensions(b.delta, identity_extension(b.algebra)),
+    yield pytest.param(TensorExtension(b.delta, identity_extension(b.algebra)),
                        id="kfun_cyclic3-F7-Delta(x)id")
 
 

@@ -260,6 +260,15 @@ def test_exit_0_and_classification_line(capsys):
     assert "classification: multiplier Hopf algebra (proven; finite)" in out
 
 
+def test_a_finite_bialgebra_that_is_not_hopf_is_labelled_proven(capsys, monkeypatch):
+    # every verdict on the finite monoid ({0,1}, .) reads proven [full basis];
+    # an oracle algebra's read holds_on_window (golden classify_kfin_N_w4.json)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    rc, out, _ = run_cli(["classify", "monoid01.spec"], capsys)
+    assert rc == 1
+    assert out.endswith("classification: multiplier bialgebra (proven; finite)\n")
+
+
 def test_exit_1_on_failed_axiom(capsys):
     rc, out, _ = run_cli(["check-algebra", "gallery:zero1"], capsys)
     assert rc == 1
