@@ -50,7 +50,7 @@ from .algebra import (
     joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
     scaled_window, tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import (Multiplier, agrees_on_probes, iota, iota_element,
+from .multiplier import (Multiplier, agrees_on_probes, basis_image, iota, iota_element,
                          iota_preimage, one)
 from .extension import Extension, psi_embed
 
@@ -526,9 +526,8 @@ def tensor_module_action(slicer: Slicer, m: ModuleStructure,
         acc: dict = {}
         for c, mx, ap in dec_m:
             for d, ny, bq in dec_n:
-                moved = da.apply_right(tensor_elem(alg.basis_element(ap),
-                                                   alg.basis_element(bq),
-                                                   into=delta.target))
+                moved = da.apply("right", tensor_elem(alg.basis_element(ap),
+                                                      alg.basis_element(bq), into=delta.target))
                 hit = base.act(tensor_elem(m.space.basis_element(mx),
                                            n.space.basis_element(ny),
                                            into=base.space), moved)
@@ -604,7 +603,7 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
                     for c, mx, bj in dec:
                         eb = alg.basis_element(bj)
                         legs = (g, eb) if eps_leg == "left" else (eb, g)
-                        kept = _collapse(da.apply_right(tensor_elem(*legs, into=delta.target)),
+                        kept = _collapse(da.apply("right", tensor_elem(*legs, into=delta.target)),
                                          epsilon, eps_leg)
                         vec_axpy(f, acc, M.act(M.space.basis_element(mx), kept).coeffs, c)
                     got = Element(M.space, acc)
@@ -626,10 +625,8 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
     try:
         Extension.from_bimodule(
             alg, delta.target,
-            lambda b_id, p_id: delta.basis_multiplier(b_id).apply_left(
-                delta.target.basis_element(p_id)).coeffs,
-            lambda p_id, b_id: delta.basis_multiplier(b_id).apply_right(
-                delta.target.basis_element(p_id)).coeffs,
+            lambda b_id, p_id: basis_image(delta.basis_multiplier(b_id), "left", p_id),
+            lambda p_id, b_id: basis_image(delta.basis_multiplier(b_id), "right", p_id),
             name="Delta-as-bimodule", source_window=delta.source_window,
             target_window=delta.target_window, expansion=slicer.expansion)
         verdicts.append(Verdict("tensor extension instance", alg.baseline(a_ids),

@@ -27,11 +27,14 @@ from itertools import product
 from .linalg import PairSpan, vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency, annihilated, joint_baseline, probe_window, resolve_window,
-    scaled_window, tensor_algebra, tensor_elem,
+    WindowInsufficiency, _outer, annihilated, joint_baseline, probe_window, resolve_window,
+    scaled_window, tensor_algebra,
 )
 from .multiplier import (Multiplier, act_on_module, basis_image, combine, iota, iota_element,
                          multiplier_eq)
+
+# the decomposition a side's span gives: b.a = f(b) |> a, a.b = a <| f(b)
+_FORM = {"left": "B.A", "right": "A.B"}
 
 
 class Extension:
@@ -95,11 +98,11 @@ class Extension:
 
     def lact(self, b: Element, a: Element) -> Element:
         """b . a = f(b) |> a."""
-        return self.apply(b).apply_left(a)
+        return self.apply(b).apply("left", a)
 
     def ract(self, a: Element, b: Element) -> Element:
         """a . b = a <| f(b)."""
-        return self.apply(b).apply_right(a)
+        return self.apply(b).apply("right", a)
 
     # -- decompositions over B.A and A.B -------------------------------------
 
@@ -111,23 +114,22 @@ class Extension:
         return span
 
     def _columns(self, side):
-        """Nonzero f(e_i) |> e_j (side "ba") or e_j <| f(e_i), keyed (i, j), i
+        """Nonzero f(e_i) |> e_j (side "left") or e_j <| f(e_i), keyed (i, j), i
         outer: this column order fixes every decomposition."""
         hits = self._hits(side, self.source_search_ids, self.target_ids)
-        return [((i, j), hit.coeffs) for i, row in hits.items() for j, hit in row.items()]
+        return [((i, j), hit) for i, row in hits.items() for j, hit in row.items()]
 
     def _hits(self, side, source_ids, target_ids) -> dict:
         """source id -> {target id: its nonzero hit}, both in the given order."""
         table = {}
         for i in source_ids:
             fi = self.basis_multiplier(i)
-            act = fi.lam_basis if side == "ba" else fi.rho_basis
-            table[i] = {j: hit for j, hit in ((j, act(j)) for j in target_ids) if hit.coeffs}
+            table[i] = {j: hit for j in target_ids if (hit := basis_image(fi, side, j))}
         return table
 
     def decompose(self, a: Element, side):
-        """a = sum c * (f(e_i) |> e_j) (side "ba") or sum c * (e_j <| f(e_i))
-        (side "ab"), pivot-order first solution, or None."""
+        """a = sum c * (f(e_i) |> e_j) (side "left", over B.A) or sum c *
+        (e_j <| f(e_i)) (side "right", over A.B), pivot-order first solution, or None."""
         return self._span(side).decompose(a.coeffs)
 
     # -- lift to M(B) --------------------------------------------------------
@@ -136,17 +138,16 @@ class Extension:
         """fbar(x) in M(target) for x in M(source); fbar o iota_B = f."""
         if x.alg is not self.source:
             raise InputError("lift wants a multiplier on the source algebra")
-        return Multiplier(self.target, self._lift_rule(x.lam_basis, "ba"),
-                          self._lift_rule(x.rho_basis, "ab"),
+        return Multiplier(self.target, self._lift_rule(x, "left"), self._lift_rule(x, "right"),
                           name=f"{self.name}-bar({x.name or '?'})")
 
-    def _lift_rule(self, x_basis, side):
-        """lam (side "ba", over B.A) or rho (side "ab", over A.B) of a lift.
+    def _lift_rule(self, x: Multiplier, side):
+        """The basis action on ``side`` of the lift of x, over ``_FORM[side]``.
 
         The decomposition of a target basis id depends only on the side, so
         it is solved once per extension and shared by every lifted multiplier.
         """
-        tgt, field = self.target, self.target.field
+        src, tgt, field = self.source, self.target, self.target.field
 
         def rule(bid):
             dec = self._lift_decs.get((side, bid))
@@ -154,15 +155,13 @@ class Extension:
                 a = tgt.basis_element(bid)
                 dec = self.decompose(a, side)
                 if dec is None:
-                    raise InvariantViolation(
-                        self._undecomposable(a, "B.A" if side == "ba" else "A.B"))
+                    raise InvariantViolation(self._undecomposable(a, _FORM[side]))
                 self._lift_decs[(side, bid)] = dec
             # f(x |> e_i) |> e_j summed term by term over x |> e_i = sum d e_k
             acc: dict = {}
             for c, i, j in dec:
-                for k, d in x_basis(i).sorted_items():
-                    fk = self.basis_multiplier(k)
-                    hit = (fk.lam_basis(j) if side == "ba" else fk.rho_basis(j)).coeffs
+                for k, d in Element(src, basis_image(x, side, i)).sorted_items():
+                    hit = basis_image(self.basis_multiplier(k), side, j)
                     if hit:
                         vec_axpy(field, acc, hit, field.mul(c, d))
             return Element(tgt, acc)
@@ -190,7 +189,7 @@ class Extension:
                 continue  # every f(e_k) = iota(c_k), iota injective: holds at (i, j)
             prod = self.apply(e_ij)
             direct = self.basis_multiplier(i) * self.basis_multiplier(j)
-            eq = multiplier_eq(prod, direct, probes, strict=base)
+            eq = multiplier_eq(prod, direct, probes)
             if not eq.ok:
                 mult_v = Verdict(
                     "extension multiplicativity", "failed", label,
@@ -201,19 +200,15 @@ class Extension:
         idem_v = Verdict("extension idempotency", base, label)
         for j in self.target_ids:
             a = self.target.basis_element(j)
-            missing = "B.A" if self.decompose(a, "ba") is None else (
-                "A.B" if self.decompose(a, "ab") is None else None)
+            missing = next((s for s in _FORM if self.decompose(a, s) is None), None)
             if missing:
-                idem_v = self._undecomposable(a, missing)
+                idem_v = self._undecomposable(a, _FORM[missing])
                 break
 
         nondeg_v = Verdict("extension non-degeneracy", base, label)
         for side in ("right", "left"):
-            def hit(t, i, side=side):
-                fi = self.basis_multiplier(i)
-                return (fi.rho_basis(t) if side == "right" else fi.lam_basis(t)).coeffs
-
-            w = annihilated(self.target, self.target_ids, self.source_search_ids, hit)
+            w = annihilated(self.target, self.target_ids, self.source_search_ids,
+                            lambda t, i, side=side: basis_image(self.basis_multiplier(i), side, t))
             if w is not None:
                 nondeg_v = Verdict("extension non-degeneracy", "failed", label,
                                    witness=(w,),
@@ -321,11 +316,8 @@ def psi_embed(parts, into=None) -> Multiplier:
 
 
 def _psi_pair(x: Multiplier, y: Multiplier) -> Multiplier:
-    """Psi(x (x) y): its rule is ``basis_image``'s tensor of the factors' images."""
-    txt = tensor_algebra(x.alg, y.alg)
-    out = Multiplier(txt, lambda bid: Element(txt, basis_image(out, "left", bid)),
-                     lambda bid: Element(txt, basis_image(out, "right", bid)),
-                     name=f"psi({x.name},{y.name})")
+    """Psi(x (x) y): ``basis_image`` gives the tensor of the factors' images."""
+    out = Multiplier(tensor_algebra(x.alg, y.alg), None, None, name=f"psi({x.name},{y.name})")
     out._psi = (x, y)
     return out
 
@@ -355,7 +347,8 @@ class TensorExtension(Extension):
             (self.source, self.source_search_ids), (self.target, self.target_ids)))
         h1, h2 = (fac._hits(side, s.ids, t.ids)
                   for fac, s, t in zip(self.factors, src.factors, tgt.factors))
-        return [(((i1, i2), (t, u)), tensor_elem(h1[i1][t], h2[i2][u], into=self.target).coeffs)
+        field = self.target.field
+        return [(((i1, i2), (t, u)), _outer(field, h1[i1][t], h2[i2][u]))
                 for i1, i2 in src for t, u in product(h1[i1], h2[i2])]
 
 

@@ -4,11 +4,12 @@ A multiplier is a pair of linear maps (lam, rho) on A with
 
     lam(a*b) = lam(a)*b,   rho(a*b) = a*rho(b),   a*lam(b) = rho(a)*b,
 
-thought of as one two-sided object x acting by x |> a = lam(a) and
-a <| x = rho(a).  Products compose contravariantly on the right action:
-(x*y) |> a = x |> (y |> a), a <| (x*y) = (a <| x) <| y.  The algebra
-embeds by iota(a) = (left mult by a, right mult by a), and the unit
-multiplier is (id, id) whether or not A itself has a unit.
+thought of as one two-sided object x acting by x |> a = lam(a) (side
+"left") and a <| x = rho(a) (side "right").  Products compose
+contravariantly on the right action: (x*y) |> a = x |> (y |> a),
+a <| (x*y) = (a <| x) <| y.  The algebra embeds by iota(a) = (left mult
+by a, right mult by a), and the unit multiplier is (id, id) whether or not
+A itself has a unit.
 
 For finite A the whole multiplier algebra is computed exactly as the
 solution space of the linearity + compatibility system
@@ -16,13 +17,16 @@ solution space of the linearity + compatibility system
 and window-relative.  Psi(x (x) y) on A (x) B acts factor by factor,
 (x |> a) (x) (y |> b), and remembers x and y, so contracting it against
 a local unit e_L (x) e_R contracts each factor against its own.
-A leaf memoises a basis image only for probe sweeps and factor reads
-(``lam_basis``/``rho_basis``) and keeps the nonzero images its local-unit
-contraction met; products, sums and Psi leaves memoise nothing per id.
+``basis_image`` is the one reading of a basis action and ``apply`` the one
+application to an element, each taking the side as data.  Only a leaf
+(given by its two rules) memoises basis images, for probe sweeps and factor
+reads, and keeps the nonzero images its local-unit contraction met;
+products, sums and Psi leaves have no rules and memoise nothing per id.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
@@ -33,15 +37,15 @@ from .algebra import (
 
 
 class Multiplier:
-    __slots__ = ("alg", "_lam", "_rho", "_lam_cache", "_rho_cache", "_prod",
-                 "_terms", "_psi", "_support", "_unit_memo", "_iota", "name")
+    __slots__ = ("alg", "_rules", "_memo", "_prod", "_terms", "_psi", "_support",
+                 "_unit_memo", "_iota", "name")
 
     def __init__(self, alg: Algebra, lam, rho, name=None):
         self.alg = alg
-        self._lam = lam
-        self._rho = rho
-        self._lam_cache: dict = {}
-        self._rho_cache: dict = {}
+        # a leaf's basis rules and memo of their images (coefficient dicts) by
+        # side; a product, sum or Psi leaf is built with None rules and has neither
+        self._rules = None if lam is None else {"left": lam, "right": rho}
+        self._memo = None if lam is None else {"left": {}, "right": {}}
         self._prod = None
         self._terms = None  # [(c, x)] when this is combine's sum c * x
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
@@ -50,43 +54,21 @@ class Multiplier:
         self._iota = None  # iota_element's outcome: c with self = iota(c), or False
         self.name = name
 
-    # -- basis-level actions, memoized (rules are pure) ---------------------
-
-    def lam_basis(self, bid) -> Element:
-        return self._lam_cache.get(bid) or self._lam_cache.setdefault(bid, _leaf_image(
-            self, "left", bid) if self._unit_memo else _as_element(self.alg, self._lam(bid)))
-
-    def rho_basis(self, bid) -> Element:
-        return self._rho_cache.get(bid) or self._rho_cache.setdefault(bid, _leaf_image(
-            self, "right", bid) if self._unit_memo else _as_element(self.alg, self._rho(bid)))
-
-    # -- linear extensions --------------------------------------------------
-
-    def apply_left(self, a: Element) -> Element:
-        """x |> a."""
+    def apply(self, side, a: Element) -> Element:
+        """x |> a (side "left") or a <| x (side "right"); a product goes factor
+        by factor, inner factor first, so no intermediate image is per id."""
         if self._prod is not None:
-            x, y = self._prod
-            return x.apply_left(y.apply_left(a))
-        return _contract_leaf(self, "left", a)
-
-    def apply_right(self, a: Element) -> Element:
-        """a <| x."""
-        if self._prod is not None:
-            x, y = self._prod
-            return y.apply_right(x.apply_right(a))
-        return _contract_leaf(self, "right", a)
+            inner, outer = self._prod[::-1] if side == "left" else self._prod
+            return outer.apply(side, inner.apply(side, a))
+        return _contract_leaf(self, side, a)
 
     # -- algebra structure of M(A) ------------------------------------------
 
     def __mul__(self, other):
         if other.alg is not self.alg:
             raise InputError("multipliers over different algebras")
-        x, y = self, other
-        out = Multiplier(self.alg, lambda bid: x.apply_left(y.lam_basis(bid)),
-                         lambda bid: y.apply_right(x.rho_basis(bid)))
-        # applying a product to a whole element goes factor by factor, which
-        # keeps the intermediate support materialized once instead of per id
-        out._prod = (x, y)
+        out = Multiplier(self.alg, None, None)
+        out._prod = (self, other)
         return out
 
     def __add__(self, other):
@@ -105,12 +87,13 @@ class Multiplier:
         return f"<multiplier {self.name or '?'} on {self.alg.name}>"
 
 
-def _as_element(alg, value) -> Element:
+def _coeffs(alg, value) -> dict:
+    """A rule's value, an Element of ``alg`` or a dict, as canonical coefficients."""
     if isinstance(value, Element):
         if value.space is not alg:
             raise InputError("multiplier rule returned a foreign element")
-        return value
-    return Element(alg, vec_canonical(alg.field, value))
+        return value.coeffs
+    return vec_canonical(alg.field, value)
 
 
 def combine(alg: Algebra, terms) -> Multiplier:
@@ -124,8 +107,7 @@ def combine(alg: Algebra, terms) -> Multiplier:
     terms = [(field.coerce(c), x) for c, x in terms if c]
     if any(x.alg is not alg for _c, x in terms):
         raise InputError("multipliers over different algebras")
-    out = Multiplier(alg, lambda bid: Element(alg, basis_image(out, "left", bid)),
-                     lambda bid: Element(alg, basis_image(out, "right", bid)))
+    out = Multiplier(alg, None, None)
     out._terms = terms
     return out
 
@@ -144,12 +126,9 @@ def iota(alg: Algebra, a: Element) -> Multiplier:
                       name=f"iota({a})")
 
 
-def multiplier_eq(x: Multiplier, y: Multiplier, probes, strict=None) -> Verdict:
-    """Compare both actions on the probes (``probe_window``); first mismatch is the witness.
-
-    ``strict`` overrides the ok-status; by default it is "proven" exactly
-    when the probes cover the basis of a finite algebra.
-    """
+def multiplier_eq(x: Multiplier, y: Multiplier, probes) -> Verdict:
+    """Compare both actions on the probes (``probe_window``); first mismatch is
+    the witness.  "proven" exactly when the probes cover a finite basis."""
     if x.alg is not y.alg:
         raise InputError("multipliers over different algebras")
     alg, probes = x.alg, probe_window(x.alg, probes)
@@ -162,9 +141,8 @@ def multiplier_eq(x: Multiplier, y: Multiplier, probes, strict=None) -> Verdict:
             return Verdict("multiplier equality", "failed", label,
                            witness=(alg.basis_element(w),),
                            detail=text.format(Element(alg, hx), Element(alg, hy)))
-    if strict is None:
-        strict = "proven" if alg.covers_fully(probes) else "holds_on_window"
-    return Verdict("multiplier equality", strict, label)
+    return Verdict("multiplier equality",
+                   "proven" if alg.covers_fully(probes) else "holds_on_window", label)
 
 
 def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
@@ -184,8 +162,7 @@ def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
             f"{m} does not decompose over {module.space.window_label(m_ids)}")
     acc: dict = {}
     for c, mi, aj in dec:
-        a = module.algebra.basis_element(aj)
-        moved = x.apply_right(a) if module.side == "right" else x.apply_left(a)
+        moved = x.apply(module.side, module.algebra.basis_element(aj))
         vec_axpy(module.space.field, acc,
                  module.act(module.space.basis_element(mi), moved).coeffs, c)
     return Element(module.space, acc)
@@ -261,38 +238,39 @@ class MultiplierSpace:
 def iota_element(z: Multiplier):
     """c with z = iota(c), certified once and memoised on z, or None.
 
-    With a verified unit M(A) = A: c = z |> 1, certified by lam(e_y) = c e_y
-    and rho(e_y) = e_y c on every basis id (``unital_certificate``, one
+    With a verified unit M(A) = A: c = z |> 1, certified by z |> e_y = c e_y
+    and e_y <| z = e_y c on every basis id (``unital_certificate``, one
     sparse pass over the partner table per side).  iota
     is injective on a unital A (iota(x) = 0 gives x = x 1 = 0), so c is the
     unique preimage ``iota_preimage`` would solve for.  None (no verified
     unit, or a failed certificate) keeps the caller on its solve path.
     """
     if z._iota is None:
-        z._iota = unital_certificate(z.alg, z.lam_basis, z.rho_basis) or False
+        z._iota = unital_certificate(z.alg, partial(basis_image, z)) or False
     return z._iota or None
 
 
-def unital_certificate(alg: Algebra, lam, rho=None):
-    """c = lam(1) if lam(e_y) = c e_y and rho(e_y) = e_y c on every basis
-    id y of a finite ``alg`` with a verified unit, else None.  Without
-    ``rho`` the caller sets rho(e_y) = e_y c itself (``derive_rho``).  All
-    c e_y (and e_y c) come from one ``iota_images`` pass: a check costs the
-    partner table's nonzero pairs that c meets, not an element product per y."""
+def unital_certificate(alg: Algebra, image, sides=("left", "right")):
+    """c = z |> 1 if z |> e_y = c e_y (side "left") and e_y <| z = e_y c
+    (side "right") on every basis id y, for each of ``sides``, of a finite
+    ``alg`` with a verified unit, else None; ``image(side, y)`` gives the
+    coefficients of z's basis action.  Without "right" the caller sets
+    e_y <| z = e_y c itself (``derive_rho``).  All c e_y (and e_y c) come
+    from one ``iota_images`` pass: a check costs the partner table's nonzero
+    pairs that c meets, not an element product per y."""
     u = alg.verified_unit if alg.finite else None
     if u is None:
         return None
     acc: dict = {}
     for bid, k in u.coeffs.items():
-        image = lam(bid).coeffs
-        if image:
-            vec_axpy(alg.field, acc, image, k)
+        hit = image("left", bid)
+        if hit:
+            vec_axpy(alg.field, acc, hit, k)
     c = Element(alg, acc)
-    for side, rule in (("left", lam), ("right", rho)):
-        if rule is not None:
-            hits = iota_images(alg, c, side)
-            if any(rule(y).coeffs != hits.get(y, {}) for y in alg.basis.ids):
-                return None
+    for side in sides:
+        hits = iota_images(alg, c, side)
+        if any(image(side, y) != hits.get(y, {}) for y in alg.basis.ids):
+            return None
     return c
 
 
@@ -343,16 +321,16 @@ def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):
 
 def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     """z |> e (side "left") or e <| z, e the local unit of the Window ``ids``,
-    in ``apply_left``/``apply_right``'s factor order, memoised on leaves.  A
+    in ``Multiplier.apply``'s factor order, memoised on leaves.  A
     Psi(x (x) y) leaf contracts each factor on its factor window (e is
     e_L (x) e_R); a plain leaf keeps the nonzero images it meets, keyed to
     e's ids, so its rule runs once per id, and meets e before it is applied."""
     if z._prod is not None:
         outer, inner = z._prod if side == "left" else z._prod[::-1]
         a = _unit_contraction(inner, side, window, ids)
-        if outer._prod is None and outer._terms is None and outer._psi is None:
+        if outer._rules is not None:
             _unit_contraction(outer, side, window, ids)
-        return outer.apply_left(a) if side == "left" else outer.apply_right(a)
+        return outer.apply(side, a)
     memo = z._unit_memo = z._unit_memo or {}
     out = memo.get((side, window))
     if out is None:
@@ -368,33 +346,33 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     return out
 
 
-def _leaf_image(z: Multiplier, side, bid) -> Element:
-    """z |> e_bid or e_bid <| z as a unit contraction kept it, else the rule's."""
-    for unit, kept in z._unit_memo.get(side, ()) if z._unit_memo else ():
+def _leaf_image(z: Multiplier, side, bid) -> dict:
+    """A leaf's z |> e_bid or e_bid <| z as a unit contraction kept it, else its rule's."""
+    for unit, kept in z._unit_memo.get(side, ()):
         if bid in unit:
-            return Element(z.alg, kept.get(bid, {}))
-    return _as_element(z.alg, (z._lam if side == "left" else z._rho)(bid))
+            return kept.get(bid, {})
+    return _coeffs(z.alg, z._rules[side](bid))
 
 
 def _contract_leaf(z: Multiplier, side, a: Element, kept=None) -> Element:
-    """z |> a or a <| z from images it memoises none of, per id the memo, a Psi
-    leaf's factors', one a unit contraction kept or the rule's (as in
-    ``_leaf_image``); ``kept`` collects the nonzero ones."""
+    """z |> a or a <| z, memoising nothing: each id's image is the leaf's memo
+    entry, else a sum's or Psi leaf's ``basis_image``, else one a unit
+    contraction kept or the rule's (as in ``_leaf_image``); ``kept`` collects
+    the nonzero ones."""
     alg, acc, coeffs = z.alg, {}, a.coeffs
     stores = (z._unit_memo or {}).get(side, ())
-    cache, rule = (z._lam_cache, z._lam) if side == "left" else (z._rho_cache, z._rho)
+    memo, rule = (z._memo[side], z._rules[side]) if z._rules else ({}, None)
     for bid, c in coeffs.items():
-        if (image := cache.get(bid)) is not None:
-            image = image.coeffs
-        elif z._psi is not None:
-            image = basis_image(z, side, bid)
-        else:  # as ``_leaf_image``, inline: this loop is the hot one
-            for unit, k in stores:
-                if bid in unit:
-                    image = k.get(bid)
-                    break
-            else:
-                image = _as_element(alg, rule(bid)).coeffs
+        if (image := memo.get(bid)) is None:
+            if rule is None:
+                image = basis_image(z, side, bid)
+            else:  # as ``_leaf_image``, inline: this loop is the hot one
+                for unit, k in stores:
+                    if bid in unit:
+                        image = k.get(bid)
+                        break
+                else:
+                    image = _coeffs(alg, rule(bid))
         if image:  # most images are empty on the examples (sparse products)
             if kept is not None:
                 kept[bid] = image
@@ -408,16 +386,21 @@ def basis_image(z: Multiplier, side, bid) -> dict:
     A leaf gives its memoised basis action.  A product x*y goes factor by
     factor, inner image first (y on the left, x on the right), a ``combine``
     term by term, a Psi(x (x) y) leaf as the tensor of its factors' images,
-    and none of them caches anything: a sweep meets each once.
+    and none of them has a memo: a sweep meets each once.
     """
+    memo = z._memo
+    if memo is not None:
+        image = memo[side].get(bid)
+        if image is None:  # with no unit contraction kept, straight to the rule
+            image = memo[side][bid] = (_leaf_image(z, side, bid) if z._unit_memo
+                                       else _coeffs(z.alg, z._rules[side](bid)))
+        return image
     if z._psi is not None:
         (x, y), (i, j) = z._psi, bid
         hx = basis_image(x, side, i)
         return _outer(z.alg.field, hx, basis_image(y, side, j)) if hx else {}
     if z._terms is not None:
         parts = ((c, basis_image(x, side, bid)) for c, x in z._terms)
-    elif z._prod is None:
-        return (z.lam_basis(bid) if side == "left" else z.rho_basis(bid)).coeffs
     else:
         inner, outer = z._prod[::-1] if side == "left" else z._prod
         hit = basis_image(inner, side, bid)

@@ -241,7 +241,7 @@ def derive_rho(T, lam_table, what="delta"):
     c None when rho was solved for.
     """
     ids = list(T.basis.ids)
-    c = unital_certificate(T, lambda y: Element(T, lam_table.get(y, {})))
+    c = unital_certificate(T, lambda _side, y: lam_table.get(y, {}), ("left",))
     if c is not None:
         hits = iota_images(T, c, "right")
         return {p: hits.get(p, {}) for p in ids}, c

@@ -209,10 +209,10 @@ def test_negative_controls_exit_one_with_reverifiable_witnesses(tmp_path):
         b_id = next(iter(eb.coeffs))
         t1 = alg.zero()
         for (u, v), c in sl2.slice("right", a_id, b_id).coeffs.items():
-            t1 = t1 + s_bad.basis(u).apply_left(alg.basis_element(v)).scale(c)
+            t1 = t1 + s_bad.basis(u).apply("left", alg.basis_element(v)).scale(c)
         t2 = alg.zero()
         for (p, q), c in sl2.slice("left", a_id, b_id).coeffs.items():
-            t2 = t2 + s_bad.basis(q).apply_right(alg.basis_element(p)).scale(c)
+            t2 = t2 + s_bad.basis(q).apply("right", alg.basis_element(p)).scale(c)
         want1 = eb.scale(bundle.epsilon(ea))
         want2 = ea.scale(bundle.epsilon(eb))
         assert t1 != want1 or t2 != want2
@@ -270,10 +270,10 @@ def test_extension_bimodule_roundtrips_and_lift_laws():
         probes = ext.target_ids
 
         def left_rule(b_id, a_id, _e=ext):
-            return _e.basis_multiplier(b_id).apply_left(A.basis_element(a_id)).coeffs
+            return _e.basis_multiplier(b_id).apply("left", A.basis_element(a_id)).coeffs
 
         def right_rule(a_id, b_id, _e=ext):
-            return _e.basis_multiplier(b_id).apply_right(A.basis_element(a_id)).coeffs
+            return _e.basis_multiplier(b_id).apply("right", A.basis_element(a_id)).coeffs
 
         rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
                                           name=ext.name + "'")

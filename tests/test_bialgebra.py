@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mulhopf import bialgebra, comodule, hopf
+from mulhopf import bialgebra, comodule, hopf, multiplier
 from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              check_module, tensor_algebra, tensor_elem)
 from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slicer,
@@ -209,7 +209,7 @@ def test_memoised_slice_contraction_matches_the_direct_one():
             z, base = sl._framed(*key)
             for w in (2 * base * sl.expansion, base * sl.expansion):
                 e = txt.local_unit(txt.window_ids(w))
-                left, right = z.apply_left(e), z.apply_right(e)
+                left, right = z.apply("left", e), z.apply("right", e)
                 got = iota_preimage(txt, z, window=w)
                 if left == right:
                     assert got == left, (build, key, w)
@@ -220,20 +220,20 @@ def test_memoised_slice_contraction_matches_the_direct_one():
 
 def test_a_frame_is_contracted_through_its_factors(monkeypatch):
     # Psi(1 (x) e_b) |> (e_L (x) e_R) = e_L (x) (e_b e_R): at the doubling
-    # window, a right frame's lam and a left frame's rho (the actions a
-    # direct contraction of the frame would read) are never called
+    # window, a right frame's left action and a left frame's right action
+    # (what a direct contraction of the frame would read) are never evaluated
     bundle = kfin_Z(window=3).bialgebra
     sl = bundle.slicer(3)
     frames, calls = {}, []
-    for name, own in (("lam_basis", "right"), ("rho_basis", "left")):
-        real = getattr(Multiplier, name)
+    for owner, name in ((multiplier, "basis_image"), (Multiplier, "apply")):
+        real = getattr(owner, name)
 
-        def counted(self, bid, real=real, own=own):
-            if frames.get(id(self)) == own:
-                calls.append((own, bid))
-            return real(self, bid)
+        def counted(z, side, a, real=real):
+            if frames.get(id(z), side) != side:
+                calls.append((side, a))
+            return real(z, side, a)
 
-        monkeypatch.setattr(Multiplier, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for a in sl.ids:
         for b in sl.ids:
             for side, key, frame_id in (("right", (a, b), b), ("left", (b, a), b)):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mulhopf import bialgebra, comodule, multiplier
-from mulhopf.algebra import (InputError, WindowInsufficiency, regular_module,
+from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
                              scalar_algebra, tensor_algebra)
 from mulhopf.bialgebra import Slicer, check_coassociative, check_fons
 from mulhopf.comodule import (check_comodule_coassoc, check_comodule_coassoc_element,
@@ -14,7 +14,7 @@ from mulhopf.comodule import (check_comodule_coassoc, check_comodule_coassoc_ele
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import build_entry, gallery_names, kfin_Z, kfun_cyclic
-from mulhopf.multiplier import Multiplier, iota, one
+from mulhopf.multiplier import Multiplier, basis_image, iota, one
 
 from fixtures import random_algebra, self_comodule, trivial_module_algebra
 from test_unital import CASES as UNITAL_CASES, spec_entry, with_unit
@@ -100,8 +100,9 @@ def doubled_coaction(bundle, sides):
         m = delta.basis_multiplier(k)
         if k != 0:
             return m
-        lam = (lambda bid: m.lam_basis(bid).scale(2)) if "lam" in sides else m.lam_basis
-        rho = (lambda bid: m.rho_basis(bid).scale(2)) if "rho" in sides else m.rho_basis
+        lam, rho = (lambda bid, side=side, k=2 if rule in sides else 1:
+                    Element(m.alg, basis_image(m, side, bid)).scale(k)
+                    for side, rule in (("left", "lam"), ("right", "rho")))
         return Multiplier(m.alg, lam, rho)
 
     return Extension(bundle.algebra, delta.target, rule, name="rho")
@@ -215,12 +216,14 @@ def test_an_oracle_lift_with_no_decomposition_asks_for_a_larger_window():
     A = kfin_Z().algebra
     lifted = identity_extension(A, window=1).lift(iota(A, A.basis_element(0)))
     with pytest.raises(WindowInsufficiency, match="has no B.A decomposition"):
-        lifted.lam_basis(5)
+        basis_image(lifted, "left", 5)
 
 
 def test_a_certified_finite_comodule_sweeps_no_probe_and_slices_nothing(monkeypatch):
     b = kfun_cyclic(5).bialgebra
     gamma, dsl = self_comodule(b)
+    # each Delta(e_i) is certified first: the certificate pass reads basis images too
+    assert all(multiplier.iota_element(b.delta.basis_multiplier(i)) for i in gamma.ids)
     images, real_image = [], multiplier.basis_image
 
     def basis_image(*args):

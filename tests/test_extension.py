@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+from mulhopf import extension, multiplier
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
 from mulhopf.extension import (Extension, TensorExtension, _join_windows,
                                compose_extensions, identity_extension, psi_embed,
                                restrict_module)
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic
-from mulhopf.multiplier import Multiplier, iota, multiplier_eq, one
+from mulhopf.multiplier import Multiplier, basis_image, iota, multiplier_eq, one
 
 from fixtures import random_extension
 
@@ -83,8 +84,8 @@ def test_a_lift_builds_no_combined_multiplier(case, monkeypatch):
     monkeypatch.setattr(Extension, "apply",
                         lambda self, x: applied.append(x) or real(self, x))
     lifted = ext.lift(iota(B, b))
-    images = [(lifted.lam_basis(j), lifted.rho_basis(j)) for j in probes]
-    assert applied == [] and any(l.coeffs or r.coeffs for l, r in images)
+    images = [basis_image(lifted, side, j) for j in probes for side in ("left", "right")]
+    assert applied == [] and any(images)
     assert multiplier_eq(lifted, ext.apply(b), probes).ok
 
 
@@ -94,10 +95,10 @@ def test_bimodule_roundtrip():
     B, A = ext.source, ext.target
 
     def left_rule(b_id, a_id):
-        return ext.basis_multiplier(b_id).apply_left(A.basis_element(a_id)).coeffs
+        return ext.basis_multiplier(b_id).apply("left", A.basis_element(a_id)).coeffs
 
     def right_rule(a_id, b_id):
-        return ext.basis_multiplier(b_id).apply_right(A.basis_element(a_id)).coeffs
+        return ext.basis_multiplier(b_id).apply("right", A.basis_element(a_id)).coeffs
 
     rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
                                       name="pullback'")
@@ -133,10 +134,10 @@ def test_tensor_extensions_act_componentwise():
     BB, AA = tt.source, tt.target
     probe = tensor_elem(A.basis_element(1) + A.basis_element(2),
                         A.basis_element(2), into=AA)
-    got = tt.basis_multiplier((1, 0)).apply_left(probe)
-    want = tensor_elem(ext.basis_multiplier(1).apply_left(
-                           A.basis_element(1) + A.basis_element(2)),
-                       ext.basis_multiplier(0).apply_left(A.basis_element(2)),
+    got = tt.basis_multiplier((1, 0)).apply("left", probe)
+    want = tensor_elem(ext.basis_multiplier(1).apply(
+                           "left", A.basis_element(1) + A.basis_element(2)),
+                       ext.basis_multiplier(0).apply("left", A.basis_element(2)),
                        into=AA)
     assert got == want
 
@@ -149,7 +150,7 @@ def reference_columns(ext, side):
         fi = ext.basis_multiplier(i)
         for j in ext.target_ids:
             ej = ext.target.basis_element(j)
-            hit = fi.apply_left(ej) if side == "ba" else fi.apply_right(ej)
+            hit = fi.apply(side, ej)
             if not hit.is_zero():
                 cols.append(((i, j), hit.coeffs))
     return cols
@@ -168,7 +169,7 @@ def delta_tensor_identity(bundle, window):
 def test_tensor_span_columns_equal_the_generic_loop(bundle, window):
     # same column keys, values and order, so the same solver and decompositions
     for ext in delta_tensor_identity(bundle, window):
-        for side in ("ba", "ab"):
+        for side in ("left", "right"):
             got = [(key, list(col.items())) for key, col in ext._columns(side)]
             want = [(key, list(col.items())) for key, col in reference_columns(ext, side)]
             assert got and got == want, (ext.name, side)
@@ -180,18 +181,19 @@ def test_tensor_spans_never_apply_a_psi_multiplier(monkeypatch):
     calls = []
     exts = delta_tensor_identity(kfin_Z(window=3).bialgebra, 3)
     targets = {id(ext.target) for ext in exts}
-    for name in ("lam_basis", "rho_basis"):
-        real = getattr(Multiplier, name)
+    for owner, name in ((extension, "basis_image"), (multiplier, "basis_image"),
+                        (Multiplier, "apply")):
+        real = getattr(owner, name)
 
-        def counted(self, bid, real=real):
-            if id(self.alg) in targets:
-                calls.append(bid)
-            return real(self, bid)
+        def counted(z, side, a, real=real):
+            if id(z.alg) in targets:
+                calls.append(a)
+            return real(z, side, a)
 
-        monkeypatch.setattr(Multiplier, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for ext in exts:
         assert (len(ext.source_search_ids), len(ext.target_ids)) == (169, 343)
-        for side in ("ba", "ab"):
+        for side in ("left", "right"):
             assert ext._span(side).rank > 0
     assert calls == []
 
@@ -211,7 +213,7 @@ def test_psi_embed_componentwise():
     m = psi_embed((x, y), into=AA)
     probe = tensor_elem(A.basis_element(0) + A.basis_element(1),
                         A.basis_element(1), into=AA)
-    assert m.apply_left(probe) == tensor_elem(A.basis_element(0),
+    assert m.apply("left", probe) == tensor_elem(A.basis_element(0),
                                               A.basis_element(1), into=AA)
 
 

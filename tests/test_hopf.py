@@ -243,7 +243,7 @@ def test_convolution_unit_values():
     # eps(delta_0) = 1 picks out iota(delta_2); eps kills every other id
     assert multiplier_eq(alpha.basis(0), iota(alg, alg.basis_element(2)),
                          (-2, -1, 0, 1, 2)).ok
-    assert alpha.basis(1).apply_left(alg.basis_element(1)).is_zero()
+    assert alpha.basis(1).apply("left", alg.basis_element(1)).is_zero()
 
 
 def test_iota_convolved_with_itself():
@@ -320,7 +320,7 @@ def test_twisting_does_not_degenerate():
     alg = kfun_cyclic(2).algebra
     f = iota_map(alg)
     twisted = source_twist(f, left=alg.basis_element(0))
-    assert not twisted.basis(0).apply_left(alg.basis_element(0)).is_zero()
+    assert not twisted.basis(0).apply("left", alg.basis_element(0)).is_zero()
 
 
 def test_map_eq_failure_carries_witness():

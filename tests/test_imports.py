@@ -224,3 +224,10 @@ def test_every_traced_name_resolves_as_the_tracer_patches_it(module, attr):
         assert callable(vars(getattr(mod, cls)).get(meth))
     else:
         assert callable(vars(mod).get(attr))
+
+
+# The standing rule of ROADMAP.md: ``wc -l src/mulhopf/*.py`` stays within
+# 4,600 lines, so new code is paid for with deletions.
+def test_the_package_stays_within_its_line_budget():
+    lines = sum(p.read_text(encoding="utf-8").count("\n") for p in SRC.glob("*.py"))
+    assert lines <= 4_600

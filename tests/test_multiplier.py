@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from mulhopf import linalg, multiplier
-from mulhopf.algebra import InputError, regular_module, resolve_window, tensor_elem
+from mulhopf.algebra import Element, InputError, regular_module, resolve_window, tensor_elem
 from mulhopf.extension import psi_embed
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
@@ -114,10 +114,10 @@ def test_product_applies_factor_by_factor():
     y = iota(KZ, KZ.element({1: QQ.one, 2: QQ.one}))
     p = x * y
     probe = KZ.element({1: QQ.one, 2: QQ.coerce(3)})
-    assert p.apply_left(probe) == x.apply_left(y.apply_left(probe))
-    assert p.apply_right(probe) == y.apply_right(x.apply_right(probe))
-    # per-basis lambda agrees with whole-element application
-    assert p.lam_basis(1) == p.apply_left(KZ.basis_element(1))
+    assert p.apply("left", probe) == x.apply("left", y.apply("left", probe))
+    assert p.apply("right", probe) == y.apply("right", x.apply("right", probe))
+    # the per-basis image agrees with whole-element application
+    assert basis_image(p, "left", 1) == p.apply("left", KZ.basis_element(1)).coeffs
 
 
 def test_sum_and_scale_of_multipliers():
@@ -126,7 +126,7 @@ def test_sum_and_scale_of_multipliers():
     s = x + y
     assert multiplier_eq(s, one(A), (0, 1)).ok
     doubled = x.scale(QQ.coerce(2))
-    assert doubled.apply_left(A.basis_element(0)) == A.basis_element(0).scale(QQ.coerce(2))
+    assert doubled.apply("left", A.basis_element(0)) == A.basis_element(0).scale(QQ.coerce(2))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
@@ -145,7 +145,11 @@ def test_combine_equals_the_chained_sum_and_is_zero_without_terms(field):
     zero = combine(A, [])
     for i in ids:
         e = A.basis_element(i)
-        assert zero.apply_left(e).is_zero() and zero.apply_right(e).is_zero()
+        assert zero.apply("left", e).is_zero() and zero.apply("right", e).is_zero()
+
+
+def image(x, side, bid):
+    return Element(x.alg, basis_image(x, side, bid))
 
 
 class FormerSums:
@@ -153,25 +157,25 @@ class FormerSums:
 
     @staticmethod
     def add(x, y):
-        return Multiplier(x.alg, lambda bid: x.lam_basis(bid) + y.lam_basis(bid),
-                          lambda bid: x.rho_basis(bid) + y.rho_basis(bid))
+        return Multiplier(x.alg, lambda bid: image(x, "left", bid) + image(y, "left", bid),
+                          lambda bid: image(x, "right", bid) + image(y, "right", bid))
 
     @staticmethod
     def neg(x):
-        return Multiplier(x.alg, lambda bid: -x.lam_basis(bid),
-                          lambda bid: -x.rho_basis(bid))
+        return Multiplier(x.alg, lambda bid: -image(x, "left", bid),
+                          lambda bid: -image(x, "right", bid))
 
     @staticmethod
     def scale(x, scalar):
         s = x.alg.field.coerce(scalar)
-        return Multiplier(x.alg, lambda bid: x.lam_basis(bid).scale(s),
-                          lambda bid: x.rho_basis(bid).scale(s))
+        return Multiplier(x.alg, lambda bid: image(x, "left", bid).scale(s),
+                          lambda bid: image(x, "right", bid).scale(s))
 
 
 def basis_tables(x):
-    """Every lam_basis / rho_basis image with its key order."""
-    return [(bid, list(x.lam_basis(bid).coeffs.items()), list(x.rho_basis(bid).coeffs.items()))
-            for bid in x.alg.basis.ids]
+    """Every basis image on both sides with its key order."""
+    return [(bid, list(basis_image(x, "left", bid).items()),
+             list(basis_image(x, "right", bid).items())) for bid in x.alg.basis.ids]
 
 
 @pytest.mark.parametrize("xs", [
@@ -250,13 +254,13 @@ def test_basis_image_matches_the_element_actions(entry, window):
         for z in multipliers:
             images = {(side, w): basis_image(z, side, w)
                       for w in resolve_window(space, window) for side in ("left", "right")}
-            # the terms walk caches nothing on a sum
-            assert z._terms is None or (z._lam_cache == {} and z._rho_cache == {})
-            for (side, w), image in images.items():
+            # the terms walk caches nothing on a sum: it has no memo
+            assert z._terms is None or z._memo is None
+            for (side, w), hit in images.items():
                 p = space.basis_element(w)
-                assert image == (z.apply_left(p) if side == "left" else z.apply_right(p)).coeffs
-                assert image == unfolded(z, side, p).coeffs
-                hits += bool(image)
+                assert hit == z.apply(side, p).coeffs
+                assert hit == unfolded(z, side, p).coeffs
+                hits += bool(hit)
     assert hits > 0
 
 
@@ -272,7 +276,7 @@ def unfolded(z, side, a):
         return sum((tensor_elem(unfolded(x, side, left.basis_element(i)),
                                 unfolded(y, side, right.basis_element(j)), into=a.space).scale(c)
                     for (i, j), c in a.coeffs.items()), a.space.zero())
-    return z.apply_left(a) if side == "left" else z.apply_right(a)
+    return z.apply(side, a)
 
 
 def test_applying_a_leaf_reads_its_memo_and_fills_none():
@@ -282,12 +286,12 @@ def test_applying_a_leaf_reads_its_memo_and_fills_none():
     e = A.basis_element
     x = iota(A, e(0) + e(1).scale(2))
     a = e(0).scale(3) + e(1) - e(5)
-    assert x.apply_left(a) == x.apply_right(a) == e(0).scale(3) + e(1).scale(2)
-    assert x._lam_cache == {} and x._rho_cache == {}
-    x.lam_basis(1)
-    x._lam_cache[1] = e(7)  # a planted memo shows it is read
-    assert x.apply_left(a) == e(0).scale(3) + e(7)
-    assert list(x._lam_cache) == [1] and x._rho_cache == {}
+    assert x.apply("left", a) == x.apply("right", a) == e(0).scale(3) + e(1).scale(2)
+    assert x._memo == {"left": {}, "right": {}}
+    basis_image(x, "left", 1)
+    x._memo["left"][1] = e(7).coeffs  # a planted memo shows it is read
+    assert x.apply("left", a) == e(0).scale(3) + e(7)
+    assert list(x._memo["left"]) == [1] and x._memo["right"] == {}
 
 
 def test_probe_sweeps_cache_nothing_on_a_product():
@@ -298,4 +302,4 @@ def test_probe_sweeps_cache_nothing_on_a_product():
     probes = resolve_window(sl.txt, 3)
     assert agrees_on_probes(sl.txt, sl.slice("right", 1, 2), z, probes)
     assert multiplier_eq(z, z, probes).ok
-    assert z._lam_cache == {} and z._rho_cache == {}
+    assert z._memo is None

@@ -31,7 +31,7 @@ from fixtures import random_algebra, self_comodule
 # -- the full sweeps, every probe on both sides ------------------------------
 
 
-def full_multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> Verdict:
+def full_multiplier_eq(x: Multiplier, y: Multiplier, probe_ids) -> Verdict:
     alg, probe_ids = x.alg, tuple(probe_ids)
     label = f"{len(probe_ids)} probes"
     for w in probe_ids:
@@ -42,9 +42,8 @@ def full_multiplier_eq(x: Multiplier, y: Multiplier, probe_ids, strict=None) -> 
                 return Verdict("multiplier equality", "failed", label,
                                witness=(alg.basis_element(w),),
                                detail=text.format(Element(alg, hx), Element(alg, hy)))
-    if strict is None:
-        strict = "proven" if alg.covers_fully(probe_ids) else "holds_on_window"
-    return Verdict("multiplier equality", strict, label)
+    return Verdict("multiplier equality",
+                   "proven" if alg.covers_fully(probe_ids) else "holds_on_window", label)
 
 
 def full_agrees_on_probes(alg, u: Element, z: Multiplier, probe_ids) -> bool:
@@ -175,10 +174,9 @@ def test_multiplier_eq_gives_the_full_sweeps_verdict(data):
         y = combine(alg, [(1, x), (1, planted(alg, draw_plants(data, alg, probes)))])
     else:
         y = x if y == "same" else combine(alg, [])
-    strict = data.draw(strat.sampled_from([None, "holds_on_window"]))
-    want = full_multiplier_eq(x, y, probes, strict)
-    assert multiplier_eq(x, y, probes, strict) == want
-    assert multiplier_eq(x, y, as_window(alg, probes), strict) == want
+    want = full_multiplier_eq(x, y, probes)
+    assert multiplier_eq(x, y, probes) == want
+    assert multiplier_eq(x, y, as_window(alg, probes)) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -276,6 +276,31 @@ def test_exit_1_on_failed_axiom(capsys):
     assert "witness=1*z" in out
 
 
+def test_a_zero_rule_value_is_the_zero_product(tmp_path, capsys):
+    rc, out, _ = run_cli(["check-algebra", write_spec(tmp_path, "field Q\nbasis e\nmul e e = 0\n")],
+                         capsys)
+    assert rc == 1
+    assert "  idempotency: failed [full basis(1)] witness=1*e " in out
+
+
+def test_classify_of_an_algebra_with_no_coproduct_stops_at_the_algebra(capsys):
+    # matfin has no coproduct; its window is certified through the gallery's
+    # local-unit hook
+    rc, out, _ = run_cli(["classify", "gallery:matfin", "--window", "2"], capsys)
+    assert rc == 0
+    assert out.endswith("\nclassification: non-degenerate idempotent algebra "
+                        "(holds_on_window 2)\n")
+
+
+def test_the_text_report_names_its_options_and_times_each_entry(capsys):
+    rc, out, _ = run_cli(["check-algebra", "gallery:kfun_cyclic(2)", "--seed", "3", "--timing"],
+                         capsys)
+    head, *entries = out.splitlines()
+    assert rc == 0
+    assert head == "mulhopf check-algebra gallery:kfun_cyclic(2)  (expansion=2, seed=3)"
+    assert len(entries) == 4 and all(re.search(r" \d+\.\dms$", line) for line in entries)
+
+
 def test_exit_2_on_window_insufficiency(tmp_path, capsys):
     # epsilon given on only part of the basis: the counit check walks off
     # the table and the run stops with a partial report
@@ -730,7 +755,7 @@ def test_a_leaf_contracted_against_a_scaled_local_unit_keeps_no_per_id_image():
     assert len(ids) == 289
     left, right = (_unit_contraction(leaf, side, 8, ids) for side in ("left", "right"))
     assert left == right and len(left.coeffs) == 17
-    assert leaf._lam_cache == {} and leaf._rho_cache == {}
+    assert leaf._memo == {"left": {}, "right": {}}
     assert _unit_contraction(leaf, "left", 8, ids) is left
 
 
@@ -750,7 +775,7 @@ def test_check_comodule_caches_nothing_on_the_coaction_sums_it_sweeps(capsys, mo
     rc, _, _ = run_cli(["check-comodule", str(Path(__file__).parent / "golden" / "kfin_Z_w2.spec")],
                        capsys)
     assert rc == 0
-    assert sums and all(z._lam_cache == {} and z._rho_cache == {} for z in sums)
+    assert sums and all(z._memo is None for z in sums)
 
 
 @pytest.mark.parametrize("argv", [["classify", "kfin_Z_w3.spec"],
@@ -770,7 +795,7 @@ def test_swept_psi_leaves_keep_empty_caches(capsys, monkeypatch, argv):
     monkeypatch.chdir(Path(__file__).parent / "golden")
     rc, _, _ = run_cli(argv, capsys)
     assert rc == 0
-    assert swept and all(z._lam_cache == {} and z._rho_cache == {} for z in swept.values())
+    assert swept and all(z._memo is None for z in swept.values())
 
 
 def test_classify_evaluates_each_delta_rule_once_per_side_and_id(capsys, monkeypatch):
@@ -813,7 +838,7 @@ def test_classify_at_window_6_memoises_few_basis_images(capsys, monkeypatch):
     rc, _, _ = run_cli(["classify", str(Path(__file__).parent / "golden" / "kfin_Z_w6.spec")],
                        capsys)
     assert rc == 0
-    assert sum(len(z._lam_cache) + len(z._rho_cache) for z in made) <= 15_000
+    assert sum(len(images) for z in made if z._memo for images in z._memo.values()) <= 15_000
 
 
 # --- reports read back -----------------------------------------------------

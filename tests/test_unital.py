@@ -24,7 +24,7 @@ from mulhopf.cli import main
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfun_cyclic, nand_delta
-from mulhopf.multiplier import Multiplier, iota, iota_element, iota_preimage
+from mulhopf.multiplier import Multiplier, basis_image, iota, iota_element, iota_preimage
 
 from fixtures import random_algebra
 
@@ -108,7 +108,7 @@ def items(elem):
 
 def rho_tables(ext):
     T = ext.target
-    tables = [{y: z.lam_basis(y).coeffs for y in T.basis.ids if z.lam_basis(y).coeffs}
+    tables = [{y: basis_image(z, "left", y) for y in T.basis.ids if basis_image(z, "left", y)}
               for z in map(ext.basis_multiplier, ext.source.basis.ids)]
     return [specfile.derive_rho(T, t)[0] for t in tables]
 
@@ -141,7 +141,8 @@ def test_a_planted_delta_falls_back_to_the_parent_verdicts(monkeypatch):
     true = b.delta.basis_multiplier(1)
     c = iota_element(true)
     wrong = c + T.basis_element((0, 0))
-    planted = Multiplier(T, true.lam_basis, lambda y: T.basis_element(y) * wrong)
+    planted = Multiplier(T, lambda y: Element(T, basis_image(true, "left", y)),
+                         lambda y: T.basis_element(y) * wrong)
 
     def fresh():
         delta = Extension(A, T, lambda i: planted if i == 1 else
@@ -258,14 +259,14 @@ def test_building_a_unital_spec_keeps_derive_rhos_certificate(monkeypatch):
     """Each Delta(e_i) keeps the c = m(1) that ``derive_rho`` certified; no
     second pass m |> 1 recomputes it."""
     applied = []
-    real = Multiplier.apply_left
-    monkeypatch.setattr(Multiplier, "apply_left",
-                        lambda self, a: applied.append(self) or real(self, a))
+    real = Multiplier.apply
+    monkeypatch.setattr(Multiplier, "apply",
+                        lambda self, side, a: applied.append(self) or real(self, side, a))
     delta = spec_entry("rescaled_z6.spec").bialgebra.delta
     assert applied == []
     for i in delta.source.basis.ids:
         m = delta.basis_multiplier(i)
-        assert items(m._iota) == items(real(m, delta.target.verified_unit))
+        assert items(m._iota) == items(real(m, "left", delta.target.verified_unit))
 
 
 def test_building_a_unital_spec_multiplies_no_elements(monkeypatch):
