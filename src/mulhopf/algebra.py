@@ -474,13 +474,18 @@ def sweedler_decompose(alg: Algebra, elem: Element, window):
 
 
 def check_associativity(alg: Algebra, window=None) -> Verdict:
+    """(e_i e_j) e_k = e_i (e_j e_k) on window triples, i, j, k in scan order.
+    On a finite algebra a triple with e_i e_j = 0 = e_j e_k is skipped:
+    both sides are 0."""
     ids = resolve_window(alg, window)
     label = alg.window_label(ids)
+    partner_ids = ({j: [k for k in ids if k in ks] for j, ks in alg.partners.items()}
+                   if alg.finite else None)
     for i in ids:
         for j in ids:
             ej = alg.basis_element(j)
             eij = alg.mul_basis(i, j)
-            for k in ids:
+            for k in ids if partner_ids is None or eij.coeffs else partner_ids[j]:
                 left = eij * alg.basis_element(k)
                 right = alg.basis_element(i) * alg.mul_basis(j, k)
                 if left != right:
@@ -800,17 +805,22 @@ class TensorAlgebra(Algebra):
 
     def element_mul(self, x: Element, y: Element) -> Element:
         """The generic loop, multiplying only pairs whose factors' partner
-        tables say both products are nonzero (an oracle factor has none)."""
+        tables say both products are nonzero (an oracle factor has none).
+        y's terms are grouped by left factor once; an x-term visits the
+        groups of its left partners, merged back into y's order."""
         left, right = self.factors
         if not (left.finite and right.finite):
             return super().element_mul(x, y)
         field, lp, rp = self.field, left.partners, right.partners
         lprod, rprod = left.basis_product, right.basis_product
+        groups: dict = {}
+        for n, ((i2, j2), c2) in enumerate(y.coeffs.items()):
+            groups.setdefault(i2, []).append((n, i2, j2, c2))
         acc: dict = {}
         for (i1, j1), c1 in x.coeffs.items():
-            li, rj = lp[i1], rp[j1]
-            for (i2, j2), c2 in y.coeffs.items():
-                if i2 in li and j2 in rj:
+            rj = rp[j1]
+            for _, i2, j2, c2 in sorted(t for i2 in groups.keys() & lp[i1] for t in groups[i2]):
+                if j2 in rj:
                     vec_axpy(field, acc, _outer(field, lprod(i1, i2), rprod(j1, j2)),
                              field.mul(c1, c2))
         return Element(self, acc)

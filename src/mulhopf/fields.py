@@ -50,7 +50,8 @@ class RationalField(Field):
         raise FieldError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
-        return _canonical(a + b)
+        # sparse accumulation mostly adds into an empty slot: no Fraction work
+        return _canonical(b if not a else a + b)
 
     def sub(self, a, b):
         return _canonical(a - b)

@@ -8,6 +8,7 @@ import random
 
 from mulhopf.algebra import (
     Algebra, Element, InputError, ModuleStructure, finite_algebra, resolve_window,
+    tensor_algebra,
 )
 from mulhopf.bialgebra import MultiplierBialgebra, Slicer
 from mulhopf.extension import Extension, identity_extension
@@ -203,6 +204,27 @@ def random_extension(seed: int, field=QQ) -> Extension:
     A = _group_algebra(field, m)
     return Extension(B, A, lambda i: iota(A, A.basis_element(i % m)),
                      name=f"quot[{seed}]")
+
+
+def random_coproduct_bundle(seed: int, unital=False) -> MultiplierBialgebra:
+    """Delta(e_k) = iota(t_k), t_k seeded in A (x) A, on random_algebra(seed);
+    with ``unital``, on k^d with the last t_k set so that Delta(1) = 1 (x) 1.
+
+    Every slice exists, and coassociativity usually fails somewhere.
+    """
+    rng = random.Random(seed)
+    A = _kpow(QQ, rng.randint(2, 3), f"kp[{seed}]") if unital else random_algebra(seed)
+    AA = tensor_algebra(A, A)
+    ids = A.basis.ids
+    t = {k: AA.element({(i, j): rng.randint(-1, 1) for i in ids for j in ids})
+         for k in ids}
+    if unital:
+        *rest, last = ids
+        t[last] = AA.element({(i, j): QQ.one for i in ids for j in ids})
+        for k in rest:
+            t[last] = t[last] - t[k]
+    delta = Extension(A, AA, lambda k: iota(AA, t[k]), name=f"Delta[{seed}]")
+    return MultiplierBialgebra(A, delta, None, None)
 
 
 def _kpow(field, d, name):

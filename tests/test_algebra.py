@@ -195,6 +195,40 @@ def test_random_algebras_keep_their_laws(seed):
     assert check_nondegenerate(A).status == "proven"
 
 
+def sparse_table_algebra(seed):
+    """Seeded sparse product table over F_5 on 2-4 ids: mostly zero products,
+    so some tables are associative and the rest fail at some triple."""
+    rng, F = random.Random(seed), GF(5)
+    ids = list(range(rng.randint(2, 4)))
+    density = rng.choice((0.15, 0.3, 0.5))
+    table = {(i, j): {k: rng.randint(1, 4) for k in rng.sample(ids, rng.randint(1, 2))}
+             for i in ids for j in ids if rng.random() < density}
+    return finite_algebra(F, ids, table, name=f"sparse[{seed}]")
+
+
+def reference_associativity(alg):
+    """The plain n^3 loop over every triple, in scan order."""
+    ids, e = alg.basis.ids, alg.basis_element
+    for i in ids:
+        for j in ids:
+            for k in ids:
+                left, right = alg.mul_basis(i, j) * e(k), e(i) * alg.mul_basis(j, k)
+                if left != right:
+                    return ("failed", (e(i), e(j), e(k)),
+                            f"(ei*ej)*ek = {left} but ei*(ej*ek) = {right}")
+    return ("proven", None, "")
+
+
+def test_partner_only_associativity_is_the_full_scan():
+    statuses = set()
+    for seed in range(60):
+        A = sparse_table_algebra(seed)
+        v = check_associativity(A)
+        assert (v.status, v.witness, v.detail) == reference_associativity(A), seed
+        statuses.add(v.status)
+    assert statuses == {"proven", "failed"}
+
+
 @settings(max_examples=10, deadline=None)
 @given(strat.integers(min_value=0, max_value=10_000))
 def test_random_algebras_over_f7(seed):
@@ -229,10 +263,23 @@ def test_tensor_products_are_the_generic_loop(make):
     rng, ids, f = random.Random(3), T.basis.ids, T.field
     elems = [T.element({rng.choice(ids): f.coerce(rng.randint(-2, 2)) for _ in range(size)})
              for size in (0, 1, 1, 3, 6, len(ids))]
+    # every pair, right factor first, so the left-factor groups interleave
+    elems.append(T.element({(i, j): f.one for j in A.basis.ids for i in A.basis.ids}))
     for x in elems:
         for y in elems:
             got, want = T.element_mul(x, y), Algebra.element_mul(T, x, y)
             assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def test_tensor_products_merge_partner_groups_in_y_order():
+    # e11 (x) e11 meets y's four terms, whose left factors alternate e12, e11:
+    # read group by group they would come out e12, e12, e11, e11
+    M = matrix_units()
+    T = tensor_algebra(M, M)
+    x = T.element({("e11", "e11"): 1})
+    y = T.element({("e12", "e11"): 1, ("e11", "e12"): 1, ("e12", "e12"): 1, ("e11", "e11"): 1})
+    assert list((x * y).coeffs) == list(Algebra.element_mul(T, x, y).coeffs) == [
+        ("e12", "e11"), ("e11", "e12"), ("e12", "e12"), ("e11", "e11")]
 
 
 def test_tensor_products_drop_terms_that_cancel():

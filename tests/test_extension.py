@@ -1,19 +1,24 @@
 """Morphisms B -> M(A) and their lifts to M(B) -> M(A)."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from mulhopf import extension, multiplier
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
+from mulhopf.cli import main
 from mulhopf.extension import (Extension, TensorExtension, _join_windows,
                                compose_extensions, identity_extension, psi_embed,
                                restrict_module)
 from mulhopf.fields import GF, QQ
-from mulhopf.gallery import kfin_Z, kfun_cyclic
+from mulhopf.gallery import kfin_Z, kfun_cyclic, nand_delta_bundle
 from mulhopf.multiplier import Multiplier, basis_image, iota, multiplier_eq, one
+from mulhopf.specfile import build_bundle, parse_spec
 
-from fixtures import random_extension
+from fixtures import random_coproduct_bundle, random_extension
 
 
 def fiber_map_z2_to_z4():
@@ -262,3 +267,88 @@ def test_extension_multiplicativity_failure_names_pair_and_probe():
     assert v.window == "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"
     assert v.witness == (kz.algebra.basis_element(0), kz.algebra.basis_element(0))
     assert v.detail == "f(ei*ej) != f(ei)f(ej) at probe 1*(d-2,d2)"
+
+
+# --- the unital certificate f(1) = 1 and its fallback ----------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def spec_extensions(spec):
+    entry = build_bundle(parse_spec((GOLDEN / spec).read_text()))
+    return {"Delta": entry.bialgebra.delta, "rho": entry.coaction}
+
+
+EXTENSIONS = {
+    **{f"kfun_cyclic({n})": (lambda n=n: kfun_cyclic(n).bialgebra.delta) for n in (2, 3, 5)},
+    "nand_delta": lambda: nand_delta_bundle().delta,
+    **{f"{spec[:-5]}/{which}": (lambda spec=spec, which=which: spec_extensions(spec)[which])
+       for spec, which in [("monoid01.spec", "Delta"), ("left_zero2.spec", "Delta"),
+                           ("rescaled_z4_f7.spec", "Delta"),
+                           ("rescaled_z4_f7_trivial_coaction.spec", "rho"),
+                           ("rescaled_z4_f7_d0_coaction.spec", "rho")]},
+    **{f"random_coproduct_bundle({s}, unital={u})":
+       (lambda s=s, u=u: random_coproduct_bundle(s, unital=u).delta)
+       for s in range(5) for u in (False, True)},
+    **{f"random_extension({s})": (lambda s=s: random_extension(s)) for s in range(6)},
+}
+
+# f(1) = 1 fails only where rho(1) = 1 (x) e0 (the d0 coaction) or the
+# source has no declared unit (a random algebra, and the identity on one)
+UNCERTIFIED = {"rescaled_z4_f7_d0_coaction/rho", "random_extension(2)",
+               *(f"random_coproduct_bundle({s}, unital=False)" for s in range(5))}
+
+
+def test_the_certificate_applies_exactly_where_f_of_one_is_one():
+    assert {name for name, make in EXTENSIONS.items()
+            if not make()._maps_unit_to_unit()} == UNCERTIFIED
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_the_certificate_agrees_with_the_scans(name, monkeypatch):
+    # status, witness and detail of every verdict, with and without it
+    with_it = [str(v) for v in EXTENSIONS[name]().validate()]
+    monkeypatch.setattr(Extension, "_maps_unit_to_unit", lambda self: False)
+    assert [str(v) for v in EXTENSIONS[name]().validate()] == with_it
+
+
+def test_a_coaction_with_rho_of_one_not_one_takes_the_scans():
+    # rho(1) = 1 (x) e0 is not 1, so the kernel scan names the annihilated id
+    rho = spec_extensions("rescaled_z4_f7_d0_coaction.spec")["rho"]
+    assert not rho._maps_unit_to_unit()
+    idem, nondeg = rho.validate()[1:]
+    assert [(v.status, str(v.witness[0]), v.detail) for v in (idem, nondeg)] == [
+        ("failed", "1*(e0,e1)", "no B.A decomposition"),
+        ("failed", "1*(e0,e1)", "killed by every f(b) on the right")]
+
+
+@pytest.mark.parametrize("certificate", [True, False])
+def test_classify_of_a_unital_spec_validates_with_no_span_or_kernel(
+        certificate, capsys, monkeypatch):
+    counts, inside = Counter(), []
+    real_validate, real_span, real_annihilated = (
+        Extension.validate, extension.PairSpan, extension.annihilated)
+
+    def validate(self):
+        inside.append(self)
+        try:
+            return real_validate(self)
+        finally:
+            inside.pop()
+
+    def counted(name, real):
+        def call(*args):
+            if inside:
+                counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(Extension, "validate", validate)
+    monkeypatch.setattr(extension, "PairSpan", counted("PairSpan", real_span))
+    monkeypatch.setattr(extension, "annihilated", counted("annihilated", real_annihilated))
+    if not certificate:
+        monkeypatch.setattr(Extension, "_maps_unit_to_unit", lambda self: False)
+    assert main(["classify", str(GOLDEN / "rescaled_z6.spec")]) == 0
+    capsys.readouterr()
+    # Delta's validate is the only one: both spans and both side scans without
+    assert counts == ({} if certificate else {"PairSpan": 2, "annihilated": 2})

@@ -128,3 +128,20 @@ def test_gf7_ring_laws(a, b, c):
     assert F.add(a, F.neg(a)) == F.zero
     if a != F.zero:
         assert F.mul(a, F.inv(a)) == F.one
+
+
+def test_qq_adds_into_zero_without_fraction_work():
+    three = QQ.add(0, Fraction(3, 1))
+    assert three == 3 and type(three) is int
+    for x in (0, 5, -2, Fraction(2, 3), Fraction(-7, 4)):
+        assert QQ.add(0, x) == x and type(QQ.add(0, x)) is type(x)
+        assert QQ.add(x, 0) == x
+    one = QQ.add(Fraction(1, 3), Fraction(2, 3))
+    assert one == 1 and type(one) is int
+
+
+def test_fp_addition_is_unchanged():
+    F = GF(5)
+    assert [F.add(a, b) for a in range(5) for b in range(5)] == [
+        (a + b) % 5 for a in range(5) for b in range(5)]
+    assert F.add(0, 7) == 2

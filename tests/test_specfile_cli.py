@@ -708,14 +708,31 @@ def test_oracle_spec_certifies_delta_on_the_run_window(tmp_path, capsys, spec_te
         "5 ids of K(Z)", "5 ids of K(Z) -> 25 ids of K(Z)(x)K(Z)"}
 
 
-# the slice Delta(d-2)(1(x)d1) = d-3(x)d1 lies outside window 2 x 1: its
-# contraction reads 0, so it takes the doubled retry
+# at expansion 1 Delta's certificates stop the run (exit 2) before any
+# slice; test_bialgebra slices at expansion 1 through the library
 @pytest.mark.parametrize("command", ["classify", "check-comodule"])
 def test_kz_at_expansion_one_reads_no_false_failure(capsys, command):
     rc, out, _ = run_cli([command, "gallery:kfin_Z", "--window", "2", "--expansion", "1",
                           "--report", "json"], capsys)
     assert rc != 1
     assert [e for e in json.loads(out)["entries"] if e["status"] == "failed"] == []
+
+
+def test_delta_certificates_search_at_the_run_expansion(capsys):
+    # (d-2,d-2) needs Delta(d-4), outside window 2 at expansion 1: the run
+    # cannot certify idempotency and must say so, not read holds_on_window
+    rc, out, err = run_cli(["check-bialgebra", "gallery:kfin_Z", "--window", "2",
+                            "--expansion", "1", "--report", "json"], capsys)
+    assert rc == 2
+    assert "1*(d-2,d-2) of kfin_Z(x)kfin_Z has no B.A decomposition" in err
+    axioms = [e["axiom"] for e in json.loads(out)["entries"]]
+    assert "extension idempotency" not in axioms
+    # at the default expansion the same window certifies it
+    rc, out, _ = run_cli(["check-bialgebra", "gallery:kfin_Z", "--window", "2",
+                          "--report", "json"], capsys)
+    assert rc == 0
+    entries = {e["axiom"]: e["status"] for e in json.loads(out)["entries"]}
+    assert entries["extension idempotency"] == "holds_on_window"
 
 
 def test_classify_contracts_each_leaf_against_a_local_unit_once_per_side(capsys, monkeypatch):
