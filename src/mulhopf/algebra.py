@@ -260,14 +260,17 @@ class Algebra(Space):
 
     @cached_property
     def verified_unit(self):
-        """The declared unit if it acts as a unit on every basis id, else None.
-
-        Finite algebras only (an oracle basis cannot be exhausted).  Code
-        that relies on M(A) = iota(A) asks this, never ``unit``, so a false
-        declaration cannot leak into a result.
-        """
-        u = self.unit if self.finite else None
-        return None if u is None or unit_miss(self, u, self.basis.ids) is not None else u
+        """A finite algebra's unit: the declared one if it fixes every basis id,
+        else the (unique) u with iota(u) = 1 solved by ``regular_solver``, else
+        None.  Code that relies on M(A) = iota(A) asks this, never ``unit``, so
+        a false declaration cannot leak into a result."""
+        if not self.finite:
+            return None
+        u, ids = self.unit, self.basis.ids
+        if u is not None and unit_miss(self, u, ids) is None:
+            return u
+        sol = self.regular_solver().solve({(s, w, w): self.field.one for w in ids for s in "LR"})
+        return None if sol is None else Element(self, vec_canonical(self.field, sol))
 
     @property
     def has_local_units(self):
@@ -577,9 +580,9 @@ def check_local_units(alg: Algebra, window=None) -> Verdict:
     """Unit or local-unit evidence on the window, as a verdict.
 
     A declared unit or certificate hook is verified against every window
-    basis element.  Without either, the window span is searched for
-    per-probe units; that search only ever yields window-grade evidence,
-    so the status stays at holds_on_window even for finite algebras.
+    basis element; with neither, a finite algebra's unit is solved for
+    (``verified_unit``).  Else the window span is searched for per-probe
+    units, which is only ever window-grade evidence (holds_on_window).
     """
     ids = resolve_window(alg, window)
     label = alg.window_label(ids)
@@ -589,6 +592,8 @@ def check_local_units(alg: Algebra, window=None) -> Verdict:
             return Verdict("local units", "failed", label, witness=(alg.basis_element(miss),),
                            detail="declared unit does not act as a unit")
         return Verdict("local units", "proven", label, detail="unit element")
+    if alg.verified_unit is not None:
+        return Verdict("local units", "proven", label, detail="unit element solved")
     if alg.has_local_units:
         e = alg.local_unit(ids)
         miss = unit_miss(alg, e, ids)
@@ -771,23 +776,21 @@ class TensorAlgebra(Algebra):
     """left (x) right on pair ids, multiplied factor by factor: a pair of
     terms is multiplied only when both factor products are nonzero, and
     nothing is cached per pair of pair ids (``mul_basis`` still tabulates
-    for the solvers).  The unit
-    verifies as a theorem, (u (x) v)(a (x) b) = ua (x) vb, from the
-    factors' verified units; a declared unit here is never trusted."""
+    for the solvers).  Nothing is declared as its unit: its one unit is
+    ``verified_unit``, the tensor of the factors' verified units (declared
+    or solved), a unit by (u (x) v)(a (x) b) = ua (x) vb."""
 
     def __init__(self, left: Algebra, right: Algebra):
         if left.field != right.field:
             raise InputError("tensor factors over different fields")
-        f, unit, local = left.field, None, None
-        if left.unit is not None and right.unit is not None:
-            unit = _outer(f, left.unit.coeffs, right.unit.coeffs)
+        f, local = left.field, None
         if ((left._local_unit_for is not None or right._local_unit_for is not None)
                 and left.has_local_units and right.has_local_units):
             def local(ids):
                 lw, rw = probe_window(self, ids).factors
                 return _outer(f, left.local_unit(lw).coeffs, right.local_unit(rw).coeffs)
         self.factors = (left, right)
-        super().__init__(f, _pair_basis(left, right), self.basis_product, unit=unit,
+        super().__init__(f, _pair_basis(left, right), self.basis_product,
                          local_unit_for=local, name=f"{left.name}(x){right.name}",
                          fmt_id=_pair_fmt(left, right))
 

@@ -423,7 +423,8 @@ def synthesize_counit(slicer: Slicer):
 
     Returns the Counit, or None when the system is inconsistent or the
     solution is not multiplicative or vanishes on the window; raises
-    WindowInsufficiency when equation-touched unknowns remain free.
+    WindowInsufficiency when equation-touched unknowns remain free, and
+    SliceUndefined when a window slice is not an element.
     """
     alg = slicer.alg
     ids = slicer.ids

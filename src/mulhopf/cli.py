@@ -25,7 +25,8 @@ from .algebra import (
     check_associativity, check_idempotent, check_local_units,
     check_nondegenerate,
 )
-from .bialgebra import Slicer, check_coassociative, check_counit, check_fons, synthesize_counit
+from .bialgebra import (SliceUndefined, Slicer, check_coassociative, check_counit, check_fons,
+                        synthesize_counit)
 from .comodule import (
     check_comodule_coassoc, check_comodule_coassoc_element, check_comodule_coassoc_framed,
     check_comodule_counit,
@@ -156,7 +157,11 @@ def stage_counit(run: Runner, sl, report: Report):
 
     def synthesis():
         nonlocal syn
-        syn = synthesize_counit(sl)
+        try:
+            syn = synthesize_counit(sl)
+        except SliceUndefined as exc:
+            return Verdict("counit synthesis", "failed", label, witness=exc.witness,
+                           detail=str(exc))
         if syn is None:
             return Verdict("counit synthesis", "failed", label,
                            detail="no multiplicative solution of the counit identities")

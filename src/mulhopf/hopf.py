@@ -12,12 +12,13 @@ exactly when both are bijective; the antipode S: A -> M(A) is the map with
     m(id (x) S)(T2(a (x) b)) = eps(b) a
 
 Antipode synthesis inverts those identities as a linear system in the
-unknown multipliers S(e_t), gated on windowed T1/T2 bijectivity so that
-pseudo-solutions of non-Hopf structures are rejected.  It is the one
-solve of counit synthesis (``bialgebra.solve_touched``), with its
-touched-coordinate rule: a coordinate of S that some equation touches
-and that the equations leave free raises WindowInsufficiency, so S is
-unique on the touched coordinates, and the coordinates no window
+unknown values S(e_t) in iota(A) (all of M(A) for a finite algebra that
+passes the gate, ``synthesize_antipode``), gated on windowed T1/T2
+bijectivity so that pseudo-solutions of non-Hopf structures are rejected.
+It is the one solve of counit synthesis (``bialgebra.solve_touched``),
+with its touched-coordinate rule: a coordinate of S that some equation
+touches and that the equations leave free raises WindowInsufficiency, so
+S is unique on the touched coordinates, and the coordinates no window
 equation sees are reported as zeroed, not as unique values.
 
 The same slices define, for maps f, g: A -> M(A), frame-twisted
@@ -34,9 +35,8 @@ from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import Element, InputError, Verdict, WindowInsufficiency, scaled_window
-from .multiplier import (Multiplier, MultiplierSpace, basis_image, combine, iota, iota_preimage,
-                         multiplier_eq)
-from .bialgebra import Counit, Slicer, solve_touched
+from .multiplier import Multiplier, basis_image, combine, iota, multiplier_eq
+from .bialgebra import Counit, SliceUndefined, Slicer, solve_touched
 
 
 class MultiplierMap:
@@ -99,13 +99,22 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
     Surjectivity solves for each window pair as an image of the
     expansion-scaled domain; on an oracle algebra at expansion 1 a miss
     shows only a small window, so it raises unless injectivity failed.
+    A slice that is not an element fails all three with its pair as witness.
     """
     alg, txt = slicer.alg, slicer.txt
     ids = slicer.ids
     pairs = [(a, b) for a in ids for b in ids]
     label = txt.window_label(pairs)
     side = _CANONICAL_SIDE[which]
-    cols = [((a, b), slicer.slice(side, a, b).coeffs) for (a, b) in pairs]
+    scaled = scaled_window(alg, slicer.window, slicer.expansion)
+    try:
+        cols = [((a, b), slicer.slice(side, a, b).coeffs) for (a, b) in pairs]
+        wide = (None if tuple(scaled) == tuple(ids) else  # the window's own factorisation serves
+                [((a, b), slicer.slice(side, a, b).coeffs) for a in scaled for b in scaled])
+    except SliceUndefined as exc:
+        return {part: Verdict(f"{which} {part}", "failed", label, witness=exc.witness,
+                              detail=str(exc))
+                for part in ("injectivity", "surjectivity", "bijectivity")}
     solver = GaussianSolver(SparseMatrix.from_columns(alg.field, cols))
     kern = solver.kernel_basis()
     if kern:
@@ -115,11 +124,9 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
     else:
         inj = Verdict(f"{which} injectivity", txt.baseline(pairs), label)
 
-    scaled = scaled_window(alg, slicer.window, slicer.expansion)
-    if tuple(scaled) == tuple(ids):  # the window's own factorisation serves
+    if wide is None:
         domain_note = "window domain"
     else:
-        wide = [((a, b), slicer.slice(side, a, b).coeffs) for a in scaled for b in scaled]
         solver = GaussianSolver(SparseMatrix.from_columns(alg.field, wide))
         domain_note = f"domain scaled to {len(scaled)}^2 pairs"
     sur = Verdict(f"{which} surjectivity", txt.baseline(pairs), label,
@@ -175,9 +182,8 @@ class AntipodeSynthesis:
     """Outcome of synthesize_antipode.
 
     ``status`` is "synthesized" or "failed"; when synthesized, ``map`` is
-    the MultiplierMap, ``table`` holds printable per-id values (elements
-    when S lands in iota(A)), and ``verdicts`` carries the gate and the
-    post-verification.
+    the MultiplierMap, ``table`` holds the elements u with S(e_t) = iota(u),
+    and ``verdicts`` carries the gate and the post-verification.
     """
 
     def __init__(self, status, smap, table, verdicts, detail=""):
@@ -196,12 +202,21 @@ class AntipodeSynthesis:
 
 
 def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeSynthesis:
-    """Solve for S with values in M(A), gated on T1/T2 bijectivity.
+    """Solve for S(e_t) = iota(sum_k x_(t,k) e_k), gated on T1/T2 bijectivity.
 
     ``gate`` is a ``check_hopf`` result already computed on the same
-    slicer.  S(e_t) is written in elements of A (M(A) = iota(A)) for oracle
-    algebras and for finite algebras whose declared unit verifies; other
-    finite algebras are solved over all of M(A) (``MultiplierSpace``).
+    slicer; k runs over the basis (finite) or the expansion-scaled window
+    (oracle).  Past the gate, iota(A) = M(A) for finite non-degenerate A, by the
+
+    Theorem: a finite non-degenerate A whose slices are elements and whose
+    T1 is bijective is unital.  T1 is right A-linear, so on
+    A (x) A = sum_k e_k (x) A it is a matrix m of left multipliers m_kj;
+    (x (x) 1)T1(e_j (x) b) = T2(x (x) e_j)(1 (x) b) with T2(x (x) e_j) an
+    element; apply theta (x) id, and as the a |-> theta(xa) span A*
+    (non-degeneracy), each m_kj is left multiplication by some c_kj in A.
+    m' = T1^-1 is again a matrix of left multipliers, so (m'm)_11 = id is
+    left multiplication by c = sum_j m'_1j(c_j1): cb = b for all b, and
+    (ac - a)A = 0 gives ac = a.
     """
     alg = slicer.alg
     ids = slicer.ids
@@ -214,24 +229,18 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
             "failed", None, None, verdicts,
             detail=f"no antipode: {gate['hopf'].detail or 'canonical map not bijective'}")
 
-    msp = MultiplierSpace(alg) if alg.finite and alg.verified_unit is None else None
     t_ids = alg.basis.ids if alg.finite else scaled_window(alg, slicer.window, slicer.expansion)
-    # S(e_t) = sum_k x_(t,k) m_k over the coordinate multipliers m_k
-    if msp is not None:
-        coords = list(enumerate(msp.basis))
-    else:
-        coords = [(w, Multiplier(alg, lambda v, w=w: alg.mul_basis(w, v),
-                                 lambda p, w=w: alg.mul_basis(p, w)))
-                  for w in t_ids]
-
+    mul = alg.basis_product
     entries: dict = {}
     rhs: dict = {}
     for a in ids:
         for b in ids:
             for which, leg, acts, _law in _ANTIPODE_LAWS:
                 for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
-                    for k, mk in coords:
-                        for r, w in basis_image(mk, acts, pair[1 - leg]).items():
+                    # unknown (t, k), t = pair[leg]: iota(e_k) in S(e_t), acting as e_k y or y e_k
+                    y = pair[1 - leg]
+                    for k in t_ids:
+                        for r, w in (mul(k, y) if acts == "left" else mul(y, k)).items():
                             vec_add(f, entries, ((which, a, b, r), (pair[leg], k)), f.mul(c, w))
                 vec_add(f, rhs, (which, a, b, (a, b)[1 - leg]), epsilon.value((a, b)[leg]))
 
@@ -240,14 +249,8 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
         return AntipodeSynthesis("failed", None, None, verdicts,
                                  detail="antipode equations are inconsistent")
 
-    values: dict = {}  # S(e_t): an element u for S(e_t) = iota(u), else a multiplier
-    for t in t_ids:
-        if msp is None:
-            values[t] = Element(alg, {k: sol[(t, k)] for k, _m in coords if (t, k) in sol})
-        else:
-            mult = combine(alg, [(sol.get((t, k), f.zero), m) for k, m in coords])
-            pre = iota_preimage(alg, mult)
-            values[t] = pre if pre is not None else mult
+    # S(e_t) = iota(values[t])
+    values = {t: Element(alg, {k: sol[(t, k)] for k in t_ids if (t, k) in sol}) for t in t_ids}
     # reported table: all of a finite basis, else the base window only,
     # which is fully constrained
     table = {t: values[t] for t in (t_ids if alg.finite else ids)}
@@ -256,13 +259,13 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
         v = values.get(bid)
         if v is None:
             raise WindowInsufficiency(f"antipode not synthesized at {bid!r}")
-        return iota(alg, v) if isinstance(v, Element) else v
+        return iota(alg, v)
 
     smap = MultiplierMap(alg, rule, name="S")
     post = check_antipode(slicer, epsilon, smap)
     verdicts.append(post)
     touched = len({c for _r, c in entries})
-    zeroed = len(t_ids) * len(coords) - touched
+    zeroed = len(t_ids) ** 2 - touched
     detail = f"unique on {touched} touched coordinates"
     if zeroed:
         detail += f"; {zeroed} untouched coordinates zeroed"

@@ -11,12 +11,14 @@ a <| (x*y) = (a <| x) <| y.  The algebra embeds by iota(a) = (left mult
 by a, right mult by a), and the unit multiplier is (id, id) whether or not
 A itself has a unit.
 
-For finite A the whole multiplier algebra is computed exactly as the
-solution space of the linearity + compatibility system
-(``MultiplierSpace``); for oracle algebras everything stays operational
-and window-relative.  Psi(x (x) y) on A (x) B acts factor by factor,
-(x |> a) (x) (y |> b), and remembers x and y, so contracting it against
-a local unit e_L (x) e_R contracts each factor against its own.
+For finite A, ``iota_preimage`` solves exactly and ``MultiplierSpace``
+computes all of M(A) as the solution space of the linearity +
+compatibility system; no command needs the latter, since a finite algebra
+that passes the Hopf gate is unital (``hopf.synthesize_antipode``).  For
+oracle algebras everything stays operational and window-relative.
+Psi(x (x) y) on A (x) B acts factor by factor, (x |> a) (x) (y |> b), and
+remembers x and y, so contracting it against a local unit e_L (x) e_R
+contracts each factor against its own.
 ``basis_image`` is the one reading of a basis action and ``apply`` the one
 application to an element, each taking the side as data.  Only a leaf
 (given by its two rules) memoises basis images, for probe sweeps and factor
@@ -258,7 +260,7 @@ def unital_certificate(alg: Algebra, image, sides=("left", "right")):
     e_y <| z = e_y c itself (``derive_rho``).  All c e_y (and e_y c) come
     from one ``iota_images`` pass: a check costs the partner table's nonzero
     pairs that c meets, not an element product per y."""
-    u = alg.verified_unit if alg.finite else None
+    u = alg.verified_unit
     if u is None:
         return None
     acc: dict = {}

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -307,3 +308,27 @@ def test_tensor_products_multiply_only_nonzero_factor_pairs(monkeypatch):
     monkeypatch.setattr(A, "basis_product", lambda i, j: calls.append((i, j)) or real(i, j))
     assert [x * y for x in cs for y in cs] == want
     assert len(calls) == 2 * nonzero == 2 * 64
+
+
+# --- the unit: declared, or solved from iota(u) = 1 ---------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=strat.data())
+def test_verified_unit_is_what_a_search_of_every_element_finds(data):
+    p, n = data.draw(strat.sampled_from([2, 3])), data.draw(strat.integers(1, 3))
+    ids = list(range(n))
+    table = {(i, j): {k: data.draw(strat.integers(0, p - 1)) for k in ids}
+             for i in ids for j in ids}
+    if data.draw(strat.booleans()):  # make e_0 a unit, so that unital tables occur
+        table.update({pair: {j: 1} for j in ids for pair in ((0, j), (j, 0))})
+    plain = finite_algebra(GF(p), ids, table)
+    basis = [plain.basis_element(i) for i in ids]
+    every = [plain.element(dict(zip(ids, cs))) for cs in product(range(p), repeat=n)]
+    units = [u.coeffs for u in every if all(u * e == e == e * u for e in basis)]
+    assert len(units) <= 1
+    want = units[0] if units else None
+    false = data.draw(strat.sampled_from([u.coeffs for u in every if u.coeffs != want]))
+    unit = data.draw(strat.sampled_from([None, false] + units))  # none, a false one, the true one
+    got = finite_algebra(GF(p), ids, table, unit=unit).verified_unit
+    assert (None if got is None else got.coeffs) == want

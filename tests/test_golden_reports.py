@@ -37,7 +37,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # monoid01.spec is functions on the monoid ({0,1}, .): a finite multiplier
 # bialgebra, every verdict proven, whose canonical maps are not bijective;
 # left_zero2.spec is functions on the left-zero semigroup xy = x, whose
-# coproduct is coassociative but has no counit.
+# coproduct is coassociative but has no counit.  rescaled_z6_no_unit.spec
+# drops the unit line, so the unit is solved; nonunital_path8_delta.spec
+# gives the path algebra Delta(a) = iota(a (x) e), and as A (x) A has no
+# unit its rho tables and slices are solved.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -58,6 +61,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("classify_monoid01.json", ["classify", "monoid01.spec"], 1),
     ("check_hopf_monoid01.json", ["check-hopf", "monoid01.spec"], 1),
     ("classify_left_zero2.json", ["classify", "left_zero2.spec"], 1),
+    ("classify_rescaled_z6_no_unit.json", ["classify", "rescaled_z6_no_unit.spec"], 0),
+    ("check_hopf_nonunital_path8_delta.json",
+     ["check-hopf", "nonunital_path8_delta.spec"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

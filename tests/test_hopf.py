@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mulhopf import hopf, linalg, specfile
+from mulhopf import linalg, multiplier, specfile
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
 from mulhopf.bialgebra import Counit, Slicer
 from mulhopf.extension import Extension
@@ -136,41 +136,37 @@ def cyclic_functions(n, field, unit):
 
 def count_space_builds(monkeypatch):
     builds = []
-
-    class Counted(hopf.MultiplierSpace):
-        def __init__(self, alg):
-            builds.append(alg)
-            super().__init__(alg)
-
-    monkeypatch.setattr(hopf, "MultiplierSpace", Counted)
+    real = multiplier.MultiplierSpace.__init__
+    monkeypatch.setattr(multiplier.MultiplierSpace, "__init__",
+                        lambda self, alg: builds.append(alg) or real(self, alg))
     return builds
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
-def test_unital_antipode_matches_the_multiplier_space_route(field, monkeypatch):
+def test_an_undeclared_unit_is_solved_and_s_lands_in_iota_a(field, monkeypatch):
     builds = count_space_builds(monkeypatch)
     n = 5
     b = kfun_cyclic(n, field=field).bialgebra
     assert b.algebra.verified_unit == b.algebra.unit
     unital = synthesize_antipode(Slicer(b.delta), b.epsilon)
-    assert builds == []  # M(A) = iota(A): solved in elements of A
     delta, eps = cyclic_functions(n, field, unit=None)
+    assert delta.source.verified_unit.coeffs == {t: field.one for t in range(n)}  # solved
     plain = synthesize_antipode(Slicer(delta), eps)
-    assert len(builds) == 1  # no declared unit: solved over all of M(A)
+    assert builds == []  # both solved in the coordinates iota(e_k)
     assert unital.ok and plain.ok
     assert {t: v.coeffs for t, v in unital.table.items()} == \
         {t: v.coeffs for t, v in plain.table.items()} == \
         {t: {(n - t) % n: field.one} for t in range(n)}
 
 
-def test_a_false_declared_unit_takes_the_multiplier_space_route(monkeypatch):
+def test_a_false_declared_unit_is_replaced_by_the_solved_one(monkeypatch):
     builds = count_space_builds(monkeypatch)
     n = 3
     delta, eps = cyclic_functions(n, QQ, unit={0: QQ.one})  # d0 is no unit
     assert delta.source.unit is not None
-    assert delta.source.verified_unit is None
+    assert delta.source.verified_unit.coeffs == {t: QQ.one for t in range(n)}
     syn = synthesize_antipode(Slicer(delta), eps)
-    assert len(builds) == 1
+    assert builds == []
     assert syn.ok
     assert {t: v.coeffs for t, v in syn.table.items()} == \
         {t: {(n - t) % n: QQ.one} for t in range(n)}

@@ -96,6 +96,8 @@ NO_CALLER_NEEDED = {
     "check_module_algebra": "module category: module algebras over Delta",
     "compose_extensions": "extension category: composition of morphisms",
     "restrict_module": "extension category: a module pulled back along a morphism",
+    "MultiplierSpace": ("all of M(A) of a finite algebra; perfbench/layers.py traces "
+                        "MultiplierSpace.__init__ as multiplier.space_build"),
 }
 
 

@@ -269,6 +269,39 @@ def test_a_finite_bialgebra_that_is_not_hopf_is_labelled_proven(capsys, monkeypa
     assert out.endswith("classification: multiplier bialgebra (proven; finite)\n")
 
 
+def path8_with_a_tensor_one(extra=""):
+    """nonunital_path8.spec with Delta(a) = a (x) 1, i.e. Delta(a)(x (x) y) =
+    ax (x) y, written from its mul lines; ``extra`` lines are appended."""
+    text = (Path(__file__).parent / "golden" / "nonunital_path8.spec").read_text(encoding="utf-8")
+    ids = next(line for line in text.splitlines() if line.startswith("basis ")).split()[1:]
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("mul "):
+            lhs, value = line[4:].split(" = ")
+            (a, x), (coeff, ax) = lhs.split(), value.split("*")
+            lines += [f"delta {a} ({x},{y}) = {coeff}*({ax},{y})\n" for y in ids]
+    return text + "".join(lines) + extra
+
+
+@pytest.mark.parametrize("command, extra, axiom", [
+    ("check-bialgebra", "", "counit synthesis"),
+    ("check-hopf", "", "counit synthesis"),
+    ("check-comodule", "", "counit synthesis"),
+    ("synthesize-counit", "", "counit synthesis"),
+    ("synthesize-antipode", "", "counit synthesis"),
+    ("check-hopf", "epsilon e = 1\n", "T2 bijectivity"),  # a declared counit gets that far
+])
+def test_an_undefined_slice_fails_with_its_pair_as_witness(tmp_path, capsys, command, extra,
+                                                           axiom):
+    # (e (x) 1)Delta(e) = e (x) 1 is not in A (x) A: A has no unit
+    rc, out, err = run_cli([command, write_spec(tmp_path, path8_with_a_tensor_one(extra))],
+                           capsys)
+    assert (rc, err) == (1, "")
+    assert re.search(rf"^  {axiom}: failed \[[^]]*\] witness=1\*e, 1\*e \(Delta framed by "
+                     r"\(a\(x\)1\) is not iota of a window element \[side=left, a=e, b=e\]\)$",
+                     out, re.M)
+
+
 def test_exit_1_on_failed_axiom(capsys):
     rc, out, _ = run_cli(["check-algebra", "gallery:zero1"], capsys)
     assert rc == 1
@@ -607,12 +640,14 @@ def test_classify_solves_each_slice_once_on_one_slicer(tmp_path, capsys, monkeyp
 
 
 def test_classify_without_a_unit_line_solves_each_slice_once(tmp_path, capsys, monkeypatch):
+    # the unit d0 + d1 is solved, so Delta is certified and no slice is an iota solve
     spec = FUN2_SPEC.replace("unit = 1*d0 + 1*d1\n", "")
     bundle, built, routes, _ = slice_routes(tmp_path, capsys, monkeypatch, spec)
     assert bundle.algebra.unit is None
+    assert bundle.algebra.verified_unit.coeffs == {"d0": 1, "d1": 1}
     assert len(built) == 1 and list(bundle._slicers.values()) == built
-    assert routes["product"] == []
-    assert len(routes["solve"]) == len(set(routes["solve"])) == len(built[0]._cache) == 8
+    assert routes["solve"] == []
+    assert len(routes["product"]) == len(set(routes["product"])) == len(built[0]._cache) == 8
 
 
 def test_check_comodule_over_itself_shares_the_bundle_slicer(capsys, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf import bialgebra, cli, extension, hopf, multiplier, specfile
+from mulhopf import bialgebra, cli, extension, multiplier, specfile
 from mulhopf.algebra import (
     Element, InputError, TensorAlgebra, check_local_units, finite_algebra, tensor_algebra,
     tensor_elem,
@@ -36,22 +36,12 @@ def spec_entry(name):
     return specfile.build_bundle(spec, name=name)
 
 
-def with_unit(alg):
-    """``alg`` again, its unit (solved from iota(u) = id) declared."""
-    ids, one = alg.basis.ids, alg.field.one
-    rhs = {(s, w, w): one for w in ids for s in ("L", "R")}
-    unit = alg.regular_solver().solve(rhs)
-    table = {(i, j): alg.mul_basis(i, j).coeffs for i in ids for j in ids}
-    return finite_algebra(alg.field, ids, table, unit=unit, name=alg.name,
-                          fmt_id=alg.fmt_id)
-
-
 def random_delta(seed, kind):
     """Delta(a) = iota(a (x) 1), an algebra map, or the primitive
     iota(a (x) 1 + 1 (x) a), which is not multiplicative."""
-    A = with_unit(random_algebra(seed, field=GF(7)))
+    A = random_algebra(seed, field=GF(7))  # no unit declared: it is solved
     T = tensor_algebra(A, A)
-    u = A.unit
+    u = A.verified_unit
 
     def rule(i):
         e = A.basis_element(i)
@@ -169,7 +159,7 @@ def test_a_false_declared_unit_stays_on_the_solve_path(tmp_path, capsys, monkeyp
     A = specfile.build_bundle(specfile.parse_spec(text)).algebra
     T = tensor_algebra(A, A)
     assert A.unit is not None and A.verified_unit is None
-    assert T.unit is not None and T.verified_unit is None  # declared, never trusted
+    assert T.unit is None and T.verified_unit is None  # a tensor algebra declares none
     assert iota_element(iota(T, T.basis_element(("E11", "E11")))) is None
     assert str(check_local_units(A)) == ("local units: failed [full basis(2)] witness=1*E12 "
                                          "(declared unit does not act as a unit)")
@@ -215,7 +205,7 @@ def element_of(alg, data):
        y=strat.lists(strat.tuples(strat.integers(0, 63), strat.integers(-3, 3)), max_size=6))
 def test_factorwise_products_are_the_pair_id_products(field, x, y):
     A = kfun_cyclic(2, field=field).algebra
-    B = with_unit(random_algebra(1, field=field))
+    B = random_algebra(1, field=field)
     BA = tensor_algebra(B, A)
     for T in (tensor_algebra(A, A), tensor_algebra(BA, A)):
         ref = pair_id_algebra(T)
@@ -232,7 +222,7 @@ def test_factorwise_products_are_the_pair_id_products(field, x, y):
 def test_classify_of_a_unital_spec_solves_nothing_and_certifies_once(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     solves, certs, entries = [], [], []
-    for mod in (bialgebra, multiplier, hopf):
+    for mod in (bialgebra, multiplier):
         real_pre = mod.iota_preimage
         monkeypatch.setattr(mod, "iota_preimage",
                             lambda *a, _r=real_pre, **k: solves.append(a) or _r(*a, **k))
