@@ -400,7 +400,8 @@ def basis_image(z: Multiplier, side, bid) -> dict:
     if z._psi is not None:
         (x, y), (i, j) = z._psi, bid
         hx = basis_image(x, side, i)
-        return _outer(z.alg.field, hx, basis_image(y, side, j)) if hx else {}
+        hy = hx and basis_image(y, side, j)
+        return _outer(z.alg.field, hx, hy) if hy else {}
     if z._terms is not None:
         parts = ((c, basis_image(x, side, bid)) for c, x in z._terms)
     else:

@@ -40,7 +40,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # coproduct is coassociative but has no counit.  rescaled_z6_no_unit.spec
 # drops the unit line, so the unit is solved; nonunital_path8_delta.spec
 # gives the path algebra Delta(a) = iota(a (x) e), and as A (x) A has no
-# unit its rho tables and slices are solved.
+# unit its rho tables and slices are solved.  rescaled_z6_damaged_antipode.spec
+# doubles S(e2), so the antipode and convolution inverse lines read failed,
+# each witness and detail from the first failing pair or frame of a sweep.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -64,6 +66,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("classify_rescaled_z6_no_unit.json", ["classify", "rescaled_z6_no_unit.spec"], 0),
     ("check_hopf_nonunital_path8_delta.json",
      ["check-hopf", "nonunital_path8_delta.spec"], 1),
+    ("check_hopf_rescaled_z6_damaged_antipode.json",
+     ["check-hopf", "rescaled_z6_damaged_antipode.spec"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

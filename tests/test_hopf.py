@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mulhopf import linalg, multiplier, specfile
+from mulhopf import hopf, linalg, multiplier, specfile
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
-from mulhopf.bialgebra import Counit, Slicer
+from mulhopf.bialgebra import Counit, Slicer, synthesize_counit
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic
@@ -16,8 +16,10 @@ from mulhopf.hopf import (MultiplierMap, check_antipode, check_bijective,
                           convolve, iota_map, map_eq, synthesize_antipode)
 from mulhopf.multiplier import iota, multiplier_eq
 
-from fixtures import (canonical_map, perturb_antipode_map, source_twist, span_map,
-                      target_frame)
+from fixtures import (canonical_map, perturb_antipode_map, random_coproduct_bundle,
+                      source_twist, span_map, target_frame)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- canonical maps -------------------------------------------------------
@@ -224,6 +226,7 @@ def test_convolution_inverse_builds_no_rank_solver_per_argument(monkeypatch):
     real_init = linalg.GaussianSolver.__init__
     monkeypatch.setattr(linalg.GaussianSolver, "__init__",
                         lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    monkeypatch.setattr(hopf, "_frames_certified", lambda *a: 0)  # sweep every frame
     v = check_convolution_inverse(sl, b.epsilon, b.antipode, iota_map(b.algebra))
     assert v.status == "proven"
     assert built == []
@@ -326,3 +329,63 @@ def test_map_eq_failure_carries_witness():
     v = map_eq(f, g, (0, 1), (0, 1))
     assert v.status == "failed"
     assert v.witness is not None
+
+
+# --- finite certificates against the sweeps they skip ----------------------
+
+
+def _kfun_case(n, seed=None):
+    b = kfun_cyclic(n).bialgebra
+    sl = b.slicer()
+    s = synthesize_antipode(sl, b.epsilon).map if seed is None else perturb_antipode_map(b, seed)
+    return sl, b.epsilon, s
+
+
+def _spec_case(name):
+    spec = specfile.parse_spec((GOLDEN / name).read_text(encoding="utf-8"))
+    b = specfile.build_bundle(spec, name=name).bialgebra
+    sl = b.slicer()
+    eps = b.epsilon or synthesize_counit(sl) or Counit(b.algebra, lambda bid: 0)
+    return sl, eps, b.antipode or iota_map(b.algebra)
+
+
+def _random_case(seed):
+    b = random_coproduct_bundle(seed, unital=True)
+    return b.slicer(), Counit(b.algebra, lambda bid: 1), iota_map(b.algebra)
+
+
+# each builds (slicer, counit, f) afresh; f is checked as the convolution
+# inverse of iota.  monoid01 has kernels in T1 and T2, nonunital_path8_delta
+# no unit, so there the sweeps decide everything.
+CERTIFICATE_CASES = {
+    **{f"kfun_cyclic({n})": (_kfun_case, n) for n in range(2, 6)},
+    **{f"kfun_cyclic({2 + seed % 4}) perturbed {seed}": (_kfun_case, 2 + seed % 4, seed)
+       for seed in range(20)},
+    **{name: (_spec_case, name + ".spec") for name in (
+        "rescaled_z6_antipode", "rescaled_z6_damaged_antipode", "monoid01",
+        "nonunital_path8_delta")},
+    **{f"random_coproduct_bundle({seed})": (_random_case, seed) for seed in range(8)},
+}
+
+
+def _verdict_texts(sl, eps, f):
+    return ([str(v) for which in ("T1", "T2") for v in check_bijective(sl, which).values()]
+            + [str(check_convolution_inverse(sl, eps, f, iota_map(sl.alg)))])
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_finite_certificates_leave_every_verdict_as_the_sweeps_give_it(monkeypatch, case):
+    build, *args = CERTIFICATE_CASES[case]
+    on = _verdict_texts(*build(*args))
+    monkeypatch.setattr(hopf, "_frames_certified", lambda *a: 0)
+    monkeypatch.setattr(hopf, "_square_injective", lambda *a: False)
+    assert _verdict_texts(*build(*args)) == on
+
+
+def test_the_convolution_certificate_decides_up_to_the_first_failing_frame():
+    sl, eps, s = _spec_case("rescaled_z6_antipode.spec")
+    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == len(sl.ids)
+    sl, eps, s = _spec_case("rescaled_z6_damaged_antipode.spec")
+    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == sl.ids.index("e4")
+    sl, eps, s = _spec_case("nonunital_path8_delta.spec")  # no unit
+    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == 0

@@ -5,11 +5,13 @@ slices are products in A (x) A (``Slicer._product``) and its antipode is
 solved in iota(A), so no run builds a ``MultiplierSpace``.  Only a finite
 input without a unit slices by iota solves (``Slicer._preimage``), and
 ``nonunital_path8_delta.spec`` is the one such input with a coproduct.
+On a finite unital input the Hopf stage decides by element identities and
+kernels, and sweeps or solves only where those cannot decide.
 """
 
 from pathlib import Path
 
-from mulhopf import bialgebra, cli, multiplier
+from mulhopf import bialgebra, cli, hopf, linalg, multiplier
 from mulhopf.gallery import build_entry, gallery_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,3 +47,38 @@ def test_every_command_on_every_input_takes_the_unital_route_where_a_unit_exists
     assert "rescaled_z6_no_unit.spec" in unital
     assert solved & finite == {"nonunital_path8_delta.spec"}
     assert not solved & unital
+
+
+def test_the_finite_hopf_stage_sweeps_and_solves_only_where_no_certificate_decides(
+        capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    frames, compared, solves, inside = [], [], [], []
+    real_convolve, real_eq = hopf.convolve, hopf.map_eq
+    real_bijective, real_solve = hopf.check_bijective, linalg.GaussianSolver.solve
+
+    def bijective(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_bijective(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hopf, "convolve", lambda side, f, g, frame, sl: (
+        frames.append(frame) or real_convolve(side, f, g, frame, sl)))
+    monkeypatch.setattr(hopf, "map_eq", lambda *a: compared.append(a) or real_eq(*a))
+    monkeypatch.setattr(hopf, "check_bijective", bijective)
+    monkeypatch.setattr(linalg.GaussianSolver, "solve", lambda self, *a, **k: (
+        inside and solves.append(True)) or real_solve(self, *a, **k))
+
+    def census(argv, code):
+        frames.clear(), compared.clear(), solves.clear()
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        return list(frames), len(compared), len(solves)
+
+    # both identities hold as elements and T1, T2 are square with no kernel
+    assert census(["check-hopf", "rescaled_z6_antipode.spec"], 0) == ([], 0, 0)
+    # frames e0-e3 are certified; the sweep starts and fails at e4's right identity
+    assert census(["check-hopf", "rescaled_z6_damaged_antipode.spec"], 1) == (["e4"], 1, 0)
+    # T1 and T2 of functions on the monoid ({0,1}, .) have kernels: the solves run
+    assert census(["classify", "monoid01.spec"], 1)[2] > 0
