@@ -69,9 +69,12 @@ class SliceUndefined(RuntimeError):
 class Slicer:
     """Slice calculator for one Delta with fixed window and expansion.
 
-    Slices are cached per (side, a, b), so one Slicer serves every check of
-    a run.  ``slice(..., verify=True)`` also checks an oracle slice against
-    every window probe of A (x) A, once per cached slice; a slice that fails
+    ``delta`` is Delta bound to them (``Extension.at``), the one extension
+    a run validates, lifts and tensors; a slice that is not an element
+    raises SliceUndefined with the one report every check gives.  Slices
+    are cached per (side, a, b), so one Slicer serves every check of a run.
+    ``slice(..., verify=True)`` also checks an oracle slice against every
+    window probe of A (x) A, once per cached slice; a slice that fails
     its probes is recomputed with the probes enforced at each tried window.
     Finite slices are exact (products when Delta is certified, else solves)
     and skip the probes.  Oracle slices contract against the
@@ -79,7 +82,6 @@ class Slicer:
     """
 
     def __init__(self, delta: Extension, window=None, expansion=2):
-        self.delta = delta
         self.alg = delta.source
         self.txt = delta.target
         factors = getattr(self.txt, "factors", None)
@@ -88,6 +90,7 @@ class Slicer:
         self.lfac, self.rfac = factors
         self.window = window if window is not None else delta.source_window
         self.expansion = expansion
+        self.delta = delta.at(self.window, expansion)
         self.ids = resolve_window(self.alg, self.window)
         if not self.txt.finite and not isinstance(self.window, int):
             raise InputError(
@@ -185,7 +188,7 @@ class Slicer:
             frame, (fa, fb) = (("(1(x)b)", (self.alg, self.rfac)) if side == "right"
                                else ("(a(x)1)", (self.lfac, self.alg)))
             raise SliceUndefined(
-                f"Delta framed by {frame} is not iota of a window element "
+                f"{self.delta.name} framed by {frame} is not iota of a window element "
                 f"[side={side}, a={a_id}, b={b_id}]",
                 (fa.basis_element(a_id), fb.basis_element(b_id)))
         self._cache[key] = u
@@ -239,7 +242,7 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     sum p (x) Delta-right(q, c) over p (x) q = left(a, b), are compared in
     (B (x) A) (x) A.  With gamma = dsl this is coassociativity of Delta.
     ``detail`` formats the two sides of the first unequal triple; an
-    undefined slice fails with its pair as witness.
+    undefined slice fails with the Slicer's report, its pair as witness.
     """
     B, A = gamma.alg, dsl.alg
     status = joint_baseline((B, ids), (A, c_ids))
@@ -248,46 +251,29 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     triple_l = tensor_algebra(gamma.txt, A)   # (B(x)A)(x)A
     triple_r = tensor_algebra(B, dsl.txt)     # B(x)(A(x)A)
     f = B.field
-
-    def undefined(exc, what, leg=""):
-        return Verdict(axiom, "failed", label, witness=exc.witness,
-                       detail=f"{what} not iota of an element{leg}")
-
-    for a in ids:
-        for b in ids:
-            try:
+    try:
+        for a in ids:
+            for b in ids:
                 t = gamma.slice("left", a, b)
-            except SliceUndefined as exc:
-                return undefined(exc, "left framed coaction")
-            for c in c_ids:
-                try:
-                    s = gamma.slice("right", b, c)
-                except SliceUndefined as exc:
-                    return undefined(exc, "right framed coaction")
-                lhs: dict = {}
-                for (u, v), cs in s.coeffs.items():
-                    try:
-                        inner = gamma.slice("left", a, u)
-                    except SliceUndefined as exc:
-                        return undefined(exc, "left framed coaction", " (inner leg)")
-                    for w, cl in inner.coeffs.items():
-                        vec_add(f, lhs, (w, v), f.mul(cs, cl))
-                rhs: dict = {}
-                for (p, q), ct in t.coeffs.items():
-                    try:
-                        outer = dsl.slice("right", q, c)
-                    except SliceUndefined as exc:
-                        return undefined(exc, "right framed Delta")
-                    for pair, cr in outer.coeffs.items():
-                        vec_add(f, rhs, (p, pair), f.mul(ct, cr))
-                left_side = Element(triple_l, lhs)
-                right_side = reassociate_left(Element(triple_r, rhs), triple_l)
-                if left_side != right_side:
-                    return Verdict(
-                        axiom, "failed", label,
-                        witness=(B.basis_element(a), B.basis_element(b),
-                                 A.basis_element(c)),
-                        detail=detail.format(left_side, right_side))
+                for c in c_ids:
+                    lhs: dict = {}
+                    for (u, v), cs in gamma.slice("right", b, c).coeffs.items():
+                        for w, cl in gamma.slice("left", a, u).coeffs.items():
+                            vec_add(f, lhs, (w, v), f.mul(cs, cl))
+                    rhs: dict = {}
+                    for (p, q), ct in t.coeffs.items():
+                        for pair, cr in dsl.slice("right", q, c).coeffs.items():
+                            vec_add(f, rhs, (p, pair), f.mul(ct, cr))
+                    left_side = Element(triple_l, lhs)
+                    right_side = reassociate_left(Element(triple_r, rhs), triple_l)
+                    if left_side != right_side:
+                        return Verdict(
+                            axiom, "failed", label,
+                            witness=(B.basis_element(a), B.basis_element(b),
+                                     A.basis_element(c)),
+                            detail=detail.format(left_side, right_side))
+    except SliceUndefined as exc:
+        return Verdict(axiom, "failed", label, witness=exc.witness, detail=str(exc))
     return Verdict(axiom, status, label)
 
 

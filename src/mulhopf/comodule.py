@@ -23,8 +23,8 @@ the framed variant is an independent computation route only where slices
 are not certified; every failure still comes from the sweeps.
 
 Every check takes the run's Slicers as handles: ``gamma`` slices the
-coaction and ``dsl`` slices Delta, each with its window and expansion;
-the regular comodule passes Delta's Slicer as both.
+coaction and ``dsl`` slices Delta, each bound to its window and expansion,
+which the lifts search at too; the regular comodule passes Delta's as both.
 
 A right module algebra is a right A-module on an algebra B whose
 multiplication intertwines the diagonal action:
@@ -135,31 +135,22 @@ def check_comodule_coassoc_framed(gamma: Slicer, dsl: Slicer, max_probes=24) -> 
     one_a = one(A)
     left_frames = {c: psi_embed([iota(B, B.basis_element(c)), one_a, one_a], into=triple_l)
                    for c in b_ids}  # c (x) 1 (x) 1 on (B (x) A) (x) A
-    for b in b_ids:
-        for a in dsl.ids:
-            ea = A.basis_element(a)
-            try:
-                s_r = gamma.slice("right", b, a)
-            except SliceUndefined:
-                return Verdict("comodule coassociativity (framed)", "failed",
-                               label, witness=(B.basis_element(b), ea),
-                               detail="right framed coaction not iota of an element")
-            base_lhs = rho_x_id.apply(s_r)
-            for c in b_ids:
-                ec = B.basis_element(c)
-                lhs = left_frames[c] * base_lhs
-                try:
-                    s_l = gamma.slice("left", c, b)
-                except SliceUndefined:
-                    return Verdict("comodule coassociativity (framed)", "failed",
-                                   label, witness=(ec, B.basis_element(b)),
-                                   detail="left framed coaction not iota of an element")
-                bad = differs(lhs, id_x_delta.apply(s_l) * frames[a])
-                if bad is not None:
-                    return Verdict(
-                        "comodule coassociativity (framed)", "failed", label,
-                        witness=(ec, B.basis_element(b), ea, bad[0]),
-                        detail="framed sides differ on probe")
+    try:
+        for b in b_ids:
+            for a in dsl.ids:
+                base_lhs = rho_x_id.apply(gamma.slice("right", b, a))
+                for c in b_ids:
+                    lhs = left_frames[c] * base_lhs
+                    bad = differs(lhs, id_x_delta.apply(gamma.slice("left", c, b)) * frames[a])
+                    if bad is not None:
+                        return Verdict(
+                            "comodule coassociativity (framed)", "failed", label,
+                            witness=(B.basis_element(c), B.basis_element(b), A.basis_element(a),
+                                     bad[0]),
+                            detail="framed sides differ on probe")
+    except SliceUndefined as exc:
+        return Verdict("comodule coassociativity (framed)", "failed", label,
+                       witness=exc.witness, detail=str(exc))
     return Verdict("comodule coassociativity (framed)", status, label)
 
 
@@ -182,8 +173,8 @@ def check_comodule_counit(gamma: Slicer, epsilon: Counit | None) -> Verdict:
     """(id (x) eps)-bar(rho(b)(1 (x) a)) = eps(a) iota(b) on window pairs.
 
     Both sides are iota of elements of B, so this is an element equality:
-    sum b_(0,a) eps(b_(1,a)) = eps(a) b.  A missing slice is flagged as a
-    failure of the stronger framed-membership hypothesis.  With no
+    sum b_(0,a) eps(b_(1,a)) = eps(a) b.  A missing slice fails the law
+    with the Slicer's report, as every sliced check does.  With no
     ``epsilon`` (none declared, none synthesized) the law fails for want
     of a counit.
     """
@@ -200,10 +191,9 @@ def check_comodule_counit(gamma: Slicer, epsilon: Counit | None) -> Verdict:
             ea = A.basis_element(a)
             try:
                 s = gamma.slice("right", b, a)
-            except SliceUndefined:
-                return Verdict("comodule counit", "failed", label,
-                               witness=(eb, ea),
-                               detail="framed coaction is not iota of an element")
+            except SliceUndefined as exc:
+                return Verdict("comodule counit", "failed", label, witness=exc.witness,
+                               detail=str(exc))
             got = _collapse(s, epsilon, "right")
             want = eb.scale(epsilon.value(a))
             if got != want:

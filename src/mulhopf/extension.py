@@ -80,12 +80,13 @@ class Extension:
     def source_search_ids(self):
         return scaled_window(self.source, self.source_window, self.expansion)
 
-    def at_expansion(self, expansion) -> "Extension":
-        """This extension searching at ``expansion``: itself, or a copy that
-        shares its basis multipliers and solves its own spans."""
-        if expansion == self.expansion:
+    def at(self, window, expansion) -> "Extension":
+        """This extension on ``window`` (source and target) searching at ``expansion``:
+        itself if so bound, else a copy that shares its basis multipliers."""
+        if (self.source_window, self.target_window, self.expansion) == (window, window, expansion):
             return self
         ext = copy(self)
+        ext.source_window = ext.target_window = window
         ext.expansion, ext._spans, ext._lift_decs = expansion, {}, {}
         return ext
 

@@ -12,7 +12,6 @@ the Python builders take keyword arguments.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .fields import QQ
@@ -32,7 +31,6 @@ class GalleryEntry:
     bialgebra: MultiplierBialgebra | None = None
     default_window: int | None = None
     coaction: Extension | None = None  # a declared coaction B --> M(B (x) A)
-    rebuild: Callable[[int], GalleryEntry] | None = None  # same input on another window
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +261,6 @@ def build_entry(name: str, params=(), field=QQ, window=None) -> GalleryEntry:
     if len(params) != len(param_names):
         raise InputError(f"{name} takes {len(param_names)} parameter(s), "
                          f"got {len(params)}")
-    if not windowed:
+    if not windowed or window is None:
         return builder(*params, field=field)
-    entry = (builder(*params, field=field) if window is None
-             else builder(*params, field=field, window=window))
-    entry.rebuild = lambda w: build_entry(name, params, field, w)
-    return entry
+    return builder(*params, field=field, window=window)

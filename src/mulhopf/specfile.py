@@ -285,22 +285,21 @@ def _slice_extension(A, T, tables, name):
     return Extension(A, T, lambda i: mults[i], name=name)
 
 
-def _oracle_entry(spec: SpecFile, window) -> gallery.GalleryEntry:
-    """The registry entry an ``oracle`` spec names, built on ``window``."""
+def _oracle_entry(spec: SpecFile) -> gallery.GalleryEntry:
+    """The registry entry an ``oracle`` spec names, built on its window."""
     family, params = spec.oracle
-    entry = gallery.build_entry(family, params, field=spec.field, window=window)
-    if window is not None:
-        entry.default_window = window
+    entry = gallery.build_entry(family, params, field=spec.field, window=spec.window)
+    if spec.window is not None:  # a finite family records it too
+        entry.default_window = spec.window
     if spec.expansion is not None and entry.bialgebra is not None:
         entry.bialgebra.expansion = spec.expansion
-    entry.rebuild = lambda w: _oracle_entry(spec, w)
     return entry
 
 
 def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
     """Algebra (and bialgebra pieces, if declared) from a parsed spec."""
     if spec.oracle is not None:
-        return _oracle_entry(spec, spec.window)
+        return _oracle_entry(spec)
 
     field = spec.field
     A = finite_algebra(field, spec.ids, spec.mul, unit=spec.unit, name=name)

@@ -263,6 +263,14 @@ def test_kz_slices_at_expansion_one_read_no_false_failure():
         "holds_on_window", "holds_on_window"]
 
 
+
+def test_a_slicer_binds_delta_to_its_window_and_expansion_with_no_rule_evaluated_twice():
+    b = kfin_Z().bialgebra  # Delta built on window 4 at expansion 2
+    bound = b.slicer(6).delta
+    assert (bound.source_window, bound.target_window, bound.expansion) == (6, 6, 2)
+    assert bound.basis_multiplier(0) is b.delta.basis_multiplier(0)
+    assert b.slicer(4, 2).delta is b.delta
+
 def test_coassociativity_is_the_element_law_of_the_self_comodule():
     # A over itself with rho = Delta: both checks give the same verdict
     # and the same first witness
@@ -387,6 +395,14 @@ def test_scaled_counit_breaks_the_unit_constraints():
     assert by_axiom["monoidal left unit"].witness is not None
     assert by_axiom["monoidal right unit"].status == "failed"
 
+
+
+def test_the_tensor_extension_instance_validates_on_the_slicers_window():
+    b = kfin_Z().bialgebra  # Delta built on window 4
+    v = check_monoidal_instance(b.slicer(1, 6), b.epsilon, b.counit_witness,
+                                [regular_module(b.algebra)])[-1]
+    assert (v.axiom, v.status, v.window) == (
+        "tensor extension instance", "holds_on_window", "3 ids of K(Z) -> 9 ids of K(Z)(x)K(Z)")
 
 def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch):
     # only a rejected certificate (InvariantViolation) is a failed verdict

@@ -219,6 +219,14 @@ def test_an_oracle_lift_with_no_decomposition_asks_for_a_larger_window():
         basis_image(lifted, "left", 5)
 
 
+
+def test_the_lifts_search_at_the_slicers_expansion():
+    # as check-comodule gallery:kfin_Z --window 2 --expansion 1 exits 2: the
+    # lifts along id (x) Delta search at expansion 1, not at Delta's own 2
+    kz = kfin_Z().bialgebra
+    with pytest.raises(WindowInsufficiency, match="decomposition"):
+        check_comodule_coassoc(kz.slicer(2, 1), kz.slicer(2, 1))
+
 def test_a_certified_finite_comodule_sweeps_no_probe_and_slices_nothing(monkeypatch):
     b = kfun_cyclic(5).bialgebra
     gamma, dsl = self_comodule(b)

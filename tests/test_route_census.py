@@ -6,19 +6,22 @@ solved in iota(A), so no run builds a ``MultiplierSpace``.  Only a finite
 input without a unit slices by iota solves (``Slicer._preimage``), and
 ``nonunital_path8_delta.spec`` is the one such input with a coproduct.
 On a finite unital input the Hopf stage decides by element identities and
-kernels, and sweeps or solves only where those cannot decide.
+kernels, and sweeps or solves only where those cannot decide.  Every run
+validates the extensions its Slicers bind to the run's window and expansion.
 """
 
+import json
 from pathlib import Path
 
-from mulhopf import bialgebra, cli, hopf, linalg, multiplier
+from mulhopf import bialgebra, cli, extension, hopf, linalg, multiplier
 from mulhopf.gallery import build_entry, gallery_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
-FINITE_GALLERY = [f"gallery:{name}" + ("(3)" if name == "kfun_cyclic" else "")
-                  for name in gallery_names()
-                  if build_entry(name, (3,) if name == "kfun_cyclic" else ()).algebra.finite]
+GALLERY = {f"gallery:{name}" + ("(3)" if name == "kfun_cyclic" else ""):
+           build_entry(name, (3,) if name == "kfun_cyclic" else ()).algebra.finite
+           for name in gallery_names()}
+FINITE_GALLERY = [text for text, finite in GALLERY.items() if finite]
 
 
 def test_every_command_on_every_input_takes_the_unital_route_where_a_unit_exists(
@@ -47,6 +50,35 @@ def test_every_command_on_every_input_takes_the_unital_route_where_a_unit_exists
     assert "rescaled_z6_no_unit.spec" in unital
     assert solved & finite == {"nonunital_path8_delta.spec"}
     assert not solved & unital
+
+
+def test_every_validated_extension_is_bound_by_a_slicer_of_the_run(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    slicers, validated = [], []
+    real_init, real_validate = bialgebra.Slicer.__init__, extension.Extension.validate
+    monkeypatch.setattr(bialgebra.Slicer, "__init__", lambda self, *a, **k: (
+        real_init(self, *a, **k), slicers.append(self))[0])
+    monkeypatch.setattr(extension.Extension, "validate", lambda self: (
+        validated.append(self) or real_validate(self)))
+    # an oracle entry's Delta is built on its default window at expansion 2
+    runs = [[text] for text in sorted(p.name for p in GOLDEN.glob("*.spec")) + FINITE_GALLERY]
+    runs += [[text, "--window", "2", "--expansion", "3"]
+             for text, finite in GALLERY.items() if not finite]
+    seen = 0
+    for args in runs:
+        for command in cli._COMMANDS:
+            slicers.clear(), validated.clear()
+            code = cli.main([command, *args, "--report", "json"])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, 3), (command, args)
+            if code == 3:
+                continue
+            run = json.loads(out)["input"]
+            assert all((sl.window, sl.expansion) == (run["window"], run["expansion"])
+                       for sl in slicers), (command, args)
+            assert all(any(sl.delta is ext for sl in slicers) for ext in validated), (command, args)
+            seen += len(validated)
+    assert seen > 0
 
 
 def test_the_finite_hopf_stage_sweeps_and_solves_only_where_no_certificate_decides(

@@ -269,17 +269,20 @@ def test_a_finite_bialgebra_that_is_not_hopf_is_labelled_proven(capsys, monkeypa
     assert out.endswith("classification: multiplier bialgebra (proven; finite)\n")
 
 
-def path8_with_a_tensor_one(extra=""):
-    """nonunital_path8.spec with Delta(a) = a (x) 1, i.e. Delta(a)(x (x) y) =
-    ax (x) y, written from its mul lines; ``extra`` lines are appended."""
-    text = (Path(__file__).parent / "golden" / "nonunital_path8.spec").read_text(encoding="utf-8")
+def path8_with_a_tensor_one(extra="", mirror=False, keyword="delta",
+                            spec="nonunital_path8.spec"):
+    """``spec`` with Delta(a) = a (x) 1, i.e. Delta(a)(x (x) y) = ax (x) y,
+    written from its mul lines; ``mirror`` gives 1 (x) a, (y (x) x) |-> y (x) ax,
+    ``keyword`` "coaction" rho in place of Delta; ``extra`` lines are appended."""
+    text = (Path(__file__).parent / "golden" / spec).read_text(encoding="utf-8")
     ids = next(line for line in text.splitlines() if line.startswith("basis ")).split()[1:]
     lines = []
     for line in text.splitlines():
         if line.startswith("mul "):
             lhs, value = line[4:].split(" = ")
             (a, x), (coeff, ax) = lhs.split(), value.split("*")
-            lines += [f"delta {a} ({x},{y}) = {coeff}*({ax},{y})\n" for y in ids]
+            lines += [f"{keyword} {a} ({y},{x}) = {coeff}*({y},{ax})\n" if mirror
+                      else f"{keyword} {a} ({x},{y}) = {coeff}*({ax},{y})\n" for y in ids]
     return text + "".join(lines) + extra
 
 
@@ -301,6 +304,41 @@ def test_an_undefined_slice_fails_with_its_pair_as_witness(tmp_path, capsys, com
                      r"\(a\(x\)1\) is not iota of a window element \[side=left, a=e, b=e\]\)$",
                      out, re.M)
 
+
+
+UNDEFINED_SLICE = {
+    "left": "framed by (a(x)1) is not iota of a window element [side=left, a=e, b=e]",
+    "right": "framed by (1(x)b) is not iota of a window element [side=right, a=e, b=e]",
+}
+
+
+@pytest.mark.parametrize("text, name, side, axioms", [
+    (path8_with_a_tensor_one(), "Delta", "left", {
+        "check-bialgebra": ["slice membership", "coassociativity", "counit synthesis"],
+        "check-comodule": ["counit synthesis", "comodule coassociativity (framed)",
+                           "comodule coassociativity (element)"]}),
+    (path8_with_a_tensor_one("epsilon e = 1\n", mirror=True), "Delta", "right", {
+        "check-bialgebra": ["slice membership", "coassociativity", "counit"],
+        "check-comodule": ["comodule coassociativity (framed)",
+                           "comodule coassociativity (element)", "comodule counit"]}),
+    # a declared coaction rho(a) = 1 (x) a over the coproduct of nonunital_path8_delta
+    (path8_with_a_tensor_one("epsilon e = 1\n", mirror=True, keyword="coaction",
+                             spec="nonunital_path8_delta.spec"), "rho", "right", {
+        "check-comodule": ["comodule coassociativity (framed)",
+                           "comodule coassociativity (element)", "comodule counit"]}),
+], ids=["a(x)1", "1(x)a", "rho 1(x)a"])
+def test_every_check_an_undefined_slice_fails_reads_the_slicers_report(tmp_path, capsys, text,
+                                                                      name, side, axioms):
+    # A has no unit, so the framed e (x) e is not in A (x) A: every line that
+    # fails at that pair reads one message
+    path = write_spec(tmp_path, text)
+    for command, want in axioms.items():
+        rc, out, err = run_cli([command, path], capsys)
+        assert (rc, err) == (1, "")
+        failed = [line for line in out.splitlines() if " witness=1*e, 1*e (" in line]
+        assert [line.split(": failed [")[0].strip() for line in failed] == want, (command, out)
+        for line in failed:
+            assert line.endswith(f" witness=1*e, 1*e ({name} {UNDEFINED_SLICE[side]})"), line
 
 def test_exit_1_on_failed_axiom(capsys):
     rc, out, _ = run_cli(["check-algebra", "gallery:zero1"], capsys)
