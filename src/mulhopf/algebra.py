@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import islice, product
 
 from .linalg import (
-    GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy, vec_canonical,
+    GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy, vec_bilinear, vec_canonical,
 )
 
 
@@ -296,7 +296,7 @@ class Algebra(Space):
         return out
 
     def basis_product(self, i, j) -> dict:
-        """Coefficients of e_i * e_j, the product ``element_mul`` sums."""
+        """Coefficients of e_i * e_j, summed by ``element_mul`` over ``partners`` if finite."""
         return self.mul_basis(i, j).coeffs
 
     @cached_property
@@ -315,14 +315,8 @@ class Algebra(Space):
         return {k: frozenset(v) for k, v in out.items()}
 
     def element_mul(self, x: Element, y: Element) -> Element:
-        field, product = self.field, self.basis_product
-        acc: dict = {}
-        for i, ci in x.coeffs.items():
-            for j, cj in y.coeffs.items():
-                prod = product(i, j)
-                if prod:
-                    vec_axpy(field, acc, prod, field.mul(ci, cj))
-        return Element(self, acc)
+        return Element(self, vec_bilinear(self.field, x.coeffs, y.coeffs, self.basis_product,
+                                          self.partners if self.finite else None))
 
     def product_span(self, ids) -> PairSpan:
         """Cached solver writing elements as sums of products e_i * e_j, i, j in ``ids``."""
@@ -645,14 +639,8 @@ class ModuleStructure:
     def act(self, m: Element, a: Element) -> Element:
         if m.space is not self.space or a.space is not self.algebra:
             raise InputError("act() wants (module element, algebra element)")
-        field = self.space.field
-        acc: dict = {}
-        for m_id, cm in m.coeffs.items():
-            for a_id, ca in a.coeffs.items():
-                hit = self.act_basis(m_id, a_id).coeffs
-                if hit:
-                    vec_axpy(field, acc, hit, field.mul(cm, ca))
-        return Element(self.space, acc)
+        return Element(self.space, vec_bilinear(self.space.field, m.coeffs, a.coeffs,
+                                                lambda i, j: self.act_basis(i, j).coeffs))
 
     def action_span(self, m_ids, a_ids) -> PairSpan:
         """Cached solver for decompositions m = sum c * (e_m acted by e_a)."""
@@ -773,12 +761,12 @@ def tensor_space(left: Space, right: Space) -> Space:
 
 
 class TensorAlgebra(Algebra):
-    """left (x) right on pair ids, multiplied factor by factor: a pair of
-    terms is multiplied only when both factor products are nonzero, and
-    nothing is cached per pair of pair ids (``mul_basis`` still tabulates
-    for the solvers).  Nothing is declared as its unit: its one unit is
-    ``verified_unit``, the tensor of the factors' verified units (declared
-    or solved), a unit by (u (x) v)(a (x) b) = ua (x) vb."""
+    """left (x) right on pair ids, multiplied factor by factor: ``partners``
+    comes from the factors' tables, so a term pair is multiplied only when
+    both factor products are nonzero, and no pair of pair ids is cached
+    (``mul_basis`` still tabulates for the solvers).  Its one unit, none
+    declared, is ``verified_unit``, the tensor of the factors' verified
+    units (declared or solved), a unit by (u (x) v)(a (x) b) = ua (x) vb."""
 
     def __init__(self, left: Algebra, right: Algebra):
         if left.field != right.field:
@@ -805,28 +793,6 @@ class TensorAlgebra(Algebra):
         """From the factors' tables, so no pair-id product is tabulated."""
         lp, rp = (fac.partners for fac in self.factors)
         return {(i, j): frozenset(product(lp[i], rp[j])) for i, j in self.basis.ids}
-
-    def element_mul(self, x: Element, y: Element) -> Element:
-        """The generic loop, multiplying only pairs whose factors' partner
-        tables say both products are nonzero (an oracle factor has none).
-        y's terms are grouped by left factor once; an x-term visits the
-        groups of its left partners, merged back into y's order."""
-        left, right = self.factors
-        if not (left.finite and right.finite):
-            return super().element_mul(x, y)
-        field, lp, rp = self.field, left.partners, right.partners
-        lprod, rprod = left.basis_product, right.basis_product
-        groups: dict = {}
-        for n, ((i2, j2), c2) in enumerate(y.coeffs.items()):
-            groups.setdefault(i2, []).append((n, i2, j2, c2))
-        acc: dict = {}
-        for (i1, j1), c1 in x.coeffs.items():
-            rj = rp[j1]
-            for _, i2, j2, c2 in sorted(t for i2 in groups.keys() & lp[i1] for t in groups[i2]):
-                if j2 in rj:
-                    vec_axpy(field, acc, _outer(field, lprod(i1, i2), rprod(j1, j2)),
-                             field.mul(c1, c2))
-        return Element(self, acc)
 
     @cached_property
     def verified_unit(self):

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy
+from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_bilinear
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
     WindowInsufficiency,
     joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
-    scaled_window, tensor_algebra, tensor_elem, tensor_module,
+    tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import (Multiplier, agrees_on_probes, basis_image, iota, iota_element,
                          iota_preimage, one)
@@ -196,14 +196,8 @@ class Slicer:
 
     def slice_elem(self, side, a: Element, b: Element) -> Element:
         """``slice`` extended bilinearly to elements a, b of A."""
-        f = self.alg.field
-        acc: dict = {}
-        for i, ci in a.coeffs.items():
-            for j, cj in b.coeffs.items():
-                hit = self.slice(side, i, j).coeffs
-                if hit:
-                    vec_axpy(f, acc, hit, f.mul(ci, cj))
-        return Element(self.txt, acc)
+        return Element(self.txt, vec_bilinear(self.alg.field, a.coeffs, b.coeffs,
+                                              lambda i, j: self.slice(side, i, j).coeffs))
 
 
 def check_fons(slicer: Slicer) -> Verdict:
@@ -248,8 +242,7 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
     status = joint_baseline((B, ids), (A, c_ids))
     if _certified_coassoc(gamma, dsl, ids):
         return Verdict(axiom, status, label)
-    triple_l = tensor_algebra(gamma.txt, A)   # (B(x)A)(x)A
-    triple_r = tensor_algebra(B, dsl.txt)     # B(x)(A(x)A)
+    triple = tensor_algebra(gamma.txt, A)   # (B(x)A)(x)A
     f = B.field
     try:
         for a in ids:
@@ -262,10 +255,9 @@ def _sliced_coassoc(gamma: Slicer, dsl: Slicer, ids, c_ids, axiom, label,
                             vec_add(f, lhs, (w, v), f.mul(cs, cl))
                     rhs: dict = {}
                     for (p, q), ct in t.coeffs.items():
-                        for pair, cr in dsl.slice("right", q, c).coeffs.items():
-                            vec_add(f, rhs, (p, pair), f.mul(ct, cr))
-                    left_side = Element(triple_l, lhs)
-                    right_side = reassociate_left(Element(triple_r, rhs), triple_l)
+                        for (x, y), cr in dsl.slice("right", q, c).coeffs.items():
+                            vec_add(f, rhs, ((p, x), y), f.mul(ct, cr))
+                    left_side, right_side = Element(triple, lhs), Element(triple, rhs)
                     if left_side != right_side:
                         return Verdict(
                             axiom, "failed", label,
@@ -497,7 +489,7 @@ def tensor_module_action(slicer: Slicer, m: ModuleStructure,
     if m.side != "right" or n.side != "right":
         raise InputError("tensor_module_action is for right modules")
     base = tensor_module(m, n)
-    a_search = scaled_window(alg, wa, slicer.expansion)
+    a_search = delta.source_search_ids
     m_ids = resolve_window(m.space, wa)
     n_ids = resolve_window(n.space, wa)
     f = alg.field
@@ -545,14 +537,18 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
     from ``modules``; the right and left unit constraints mediated by the
     counit witness g; and the tensor-of-extensions instance (the Delta
     bimodule actions on A (x) A validate as an extension of A).  A
-    programming error inside a check propagates; it is not a verdict.
+    programming error inside a check propagates; it is not a verdict.  The
+    Slicer's window must be None or an int: it is resolved on every tensor
+    module too, where an id tuple of A names no ids.
 
     g is its own input, not eps.witness: eps' = 2 eps with g' = g / 2 passes
     every unit constraint, which reads eps and g only together; the module
     laws of k over eps (``epsilon_module``) catch it.
     """
     delta, alg, wa, a_ids = slicer.delta, slicer.alg, slicer.window, slicer.ids
-    dec_ids = scaled_window(alg, wa, slicer.expansion)
+    if wa is not None and not isinstance(wa, int):
+        raise InputError(f"monoidal instances need an integer window, not {wa!r}")
+    dec_ids = delta.source_search_ids
     f = alg.field
     g = counit_witness
 

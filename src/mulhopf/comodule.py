@@ -37,7 +37,7 @@ from __future__ import annotations
 from .linalg import vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict, joint_baseline,
-    probe_window, resolve_window, scaled_window, tensor_algebra, tensor_elem, tensor_module,
+    probe_window, resolve_window, tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import act_on_module, basis_image, iota, one, sweep
 from .extension import TensorExtension, identity_extension, psi_embed
@@ -220,7 +220,7 @@ def check_module_algebra(module: ModuleStructure, slicer: Slicer) -> Verdict:
     b_ids = resolve_window(B, window)
     a_ids = slicer.ids
     pair_window = [(i, j) for i in b_ids for j in b_ids]
-    scaled = scaled_window(A, window, slicer.expansion)
+    scaled = delta.source_search_ids
     aa_window = [(i, j) for i in scaled for j in scaled]
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     for bi in b_ids:

@@ -39,7 +39,7 @@ comes from the scans.
 from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
-from .algebra import Element, InputError, Verdict, WindowInsufficiency, probe_window, scaled_window
+from .algebra import Element, InputError, Verdict, WindowInsufficiency, probe_window
 from .multiplier import Multiplier, basis_image, combine, iota, iota_element, multiplier_eq
 from .bialgebra import Counit, SliceUndefined, Slicer, solve_touched
 
@@ -120,7 +120,7 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
     pairs = [(a, b) for a in ids for b in ids]
     label = txt.window_label(pairs)
     side = _CANONICAL_SIDE[which]
-    scaled = scaled_window(alg, slicer.window, slicer.expansion)
+    scaled = slicer.delta.source_search_ids
     try:
         cols = [((a, b), slicer.slice(side, a, b).coeffs) for (a, b) in pairs]
         wide = (None if tuple(scaled) == tuple(ids) else  # the window's own factorisation serves
@@ -243,7 +243,7 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
             "failed", None, None, verdicts,
             detail=f"no antipode: {gate['hopf'].detail or 'canonical map not bijective'}")
 
-    t_ids = alg.basis.ids if alg.finite else scaled_window(alg, slicer.window, slicer.expansion)
+    t_ids = alg.basis.ids if alg.finite else slicer.delta.source_search_ids
     mul = alg.basis_product
     entries: dict = {}
     rhs: dict = {}

@@ -44,6 +44,20 @@ def vec_axpy(field, acc: dict, x: dict, c=None) -> dict:
     return acc
 
 
+def vec_bilinear(field, x: dict, y: dict, table, meets=None) -> dict:
+    """The bilinear extension of a basis rule: sum x_i y_j table(i, j), x's terms
+    outer, y's inner, in insertion order; with ``meets``, only j in ``meets[i]``."""
+    mul, acc = field.mul, {}
+    for i, ci in x.items():
+        hits = y if meets is None else meets[i]
+        for j, cj in y.items():
+            if j in hits:
+                prod = table(i, j)
+                if prod:
+                    vec_axpy(field, acc, prod, mul(ci, cj))
+    return acc
+
+
 def vec_add(field, acc: dict, key, val) -> dict:
     """acc[key] += val in place, dropping the entry if it cancels."""
     s = field.add(acc.get(key, field.zero), val)

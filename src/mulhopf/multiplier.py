@@ -279,7 +279,7 @@ def unital_certificate(alg: Algebra, image, sides=("left", "right")):
 def iota_images(alg: Algebra, c: Element, side) -> dict:
     """y -> coefficients of c e_y (side "left") or e_y c (side "right") for
     the y that c's terms meet in ``alg.partners`` (``copartners``), else 0.
-    Each y sums c's terms in c's order, as ``element_mul`` does."""
+    Each y sums c's terms in c's order, as ``vec_bilinear`` does."""
     field, mul, out = alg.field, alg.basis_product, {}
     meets = alg.partners if side == "left" else alg.copartners
     for t, ct in c.coeffs.items():

@@ -16,8 +16,8 @@ built-in oracle family.  Statements, one per line, `#` starts a comment:
 
 Elements are written `<coeff>*<id> + <coeff>*<id> + ...` (or `0`); tensor
 ids are `(<i>,<j>)`.  This matches how elements print, so tables written
-by the tool parse back.  Products and coproduct slices default to zero on
-pairs with no line, which keeps the rules total on the declared basis.
+by the tool parse back.  Products, slices, counit values and antipode
+images read zero on ids with no line: every rule is total on the basis.
 
 Tensor ids go only in the frame of a `delta` or `coaction` line and in
 the terms of its element; every other id position takes a plain id.  Each
@@ -309,8 +309,8 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
         delta = _slice_extension(A, T, spec.delta, "Delta")
         epsilon = witness = None
         if spec.epsilon:
-            epsilon = Counit(A, dict(spec.epsilon))
-            witness = epsilon.witness(i for i in spec.ids if i in spec.epsilon)
+            epsilon = Counit(A, {i: spec.epsilon.get(i, field.zero) for i in spec.ids})
+            witness = epsilon.witness(spec.ids)
         smap = None
         if spec.antipode:
             tables = {i: Element(A, spec.antipode.get(i, {})) for i in spec.ids}

@@ -69,6 +69,17 @@ def trivial_module_algebra(bundle: MultiplierBialgebra) -> ModuleStructure:
     return ModuleStructure(A, A, "right", rule, name=f"{A.name} via eps")
 
 
+def every_pair_product(x: Element, y: Element) -> Element:
+    """x * y the plain way, the reference for element products: every term
+    pair through ``basis_product``, x's terms outer and y's inner, no filter."""
+    alg = x.space
+    f, acc = alg.field, {}
+    for i, ci in x.coeffs.items():
+        for j, cj in y.coeffs.items():
+            vec_axpy(f, acc, alg.basis_product(i, j), f.mul(ci, cj))
+    return Element(alg, acc)
+
+
 # ---------------------------------------------------------------------------
 # seeded random families (property-test fodder, deterministic per seed)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf.algebra import (Algebra, Element, InputError, WindowInsufficiency,
+from mulhopf.algebra import (Element, InputError, WindowInsufficiency,
                              check_associativity, check_idempotent,
                              check_local_units, check_module,
                              check_nondegenerate, finite_algebra,
@@ -18,7 +18,7 @@ from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2, zero1
 from mulhopf.multiplier import iota_element
 
-from fixtures import random_algebra
+from fixtures import every_pair_product, random_algebra
 
 
 def group_algebra_z3():
@@ -238,7 +238,7 @@ def test_random_algebras_over_f7(seed):
     assert check_nondegenerate(A).status == "proven"
 
 
-# --- products in A (x) A against the generic loop -------------------------
+# --- element products against every term pair ----------------------------
 
 
 def matrix_units():
@@ -268,18 +268,18 @@ def test_tensor_products_are_the_generic_loop(make):
     elems.append(T.element({(i, j): f.one for j in A.basis.ids for i in A.basis.ids}))
     for x in elems:
         for y in elems:
-            got, want = T.element_mul(x, y), Algebra.element_mul(T, x, y)
+            got, want = x * y, every_pair_product(x, y)
             assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
 def test_tensor_products_merge_partner_groups_in_y_order():
     # e11 (x) e11 meets y's four terms, whose left factors alternate e12, e11:
-    # read group by group they would come out e12, e12, e11, e11
+    # products come out in y's order, not grouped as e12, e12, e11, e11
     M = matrix_units()
     T = tensor_algebra(M, M)
     x = T.element({("e11", "e11"): 1})
     y = T.element({("e12", "e11"): 1, ("e11", "e12"): 1, ("e12", "e12"): 1, ("e11", "e11"): 1})
-    assert list((x * y).coeffs) == list(Algebra.element_mul(T, x, y).coeffs) == [
+    assert list((x * y).coeffs) == list(every_pair_product(x, y).coeffs) == [
         ("e12", "e11"), ("e11", "e12"), ("e12", "e12"), ("e11", "e11")]
 
 
@@ -289,7 +289,7 @@ def test_tensor_products_drop_terms_that_cancel():
     x = T.element({("e12", "e11"): 1, ("e11", "e11"): 1})
     y = T.element({("e21", "e11"): 1, ("e11", "e11"): -1})
     # (e12 e21) (x) e11 = e11 (x) e11 cancels against -(e11 e11) (x) e11
-    assert (x * y).coeffs == {} == Algebra.element_mul(T, x, y).coeffs
+    assert (x * y).coeffs == {} == every_pair_product(x, y).coeffs
     assert list((y * x).coeffs.items()) == [
         (("e22", "e11"), 1), (("e21", "e11"), 1), (("e12", "e11"), -1), (("e11", "e11"), -1)]
 
@@ -302,12 +302,26 @@ def test_tensor_products_multiply_only_nonzero_factor_pairs(monkeypatch):
     cs = [iota_element(delta.basis_multiplier(i)) for i in A.basis.ids]
     nonzero = sum(1 for x in cs for y in cs for (i1, j1) in x.coeffs for (i2, j2) in y.coeffs
                   if A.mul_basis(i1, i2).coeffs and A.mul_basis(j1, j2).coeffs)
-    want = [Algebra.element_mul(T, x, y) for x in cs for y in cs]
+    want = [every_pair_product(x, y) for x in cs for y in cs]
     assert T.factors == (A, A)
     real, calls = A.basis_product, []
     monkeypatch.setattr(A, "basis_product", lambda i, j: calls.append((i, j)) or real(i, j))
     assert [x * y for x in cs for y in cs] == want
     assert len(calls) == 2 * nonzero == 2 * 64
+
+
+def test_finite_products_multiply_only_partner_pairs(monkeypatch):
+    # e_ij e_kl is nonzero only for j = k: 8 of the 16 term pairs of two
+    # elements on all four matrix units
+    M = matrix_units()
+    x = M.element({i: n for n, i in enumerate(M.basis.ids, 1)})
+    y = M.element({i: n for n, i in enumerate(reversed(M.basis.ids), 1)})
+    want = every_pair_product(x, y)
+    real, calls = M.basis_product, []
+    monkeypatch.setattr(M, "basis_product", lambda i, j: calls.append((i, j)) or real(i, j))
+    assert list((x * y).coeffs.items()) == list(want.coeffs.items())
+    assert calls == [(i, j) for i in x.coeffs for j in y.coeffs if i[2] == j[1]]
+    assert len(calls) == 8
 
 
 # --- the unit: declared, or solved from iota(u) = 1 ---------------------------

@@ -404,6 +404,14 @@ def test_the_tensor_extension_instance_validates_on_the_slicers_window():
     assert (v.axiom, v.status, v.window) == (
         "tensor extension instance", "holds_on_window", "3 ids of K(Z) -> 9 ids of K(Z)(x)K(Z)")
 
+
+def test_monoidal_instances_reject_an_id_tuple_window():
+    # the window is resolved on M (x) (N (x) P) too, where ids of A name no ids
+    b = kfun_cyclic(3).bialgebra
+    with pytest.raises(InputError, match="integer window"):
+        check_monoidal_instance(b.slicer((0, 1)), b.epsilon, b.counit_witness,
+                                [regular_module(b.algebra)])
+
 def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch):
     # only a rejected certificate (InvariantViolation) is a failed verdict
     b = kfun_cyclic(2).bialgebra

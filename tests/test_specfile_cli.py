@@ -372,15 +372,37 @@ def test_the_text_report_names_its_options_and_times_each_entry(capsys):
     assert len(entries) == 4 and all(re.search(r" \d+\.\dms$", line) for line in entries)
 
 
-def test_exit_2_on_window_insufficiency(tmp_path, capsys):
-    # epsilon given on only part of the basis: the counit check walks off
-    # the table and the run stops with a partial report
-    partial = GROUP_SPEC.replace("epsilon g = 1\n", "")
-    rc, out, err = run_cli(["check-bialgebra", write_spec(tmp_path, partial)],
-                           capsys)
+def test_exit_2_on_window_insufficiency(capsys):
+    # at expansion 1 the window-2 search cannot decompose Delta's products:
+    # the run stops with a partial report
+    rc, out, err = run_cli(["check-bialgebra", "gallery:kfin_Z", "--window", "2",
+                            "--expansion", "1"], capsys)
     assert rc == 2
     assert "window insufficient" in err
-    assert "coassociativity: proven" in out
+    assert "local units: holds_on_window [5 ids of K(Z)]" in out
+    assert "extension" not in out
+
+
+def test_an_omitted_epsilon_line_reads_zero(tmp_path, capsys):
+    # a counit declared only where it is nonzero is the whole counit, as
+    # omitted mul and antipode lines read zero: no window is too small
+    full = str(Path(__file__).parent / "golden" / "rescaled_z4_f7.spec")
+    text = Path(full).read_text()
+    trimmed = write_spec(tmp_path, re.sub(r"epsilon e\d = 0\n", "", text))
+    assert Path(trimmed).read_text().count("epsilon") == 1
+    for cmd in ("check-bialgebra", "check-hopf", "check-comodule", "classify",
+                "synthesize-antipode"):
+        reports = []
+        for spec in (full, trimmed):
+            rc, out, err = run_cli([cmd, spec, "--report", "json"], capsys)
+            doc = json.loads(out)
+            reports.append((rc, err, doc["entries"], doc["tables"], doc["classification"]))
+        assert reports[0] == reports[1], cmd
+    # an omitted nonzero value reads zero too, and fails the counit law
+    partial = write_spec(tmp_path, GROUP_SPEC.replace("epsilon g = 1\n", ""), "group.spec")
+    rc, out, err = run_cli(["check-bialgebra", partial], capsys)
+    assert (rc, err) == (1, "")
+    assert "  counit: failed [full basis(2)] witness=1*e, 1*g" in out
 
 
 # a unital F_7 algebra whose Delta(e_k) = iota(t_k) is not idempotent
