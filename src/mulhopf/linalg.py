@@ -45,16 +45,20 @@ def vec_axpy(field, acc: dict, x: dict, c=None) -> dict:
 
 
 def vec_bilinear(field, x: dict, y: dict, table, meets=None) -> dict:
-    """The bilinear extension of a basis rule: sum x_i y_j table(i, j), x's terms
-    outer, y's inner, in insertion order; with ``meets``, only j in ``meets[i]``."""
-    mul, acc = field.mul, {}
+    """The bilinear extension of a basis rule, x's terms outer and y's inner in insertion order;
+    with ``meets``, only the j in ``meets[i]``, found from the smaller of y and ``meets[i]``."""
+    mul, acc, pos = field.mul, {}, None
     for i, ci in x.items():
-        hits = y if meets is None else meets[i]
-        for j, cj in y.items():
-            if j in hits:
-                prod = table(i, j)
-                if prod:
-                    vec_axpy(field, acc, prod, mul(ci, cj))
+        m = y if meets is None else meets[i]
+        if len(y) <= len(m):  # always so without meets
+            js = y if m is y else filter(m.__contains__, y)
+        elif len(js := [*filter(y.__contains__, m)]) > 1:
+            pos = pos or {j: n for n, j in enumerate(y)}
+            js.sort(key=pos.__getitem__)
+        for j in js:
+            prod = table(i, j)
+            if prod:
+                vec_axpy(field, acc, prod, mul(ci, y[j]))
     return acc
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as strat
 from mulhopf import linalg
 from mulhopf.fields import GF, QQ
 from mulhopf.linalg import (GaussianSolver, SparseMatrix, kernel_basis,
-                            solve_linear, vec_add, vec_axpy, vec_canonical)
+                            solve_linear, vec_add, vec_axpy, vec_bilinear,
+                            vec_canonical)
 
 
 def mat(field, rows):
@@ -108,6 +109,42 @@ def test_accumulation_matches_a_naive_sum(field):
             for k, v in x.items():
                 dense[k] = field.add(dense[k], v if c is None else field.mul(c, v))
         assert acc == {k: v for k, v in enumerate(dense) if v}
+
+
+class _Key:
+    """A basis id that counts its hashes: every dict or set lookup costs one."""
+
+    hashes = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __hash__(self):
+        _Key.hashes += 1
+        return self.n
+
+    def __eq__(self, other):
+        return self.n == other.n
+
+
+@pytest.mark.parametrize("n_x, n_y, n_meets, bound", [
+    (40, 40, 1, 600),  # y dense, one partner each: the pairs that meet, not all 1,600
+    (1, 1, 400, 20),  # 400 partners, one y-term: y's terms, not the partner table
+])
+def test_bilinear_sums_look_up_meeting_pairs_only(n_x, n_y, n_meets, bound):
+    keys = [_Key(n) for n in range(max(n_x, n_y, n_meets))]
+    x = {k: QQ.coerce(k.n + 1) for k in keys[:n_x]}
+    y = {k: QQ.coerce(2 * k.n + 1) for k in reversed(keys[:n_y])}
+    meets = {i: frozenset(keys[i.n:i.n + n_meets]) for i in x}
+
+    def table(i, j):
+        return {i: QQ.one} if j in meets[i] else {}
+
+    plain = vec_bilinear(QQ, x, y, table)
+    _Key.hashes = 0
+    filtered = vec_bilinear(QQ, x, y, lambda i, j: {i: QQ.one}, meets)
+    assert _Key.hashes <= bound
+    assert list(filtered.items()) == list(plain.items()) != []
 
 
 small_mats = strat.lists(
