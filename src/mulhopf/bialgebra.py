@@ -24,9 +24,10 @@ and counit synthesis inverts the same identities as a linear system in
 the unknown values eps(e_i).  It shares one solve with antipode synthesis
 (``solve_touched``) and so one touched-coordinate rule: the unknowns are
 the coordinates some equation touches, a touched coordinate left free
-raises WindowInsufficiency, and so a synthesized table is unique on what
-the equations see, whatever their order; coordinates no equation touches
-read zero.  These are the comodule laws of A over
+raises WindowInsufficiency (unless the identities over a whole finite
+basis are inconsistent: then there is no table), and so a synthesized
+table is unique on what the equations see, whatever their order;
+coordinates no equation touches read zero.  These are the comodule laws of A over
 itself, the regular comodule with rho = Delta, so one engine
 (``_sliced_coassoc``) checks sliced coassociativity for Delta and for
 every coaction (``comodule.check_comodule_coassoc_element``), and one
@@ -378,29 +379,39 @@ def _collapse(pair_elem: Element, epsilon: Counit, eps_leg) -> Element:
     return Element(keep_space, acc)
 
 
-def solve_touched(field, entries: dict, rhs: dict, what):
+def solve_touched(field, entries: dict, rhs: dict, what, covered=False):
     """The solution of ``entries`` x = ``rhs`` on the unknowns it touches.
 
     ``entries`` maps (row, col) to a nonzero coefficient and ``rhs`` maps
     row to value; the rows are the row keys of both, the unknowns the
     columns of ``entries``.  A touched unknown left free raises
-    WindowInsufficiency.  Returns the solution (zero values omitted), or
-    None when the system is inconsistent.
+    WindowInsufficiency, unless the system is inconsistent and ``covered``
+    says its rows are the identities over a whole finite basis: no larger
+    window exists, so that is an answer.  Returns the solution (zero values
+    omitted), or None when the system is inconsistent.
+
+    Over a whole finite basis with a unit, a consistent counit system has no
+    free unknown: rows for b = 1 and a = 1 give (d (x) id)Delta(x) = 0 =
+    (id (x) d)Delta(x) for d the difference of two solutions, and with eps one
+    of them d(x) = (eps (x) d)Delta(x) = eps((id (x) d)Delta(x)) = 0.
+    Without a unit no such argument is at hand, and a free unknown raises.
     """
     rows = dict.fromkeys(r for r, _c in entries) | dict.fromkeys(rhs)
     solver = GaussianSolver(SparseMatrix(field, rows, dict.fromkeys(c for _r, c in entries),
                                          entries))
-    if solver.free_cols:
+    sol = solver.solve(rhs)
+    if solver.free_cols and not (covered and sol is None):
         raise WindowInsufficiency(
             f"{what} underdetermined on {len(solver.free_cols)} touched coordinates")
-    return solver.solve(rhs)
+    return sol
 
 
-def synthesize_counit(slicer: Slicer):
+def synthesize_counit(slicer: Slicer, why=None):
     """Solve the sliced counit identities for the values eps(e_i).
 
-    Returns the Counit, or None when the system is inconsistent or the
-    solution is not multiplicative or vanishes on the window; raises
+    Returns the Counit, or None when the identities are inconsistent or
+    their solution is not multiplicative or vanishes on the window; the
+    list ``why``, if given, then receives which.  Raises
     WindowInsufficiency when equation-touched unknowns remain free, and
     SliceUndefined when a window slice is not an element.
     """
@@ -419,9 +430,14 @@ def synthesize_counit(slicer: Slicer):
                     entries[(tag, a, b, pair[keep]), pair[1 - keep]] = c
                 for r, val in prod.coeffs.items():
                     rhs[(tag, a, b, r)] = val
-    sol = solve_touched(f, entries, rhs, "counit")
+
+    def failed(reason):
+        if why is not None:
+            why.append(reason)
+
+    sol = solve_touched(f, entries, rhs, "counit", covered=alg.covers_fully(ids))
     if sol is None:
-        return None
+        return failed("the counit identities have no solution")
     table = {bid: sol.get(bid, f.zero) for bid in (*ids, *(c for _r, c in entries))}
     # multiplicativity is not linear in eps; verify it on window pairs
     for i in ids:
@@ -434,10 +450,14 @@ def synthesize_counit(slicer: Slicer):
                         "synthesized counit window")
                 lhs = f.add(lhs, f.mul(c, table[t]))
             if lhs != f.mul(table[i], table[j]):
-                return None
+                x, y = alg.fmt_id(i), alg.fmt_id(j)
+                return failed("the solution of the counit identities is not "
+                              f"multiplicative: eps({x}*{y}) != eps({x})eps({y})")
     counit = Counit(alg, table)
     # eps vanishing on the window is not surjective
-    return counit if counit.witness(ids) is not None else None
+    if counit.witness(ids) is None:
+        return failed("the solution of the counit identities vanishes on the window")
+    return counit
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,14 @@ def stage_counit(run: Runner, sl, report: Report):
 
     def synthesis():
         nonlocal syn
+        why = []
         try:
-            syn = synthesize_counit(sl)
+            syn = synthesize_counit(sl, why)
         except SliceUndefined as exc:
             return Verdict("counit synthesis", "failed", label, witness=exc.witness,
                            detail=str(exc))
         if syn is None:
-            return Verdict("counit synthesis", "failed", label,
-                           detail="no multiplicative solution of the counit identities")
+            return Verdict("counit synthesis", "failed", label, detail=why[0])
         return Verdict("counit synthesis", sl.alg.baseline(sl.ids),
                        label, detail=f"solved on {len(syn.table)} ids")
 

@@ -22,8 +22,10 @@ contracts each factor against its own.
 ``basis_image`` is the one reading of a basis action and ``apply`` the one
 application to an element, each taking the side as data.  Only a leaf
 (given by its two rules) memoises basis images, for probe sweeps and factor
-reads, and keeps the nonzero images its local-unit contraction met;
-products, sums and Psi leaves have no rules and memoise nothing per id.
+reads, and keeps the nonzero images its local-unit contraction met; a leaf
+built with one rule for both sides keeps one set of memos for both.
+Products, sums and Psi leaves have no rules and memoise nothing per id.  A
+probe sweep visits a product only where its image is nonzero (``support``).
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ from itertools import product
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
-    Algebra, Element, InputError, ModuleStructure, Verdict,
+    Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
     Window, WindowInsufficiency, _outer, probe_window, resolve_window, tensor_elem,
 )
 
 
 class Multiplier:
+    """(lam, rho) on ``alg``: a leaf given by its two basis rules, or a product,
+    ``combine`` sum or Psi leaf made of multipliers.  A leaf built with one
+    rule for both sides, ``Multiplier(alg, lam, lam)``, evaluates it once
+    per id: both sides read one memo, unit contraction and support."""
     __slots__ = ("alg", "_rules", "_memo", "_prod", "_terms", "_psi", "_support",
                  "_unit_memo", "_iota", "name")
 
@@ -47,7 +53,8 @@ class Multiplier:
         # a leaf's basis rules and memo of their images (coefficient dicts) by
         # side; a product, sum or Psi leaf is built with None rules and has neither
         self._rules = None if lam is None else {"left": lam, "right": rho}
-        self._memo = None if lam is None else {"left": {}, "right": {}}
+        memo: dict = {}
+        self._memo = None if lam is None else {"left": memo, "right": memo if rho is lam else {}}
         self._prod = None
         self._terms = None  # [(c, x)] when this is combine's sum c * x
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
@@ -116,7 +123,8 @@ def combine(alg: Algebra, terms) -> Multiplier:
 
 def one(alg: Algebra) -> Multiplier:
     """The unit multiplier (id, id)."""
-    return Multiplier(alg, alg.basis_element, alg.basis_element, name="1")
+    rule = alg.basis_element
+    return Multiplier(alg, rule, rule, name="1")
 
 
 def iota(alg: Algebra, a: Element) -> Multiplier:
@@ -326,13 +334,15 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
     in ``Multiplier.apply``'s factor order, memoised on leaves.  A
     Psi(x (x) y) leaf contracts each factor on its factor window (e is
     e_L (x) e_R); a plain leaf keeps the nonzero images it meets, keyed to
-    e's ids, so its rule runs once per id, and meets e before it is applied."""
+    e's ids, so its rule runs once per id, and meets e before it is applied
+    (once for both sides when one rule serves both)."""
     if z._prod is not None:
         outer, inner = z._prod if side == "left" else z._prod[::-1]
         a = _unit_contraction(inner, side, window, ids)
         if outer._rules is not None:
             _unit_contraction(outer, side, window, ids)
         return outer.apply(side, a)
+    side = _side(z, side)
     memo = z._unit_memo = z._unit_memo or {}
     out = memo.get((side, window))
     if out is None:
@@ -350,7 +360,7 @@ def _unit_contraction(z: Multiplier, side, window, ids) -> Element:
 
 def _leaf_image(z: Multiplier, side, bid) -> dict:
     """A leaf's z |> e_bid or e_bid <| z as a unit contraction kept it, else its rule's."""
-    for unit, kept in z._unit_memo.get(side, ()):
+    for unit, kept in z._unit_memo.get(_side(z, side), ()):
         if bid in unit:
             return kept.get(bid, {})
     return _coeffs(z.alg, z._rules[side](bid))
@@ -362,7 +372,7 @@ def _contract_leaf(z: Multiplier, side, a: Element, kept=None) -> Element:
     contraction kept or the rule's (as in ``_leaf_image``); ``kept`` collects
     the nonzero ones."""
     alg, acc, coeffs = z.alg, {}, a.coeffs
-    stores = (z._unit_memo or {}).get(side, ())
+    stores = (z._unit_memo or {}).get(_side(z, side), ())
     memo, rule = (z._memo[side], z._rules[side]) if z._rules else ({}, None)
     for bid, c in coeffs.items():
         if (image := memo.get(bid)) is None:
@@ -419,24 +429,38 @@ def basis_image(z: Multiplier, side, bid) -> dict:
 
 def support(z: Multiplier, side, probes) -> frozenset:
     """Positions in ``probes`` (``probe_window``) outside which
-    ``basis_image(z, side, .)`` is 0: a leaf's is where its image is nonzero,
-    a Psi(x (x) y) leaf's its factors' over the factor windows multiplied
-    out (both memoised per side for the last window), a product's its inner
-    factor's, a ``combine``'s the union of its terms'."""
+    ``basis_image(z, side, .)`` is 0, exactly where it is nonzero but for a
+    ``combine``, whose is the union of its terms'.  A leaf's is read from its
+    images, a Psi(x (x) y) leaf's from its factors' over the factor windows
+    multiplied out, a product's from its images on its inner factor's
+    support; all are memoised per side for the last window.  If an image
+    there raises (a lift with no decomposition), a product keeps that whole
+    inner support, so a sweep meets the failure where a full sweep would."""
     probes = probes if isinstance(probes, Window) else probe_window(z.alg, probes)
     if z._terms is not None:
         return frozenset().union(*(support(x, side, probes) for _c, x in z._terms))
-    if z._prod is not None:
-        return support(z._prod[1] if side == "left" else z._prod[0], side, probes)
+    side = _side(z, side)
     memo = z._support.get(side)
     if memo is None or memo[0] != probes:
-        if z._psi is not None and probes.factors[1:]:
+        if z._prod is not None:
+            covered = support(z._prod[1] if side == "left" else z._prod[0], side, probes)
+            try:
+                covered = [n for n in covered if basis_image(z, side, probes.ids[n])]
+            except (InvariantViolation, WindowInsufficiency):
+                pass
+        elif z._psi is not None and probes.factors[1:]:
             covered = _product_positions(probes, *(support(fac, side, win) for fac, win
                                                    in zip(z._psi, probes.factors)))
         else:
             covered = (n for n, w in enumerate(probes) if basis_image(z, side, w))
         memo = z._support[side] = (probes, frozenset(covered))
     return memo[1]
+
+
+def _side(z: Multiplier, side):
+    """The side whose memos serve ``side``: "left" for both on a leaf built
+    with one rule for both sides, whose images are then the same."""
+    return "left" if z._memo is not None and z._memo["left"] is z._memo["right"] else side
 
 
 def _product_positions(probes, left, right):

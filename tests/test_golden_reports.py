@@ -37,7 +37,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # monoid01.spec is functions on the monoid ({0,1}, .): a finite multiplier
 # bialgebra, every verdict proven, whose canonical maps are not bijective;
 # left_zero2.spec is functions on the left-zero semigroup xy = x, whose
-# coproduct is coassociative but has no counit.  rescaled_z6_no_unit.spec
+# coproduct is coassociative but has no counit, and null2.spec on the null
+# semigroup xy = 0, whose counit identities have no solution over the whole
+# basis (a failed synthesis, not exit 2).  rescaled_z6_no_unit.spec
 # drops the unit line, so the unit is solved; nonunital_path8_delta.spec
 # gives the path algebra Delta(a) = iota(a (x) e), and as A (x) A has no
 # unit its rho tables and slices are solved.  rescaled_z6_damaged_antipode.spec
@@ -63,6 +65,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("classify_monoid01.json", ["classify", "monoid01.spec"], 1),
     ("check_hopf_monoid01.json", ["check-hopf", "monoid01.spec"], 1),
     ("classify_left_zero2.json", ["classify", "left_zero2.spec"], 1),
+    ("classify_null2.json", ["classify", "null2.spec"], 1),
     ("classify_rescaled_z6_no_unit.json", ["classify", "rescaled_z6_no_unit.spec"], 0),
     ("check_hopf_nonunital_path8_delta.json",
      ["check-hopf", "nonunital_path8_delta.spec"], 1),

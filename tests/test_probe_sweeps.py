@@ -235,6 +235,37 @@ def test_comodule_differs_gives_the_full_sweeps_witness(data):
     assert differs(lhs, rhs) == full_differs(triple_l, probes)(lhs, rhs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(strat.data())
+def test_a_products_support_is_where_its_image_is_nonzero(data):
+    # not its inner factor's whole support: a sweep of x*y visits only the
+    # probes where x*y acts, read alike from an id tuple and its product window
+    alg, probes = algebra_case(data.draw(strat.integers(0, 4)))
+    z = draw_tree(data, alg, probes) * draw_tree(data, alg, probes)
+    for side in ("left", "right"):
+        want = {n for n, w in enumerate(probes) if basis_image(z, side, w)}
+        assert support(z, side, probes) == want
+        assert support(z, side, as_window(alg, probes)) == want
+
+
+def test_check_comodule_sweeps_only_pairs_where_a_side_acts(capsys, monkeypatch):
+    # check-comodule of K(Z) at window 3: the sweeps visit the 474 (position,
+    # side) pairs where lhs or rhs acts, where a product given its inner
+    # factor's whole support (the frame's) visited 6,370
+    from mulhopf import cli, comodule
+    real, visited = comodule.sweep, []
+
+    def counted(*pairs):
+        for n, side in real(*pairs):
+            visited.append(any(basis_image(z, side, p.ids[n]) for z, p in pairs))
+            yield n, side
+
+    monkeypatch.setattr(comodule, "sweep", counted)
+    assert cli.main(["check-comodule", "gallery:kfin_Z", "--window", "3"]) == 0
+    capsys.readouterr()
+    assert len(visited) == 474 and all(visited)
+
+
 # -- pinned plants: a probe one side's support misses, and the last probe ----
 
 

@@ -914,7 +914,8 @@ def test_classify_evaluates_each_delta_rule_once_per_side_and_id(capsys, monkeyp
     # a leaf's unit contraction keeps the nonzero images it evaluates, and
     # every later image of that leaf inside the unit's ids is read from them:
     # 120,050 calls for as many (leaf, side, id), where re-evaluating the
-    # rule made 176,594, up to 3 per (leaf, side, id)
+    # rule made 176,594, up to 3 per (leaf, side, id); wrapped in a closure
+    # per side, the two sides cannot share (see the test below)
     from mulhopf.multiplier import Multiplier
     calls, real = Counter(), Multiplier.__init__
 
@@ -927,6 +928,28 @@ def test_classify_evaluates_each_delta_rule_once_per_side_and_id(capsys, monkeyp
     def init(self, alg, lam, rho, name=None):
         if name is not None and name.startswith("Delta(d"):
             lam, rho = counted(self, "left", lam), counted(self, "right", rho)
+        real(self, alg, lam, rho, name)
+
+    monkeypatch.setattr(Multiplier, "__init__", init)
+    rc, _, _ = run_cli(["classify", str(Path(__file__).parent / "golden" / "kfin_Z_w6.spec")],
+                       capsys)
+    assert rc == 0
+    assert calls and max(calls.values()) == 1
+
+
+def test_classify_evaluates_a_two_sided_delta_rule_once_per_id(capsys, monkeypatch):
+    # K(Z)'s Delta(d_k) is one rule for both sides, and such a leaf keeps one
+    # memo, one unit contraction and one support for both: 60,025 calls for
+    # as many (leaf, id), where a memo per side made 120,050, 2 per id
+    from mulhopf.multiplier import Multiplier
+    calls, real = Counter(), Multiplier.__init__
+
+    def init(self, alg, lam, rho, name=None):
+        if name is not None and name.startswith("Delta(d") and lam is rho:
+            def count(bid, rule=lam):
+                calls[(id(self), bid)] += 1
+                return rule(bid)
+            lam = rho = count
         real(self, alg, lam, rho, name)
 
     monkeypatch.setattr(Multiplier, "__init__", init)

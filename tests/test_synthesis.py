@@ -2,9 +2,9 @@
 that reaches it.
 
 Both synthesizers solve the sliced identities for an unknown table: a
-touched unknown left free raises WindowInsufficiency, an inconsistent
-system is no table, and otherwise the table is unique on the touched
-unknowns.  The command line reaches few of these exits, because the
+touched unknown left free raises WindowInsufficiency (over a whole finite
+basis only when the system is consistent), an inconsistent system is no
+table, and otherwise the table is unique on the touched unknowns.  The command line reaches few of these exits, because the
 T1/T2 gate stops a non-Hopf input before antipode synthesis and a finite
 run slices the whole basis.  So most tests here call the library: on an
 explicit id-tuple window of a finite algebra, or with an explicit
@@ -111,6 +111,47 @@ def test_a_counit_solution_that_is_not_multiplicative_is_no_counit():
     half = Counit(b.algebra, {"e": Fraction(1, 2)})
     assert check_counit(b.slicer(), half).status == "proven"
     assert synthesize_counit(b.slicer()) is None
+
+
+def test_inconsistent_counit_identities_over_a_whole_finite_basis_are_no_counit(
+        capsys, monkeypatch):
+    # functions on the null semigroup xy = 0 on {0, 1} (golden/null2.spec):
+    # Delta(d1) = 0 makes d1's identity read 0 = d1, and only eps(d0) +
+    # eps(d1) is pinned; no window is larger than the whole basis, so that
+    # is a failed synthesis, not a window insufficiency (exit 2)
+    why = []
+    assert synthesize_counit(bundle((GOLDEN / "null2.spec").read_text(encoding="utf-8"))
+                             .slicer(), why) is None
+    assert why == ["the counit identities have no solution"]
+    monkeypatch.chdir(GOLDEN)
+    for command in ("classify", "check-bialgebra", "check-hopf", "synthesize-counit"):
+        assert cli.main([command, "null2.spec"]) == 1
+        assert ("counit synthesis: failed [full basis(2)] (the counit identities have "
+                "no solution)") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make, cause", [
+    (lambda: bundle((GOLDEN / "left_zero2.spec").read_text(encoding="utf-8")).slicer(),
+     "the counit identities have no solution"),
+    (lambda: bundle(DOUBLED).slicer(),
+     "the solution of the counit identities is not multiplicative: eps(e*e) != eps(e)eps(e)"),
+    # on the window (d1,) of Z/3 the identities pin eps(d0) = 1 alone
+    (lambda: kfun_cyclic(3).bialgebra.slicer(window=(1,)),
+     "the solution of the counit identities vanishes on the window"),
+], ids=["inconsistent", "not-multiplicative", "vanishing"])
+def test_a_failed_counit_synthesis_names_its_cause(make, cause):
+    why = []
+    assert synthesize_counit(make(), why) is None
+    assert why == [cause]
+
+
+def test_the_counit_synthesis_row_reads_the_cause(tmp_path, capsys):
+    spec = tmp_path / "doubled.spec"
+    spec.write_text(DOUBLED, encoding="utf-8")
+    assert cli.main(["synthesize-counit", str(spec)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  counit synthesis: failed [full basis(1)] (the solution of the counit identities "
+        "is not multiplicative: eps(e*e) != eps(e)eps(e))")
 
 
 # --- antipode -------------------------------------------------------------
