@@ -33,8 +33,8 @@ from .bialgebra import (
     epsilon_module, synthesize_counit, tensor_module_action,
 )
 from .hopf import (
-    AntipodeSynthesis, MultiplierMap, check_antipode, check_bijective,
-    check_convolution_inverse, check_hopf, conv_unit, convolve, iota_map, map_eq,
+    AntipodeSynthesis, check_antipode, check_bijective,
+    check_convolution_inverse, check_hopf, conv_unit, convolve, map_eq,
     synthesize_antipode,
 )
 from .comodule import (

@@ -31,8 +31,8 @@ from .comodule import (
     check_comodule_coassoc, check_comodule_coassoc_element, check_comodule_coassoc_framed,
     check_comodule_counit,
 )
-from .hopf import check_antipode, check_convolution_inverse, check_hopf, \
-    iota_map, synthesize_antipode
+from .extension import identity_extension
+from .hopf import check_antipode, check_convolution_inverse, check_hopf, synthesize_antipode
 from . import gallery, specfile
 from .report import Report, digest
 
@@ -250,7 +250,7 @@ def cmd_check_hopf(entry, run, report, window, expansion):
         s = bundle.antipode
         run.group([
             lambda: check_antipode(sl, epsilon, s),
-            lambda: check_convolution_inverse(sl, epsilon, s, iota_map(bundle.algebra)),
+            lambda: check_convolution_inverse(sl, epsilon, s, identity_extension(bundle.algebra)),
         ])
     else:
         stage_antipode(run, sl, epsilon, report, gate=gate)

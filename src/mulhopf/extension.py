@@ -1,10 +1,10 @@
 """Algebra extensions: morphisms B -> M(A) inducing a good bimodule on A.
 
-An extension is an algebra map f: B -> M(A) (given on basis ids) whose
-induced actions b.a = f(b) |> a and a.b = a <| f(b) make A an idempotent
-non-degenerate B-bimodule.  These are the morphisms B --> A of the
-category the rest of the package works in; comultiplications, counits,
-and coactions are all instances.
+``Extension`` is the one linear map f: B -> M(A) given on basis ids: Delta,
+coactions, and the antipode, convolution maps and iota of ``hopf``.  It is
+an extension, a morphism B --> A of the category the package works in,
+when it is an algebra map whose induced actions b.a = f(b) |> a and
+a.b = a <| f(b) make A an idempotent non-degenerate B-bimodule.
 
 The central tool is the lift to M(B): with a = sum_i b_i . a_i in B.A and
 a = sum_j a'_j . b'_j in A.B,
@@ -20,7 +20,7 @@ Psi(x (x) y) |> (a (x) b) = (x |> a) (x) (y |> b), so its spans are built
 from the factors' hits.
 
 On finite B and A with verified units, validation first tries the unital
-certificate f(1_B) = 1_A, read from the iota preimages c_k of the f(e_k):
+certificate f(1_B) = 1_A, read from the recorded iota preimages c_k of the f(e_k):
 then a = f(1) |> a = a <| f(1) decomposes on both sides and no nonzero a
 is killed, so idempotency and non-degeneracy hold with no span solved and
 no kernel scanned.  Without it the decomposition and annihilator scans run.
@@ -45,12 +45,12 @@ _FORM = {"left": "B.A", "right": "A.B"}
 
 
 class Extension:
-    """f: B -> M(A) with window-certified structure.
+    """The linear map f: B -> M(A) given on basis ids, values cached.
 
     ``rule`` maps a source basis id to a Multiplier on the target (or to a
-    pair of basis-action callables).  Construct through ``from_map`` or
-    ``from_bimodule`` to get the certificates; the raw constructor is for
-    internal wiring and tests.
+    pair of basis-action callables).  Constructing one gives the map;
+    ``validate`` certifies that it is an extension (``from_map`` and
+    ``from_bimodule`` construct and certify).
     """
 
     def __init__(self, source: Algebra, target: Algebra, rule, name="f",
@@ -81,12 +81,15 @@ class Extension:
         return scaled_window(self.source, self.source_window, self.expansion)
 
     def at(self, window, expansion) -> "Extension":
-        """This extension on ``window`` (source and target) searching at ``expansion``:
-        itself if so bound, else a copy that shares its basis multipliers."""
-        if (self.source_window, self.target_window, self.expansion) == (window, window, expansion):
+        """Delta on ``window`` of A and its pairs in A (x) A, searching at
+        ``expansion``: itself if so bound, else a copy that shares its basis
+        multipliers.  An int window of A (x) A is already the pairs'."""
+        pairs = window if window is None or isinstance(window, int) else tuple(
+            product(window, repeat=2))
+        if (self.source_window, self.target_window, self.expansion) == (window, pairs, expansion):
             return self
         ext = copy(self)
-        ext.source_window = ext.target_window = window
+        ext.source_window, ext.target_window = window, pairs
         ext.expansion, ext._spans, ext._lift_decs = expansion, {}, {}
         return ext
 
@@ -320,9 +323,9 @@ class Extension:
 
 
 def identity_extension(alg: Algebra, window=None, expansion=2) -> Extension:
-    return Extension(alg, alg, lambda bid: iota(alg, alg.basis_element(bid)),
-                     name=f"id_{alg.name}", source_window=window,
-                     target_window=window, expansion=expansion)
+    """iota: A -> M(A), the identity morphism A --> A."""
+    return Extension(alg, alg, lambda bid: iota(alg, alg.basis_element(bid)), name="iota",
+                     source_window=window, target_window=window, expansion=expansion)
 
 
 def compose_extensions(f: Extension, g: Extension) -> Extension:

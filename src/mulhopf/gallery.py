@@ -21,7 +21,6 @@ from .algebra import (
 from .multiplier import Multiplier, iota
 from .extension import Extension
 from .bialgebra import Counit, MultiplierBialgebra
-from .hopf import MultiplierMap
 
 
 @dataclass
@@ -61,8 +60,7 @@ def kfun_cyclic(n: int, field=QQ) -> GalleryEntry:
 
     delta = Extension(A, AA, delta_rule, name="Delta")
     eps = Counit(A, {k: (one if k == 0 else field.zero) for k in ids})
-    smap = MultiplierMap(A, lambda t: iota(A, A.basis_element((n - t) % n)),
-                         name="S")
+    smap = Extension(A, A, lambda t: iota(A, A.basis_element((n - t) % n)), name="S")
     bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
                                  name=f"kfun_cyclic({n})", antipode=smap)
     return GalleryEntry(f"kfun_cyclic({n})", A, bundle)
@@ -111,7 +109,7 @@ def kfin_Z(field=QQ, window=4) -> GalleryEntry:
     bundle = _kfin_monoid(field, window, "kfin_Z", "K(Z)",
                           lambda i: True, lambda n: range(-n, n + 1))
     A = bundle.algebra
-    bundle.antipode = MultiplierMap(A, lambda t: iota(A, A.basis_element(-t)), name="S")
+    bundle.antipode = Extension(A, A, lambda t: iota(A, A.basis_element(-t)), name="S")
     return GalleryEntry("kfin_Z", A, bundle, default_window=window)
 
 

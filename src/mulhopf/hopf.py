@@ -21,8 +21,8 @@ touches and that the equations leave free raises WindowInsufficiency, so
 S is unique on the touched coordinates, and the coordinates no window
 equation sees are reported as zeroed, not as unique values.
 
-The same slices define, for maps f, g: A -> M(A), frame-twisted
-convolution products
+The same slices define, for maps f, g: A -> M(A) (``Extension``s, as S,
+iota and alpha_b are), frame-twisted convolution products
 
     (f *^b g)(a) = sum f(a_(1,b)) g(a_(2,b))
     (f *_a g)(b) = sum f(b_(a,1)) g(b_(a,2))
@@ -39,38 +39,10 @@ comes from the scans.
 from __future__ import annotations
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
-from .algebra import Element, InputError, Verdict, WindowInsufficiency, probe_window
-from .multiplier import Multiplier, basis_image, combine, iota, iota_element, multiplier_eq
+from .algebra import Element, Verdict, WindowInsufficiency, probe_window
+from .multiplier import basis_image, combine, iota, iota_element, multiplier_eq
+from .extension import Extension
 from .bialgebra import Counit, SliceUndefined, Slicer, solve_touched
-
-
-class MultiplierMap:
-    """Linear map A -> M(A) given on basis ids, values cached."""
-
-    def __init__(self, alg, rule, name="f"):
-        self.alg = alg
-        self._rule = rule
-        self._cache: dict = {}
-        self.name = name
-
-    def basis(self, bid) -> Multiplier:
-        x = self._cache.get(bid)
-        if x is None:
-            x = self._cache[bid] = self._rule(bid)
-        return x
-
-    def apply(self, a: Element) -> Multiplier:
-        if a.space is not self.alg:
-            raise InputError(f"{self.name} wants elements of {self.alg.name}")
-        return combine(self.alg, [(c, self.basis(bid)) for bid, c in a.sorted_items()])
-
-    def __repr__(self):
-        return f"<map {self.name}: {self.alg.name} -> M({self.alg.name})>"
-
-
-def iota_map(alg) -> MultiplierMap:
-    return MultiplierMap(alg, lambda bid: iota(alg, alg.basis_element(bid)),
-                         name="iota")
 
 
 _CANONICAL_SIDE = {"T1": "right", "T2": "left"}  # T1 = Delta(a)(1 (x) b), T2 = (a (x) 1)Delta(b)
@@ -171,7 +143,7 @@ def check_hopf(slicer: Slicer) -> dict:
 # antipodes
 
 
-def check_antipode(slicer: Slicer, epsilon: Counit, s: MultiplierMap) -> Verdict:
+def check_antipode(slicer: Slicer, epsilon: Counit, s: Extension) -> Verdict:
     """Both defining identities on window pairs; witness is the failing pair."""
     alg = slicer.alg
     ids = slicer.ids
@@ -182,7 +154,8 @@ def check_antipode(slicer: Slicer, epsilon: Counit, s: MultiplierMap) -> Verdict
             for which, leg, acts, law in _ANTIPODE_LAWS:
                 acc: dict = {}
                 for pair, c in slicer.slice(_CANONICAL_SIDE[which], a, b).coeffs.items():
-                    vec_axpy(f, acc, basis_image(s.basis(pair[leg]), acts, pair[1 - leg]), c)
+                    image = basis_image(s.basis_multiplier(pair[leg]), acts, pair[1 - leg])
+                    vec_axpy(f, acc, image, c)
                 got = Element(alg, acc)
                 want = alg.basis_element((a, b)[1 - leg]).scale(epsilon.value((a, b)[leg]))
                 if got != want:
@@ -196,7 +169,7 @@ class AntipodeSynthesis:
     """Outcome of synthesize_antipode.
 
     ``status`` is "synthesized" or "failed"; when synthesized, ``map`` is
-    the MultiplierMap, ``table`` holds the elements u with S(e_t) = iota(u),
+    the Extension, ``table`` holds the elements u with S(e_t) = iota(u),
     and ``verdicts`` carries the gate and the post-verification.
     """
 
@@ -275,7 +248,7 @@ def synthesize_antipode(slicer: Slicer, epsilon: Counit, gate=None) -> AntipodeS
             raise WindowInsufficiency(f"antipode not synthesized at {bid!r}")
         return iota(alg, v)
 
-    smap = MultiplierMap(alg, rule, name="S")
+    smap = Extension(alg, alg, rule, name="S")
     post = check_antipode(slicer, epsilon, smap)
     verdicts.append(post)
     touched = len({c for _r, c in entries})
@@ -297,8 +270,8 @@ def _as_elem(alg, x) -> Element:
     return x if isinstance(x, Element) else alg.basis_element(x)
 
 
-def convolve(side, f: MultiplierMap, g: MultiplierMap, frame,
-             slicer: Slicer) -> MultiplierMap:
+def convolve(side, f: Extension, g: Extension, frame,
+             slicer: Slicer) -> Extension:
     """sum c f(u) g(v) over the slice c (u (x) v) of each argument, framed on ``side``.
 
     Side "right" is (f *^b g)(a) = sum f(a_(1,b)) g(a_(2,b)) with frame b,
@@ -311,27 +284,28 @@ def convolve(side, f: MultiplierMap, g: MultiplierMap, frame,
         arg = alg.basis_element(bid)
         sl = (slicer.slice_elem(side, arg, frame) if side == "right"
               else slicer.slice_elem(side, frame, arg))
-        return combine(alg, [(c, f.basis(u) * g.basis(v)) for (u, v), c in
+        return combine(alg, [(c, f.basis_multiplier(u) * g.basis_multiplier(v))
+                             for (u, v), c in
                              sorted(sl.coeffs.items(), key=lambda kv: (
                                  alg.sort_key(kv[0][0]), alg.sort_key(kv[0][1])))])
 
     star = "*^b" if side == "right" else "*_a"
-    return MultiplierMap(alg, rule, name=f"({f.name}{star} {g.name})")
+    return Extension(alg, alg, rule, name=f"({f.name}{star} {g.name})")
 
 
-def conv_unit(alg, epsilon: Counit, b) -> MultiplierMap:
+def conv_unit(alg, epsilon: Counit, b) -> Extension:
     """alpha_b(a) = eps(a) iota(b), the two-sided twisted-convolution unit."""
     ib = iota(alg, _as_elem(alg, b))
-    return MultiplierMap(alg, lambda bid: ib.scale(epsilon.value(bid)), name="alpha")
+    return Extension(alg, alg, lambda bid: ib.scale(epsilon.value(bid)), name="alpha")
 
 
-def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes) -> Verdict:
+def map_eq(f: Extension, g: Extension, arg_ids, probes) -> Verdict:
     """Compare two maps A -> M(A) on arguments, multiplier-wise on probes;
     window-grade evidence (holds_on_window) when they agree."""
-    alg, probes = f.alg, probe_window(f.alg, probes)  # one Window for every argument
+    alg, probes = f.source, probe_window(f.source, probes)  # one Window for every argument
     label = f"{len(tuple(arg_ids))} args x {probes.size} probes"
     for t in arg_ids:
-        eq = multiplier_eq(f.basis(t), g.basis(t), probes)
+        eq = multiplier_eq(f.basis_multiplier(t), g.basis_multiplier(t), probes)
         if not eq.ok:
             return Verdict("map equality", "failed", label,
                            witness=(alg.basis_element(t),) + tuple(eq.witness or ()),
@@ -339,16 +313,16 @@ def map_eq(f: MultiplierMap, g: MultiplierMap, arg_ids, probes) -> Verdict:
     return Verdict("map equality", "holds_on_window", label)
 
 
-def _frames_certified(slicer: Slicer, epsilon: Counit, f: MultiplierMap,
-                      g: MultiplierMap) -> int:
+def _frames_certified(slicer: Slicer, epsilon: Counit, f: Extension,
+                      g: Extension) -> int:
     """How many leading window frames pass both convolution identities as
     identities of elements: 0 without a finite verified unit, else up to the
     first frame b, argument a or slice value that fails.
 
-    With f(e_t) = iota(x_t) and g(e_t) = iota(y_t) certified (``iota_element``)
+    With f(e_t) = iota(x_t) and g(e_t) = iota(y_t) recorded (``iota_element``)
     on the slice c (u (x) v) of ("right", a, b), resp. ("left", b, a), the
     frame needs sum c x_u y_v = eps(a) e_b, resp. sum c y_u x_v = eps(a) e_b.
-    iota is multiplicative and a certified value acts on every basis probe
+    iota is multiplicative and a recorded value acts on every basis probe
     as its element does, from both sides, so the convolution product acts
     as iota of the sum and alpha_b(a) as iota(eps(a) e_b): equal elements
     leave ``map_eq`` no differing probe on that frame.
@@ -363,7 +337,8 @@ def _frames_certified(slicer: Slicer, epsilon: Counit, f: MultiplierMap,
                                       ("left", (frame, a), (g, f))):
                 acc: dict = {}
                 for (u, v), c in slicer.slice(side, *key).coeffs.items():
-                    x, y = iota_element(p.basis(u)), iota_element(q.basis(v))
+                    x = iota_element(p.basis_multiplier(u))
+                    y = iota_element(q.basis_multiplier(v))
                     if x is None or y is None:
                         return n
                     vec_axpy(alg.field, acc, (x * y).coeffs, c)
@@ -372,8 +347,8 @@ def _frames_certified(slicer: Slicer, epsilon: Counit, f: MultiplierMap,
     return len(ids)
 
 
-def check_convolution_inverse(slicer: Slicer, epsilon: Counit, f: MultiplierMap,
-                              g: MultiplierMap) -> Verdict:
+def check_convolution_inverse(slicer: Slicer, epsilon: Counit, f: Extension,
+                              g: Extension) -> Verdict:
     """f *^b g = alpha_b and g *_a f = alpha_a for all window frames.
 
     With f = S and g = iota this is the convolution characterization of

@@ -8,8 +8,8 @@ thought of as one two-sided object x acting by x |> a = lam(a) (side
 "left") and a <| x = rho(a) (side "right").  Products compose
 contravariantly on the right action: (x*y) |> a = x |> (y |> a),
 a <| (x*y) = (a <| x) <| y.  The algebra embeds by iota(a) = (left mult
-by a, right mult by a), and the unit multiplier is (id, id) whether or not
-A itself has a unit.
+by a, right mult by a), which records a for ``iota_element``, and the unit
+multiplier is (id, id) whether or not A itself has a unit.
 
 For finite A, ``iota_preimage`` solves exactly and ``MultiplierSpace``
 computes all of M(A) as the solution space of the linearity +
@@ -30,7 +30,6 @@ probe sweep visits a product only where its image is nonzero (``support``).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
@@ -60,7 +59,7 @@ class Multiplier:
         self._psi = None  # (x, y) when this is Psi(x (x) y) on a tensor algebra
         self._support = {}  # side -> (probes, positions with a nonzero image)
         self._unit_memo = None  # (side, window) -> contraction; side -> [(unit, kept)]
-        self._iota = None  # iota_element's outcome: c with self = iota(c), or False
+        self._iota = None  # c with self = iota(c), recorded where self is built
         self.name = name
 
     def apply(self, side, a: Element) -> Element:
@@ -118,6 +117,11 @@ def combine(alg: Algebra, terms) -> Multiplier:
         raise InputError("multipliers over different algebras")
     out = Multiplier(alg, None, None)
     out._terms = terms
+    if all(x._iota is not None for _c, x in terms):  # sum c iota(x) = iota(sum c x)
+        acc: dict = {}
+        for c, x in terms:
+            vec_axpy(field, acc, x._iota.coeffs, c)
+        out._iota = Element(alg, acc)
     return out
 
 
@@ -131,9 +135,10 @@ def iota(alg: Algebra, a: Element) -> Multiplier:
     """Embed a in M(A) as (left multiplication, right multiplication)."""
     if a.space is not alg:
         raise InputError("iota wants an element of the algebra itself")
-    return Multiplier(alg, lambda bid: a * alg.basis_element(bid),
-                      lambda bid: alg.basis_element(bid) * a,
-                      name=f"iota({a})")
+    out = Multiplier(alg, lambda bid: a * alg.basis_element(bid),
+                     lambda bid: alg.basis_element(bid) * a, name=f"iota({a})")
+    out._iota = Element(alg, vec_canonical(alg.field, a.coeffs))
+    return out
 
 
 def multiplier_eq(x: Multiplier, y: Multiplier, probes) -> Verdict:
@@ -246,41 +251,35 @@ class MultiplierSpace:
 
 
 def iota_element(z: Multiplier):
-    """c with z = iota(c), certified once and memoised on z, or None.
+    """c with z = iota(c), as recorded where z was built, or None.
 
-    With a verified unit M(A) = A: c = z |> 1, certified by z |> e_y = c e_y
-    and e_y <| z = e_y c on every basis id (``unital_certificate``, one
-    sparse pass over the partner table per side).  iota
-    is injective on a unital A (iota(x) = 0 gives x = x 1 = 0), so c is the
-    unique preimage ``iota_preimage`` would solve for.  None (no verified
-    unit, or a failed certificate) keeps the caller on its solve path.
+    ``iota`` records its c, a ``combine`` of recorded terms the sum of
+    theirs, ``specfile.derive_rho`` the c its certificate checked.  Read
+    only with a verified unit: then iota is injective (iota(x) = 0 gives
+    x = x 1 = 0), so c is the preimage ``iota_preimage`` would solve for.
+    None keeps the caller on its solve path.
     """
-    if z._iota is None:
-        z._iota = unital_certificate(z.alg, partial(basis_image, z)) or False
-    return z._iota or None
+    return None if z.alg.verified_unit is None else z._iota
 
 
-def unital_certificate(alg: Algebra, image, sides=("left", "right")):
-    """c = z |> 1 if z |> e_y = c e_y (side "left") and e_y <| z = e_y c
-    (side "right") on every basis id y, for each of ``sides``, of a finite
-    ``alg`` with a verified unit, else None; ``image(side, y)`` gives the
-    coefficients of z's basis action.  Without "right" the caller sets
-    e_y <| z = e_y c itself (``derive_rho``).  All c e_y (and e_y c) come
-    from one ``iota_images`` pass: a check costs the partner table's nonzero
-    pairs that c meets, not an element product per y."""
+def unital_certificate(alg: Algebra, image):
+    """c = m(1) if m(e_y) = c e_y on every basis id y of a finite ``alg`` with
+    a verified unit, else None; ``image(y)`` gives the coefficients of m(e_y).
+    The caller sets e_y <| m = e_y c itself (``specfile.derive_rho``).  All
+    c e_y come from one ``iota_images`` pass: a check costs the partner
+    table's nonzero pairs that c meets, not an element product per y."""
     u = alg.verified_unit
     if u is None:
         return None
     acc: dict = {}
     for bid, k in u.coeffs.items():
-        hit = image("left", bid)
+        hit = image(bid)
         if hit:
             vec_axpy(alg.field, acc, hit, k)
     c = Element(alg, acc)
-    for side in sides:
-        hits = iota_images(alg, c, side)
-        if any(image(side, y) != hits.get(y, {}) for y in alg.basis.ids):
-            return None
+    hits = iota_images(alg, c, "left")
+    if any(image(y) != hits.get(y, {}) for y in alg.basis.ids):
+        return None
     return c
 
 

@@ -42,7 +42,6 @@ from .algebra import Element, InputError, finite_algebra, tensor_algebra
 from .multiplier import Multiplier, iota, iota_images, unital_certificate
 from .extension import Extension
 from .bialgebra import Counit, MultiplierBialgebra
-from .hopf import MultiplierMap
 from . import gallery
 
 
@@ -241,7 +240,7 @@ def derive_rho(T, lam_table, what="delta"):
     c None when rho was solved for.
     """
     ids = list(T.basis.ids)
-    c = unital_certificate(T, lambda _side, y: lam_table.get(y, {}), ("left",))
+    c = unital_certificate(T, lambda y: lam_table.get(y, {}))
     if c is not None:
         hits = iota_images(T, c, "right")
         return {p: hits.get(p, {}) for p in ids}, c
@@ -314,7 +313,7 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
         smap = None
         if spec.antipode:
             tables = {i: Element(A, spec.antipode.get(i, {})) for i in spec.ids}
-            smap = MultiplierMap(A, lambda t: iota(A, tables[t]), name="S")
+            smap = Extension(A, A, lambda t: iota(A, tables[t]), name="S")
         bialgebra = MultiplierBialgebra(
             A, delta, epsilon, witness, window=spec.window,
             expansion=spec.expansion or 2, name=name, antipode=smap)

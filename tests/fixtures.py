@@ -13,7 +13,7 @@ from mulhopf.algebra import (
 from mulhopf.bialgebra import MultiplierBialgebra, Slicer
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
-from mulhopf.hopf import _CANONICAL_SIDE, MultiplierMap, _as_elem
+from mulhopf.hopf import _CANONICAL_SIDE, _as_elem
 from mulhopf.linalg import vec_axpy
 from mulhopf.multiplier import combine, iota
 
@@ -22,7 +22,7 @@ from mulhopf.multiplier import combine, iota
 # derived structures on bundles
 
 
-def perturb_antipode_map(bundle: MultiplierBialgebra, seed: int) -> MultiplierMap:
+def perturb_antipode_map(bundle: MultiplierBialgebra, seed: int) -> Extension:
     """Deterministically damaged copy of the bundled antipode.
 
     Either scales one window value or adds a stray iota term; since the
@@ -38,17 +38,17 @@ def perturb_antipode_map(bundle: MultiplierBialgebra, seed: int) -> MultiplierMa
     true_s = bundle.antipode
     if rng.random() < 0.5:
         c = alg.field.coerce(rng.randint(2, 7))
-        changed = true_s.basis(t).scale(c)
+        changed = true_s.basis_multiplier(t).scale(c)
         tag = f"scaled by {alg.field.format(c)}"
     else:
         u = rng.choice(ids)
-        changed = true_s.basis(t) + iota(alg, alg.basis_element(u))
+        changed = true_s.basis_multiplier(t) + iota(alg, alg.basis_element(u))
         tag = f"shifted by iota({alg.fmt_id(u)})"
 
     def rule(bid):
-        return changed if bid == t else true_s.basis(bid)
+        return changed if bid == t else true_s.basis_multiplier(bid)
 
-    return MultiplierMap(alg, rule, name=f"S-perturbed[{alg.fmt_id(t)} {tag}]")
+    return Extension(alg, alg, rule, name=f"S-perturbed[{alg.fmt_id(t)} {tag}]")
 
 
 def self_comodule(bundle: MultiplierBialgebra) -> tuple:
@@ -260,7 +260,7 @@ def span_map(alg, rng, ids):
     """a -> iota(c * a * c') with small seeded window elements c, c'."""
     c = alg.element({i: QQ.coerce(rng.randint(-2, 2)) for i in ids})
     cp = alg.element({i: QQ.coerce(rng.randint(-2, 2)) for i in ids})
-    return MultiplierMap(alg, lambda bid: iota(alg, (c * alg.basis_element(bid)) * cp),
+    return Extension(alg, alg, lambda bid: iota(alg, (c * alg.basis_element(bid)) * cp),
                          name="span")
 
 
@@ -274,9 +274,9 @@ def canonical_map(slicer: Slicer, which, x: Element) -> Element:
     return Element(slicer.txt, acc)
 
 
-def source_twist(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
+def source_twist(f: Extension, left=None, right=None) -> Extension:
     """(b . f . b')(a) = f(b' a b) with left=b, right=b'."""
-    alg = f.alg
+    alg = f.source
     b = _as_elem(alg, left) if left is not None else None
     bp = _as_elem(alg, right) if right is not None else None
 
@@ -288,21 +288,21 @@ def source_twist(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
             x = x * b
         return f.apply(x)
 
-    return MultiplierMap(alg, rule, name=f"twist({f.name})")
+    return Extension(alg, alg, rule, name=f"twist({f.name})")
 
 
-def target_frame(f: MultiplierMap, left=None, right=None) -> MultiplierMap:
+def target_frame(f: Extension, left=None, right=None) -> Extension:
     """(b ⇀ f ↼ b')(a) = iota(b) f(a) iota(b')."""
-    alg = f.alg
+    alg = f.source
     ib = iota(alg, _as_elem(alg, left)) if left is not None else None
     ibp = iota(alg, _as_elem(alg, right)) if right is not None else None
 
     def rule(bid):
-        x = f.basis(bid)
+        x = f.basis_multiplier(bid)
         if ib is not None:
             x = ib * x
         if ibp is not None:
             x = x * ibp
         return x
 
-    return MultiplierMap(alg, rule, name=f"frame({f.name})")
+    return Extension(alg, alg, rule, name=f"frame({f.name})")

@@ -22,7 +22,7 @@ from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
                              rowalg2, zero1)
-from mulhopf.hopf import check_antipode, check_convolution_inverse, conv_unit, convolve, iota_map
+from mulhopf.hopf import check_antipode, check_convolution_inverse, conv_unit, convolve
 from mulhopf.multiplier import MultiplierSpace, iota, multiplier_eq, one
 
 from fixtures import (perturb_antipode_map, random_algebra, random_extension,
@@ -202,17 +202,17 @@ def test_negative_controls_exit_one_with_reverifiable_witnesses(tmp_path):
     for seed in range(4):
         s_bad = perturb_antipode_map(bundle, seed)
         va = check_antipode(sl2, bundle.epsilon, s_bad)
-        vc = check_convolution_inverse(sl2, bundle.epsilon, s_bad, iota_map(alg))
+        vc = check_convolution_inverse(sl2, bundle.epsilon, s_bad, identity_extension(alg))
         assert va.status == "failed" and vc.status == "failed"
         ea, eb = va.witness
         a_id = next(iter(ea.coeffs))
         b_id = next(iter(eb.coeffs))
         t1 = alg.zero()
         for (u, v), c in sl2.slice("right", a_id, b_id).coeffs.items():
-            t1 = t1 + s_bad.basis(u).apply("left", alg.basis_element(v)).scale(c)
+            t1 = t1 + s_bad.basis_multiplier(u).apply("left", alg.basis_element(v)).scale(c)
         t2 = alg.zero()
         for (p, q), c in sl2.slice("left", a_id, b_id).coeffs.items():
-            t2 = t2 + s_bad.basis(q).apply("right", alg.basis_element(p)).scale(c)
+            t2 = t2 + s_bad.basis_multiplier(q).apply("right", alg.basis_element(p)).scale(c)
         want1 = eb.scale(bundle.epsilon(ea))
         want2 = ea.scale(bundle.epsilon(eb))
         assert t1 != want1 or t2 != want2
@@ -229,7 +229,7 @@ def test_antipode_and_convolution_inverse_verdicts_agree():
         b = entry.bialgebra
         sl = b.slicer(window=3) if entry.name == "kfin_Z" else b.slicer()
         va = check_antipode(sl, b.epsilon, b.antipode)
-        vc = check_convolution_inverse(sl, b.epsilon, b.antipode, iota_map(b.algebra))
+        vc = check_convolution_inverse(sl, b.epsilon, b.antipode, identity_extension(b.algebra))
         assert va.ok and vc.ok
     damaged = [kfun_cyclic(2), kfun_cyclic(3), kfun_cyclic(4), kfin_Z()]
     for seed in range(20):
@@ -238,7 +238,7 @@ def test_antipode_and_convolution_inverse_verdicts_agree():
         sl = b.slicer(window=3) if entry.name == "kfin_Z" else b.slicer()
         s_bad = perturb_antipode_map(b, seed)
         va = check_antipode(sl, b.epsilon, s_bad)
-        vc = check_convolution_inverse(sl, b.epsilon, s_bad, iota_map(b.algebra))
+        vc = check_convolution_inverse(sl, b.epsilon, s_bad, identity_extension(b.algebra))
         assert va.ok == vc.ok
     finish(t0, 30.0, "antipode and convolution-inverse verdicts agree on 5 true + 20 damaged maps")
 
@@ -309,7 +309,8 @@ def test_convolution_associativity_and_unitality_on_seeded_probes():
             rhs = convolve("right", convolve("left", f, g, ea, sl), h, eb, sl)
             for _ in range(10):
                 arg, probe = rng.choice(ids), rng.choice(ids)
-                assert multiplier_eq(lhs.basis(arg), rhs.basis(arg), (probe,)).ok
+                assert multiplier_eq(lhs.basis_multiplier(arg), rhs.basis_multiplier(arg),
+                                     (probe,)).ok
                 count += 1
         for _ in range(5):
             f = span_map(alg, rng, ids)
@@ -320,7 +321,8 @@ def test_convolution_associativity_and_unitality_on_seeded_probes():
             rhs = target_frame(source_twist(f, left=ec), left=eb)
             for _ in range(10):
                 arg, probe = rng.choice(ids), rng.choice(ids)
-                assert multiplier_eq(lhs.basis(arg), rhs.basis(arg), (probe,)).ok
+                assert multiplier_eq(lhs.basis_multiplier(arg), rhs.basis_multiplier(arg),
+                                     (probe,)).ok
                 count += 1
         assert count == 100
     finish(t0, 30.0, "twisted convolution: associativity + unitality on 100 seeded probes x 4 examples")

@@ -271,6 +271,17 @@ def test_a_slicer_binds_delta_to_its_window_and_expansion_with_no_rule_evaluated
     assert bound.basis_multiplier(0) is b.delta.basis_multiplier(0)
     assert b.slicer(4, 2).delta is b.delta
 
+
+def test_an_id_tuple_window_binds_delta_to_its_pairs():
+    # the tuple names ids of A; Delta's target window is their pairs in A (x) A
+    b = kfun_cyclic(3).bialgebra
+    bound = b.slicer((0, 1)).delta
+    assert bound.target_ids == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert bound.window_label() == "2 ids of basis(3) -> 4 ids of basis(9)"
+    assert str(bound.validate()[0]) == ("extension multiplicativity: holds_on_window "
+                                        "[2 ids of basis(3) -> 4 ids of basis(9)] (4 pairs)")
+    assert bound.at((0, 1), 2) is bound
+
 def test_coassociativity_is_the_element_law_of_the_self_comodule():
     # A over itself with rho = Delta: both checks give the same verdict
     # and the same first witness

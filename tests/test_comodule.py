@@ -230,7 +230,7 @@ def test_the_lifts_search_at_the_slicers_expansion():
 def test_a_certified_finite_comodule_sweeps_no_probe_and_slices_nothing(monkeypatch):
     b = kfun_cyclic(5).bialgebra
     gamma, dsl = self_comodule(b)
-    # each Delta(e_i) is certified first: the certificate pass reads basis images too
+    # each Delta(e_i) is built as iota(c_i), which records c_i
     assert all(multiplier.iota_element(b.delta.basis_multiplier(i)) for i in gamma.ids)
     images, real_image = [], multiplier.basis_image
 

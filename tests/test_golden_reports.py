@@ -45,6 +45,13 @@ GOLDEN = Path(__file__).parent / "golden"
 # unit its rho tables and slices are solved.  rescaled_z6_damaged_antipode.spec
 # doubles S(e2), so the antipode and convolution inverse lines read failed,
 # each witness and detail from the first failing pair or frame of a sweep.
+# kfun_cyclic(20) is the north-star finite size whose Delta leaves, antipode
+# values and iota are all built as iota(a): classify and check-hopf read
+# each recorded a, and check-hopf sends the declared gallery S through
+# check_antipode and check_convolution_inverse as a map into M(A).
+# nand_delta puts a coproduct of iota leaves that is not coassociative on
+# functions on Z/2: its coassociativity line fails with the first triple
+# in scan order, (d0, d0, d1), and its counit line fails too.
 @pytest.mark.parametrize("name, argv, code", [
     ("classify_kfin_Z_w3.json", ["classify", "gallery:kfin_Z", "--window", "3"], 0),
     ("classify_kfin_N_w4.json", ["classify", "gallery:kfin_N", "--window", "4"], 1),
@@ -71,6 +78,9 @@ GOLDEN = Path(__file__).parent / "golden"
      ["check-hopf", "nonunital_path8_delta.spec"], 1),
     ("check_hopf_rescaled_z6_damaged_antipode.json",
      ["check-hopf", "rescaled_z6_damaged_antipode.spec"], 1),
+    ("classify_kfun_cyclic_20.json", ["classify", "gallery:kfun_cyclic(20)"], 0),
+    ("check_hopf_kfun_cyclic_20.json", ["check-hopf", "gallery:kfun_cyclic(20)"], 0),
+    ("check_bialgebra_nand_delta.json", ["check-bialgebra", "gallery:nand_delta"], 1),
 ])
 def test_report_matches_the_golden_file(capsys, monkeypatch, name, argv, code):
     monkeypatch.chdir(GOLDEN)  # spec files are named relative to it, as in the report

@@ -8,12 +8,11 @@ import pytest
 from mulhopf import hopf, linalg, multiplier, specfile
 from mulhopf.algebra import Element, finite_algebra, tensor_algebra, tensor_elem
 from mulhopf.bialgebra import Counit, Slicer, synthesize_counit
-from mulhopf.extension import Extension
+from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic
-from mulhopf.hopf import (MultiplierMap, check_antipode, check_bijective,
-                          check_convolution_inverse, check_hopf, conv_unit,
-                          convolve, iota_map, map_eq, synthesize_antipode)
+from mulhopf.hopf import (check_antipode, check_bijective, check_convolution_inverse,
+                          check_hopf, conv_unit, convolve, map_eq, synthesize_antipode)
 from mulhopf.multiplier import iota, multiplier_eq
 
 from fixtures import (canonical_map, perturb_antipode_map, random_coproduct_bundle,
@@ -204,7 +203,7 @@ def test_antipode_iff_convolution_inverse():
                                  for seed in range(4)]
         for s in candidates:
             left = check_antipode(sl, b.epsilon, s)
-            right = check_convolution_inverse(sl, b.epsilon, s, iota_map(b.algebra))
+            right = check_convolution_inverse(sl, b.epsilon, s, identity_extension(b.algebra))
             assert left.ok == right.ok, (s.name, left, right)
 
 
@@ -212,7 +211,7 @@ def test_convolution_inverse_on_kz_window():
     b = kfin_Z().bialgebra
     sl = b.slicer(window=3)
     syn = synthesize_antipode(sl, b.epsilon)
-    v = check_convolution_inverse(sl, b.epsilon, syn.map, iota_map(b.algebra))
+    v = check_convolution_inverse(sl, b.epsilon, syn.map, identity_extension(b.algebra))
     assert v.status == "holds_on_window"
 
 
@@ -227,7 +226,7 @@ def test_convolution_inverse_builds_no_rank_solver_per_argument(monkeypatch):
     monkeypatch.setattr(linalg.GaussianSolver, "__init__",
                         lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
     monkeypatch.setattr(hopf, "_frames_certified", lambda *a: 0)  # sweep every frame
-    v = check_convolution_inverse(sl, b.epsilon, b.antipode, iota_map(b.algebra))
+    v = check_convolution_inverse(sl, b.epsilon, b.antipode, identity_extension(b.algebra))
     assert v.status == "proven"
     assert built == []
 
@@ -240,18 +239,18 @@ def test_convolution_unit_values():
     alg = kz.algebra
     alpha = conv_unit(alg, kz.epsilon, alg.basis_element(2))
     # eps(delta_0) = 1 picks out iota(delta_2); eps kills every other id
-    assert multiplier_eq(alpha.basis(0), iota(alg, alg.basis_element(2)),
+    assert multiplier_eq(alpha.basis_multiplier(0), iota(alg, alg.basis_element(2)),
                          (-2, -1, 0, 1, 2)).ok
-    assert alpha.basis(1).apply("left", alg.basis_element(1)).is_zero()
+    assert alpha.basis_multiplier(1).apply("left", alg.basis_element(1)).is_zero()
 
 
 def test_iota_convolved_with_itself():
     kz = kfin_Z().bialgebra
     alg = kz.algebra
     sl = kz.slicer(window=3)
-    im = iota_map(alg)
+    im = identity_extension(alg)
     conv = convolve("right", im, im, alg.basis_element(0), sl)
-    assert multiplier_eq(conv.basis(0), iota(alg, alg.basis_element(0)),
+    assert multiplier_eq(conv.basis_multiplier(0), iota(alg, alg.basis_element(0)),
                          (-1, 0, 1)).ok
 
 
@@ -317,15 +316,15 @@ def test_twist_and_frame_interchange():
 def test_twisting_does_not_degenerate():
     # some source twist of a nonzero map stays nonzero
     alg = kfun_cyclic(2).algebra
-    f = iota_map(alg)
+    f = identity_extension(alg)
     twisted = source_twist(f, left=alg.basis_element(0))
-    assert not twisted.basis(0).apply("left", alg.basis_element(0)).is_zero()
+    assert not twisted.basis_multiplier(0).apply("left", alg.basis_element(0)).is_zero()
 
 
 def test_map_eq_failure_carries_witness():
     alg = kfun_cyclic(2).algebra
-    f = iota_map(alg)
-    g = MultiplierMap(alg, lambda bid: iota(alg, alg.basis_element(1 - bid)))
+    f = identity_extension(alg)
+    g = Extension(alg, alg, lambda bid: iota(alg, alg.basis_element(1 - bid)))
     v = map_eq(f, g, (0, 1), (0, 1))
     assert v.status == "failed"
     assert v.witness is not None
@@ -346,12 +345,12 @@ def _spec_case(name):
     b = specfile.build_bundle(spec, name=name).bialgebra
     sl = b.slicer()
     eps = b.epsilon or synthesize_counit(sl) or Counit(b.algebra, lambda bid: 0)
-    return sl, eps, b.antipode or iota_map(b.algebra)
+    return sl, eps, b.antipode or identity_extension(b.algebra)
 
 
 def _random_case(seed):
     b = random_coproduct_bundle(seed, unital=True)
-    return b.slicer(), Counit(b.algebra, lambda bid: 1), iota_map(b.algebra)
+    return b.slicer(), Counit(b.algebra, lambda bid: 1), identity_extension(b.algebra)
 
 
 # each builds (slicer, counit, f) afresh; f is checked as the convolution
@@ -370,7 +369,7 @@ CERTIFICATE_CASES = {
 
 def _verdict_texts(sl, eps, f):
     return ([str(v) for which in ("T1", "T2") for v in check_bijective(sl, which).values()]
-            + [str(check_convolution_inverse(sl, eps, f, iota_map(sl.alg)))])
+            + [str(check_convolution_inverse(sl, eps, f, identity_extension(sl.alg)))])
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)
@@ -384,8 +383,8 @@ def test_finite_certificates_leave_every_verdict_as_the_sweeps_give_it(monkeypat
 
 def test_the_convolution_certificate_decides_up_to_the_first_failing_frame():
     sl, eps, s = _spec_case("rescaled_z6_antipode.spec")
-    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == len(sl.ids)
+    assert hopf._frames_certified(sl, eps, s, identity_extension(sl.alg)) == len(sl.ids)
     sl, eps, s = _spec_case("rescaled_z6_damaged_antipode.spec")
-    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == sl.ids.index("e4")
+    assert hopf._frames_certified(sl, eps, s, identity_extension(sl.alg)) == sl.ids.index("e4")
     sl, eps, s = _spec_case("nonunital_path8_delta.spec")  # no unit
-    assert hopf._frames_certified(sl, eps, s, iota_map(sl.alg)) == 0
+    assert hopf._frames_certified(sl, eps, s, identity_extension(sl.alg)) == 0

@@ -8,12 +8,15 @@ input without a unit slices by iota solves (``Slicer._preimage``), and
 On a finite unital input the Hopf stage decides by element identities and
 kernels, and sweeps or solves only where those cannot decide.  Every run
 validates the extensions its Slicers bind to the run's window and expansion.
+Every iota(a) records its a, so only ``specfile.derive_rho`` runs the
+unital certificate, on a spec's left slice table.
 """
 
 import json
+import sys
 from pathlib import Path
 
-from mulhopf import bialgebra, cli, extension, hopf, linalg, multiplier
+from mulhopf import bialgebra, cli, extension, hopf, linalg, multiplier, specfile
 from mulhopf.gallery import build_entry, gallery_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,3 +117,24 @@ def test_the_finite_hopf_stage_sweeps_and_solves_only_where_no_certificate_decid
     assert census(["check-hopf", "rescaled_z6_damaged_antipode.spec"], 1) == (["e4"], 1, 0)
     # T1 and T2 of functions on the monoid ({0,1}, .) have kernels: the solves run
     assert census(["classify", "monoid01.spec"], 1)[2] > 0
+
+
+def test_only_derive_rho_certifies_a_unital_multiplier(capsys, monkeypatch):
+    # every iota(a) records its a where it is built, so no command re-derives
+    # a preimage with a certificate pass: the one pass left checks a spec's
+    # left slice table as it is completed to a multiplier
+    monkeypatch.chdir(GOLDEN)
+    callers = set()
+    real = multiplier.unital_certificate
+
+    def recorded(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    for mod in (multiplier, specfile):
+        monkeypatch.setattr(mod, "unital_certificate", recorded)
+    for text in sorted(p.name for p in GOLDEN.glob("*.spec")) + FINITE_GALLERY:
+        for command in cli._COMMANDS:
+            assert cli.main([command, text]) in (0, 1, 3), (command, text)
+            capsys.readouterr()
+    assert callers == {"derive_rho"}

@@ -879,7 +879,7 @@ def test_check_comodule_caches_nothing_on_the_coaction_sums_it_sweeps(capsys, mo
     def apply(self, b):
         out = real_apply(self, b)
         factors = getattr(self, "factors", None)
-        if factors is not None and factors[1].name.startswith("id_"):  # rho (x) id
+        if factors is not None and factors[1].name == "iota":  # rho (x) id
             sums.append(out)
         return out
 

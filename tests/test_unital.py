@@ -1,7 +1,7 @@
 """The unital finite path against the solve path it stands in for.
 
-When A (x) A is finite with a verified unit, each Delta(e_i) is certified
-once as iota(c_i) (``multiplier.iota_element``), and slices, extension
+When A (x) A is finite with a verified unit, each Delta(e_i) records the
+c_i it is iota of (``multiplier.iota_element``), and slices, extension
 multiplicativity and ``specfile.derive_rho`` become products in A (x) A.
 Each test below computes both routes on one input and compares values,
 key order and verdicts.  An input without a verified unit, or whose
