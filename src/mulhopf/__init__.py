@@ -22,10 +22,10 @@ from .algebra import (
 )
 from .multiplier import (
     Multiplier, MultiplierSpace, act_on_module, iota, iota_preimage, multiplier_eq, one,
+    psi_embed,
 )
 from .extension import (
-    Extension, TensorExtension, compose_extensions, identity_extension, psi_embed,
-    restrict_module,
+    Extension, TensorExtension, compose_extensions, identity_extension, restrict_module,
 )
 from .bialgebra import (
     Counit, MultiplierBialgebra, SliceUndefined, Slicer,

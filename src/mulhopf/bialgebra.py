@@ -52,8 +52,8 @@ from .algebra import (
     tensor_algebra, tensor_elem, tensor_module,
 )
 from .multiplier import (Multiplier, agrees_on_probes, basis_image, iota, iota_element,
-                         iota_preimage, one)
-from .extension import Extension, psi_embed
+                         iota_preimage, one, psi_embed)
+from .extension import Extension
 
 
 class SliceUndefined(RuntimeError):

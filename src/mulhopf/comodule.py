@@ -39,8 +39,8 @@ from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict, joint_baseline,
     probe_window, resolve_window, tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import act_on_module, basis_image, iota, one, sweep
-from .extension import TensorExtension, identity_extension, psi_embed
+from .multiplier import act_on_module, basis_image, iota, one, psi_embed, sweep
+from .extension import TensorExtension, identity_extension
 from .bialgebra import (
     Counit, Slicer, SliceUndefined, _certified_coassoc, _collapse, _sliced_coassoc,
 )

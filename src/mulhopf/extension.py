@@ -16,8 +16,8 @@ which is well defined independently of the decompositions.  Oracle-tier
 decomposition searches draw the B side from the expansion-scaled window,
 since products routinely leave the base window (the certificates stay
 tagged with the base window).  A tensor f (x) g acts componentwise,
-Psi(x (x) y) |> (a (x) b) = (x |> a) (x) (y |> b), so its spans are built
-from the factors' hits.
+Psi(x (x) y) |> (a (x) b) = (x |> a) (x) (y |> b) (``multiplier.psi_embed``),
+so its spans are built from the factors' hits.
 
 On finite B and A with verified units, validation first tries the unital
 certificate f(1_B) = 1_A, read from the recorded iota preimages c_k of the f(e_k):
@@ -38,7 +38,7 @@ from .algebra import (
     scaled_window, tensor_algebra,
 )
 from .multiplier import (Multiplier, act_on_module, basis_image, combine, iota, iota_element,
-                         multiplier_eq)
+                         multiplier_eq, psi_embed)
 
 # the decomposition a side's span gives: b.a = f(b) |> a, a.b = a <| f(b)
 _FORM = {"left": "B.A", "right": "A.B"}
@@ -191,7 +191,8 @@ class Extension:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list:
-        """Certificate verdicts over every window pair; stores them on the extension."""
+        """Certificate verdicts over every window pair; WindowInsufficiency on a
+        miss that a larger window may mend."""
         src_ids = self.source_ids
         base = joint_baseline((self.source, src_ids), (self.target, self.target_ids))
         label = self.window_label()
@@ -232,6 +233,9 @@ class Extension:
             w = annihilated(self.target, self.target_ids, self.source_search_ids,
                             lambda t, i, side=side: basis_image(self.basis_multiplier(i), side, t))
             if w is not None:
+                if base != "proven" and self.source.finite and self.target.finite:
+                    raise WindowInsufficiency(f"{w} is killed by every f(b) on the {side} over "
+                                              f"{label}; enlarge the window")
                 nondeg_v = Verdict("extension non-degeneracy", "failed", label,
                                    witness=(w,),
                                    detail=f"killed by every f(b) on the {side}")
@@ -254,8 +258,10 @@ class Extension:
 
     def _undecomposable(self, a, what) -> Verdict:
         """Idempotency fails at a, with no ``what`` ("B.A" or "A.B") decomposition;
-        an oracle window may just be too small (WindowInsufficiency)."""
-        if not (self.source.finite and self.target.finite):
+        a window short of its basis, oracle or id tuple, may just be too small
+        (WindowInsufficiency)."""
+        if not (self.source.covers_fully(self.source_ids)
+                and self.target.covers_fully(self.target_ids)):
             raise WindowInsufficiency(f"{a} of {self.target.name} has no {what} decomposition "
                                       f"over {self.window_label()}; enlarge the window")
         return Verdict("extension idempotency", "failed", self.window_label(), witness=(a,),
@@ -338,26 +344,6 @@ def compose_extensions(f: Extension, g: Extension) -> Extension:
         target_window=g.target_window, expansion=max(f.expansion, g.expansion))
 
 
-def psi_embed(parts, into=None) -> Multiplier:
-    """Componentwise multiplier x1 (x) ... (x) xn on the fold-left tensor algebra."""
-    parts = list(parts)
-    if not parts:
-        raise InputError("psi_embed needs at least one multiplier")
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = _psi_pair(acc, nxt)
-    if into is not None and acc.alg is not into:
-        raise InputError("psi_embed result lives on a different tensor algebra")
-    return acc
-
-
-def _psi_pair(x: Multiplier, y: Multiplier) -> Multiplier:
-    """Psi(x (x) y): ``basis_image`` gives the tensor of the factors' images."""
-    out = Multiplier(tensor_algebra(x.alg, y.alg), None, None, name=f"psi({x.name},{y.name})")
-    out._psi = (x, y)
-    return out
-
-
 class TensorExtension(Extension):
     """f (x) g: B (x) B' --> A (x) A', structure map Psi o (f (x) g).
 
@@ -370,7 +356,7 @@ class TensorExtension(Extension):
     def __init__(self, f: Extension, g: Extension):
         super().__init__(
             tensor_algebra(f.source, g.source), tensor_algebra(f.target, g.target),
-            lambda bid: _psi_pair(f.basis_multiplier(bid[0]), g.basis_multiplier(bid[1])),
+            lambda bid: psi_embed((f.basis_multiplier(bid[0]), g.basis_multiplier(bid[1]))),
             name=f"{f.name}(x){g.name}",
             source_window=_join_windows(f.source_window, g.source_window),
             target_window=_join_windows(f.target_window, g.target_window),

@@ -81,8 +81,9 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
     Injectivity is the kernel of the map restricted to window pairs (a
     kernel vector is a genuine global witness, since slices are exact).
     Surjectivity solves for each window pair as an image of the
-    expansion-scaled domain; on an oracle algebra at expansion 1 a miss
-    shows only a small window, so it raises unless injectivity failed.  A
+    expansion-scaled domain; on an oracle window at expansion 1, or a finite
+    id tuple short of the basis, a miss shows only a small window, so it
+    raises unless injectivity failed.  A
     finite square map with no kernel is onto (``_square_injective``) and
     skips the solves, so a surjectivity witness always comes from one.
     A slice that is not an element fails all three with its pair as witness.
@@ -119,9 +120,10 @@ def check_bijective(slicer: Slicer, which="T1") -> dict:
                   detail=domain_note)
     for (u, v) in () if _square_injective(alg, pairs, wide, kern) else pairs:
         if solver.solve({(u, v): alg.field.one}) is None:
-            if not alg.finite and domain_note == "window domain" and inj.ok:
-                raise WindowInsufficiency(f"{which} surjectivity: {txt.fmt_id((u, v))} is "
-                                          "not hit over the window's own pairs; raise --expansion")
+            if not alg.covers_fully(ids) and domain_note == "window domain" and inj.ok:
+                raise WindowInsufficiency(
+                    f"{which} surjectivity: {txt.fmt_id((u, v))} is not hit over the window's "
+                    f"own pairs; {'enlarge the window' if alg.finite else 'raise --expansion'}")
             sur = Verdict(f"{which} surjectivity", "failed", label,
                           witness=(Element(txt, {(u, v): alg.field.one}),),
                           detail=f"not hit by {which} over the {domain_note}")

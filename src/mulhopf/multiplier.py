@@ -8,17 +8,18 @@ thought of as one two-sided object x acting by x |> a = lam(a) (side
 "left") and a <| x = rho(a) (side "right").  Products compose
 contravariantly on the right action: (x*y) |> a = x |> (y |> a),
 a <| (x*y) = (a <| x) <| y.  The algebra embeds by iota(a) = (left mult
-by a, right mult by a), which records a for ``iota_element``, and the unit
-multiplier is (id, id) whether or not A itself has a unit.
+by a, right mult by a), which records a for ``iota_element`` (a certified
+spec table is iota(c), ``specfile.derive_rho``); the unit multiplier is
+(id, id) whether or not A has a unit.  Each kind is built only here.
 
 For finite A, ``iota_preimage`` solves exactly and ``MultiplierSpace``
 computes all of M(A) as the solution space of the linearity +
 compatibility system; no command needs the latter, since a finite algebra
 that passes the Hopf gate is unital (``hopf.synthesize_antipode``).  For
 oracle algebras everything stays operational and window-relative.
-Psi(x (x) y) on A (x) B acts factor by factor, (x |> a) (x) (y |> b), and
-remembers x and y, so contracting it against a local unit e_L (x) e_R
-contracts each factor against its own.
+Psi(x (x) y) on A (x) B (``psi_embed``) acts factor by factor, (x |> a)
+(x) (y |> b), and remembers x and y, so contracting it against a local
+unit e_L (x) e_R contracts each factor against its own.
 ``basis_image`` is the one reading of a basis action and ``apply`` the one
 application to an element, each taking the side as data.  Only a leaf
 (given by its two rules) memoises basis images, for probe sweeps and factor
@@ -35,7 +36,8 @@ from itertools import product
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    Window, WindowInsufficiency, _outer, probe_window, resolve_window, tensor_elem,
+    Window, WindowInsufficiency, _outer, probe_window, resolve_window, tensor_algebra,
+    tensor_elem,
 )
 
 
@@ -138,6 +140,26 @@ def iota(alg: Algebra, a: Element) -> Multiplier:
     out = Multiplier(alg, lambda bid: a * alg.basis_element(bid),
                      lambda bid: alg.basis_element(bid) * a, name=f"iota({a})")
     out._iota = Element(alg, vec_canonical(alg.field, a.coeffs))
+    return out
+
+
+def psi_embed(parts, into=None) -> Multiplier:
+    """Componentwise multiplier x1 (x) ... (x) xn on the fold-left tensor algebra."""
+    parts = list(parts)
+    if not parts:
+        raise InputError("psi_embed needs at least one multiplier")
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = _psi_pair(acc, nxt)
+    if into is not None and acc.alg is not into:
+        raise InputError("psi_embed result lives on a different tensor algebra")
+    return acc
+
+
+def _psi_pair(x: Multiplier, y: Multiplier) -> Multiplier:
+    """Psi(x (x) y): ``basis_image`` gives the tensor of the factors' images."""
+    out = Multiplier(tensor_algebra(x.alg, y.alg), None, None, name=f"psi({x.name},{y.name})")
+    out._psi = (x, y)
     return out
 
 
@@ -253,8 +275,8 @@ class MultiplierSpace:
 def iota_element(z: Multiplier):
     """c with z = iota(c), as recorded where z was built, or None.
 
-    ``iota`` records its c, a ``combine`` of recorded terms the sum of
-    theirs, ``specfile.derive_rho`` the c its certificate checked.  Read
+    ``iota`` records its c (``specfile.derive_rho`` builds a certified spec
+    table as iota(c)), a ``combine`` of recorded terms the sum of theirs.  Read
     only with a verified unit: then iota is injective (iota(x) = 0 gives
     x = x 1 = 0), so c is the preimage ``iota_preimage`` would solve for.
     None keeps the caller on its solve path.
@@ -265,35 +287,22 @@ def iota_element(z: Multiplier):
 def unital_certificate(alg: Algebra, image):
     """c = m(1) if m(e_y) = c e_y on every basis id y of a finite ``alg`` with
     a verified unit, else None; ``image(y)`` gives the coefficients of m(e_y).
-    The caller sets e_y <| m = e_y c itself (``specfile.derive_rho``).  All
-    c e_y come from one ``iota_images`` pass: a check costs the partner
-    table's nonzero pairs that c meets, not an element product per y."""
+    All c e_y come from one pass over c's terms and ``alg.partners``, so a
+    check costs the nonzero pairs that c meets, not an element product per y."""
     u = alg.verified_unit
     if u is None:
         return None
-    acc: dict = {}
+    field, mul, acc, hits = alg.field, alg.basis_product, {}, {}
     for bid, k in u.coeffs.items():
         hit = image(bid)
         if hit:
-            vec_axpy(alg.field, acc, hit, k)
-    c = Element(alg, acc)
-    hits = iota_images(alg, c, "left")
+            vec_axpy(field, acc, hit, k)
+    for t, ct in acc.items():
+        for y in alg.partners[t]:
+            vec_axpy(field, hits.setdefault(y, {}), mul(t, y), ct)
     if any(image(y) != hits.get(y, {}) for y in alg.basis.ids):
         return None
-    return c
-
-
-def iota_images(alg: Algebra, c: Element, side) -> dict:
-    """y -> coefficients of c e_y (side "left") or e_y c (side "right") for
-    the y that c's terms meet in ``alg.partners`` (``copartners``), else 0.
-    Each y sums c's terms in c's order, as ``vec_bilinear`` does."""
-    field, mul, out = alg.field, alg.basis_product, {}
-    meets = alg.partners if side == "left" else alg.copartners
-    for t, ct in c.coeffs.items():
-        for y in meets[t]:
-            hit = mul(t, y) if side == "left" else mul(y, t)
-            vec_axpy(field, out.setdefault(y, {}), hit, ct)
-    return out
+    return Element(alg, acc)
 
 
 def iota_preimage(alg: Algebra, z: Multiplier, window=None, probe_ids=None):

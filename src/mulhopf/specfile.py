@@ -26,10 +26,12 @@ does each rule for the same ids.  A malformed line raises `SpecError`
 naming its line number, and the command line exits 3 on it.
 
 The `delta` line tabulates the framed coproduct from the left,
-`Delta(e_i) (e_j (x) e_k)`; the matching right action is derived by
-solving the two-sided multiplier compatibility, so a table that cannot
-be completed to a multiplier is rejected.  `coaction` tabulates a framed
-coaction of the algebra on itself the same way.
+`Delta(e_i) (e_j (x) e_k)`, and ``derive_rho`` completes it to a
+multiplier: iota(c), c = Delta(e_i)(1 (x) 1), once c is certified on a
+unital algebra (there M(A (x) A) = A (x) A), else the table with its
+right action solved from the two-sided compatibility, so a table that
+cannot be completed to a multiplier is rejected.  `coaction` tabulates a
+framed coaction of the algebra on itself the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import re
 from .fields import GF, QQ, FieldError
 from .linalg import vec_add
 from .algebra import Element, InputError, finite_algebra, tensor_algebra
-from .multiplier import Multiplier, iota, iota_images, unital_certificate
+from .multiplier import Multiplier, iota, unital_certificate
 from .extension import Extension
 from .bialgebra import Counit, MultiplierBialgebra
 from . import gallery
@@ -225,25 +227,20 @@ def parse_spec(text: str) -> SpecFile:
 # building objects from a parsed spec
 
 
-def derive_rho(T, lam_table, what="delta"):
-    """Complete a left slice table to a multiplier's right action.
+def derive_rho(T, lam_table, what="delta") -> Multiplier:
+    """Complete a left slice table to a multiplier on T.
 
-    ``lam_table`` maps basis ids of T to the element `m (e_bid)`; the
-    right action is the unique solution of `x m(y) = (x m) y`.  Raises
-    when the algebra has right annihilators (no unique completion) or
-    the table is incompatible with being a multiplier.
-
-    On a unital T, rho(e_p) = e_p c, c = m(1), once m(e_y) = c e_y for all y
-    (``unital_certificate``): m is iota(c), certified by this pass, and rho is
-    its pass from the other side (``iota_images``).  A solve forces the same
-    (1 in x e_y = e_p m(y)), so it runs only to raise.  Returns (rho, c), with
-    c None when rho was solved for.
+    ``lam_table`` maps basis ids of T to the element `m (e_bid)`.  On a
+    unital T, M(T) = T: m is iota(c), c = m(1), once m(e_y) = c e_y for all
+    y (``unital_certificate``).  Else the right action is the unique
+    solution of `x m(y) = (x m) y`.  Raises when T has right annihilators
+    (no unique completion) or the table is not a two-sided multiplier, the
+    one outcome of that solve on a unital T (1 in x e_y = e_p m(y)).
     """
-    ids = list(T.basis.ids)
     c = unital_certificate(T, lambda y: lam_table.get(y, {}))
     if c is not None:
-        hits = iota_images(T, c, "right")
-        return {p: hits.get(p, {}) for p in ids}, c
+        return iota(T, c)
+    ids = list(T.basis.ids)
     solver = T.regular_solver(sides=("L",))  # row ("L", y, r): e_r in e_t * e_y
     if solver.free_cols:
         raise InputError(
@@ -262,25 +259,17 @@ def derive_rho(T, lam_table, what="delta"):
             raise InputError(
                 f"{what} table is not a two-sided multiplier (fails at {T.fmt_id(p)})")
         rho[p] = {t: c for t, c in sol.items() if c}
-    return rho, None
+    return Multiplier(T, lambda bid: Element(T, lam_table.get(bid, {})),
+                      lambda bid: Element(T, rho[bid]))
 
 
 def _slice_extension(A, T, tables, name):
-    """Extension A -> M(T) from per-generator left slice tables; on a unital
-    T each keeps ``derive_rho``'s certificate iota(c), c = m(1).  With a
-    verified unit ``derive_rho`` certifies c or raises, so an uncertified c
-    is never kept."""
+    """Extension A -> M(T) from per-generator left slice tables, each
+    completed by ``derive_rho`` (iota(c), c = m(1), on a unital T)."""
     mults = {}
     for i in A.basis.ids:
-        lam_table = {frame: dict(coeffs)
-                     for frame, coeffs in tables.get(i, {}).items()}
-        rho_table, c = derive_rho(T, lam_table, what=f"{name} {A.fmt_id(i)}")
-        mults[i] = m = Multiplier(
-            T,
-            lambda bid, _t=lam_table: Element(T, _t.get(bid, {})),
-            lambda bid, _t=rho_table: Element(T, _t.get(bid, {})),
-            name=f"{name}({A.fmt_id(i)})")
-        m._iota = c
+        m = mults[i] = derive_rho(T, tables.get(i, {}), what=f"{name} {A.fmt_id(i)}")
+        m.name = f"{name}({A.fmt_id(i)})"
     return Extension(A, T, lambda i: mults[i], name=name)
 
 

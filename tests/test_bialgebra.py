@@ -6,17 +6,17 @@ import pytest
 
 from mulhopf import bialgebra, comodule, hopf, multiplier
 from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
-                             check_module, tensor_algebra, tensor_elem)
+                             check_module, finite_algebra, tensor_algebra, tensor_elem)
 from mulhopf.bialgebra import (Counit, SliceUndefined, Slicer,
                                check_coassociative, check_counit, check_fons,
                                check_monoidal_instance, epsilon_module,
                                synthesize_counit, tensor_module_action)
 from mulhopf.cli import main
 from mulhopf.comodule import check_comodule_coassoc_element
-from mulhopf.extension import Extension
+from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
-from mulhopf.hopf import check_hopf
+from mulhopf.hopf import check_bijective, check_hopf
 from mulhopf.multiplier import Multiplier, iota, iota_preimage
 
 from fixtures import random_coproduct_bundle
@@ -278,9 +278,34 @@ def test_an_id_tuple_window_binds_delta_to_its_pairs():
     bound = b.slicer((0, 1)).delta
     assert bound.target_ids == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert bound.window_label() == "2 ids of basis(3) -> 4 ids of basis(9)"
-    assert str(bound.validate()[0]) == ("extension multiplicativity: holds_on_window "
-                                        "[2 ids of basis(3) -> 4 ids of basis(9)] (4 pairs)")
+    # only Delta(d2) reaches d1 (x) d1: the window is short, not Delta
+    with pytest.raises(WindowInsufficiency, match=r"1\*\(d1,d1\) .* no B\.A decomposition "
+                       r"over 2 ids of basis\(3\) -> 4 ids of basis\(9\); enlarge"):
+        bound.validate()
     assert bound.at((0, 1), 2) is bound
+
+
+def test_a_finite_window_short_of_its_basis_is_insufficient_not_failed():
+    # an id tuple of a finite algebra can grow: a miss that a larger window
+    # may mend raises, as on an oracle window
+    sl = kfun_cyclic(3).bialgebra.slicer((0, 1))
+    for which in ("T1", "T2"):  # injective on the window; d1 (x) d1 is hit only via d2
+        with pytest.raises(WindowInsufficiency, match=rf"{which} surjectivity: \(d1,d1\) is "
+                           "not hit over the window's own pairs; enlarge the window"):
+            check_bijective(sl, which)
+    # in M_2, E12 e_b = 0 for b in (E11, E12), but E12 E21 = E11
+    ids = ["E11", "E12", "E21", "E22"]
+    m2 = finite_algebra(QQ, ids, {(a, b): {f"E{a[1]}{b[2]}": 1}
+                                  for a in ids for b in ids if a[2] == b[1]}, name="M2")
+    with pytest.raises(WindowInsufficiency, match=r"1\*E12 is killed by every f\(b\) "
+                       r"on the right over 2 ids of basis\(4\) -> 2 ids of basis\(4\)"):
+        identity_extension(m2, window=("E11", "E12")).validate()
+    # the full windows keep their verdicts
+    assert [v.status for v in identity_extension(m2).validate()] == ["proven"] * 3
+    full = kfun_cyclic(3).bialgebra.slicer()
+    assert [v.status for v in full.delta.validate()] == ["proven"] * 3
+    assert check_hopf(full)["hopf"].status == "proven"
+
 
 def test_coassociativity_is_the_element_law_of_the_self_comodule():
     # A over itself with rho = Delta: both checks give the same verdict

@@ -11,11 +11,10 @@ from mulhopf import extension, multiplier
 from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
 from mulhopf.cli import main
 from mulhopf.extension import (Extension, TensorExtension, _join_windows,
-                               compose_extensions, identity_extension, psi_embed,
-                               restrict_module)
+                               compose_extensions, identity_extension, restrict_module)
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, nand_delta_bundle
-from mulhopf.multiplier import Multiplier, basis_image, iota, multiplier_eq, one
+from mulhopf.multiplier import Multiplier, basis_image, iota, multiplier_eq, one, psi_embed
 from mulhopf.specfile import build_bundle, parse_spec
 
 from fixtures import random_coproduct_bundle, random_extension

@@ -131,6 +131,30 @@ def test_every_top_level_name_has_a_caller_in_the_package():
     assert set(NO_CALLER_NEEDED) <= defined
 
 
+# ``multiplier.py`` builds every kind of ``Multiplier`` (a leaf, a product, a
+# ``combine`` sum, a Psi leaf, iota(a)): no other module sets its private slots.
+def private_slot_stores(source: str, slots) -> list:
+    """(line, name) of the stores to ``<obj>.<name>`` in ``source``, obj not
+    ``self`` and name one of ``slots`` that starts with an underscore."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and node.attr in slots and node.attr.startswith("_")
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_the_scan_flags_a_private_slot_set_from_outside():
+    source = ("m = f()\nm._iota = c\nm.name = 'x'\nself._memo = {}\n"
+              "x, m._psi = 1, 2\nm._terms += []\nm._other = 0\n")
+    assert private_slot_stores(source, ("_iota", "_psi", "_memo", "_terms", "name")) == [
+        (2, "_iota"), (5, "_psi"), (6, "_terms")]
+
+
+def test_only_the_multiplier_module_sets_a_multipliers_private_slots():
+    slots = importlib.import_module("mulhopf.multiplier").Multiplier.__slots__
+    assert [(p.name, *hit) for p in sorted(SRC.glob("*.py")) if p.name != "multiplier.py"
+            for hit in private_slot_stores(p.read_text(encoding="utf-8"), slots)] == []
+
+
 # Stored attributes that nothing reads, and why each stays.
 NO_READER_NEEDED = {
     "line_no": "SpecError: public exception data, the line of the bad input",

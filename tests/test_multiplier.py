@@ -4,12 +4,11 @@ import pytest
 
 from mulhopf import linalg, multiplier
 from mulhopf.algebra import Element, InputError, regular_module, resolve_window, tensor_elem
-from mulhopf.extension import psi_embed
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
 from mulhopf.multiplier import (Multiplier, MultiplierSpace, act_on_module,
                                 agrees_on_probes, basis_image, combine, iota,
-                                iota_preimage, multiplier_eq, one)
+                                iota_preimage, multiplier_eq, one, psi_embed)
 from mulhopf.specfile import build_bundle, parse_spec
 
 from fixtures import random_algebra

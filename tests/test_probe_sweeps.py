@@ -18,12 +18,11 @@ from hypothesis import strategies as strat
 from mulhopf.algebra import (Element, TensorAlgebra, Verdict, Window, probe_window,
                              resolve_window, tensor_algebra)
 from mulhopf.comodule import _coassoc_setup
-from mulhopf.extension import psi_embed
 from mulhopf.fields import GF
 from mulhopf.gallery import kfin_Z, kfun_cyclic, matfin, rowalg2
 from mulhopf.linalg import vec_axpy
 from mulhopf.multiplier import (Multiplier, agrees_on_probes, basis_image, combine, iota,
-                                multiplier_eq, one, support)
+                                multiplier_eq, one, psi_embed, support)
 
 from fixtures import random_algebra, self_comodule
 

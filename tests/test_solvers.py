@@ -19,8 +19,8 @@ from mulhopf.extension import TensorExtension, identity_extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import kfin_Z, kfun_cyclic, rowalg2
 from mulhopf.linalg import GaussianSolver, PairSpan, SparseMatrix, pair_columns, vec_axpy
-from mulhopf.multiplier import (MultiplierSpace, basis_image, iota, iota_preimage,
-                                unital_certificate)
+from mulhopf.multiplier import (MultiplierSpace, basis_image, iota, iota_element,
+                                iota_preimage, unital_certificate)
 
 from fixtures import random_algebra
 from test_unital import CASES
@@ -271,9 +271,9 @@ def test_derive_rho_on_the_rescaled_square_is_the_former_one(monkeypatch):
     bundle = specfile.build_bundle(spec)
     T = tensor_algebra(bundle.algebra, bundle.algebra)
     assert len(calls) == 6 and all(t is T for t, _, _ in calls)
-    for _, lam_table, (got, _c) in calls:
+    for _, lam_table, m in calls:
         want, solver = old_derive_rho(T, lam_table)
-        assert [(p, list(r.items())) for p, r in got.items()] == \
+        assert [(p, list(basis_image(m, "right", p).items())) for p in T.basis.ids] == \
             [(p, list(r.items())) for p, r in want.items()]
         # the ("L", y, r) rows sort as the (y, r) rows did: the same pivots
         assert pivots(T.regular_solver(sides=("L",))) == pivots(solver)
@@ -301,11 +301,13 @@ def certificates_agree(alg, lam, y0):
 
 
 def derive_rho_is_the_product_table(T, c):
-    """derive_rho on the table of c e_y is (e_p c) item for item."""
+    """derive_rho on the table of c e_y is iota(c): its right action is (e_p c)
+    item for item."""
     lam_table = {y: (c * T.basis_element(y)).coeffs for y in T.basis.ids}
-    rho, got = specfile.derive_rho(T, lam_table)
+    m = specfile.derive_rho(T, lam_table)
+    got = iota_element(m)
     assert got == c
-    assert [(p, list(r.items())) for p, r in rho.items()] == \
+    assert [(p, list(basis_image(m, "right", p).items())) for p in T.basis.ids] == \
         [(p, list((T.basis_element(p) * got).coeffs.items())) for p in T.basis.ids]
 
 

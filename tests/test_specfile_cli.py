@@ -18,6 +18,7 @@ from mulhopf.cli import build_parser, main
 from mulhopf.extension import Extension
 from mulhopf.fields import GF, QQ
 from mulhopf.gallery import gallery_names, kfin_Z, kfun_cyclic, zero1
+from mulhopf.multiplier import basis_image, iota_element
 from mulhopf.specfile import SpecError, build_bundle, derive_rho, parse_spec
 
 GROUP_SPEC = """\
@@ -196,9 +197,10 @@ def test_derive_rho_on_group_algebra():
     spec = parse_spec(GROUP_SPEC)
     entry = build_bundle(spec)
     A = entry.algebra
-    rho, c = derive_rho(A, {"e": {"g": QQ.one}, "g": {"e": QQ.one}}, what="test")
-    assert rho == {"e": {"g": QQ.one}, "g": {"e": QQ.one}}
-    assert c == A.basis_element("g")  # the certified m(1)
+    m = derive_rho(A, {"e": {"g": QQ.one}, "g": {"e": QQ.one}}, what="test")
+    assert {p: basis_image(m, "right", p) for p in A.basis.ids} == \
+        {"e": {"g": QQ.one}, "g": {"e": QQ.one}}
+    assert iota_element(m) == A.basis_element("g")  # iota of the certified m(1)
 
 
 def test_derive_rho_rejects_right_annihilators():

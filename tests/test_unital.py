@@ -100,7 +100,8 @@ def rho_tables(ext):
     T = ext.target
     tables = [{y: basis_image(z, "left", y) for y in T.basis.ids if basis_image(z, "left", y)}
               for z in map(ext.basis_multiplier, ext.source.basis.ids)]
-    return [specfile.derive_rho(T, t)[0] for t in tables]
+    return [{p: basis_image(m, "right", p) for p in T.basis.ids}
+            for m in (specfile.derive_rho(T, t) for t in tables)]
 
 
 def verdicts(ext):
@@ -260,8 +261,8 @@ def test_building_a_unital_spec_keeps_derive_rhos_certificate(monkeypatch):
 
 
 def test_building_a_unital_spec_multiplies_no_elements(monkeypatch):
-    """``derive_rho``'s certificate and rho table come from passes over the
-    partner table: no element product, nothing cached per pair of pair ids."""
+    """``derive_rho``'s certificate comes from one pass over the partner
+    table: no element product, nothing cached per pair of pair ids."""
     products = []
     real = TensorAlgebra.element_mul
     monkeypatch.setattr(TensorAlgebra, "element_mul",
