@@ -496,18 +496,17 @@ class MultiplierBialgebra:
 
 def tensor_module_action(slicer: Slicer, m: ModuleStructure,
                          n: ModuleStructure) -> ModuleStructure:
-    """Right A-module on M (x) N through Delta = slicer.delta.
+    """A-module on M (x) N through Delta = slicer.delta, on the modules' side.
 
-    (m (x) n) . a  =  sum (m_i (x) n_j) ((a_i (x) b_j) <| Delta(a))
-    over decompositions m = sum m_i a_i, n = sum n_j b_j.  Decomposition
+    (m (x) n) . a  =  sum (m_i (x) n_j) ((a_i (x) b_j) <| Delta(a))   (right)
+    a . (m (x) n)  =  sum (Delta(a) |> (a_i (x) b_j)) (m_i (x) n_j)   (left)
+    over decompositions of m and n by the action, leg by leg.  Decomposition
     searches draw m and n from the Slicer's window and the acting ids from
-    its expansion-scaled version.
+    its expansion-scaled version.  Mixed sides raise (``tensor_module``).
     """
     delta, alg, wa = slicer.delta, slicer.alg, slicer.window
     if m.algebra is not alg or n.algebra is not alg:
-        raise InputError("tensor_module_action wants two right modules over A")
-    if m.side != "right" or n.side != "right":
-        raise InputError("tensor_module_action is for right modules")
+        raise InputError("tensor_module_action wants two modules over A")
     base = tensor_module(m, n)
     a_search = delta.source_search_ids
     m_ids = resolve_window(m.space, wa)
@@ -525,15 +524,15 @@ def tensor_module_action(slicer: Slicer, m: ModuleStructure,
         acc: dict = {}
         for c, mx, ap in dec_m:
             for d, ny, bq in dec_n:
-                moved = da.apply("right", tensor_elem(alg.basis_element(ap),
-                                                      alg.basis_element(bq), into=delta.target))
+                moved = da.apply(m.side, tensor_elem(alg.basis_element(ap),
+                                                     alg.basis_element(bq), into=delta.target))
                 hit = base.act(tensor_elem(m.space.basis_element(mx),
                                            n.space.basis_element(ny),
                                            into=base.space), moved)
                 vec_axpy(f, acc, hit.coeffs, f.mul(c, d))
         return acc
 
-    return ModuleStructure(base.space, alg, "right", rule,
+    return ModuleStructure(base.space, alg, m.side, rule,
                            name=f"({m.space.name}(x){n.space.name}) over Delta")
 
 
@@ -551,7 +550,7 @@ def epsilon_module(epsilon: Counit) -> ModuleStructure:
 
 def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
                             counit_witness: Element, modules) -> list:
-    """Associator and unit-constraint instances for a module family.
+    """Associator and unit-constraint instances for a family of left or right modules.
 
     Returns verdicts for: associator A-linearity on every ordered triple
     from ``modules``; the right and left unit constraints mediated by the
@@ -591,8 +590,8 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
                                   detail=f"{lhs} vs {rhs}")
 
     def unit_failures(tag, eps_leg):
-        # m . a against sum m_j . (id (x) eps on eps_leg)(legs <| Delta(a)),
-        # m = sum m_j b_j and legs = b_j (x) g with g on the eps leg
+        # m . a against sum m_j . (id (x) eps on eps_leg)(Delta(a) on M's side
+        # of legs), m = sum m_j . b_j and legs = b_j (x) g with g on the eps leg
         for M in modules:
             m_ids = resolve_window(M.space, wa)
             for mi in m_ids:
@@ -606,7 +605,7 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
                     for c, mx, bj in dec:
                         eb = alg.basis_element(bj)
                         legs = (g, eb) if eps_leg == "left" else (eb, g)
-                        kept = _collapse(da.apply("right", tensor_elem(*legs, into=delta.target)),
+                        kept = _collapse(da.apply(M.side, tensor_elem(*legs, into=delta.target)),
                                          epsilon, eps_leg)
                         vec_axpy(f, acc, M.act(M.space.basis_element(mx), kept).coeffs, c)
                     got = Element(M.space, acc)

@@ -26,10 +26,10 @@ Every check takes the run's Slicers as handles: ``gamma`` slices the
 coaction and ``dsl`` slices Delta, each bound to its window and expansion,
 which the lifts search at too; the regular comodule passes Delta's as both.
 
-A right module algebra is a right A-module on an algebra B whose
-multiplication intertwines the diagonal action:
+A module algebra is an A-module on an algebra B whose multiplication
+intertwines the tensor action through Delta on the module's side:
 
-    mu((b (x) b') <| Delta(a)) = (b b') <| a.
+    mu((b (x) b') <| Delta(a)) = (b b') <| a,   mu(Delta(a) |> (b (x) b')) = a |> (b b').
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from __future__ import annotations
 from .linalg import vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict, joint_baseline,
-    probe_window, resolve_window, tensor_algebra, tensor_elem, tensor_module,
+    probe_window, resolve_window, tensor_algebra,
 )
-from .multiplier import act_on_module, basis_image, iota, one, psi_embed, sweep
+from .multiplier import basis_image, iota, one, psi_embed, sweep
 from .extension import TensorExtension, identity_extension
 from .bialgebra import (
     Counit, Slicer, SliceUndefined, _certified_coassoc, _collapse, _sliced_coassoc,
+    tensor_module_action,
 )
 
 
@@ -204,33 +205,26 @@ def check_comodule_counit(gamma: Slicer, epsilon: Counit | None) -> Verdict:
 
 
 def check_module_algebra(module: ModuleStructure, slicer: Slicer) -> Verdict:
-    """mu((b (x) b') <| Delta(a)) = (b b') <| a on window triples.
+    """mu((b (x) b') . a) = (bb') . a on window triples, on the module's side.
 
-    ``module`` is a right module over A = slicer.alg whose carrier is
-    itself an algebra; the left side moves b (x) b' with the diagonal
-    action on the tensor module.
+    ``module`` is a module over A = slicer.alg whose carrier is itself an
+    algebra; b (x) b' moves by the tensor action through Delta
+    (``tensor_module_action``): mu((b (x) b') <| Delta(a)) = (bb') <| a for
+    a right module, mu(Delta(a) |> (b (x) b')) = a |> (bb') for a left one.
     """
-    A, delta, window = slicer.alg, slicer.delta, slicer.window
-    B = module.space
+    A, B = slicer.alg, module.space
     if not isinstance(B, Algebra):
         raise InputError("module-algebra check needs an algebra carrier")
-    if module.algebra is not A or module.side != "right":
-        raise InputError("module-algebra check wants a right A-module")
-    T = tensor_module(module, module)
-    b_ids = resolve_window(B, window)
-    a_ids = slicer.ids
-    pair_window = [(i, j) for i in b_ids for j in b_ids]
-    scaled = delta.source_search_ids
-    aa_window = [(i, j) for i in scaled for j in scaled]
+    T = tensor_module_action(slicer, module, module)
+    b_ids, a_ids = resolve_window(B, slicer.window), slicer.ids
+    moved, acted = (("mu((b(x)b')<|Delta(a))", "(bb')<|a") if module.side == "right"
+                    else ("mu(Delta(a)|>(b(x)b'))", "a|>(bb')"))
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
     for bi in b_ids:
         for bj in b_ids:
-            x = tensor_elem(B.basis_element(bi), B.basis_element(bj), into=T.space)
             for a in a_ids:
-                moved = act_on_module(T, x, delta.basis_multiplier(a),
-                                      window_m=pair_window, window_a=aa_window)
                 acc: dict = {}
-                for (p, q), c in moved.coeffs.items():
+                for (p, q), c in T.act_basis((bi, bj), a).coeffs.items():
                     vec_axpy(B.field, acc, B.mul_basis(p, q).coeffs, c)
                 lhs = Element(B, acc)
                 rhs = module.act(B.basis_element(bi) * B.basis_element(bj),
@@ -240,5 +234,5 @@ def check_module_algebra(module: ModuleStructure, slicer: Slicer) -> Verdict:
                         "module algebra", "failed", label,
                         witness=(B.basis_element(bi), B.basis_element(bj),
                                  A.basis_element(a)),
-                        detail=f"mu of moved tensor = {lhs}, (bb')<|a = {rhs}")
+                        detail=f"{moved} = {lhs}, {acted} = {rhs}")
     return Verdict("module algebra", joint_baseline((B, b_ids), (A, a_ids)), label)

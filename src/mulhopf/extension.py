@@ -47,10 +47,9 @@ _FORM = {"left": "B.A", "right": "A.B"}
 class Extension:
     """The linear map f: B -> M(A) given on basis ids, values cached.
 
-    ``rule`` maps a source basis id to a Multiplier on the target (or to a
-    pair of basis-action callables).  Constructing one gives the map;
-    ``validate`` certifies that it is an extension (``from_map`` and
-    ``from_bimodule`` construct and certify).
+    ``rule`` maps a source basis id to a Multiplier on the target.
+    Constructing one gives the map; ``validate`` certifies that it is an
+    extension (``from_map`` and ``from_bimodule`` construct and certify).
     """
 
     def __init__(self, source: Algebra, target: Algebra, rule, name="f",
@@ -102,11 +101,7 @@ class Extension:
     def basis_multiplier(self, bid) -> Multiplier:
         x = self._mult_cache.get(bid)
         if x is None:
-            raw = self._rule(bid)
-            if not isinstance(raw, Multiplier):
-                lam, rho = raw
-                raw = Multiplier(self.target, lam, rho)
-            x = self._mult_cache[bid] = raw
+            x = self._mult_cache[bid] = self._rule(bid)
         return x
 
     def apply(self, b: Element) -> Multiplier:
@@ -288,8 +283,8 @@ class Extension:
         is B-bilinear and balanced, and the actions compose associatively.
         """
         ext = cls(source, target,
-                  lambda bid: (lambda aid, b=bid: left_rule(b, aid),
-                               lambda aid, b=bid: right_rule(aid, b)),
+                  lambda bid: Multiplier(target, lambda aid, b=bid: left_rule(b, aid),
+                                         lambda aid, b=bid: right_rule(aid, b)),
                   name=name, source_window=source_window,
                   target_window=target_window, expansion=expansion)
         src_ids = resolve_window(source, source_window)
@@ -381,14 +376,17 @@ def _join_windows(w1, w2):
 
 
 def restrict_module(ext: Extension, module: ModuleStructure) -> ModuleStructure:
-    """Pull a target-algebra module back to the source along the extension."""
+    """Pull a target-algebra module back to the source along the extension,
+    on the module's side: m . b = m <| f(b), or f(b) |> m.  m decomposes
+    over the source window and the target's expansion-scaled window."""
     if module.algebra is not ext.target:
         raise InputError("restrict_module: module is not over the extension target")
+    a_ids = scaled_window(ext.target, ext.target_window, ext.expansion)
 
     def rule(m_id, b_id):
         m = module.space.basis_element(m_id)
         return act_on_module(module, m, ext.basis_multiplier(b_id),
-                             window_a=ext.target_window).coeffs
+                             window_m=ext.source_window, window_a=a_ids).coeffs
 
     return ModuleStructure(module.space, ext.source, module.side, rule,
                            name=f"{module.name} along {ext.name}")

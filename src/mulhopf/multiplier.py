@@ -284,23 +284,24 @@ def iota_element(z: Multiplier):
     return None if z.alg.verified_unit is None else z._iota
 
 
-def unital_certificate(alg: Algebra, image):
+def unital_certificate(alg: Algebra, table):
     """c = m(1) if m(e_y) = c e_y on every basis id y of a finite ``alg`` with
-    a verified unit, else None; ``image(y)`` gives the coefficients of m(e_y).
-    All c e_y come from one pass over c's terms and ``alg.partners``, so a
-    check costs the nonzero pairs that c meets, not an element product per y."""
+    a verified unit, else None; ``table`` maps y to the coefficients of
+    m(e_y), an absent y to none.  All c e_y come from one pass over c's terms
+    and ``alg.partners``, and only ids in the table or among those hits can
+    differ, so a check costs the nonzero pairs that c meets and the table."""
     u = alg.verified_unit
     if u is None:
         return None
     field, mul, acc, hits = alg.field, alg.basis_product, {}, {}
     for bid, k in u.coeffs.items():
-        hit = image(bid)
+        hit = table.get(bid)
         if hit:
             vec_axpy(field, acc, hit, k)
     for t, ct in acc.items():
         for y in alg.partners[t]:
             vec_axpy(field, hits.setdefault(y, {}), mul(t, y), ct)
-    if any(image(y) != hits.get(y, {}) for y in alg.basis.ids):
+    if any(table.get(y, {}) != hits.get(y, {}) for y in table.keys() | hits.keys()):
         return None
     return Element(alg, acc)
 

@@ -237,7 +237,7 @@ def derive_rho(T, lam_table, what="delta") -> Multiplier:
     (no unique completion) or the table is not a two-sided multiplier, the
     one outcome of that solve on a unital T (1 in x e_y = e_p m(y)).
     """
-    c = unital_certificate(T, lambda y: lam_table.get(y, {}))
+    c = unital_certificate(T, lam_table)
     if c is not None:
         return iota(T, c)
     ids = list(T.basis.ids)

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: seeded random algebras and extensions
 (deterministic per seed), a damaged antipode, derived structures on
-bundles, canonical maps, and maps for the twisted convolution calculus."""
+bundles, the non-commutative Hopf algebra kS3 as spec text, canonical maps,
+and maps for the twisted convolution calculus."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from mulhopf.fields import QQ
 from mulhopf.hopf import _CANONICAL_SIDE, _as_elem
 from mulhopf.linalg import vec_axpy
 from mulhopf.multiplier import combine, iota
+from mulhopf.specfile import build_bundle, parse_spec
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,62 @@ def every_pair_product(x: Element, y: Element) -> Element:
         for j, cj in y.coeffs.items():
             vec_axpy(f, acc, alg.basis_product(i, j), f.mul(ci, cj))
     return Element(alg, acc)
+
+
+# ---------------------------------------------------------------------------
+# a non-commutative Hopf input
+
+
+S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def s3_id(p) -> str:
+    """Basis id of a permutation of {0, 1, 2} in one-line notation: p012 is 1."""
+    return "p" + "".join(map(str, p))
+
+
+def s3_mul(p, q) -> tuple:
+    """pq: q first, then p."""
+    return tuple(p[i] for i in q)
+
+
+def s3_inv(p) -> tuple:
+    return tuple(sorted(range(3), key=p.__getitem__))
+
+
+def ks3_spec() -> str:
+    """Spec text of the group algebra kS3 over Q, Delta(g) = g (x) g.
+
+    36 ``mul`` lines from the permutation table, the unit, and 216 ``delta``
+    lines Delta(g)(p (x) q) = gp (x) gq.  No counit or antipode line: both
+    are synthesized.  kS3 is non-commutative and cocommutative, so a left
+    and a right action differ on it where on K(Z/n) they agree.
+    """
+    lines = ["field Q", "basis " + " ".join(map(s3_id, S3))]
+    lines += [f"mul {s3_id(p)} {s3_id(q)} = 1*{s3_id(s3_mul(p, q))}" for p in S3 for q in S3]
+    lines.append(f"unit = 1*{s3_id(S3[0])}")
+    lines += [f"delta {s3_id(g)} ({s3_id(p)},{s3_id(q)}) = "
+              f"1*({s3_id(s3_mul(g, p))},{s3_id(s3_mul(g, q))})"
+              for g in S3 for p in S3 for q in S3]
+    return "\n".join(lines) + "\n"
+
+
+def ks3_bundle() -> MultiplierBialgebra:
+    """kS3 built from ``ks3_spec``, its counit and antipode left to synthesis."""
+    return build_bundle(parse_spec(ks3_spec()), name="kS3").bialgebra
+
+
+def adjoint_module(alg: Algebra, side) -> ModuleStructure:
+    """kS3 acting on itself by conjugation: g |> b = g b g^-1 on the left,
+    b <| g = g^-1 b g on the right; a module algebra on either side."""
+    perm = {s3_id(p): p for p in S3}
+
+    def rule(b_id, g_id):
+        g, b = perm[g_id], perm[b_id]
+        inner, outer = (g, s3_inv(g)) if side == "left" else (s3_inv(g), g)
+        return {s3_id(s3_mul(s3_mul(inner, b), outer)): alg.field.one}
+
+    return ModuleStructure(alg, alg, side, rule, name=f"{alg.name} ({side} adjoint)")
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
 from mulhopf.hopf import check_bijective, check_hopf
-from mulhopf.multiplier import Multiplier, iota, iota_preimage
+from mulhopf.linalg import vec_axpy
+from mulhopf.multiplier import Multiplier, basis_image, iota, iota_element, iota_preimage
 
-from fixtures import random_coproduct_bundle
+from fixtures import ks3_bundle, ks3_spec, random_coproduct_bundle
 
 
 def right_projection_delta(n=3):
@@ -459,6 +460,89 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
     with pytest.raises(TypeError, match="broken bimodule constructor"):
         check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
                                 [regular_module(b.algebra)])
+
+
+# --- kS3: a non-commutative Hopf input, and both module categories ---------
+
+
+def test_ks3_classifies_as_a_finite_multiplier_hopf_algebra(tmp_path, capsys):
+    path = tmp_path / "ks3.spec"
+    path.write_text(ks3_spec())
+    assert main(["classify", str(path)]) == 0
+    assert "classification: multiplier Hopf algebra (proven; finite)\n" in capsys.readouterr().out
+
+
+def swapped_product(self, side, a_id, b_id):
+    """``Slicer._product`` with the framed leg multiplied on the wrong side."""
+    c = iota_element(self.delta.basis_multiplier(a_id if side == "right" else b_id))
+    if c is None:
+        return None
+    f, acc, right = self.txt.field, {}, side == "right"
+    for (x, y), v in c.coeffs.items():
+        hit = self.rfac.basis_product(b_id, y) if right else self.lfac.basis_product(x, a_id)
+        vec_axpy(f, acc, {((x, k) if right else (k, y)): w for k, w in hit.items()}, v)
+    return Element(self.txt, acc)
+
+
+def test_ks3_catches_the_framed_leg_multiplied_on_the_wrong_side(tmp_path, capsys, monkeypatch):
+    # on a commutative A both orders agree, so only a non-commutative input sees it
+    path = tmp_path / "ks3.spec"
+    path.write_text(ks3_spec())
+    monkeypatch.setattr(Slicer, "_product", swapped_product)
+    assert main(["classify", str(path)]) == 1
+    assert ("classification: coassociative comultiplication without counit\n"
+            in capsys.readouterr().out)
+
+
+def ks3_counit(sl):
+    """eps of kS3 synthesized, g = eps.witness, and the k_eps module laws that
+    a witness taken from eps needs checked too."""
+    eps = synthesize_counit(sl)
+    assert all(v.status == "proven" for v in check_module(epsilon_module(eps)).values())
+    return eps, eps.witness(sl.ids)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ks3_monoidal_instances_on_either_side(side):
+    b = ks3_bundle()
+    sl = b.slicer()
+    eps, g = ks3_counit(sl)
+    reg = regular_module(b.algebra, side)
+    verdicts = check_monoidal_instance(sl, eps, g, [reg])
+    assert [(v.axiom, v.status) for v in verdicts] == [
+        ("monoidal associator", "proven"), ("monoidal right unit", "proven"),
+        ("monoidal left unit", "proven"), ("tensor extension instance", "proven")]
+    sq = tensor_module_action(sl, reg, reg)
+    assert sq.side == side
+    assert {law: v.status for law, v in check_module(sq).items()} == dict.fromkeys(
+        ("associativity", "idempotency", "nondegeneracy"), "proven")
+
+
+def opposite_side_slicer(sl):
+    """A Slicer whose Delta(a) acts on the left as Delta(a) acts on the right,
+    and the other way round: Delta(a) applied on the modules' opposite side."""
+    D = sl.delta
+
+    def rule(a):
+        d = D.basis_multiplier(a)
+        return Multiplier(D.target, lambda p: basis_image(d, "right", p),
+                          lambda p: basis_image(d, "left", p))
+
+    return Slicer(Extension(D.source, D.target, rule, name="Delta-opposite"))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ks3_sees_delta_applied_on_the_opposite_side(side):
+    b = ks3_bundle()
+    sl = b.slicer()
+    eps, g = ks3_counit(sl)
+    bad = opposite_side_slicer(sl)
+    reg = regular_module(b.algebra, side)
+    sq = tensor_module_action(bad, reg, reg)
+    assert check_module(sq, laws=["associativity"])["associativity"].status == "failed"
+    statuses = [v.status for v in check_monoidal_instance(bad, eps, g, [reg])[:3]]
+    # both sides of the associator use the same wrong action: it cannot see it
+    assert statuses == ["proven", "failed", "failed"]
 
 
 FIXED_BY_THE_HANDLE = {"delta", "window", "window_a", "expansion", "com", "strict"}

@@ -16,7 +16,8 @@ from mulhopf.fields import GF, QQ
 from mulhopf.gallery import build_entry, gallery_names, kfin_Z, kfun_cyclic
 from mulhopf.multiplier import Multiplier, basis_image, iota, one
 
-from fixtures import random_algebra, self_comodule, trivial_module_algebra
+from fixtures import (adjoint_module, ks3_bundle, random_algebra, self_comodule,
+                      trivial_module_algebra)
 from test_unital import CASES as UNITAL_CASES, spec_entry
 
 
@@ -320,3 +321,17 @@ def test_regular_action_is_not_a_module_algebra_here():
     v = check_module_algebra(regular_module(b.algebra), b.slicer())
     assert v.status == "failed"
     assert v.witness is not None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_module_algebras_over_ks3_on_either_side(side):
+    # conjugation is a module algebra on kS3, multiplication is not: a . (b b')
+    # and (a . b)(a . b') differ once a is not central (a = p021, b = b' = 1)
+    b = ks3_bundle()
+    v = check_module_algebra(adjoint_module(b.algebra, side), b.slicer())
+    assert v.status == "proven"
+    v = check_module_algebra(regular_module(b.algebra, side), b.slicer())
+    formula = ("mu(Delta(a)|>(b(x)b')) = 1*p012, a|>(bb') = 1*p021" if side == "left" else
+               "mu((b(x)b')<|Delta(a)) = 1*p012, (bb')<|a = 1*p021")
+    assert (v.status, [str(w) for w in v.witness], v.detail) == (
+        "failed", ["1*p012", "1*p012", "1*p021"], formula)

@@ -231,6 +231,15 @@ def test_restrict_module_pulls_the_action_back():
     assert m.act(A.basis_element(0), B.basis_element(1)).is_zero()
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_restrict_module_acts_along_an_oracle_extension(side):
+    # m decomposes over the source window, A (x) A over its expansion-scaled one:
+    # an oracle module has no window of its own to decompose over
+    sl = kfin_Z().bialgebra.slicer(2)
+    m = restrict_module(sl.delta, regular_module(sl.txt, side))
+    assert str(m.act_basis((0, 1), 1)) == "1*(d0,d1)"
+
+
 def test_oracle_identity_extension_lifts():
     KZ = kfin_Z().algebra
     ext = identity_extension(KZ, window=3)

@@ -131,6 +131,28 @@ def test_every_top_level_name_has_a_caller_in_the_package():
     assert set(NO_CALLER_NEEDED) <= defined
 
 
+def callers(name: str) -> list:
+    """(module, name) of the top-level functions and methods of the package
+    whose body, nested functions included, calls ``name``."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        found += [(path.stem, qual) for qual, node in defs
+                  if any(isinstance(sub, ast.Call) and name in names(sub.func)
+                         for sub in ast.walk(node))]
+    return sorted(found)
+
+
+# One route extends a module action along a multiplier-valued map: a tensor
+# action through Delta is ``bialgebra.tensor_module_action``, leg by leg.
+def test_only_restrict_module_extends_an_action_by_act_on_module():
+    assert callers("act_on_module") == [("extension", "restrict_module")]
+
+
 # ``multiplier.py`` builds every kind of ``Multiplier`` (a leaf, a product, a
 # ``combine`` sum, a Psi leaf, iota(a)): no other module sets its private slots.
 def private_slot_stores(source: str, slots) -> list:
