@@ -51,8 +51,8 @@ from .algebra import (
     joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
     tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import (Multiplier, agrees_on_probes, basis_image, iota, iota_element,
-                         iota_preimage, one, psi_embed)
+from .multiplier import (Multiplier, agrees_on_probes, iota, iota_element, iota_preimage, one,
+                         psi_embed)
 from .extension import Extension
 
 
@@ -515,11 +515,8 @@ def tensor_module_action(slicer: Slicer, m: ModuleStructure,
 
     def rule(mn_id, a_id):
         mi, nj = mn_id
-        dec_m = m.decompose(m.space.basis_element(mi), m_ids, a_search)
-        dec_n = n.decompose(n.space.basis_element(nj), n_ids, a_search)
-        if dec_m is None or dec_n is None:
-            raise WindowInsufficiency(
-                f"tensor action: no decomposition for ({mi!r}, {nj!r})")
+        dec_m = ma_form(m, m.space.basis_element(mi), m_ids, a_search, "tensor action")
+        dec_n = ma_form(n, n.space.basis_element(nj), n_ids, a_search, "tensor action")
         da = delta.basis_multiplier(a_id)
         acc: dict = {}
         for c, mx, ap in dec_m:
@@ -534,6 +531,27 @@ def tensor_module_action(slicer: Slicer, m: ModuleStructure,
 
     return ModuleStructure(base.space, alg, m.side, rule,
                            name=f"({m.space.name}(x){n.space.name}) over Delta")
+
+
+def ma_form(M: ModuleStructure, m: Element, m_ids, a_ids, check):
+    """m = sum c m_i . a_j over the windows; no such form on windows covering both
+    finite bases fails ``check`` at m (InvariantViolation), else WindowInsufficiency."""
+    dec = M.decompose(m, m_ids, a_ids)
+    if dec is None:
+        if not (M.space.covers_fully(m_ids) and M.algebra.covers_fully(a_ids)):
+            raise WindowInsufficiency(f"{check}: {m} lacks M.A form; enlarge the window")
+        raise InvariantViolation(Verdict(check, "failed", M.space.window_label(m_ids),
+                                         witness=(m,), detail=f"{m} has no M.A decomposition"))
+    return dec
+
+
+def first_failure(axiom, failures, status, label) -> Verdict:
+    """The first verdict ``failures`` yields, else ``status`` on ``label``; an
+    InvariantViolation met on the way, such as ``ma_form``'s, fails ``axiom`` too."""
+    try:
+        return next(failures, None) or Verdict(axiom, status, label)
+    except InvariantViolation as exc:
+        return Verdict(axiom, "failed", label, witness=exc.verdict.witness, detail=str(exc))
 
 
 def epsilon_module(epsilon: Counit) -> ModuleStructure:
@@ -554,9 +572,10 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
 
     Returns verdicts for: associator A-linearity on every ordered triple
     from ``modules``; the right and left unit constraints mediated by the
-    counit witness g; and the tensor-of-extensions instance (the Delta
-    bimodule actions on A (x) A validate as an extension of A).  A
-    programming error inside a check propagates; it is not a verdict.  The
+    counit witness g; and the tensor-of-extensions instance, iota (x) iota
+    along Delta, which is Delta's own certificate (``Extension.validate``)
+    since (iota (x) iota) o Delta = Delta.  A programming error inside a
+    check propagates; it is not a verdict (``first_failure``).  The
     Slicer's window must be None or an int: it is resolved on every tensor
     module too, where an id tuple of A names no ids.
 
@@ -596,9 +615,7 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
             m_ids = resolve_window(M.space, wa)
             for mi in m_ids:
                 m_elem = M.space.basis_element(mi)
-                dec = M.decompose(m_elem, m_ids, dec_ids)
-                if dec is None:
-                    raise WindowInsufficiency(f"unit constraint: {m_elem} lacks M.A form")
+                dec = ma_form(M, m_elem, m_ids, dec_ids, "unit constraint")
                 for a in a_ids:
                     da = delta.basis_multiplier(a)
                     acc: dict = {}
@@ -615,26 +632,17 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
                                       witness=(m_elem, alg.basis_element(a)),
                                       detail=f"constraint image {got}, expected {want}")
 
-    verdicts = [next(associator_failures(), None) or Verdict(
-        "monoidal associator", alg.baseline(a_ids),
-        f"{len(modules)}^3 triples, window {len(a_ids)} ids")]
-    for tag, eps_leg in (("monoidal right unit", "right"), ("monoidal left unit", "left")):
-        verdicts.append(next(unit_failures(tag, eps_leg), None) or Verdict(
-            tag, alg.baseline(a_ids), f"{len(modules)} modules, witness g = {g}"))
+    def instance_failures():
+        # (iota (x) iota) o Delta = Delta: the instance is Delta's certificate
+        for v in delta.validate():
+            if not v.ok:
+                yield Verdict("tensor extension instance", "failed", delta.window_label(),
+                              witness=v.witness, detail=f"{v.axiom}: {v.detail}")
 
-    # tensor of two A-extensions is an A-extension: Delta's own bimodule actions
-    # on A (x) A validated through the bimodule constructor
-    try:
-        Extension.from_bimodule(
-            alg, delta.target,
-            lambda b_id, p_id: basis_image(delta.basis_multiplier(b_id), "left", p_id),
-            lambda p_id, b_id: basis_image(delta.basis_multiplier(b_id), "right", p_id),
-            name="Delta-as-bimodule", source_window=delta.source_window,
-            target_window=delta.target_window, expansion=slicer.expansion)
-        verdicts.append(Verdict("tensor extension instance", alg.baseline(a_ids),
-                                delta.window_label()))
-    except InvariantViolation as exc:
-        verdicts.append(Verdict("tensor extension instance", "failed",
-                                delta.window_label(), witness=exc.verdict.witness,
-                                detail=str(exc)))
-    return verdicts
+    base, count = alg.baseline(a_ids), len(modules)
+    return [first_failure("monoidal associator", associator_failures(), base,
+                          f"{count}^3 triples, window {len(a_ids)} ids"),
+            *(first_failure(tag, unit_failures(tag, leg), base, f"{count} modules, witness g = {g}")
+              for tag, leg in (("monoidal right unit", "right"), ("monoidal left unit", "left"))),
+            first_failure("tensor extension instance", instance_failures(), base,
+                          delta.window_label())]

@@ -34,6 +34,8 @@ intertwines the tensor action through Delta on the module's side:
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import vec_axpy
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict, joint_baseline,
@@ -43,7 +45,7 @@ from .multiplier import basis_image, iota, one, psi_embed, sweep
 from .extension import TensorExtension, identity_extension
 from .bialgebra import (
     Counit, Slicer, SliceUndefined, _certified_coassoc, _collapse, _sliced_coassoc,
-    tensor_module_action,
+    first_failure, tensor_module_action,
 )
 
 
@@ -220,19 +222,19 @@ def check_module_algebra(module: ModuleStructure, slicer: Slicer) -> Verdict:
     moved, acted = (("mu((b(x)b')<|Delta(a))", "(bb')<|a") if module.side == "right"
                     else ("mu(Delta(a)|>(b(x)b'))", "a|>(bb')"))
     label = f"{B.window_label(b_ids)} / {A.window_label(a_ids)}"
-    for bi in b_ids:
-        for bj in b_ids:
-            for a in a_ids:
-                acc: dict = {}
-                for (p, q), c in T.act_basis((bi, bj), a).coeffs.items():
-                    vec_axpy(B.field, acc, B.mul_basis(p, q).coeffs, c)
-                lhs = Element(B, acc)
-                rhs = module.act(B.basis_element(bi) * B.basis_element(bj),
-                                 A.basis_element(a))
-                if lhs != rhs:
-                    return Verdict(
-                        "module algebra", "failed", label,
-                        witness=(B.basis_element(bi), B.basis_element(bj),
-                                 A.basis_element(a)),
-                        detail=f"{moved} = {lhs}, {acted} = {rhs}")
-    return Verdict("module algebra", joint_baseline((B, b_ids), (A, a_ids)), label)
+
+    def failures():
+        for bi, bj, a in product(b_ids, b_ids, a_ids):
+            acc: dict = {}
+            for (p, q), c in T.act_basis((bi, bj), a).coeffs.items():
+                vec_axpy(B.field, acc, B.mul_basis(p, q).coeffs, c)
+            lhs = Element(B, acc)
+            rhs = module.act(B.basis_element(bi) * B.basis_element(bj), A.basis_element(a))
+            if lhs != rhs:
+                yield Verdict("module algebra", "failed", label,
+                              witness=(B.basis_element(bi), B.basis_element(bj),
+                                       A.basis_element(a)),
+                              detail=f"{moved} = {lhs}, {acted} = {rhs}")
+
+    return first_failure("module algebra", failures(),
+                         joint_baseline((B, b_ids), (A, a_ids)), label)

@@ -48,8 +48,9 @@ class Extension:
     """The linear map f: B -> M(A) given on basis ids, values cached.
 
     ``rule`` maps a source basis id to a Multiplier on the target.
-    Constructing one gives the map; ``validate`` certifies that it is an
-    extension (``from_map`` and ``from_bimodule`` construct and certify).
+    Constructing one gives the map; ``validate`` is the one certificate that
+    it is an extension (``from_map`` constructs and certifies).  The monoidal
+    check's tensor-extension instance is Delta's: (iota (x) iota) o Delta = Delta.
     """
 
     def __init__(self, source: Algebra, target: Algebra, rule, name="f",
@@ -110,14 +111,6 @@ class Extension:
             raise InputError(f"{self.name} wants elements of {self.source.name}")
         return combine(self.target, [(c, self.basis_multiplier(bid))
                                      for bid, c in b.sorted_items()])
-
-    def lact(self, b: Element, a: Element) -> Element:
-        """b . a = f(b) |> a."""
-        return self.apply(b).apply("left", a)
-
-    def ract(self, a: Element, b: Element) -> Element:
-        """a . b = a <| f(b)."""
-        return self.apply(b).apply("right", a)
 
     # -- decompositions over B.A and A.B -------------------------------------
 
@@ -272,55 +265,6 @@ class Extension:
     @classmethod
     def from_map(cls, source, target, rule, name="f"):
         return cls(source, target, rule, name=name).ensure_valid()
-
-    @classmethod
-    def from_bimodule(cls, source, target, left_rule, right_rule, name="f",
-                      source_window=None, target_window=None, expansion=2):
-        """Build from bimodule actions b.a, a.b after checking bilinearity.
-
-        left_rule(b_id, a_id) and right_rule(a_id, b_id) give the actions on
-        basis ids.  Checked first, with witness triples: the target product
-        is B-bilinear and balanced, and the actions compose associatively.
-        """
-        ext = cls(source, target,
-                  lambda bid: Multiplier(target, lambda aid, b=bid: left_rule(b, aid),
-                                         lambda aid, b=bid: right_rule(aid, b)),
-                  name=name, source_window=source_window,
-                  target_window=target_window, expansion=expansion)
-        src_ids = resolve_window(source, source_window)
-        tgt_ids = resolve_window(target, target_window)
-        label = ext.window_label()
-        L, R = ext.lact, ext.ract
-        for bi in src_ids:
-            b = source.basis_element(bi)
-            for ai in tgt_ids:
-                a = target.basis_element(ai)
-                for ci in tgt_ids:
-                    a2 = target.basis_element(ci)
-                    checks = (
-                        ("mu left B-linear", L(b, a * a2), L(b, a) * a2, (b, a, a2)),
-                        ("mu right B-linear", R(a * a2, b), a * R(a2, b), (a, a2, b)),
-                        ("balanced", R(a, b) * a2, a * L(b, a2), (a, b, a2)),
-                    )
-                    for tag, lhs, rhs, wit in checks:
-                        if lhs != rhs:
-                            raise InvariantViolation(Verdict(
-                                f"bimodule {tag}", "failed", label, witness=wit,
-                                detail=f"{lhs} vs {rhs}"))
-            for bj in src_ids:
-                b2 = source.basis_element(bj)
-                prod = source.mul_basis(bi, bj)
-                for ai in tgt_ids:
-                    a = target.basis_element(ai)
-                    if L(prod, a) != L(b, L(b2, a)):
-                        raise InvariantViolation(Verdict(
-                            "bimodule left associativity", "failed", label,
-                            witness=(b, b2, a), detail="(bb').a != b.(b'.a)"))
-                    if R(a, prod) != R(R(a, b), b2):
-                        raise InvariantViolation(Verdict(
-                            "bimodule right associativity", "failed", label,
-                            witness=(a, b, b2), detail="a.(bb') != (a.b).b'"))
-        return ext.ensure_valid()
 
 
 def identity_extension(alg: Algebra, window=None, expansion=2) -> Extension:

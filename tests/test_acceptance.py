@@ -23,7 +23,7 @@ from mulhopf.fields import QQ
 from mulhopf.gallery import (kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle,
                              rowalg2, zero1)
 from mulhopf.hopf import check_antipode, check_convolution_inverse, conv_unit, convolve
-from mulhopf.multiplier import MultiplierSpace, iota, multiplier_eq, one
+from mulhopf.multiplier import Multiplier, MultiplierSpace, iota, multiplier_eq, one
 
 from fixtures import (perturb_antipode_map, random_algebra, random_extension,
                       source_twist, span_map, target_frame)
@@ -275,8 +275,9 @@ def test_extension_bimodule_roundtrips_and_lift_laws():
         def right_rule(a_id, b_id, _e=ext):
             return _e.basis_multiplier(b_id).apply("right", A.basis_element(a_id)).coeffs
 
-        rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
-                                          name=ext.name + "'")
+        rebuilt = Extension(B, A, lambda b, _l=left_rule, _r=right_rule: Multiplier(
+            A, lambda a: _l(b, a), lambda a: _r(a, b)), name=ext.name + "'")
+        assert all(v.ok for v in rebuilt.validate())
         again = Extension.from_map(
             B, A, lambda i, _r=rebuilt: _r.basis_multiplier(i),
             name=ext.name + "''")

@@ -5,14 +5,15 @@ import inspect
 import pytest
 
 from mulhopf import bialgebra, comodule, hopf, multiplier
-from mulhopf.algebra import (Element, InputError, WindowInsufficiency, regular_module,
-                             check_module, finite_algebra, tensor_algebra, tensor_elem)
-from mulhopf.bialgebra import (Counit, SliceUndefined, Slicer,
+from mulhopf.algebra import (Element, InputError, ModuleStructure, WindowInsufficiency,
+                             regular_module, check_module, finite_algebra, tensor_algebra,
+                             tensor_elem)
+from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slicer,
                                check_coassociative, check_counit, check_fons,
                                check_monoidal_instance, epsilon_module,
                                synthesize_counit, tensor_module_action)
 from mulhopf.cli import main
-from mulhopf.comodule import check_comodule_coassoc_element
+from mulhopf.comodule import check_comodule_coassoc_element, check_module_algebra
 from mulhopf.extension import Extension, identity_extension
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
@@ -454,10 +455,10 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
     b = kfun_cyclic(2).bialgebra
 
     def broken(*args, **kwargs):
-        raise TypeError("broken bimodule constructor")
+        raise TypeError("broken extension certificate")
 
-    monkeypatch.setattr(Extension, "from_bimodule", broken)
-    with pytest.raises(TypeError, match="broken bimodule constructor"):
+    monkeypatch.setattr(Extension, "validate", broken)
+    with pytest.raises(TypeError, match="broken extension certificate"):
         check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
                                 [regular_module(b.algebra)])
 
@@ -543,6 +544,112 @@ def test_ks3_sees_delta_applied_on_the_opposite_side(side):
     statuses = [v.status for v in check_monoidal_instance(bad, eps, g, [reg])[:3]]
     # both sides of the associator use the same wrong action: it cannot see it
     assert statuses == ["proven", "failed", "failed"]
+
+
+# --- the tensor-extension instance is Delta's certificate -----------------
+
+
+def weak_delta_bundle():
+    """K(Z/2) with Delta(d_k) = iota(d_k (x) d_k) and eps(d_k) = 1.
+
+    Delta is multiplicative, but d0 (x) d1 is in neither B.A nor A.B, so it
+    is no extension, and d0 (x) d1 is no element of (A (x) A).A either.
+    """
+    A = kfun_cyclic(2).algebra
+    AA = tensor_algebra(A, A)
+    delta = Extension(A, AA, lambda k: iota(AA, tensor_elem(
+        A.basis_element(k), A.basis_element(k), into=AA)), name="weak Delta")
+    eps = Counit(A, {0: QQ.one, 1: QQ.one})
+    return MultiplierBialgebra(A, delta, eps, A.basis_element(0), name="kfun_cyclic(2)+weak")
+
+
+def bundle_row(b, window=None, expansion=None):
+    return b.slicer(window, expansion), b.epsilon, b.counit_witness, [regular_module(b.algebra)]
+
+
+def ks3_row(side):
+    sl = ks3_bundle().slicer()
+    return (sl, *ks3_counit(sl), [regular_module(sl.alg, side)])
+
+
+INSTANCE_ROWS = {
+    "kfun_cyclic(2)": lambda: bundle_row(kfun_cyclic(2).bialgebra),
+    "kfun_cyclic(3)": lambda: bundle_row(kfun_cyclic(3).bialgebra),
+    "nand_delta": lambda: bundle_row(nand_delta_bundle()),
+    "kS3-left": lambda: ks3_row("left"),
+    "kS3-right": lambda: ks3_row("right"),
+    "kfin_Z": lambda: bundle_row(kfin_Z().bialgebra, 1, 6),
+    "kfin_N": lambda: bundle_row(kfin_N().bialgebra, 1, 6),
+    "weak-delta": lambda: bundle_row(weak_delta_bundle()),
+}
+
+
+@pytest.mark.parametrize("row", INSTANCE_ROWS)
+def test_the_tensor_extension_instance_reads_deltas_certificate(row):
+    # (iota (x) iota) o Delta = Delta: the instance is Delta's own validate
+    sl, eps, g, modules = INSTANCE_ROWS[row]()
+    instance = check_monoidal_instance(sl, eps, g, modules)[-1]
+    certificate = sl.delta.validate()
+    failed = next((v for v in certificate if not v.ok), None)
+    assert (instance.axiom, instance.window) == ("tensor extension instance",
+                                                 sl.delta.window_label())
+    if failed is None:
+        assert {v.status for v in certificate} == {instance.status, sl.alg.baseline(sl.ids)}
+        assert instance.witness is None
+    else:
+        assert (instance.status, instance.witness) == ("failed", failed.witness)
+        assert instance.detail == f"{failed.axiom}: {failed.detail}"
+    assert (failed is None) == (row != "weak-delta")
+
+
+def test_the_monoidal_check_builds_no_extension_and_validates_delta_once(monkeypatch):
+    # one certificate route: a second one must not grow back
+    b = kfun_cyclic(2).bialgebra
+    sl = b.slicer()
+    built, validated = [], []
+    real_init, real_validate = Extension.__init__, Extension.validate
+    monkeypatch.setattr(Extension, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    monkeypatch.setattr(Extension, "validate",
+                        lambda self: validated.append(self) or real_validate(self))
+    check_monoidal_instance(sl, b.epsilon, b.counit_witness, [regular_module(b.algebra)])
+    assert built == []
+    assert len(validated) == 1 and validated[0] is sl.delta
+
+
+def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
+    # the zero module: no m is in M.A, and on full finite windows no larger
+    # window exists, so that is a failed verdict at m, not a window artefact
+    b = kfun_cyclic(2).bialgebra
+    A = b.algebra
+    zero = ModuleStructure(A, A, "right", lambda m, a: {})
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness, [zero])
+    assert [(v.status, str(v.witness[0]) if v.witness else None) for v in verdicts] == [
+        ("failed", "1*d0")] * 3 + [("proven", None)]
+    assert verdicts[0].detail == "tensor action: 1*d0 has no M.A decomposition"
+    assert verdicts[1].detail == "unit constraint: 1*d0 has no M.A decomposition"
+    v = check_module_algebra(zero, b.slicer())
+    assert (v.axiom, v.status, v.witness) == ("module algebra", "failed", (A.basis_element(0),))
+    # an id tuple short of the basis, or an oracle window, may just be too small
+    with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
+        tensor_module_action(b.slicer((0,)), zero, zero).act_basis((0, 0), 0)
+    K = kfin_Z().bialgebra
+    zero_k = ModuleStructure(K.algebra, K.algebra, "right", lambda m, a: {})
+    with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
+        check_monoidal_instance(K.slicer(1, 6), K.epsilon, K.counit_witness, [zero_k])
+
+
+def test_a_weak_coproduct_fails_at_its_undecomposable_pair():
+    b = weak_delta_bundle()
+    verdicts = {v.axiom: v for v in check_monoidal_instance(
+        b.slicer(), b.epsilon, b.counit_witness, [regular_module(b.algebra)])}
+    for axiom, detail in (("monoidal associator", "tensor action: 1*(d0,d1) has no M.A "
+                           "decomposition"),
+                          ("tensor extension instance", "extension idempotency: no B.A "
+                           "decomposition")):
+        v = verdicts[axiom]
+        assert (v.status, [str(w) for w in v.witness], v.detail) == (
+            "failed", ["1*(d0,d1)"], detail)
 
 
 FIXED_BY_THE_HANDLE = {"delta", "window", "window_a", "expansion", "com", "strict"}

@@ -104,8 +104,10 @@ def test_bimodule_roundtrip():
     def right_rule(a_id, b_id):
         return ext.basis_multiplier(b_id).apply("right", A.basis_element(a_id)).coeffs
 
-    rebuilt = Extension.from_bimodule(B, A, left_rule, right_rule,
-                                      name="pullback'")
+    rebuilt = Extension(B, A, lambda b: Multiplier(A, lambda a: left_rule(b, a),
+                                                   lambda a: right_rule(a, b)),
+                        name="pullback'")
+    assert all(v.ok for v in rebuilt.validate())
     for i in range(2):
         assert multiplier_eq(rebuilt.basis_multiplier(i),
                              ext.basis_multiplier(i), range(4)).ok
