@@ -604,7 +604,8 @@ class ModuleStructure:
     """One-sided module over an algebra, action given on basis ids.
 
     ``side`` is "right" (m <| a) or "left" (a |> m); ``act`` always takes
-    (module element, algebra element) regardless of side.
+    (module element, algebra element) regardless of side.  ``ma_form`` is
+    the one M.A form of a basis id, which ``act_on_module`` extends along.
     """
 
     def __init__(self, space: Space, algebra: Algebra, side, act_rule, name=None):
@@ -616,6 +617,7 @@ class ModuleStructure:
         self._act_rule = act_rule
         self._act_cache: dict = {}
         self._span_cache: dict = {}
+        self._forms: dict = {}
         self.name = name or f"{space.name}:{side} {algebra.name}-module"
 
     def act_basis(self, m_id, a_id) -> Element:
@@ -646,6 +648,27 @@ class ModuleStructure:
 
     def decompose(self, m: Element, m_ids, a_ids):
         return self.action_span(m_ids, a_ids).decompose(m.coeffs)
+
+    def ma_form(self, m_id, window_m, window_a, check):
+        """e_m = sum c * (e_i acted by e_j) as [(c, i, j)] over the windows, solved
+        once per (id, windows).  No form on windows covering both finite bases
+        fails ``check`` at e_m (InvariantViolation); on smaller ones, WindowInsufficiency."""
+        key = (m_id, window_m, window_a)
+        form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = self._solve_form(m_id, window_m, window_a, check)
+        return form
+
+    def _solve_form(self, m_id, window_m, window_a, check):
+        m, m_ids = self.space.basis_element(m_id), resolve_window(self.space, window_m)
+        a_ids = resolve_window(self.algebra, window_a)
+        form = self.decompose(m, m_ids, a_ids)
+        if form is None:
+            if not (self.space.covers_fully(m_ids) and self.algebra.covers_fully(a_ids)):
+                raise WindowInsufficiency(f"{check}: {m} lacks M.A form; enlarge the window")
+            raise InvariantViolation(Verdict(check, "failed", self.space.window_label(m_ids),
+                                             witness=(m,), detail=f"{m} has no M.A decomposition"))
+        return form
 
 
 def regular_module(alg: Algebra, side="right") -> ModuleStructure:
@@ -800,19 +823,30 @@ def tensor_elem(x: Element, y: Element, into) -> Element:
     return Element(into, _outer(into.field, x.coeffs, y.coeffs))
 
 
-def tensor_module(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
-    """Componentwise module over the tensor algebra (same side required)."""
-    if m.side != n.side:
-        raise InputError("tensor of modules with mismatched sides")
-    carrier = tensor_space(m.space, n.space)
-    acting = tensor_algebra(m.algebra, n.algebra)
+class TensorModule(ModuleStructure):
+    """m (x) n over A (x) B, acted on leg by leg (same side required).  A
+    window of it is each leg's window, as an int window of a tensor space
+    is each factor's; its M.A forms are the products of the legs' forms."""
 
-    def rule(m_id, a_id):
-        (mi, ni), (ai, bi) = m_id, a_id
-        return _outer(carrier.field, m.act_basis(mi, ai).coeffs, n.act_basis(ni, bi).coeffs)
+    def __init__(self, m: ModuleStructure, n: ModuleStructure):
+        if m.side != n.side:
+            raise InputError("tensor of modules with mismatched sides")
+        self.factors = (m, n)
+        super().__init__(tensor_space(m.space, n.space), tensor_algebra(m.algebra, n.algebra),
+                         m.side, self._leg_rule, name=f"{m.name} (x) {n.name}")
 
-    return ModuleStructure(carrier, acting, m.side, rule,
-                           name=f"{m.name} (x) {n.name}")
+    def _leg_rule(self, m_id, a_id):
+        (mi, ni), (ai, bi), (m, n) = m_id, a_id, self.factors
+        return _outer(self.space.field, m.act_basis(mi, ai).coeffs, n.act_basis(ni, bi).coeffs)
+
+    def _solve_form(self, m_id, window_m, window_a, check):
+        left, right = (leg.ma_form(i, window_m, window_a, check)
+                       for leg, i in zip(self.factors, m_id))
+        mul = self.space.field.mul
+        return [(mul(c, d), (mi, nj), (ai, bj)) for c, mi, ai in left for d, nj, bj in right]
+
+
+tensor_module = TensorModule
 
 
 def reassociate_left(elem: Element, target: Space) -> Element:

@@ -51,8 +51,8 @@ from .algebra import (
     joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
     tensor_algebra, tensor_elem, tensor_module,
 )
-from .multiplier import (Multiplier, agrees_on_probes, iota, iota_element, iota_preimage, one,
-                         psi_embed)
+from .multiplier import (Multiplier, act_on_module, agrees_on_probes, iota, iota_element,
+                         iota_preimage, one, psi_embed)
 from .extension import Extension
 
 
@@ -496,53 +496,25 @@ class MultiplierBialgebra:
 
 def tensor_module_action(slicer: Slicer, m: ModuleStructure,
                          n: ModuleStructure) -> ModuleStructure:
-    """A-module on M (x) N through Delta = slicer.delta, on the modules' side.
+    """A-module on M (x) N through Delta = slicer.delta, on the modules' side:
+    ``act_on_module`` applies Delta(a) on ``tensor_module(M, N)``,
 
     (m (x) n) . a  =  sum (m_i (x) n_j) ((a_i (x) b_j) <| Delta(a))   (right)
     a . (m (x) n)  =  sum (Delta(a) |> (a_i (x) b_j)) (m_i (x) n_j)   (left)
-    over decompositions of m and n by the action, leg by leg.  Decomposition
-    searches draw m and n from the Slicer's window and the acting ids from
-    its expansion-scaled version.  Mixed sides raise (``tensor_module``).
-    """
-    delta, alg, wa = slicer.delta, slicer.alg, slicer.window
+
+    over the legs' M.A forms on the Slicer's window and its expansion-scaled
+    one.  Mixed sides raise (``tensor_module``)."""
+    delta, alg = slicer.delta, slicer.alg
     if m.algebra is not alg or n.algebra is not alg:
         raise InputError("tensor_module_action wants two modules over A")
-    base = tensor_module(m, n)
-    a_search = delta.source_search_ids
-    m_ids = resolve_window(m.space, wa)
-    n_ids = resolve_window(n.space, wa)
-    f = alg.field
+    mn, windows = tensor_module(m, n), (slicer.window, delta.source_search_ids)
 
     def rule(mn_id, a_id):
-        mi, nj = mn_id
-        dec_m = ma_form(m, m.space.basis_element(mi), m_ids, a_search, "tensor action")
-        dec_n = ma_form(n, n.space.basis_element(nj), n_ids, a_search, "tensor action")
-        da = delta.basis_multiplier(a_id)
-        acc: dict = {}
-        for c, mx, ap in dec_m:
-            for d, ny, bq in dec_n:
-                moved = da.apply(m.side, tensor_elem(alg.basis_element(ap),
-                                                     alg.basis_element(bq), into=delta.target))
-                hit = base.act(tensor_elem(m.space.basis_element(mx),
-                                           n.space.basis_element(ny),
-                                           into=base.space), moved)
-                vec_axpy(f, acc, hit.coeffs, f.mul(c, d))
-        return acc
+        return act_on_module(mn, mn.space.basis_element(mn_id), delta.basis_multiplier(a_id),
+                             *windows, "tensor action").coeffs
 
-    return ModuleStructure(base.space, alg, m.side, rule,
+    return ModuleStructure(mn.space, alg, m.side, rule,
                            name=f"({m.space.name}(x){n.space.name}) over Delta")
-
-
-def ma_form(M: ModuleStructure, m: Element, m_ids, a_ids, check):
-    """m = sum c m_i . a_j over the windows; no such form on windows covering both
-    finite bases fails ``check`` at m (InvariantViolation), else WindowInsufficiency."""
-    dec = M.decompose(m, m_ids, a_ids)
-    if dec is None:
-        if not (M.space.covers_fully(m_ids) and M.algebra.covers_fully(a_ids)):
-            raise WindowInsufficiency(f"{check}: {m} lacks M.A form; enlarge the window")
-        raise InvariantViolation(Verdict(check, "failed", M.space.window_label(m_ids),
-                                         witness=(m,), detail=f"{m} has no M.A decomposition"))
-    return dec
 
 
 def first_failure(axiom, failures, status, label) -> Verdict:
@@ -612,10 +584,9 @@ def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
         # m . a against sum m_j . (id (x) eps on eps_leg)(Delta(a) on M's side
         # of legs), m = sum m_j . b_j and legs = b_j (x) g with g on the eps leg
         for M in modules:
-            m_ids = resolve_window(M.space, wa)
-            for mi in m_ids:
+            for mi in resolve_window(M.space, wa):
                 m_elem = M.space.basis_element(mi)
-                dec = ma_form(M, m_elem, m_ids, dec_ids, "unit constraint")
+                dec = M.ma_form(mi, wa, dec_ids, "unit constraint")
                 for a in a_ids:
                     da = delta.basis_multiplier(a)
                     acc: dict = {}

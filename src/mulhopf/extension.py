@@ -155,7 +155,7 @@ class Extension:
         The decomposition of a target basis id depends only on the side, so
         it is solved once per extension and shared by every lifted multiplier.
         """
-        src, tgt, field = self.source, self.target, self.target.field
+        tgt, field = self.target, self.target.field
 
         def rule(bid):
             dec = self._lift_decs.get((side, bid))
@@ -168,7 +168,7 @@ class Extension:
             # f(x |> e_i) |> e_j summed term by term over x |> e_i = sum d e_k
             acc: dict = {}
             for c, i, j in dec:
-                for k, d in Element(src, basis_image(x, side, i)).sorted_items():
+                for k, d in basis_image(x, side, i).items():
                     hit = basis_image(self.basis_multiplier(k), side, j)
                     if hit:
                         vec_axpy(field, acc, hit, field.mul(c, d))
@@ -321,16 +321,16 @@ def _join_windows(w1, w2):
 
 def restrict_module(ext: Extension, module: ModuleStructure) -> ModuleStructure:
     """Pull a target-algebra module back to the source along the extension,
-    on the module's side: m . b = m <| f(b), or f(b) |> m.  m decomposes
-    over the source window and the target's expansion-scaled window."""
+    on the module's side: m . b = m <| f(b), or f(b) |> m (``act_on_module``),
+    over M.A forms on the source window and the target's expansion-scaled one;
+    an id with none fails "restricted action" (``ModuleStructure.ma_form``)."""
     if module.algebra is not ext.target:
         raise InputError("restrict_module: module is not over the extension target")
     a_ids = scaled_window(ext.target, ext.target_window, ext.expansion)
 
     def rule(m_id, b_id):
-        m = module.space.basis_element(m_id)
-        return act_on_module(module, m, ext.basis_multiplier(b_id),
-                             window_m=ext.source_window, window_a=a_ids).coeffs
+        return act_on_module(module, module.space.basis_element(m_id), ext.basis_multiplier(b_id),
+                             ext.source_window, a_ids, "restricted action").coeffs
 
     return ModuleStructure(module.space, ext.source, module.side, rule,
                            name=f"{module.name} along {ext.name}")

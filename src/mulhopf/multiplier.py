@@ -36,8 +36,7 @@ from itertools import product
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_canonical
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    Window, WindowInsufficiency, _outer, probe_window, resolve_window, tensor_algebra,
-    tensor_elem,
+    Window, WindowInsufficiency, _outer, probe_window, tensor_algebra, tensor_elem,
 )
 
 
@@ -183,25 +182,17 @@ def multiplier_eq(x: Multiplier, y: Multiplier, probes) -> Verdict:
 
 
 def act_on_module(module: ModuleStructure, m: Element, x: Multiplier,
-                  window_m=None, window_a=None) -> Element:
-    """Extend the action along M = MA:  m <| x = sum m_i * (a_i <| x).
-
-    Needs a decomposition of m over the windows; raises WindowInsufficiency
-    when none exists.
-    """
+                  window_m=None, window_a=None, check="module action") -> Element:
+    """The one extension of an action along M = MA: m <| x = sum c m_i (a_i <| x),
+    or x |> m, over each basis id's ``ModuleStructure.ma_form`` (which fails
+    ``check`` when there is none), extended linearly."""
     if module.algebra is not x.alg:
         raise InputError("multiplier belongs to a different algebra")
-    m_ids = resolve_window(module.space, window_m)
-    a_ids = resolve_window(module.algebra, window_a)
-    dec = module.decompose(m, m_ids, a_ids)
-    if dec is None:
-        raise WindowInsufficiency(
-            f"{m} does not decompose over {module.space.window_label(m_ids)}")
-    acc: dict = {}
-    for c, mi, aj in dec:
-        moved = x.apply(module.side, module.algebra.basis_element(aj))
-        vec_axpy(module.space.field, acc,
-                 module.act(module.space.basis_element(mi), moved).coeffs, c)
+    f, acc = module.space.field, {}
+    for bid, cm in m.coeffs.items():
+        for c, mi, aj in module.ma_form(bid, window_m, window_a, check):
+            for k, v in basis_image(x, module.side, aj).items():
+                vec_axpy(f, acc, module.act_basis(mi, k).coeffs, f.mul(f.mul(cm, c), v))
     return Element(module.space, acc)
 
 

@@ -1,11 +1,13 @@
 """Coproducts as extensions into M(A(x)A): slices, coassociativity, counits."""
 
 import inspect
+from collections import Counter
 
 import pytest
 
 from mulhopf import bialgebra, comodule, hopf, multiplier
-from mulhopf.algebra import (Element, InputError, ModuleStructure, WindowInsufficiency,
+from mulhopf.algebra import (Element, InputError, InvariantViolation, ModuleStructure,
+                             WindowInsufficiency,
                              regular_module, check_module, finite_algebra, tensor_algebra,
                              tensor_elem)
 from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slicer,
@@ -14,7 +16,7 @@ from mulhopf.bialgebra import (Counit, MultiplierBialgebra, SliceUndefined, Slic
                                synthesize_counit, tensor_module_action)
 from mulhopf.cli import main
 from mulhopf.comodule import check_comodule_coassoc_element, check_module_algebra
-from mulhopf.extension import Extension, identity_extension
+from mulhopf.extension import Extension, identity_extension, restrict_module
 from mulhopf.fields import QQ
 from mulhopf.gallery import kfin_N, kfin_Z, kfun_cyclic, nand_delta_bundle
 from mulhopf.hopf import check_bijective, check_hopf
@@ -617,6 +619,23 @@ def test_the_monoidal_check_builds_no_extension_and_validates_delta_once(monkeyp
     assert len(validated) == 1 and validated[0] is sl.delta
 
 
+def test_the_monoidal_check_solves_each_ma_form_once(monkeypatch):
+    # the tensor action and the unit constraints share each module's M.A forms
+    b = kfun_cyclic(6).bialgebra
+    solved = Counter()
+    real = ModuleStructure.decompose
+
+    def counted(self, m, m_ids, a_ids):
+        solved[(id(self), tuple(m.coeffs), tuple(m_ids), tuple(a_ids))] += 1
+        return real(self, m, m_ids, a_ids)
+
+    monkeypatch.setattr(ModuleStructure, "decompose", counted)
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
+                                       [regular_module(b.algebra)])
+    assert {v.status for v in verdicts} == {"proven"}
+    assert solved and max(solved.values()) == 1
+
+
 def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
     # the zero module: no m is in M.A, and on full finite windows no larger
     # window exists, so that is a failed verdict at m, not a window artefact
@@ -633,10 +652,16 @@ def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
     # an id tuple short of the basis, or an oracle window, may just be too small
     with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
         tensor_module_action(b.slicer((0,)), zero, zero).act_basis((0, 0), 0)
+    # pulled back along a morphism, the same rule: act_on_module reads ma_form
+    with pytest.raises(InvariantViolation, match="has no M.A decomposition") as exc:
+        restrict_module(identity_extension(A), zero).act_basis(0, 0)
+    assert [str(w) for w in exc.value.verdict.witness] == ["1*d0"]
     K = kfin_Z().bialgebra
     zero_k = ModuleStructure(K.algebra, K.algebra, "right", lambda m, a: {})
     with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
         check_monoidal_instance(K.slicer(1, 6), K.epsilon, K.counit_witness, [zero_k])
+    with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
+        restrict_module(identity_extension(K.algebra, window=2), zero_k).act_basis(0, 0)
 
 
 def test_a_weak_coproduct_fails_at_its_undecomposable_pair():

@@ -147,10 +147,18 @@ def callers(name: str) -> list:
     return sorted(found)
 
 
-# One route extends a module action along a multiplier-valued map: a tensor
-# action through Delta is ``bialgebra.tensor_module_action``, leg by leg.
-def test_only_restrict_module_extends_an_action_by_act_on_module():
-    assert callers("act_on_module") == [("extension", "restrict_module")]
+# One rule extends a module action along M = M.A: ``act_on_module``, over the
+# memoised ``ModuleStructure.ma_form``.  A pull-back along a morphism and the
+# tensor action through Delta (on ``tensor_module(M, N)``) are its only callers;
+# only a tensor module's legs and the unit constraints read forms besides it,
+# and no second M.A form may grow back in ``bialgebra``.
+def test_one_rule_extends_a_module_action_along_its_ma_forms():
+    assert callers("act_on_module") == [("bialgebra", "tensor_module_action"),
+                                        ("extension", "restrict_module")]
+    assert callers("ma_form") == [("algebra", "TensorModule._solve_form"),
+                                  ("bialgebra", "check_monoidal_instance"),
+                                  ("multiplier", "act_on_module")]
+    assert not hasattr(importlib.import_module("mulhopf.bialgebra"), "ma_form")
 
 
 # ``multiplier.py`` builds every kind of ``Multiplier`` (a leaf, a product, a
