@@ -847,12 +847,3 @@ class TensorModule(ModuleStructure):
 
 
 tensor_module = TensorModule
-
-
-def reassociate_left(elem: Element, target: Space) -> Element:
-    """(i,(j,k)) -> ((i,j),k) relabeling into the prebuilt target space."""
-    out = {}
-    for bid, v in elem.coeffs.items():
-        i, (j, k) = bid
-        out[((i, j), k)] = v
-    return Element(target, out)

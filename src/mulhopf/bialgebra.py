@@ -47,9 +47,8 @@ from itertools import product
 from .linalg import GaussianSolver, SparseMatrix, vec_add, vec_axpy, vec_bilinear
 from .algebra import (
     Algebra, Element, InputError, InvariantViolation, ModuleStructure, Verdict,
-    WindowInsufficiency,
-    joint_baseline, probe_window, reassociate_left, resolve_window, scalar_algebra,
-    tensor_algebra, tensor_elem, tensor_module,
+    WindowInsufficiency, joint_baseline, probe_window, resolve_window, scalar_algebra,
+    tensor_algebra, tensor_module,
 )
 from .multiplier import (Multiplier, act_on_module, agrees_on_probes, iota, iota_element,
                          iota_preimage, one, psi_embed)
@@ -465,15 +464,16 @@ def synthesize_counit(slicer: Slicer, why=None):
 
 
 class MultiplierBialgebra:
-    """Algebra + Delta + counit data, with default window configuration."""
+    """Algebra + Delta + counit data, with default window configuration.
+
+    eps alone is the counit data: the monoidal unit k_eps and its witness
+    g = eps.witness are derived from it (``check_monoidal_instance``)."""
 
     def __init__(self, algebra: Algebra, delta: Extension, epsilon: Counit | None,
-                 counit_witness: Element, window=None, expansion=2, name=None,
-                 antipode=None):
+                 window=None, expansion=2, name=None, antipode=None):
         self.algebra = algebra
         self.delta = delta
         self.epsilon = epsilon
-        self.counit_witness = counit_witness
         self.window = window
         self.expansion = expansion
         self.name = name or algebra.name
@@ -526,8 +526,9 @@ def first_failure(axiom, failures, status, label) -> Verdict:
         return Verdict(axiom, "failed", label, witness=exc.verdict.witness, detail=str(exc))
 
 
-def epsilon_module(epsilon: Counit) -> ModuleStructure:
-    """The base field as a right A-module through eps."""
+def epsilon_module(epsilon: Counit, side="right") -> ModuleStructure:
+    """k_eps, the unit object of A's ``side`` modules: the base field acted
+    on through eps, 1 . a = eps(a) 1."""
     alg = epsilon.alg
     k = scalar_algebra(alg.field)
 
@@ -535,73 +536,65 @@ def epsilon_module(epsilon: Counit) -> ModuleStructure:
         val = epsilon.value(a_id)
         return {"1": val} if val else {}
 
-    return ModuleStructure(k, alg, "right", rule, name="k over eps")
+    return ModuleStructure(k, alg, side, rule, name="k over eps")
 
 
-def check_monoidal_instance(slicer: Slicer, epsilon: Counit,
-                            counit_witness: Element, modules) -> list:
+def check_monoidal_instance(slicer: Slicer, epsilon: Counit, modules) -> list:
     """Associator and unit-constraint instances for a family of left or right modules.
 
-    Returns verdicts for: associator A-linearity on every ordered triple
-    from ``modules``; the right and left unit constraints mediated by the
-    counit witness g; and the tensor-of-extensions instance, iota (x) iota
-    along Delta, which is Delta's own certificate (``Extension.validate``)
-    since (iota (x) iota) o Delta = Delta.  A programming error inside a
-    check propagates; it is not a verdict (``first_failure``).  The
-    Slicer's window must be None or an int: it is resolved on every tensor
-    module too, where an id tuple of A names no ids.
-
-    g is its own input, not eps.witness: eps' = 2 eps with g' = g / 2 passes
-    every unit constraint, which reads eps and g only together; the module
-    laws of k over eps (``epsilon_module``) catch it.
+    The forgetful functor is strict monoidal, so each structure map is a
+    relabelling of basis ids, checked by one rule: it is A-linear when the
+    tensor products act through Delta (``tensor_module_action``).  The maps
+    are the associator M (x) (N (x) P) --> (M (x) N) (x) P on each ordered
+    triple from ``modules`` and the unitors M (x) k_eps --> M and k_eps (x)
+    M --> M, after a check that the unit object k_eps (``epsilon_module``) is
+    a module on the window: eps multiplicative and not zero there; the label
+    names g = eps.witness.  The tensor-extension instance, iota (x) iota
+    along Delta, is Delta's certificate (``Extension.validate``) since
+    (iota (x) iota) o Delta = Delta.  A programming error in a check
+    propagates (``first_failure``).  The window must be None or an int: it
+    is resolved on each tensor module, where an id tuple of A names no ids.
     """
     delta, alg, wa, a_ids = slicer.delta, slicer.alg, slicer.window, slicer.ids
     if wa is not None and not isinstance(wa, int):
         raise InputError(f"monoidal instances need an integer window, not {wa!r}")
-    dec_ids = delta.source_search_ids
-    f = alg.field
-    g = counit_witness
+    f, g = alg.field, epsilon.witness(a_ids)
+
+    def linear_failures(tag, src, dst, moved):
+        # the relabelling x -> moved(x) of src onto dst commutes with each a
+        ids = resolve_window(src.space, wa)
+        for x, a in product(ids, a_ids):
+            got = Element(dst.space, {moved(y): c for y, c in src.act_basis(x, a).coeffs.items()})
+            if got != (want := dst.act_basis(moved(x), a)):
+                yield Verdict(tag, "failed", f"{len(ids)} ids of {src.space.name}",
+                              witness=(src.space.basis_element(x), alg.basis_element(a)),
+                              detail=f"{got} vs {want}")
 
     def associator_failures():
         for M, N, P in product(modules, repeat=3):
-            NP = tensor_module_action(slicer, N, P)
-            right = tensor_module_action(slicer, M, NP)
-            MN = tensor_module_action(slicer, M, N)
-            left = tensor_module_action(slicer, MN, P)
-            ids = resolve_window(right.space, wa)
-            for x_id, a in product(ids, a_ids):
-                mi, (nj, pk) = x_id
-                lhs = reassociate_left(right.act_basis(x_id, a), left.space)
-                rhs = left.act_basis(((mi, nj), pk), a)
-                if lhs != rhs:
-                    yield Verdict("monoidal associator", "failed",
-                                  f"{len(ids)} ids of {right.space.name}",
-                                  witness=(right.space.basis_element(x_id),
-                                           alg.basis_element(a)),
-                                  detail=f"{lhs} vs {rhs}")
+            yield from linear_failures(
+                "monoidal associator",
+                tensor_module_action(slicer, M, tensor_module_action(slicer, N, P)),
+                tensor_module_action(slicer, tensor_module_action(slicer, M, N), P),
+                lambda x: ((x[0], x[1][0]), x[1][1]))
 
     def unit_failures(tag, eps_leg):
-        # m . a against sum m_j . (id (x) eps on eps_leg)(Delta(a) on M's side
-        # of legs), m = sum m_j . b_j and legs = b_j (x) g with g on the eps leg
+        # k_eps is a module on the window, then M (x) k_eps --> M (or
+        # k_eps (x) M --> M), dropping the eps leg, is A-linear
+        for i, j in product(a_ids, repeat=2):
+            if epsilon(alg.mul_basis(i, j)) != f.mul(epsilon.value(i), epsilon.value(j)):
+                x, y = alg.fmt_id(i), alg.fmt_id(j)
+                yield Verdict(tag, "failed", alg.window_label(a_ids),
+                              witness=(alg.basis_element(i), alg.basis_element(j)),
+                              detail=f"k over eps is no module: eps({x}*{y}) != eps({x})eps({y})")
+        if g is None:
+            yield Verdict(tag, "failed", alg.window_label(a_ids),
+                          detail="k over eps is no module: eps vanishes on the window")
         for M in modules:
-            for mi in resolve_window(M.space, wa):
-                m_elem = M.space.basis_element(mi)
-                dec = M.ma_form(mi, wa, dec_ids, "unit constraint")
-                for a in a_ids:
-                    da = delta.basis_multiplier(a)
-                    acc: dict = {}
-                    for c, mx, bj in dec:
-                        eb = alg.basis_element(bj)
-                        legs = (g, eb) if eps_leg == "left" else (eb, g)
-                        kept = _collapse(da.apply(M.side, tensor_elem(*legs, into=delta.target)),
-                                         epsilon, eps_leg)
-                        vec_axpy(f, acc, M.act(M.space.basis_element(mx), kept).coeffs, c)
-                    got = Element(M.space, acc)
-                    want = M.act(m_elem, alg.basis_element(a))
-                    if got != want:
-                        yield Verdict(tag, "failed", f"{M.space.name}, {len(a_ids)} ids",
-                                      witness=(m_elem, alg.basis_element(a)),
-                                      detail=f"constraint image {got}, expected {want}")
+            K = epsilon_module(epsilon, M.side)
+            legs, kept = ((M, K), 0) if eps_leg == "right" else ((K, M), 1)
+            yield from linear_failures(tag, tensor_module_action(slicer, *legs), M,
+                                       lambda x: x[kept])
 
     def instance_failures():
         # (iota (x) iota) o Delta = Delta: the instance is Delta's certificate

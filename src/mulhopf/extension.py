@@ -326,6 +326,9 @@ def restrict_module(ext: Extension, module: ModuleStructure) -> ModuleStructure:
     an id with none fails "restricted action" (``ModuleStructure.ma_form``)."""
     if module.algebra is not ext.target:
         raise InputError("restrict_module: module is not over the extension target")
+    if ext.source_window is not None and not isinstance(ext.source_window, int):
+        raise InputError(f"restrict_module resolves the source window on the module, "
+                         f"so it must be None or an int, not {ext.source_window!r}")
     a_ids = scaled_window(ext.target, ext.target_window, ext.expansion)
 
     def rule(m_id, b_id):

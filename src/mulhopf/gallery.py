@@ -61,8 +61,7 @@ def kfun_cyclic(n: int, field=QQ) -> GalleryEntry:
     delta = Extension(A, AA, delta_rule, name="Delta")
     eps = Counit(A, {k: (one if k == 0 else field.zero) for k in ids})
     smap = Extension(A, A, lambda t: iota(A, A.basis_element((n - t) % n)), name="S")
-    bundle = MultiplierBialgebra(A, delta, eps, A.basis_element(0),
-                                 name=f"kfun_cyclic({n})", antipode=smap)
+    bundle = MultiplierBialgebra(A, delta, eps, name=f"kfun_cyclic({n})", antipode=smap)
     return GalleryEntry(f"kfun_cyclic({n})", A, bundle)
 
 
@@ -95,7 +94,7 @@ def _kfin_monoid(field, window, name, describe, member, span) -> MultiplierBialg
     delta = Extension(A, AA, delta_rule, name="Delta",
                       source_window=window, target_window=window)
     eps = Counit(A, lambda bid: one if bid == 0 else field.zero)
-    return MultiplierBialgebra(A, delta, eps, A.basis_element(0), window=window, name=name)
+    return MultiplierBialgebra(A, delta, eps, window=window, name=name)
 
 
 def kfin_Z(field=QQ, window=4) -> GalleryEntry:
@@ -200,8 +199,7 @@ def nand_delta_bundle(field=QQ) -> MultiplierBialgebra:
 
     delta = Extension(A, AA, delta_rule, name="Delta~")
     eps = base.bialgebra.epsilon
-    return MultiplierBialgebra(A, delta, eps, A.basis_element(0),
-                               name="kfun_cyclic(2)+nand-delta")
+    return MultiplierBialgebra(A, delta, eps, name="kfun_cyclic(2)+nand-delta")
 
 
 def nand_delta(field=QQ) -> GalleryEntry:

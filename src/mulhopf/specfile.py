@@ -295,16 +295,14 @@ def build_bundle(spec: SpecFile, name="specfile") -> gallery.GalleryEntry:
     if spec.delta:
         T = tensor_algebra(A, A)
         delta = _slice_extension(A, T, spec.delta, "Delta")
-        epsilon = witness = None
-        if spec.epsilon:
-            epsilon = Counit(A, {i: spec.epsilon.get(i, field.zero) for i in spec.ids})
-            witness = epsilon.witness(spec.ids)
+        epsilon = (Counit(A, {i: spec.epsilon.get(i, field.zero) for i in spec.ids})
+                   if spec.epsilon else None)
         smap = None
         if spec.antipode:
             tables = {i: Element(A, spec.antipode.get(i, {})) for i in spec.ids}
             smap = Extension(A, A, lambda t: iota(A, tables[t]), name="S")
         bialgebra = MultiplierBialgebra(
-            A, delta, epsilon, witness, window=spec.window,
+            A, delta, epsilon, window=spec.window,
             expansion=spec.expansion or 2, name=name, antipode=smap)
     entry = gallery.GalleryEntry(name, A, bialgebra, default_window=spec.window)
     if spec.coaction:

@@ -293,7 +293,7 @@ def random_coproduct_bundle(seed: int, unital=False) -> MultiplierBialgebra:
         for k in rest:
             t[last] = t[last] - t[k]
     delta = Extension(A, AA, lambda k: iota(AA, t[k]), name=f"Delta[{seed}]")
-    return MultiplierBialgebra(A, delta, None, None)
+    return MultiplierBialgebra(A, delta, None)
 
 
 def _kpow(field, d, name):

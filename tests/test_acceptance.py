@@ -342,7 +342,7 @@ def test_monoidal_instances_for_gallery_bialgebras():
         reg = regular_module(b.algebra)
         sl = b.slicer(window, expansion)
         sq = tensor_module_action(sl, reg, reg)
-        verdicts = check_monoidal_instance(sl, b.epsilon, b.counit_witness, [reg, sq])
+        verdicts = check_monoidal_instance(sl, b.epsilon, [reg, sq])
         assert [v.axiom for v in verdicts] == [
             "monoidal associator", "monoidal right unit", "monoidal left unit",
             "tensor extension instance"]
@@ -350,7 +350,7 @@ def test_monoidal_instances_for_gallery_bialgebras():
     b = kfun_cyclic(2).bialgebra
     doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
     verdicts = {v.axiom: v for v in check_monoidal_instance(
-        b.slicer(), doubled, b.counit_witness, [regular_module(b.algebra)])}
+        b.slicer(), doubled, [regular_module(b.algebra)])}
     assert verdicts["monoidal left unit"].status == "failed"
     assert verdicts["monoidal left unit"].witness is not None
     finish(t0, 30.0, "monoidal instances pass for {A, A(x)A}; doubled eps fails the left unit")

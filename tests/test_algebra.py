@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from mulhopf.algebra import (Element, InputError, WindowInsufficiency,
+from mulhopf.algebra import (InputError, WindowInsufficiency,
                              check_associativity, check_idempotent,
                              check_local_units, check_module,
                              check_nondegenerate, finite_algebra,
-                             oracle_algebra, reassociate_left,
+                             oracle_algebra,
                              regular_module, resolve_window,
                              sweedler_decompose, tensor_algebra, tensor_elem,
                              tensor_module, witness_text)
@@ -98,23 +98,6 @@ def test_tensor_algebra_componentwise_product():
 def test_tensor_algebra_is_cached():
     A = group_algebra_z3()
     assert tensor_algebra(A, A) is tensor_algebra(A, A)
-
-
-def reassociate_right(elem: Element, target) -> Element:
-    """((i,j),k) -> (i,(j,k)) relabeling into the prebuilt target space."""
-    return Element(target, {(i, (j, k)): v for ((i, j), k), v in elem.coeffs.items()})
-
-
-def test_reassociate_roundtrip():
-    A = group_algebra_z3()
-    AA = tensor_algebra(A, A)
-    left = tensor_algebra(AA, A)
-    right = tensor_algebra(A, AA)
-    x = tensor_elem(tensor_elem(A.basis_element(0), A.basis_element(1), into=AA),
-                    A.basis_element(2), into=left)
-    moved = reassociate_right(x, right)
-    assert moved.coeffs == {(0, (1, 2)): QQ.one}
-    assert reassociate_left(moved, left) == x
 
 
 def test_regular_module_checks():

@@ -405,9 +405,11 @@ def test_synthesize_counit_returns_the_counit_of_its_solved_table():
         syn.value(5)
 
 
-def test_epsilon_module_is_a_module():
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_epsilon_module_is_a_module(side):
     b = kfun_cyclic(3).bialgebra
-    m = epsilon_module(b.epsilon)
+    m = epsilon_module(b.epsilon, side)
+    assert m.side == side
     assert all(v.ok for v in check_module(m).values())
 
 
@@ -418,7 +420,7 @@ def test_monoidal_instances_for_regular_and_tensor_square():
     b = kfun_cyclic(2).bialgebra
     reg = regular_module(b.algebra)
     sq = tensor_module_action(b.slicer(), reg, reg)
-    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness, [reg, sq])
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, [reg, sq])
     assert [v.axiom for v in verdicts] == [
         "monoidal associator", "monoidal right unit", "monoidal left unit",
         "tensor extension instance"]
@@ -429,7 +431,7 @@ def test_scaled_counit_breaks_the_unit_constraints():
     b = kfun_cyclic(2).bialgebra
     reg = regular_module(b.algebra)
     doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
-    verdicts = check_monoidal_instance(b.slicer(), doubled, b.counit_witness, [reg])
+    verdicts = check_monoidal_instance(b.slicer(), doubled, [reg])
     by_axiom = {v.axiom: v for v in verdicts}
     assert by_axiom["monoidal left unit"].status == "failed"
     assert by_axiom["monoidal left unit"].witness is not None
@@ -439,7 +441,7 @@ def test_scaled_counit_breaks_the_unit_constraints():
 
 def test_the_tensor_extension_instance_validates_on_the_slicers_window():
     b = kfin_Z().bialgebra  # Delta built on window 4
-    v = check_monoidal_instance(b.slicer(1, 6), b.epsilon, b.counit_witness,
+    v = check_monoidal_instance(b.slicer(1, 6), b.epsilon,
                                 [regular_module(b.algebra)])[-1]
     assert (v.axiom, v.status, v.window) == (
         "tensor extension instance", "holds_on_window", "3 ids of K(Z) -> 9 ids of K(Z)(x)K(Z)")
@@ -449,7 +451,7 @@ def test_monoidal_instances_reject_an_id_tuple_window():
     # the window is resolved on M (x) (N (x) P) too, where ids of A name no ids
     b = kfun_cyclic(3).bialgebra
     with pytest.raises(InputError, match="integer window"):
-        check_monoidal_instance(b.slicer((0, 1)), b.epsilon, b.counit_witness,
+        check_monoidal_instance(b.slicer((0, 1)), b.epsilon,
                                 [regular_module(b.algebra)])
 
 def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch):
@@ -461,7 +463,7 @@ def test_a_programming_error_in_the_monoidal_check_is_not_a_verdict(monkeypatch)
 
     monkeypatch.setattr(Extension, "validate", broken)
     with pytest.raises(TypeError, match="broken extension certificate"):
-        check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
+        check_monoidal_instance(b.slicer(), b.epsilon,
                                 [regular_module(b.algebra)])
 
 
@@ -498,20 +500,20 @@ def test_ks3_catches_the_framed_leg_multiplied_on_the_wrong_side(tmp_path, capsy
 
 
 def ks3_counit(sl):
-    """eps of kS3 synthesized, g = eps.witness, and the k_eps module laws that
-    a witness taken from eps needs checked too."""
+    """eps of kS3 synthesized, with the k_eps module laws on both sides."""
     eps = synthesize_counit(sl)
-    assert all(v.status == "proven" for v in check_module(epsilon_module(eps)).values())
-    return eps, eps.witness(sl.ids)
+    assert all(v.status == "proven" for side in ("left", "right")
+               for v in check_module(epsilon_module(eps, side)).values())
+    return eps
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_ks3_monoidal_instances_on_either_side(side):
     b = ks3_bundle()
     sl = b.slicer()
-    eps, g = ks3_counit(sl)
+    eps = ks3_counit(sl)
     reg = regular_module(b.algebra, side)
-    verdicts = check_monoidal_instance(sl, eps, g, [reg])
+    verdicts = check_monoidal_instance(sl, eps, [reg])
     assert [(v.axiom, v.status) for v in verdicts] == [
         ("monoidal associator", "proven"), ("monoidal right unit", "proven"),
         ("monoidal left unit", "proven"), ("tensor extension instance", "proven")]
@@ -538,14 +540,27 @@ def opposite_side_slicer(sl):
 def test_ks3_sees_delta_applied_on_the_opposite_side(side):
     b = ks3_bundle()
     sl = b.slicer()
-    eps, g = ks3_counit(sl)
+    eps = ks3_counit(sl)
     bad = opposite_side_slicer(sl)
     reg = regular_module(b.algebra, side)
     sq = tensor_module_action(bad, reg, reg)
     assert check_module(sq, laws=["associativity"])["associativity"].status == "failed"
-    statuses = [v.status for v in check_monoidal_instance(bad, eps, g, [reg])[:3]]
+    statuses = [v.status for v in check_monoidal_instance(bad, eps, [reg])[:3]]
     # both sides of the associator use the same wrong action: it cannot see it
     assert statuses == ["proven", "failed", "failed"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_unitors_see_a_tensor_action_applied_on_the_opposite_side(side, monkeypatch):
+    # only the tensor action is wrong, so Delta's certificate still holds
+    sl = ks3_bundle().slicer()
+    eps, bad, real = ks3_counit(sl), opposite_side_slicer(sl), bialgebra.tensor_module_action
+    monkeypatch.setattr(bialgebra, "tensor_module_action", lambda _sl, m, n: real(bad, m, n))
+    verdicts = check_monoidal_instance(sl, eps, [regular_module(sl.alg, side)])
+    assert [v.status for v in verdicts] == ["proven", "failed", "failed", "proven"]
+    assert all(v.witness for v in verdicts[1:3])
+    if side == "left":
+        assert verdicts[1].detail == "1*p201 vs 1*p120"
 
 
 # --- the tensor-extension instance is Delta's certificate -----------------
@@ -562,16 +577,16 @@ def weak_delta_bundle():
     delta = Extension(A, AA, lambda k: iota(AA, tensor_elem(
         A.basis_element(k), A.basis_element(k), into=AA)), name="weak Delta")
     eps = Counit(A, {0: QQ.one, 1: QQ.one})
-    return MultiplierBialgebra(A, delta, eps, A.basis_element(0), name="kfun_cyclic(2)+weak")
+    return MultiplierBialgebra(A, delta, eps, name="kfun_cyclic(2)+weak")
 
 
 def bundle_row(b, window=None, expansion=None):
-    return b.slicer(window, expansion), b.epsilon, b.counit_witness, [regular_module(b.algebra)]
+    return b.slicer(window, expansion), b.epsilon, [regular_module(b.algebra)]
 
 
 def ks3_row(side):
     sl = ks3_bundle().slicer()
-    return (sl, *ks3_counit(sl), [regular_module(sl.alg, side)])
+    return sl, ks3_counit(sl), [regular_module(sl.alg, side)]
 
 
 INSTANCE_ROWS = {
@@ -589,8 +604,8 @@ INSTANCE_ROWS = {
 @pytest.mark.parametrize("row", INSTANCE_ROWS)
 def test_the_tensor_extension_instance_reads_deltas_certificate(row):
     # (iota (x) iota) o Delta = Delta: the instance is Delta's own validate
-    sl, eps, g, modules = INSTANCE_ROWS[row]()
-    instance = check_monoidal_instance(sl, eps, g, modules)[-1]
+    sl, eps, modules = INSTANCE_ROWS[row]()
+    instance = check_monoidal_instance(sl, eps, modules)[-1]
     certificate = sl.delta.validate()
     failed = next((v for v in certificate if not v.ok), None)
     assert (instance.axiom, instance.window) == ("tensor extension instance",
@@ -614,7 +629,7 @@ def test_the_monoidal_check_builds_no_extension_and_validates_delta_once(monkeyp
                         lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
     monkeypatch.setattr(Extension, "validate",
                         lambda self: validated.append(self) or real_validate(self))
-    check_monoidal_instance(sl, b.epsilon, b.counit_witness, [regular_module(b.algebra)])
+    check_monoidal_instance(sl, b.epsilon, [regular_module(b.algebra)])
     assert built == []
     assert len(validated) == 1 and validated[0] is sl.delta
 
@@ -630,7 +645,7 @@ def test_the_monoidal_check_solves_each_ma_form_once(monkeypatch):
         return real(self, m, m_ids, a_ids)
 
     monkeypatch.setattr(ModuleStructure, "decompose", counted)
-    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness,
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon,
                                        [regular_module(b.algebra)])
     assert {v.status for v in verdicts} == {"proven"}
     assert solved and max(solved.values()) == 1
@@ -642,11 +657,12 @@ def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
     b = kfun_cyclic(2).bialgebra
     A = b.algebra
     zero = ModuleStructure(A, A, "right", lambda m, a: {})
-    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, b.counit_witness, [zero])
+    verdicts = check_monoidal_instance(b.slicer(), b.epsilon, [zero])
     assert [(v.status, str(v.witness[0]) if v.witness else None) for v in verdicts] == [
         ("failed", "1*d0")] * 3 + [("proven", None)]
     assert verdicts[0].detail == "tensor action: 1*d0 has no M.A decomposition"
-    assert verdicts[1].detail == "unit constraint: 1*d0 has no M.A decomposition"
+    # the unitors reach M's M.A forms through the tensor action too
+    assert {v.detail for v in verdicts[:3]} == {"tensor action: 1*d0 has no M.A decomposition"}
     v = check_module_algebra(zero, b.slicer())
     assert (v.axiom, v.status, v.witness) == ("module algebra", "failed", (A.basis_element(0),))
     # an id tuple short of the basis, or an oracle window, may just be too small
@@ -659,7 +675,7 @@ def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
     K = kfin_Z().bialgebra
     zero_k = ModuleStructure(K.algebra, K.algebra, "right", lambda m, a: {})
     with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
-        check_monoidal_instance(K.slicer(1, 6), K.epsilon, K.counit_witness, [zero_k])
+        check_monoidal_instance(K.slicer(1, 6), K.epsilon, [zero_k])
     with pytest.raises(WindowInsufficiency, match="lacks M.A form"):
         restrict_module(identity_extension(K.algebra, window=2), zero_k).act_basis(0, 0)
 
@@ -667,7 +683,7 @@ def test_a_finite_module_without_ma_form_fails_the_checks_that_meet_it():
 def test_a_weak_coproduct_fails_at_its_undecomposable_pair():
     b = weak_delta_bundle()
     verdicts = {v.axiom: v for v in check_monoidal_instance(
-        b.slicer(), b.epsilon, b.counit_witness, [regular_module(b.algebra)])}
+        b.slicer(), b.epsilon, [regular_module(b.algebra)])}
     for axiom, detail in (("monoidal associator", "tensor action: 1*(d0,d1) has no M.A "
                            "decomposition"),
                           ("tensor extension instance", "extension idempotency: no B.A "
@@ -716,18 +732,23 @@ def test_no_public_check_restates_what_a_slicer_fixes():
         "module", "slicer"]
 
 
-def test_the_counit_witness_is_an_input_because_the_unit_constraints_cannot_see_its_scale():
-    # eps' = 2 eps with g' = eps'.witness = d0 / 2: every unit constraint
-    # contracts g' through eps' to eps(d0 x), so all four monoidal verdicts
-    # read proven; only the module laws of k over eps' catch the scale
+def test_the_unit_constraints_check_that_k_over_eps_is_a_module():
+    # eps' = 2 eps scales g' = eps'.witness to d0 / 2, so the unitors alone
+    # could not see it; k over eps' is no module: eps'(d0 d0) = 2 != 4
     b = kfun_cyclic(2).bialgebra
-    doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
-    g = doubled.witness(b.slicer().ids)
-    assert g == b.algebra.basis_element(0).scale(QQ.inv(QQ.coerce(2)))
     reg = regular_module(b.algebra)
-    verdicts = check_monoidal_instance(b.slicer(), doubled, g, [reg])
-    assert [v.status for v in verdicts] == ["proven"] * 4
-    assert check_module(epsilon_module(doubled))["associativity"].status == "failed"
+    doubled = Counit(b.algebra, {0: QQ.coerce(2), 1: QQ.zero})
+    verdicts = check_monoidal_instance(b.slicer(), doubled, [reg])
+    for v in verdicts[1:3]:
+        assert (v.status, [str(w) for w in v.witness]) == ("failed", ["1*d0", "1*d0"])
+        assert v.detail.startswith("k over eps is no module: ")
+    assert doubled.witness(b.slicer().ids) == b.algebra.basis_element(0).scale(QQ.inv(QQ.coerce(2)))
+    assert verdicts[1].window == "full basis(2)"
+    # an eps that is zero on the window leaves k over eps degenerate
+    zero = Counit(b.algebra, {0: QQ.zero, 1: QQ.zero})
+    for v in check_monoidal_instance(b.slicer(), zero, [reg])[1:3]:
+        assert (v.status, v.witness) == ("failed", None)
+        assert v.detail == "k over eps is no module: eps vanishes on the window"
 
 
 def test_bundle_slicer_is_cached_per_window():

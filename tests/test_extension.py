@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from mulhopf import extension, multiplier
-from mulhopf.algebra import InvariantViolation, regular_module, tensor_algebra, tensor_elem
+from mulhopf.algebra import (InputError, InvariantViolation, regular_module, tensor_algebra,
+                             tensor_elem)
 from mulhopf.cli import main
 from mulhopf.extension import (Extension, TensorExtension, _join_windows,
                                compose_extensions, identity_extension, restrict_module)
@@ -240,6 +241,17 @@ def test_restrict_module_acts_along_an_oracle_extension(side):
     sl = kfin_Z().bialgebra.slicer(2)
     m = restrict_module(sl.delta, regular_module(sl.txt, side))
     assert str(m.act_basis((0, 1), 1)) == "1*(d0,d1)"
+
+
+def test_restrict_module_rejects_an_id_tuple_source_window():
+    # the source window is resolved on the module's space, where a tuple of
+    # ids of A names no ids of A (x) A; an int window is each factor's
+    b = kfun_cyclic(2).bialgebra
+    AA = b.slicer().delta.target
+    assert str(restrict_module(b.slicer().delta, regular_module(AA)).act_basis((0, 0), 0)) == (
+        "1*(d0,d0)")
+    with pytest.raises(InputError, match="must be None or an int, not \\(0, 1\\)"):
+        restrict_module(b.slicer((0, 1)).delta, regular_module(AA)).act_basis((0, 0), 0)
 
 
 def test_oracle_identity_extension_lifts():

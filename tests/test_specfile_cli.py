@@ -223,7 +223,7 @@ def test_build_bundle_produces_a_working_bialgebra(tmp_path):
     entry = build_bundle(parse_spec(GROUP_SPEC))
     b = entry.bialgebra
     assert b is not None
-    assert b.counit_witness == entry.algebra.basis_element("e")
+    assert b.epsilon.witness(entry.algebra.basis.ids) == entry.algebra.basis_element("e")
     assert b.antipode is not None
     # the group algebra of Z/2 is a Hopf algebra
     rc = run_cli(["check-hopf", write_spec(tmp_path, GROUP_SPEC)])[0]
